@@ -8,16 +8,25 @@ files and library versions; no timestamps, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 Failures print a one-line JSON error record to stderr.
+
+``--threads`` is the number of worker processes for the network-model fits
+(default: the cores this process may run on).  OpenBLAS is held to one
+thread per process unless ``OPENBLAS_NUM_THREADS`` is already set: the fits
+are tiny, and woken BLAS threads only compete with the workers.
 """
 
 from __future__ import annotations
+
+import os
+
+# Must run before numpy is first imported: OpenBLAS reads it once, at load.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -45,6 +54,7 @@ from .evaluation import (
 from .forecast import (
     MODEL_NAMES,
     ArnetModel,
+    FitDiagnostics,
     ForecastConfig,
     ForecastResult,
     run_model,
@@ -75,6 +85,13 @@ class UsageError(Exception):
     """Bad flags, malformed config entries, unknown settings."""
 
 
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API outside Linux
+        return os.cpu_count() or 1
+
+
 DEFAULTS: dict[str, object] = {
     "cutoff": 15,
     "max_rel": 50,
@@ -90,7 +107,7 @@ DEFAULTS: dict[str, object] = {
     "min_indegree": 20,
     "trials": 100000,
     "seed": 0,
-    "threads": 1,
+    "threads": _available_cores(),
     "random_pairs": 200,
     "alpha": 0.05,
     "n_videos": 60,
@@ -343,11 +360,28 @@ def _emit_fit(
             "videos": videos,
         },
     )
+    if model_name == "arnet" and models:
+        _emit_fit_diagnostics(out, {vid: models[vid].fit for vid in sorted(models)})
     rows = []
     for i, vid in enumerate(result.video_ids):
         for h, d in enumerate(result.dates):
             rows.append((vid, d.isoformat(), result.y_true[i, h], result.y_pred[i, h]))
     _write_csv(out / "forecasts.csv", ["video_id", "date", "y_true", "y_pred"], rows)
+
+
+def _emit_fit_diagnostics(out: Path, fits: Mapping[str, FitDiagnostics]) -> None:
+    """Per-target optimizer report; non-converged fits are also flagged on stderr."""
+    _write_csv(
+        out / "fit_diagnostics.csv",
+        ["video_id", "converged", "nit", "nfev", "objective", "n_params", "n_rows", "message"],
+        [(vid, d.converged, d.nit, d.nfev, d.objective, d.n_params, d.n_rows, d.message)
+         for vid, d in fits.items()],
+    )
+    failed = sum(not d.converged for d in fits.values())
+    if failed:
+        record = {"warning": "not_converged", "fits": failed, "of": len(fits),
+                  "details": str(out / "fit_diagnostics.csv")}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
 def _emit_eval(out: Path, report: EvalReport) -> None:
@@ -650,6 +684,9 @@ def cmd_pipeline(args: argparse.Namespace, settings: dict[str, object]) -> int:
 # parser
 
 
+THREADS_HELP = "worker processes for network-model fits (default: available cores)"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise UsageError(message)
@@ -668,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic dataset with ground truth")
     common(p, data=False)
-    for flag in ("seed", "n-videos", "n-artists", "days", "threads"):
+    for flag in ("seed", "n-videos", "n-artists", "days"):
         p.add_argument(f"--{flag}", type=int)
     for flag in ("edge-density", "presence-prob", "noise-scale"):
         p.add_argument(f"--{flag}", type=float)
@@ -720,8 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--persistent", required=True, help="persistent_edges.csv from the persistent step")
     p.add_argument("--model", choices=MODEL_NAMES)
-    for flag in ("p", "m-star", "train-days", "horizon", "threads"):
+    for flag in ("p", "m-star", "train-days", "horizon"):
         p.add_argument(f"--{flag}", type=int)
+    p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.add_argument("--neighbor-mode", choices=("observed", "forecast"))
     p.set_defaults(handler=cmd_fit)
 
@@ -741,8 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int)
     p.add_argument("--target-min-views", type=float)
     p.add_argument("--source-view-frac", type=float)
-    for flag in ("p", "m-star", "train-days", "horizon", "threads"):
+    for flag in ("p", "m-star", "train-days", "horizon"):
         p.add_argument(f"--{flag}", type=int)
+    p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.add_argument("--neighbor-mode", choices=("observed", "forecast"))
     p.set_defaults(handler=cmd_pipeline)
 

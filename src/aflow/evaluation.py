@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .data_model import DataFormatError, Dataset
 from .forecast import ArnetModel, ForecastConfig, ForecastResult, resolve_neighbor_values
@@ -105,13 +106,7 @@ class ContributionReport:
 
 def _midrank_percentiles(values: np.ndarray) -> np.ndarray:
     """Percentile ranks via average mid-ranks: 100 * (midrank - 0.5) / n."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    ranks[order] = np.arange(1, values.size + 1)
-    for val in np.unique(values):
-        mask = values == val
-        ranks[mask] = ranks[mask].mean()
-    return 100.0 * (ranks - 0.5) / values.size
+    return 100.0 * (rankdata(values, method="average") - 0.5) / values.size
 
 
 def contribution_report(

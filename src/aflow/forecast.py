@@ -10,7 +10,8 @@ forecasts when ``neighbor_mode="forecast"``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Callable, Mapping, Sequence
@@ -60,16 +61,35 @@ class ArModel:
     alpha: np.ndarray
 
 
+@dataclass(frozen=True)
+class FitDiagnostics:
+    """What L-BFGS-B reported for one network-model fit.
+
+    ``objective`` is the final smoothed training SMAPE; ``n_params`` = p plus
+    the neighbor count, against ``n_rows`` regression rows.
+    """
+
+    converged: bool
+    nit: int
+    nfev: int
+    objective: float
+    n_params: int
+    n_rows: int
+    message: str
+
+
 @dataclass(frozen=True, eq=False)
 class ArnetModel:
     """Autoregression plus same-day persistent in-neighbor terms.
 
     alpha is non-negative, beta values lie in [0, 1], keyed by neighbor id.
+    ``fit`` holds the optimizer's report when the model was fitted here.
     """
 
     video_id: str
     alpha: np.ndarray
     beta: Mapping[str, float]
+    fit: FitDiagnostics | None = None
 
 
 def predict_naive(history: Sequence[float] | np.ndarray, horizon: int) -> np.ndarray:
@@ -151,6 +171,8 @@ def fit_arnet(
     Bound-constrained L-BFGS (memory 10) from the fixed start alpha = 1/p,
     beta = 0.1; stops on a projected-gradient tolerance of ``grad_tol`` or
     after ``max_iter`` iterations.  Deterministic: no randomness anywhere.
+    The model carries the optimizer's status in ``fit``; a fit that stopped
+    without converging is returned, not rejected, and callers report it.
     With ``return_trace`` the objective value at each accepted iterate is
     returned alongside the model.
     """
@@ -201,7 +223,16 @@ def fit_arnet(
     x[:p] = np.maximum(x[:p], 0.0)
     x[p:] = np.clip(x[p:], 0.0, 1.0)
     beta = {u: float(x[p + j]) for j, u in enumerate(neighbor_ids)}
-    model = ArnetModel(video_id, x[:p], beta)
+    diagnostics = FitDiagnostics(
+        converged=bool(result.success),
+        nit=int(result.nit),
+        nfev=int(result.nfev),
+        objective=float(result.fun),
+        n_params=x.size,
+        n_rows=target.size,
+        message=str(result.message).strip(),
+    )
+    model = ArnetModel(video_id, x[:p], beta, diagnostics)
     if return_trace:
         return model, np.asarray(trace)
     return model
@@ -331,9 +362,11 @@ def run_model(
     """Fit one model family on every persistent-network target and forecast.
 
     All four families forecast the same target set (targets of persistent
-    links), so their reports are directly comparable.  Per-target fits are
-    independent; with ``threads`` > 1 they run in a pool and results are
-    merged by video id, so the thread count never changes the output.
+    links), so their reports are directly comparable.  Per-target network
+    fits are independent; with ``threads`` > 1 they run in that many worker
+    processes (see ``_fit_all``) and results are merged by video id, so the
+    worker count never changes the output.  The closed-form AR fits are too
+    cheap to ship to workers and always run here.
     """
     if model_name not in MODEL_NAMES:
         raise DataFormatError(f"unknown model {model_name!r}")
@@ -358,10 +391,7 @@ def run_model(
         for v in targets:
             preds[v] = predict_seasonal_naive(splits[v][0], config.horizon, config.m_star)
     elif model_name == "ar":
-        def fit_one_ar(v: str) -> ArModel:
-            return fit_ar(v, splits[v][0], config.p)
-
-        models = _fit_all(targets, fit_one_ar, threads)
+        models = {v: fit_ar(v, splits[v][0], config.p) for v in targets}
         for v in targets:
             preds[v] = forecast(models[v], splits[v][0], None, config)
     else:
@@ -385,9 +415,38 @@ def run_model(
     return models, result
 
 
-def _fit_all(targets: list[str], fit_one: Callable[[str], object], threads: int) -> dict:
-    if threads <= 1:
+# The per-target fit a worker process runs; set in each worker at start-up.
+_worker_fit: Callable[[str], object] | None = None
+
+
+def _init_worker(fit_one: Callable[[str], object]) -> None:
+    global _worker_fit
+    _worker_fit = fit_one
+
+
+def _fit_in_worker(video_id: str) -> object:
+    return _worker_fit(video_id)
+
+
+def _fit_all(targets: list[str], fit_one: Callable[[str], object], workers: int) -> dict:
+    """Fit every target, in up to ``workers`` fork-started processes.
+
+    Fork hands each worker ``fit_one`` and the data it closes over without
+    pickling them, so only video ids and fitted models cross the pipes.  Each
+    fit is the same deterministic computation wherever it runs.  Without
+    ``fork`` (Windows) the fits run serially.  An exception raised in a
+    worker is re-raised here unchanged.
+    """
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return {v: fit_one(v) for v in targets}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {v: pool.submit(fit_one, v) for v in targets}
-        return {v: futures[v].result() for v in targets}
+    workers = min(workers, len(targets))
+    # A few chunks per worker even out targets with many or few neighbors.
+    chunksize = max(1, len(targets) // (4 * workers))
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(fit_one,),
+    ) as pool:
+        fitted = list(pool.map(_fit_in_worker, targets, chunksize=chunksize))
+    return dict(zip(targets, fitted))

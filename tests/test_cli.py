@@ -1,15 +1,19 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aflow.forecast
 from aflow import cli, datagen
-from aflow.data_model import NumericalError, serialize_snapshots
+from aflow.data_model import DataFormatError, NumericalError, serialize_snapshots
 
 
 def run(argv, capsys=None):
@@ -446,6 +450,100 @@ def test_pipeline_is_thread_count_invariant(tmp_path, capsys):
         assert f"{model}/eval_summary.json" in d1
     assert "arnet/eta.csv" in d1
     assert "arnet/contribution_summary.json" in d1
+    assert "arnet/fit_diagnostics.csv" in d1
+    header, rows = read_csv(out1 / "arnet" / "fit_diagnostics.csv")
+    assert header == ["video_id", "converged", "nit", "nfev", "objective", "n_params",
+                      "n_rows", "message"]
+    fitted = json.loads((out1 / "arnet" / "models.json").read_text())["videos"]
+    assert [r[0] for r in rows] == sorted(fitted)
+
+
+def test_fit_diagnostics_report_non_converged_fits(tmp_path, monkeypatch, capsys):
+    data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
+    links = tmp_path / "links"
+    assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
+    forecast_config = cli._forecast_config
+    monkeypatch.setattr(
+        cli, "_forecast_config", lambda settings: dataclasses.replace(
+            forecast_config(settings), max_iter=1)
+    )
+    out = tmp_path / "fit"
+    code, captured = run(
+        ["fit", "--data", str(data), "--out", str(out), "--model", "arnet",
+         "--persistent", str(links / "persistent_edges.csv"), "--threads", "2"],
+        capsys,
+    )
+    assert code == 0
+    _, rows = read_csv(out / "fit_diagnostics.csv")
+    assert rows and any(r[1] == "0" for r in rows)
+    assert all(int(r[2]) <= 1 for r in rows)
+    warning = json.loads(captured.err.strip())
+    assert warning["warning"] == "not_converged"
+    assert warning["fits"] == sum(r[1] == "0" for r in rows)
+
+
+@pytest.mark.parametrize("error, code", [(DataFormatError, 2), (NumericalError, 3)])
+def test_worker_errors_keep_the_error_contract(tmp_path, monkeypatch, capfd, error, code):
+    data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
+    links = tmp_path / "links"
+    assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
+    _, edges = read_csv(links / "persistent_edges.csv")
+    bad = min(row[1] for row in edges)
+    fit_arnet = aflow.forecast.fit_arnet
+
+    def fail_one(video_id, *args, **kwargs):
+        if video_id == bad:
+            raise error(f"synthetic failure for {video_id}")
+        return fit_arnet(video_id, *args, **kwargs)
+
+    # Forked workers inherit the patch.
+    monkeypatch.setattr(aflow.forecast, "fit_arnet", fail_one)
+    capfd.readouterr()
+
+    assert cli.main(["pipeline", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--threads", "2"]) == code
+    captured = capfd.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    record = json.loads(lines[0])
+    assert record["type"] == error.__name__
+    assert record["message"] == f"synthetic failure for {bad}"
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_threads_default_to_available_cores(monkeypatch):
+    monkeypatch.delenv("AFLOW_THREADS", raising=False)
+    args = cli.build_parser().parse_args(["pipeline", "--data", "d", "--out", "o"])
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert cli.resolve_settings(args)["threads"] == expected
+
+
+def test_generate_has_no_threads_flag(tmp_path, capsys):
+    code, captured = run(["generate", "--out", str(tmp_path / "g"), "--threads", "2"], capsys)
+    assert code == 1
+    assert json.loads(captured.err.strip())["error"] == "usage"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_importing_the_cli_caps_blas_threads():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(aflow.__file__).resolve().parents[1])
+    script = (
+        "import os, aflow.cli\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(next(l.split()[1] for l in status if l.startswith('Threads:')))\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[1] == "2"  # a value the user set wins
 
 
 def test_console_script_entry_point(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from aflow.data_model import DataFormatError
 from aflow.evaluation import (
     ArtistRow,
+    _midrank_percentiles,
     contribution_report,
     evaluate_forecasts,
     network_contribution,
@@ -15,6 +16,7 @@ from aflow.forecast import ArnetModel, ForecastConfig, ForecastResult, run_model
 from aflow.persistence import extract_persistent_network
 
 import _helpers
+import _oracles
 
 
 def test_smape_pinned_examples():
@@ -114,6 +116,14 @@ def test_contribution_report_eta_and_shares():
     assert report.mean_eta == 0.5
     assert report.same_artist_share == 0.0
     assert same_artist_contribution(report) == 0.0
+
+
+def test_midrank_percentiles_match_counting_oracle():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 40, 173):
+        values = rng.integers(0, max(1, n // 3), size=n) * 0.37
+        expected = 100.0 * (_oracles.midranks(values) - 0.5) / n
+        np.testing.assert_array_equal(_midrank_percentiles(values), expected)
 
 
 def test_contribution_report_percentile_changes_sum_to_zero():

@@ -1,8 +1,12 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from aflow import datagen
-from aflow.data_model import DataFormatError
+from aflow import forecast as forecast_module
+from aflow.data_model import DataFormatError, NumericalError
 from aflow.evaluation import smape
 from aflow.forecast import (
     ArModel,
@@ -124,6 +128,22 @@ def test_arnet_is_deterministic():
     m2 = fit_arnet("v", y, {"u": nb})
     assert np.array_equal(m1.alpha, m2.alpha)
     assert m1.beta == m2.beta
+
+
+def test_arnet_reports_optimizer_status():
+    rng = np.random.default_rng(3)
+    u = 500 + 50 * rng.random(60)
+    y = 0.4 * u + 10 * rng.random(60)
+    model = fit_arnet("v", y, {"u": u})
+    assert model.fit.converged
+    assert model.fit.nit >= 1 and model.fit.nfev >= model.fit.nit
+    assert (model.fit.n_params, model.fit.n_rows) == (8, 53)
+    assert model.fit.objective >= 0.0
+
+    stopped = fit_arnet("v", y, {"u": u}, ForecastConfig(max_iter=1))
+    assert not stopped.fit.converged
+    assert stopped.fit.nit == 1
+    assert stopped.fit.message
 
 
 def test_arnet_trace_never_increases():
@@ -278,9 +298,31 @@ def test_snaive_zero_error_on_exactly_periodic_series():
 
 def test_thread_count_does_not_change_results():
     ds, persistent = network_dataset()
-    _, serial = run_model(ds, persistent, "arnet", threads=1)
-    _, pooled = run_model(ds, persistent, "arnet", threads=4)
+    serial_models, serial = run_model(ds, persistent, "arnet", threads=1)
+    pooled_models, pooled = run_model(ds, persistent, "arnet", threads=4)
     np.testing.assert_array_equal(serial.y_pred, pooled.y_pred)
+    for vid, model in serial_models.items():
+        np.testing.assert_array_equal(model.alpha, pooled_models[vid].alpha)
+        assert model.beta == pooled_models[vid].beta
+        assert model.fit == pooled_models[vid].fit
+
+
+def test_arnet_fits_run_in_worker_processes(monkeypatch):
+    ds, persistent = network_dataset()
+
+    def report_pid(video_id, *args, **kwargs):
+        raise NumericalError(f"pid {os.getpid()}")
+
+    monkeypatch.setattr(forecast_module, "fit_arnet", report_pid)
+    with pytest.raises(NumericalError) as serial:
+        run_model(ds, persistent, "arnet", threads=1)
+    assert str(serial.value) == f"pid {os.getpid()}"
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method: fits always run serially")
+    with pytest.raises(NumericalError) as pooled:
+        run_model(ds, persistent, "arnet", threads=2)
+    assert str(pooled.value).startswith("pid ")
+    assert str(pooled.value) != f"pid {os.getpid()}"
 
 
 def test_observed_mode_feeds_actual_neighbor_views():

@@ -370,18 +370,25 @@ def _emit_fit(
 
 
 def _emit_fit_diagnostics(out: Path, fits: Mapping[str, FitDiagnostics]) -> None:
-    """Per-target optimizer report; non-converged fits are also flagged on stderr."""
+    """Per-target optimizer report.
+
+    Fits that did not converge, and fits with at least as many parameters as
+    training rows, are also counted in one stderr warning each.
+    """
     _write_csv(
         out / "fit_diagnostics.csv",
         ["video_id", "converged", "nit", "nfev", "objective", "n_params", "n_rows", "message"],
         [(vid, d.converged, d.nit, d.nfev, d.objective, d.n_params, d.n_rows, d.message)
          for vid, d in fits.items()],
     )
-    failed = sum(not d.converged for d in fits.values())
-    if failed:
-        record = {"warning": "not_converged", "fits": failed, "of": len(fits),
-                  "details": str(out / "fit_diagnostics.csv")}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    for warning, flagged in (
+        ("not_converged", sum(not d.converged for d in fits.values())),
+        ("underdetermined", sum(d.n_params >= d.n_rows for d in fits.values())),
+    ):
+        if flagged:
+            record = {"warning": warning, "fits": flagged, "of": len(fits),
+                      "details": str(out / "fit_diagnostics.csv")}
+            print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
 def _emit_eval(out: Path, report: EvalReport) -> None:

@@ -14,15 +14,21 @@ offending line number, there is no silent repair and no imputation.
 from __future__ import annotations
 
 import csv
+import gc
 import io
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from itertools import count, islice
+from typing import IO, Callable, Hashable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 LIST_KINDS = ("relevant", "recommended")
+
+T = TypeVar("T")
 
 SNAPSHOT_HEADER = ("date", "source_id", "target_id", "position", "list_kind")
 VIEWS_HEADER = ("video_id", "date", "views")
@@ -179,22 +185,120 @@ class DailySnapshot:
         raise DataFormatError(f"unknown list kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class SnapshotTable:
+    """Every snapshot row as integer columns over one sorted id vocabulary.
+
+    ``ids`` holds the distinct video ids as a sorted numpy string array, so
+    the order of two codes is the order of their ids.  Row i says that on
+    window day ``day[i]`` the ``LIST_KINDS[kind[i]]`` list of ``ids[src[i]]``
+    ranks ``ids[tgt[i]]`` at position ``pos[i]``.  Rows are sorted by
+    (day, kind, src, pos), so each day, and each list within it, is one
+    contiguous run.
+    """
+
+    ids: np.ndarray
+    day: np.ndarray
+    src: np.ndarray
+    tgt: np.ndarray
+    pos: np.ndarray
+    kind: np.ndarray
+
+    @classmethod
+    def from_codes(
+        cls, names: Sequence[str], day: np.ndarray, src: np.ndarray, tgt: np.ndarray,
+        pos: np.ndarray, kind: np.ndarray,
+    ) -> SnapshotTable:
+        """Sort ``names`` into the id vocabulary, recode and sort the rows."""
+        order = sorted(range(len(names)), key=names.__getitem__)
+        recode = np.empty(len(names), dtype=np.int32)
+        recode[order] = np.arange(len(names), dtype=np.int32)
+        ids = np.array([names[i] for i in order], dtype=str)
+        src, tgt = recode[src], recode[tgt]
+        rows = np.lexsort((pos, src, kind, day))
+        return cls(
+            ids,
+            np.asarray(day, dtype=np.int32)[rows],
+            src[rows],
+            tgt[rows],
+            np.asarray(pos, dtype=np.int32)[rows],
+            np.asarray(kind, dtype=np.int8)[rows],
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class DynamicNetwork:
-    """Sequence of daily snapshots over a consecutive observation window."""
+    """Daily ranked-list snapshots over a consecutive observation window.
+
+    The :class:`SnapshotTable` is the only stored form.  ``snapshots`` and
+    ``snapshot_on`` build :class:`DailySnapshot` views from it on demand.
+    """
 
     window: ObservationWindow
-    snapshots: tuple[DailySnapshot, ...]
+    table: SnapshotTable
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if len(self.snapshots) != self.window.n_days:
+    @classmethod
+    def from_snapshots(
+        cls, window: ObservationWindow, snapshots: Sequence[DailySnapshot]
+    ) -> DynamicNetwork:
+        """Convert per-list objects, one snapshot per window day, into the table."""
+        if len(snapshots) != window.n_days:
             raise DataFormatError("snapshot count does not match window length")
-        for i, snap in enumerate(self.snapshots):
-            if snap.date != self.window.start + timedelta(days=i):
-                raise DataFormatError("snapshot dates are not consecutive")
+        codes: dict[str, int] = defaultdict(count().__next__)
+        owners: list[tuple[int, int, int]] = []  # (day, kind, source code) per list
+        sizes: list[int] = []
+        entries: list[tuple[str, int]] = []
+        with _gc_paused():
+            for i, snap in enumerate(snapshots):
+                if snap.date != window.start + timedelta(days=i):
+                    raise DataFormatError("snapshot dates are not consecutive")
+                for k, kind in enumerate(LIST_KINDS):
+                    for src, rlist in snap.lists_of(kind).items():
+                        owners.append((i, k, codes[src]))
+                        sizes.append(len(rlist.entries))
+                        entries.extend(rlist.entries)
+            targets, positions = zip(*entries) if entries else ((), ())
+        tgt = np.fromiter(map(codes.__getitem__, targets), dtype=np.int32, count=len(targets))
+        pos = np.fromiter(positions, dtype=np.int64, count=len(positions))
+        if pos.size and pos.max() > _MAX_POSITION:
+            raise DataFormatError(f"position {pos.max()} is too large")
+        day, kind, src = np.repeat(np.array(owners, dtype=np.int32).reshape(-1, 3), sizes, axis=0).T
+        table = SnapshotTable.from_codes(list(codes), day, src, tgt, pos, kind)
+        return cls(window, table)
+
+    @property
+    def snapshots(self) -> tuple[DailySnapshot, ...]:
+        return tuple(self._snapshot(i) for i in range(self.window.n_days))
 
     def snapshot_on(self, d: date) -> DailySnapshot:
-        return self.snapshots[self.window.index(d)]
+        return self._snapshot(self.window.index(d))
+
+    def _snapshot(self, i: int) -> DailySnapshot:
+        t = self.table
+        lo, hi = np.searchsorted(t.day, [i, i + 1])
+        src, kind = t.src[lo:hi], t.kind[lo:hi]
+        opens_list = np.ones(hi - lo, dtype=bool)
+        opens_list[1:] = (src[1:] != src[:-1]) | (kind[1:] != kind[:-1])
+        starts = np.flatnonzero(opens_list).tolist()
+        targets = t.ids[t.tgt[lo:hi]].tolist()
+        positions = t.pos[lo:hi].tolist()
+        lists: tuple[dict[str, RankedList], dict[str, RankedList]] = ({}, {})
+        for a, b in zip(starts, starts[1:] + [hi - lo]):
+            name, k = str(t.ids[src[a]]), int(kind[a])
+            entries = tuple(zip(targets[a:b], positions[a:b]))
+            lists[k][name] = RankedList(name, entries, LIST_KINDS[k])
+        return DailySnapshot(self.window.start + timedelta(days=i), lists[0], lists[1])
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per network and key.
+
+        For structures derived from the table that several analyses of one
+        command share, such as daily link presence.
+        """
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 @dataclass(frozen=True)
@@ -239,14 +343,24 @@ class Dataset:
 
 def _open_rows(source: str | Path | IO[str], expected_header: Sequence[str]):
     """Yield (line_no, row) pairs after checking the header row."""
+    with _open_reader(source, expected_header) as reader:
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            yield line_no, row
+
+
+@contextmanager
+def _open_reader(source: str | Path | IO[str], expected_header: Sequence[str]):
+    """A csv reader positioned after the header row, which it checks."""
     if isinstance(source, (str, Path)):
         handle: IO[str] = open(source, "r", newline="", encoding="utf-8")
         close = True
     else:
         handle = source
         close = False
+    reader = csv.reader(handle)
     try:
-        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -256,70 +370,203 @@ def _open_rows(source: str | Path | IO[str], expected_header: Sequence[str]):
                 f"line 1: expected header {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            yield line_no, row
+        yield reader
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
     finally:
         if close:
             handle.close()
+
+
+@contextmanager
+def _gc_paused():
+    """Hold off the cyclic garbage collector.
+
+    Reading a large CSV allocates a list per row; each allocation burst
+    triggers collections that rescan every live row, which costs more than
+    the parsing itself.  Rows hold only strings, so they form no cycles.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# Rows parsed per batch: bounds the memory the raw csv rows take at once.
+_BATCH_ROWS = 1 << 13
+_MAX_POSITION = np.iinfo(np.int32).max
+# numpy string arrays drop trailing NULs, and the canonical writer leaves a
+# carriage return unquoted, so ids holding these would not survive a round trip.
+_FORBIDDEN_ID_CHARS = "\0\r\n"
+
+
+def _snapshot_row(line_no: int, row: Sequence[str]) -> None:
+    """Raise the error for a snapshot row that fails a check of its own fields."""
+    if len(row) != 5:
+        raise DataFormatError(f"line {line_no}: expected 5 fields, got {len(row)}")
+    _parse_date(row[0], line_no)
+    src, tgt = row[1], row[2]
+    if not src or not tgt:
+        raise DataFormatError(f"line {line_no}: empty video id")
+    for vid in (src, tgt):
+        if any(c in vid for c in _FORBIDDEN_ID_CHARS):
+            raise DataFormatError(f"line {line_no}: video id {vid!r} holds a NUL or line break")
+    try:
+        pos = int(row[3])
+    except ValueError:
+        raise DataFormatError(f"line {line_no}: bad position {row[3]!r}") from None
+    if pos < 1:
+        raise DataFormatError(f"line {line_no}: position {pos} is below 1")
+    if pos > _MAX_POSITION:
+        raise DataFormatError(f"line {line_no}: position {pos} is too large")
+    kind = row[4]
+    if kind not in LIST_KINDS:
+        raise DataFormatError(f"line {line_no}: unknown list kind {kind!r}")
+    if tgt == src:
+        raise DataFormatError(f"line {line_no}: self-link on {src}")
+    raise AssertionError(f"line {line_no} passed every row check")
+
+
+def _ordinal_or_bad(text: str) -> int:
+    try:
+        return date.fromisoformat(text).toordinal()
+    except ValueError:
+        return -1
+
+
+def _position_or_bad(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        return 0
+    return value if value <= _MAX_POSITION else 0
+
+
+def _kind_or_bad(text: str) -> int:
+    return LIST_KINDS.index(text) if text in LIST_KINDS else -1
+
+
+def _coded(cache: dict[str, int], texts: Sequence[str], convert: Callable[[str], int]) -> np.ndarray:
+    """``convert`` each text, calling it once per distinct text across batches."""
+    for text in set(texts).difference(cache):
+        cache[text] = convert(text)
+    return np.fromiter(map(cache.__getitem__, texts), dtype=np.int32, count=len(texts))
+
+
+def _first_repeat(line: np.ndarray, *key: np.ndarray) -> tuple[int, int] | None:
+    """(line, first line) of the earliest row whose key columns repeat an earlier row's."""
+    if line.size < 2:
+        return None
+    rows = np.lexsort(key[::-1])  # stable: rows with equal keys stay in file order
+    same = np.ones(rows.size - 1, dtype=bool)
+    for col in key:
+        sorted_col = col[rows]
+        same &= sorted_col[1:] == sorted_col[:-1]
+    if not same.any():
+        return None
+    run_start = np.maximum.accumulate(np.where(np.r_[True, ~same], np.arange(rows.size), 0))
+    repeats = np.flatnonzero(same) + 1
+    first = repeats[np.argmin(rows[repeats])]
+    return int(line[rows[first]]), int(line[rows[run_start[first]]])
 
 
 def parse_snapshots(source: str | Path | IO[str]) -> DynamicNetwork:
     """Parse a snapshots CSV into a :class:`DynamicNetwork`.
 
     Raises :class:`DataFormatError` (with line numbers) on malformed rows,
-    positions below 1, self-links, duplicate positions inside one list, or
-    observation days that are not consecutive.
+    positions below 1, self-links, duplicate positions or duplicate targets
+    inside one list, or observation days that are not consecutive.  The
+    first failing line is reported, as a row-by-row reader would.
     """
-    # (date, source, kind) -> {position: (target, line_no)}
-    lists: dict[tuple[date, str, str], dict[int, tuple[str, int]]] = {}
-    for line_no, row in _open_rows(source, SNAPSHOT_HEADER):
-        if len(row) != 5:
-            raise DataFormatError(f"line {line_no}: expected 5 fields, got {len(row)}")
-        d = _parse_date(row[0], line_no)
-        src, tgt = row[1], row[2]
-        if not src or not tgt:
-            raise DataFormatError(f"line {line_no}: empty video id")
-        try:
-            pos = int(row[3])
-        except ValueError:
-            raise DataFormatError(f"line {line_no}: bad position {row[3]!r}") from None
-        if pos < 1:
-            raise DataFormatError(f"line {line_no}: position {pos} is below 1")
-        kind = row[4]
-        if kind not in LIST_KINDS:
-            raise DataFormatError(f"line {line_no}: unknown list kind {kind!r}")
-        if tgt == src:
-            raise DataFormatError(f"line {line_no}: self-link on {src}")
-        slot = lists.setdefault((d, src, kind), {})
-        if pos in slot:
-            raise DataFormatError(
-                f"line {line_no}: duplicate position {pos} in {kind} list of {src} "
-                f"on {d} (first seen at line {slot[pos][1]})"
-            )
-        slot[pos] = (tgt, line_no)
+    # Codes in first-seen order; from_codes recodes them in id order.
+    codes: dict[str, int] = defaultdict(count().__next__)
+    ordinals: dict[str, int] = {}
+    positions: dict[str, int] = {}
+    kinds: dict[str, int] = {}
+    bad_ids: list[int] = []
+    batches: list[tuple[np.ndarray, ...]] = []
+    bad_row: tuple[int, list[str]] | None = None
+    line_no = 2
+    with _open_reader(source, SNAPSHOT_HEADER) as reader, _gc_paused():
+        while bad_row is None:
+            raw = list(islice(reader, _BATCH_ROWS))
+            if not raw:
+                break
+            line = np.arange(line_no, line_no + len(raw), dtype=np.int32)
+            line_no += len(raw)
+            if not all(raw):
+                line = line[[i for i, r in enumerate(raw) if r]]
+                raw = [r for r in raw if r]
+            width = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
+            wrong = np.flatnonzero(width != 5)
+            if wrong.size:
+                bad_row = (int(line[wrong[0]]), raw[wrong[0]])
+                raw, line = raw[: wrong[0]], line[: wrong[0]]
+            if not raw:
+                break
+            dates, srcs, tgts, pos_text, kind_text = zip(*raw)
+            known = len(codes)
+            src = np.fromiter(map(codes.__getitem__, srcs), dtype=np.int32, count=len(raw))
+            tgt = np.fromiter(map(codes.__getitem__, tgts), dtype=np.int32, count=len(raw))
+            if len(codes) > known:
+                new_ids = list(islice(codes, known, None))
+                joined = "\t".join(new_ids)
+                if "" in new_ids or any(c in joined for c in _FORBIDDEN_ID_CHARS):
+                    bad_ids.extend(
+                        code for code, vid in enumerate(new_ids, known)
+                        if not vid or any(c in vid for c in _FORBIDDEN_ID_CHARS)
+                    )
+            ordinal = _coded(ordinals, dates, _ordinal_or_bad)
+            pos = _coded(positions, pos_text, _position_or_bad)
+            kind = _coded(kinds, kind_text, _kind_or_bad)
+            bad = (ordinal < 0) | (pos < 1) | (kind < 0) | (src == tgt)
+            if bad_ids:
+                bad |= np.isin(src, bad_ids) | np.isin(tgt, bad_ids)
+            if bad.any():
+                first = int(np.argmax(bad))
+                bad_row = (int(line[first]), list(raw[first]))
+                ordinal, src, tgt, pos, kind, line = (
+                    col[:first] for col in (ordinal, src, tgt, pos, kind, line)
+                )
+            batches.append((ordinal, src, tgt, pos, kind, line))
 
-    if not lists:
+    names = list(codes)
+    del codes  # the interning dict is as large as the vocabulary; free it early
+    empty = np.zeros(0, dtype=np.int32)
+    ordinal, src, tgt, pos, kind, line = (
+        [np.concatenate(col) for col in zip(*batches)] if batches else [empty] * 6
+    )
+    duplicate = None
+    for label, col in (("position", pos), ("target", tgt)):
+        found = _first_repeat(line, ordinal, kind, src, col)
+        if found and (duplicate is None or found[0] < duplicate[0]):
+            duplicate = (*found, label)
+    if duplicate and (bad_row is None or duplicate[0] < bad_row[0]):
+        at, first_at, label = duplicate
+        i = int(np.flatnonzero(line == at)[0])
+        what = pos[i] if label == "position" else names[tgt[i]]
+        raise DataFormatError(
+            f"line {at}: duplicate {label} {what} in {LIST_KINDS[kind[i]]} list of "
+            f"{names[src[i]]} on {date.fromordinal(int(ordinal[i]))} (first seen at line {first_at})"
+        )
+    if bad_row is not None:
+        _snapshot_row(*bad_row)
+    if not ordinal.size:
         raise DataFormatError("snapshots file holds no rows")
 
-    days = sorted({key[0] for key in lists})
-    window = ObservationWindow(days[0], (days[-1] - days[0]).days + 1)
-    if len(days) != window.n_days:
-        missing = sorted(set(window.dates()) - set(days))
-        raise DataFormatError(f"snapshot days are not consecutive, missing {missing[0]}")
-
-    per_day: dict[date, dict[str, dict[str, RankedList]]] = {
-        d: {"relevant": {}, "recommended": {}} for d in days
-    }
-    for (d, src, kind), slot in lists.items():
-        entries = tuple((slot[p][0], p) for p in sorted(slot))
-        per_day[d][kind][src] = RankedList(src, entries, kind)
-
-    snapshots = tuple(
-        DailySnapshot(d, per_day[d]["relevant"], per_day[d]["recommended"]) for d in days
-    )
-    return DynamicNetwork(window, snapshots)
+    present = np.unique(ordinal)
+    start = date.fromordinal(int(present[0]))
+    window = ObservationWindow(start, int(present[-1] - present[0]) + 1)
+    if present.size != window.n_days:
+        gap = next(i for i, o in enumerate(present.tolist()) if o != present[0] + i)
+        raise DataFormatError(
+            f"snapshot days are not consecutive, missing {start + timedelta(days=gap)}"
+        )
+    table = SnapshotTable.from_codes(names, ordinal - present[0], src, tgt, pos, kind)
+    return DynamicNetwork(window, table)
 
 
 def parse_views(source: str | Path | IO[str]) -> dict[str, ViewSeries]:
@@ -415,16 +662,9 @@ def validate_dataset(
                 f"after its first observed day {series.start_date}"
             )
 
-    seen: set[str] = set()
-    edge_rows = 0
-    for snap in network.snapshots:
-        for kind in LIST_KINDS:
-            for src, rlist in snap.lists_of(kind).items():
-                seen.add(src)
-                seen.update(t for t, _ in rlist.entries)
-                if kind == "relevant":
-                    edge_rows += len(rlist.entries)
-    external = frozenset(seen - corpus)
+    table = network.table
+    external = frozenset(table.ids.tolist()) - corpus
+    edge_rows = int(np.count_nonzero(table.kind == 0))
 
     summary = DatasetSummary(
         n_videos=len(corpus),
@@ -448,22 +688,23 @@ def load_dataset(data_dir: str | Path) -> Dataset:
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-_KIND_ORDER = {"relevant": 0, "recommended": 1}
-
-
 def serialize_snapshots(network: DynamicNetwork) -> str:
     """Canonical snapshots CSV: rows sorted by (date, source, kind, position)."""
+    t = network.table
+    rows = np.lexsort((t.pos, t.kind, t.src, t.day))
+    days = [d.isoformat() for d in network.window.dates()]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SNAPSHOT_HEADER)
-    for snap in network.snapshots:
-        keyed = []
-        for kind in LIST_KINDS:
-            for src, rlist in snap.lists_of(kind).items():
-                for tgt, pos in rlist.entries:
-                    keyed.append((src, _KIND_ORDER[kind], pos, tgt, kind))
-        for src, _, pos, tgt, kind in sorted(keyed):
-            writer.writerow([snap.date.isoformat(), src, tgt, pos, kind])
+    writer.writerows(
+        zip(
+            map(days.__getitem__, t.day[rows].tolist()),
+            t.ids[t.src[rows]].tolist(),
+            t.ids[t.tgt[rows]].tolist(),
+            t.pos[rows].tolist(),
+            map(LIST_KINDS.__getitem__, t.kind[rows].tolist()),
+        )
+    )
     return buf.getvalue()
 
 

@@ -223,7 +223,7 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
             src_id = ids[src]
             relevant[src_id] = RankedList(src_id, tuple(entries), "relevant")
         snapshots.append(DailySnapshot(START_DATE + timedelta(days=t), relevant, {}))
-    network = DynamicNetwork(window, tuple(snapshots))
+    network = DynamicNetwork.from_snapshots(window, snapshots)
 
     dataset = validate_dataset(metadata, views, network)
     truth = GroundTruth(
@@ -264,6 +264,7 @@ def generate_paired_lists(
     n_days = (n_pairs + pairs_per_day - 1) // pairs_per_day
     window = ObservationWindow(START_DATE, n_days)
     rec_positions = list(range(1, bins.max_position + 1))
+    filler_suffixes = [f"{pos:02d}" for pos in rec_positions]
 
     relevant_by_day: list[dict[str, RankedList]] = [dict() for _ in range(n_days)]
     recommended_by_day: list[dict[str, RankedList]] = [dict() for _ in range(n_days)]
@@ -282,16 +283,18 @@ def generate_paired_lists(
         if chosen_bin < len(bins.ranges):
             lo, hi = bins.ranges[chosen_bin]
             display_pos = int(rng.integers(lo, hi + 1))
-        entries = tuple(
-            (tgt if pos == display_pos else f"f{i:07d}p{pos:02d}", pos) for pos in rec_positions
-        )
+        filler = f"f{i:07d}p"
+        shown = [filler + suffix for suffix in filler_suffixes]
+        if display_pos is not None:
+            shown[display_pos - 1] = tgt
+        entries = tuple(zip(shown, rec_positions))
         recommended_by_day[day][src] = RankedList(src, entries, "recommended")
 
     snapshots = tuple(
         DailySnapshot(START_DATE + timedelta(days=d), relevant_by_day[d], recommended_by_day[d])
         for d in range(n_days)
     )
-    return DynamicNetwork(window, snapshots)
+    return DynamicNetwork.from_snapshots(window, snapshots)
 
 
 def export_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data_model import DataFormatError, Dataset
 from .forecast import ArnetModel, ForecastConfig, ForecastResult, resolve_neighbor_values
@@ -106,6 +105,8 @@ class ContributionReport:
 
 def _midrank_percentiles(values: np.ndarray) -> np.ndarray:
     """Percentile ranks via average mid-ranks: 100 * (midrank - 0.5) / n."""
+    from scipy.stats import rankdata  # scipy.stats takes about 0.5 s to import
+
     return 100.0 * (rankdata(values, method="average") - 0.5) / values.size
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, timedelta
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -83,6 +83,55 @@ def build_graph(
             if pos <= cutoff and tgt in corpus:
                 edges.add((src, tgt))
     return DirectedGraph(corpus, edges)
+
+
+@dataclass(frozen=True, eq=False)
+class LinkPresence:
+    """Daily presence of every link that enters at least one daily graph.
+
+    ``src`` and ``tgt`` hold one link each as codes into ``ids`` (the
+    snapshot table's vocabulary), sorted by (source, target).  ``days`` is a
+    read-only links x window-days boolean matrix.
+    """
+
+    ids: np.ndarray
+    src: np.ndarray
+    tgt: np.ndarray
+    days: np.ndarray
+
+    def pairs(self) -> list[tuple[str, str]]:
+        return list(zip(self.ids[self.src].tolist(), self.ids[self.tgt].tolist()))
+
+
+def daily_link_presence(
+    network: DynamicNetwork, corpus: frozenset[str] | set[str], cutoff: int = 15
+) -> LinkPresence:
+    """Link presence of every daily graph at once, read off the snapshot table.
+
+    Same rules and errors as :func:`build_graph` on each day; built once per
+    network, corpus and cutoff.
+    """
+    if cutoff < 1:
+        raise DataFormatError(f"cutoff must be at least 1, got {cutoff}")
+    corpus = frozenset(corpus)
+    return network.derived(("links", corpus, cutoff), lambda: _link_presence(network, corpus, cutoff))
+
+
+def _link_presence(network: DynamicNetwork, corpus: frozenset[str], cutoff: int) -> LinkPresence:
+    t = network.table
+    relevant = t.kind == 0
+    orphan_days = np.setdiff1d(t.day[~relevant], t.day[relevant])
+    if orphan_days.size:
+        day = network.window.start + timedelta(days=int(orphan_days[0]))
+        raise DataFormatError(f"snapshot {day} has no relevant lists")
+    n = t.ids.size
+    member = np.fromiter(map(corpus.__contains__, t.ids.tolist()), dtype=bool, count=n)
+    edge = relevant & (t.pos <= cutoff) & member[t.src] & member[t.tgt]
+    keys, link = np.unique(t.src[edge].astype(np.int64) * n + t.tgt[edge], return_inverse=True)
+    days = np.zeros((keys.size, network.window.n_days), dtype=bool)
+    days[link, t.day[edge]] = True
+    days.flags.writeable = False
+    return LinkPresence(t.ids, keys // n, keys % n, days)
 
 
 def strongly_connected_components(graph: DirectedGraph) -> list[frozenset[str]]:
@@ -288,25 +337,24 @@ def indegree_change_ratios(
     ratio well defined and drops the noisy low-degree mass.  A node absent
     tomorrow counts as in-degree 0.
     """
-    if len(network.snapshots) < 2:
+    if network.window.n_days < 2:
         raise DataFormatError("need at least two snapshots to measure change")
-    daily: list[Counter[str]] = []
-    for snap in network.snapshots:
-        g = build_graph(snap, corpus, cutoff)
-        daily.append(Counter(dst for _, dst in g.edges))
-
-    buckets: dict[int, list[float]] = defaultdict(list)
-    for t in range(len(daily) - 1):
-        nxt = daily[t + 1]
-        for vid, deg in daily[t].items():
-            if deg >= min_indegree:
-                buckets[deg].append((nxt.get(vid, 0) - deg) / deg)
+    presence = daily_link_presence(network, corpus, cutoff)
+    n = presence.ids.size
+    indegree = [np.bincount(presence.tgt[present], minlength=n) for present in presence.days.T]
+    degs, ratios = [], []
+    for today, tomorrow in zip(indegree, indegree[1:]):
+        counted = (today >= min_indegree) & (today > 0)
+        degs.append(today[counted])
+        ratios.append((tomorrow[counted] - today[counted]) / today[counted])
+    deg = np.concatenate(degs)
+    ratio = np.concatenate(ratios)
 
     out: dict[int, ChurnStats] = {}
-    for deg in sorted(buckets):
-        vals = np.asarray(buckets[deg], dtype=float)
+    for d in np.unique(deg).tolist():
+        vals = ratio[deg == d]
         p10, p25, p50, p75, p90 = np.percentile(vals, [10, 25, 50, 75, 90])
-        out[deg] = ChurnStats(deg, len(vals), p10, p25, p50, p75, p90)
+        out[d] = ChurnStats(d, len(vals), p10, p25, p50, p75, p90)
     return out
 
 
@@ -319,9 +367,5 @@ def link_frequency_histogram(
     construction rules.  Pairs never present do not appear, so keys run from
     1 to the window length and the products sum to the total daily edge count.
     """
-    presence: Counter[tuple[str, str]] = Counter()
-    for snap in network.snapshots:
-        g = build_graph(snap, corpus, cutoff)
-        presence.update(g.edges)
-    hist = Counter(presence.values())
-    return dict(sorted(hist.items()))
+    days_present = daily_link_presence(network, corpus, cutoff).days.sum(axis=1)
+    return {k: int(n) for k, n in enumerate(np.bincount(days_present)) if n}

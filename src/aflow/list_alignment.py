@@ -60,6 +60,38 @@ class DisplayProbabilityMatrix:
     col_labels: tuple[str, ...]
 
 
+def _aligned_counts(
+    network: DynamicNetwork, from_kind: int, max_from: int, bins: PositionBins
+) -> tuple[np.ndarray, np.ndarray]:
+    """Observation and placement counts for one direction of the alignment.
+
+    Each ``from_kind`` row at position <= ``max_from`` whose (day, source)
+    also has a list of the other kind is one observation of its position.
+    It is placed in bin b when the same target sits in that other list at a
+    position inside bin b.  Rows are joined on (day, source, target) keys.
+    """
+    t = network.table
+    list_key = t.day.astype(np.int64) * t.ids.size + t.src
+    row_key = list_key * t.ids.size + t.tgt
+    is_from = t.kind == from_kind
+    observed = is_from & (t.pos <= max_from) & np.isin(list_key, list_key[~is_from])
+    den = np.bincount(t.pos[observed] - 1, minlength=max_from)
+
+    other = np.flatnonzero(~is_from)
+    other = other[np.argsort(row_key[other])]
+    keys = row_key[observed]
+    at = np.minimum(np.searchsorted(row_key[other], keys), other.size - 1)
+    matched = row_key[other[at]] == keys
+    bin_of = np.full(bins.max_position + 2, -1)
+    for b, (lo, hi) in enumerate(bins.ranges):
+        bin_of[lo : hi + 1] = b
+    placed = bin_of[np.minimum(t.pos[other[at[matched]]], bins.max_position + 1)]
+    inside = placed >= 0
+    num = np.zeros((max_from, len(bins.ranges)), dtype=np.int64)
+    np.add.at(num, (t.pos[observed][matched][inside] - 1, placed[inside]), 1)
+    return num, den
+
+
 def display_probability_matrix(
     network: DynamicNetwork,
     bins: PositionBins | None = None,
@@ -74,23 +106,7 @@ def display_probability_matrix(
     if max_rel < 1:
         raise DataFormatError(f"max_rel must be at least 1, got {max_rel}")
     bins = bins or PositionBins()
-    num = np.zeros((max_rel, len(bins.ranges)), dtype=np.int64)
-    den = np.zeros(max_rel, dtype=np.int64)
-    for snap in network.snapshots:
-        for src, rel in snap.relevant.items():
-            rec = snap.recommended.get(src)
-            if rec is None:
-                continue
-            rec_pos = {t: p for t, p in rec.entries}
-            for tgt, r in rel.entries:
-                if r > max_rel:
-                    continue
-                den[r - 1] += 1
-                q = rec_pos.get(tgt)
-                if q is not None:
-                    b = bins.index_of(q)
-                    if b is not None:
-                        num[r - 1, b] += 1
+    num, den = _aligned_counts(network, 0, max_rel, bins)
     probs = num / np.maximum(den, 1)[:, None]
     return DisplayProbabilityMatrix(
         probs=probs,
@@ -115,23 +131,7 @@ def origin_probability_matrix(
     if max_rec < 1:
         raise DataFormatError(f"max_rec must be at least 1, got {max_rec}")
     bins = bins or PositionBins()
-    num = np.zeros((max_rec, len(bins.ranges)), dtype=np.int64)
-    den = np.zeros(max_rec, dtype=np.int64)
-    for snap in network.snapshots:
-        for src, rec in snap.recommended.items():
-            rel = snap.relevant.get(src)
-            if rel is None:
-                continue
-            rel_pos = {t: p for t, p in rel.entries}
-            for tgt, q in rec.entries:
-                if q > max_rec:
-                    continue
-                den[q - 1] += 1
-                r = rel_pos.get(tgt)
-                if r is not None:
-                    b = bins.index_of(r)
-                    if b is not None:
-                        num[q - 1, b] += 1
+    num, den = _aligned_counts(network, 1, max_rec, bins)
     probs = num / np.maximum(den, 1)[:, None]
     return DisplayProbabilityMatrix(
         probs=probs,

@@ -38,7 +38,7 @@ def build_network(daily_relevant, daily_recommended=None, start=START) -> Dynami
             for src, entries in rec.items()
         }
         snaps.append(DailySnapshot(date=day, relevant=relevant, recommended=recommended))
-    return DynamicNetwork(window=window, snapshots=tuple(snaps))
+    return DynamicNetwork.from_snapshots(window, snaps)
 
 
 def build_dataset(

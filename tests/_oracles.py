@@ -1,16 +1,21 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: Floyd-Warshall closures, quadratic
-rank counting, numeric quadrature.  None of it shares code paths with the
-implementations under test.
+rank counting, numeric quadrature, and link analyses that rebuild one
+``build_graph`` per day or walk ``RankedList`` entries.  None of it shares
+code paths with the implementations under test.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 from scipy.integrate import quad
+
+from aflow.data_model import DataFormatError
+from aflow.graph_analysis import ChurnStats, build_graph
 
 
 def reachability(node_ids: list[str], edges) -> np.ndarray:
@@ -96,3 +101,96 @@ def two_sided_p(r: float, n: int) -> float:
         return 0.0
     t_stat = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
     return min(1.0, 2.0 * t_sf(t_stat, n - 2))
+
+
+# ---------------------------------------------------------------------------
+# per-day link analyses over DailySnapshot / RankedList objects
+
+
+def link_presence(snapshots, corpus, cutoff=15):
+    """Sorted pairs of every daily graph and their pair x day presence matrix."""
+    daily_edges = [build_graph(snap, corpus, cutoff).edges for snap in snapshots]
+    pairs = sorted(set().union(*daily_edges))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    matrix = np.zeros((len(pairs), len(daily_edges)), dtype=bool)
+    for day, edges in enumerate(daily_edges):
+        for pair in edges:
+            matrix[index[pair], day] = True
+    return pairs, matrix
+
+
+def indegree_change_ratios(snapshots, corpus, cutoff=15, min_indegree=20):
+    if len(snapshots) < 2:
+        raise DataFormatError("need at least two snapshots to measure change")
+    daily = [Counter(dst for _, dst in build_graph(s, corpus, cutoff).edges) for s in snapshots]
+    buckets = defaultdict(list)
+    for today, tomorrow in zip(daily, daily[1:]):
+        for vid, deg in today.items():
+            if deg >= min_indegree:
+                buckets[deg].append((tomorrow.get(vid, 0) - deg) / deg)
+    out = {}
+    for deg in sorted(buckets):
+        vals = np.asarray(buckets[deg], dtype=float)
+        p10, p25, p50, p75, p90 = np.percentile(vals, [10, 25, 50, 75, 90])
+        out[deg] = ChurnStats(deg, len(vals), p10, p25, p50, p75, p90)
+    return out
+
+
+def link_frequency_histogram(snapshots, corpus, cutoff=15):
+    presence = Counter()
+    for snap in snapshots:
+        presence.update(build_graph(snap, corpus, cutoff).edges)
+    return dict(sorted(Counter(presence.values()).items()))
+
+
+def sample_random_pairs(dataset, snapshots, n, seed, cutoff, filters):
+    """Rejection sampling of never-linked pairs, forbidden set from per-day graphs."""
+    if n < 1:
+        raise DataFormatError("need a positive sample size")
+    ever = set()
+    for snap in snapshots:
+        ever |= build_graph(snap, dataset.corpus, cutoff).edges
+    forbidden = ever | {(b, a) for a, b in ever}
+    ids = sorted(dataset.corpus)
+    rng = np.random.default_rng(seed)
+    chosen, seen = [], set()
+    budget = max(1000, 50 * n)
+    while len(chosen) < n:
+        if budget == 0:
+            raise DataFormatError(
+                f"exhausted sampling budget with {len(chosen)} of {n} pairs found"
+            )
+        budget -= 1
+        i, j = rng.integers(0, len(ids), size=2)
+        if i == j:
+            continue
+        pair = (ids[i], ids[j])
+        if pair in seen or pair in forbidden:
+            continue
+        if not (filters.target_eligible(pair[1]) and filters.pair_eligible(*pair)):
+            continue
+        seen.add(pair)
+        chosen.append(pair)
+    return chosen
+
+
+def alignment_counts(snapshots, from_kind, max_from, ranges):
+    """(numerator, denominator) of the display (relevant -> recommended) or
+    origin (recommended -> relevant) matrix, entry by entry."""
+    to_kind = "recommended" if from_kind == "relevant" else "relevant"
+    num = np.zeros((max_from, len(ranges)), dtype=np.int64)
+    den = np.zeros(max_from, dtype=np.int64)
+    for snap in snapshots:
+        for src, from_list in snap.lists_of(from_kind).items():
+            to_list = snap.lists_of(to_kind).get(src)
+            if to_list is None:
+                continue
+            for tgt, pos in from_list.entries:
+                if pos > max_from:
+                    continue
+                den[pos - 1] += 1
+                other = to_list.position_of(tgt)
+                for b, (lo, hi) in enumerate(ranges):
+                    if other is not None and lo <= other <= hi:
+                        num[pos - 1, b] += 1
+    return num, den

@@ -482,6 +482,27 @@ def test_fit_diagnostics_report_non_converged_fits(tmp_path, monkeypatch, capsys
     assert warning["fits"] == sum(r[1] == "0" for r in rows)
 
 
+def test_fit_diagnostics_report_underdetermined_fits(tmp_path, capsys):
+    data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
+    links = tmp_path / "links"
+    assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
+    out = tmp_path / "fit"
+    code, captured = run(
+        ["fit", "--data", str(data), "--out", str(out), "--model", "arnet", "--train-days", "10",
+         "--persistent", str(links / "persistent_edges.csv"), "--threads", "1"],
+        capsys,
+    )
+    assert code == 0
+    _, rows = read_csv(out / "fit_diagnostics.csv")
+    underdetermined = sum(int(r[5]) >= int(r[6]) for r in rows)
+    assert underdetermined > 0
+    warnings = {w["warning"]: w for w in map(json.loads, captured.err.strip().splitlines())}
+    assert warnings["underdetermined"] == {
+        "warning": "underdetermined", "fits": underdetermined, "of": len(rows),
+        "details": str(out / "fit_diagnostics.csv"),
+    }
+
+
 @pytest.mark.parametrize("error, code", [(DataFormatError, 2), (NumericalError, 3)])
 def test_worker_errors_keep_the_error_contract(tmp_path, monkeypatch, capfd, error, code):
     data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
@@ -544,6 +565,15 @@ def test_importing_the_cli_caps_blas_threads():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[1] == "2"  # a value the user set wins
+
+
+def test_importing_the_cli_leaves_out_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(aflow.__file__).resolve().parents[1]))
+    script = "import sys, aflow.cli\nprint('scipy.stats' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point(tmp_path):

@@ -72,6 +72,23 @@ def test_parse_snapshots_rejects_bad_rows():
         parse_snapshots(snap_csv([("2018-09-01", "a", "a", 1, "relevant")]))
     with pytest.raises(DataFormatError, match="expected 5 fields"):
         parse_snapshots(io.StringIO("date,source_id,target_id,position,list_kind\n2018-09-01,a,b\n"))
+    with pytest.raises(DataFormatError, match=r"line 2: video id 'a\\rb' holds a NUL or line break"):
+        parse_snapshots(snap_csv([("2018-09-01", '"a\rb"', "b", 1, "relevant")]))
+    with pytest.raises(DataFormatError, match="line 2: field larger than field limit"):
+        parse_snapshots(snap_csv([("2018-09-01", "a" * 200_000, "b", 1, "relevant")]))
+    with pytest.raises(
+        DataFormatError,
+        match=r"line 4: duplicate target b in relevant list of a on 2018-09-01 \(first seen at line 2\)",
+    ):
+        parse_snapshots(
+            snap_csv(
+                [
+                    ("2018-09-01", "a", "b", 1, "relevant"),
+                    ("2018-09-01", "a", "c", 2, "relevant"),
+                    ("2018-09-01", "a", "b", 3, "relevant"),
+                ]
+            )
+        )
 
 
 def test_parse_snapshots_rejects_gap_in_days():

@@ -1,0 +1,196 @@
+"""The snapshot table against per-day oracles, and its CSV round trip."""
+
+import csv
+import io
+from datetime import timedelta
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from aflow import datagen
+from aflow.data_model import (
+    DailySnapshot,
+    DataFormatError,
+    DynamicNetwork,
+    RankedList,
+    parse_snapshots,
+    serialize_snapshots,
+    validate_dataset,
+)
+from aflow.graph_analysis import indegree_change_ratios, link_frequency_histogram
+from aflow.list_alignment import PositionBins, display_probability_matrix, origin_probability_matrix
+from aflow.persistence import apply_view_filters, link_presence
+from aflow.stats import sample_random_pairs
+
+import _helpers
+import _oracles
+
+EXTERNAL = ("x0", "x1", "x2")
+GAPPED_BINS = PositionBins(((1, 1), (3, 4), (8, 12)))
+
+
+def _entries(rng, targets, top=20):
+    positions = np.sort(rng.choice(np.arange(1, top + 1), size=len(targets), replace=False))
+    return tuple(zip(targets, positions.tolist()))
+
+
+def augmented_dataset(seed):
+    """Generated data with presence_prob < 1, plus external ids and recommended lists.
+
+    Relevant lists gain external targets and external sources; recommended
+    lists re-rank part of a source's relevant targets among externals, some
+    for sources without a relevant list that day.
+    """
+    base, _ = datagen.generate(
+        datagen.GenConfig(n_videos=24, n_artists=4, days=9, edge_density=0.3,
+                          presence_prob=0.7, seed=seed)
+    )
+    rng = np.random.default_rng(seed)
+    ids = sorted(base.corpus)
+    snapshots = []
+    for snap in base.network.snapshots:
+        relevant = {}
+        for src, rlist in snap.relevant.items():
+            last = rlist.entries[-1][1]
+            extra = tuple((x, last + 1 + i) for i, x in enumerate(EXTERNAL[: rng.integers(0, 3)]))
+            relevant[src] = RankedList(src, rlist.entries + extra, "relevant")
+        relevant["x0"] = RankedList("x0", _entries(rng, list(rng.choice(ids, 3, replace=False))), "relevant")
+        recommended = {}
+        for src in rng.choice(ids, 12, replace=False).tolist():
+            shown = [t for t, _ in relevant[src].entries if rng.random() < 0.6] if src in relevant else []
+            shown += [x for x in EXTERNAL if x not in shown and rng.random() < 0.5]
+            shown += [v for v in rng.choice(ids, 2, replace=False).tolist() if v not in shown and v != src]
+            recommended[src] = RankedList(src, _entries(rng, list(rng.permutation(shown))), "recommended")
+        snapshots.append(DailySnapshot(snap.date, relevant, recommended))
+    network = DynamicNetwork.from_snapshots(base.window, snapshots)
+    return validate_dataset(base.metadata, base.views, network), snapshots
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except DataFormatError as exc:
+        return "error", type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def augmented():
+    return augmented_dataset(seed=5)
+
+
+def test_views_reproduce_the_converted_lists(augmented):
+    dataset, snapshots = augmented
+    assert dataset.external == frozenset(EXTERNAL)
+    assert dataset.network.snapshots == tuple(snapshots)
+    day = snapshots[4].date
+    assert dataset.network.snapshot_on(day) == snapshots[4]
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 5, 15])
+def test_link_analyses_match_per_day_oracles(augmented, cutoff):
+    dataset, snapshots = augmented
+    net, corpus = dataset.network, dataset.corpus
+
+    got = outcome(link_presence, net, corpus, cutoff)
+    want = outcome(_oracles.link_presence, snapshots, corpus, cutoff)
+    if cutoff < 1:
+        assert got == want == ("error", DataFormatError, f"cutoff must be at least 1, got {cutoff}")
+    else:
+        assert got[1][0] == want[1][0]
+        assert np.array_equal(got[1][1], want[1][1])
+        assert got[1][1].any(axis=1).all() and not got[1][1].all()
+
+    for fn, oracle in (
+        (link_frequency_histogram, _oracles.link_frequency_histogram),
+        (lambda *a: indegree_change_ratios(*a, min_indegree=2),
+         lambda *a: _oracles.indegree_change_ratios(*a, min_indegree=2)),
+    ):
+        assert outcome(fn, net, corpus, cutoff) == outcome(oracle, snapshots, corpus, cutoff)
+
+    filters = apply_view_filters(dataset, target_min=0.0, source_frac=0.0)
+    got = outcome(sample_random_pairs, dataset, 15, 3, cutoff, filters)
+    assert got == outcome(_oracles.sample_random_pairs, dataset, snapshots, 15, 3, cutoff, filters)
+
+
+@pytest.mark.parametrize("max_from", [1, 5, 15])
+@pytest.mark.parametrize("bins", [GAPPED_BINS, PositionBins()])
+def test_alignment_matrices_match_entry_oracle(augmented, max_from, bins):
+    dataset, snapshots = augmented
+    for fn, kind in ((display_probability_matrix, "relevant"), (origin_probability_matrix, "recommended")):
+        matrix = fn(dataset.network, bins, max_from)
+        num, den = _oracles.alignment_counts(snapshots, kind, max_from, bins.ranges)
+        assert np.array_equal(matrix.denominators, den)
+        assert np.array_equal(matrix.probs, num / np.maximum(den, 1)[:, None])
+        assert den.sum() > 0
+
+
+def test_recommended_lists_without_relevant_ones_fail_like_the_oracle():
+    rec = {"a": [("b", 1)]}
+    net = _helpers.build_network([{"a": [("b", 1)]}, {}], daily_recommended=[{}, rec])
+    corpus = {"a", "b"}
+    message = f"snapshot {net.window.start + timedelta(days=1)} has no relevant lists"
+    expected = ("error", DataFormatError, message)
+    assert outcome(link_presence, net, corpus) == expected
+    assert outcome(_oracles.link_presence, net.snapshots, corpus) == expected
+    for fn, oracle in (
+        (link_frequency_histogram, _oracles.link_frequency_histogram),
+        (indegree_change_ratios, _oracles.indegree_change_ratios),
+    ):
+        assert outcome(fn, net, corpus) == outcome(oracle, net.snapshots, corpus) == expected
+
+
+# ---------------------------------------------------------------------------
+# parse -> serialize -> parse
+
+ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
+ROW = st.tuples(
+    st.integers(0, 3), ID_TEXT, ID_TEXT, st.integers(1, 30), st.sampled_from(["relevant", "recommended"])
+)
+
+
+def _csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["date", "source_id", "target_id", "position", "list_kind"])
+    start = datagen.START_DATE
+    writer.writerows((start + timedelta(days=d), s, t, p, k) for d, s, t, p, k in rows)
+    return buf.getvalue()
+
+
+def _valid(rows):
+    """Drop rows a parser must reject, keep each list's first position and target,
+    and renumber the days that are left to 0..n-1."""
+    keep, positions, targets = [], set(), set()
+    for day, src, tgt, pos, kind in rows:
+        if src == tgt or any(c in src + tgt for c in "\0\r\n"):
+            continue
+        if (day, src, kind, pos) in positions or (day, src, kind, tgt) in targets:
+            continue
+        positions.add((day, src, kind, pos))
+        targets.add((day, src, kind, tgt))
+        keep.append((day, src, tgt, pos, kind))
+    days = sorted({r[0] for r in keep})
+    return [(days.index(r[0]),) + r[1:] for r in keep]
+
+
+def _columns(table):
+    return [table.ids.tolist()] + [getattr(table, c).tolist() for c in ("day", "src", "tgt", "pos", "kind")]
+
+
+@given(st.lists(ROW, min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_parse_serialize_round_trip(rows, random):
+    rows = _valid(rows)
+    assume(rows)
+    net = parse_snapshots(io.StringIO(_csv(rows)))
+    text = serialize_snapshots(net)
+    again = parse_snapshots(io.StringIO(text))
+    assert _columns(again.table) == _columns(net.table)
+    assert again.window == net.window
+    assert net.table.day.size == len(rows)
+
+    shuffled = list(rows)
+    random.shuffle(shuffled)
+    assert serialize_snapshots(parse_snapshots(io.StringIO(_csv(shuffled)))) == text
+    assert list(net.table.ids) == sorted({r[1] for r in rows} | {r[2] for r in rows})

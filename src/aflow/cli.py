@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Settings resolve in precedence order: built-in defaults, then a flat
-``key=value`` config file (``--config``), then ``AFLOW_<KEY>`` environment
-variables, then explicit flags.  Every run that writes artifacts also writes
-``run_manifest.json`` with the resolved config, SHA-256 hashes of the input
-files and library versions; no timestamps, so reruns are byte-identical.
+Every setting is declared once, in ``SETTINGS``, and every subcommand once,
+in ``COMMANDS``; the flags, the config-file and environment checks and the
+manifests all come from those two tables.  Settings resolve in precedence
+order: built-in defaults, then a flat ``key=value`` config file
+(``--config``), then ``AFLOW_<KEY>`` environment variables, then explicit
+flags.  Every run that writes artifacts also writes ``run_manifest.json``
+with the settings its subcommand reads, SHA-256 hashes of the input files
+and library versions; no timestamps, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 Failures print a one-line JSON error record to stderr.
@@ -24,13 +27,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 from datetime import date
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy
@@ -73,6 +77,7 @@ from .list_alignment import DisplayProbabilityMatrix, display_probability_matrix
 from .persistence import (
     PersistentEdge,
     PersistentNetwork,
+    ViewFilters,
     apply_view_filters,
     classify_links,
     homophily_stats,
@@ -92,44 +97,61 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-DEFAULTS: dict[str, object] = {
-    "cutoff": 15,
-    "max_rel": 50,
-    "max_rec": 15,
-    "p": 7,
-    "m_star": 7,
-    "train_days": 56,
-    "horizon": 7,
-    "neighbor_mode": "observed",
-    "model": "arnet",
-    "target_min_views": 100.0,
-    "source_view_frac": 0.01,
-    "min_indegree": 20,
-    "trials": 100000,
-    "seed": 0,
-    "threads": _available_cores(),
-    "random_pairs": 200,
-    "alpha": 0.05,
-    "n_videos": 60,
-    "n_artists": 12,
-    "days": 63,
-    "edge_density": 0.02,
-    "presence_prob": 1.0,
-    "noise_scale": 5.0,
-    "p_grid": "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
-}
+class Setting(NamedTuple):
+    """One setting, read from ``--name`` (``_`` as ``-``), ``AFLOW_NAME`` or ``--config``."""
+
+    name: str
+    type: type
+    default: object
+    commands: tuple[str, ...]  # the subcommands that read it
+    choices: tuple[str, ...] = ()
+    help: str | None = None
+
+
+_LINKS = ("persistent", "correlate", "pipeline")
+_FITS = ("fit", "pipeline")
+
+SETTINGS: dict[str, Setting] = {s.name: s for s in (
+    Setting("cutoff", int, 15, ("analyze",) + _LINKS),
+    Setting("min_indegree", int, 20, ("analyze",)),
+    Setting("max_rel", int, 50, ("display-prob",)),
+    Setting("max_rec", int, 15, ("display-prob",)),
+    Setting("target_min_views", float, 100.0, _LINKS),
+    Setting("source_view_frac", float, 0.01, _LINKS),
+    Setting("random_pairs", int, 200, ("correlate",)),
+    Setting("alpha", float, 0.05, ("correlate",)),
+    Setting("model", str, "arnet", ("fit",), MODEL_NAMES),
+    Setting("p", int, 7, _FITS),
+    Setting("m_star", int, 7, _FITS),
+    Setting("train_days", int, 56, _FITS),
+    Setting("horizon", int, 7, _FITS),
+    Setting("neighbor_mode", str, "observed", _FITS, ("observed", "forecast")),
+    Setting("threads", int, _available_cores(), _FITS,
+            help="worker processes for network-model fits (default: available cores)"),
+    Setting("seed", int, 0, ("generate", "simulate-persistence", "correlate")),
+    Setting("days", int, 63, ("generate", "simulate-persistence")),
+    Setting("n_videos", int, 60, ("generate",)),
+    Setting("n_artists", int, 12, ("generate",)),
+    Setting("edge_density", float, 0.02, ("generate",)),
+    Setting("presence_prob", float, 1.0, ("generate",)),
+    Setting("noise_scale", float, 5.0, ("generate",)),
+    Setting("p_grid", str, "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+            ("simulate-persistence",), help="comma-separated presence probabilities"),
+    Setting("trials", int, 100000, ("simulate-persistence",)),
+)}
 
 
 def _coerce(key: str, text: str) -> object:
-    kind = type(DEFAULTS[key])
+    setting = SETTINGS[key]
     try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        return text
+        value = setting.type(text)
     except ValueError:
-        raise UsageError(f"setting {key} expects a {kind.__name__}, got {text!r}") from None
+        raise UsageError(
+            f"setting {key} expects a {setting.type.__name__}, got {text!r}") from None
+    if setting.choices and value not in setting.choices:
+        raise UsageError(
+            f"setting {key} expects one of {', '.join(setting.choices)}, got {text!r}")
+    return value
 
 
 def _parse_config_file(path: Path) -> dict[str, object]:
@@ -144,7 +166,7 @@ def _parse_config_file(path: Path) -> dict[str, object]:
             raise UsageError(f"{path}:{idx}: expected key=value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in DEFAULTS:
+        if key not in SETTINGS:
             raise UsageError(f"{path}:{idx}: unknown setting {key!r}")
         out[key] = _coerce(key, val)
     return out
@@ -152,15 +174,15 @@ def _parse_config_file(path: Path) -> dict[str, object]:
 
 def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
     """defaults < config file < AFLOW_* environment < explicit flags."""
-    settings = dict(DEFAULTS)
+    settings = {key: s.default for key, s in SETTINGS.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         settings.update(_parse_config_file(Path(config_path)))
-    for key in DEFAULTS:
+    for key in SETTINGS:
         env_val = os.environ.get(f"AFLOW_{key.upper()}")
         if env_val is not None:
             settings[key] = _coerce(key, env_val)
-    for key in DEFAULTS:
+    for key in SETTINGS:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             settings[key] = flag_val
@@ -196,13 +218,18 @@ def _write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _read_by(subcommand: str, settings: Mapping[str, object]) -> dict[str, object]:
+    """The settings ``subcommand`` reads, by name."""
+    return {k: v for k, v in sorted(settings.items()) if subcommand in SETTINGS[k].commands}
+
+
 def write_manifest(
     out_dir: Path,
     subcommand: str,
     settings: Mapping[str, object],
     input_files: Mapping[str, Path],
 ) -> None:
-    """Reproducibility record: resolved config, input hashes, versions.
+    """Reproducibility record: the settings the subcommand reads, input hashes, versions.
 
     The thread count is an execution detail, not configuration, so it is
     excluded and runs with different --threads stay byte-identical.
@@ -213,7 +240,7 @@ def write_manifest(
     }
     manifest = {
         "subcommand": subcommand,
-        "config": {k: v for k, v in sorted(settings.items()) if k != "threads"},
+        "config": {k: v for k, v in _read_by(subcommand, settings).items() if k != "threads"},
         "inputs": inputs,
         "versions": {
             "aflow": __version__,
@@ -329,46 +356,6 @@ def _emit_persistent(out: Path, dataset: Dataset, pn: PersistentNetwork) -> None
     )
 
 
-def _emit_fit(
-    out: Path,
-    model_name: str,
-    config: ForecastConfig,
-    models: Mapping[str, object] | None,
-    result: ForecastResult,
-) -> None:
-    videos: dict[str, dict[str, object]] = {}
-    if models:
-        for vid in sorted(models):
-            model = models[vid]
-            videos[vid] = {
-                "alpha": [float(a) for a in model.alpha],
-                "beta": {u: float(b) for u, b in sorted(getattr(model, "beta", {}).items())},
-            }
-    _write_json(
-        out / "models.json",
-        {
-            "model": model_name,
-            "config": {
-                "p": config.p,
-                "m_star": config.m_star,
-                "train_days": config.train_days,
-                "horizon": config.horizon,
-                "neighbor_mode": config.neighbor_mode,
-                "max_iter": config.max_iter,
-                "grad_tol": config.grad_tol,
-            },
-            "videos": videos,
-        },
-    )
-    if model_name == "arnet" and models:
-        _emit_fit_diagnostics(out, {vid: models[vid].fit for vid in sorted(models)})
-    rows = []
-    for i, vid in enumerate(result.video_ids):
-        for h, d in enumerate(result.dates):
-            rows.append((vid, d.isoformat(), result.y_true[i, h], result.y_pred[i, h]))
-    _write_csv(out / "forecasts.csv", ["video_id", "date", "y_true", "y_pred"], rows)
-
-
 def _emit_fit_diagnostics(out: Path, fits: Mapping[str, FitDiagnostics]) -> None:
     """Per-target optimizer report.
 
@@ -435,40 +422,67 @@ def _emit_contribution(out: Path, report: ContributionReport) -> None:
 
 
 def _forecast_config(settings: Mapping[str, object]) -> ForecastConfig:
-    return ForecastConfig(
-        p=int(settings["p"]),
-        m_star=int(settings["m_star"]),
-        train_days=int(settings["train_days"]),
-        horizon=int(settings["horizon"]),
-        neighbor_mode=str(settings["neighbor_mode"]),
-    )
+    return ForecastConfig(**{k: settings[k] for k in
+                             ("p", "m_star", "train_days", "horizon", "neighbor_mode")})
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# stages shared by single subcommands and the pipeline
 
 
-def cmd_generate(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def _persistent_links(
+    dataset: Dataset, settings: Mapping[str, object]
+) -> tuple[PersistentNetwork, tuple[tuple[str, str], ...], ViewFilters]:
+    """Persistent network and ephemeral links under the view filters, and the filters."""
+    filters = apply_view_filters(dataset, settings["target_min_views"], settings["source_view_frac"])
+    pn, ephemeral = classify_links(dataset.network, dataset, settings["cutoff"], filters)
+    return pn, ephemeral, filters
+
+
+def _fit_and_emit(
+    out: Path,
+    dataset: Dataset,
+    pn: PersistentNetwork,
+    model_name: str,
+    settings: Mapping[str, object],
+) -> tuple[ForecastConfig, Mapping[str, object] | None, ForecastResult]:
+    """Fit one model family, write models.json, fit_diagnostics.csv and forecasts.csv."""
+    config = _forecast_config(settings)
+    models, result = run_model(dataset, pn, model_name, config, settings["threads"])
+    videos: dict[str, dict[str, object]] = {}
+    for vid in sorted(models or {}):
+        model = models[vid]
+        videos[vid] = {
+            "alpha": [float(a) for a in model.alpha],
+            "beta": {u: float(b) for u, b in sorted(getattr(model, "beta", {}).items())},
+        }
+    _write_json(out / "models.json",
+                {"model": model_name, "config": dataclasses.asdict(config), "videos": videos})
+    if model_name == "arnet" and models:
+        _emit_fit_diagnostics(out, {vid: models[vid].fit for vid in sorted(models)})
+    rows = []
+    for i, vid in enumerate(result.video_ids):
+        for h, d in enumerate(result.dates):
+            rows.append((vid, d.isoformat(), result.y_true[i, h], result.y_pred[i, h]))
+    _write_csv(out / "forecasts.csv", ["video_id", "date", "y_true", "y_pred"], rows)
+    return config, models, result
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers: each returns the input files its manifest hashes
+
+
+def cmd_generate(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     out = Path(args.out)
-    config = GenConfig(
-        n_videos=int(settings["n_videos"]),
-        n_artists=int(settings["n_artists"]),
-        days=int(settings["days"]),
-        edge_density=float(settings["edge_density"]),
-        presence_prob=float(settings["presence_prob"]),
-        noise_scale=float(settings["noise_scale"]),
-        seed=int(settings["seed"]),
-    )
-    dataset, truth = generate(config)
+    dataset, truth = generate(GenConfig(**_read_by("generate", settings)))
     export_dataset(dataset, out)
     _write_json(out / "ground_truth.json", ground_truth_to_json(truth))
-    write_manifest(out, "generate", settings, {})
     print(json.dumps({"videos": dataset.summary.n_videos, "days": dataset.summary.n_days,
                       "edges": len(truth.beta), "out": str(out)}, sort_keys=True))
-    return 0
+    return {}
 
 
-def cmd_validate(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def cmd_validate(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     dataset = load_dataset(args.data)
     summary = dataset.summary
     print(
@@ -485,14 +499,18 @@ def cmd_validate(args: argparse.Namespace, settings: dict[str, object]) -> int:
             sort_keys=True,
         )
     )
-    return 0
+    return {}
 
 
-def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     dataset = load_dataset(args.data)
     out = Path(args.out)
-    cutoff = int(settings["cutoff"])
-    day = date.fromisoformat(args.date) if args.date else dataset.window.end
+    cutoff = settings["cutoff"]
+    window = dataset.window
+    day = args.date or window.end
+    if day not in window:
+        raise UsageError(
+            f"--date {day} is outside the observation window {window.start}..{window.end}")
 
     snap = dataset.network.snapshot_on(day)
     graph = build_graph(snap, dataset.corpus, cutoff)
@@ -518,9 +536,7 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> int:
         ["source_group"] + labels,
         [[labels[i]] + [int(flow[i, j]) for j in range(4)] for i in range(4)],
     )
-    churn = indegree_change_ratios(
-        dataset.network, dataset.corpus, cutoff, int(settings["min_indegree"])
-    )
+    churn = indegree_change_ratios(dataset.network, dataset.corpus, cutoff, settings["min_indegree"])
     _write_csv(
         out / "churn.csv",
         ["indegree", "count", "p10", "p25", "p50", "p75", "p90"],
@@ -528,8 +544,7 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> int:
     )
     freq = link_frequency_histogram(dataset.network, dataset.corpus, cutoff)
     _write_csv(out / "link_freq.csv", ["days_present", "n_links"], sorted(freq.items()))
-    write_manifest(out, "analyze", settings, _data_inputs(Path(args.data)))
-    return 0
+    return _data_inputs(Path(args.data))
 
 
 def _emit_matrix(path: Path, row_name: str, matrix: DisplayProbabilityMatrix) -> None:
@@ -540,58 +555,47 @@ def _emit_matrix(path: Path, row_name: str, matrix: DisplayProbabilityMatrix) ->
     _write_csv(path, [row_name, "bin_label", "probability"], rows)
 
 
-def cmd_display_prob(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def cmd_display_prob(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     snapshots_path = Path(args.data) / "snapshots.csv"
     network = parse_snapshots(snapshots_path)
     out = Path(args.out)
-    disp = display_probability_matrix(network, max_rel=int(settings["max_rel"]))
-    orig = origin_probability_matrix(network, max_rec=int(settings["max_rec"]))
+    disp = display_probability_matrix(network, max_rel=settings["max_rel"])
+    orig = origin_probability_matrix(network, max_rec=settings["max_rec"])
     _emit_matrix(out / "display_prob.csv", "rel_rank", disp)
     _emit_matrix(out / "origin_prob.csv", "rec_position", orig)
-    write_manifest(out, "display-prob", settings, {"snapshots.csv": snapshots_path})
-    return 0
+    return {"snapshots.csv": snapshots_path}
 
 
-def cmd_persistent(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def cmd_persistent(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     dataset = load_dataset(args.data)
-    out = Path(args.out)
-    filters = apply_view_filters(
-        dataset, float(settings["target_min_views"]), float(settings["source_view_frac"])
-    )
-    pn, _ = classify_links(dataset.network, dataset, int(settings["cutoff"]), filters)
-    _emit_persistent(out, dataset, pn)
-    write_manifest(out, "persistent", settings, _data_inputs(Path(args.data)))
-    return 0
+    pn, _, _ = _persistent_links(dataset, settings)
+    _emit_persistent(Path(args.out), dataset, pn)
+    return _data_inputs(Path(args.data))
 
 
-def cmd_simulate_persistence(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def cmd_simulate_persistence(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     out = Path(args.out)
     try:
-        grid = [float(x) for x in str(settings["p_grid"]).split(",") if x.strip()]
+        grid = [float(x) for x in settings["p_grid"].split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"could not parse p_grid {settings['p_grid']!r}") from None
     if not grid:
         raise UsageError("p_grid is empty")
-    trials = int(settings["trials"])
+    trials = settings["trials"]
     rows = []
     for p in grid:
         xi = simulate_persistence_probability(
-            p, n_days=int(settings["days"]), trials=trials, seed=int(settings["seed"])
+            p, n_days=settings["days"], trials=trials, seed=settings["seed"]
         )
         rows.append((p, xi, trials))
     _write_csv(out / "xi_curve.csv", ["p", "xi", "trials"], rows)
-    write_manifest(out, "simulate-persistence", settings, {})
-    return 0
+    return {}
 
 
-def cmd_correlate(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def cmd_correlate(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     dataset = load_dataset(args.data)
     out = Path(args.out)
-    cutoff = int(settings["cutoff"])
-    filters = apply_view_filters(
-        dataset, float(settings["target_min_views"]), float(settings["source_view_frac"])
-    )
-    pn, ephemeral = classify_links(dataset.network, dataset, cutoff, filters)
+    pn, ephemeral, filters = _persistent_links(dataset, settings)
     if not pn.edges:
         raise DataFormatError("no persistent links found; nothing to correlate")
     groups: dict[str, list[tuple[str, str]]] = {
@@ -599,11 +603,11 @@ def cmd_correlate(args: argparse.Namespace, settings: dict[str, object]) -> int:
         "reciprocal": [(e.source, e.target) for e in pn.edges if e.reciprocal],
         "ephemeral": list(ephemeral),
         "random": sample_random_pairs(
-            dataset, int(settings["random_pairs"]), int(settings["seed"]), cutoff, filters
+            dataset, settings["random_pairs"], settings["seed"], settings["cutoff"], filters
         ),
     }
     groups = {name: pairs for name, pairs in groups.items() if pairs}
-    results = correlated_link_fractions(groups, dataset, alpha=float(settings["alpha"]))
+    results = correlated_link_fractions(groups, dataset, alpha=settings["alpha"])
     _write_csv(
         out / "group_fractions.csv",
         ["group", "n_links", "n_significant", "fraction"],
@@ -621,77 +625,89 @@ def cmd_correlate(args: argparse.Namespace, settings: dict[str, object]) -> int:
         ["group", "source", "target", "r", "p"],
         link_rows,
     )
-    write_manifest(out, "correlate", settings, _data_inputs(Path(args.data)))
-    return 0
+    return _data_inputs(Path(args.data))
 
 
-def cmd_fit(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def cmd_fit(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     dataset = load_dataset(args.data)
-    out = Path(args.out)
     pn = read_persistent_edges(Path(args.persistent))
-    config = _forecast_config(settings)
-    model_name = str(settings["model"])
-    models, result = run_model(dataset, pn, model_name, config, int(settings["threads"]))
-    _emit_fit(out, model_name, config, models, result)
-    inputs = _data_inputs(Path(args.data))
-    inputs["persistent_edges.csv"] = Path(args.persistent)
-    write_manifest(out, "fit", settings, inputs)
-    return 0
+    _fit_and_emit(Path(args.out), dataset, pn, settings["model"], settings)
+    return {**_data_inputs(Path(args.data)), "persistent_edges.csv": Path(args.persistent)}
 
 
-def cmd_evaluate(args: argparse.Namespace, settings: dict[str, object]) -> int:
-    out = Path(args.out)
+def cmd_evaluate(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     result = read_forecasts(Path(args.forecasts))
-    report = evaluate_forecasts(result)
-    _emit_eval(out, report)
-    write_manifest(out, "evaluate", settings, {"forecasts.csv": Path(args.forecasts)})
-    return 0
+    _emit_eval(Path(args.out), evaluate_forecasts(result))
+    return {"forecasts.csv": Path(args.forecasts)}
 
 
-def cmd_contribute(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def cmd_contribute(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     dataset = load_dataset(args.data)
-    out = Path(args.out)
     name, config, models = read_models(Path(args.models))
     result = read_forecasts(Path(args.forecasts), name)
     report = contribution_report(dataset, models, result, config)
-    _emit_contribution(out, report)
-    inputs = _data_inputs(Path(args.data))
-    inputs["models.json"] = Path(args.models)
-    inputs["forecasts.csv"] = Path(args.forecasts)
-    write_manifest(out, "contribute", settings, inputs)
-    return 0
+    _emit_contribution(Path(args.out), report)
+    return {**_data_inputs(Path(args.data)), "models.json": Path(args.models),
+            "forecasts.csv": Path(args.forecasts)}
 
 
-def cmd_pipeline(args: argparse.Namespace, settings: dict[str, object]) -> int:
+def cmd_pipeline(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
+    """persistent -> fit x4 -> evaluate -> contribute over one loaded dataset."""
     dataset = load_dataset(args.data)
     out = Path(args.out)
-    cutoff = int(settings["cutoff"])
-    filters = apply_view_filters(
-        dataset, float(settings["target_min_views"]), float(settings["source_view_frac"])
-    )
-    pn, _ = classify_links(dataset.network, dataset, cutoff, filters)
+    pn, _, _ = _persistent_links(dataset, settings)
     _emit_persistent(out, dataset, pn)
     if not pn.edges:
         raise DataFormatError("no persistent links found; cannot run the forecast stage")
-    config = _forecast_config(settings)
-    threads = int(settings["threads"])
     for model_name in MODEL_NAMES:
         subdir = out / model_name
-        models, result = run_model(dataset, pn, model_name, config, threads)
-        _emit_fit(subdir, model_name, config, models, result)
+        config, models, result = _fit_and_emit(subdir, dataset, pn, model_name, settings)
         _emit_eval(subdir, evaluate_forecasts(result))
         if model_name == "arnet":
-            report = contribution_report(dataset, models, result, config)
-            _emit_contribution(subdir, report)
-    write_manifest(out, "pipeline", settings, _data_inputs(Path(args.data)))
-    return 0
+            _emit_contribution(subdir, contribution_report(dataset, models, result, config))
+    return _data_inputs(Path(args.data))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-THREADS_HELP = "worker processes for network-model fits (default: available cores)"
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace, dict[str, object]], Mapping[str, Path]]
+    help: str
+    paths: tuple[str, ...]  # keys of PATH_ARGS
+
+
+PATH_ARGS: dict[str, dict[str, object]] = {
+    "data": {"required": True, "help": "directory with the three input CSVs"},
+    "out": {"required": True, "help": "artifact output directory"},
+    "persistent": {"required": True, "help": "persistent_edges.csv from the persistent step"},
+    "models": {"required": True, "help": "models.json from an arnet fit"},
+    "forecasts": {"required": True, "help": "forecasts.csv from a fit"},
+    "date": {"type": date.fromisoformat, "help": "analysis day (ISO), default last window day"},
+}
+
+COMMANDS: dict[str, Command] = {
+    "generate": Command(cmd_generate, "generate a synthetic dataset with ground truth", ("out",)),
+    "validate": Command(cmd_validate, "parse and cross-check a dataset directory", ("data",)),
+    "analyze": Command(cmd_analyze, "bow-tie, degree, flow and churn analyses",
+                       ("data", "out", "date")),
+    "display-prob": Command(cmd_display_prob, "relevant/recommended alignment matrices",
+                            ("data", "out")),
+    "persistent": Command(cmd_persistent, "extract the persistent network", ("data", "out")),
+    "simulate-persistence": Command(cmd_simulate_persistence,
+                                    "survival probability of random presence", ("out",)),
+    "correlate": Command(cmd_correlate, "residual correlations across link groups",
+                         ("data", "out")),
+    "fit": Command(cmd_fit, "fit one model family on persistent targets",
+                   ("data", "out", "persistent")),
+    "evaluate": Command(cmd_evaluate, "SMAPE report for a forecasts artifact",
+                        ("forecasts", "out")),
+    "contribute": Command(cmd_contribute, "network contribution and artist shifts",
+                          ("data", "out", "models", "forecasts")),
+    "pipeline": Command(cmd_pipeline, "persistent -> fit x4 -> evaluate -> contribute",
+                        ("data", "out")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -702,96 +718,16 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aflow", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    def common(p: argparse.ArgumentParser, data: bool = True, out: bool = True) -> None:
-        p.add_argument("--config", help="flat key=value settings file")
-        if data:
-            p.add_argument("--data", required=True, help="directory with the three input CSVs")
-        if out:
-            p.add_argument("--out", required=True, help="artifact output directory")
-
-    p = sub.add_parser("generate", help="generate a synthetic dataset with ground truth")
-    common(p, data=False)
-    for flag in ("seed", "n-videos", "n-artists", "days"):
-        p.add_argument(f"--{flag}", type=int)
-    for flag in ("edge-density", "presence-prob", "noise-scale"):
-        p.add_argument(f"--{flag}", type=float)
-    p.set_defaults(handler=cmd_generate)
-
-    p = sub.add_parser("validate", help="parse and cross-check a dataset directory")
-    common(p, out=False)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("analyze", help="bow-tie, degree, flow and churn analyses")
-    common(p)
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--min-indegree", type=int)
-    p.add_argument("--date", help="analysis day (ISO), default last window day")
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser("display-prob", help="relevant/recommended alignment matrices")
-    common(p)
-    p.add_argument("--max-rel", type=int)
-    p.add_argument("--max-rec", type=int)
-    p.set_defaults(handler=cmd_display_prob)
-
-    p = sub.add_parser("persistent", help="extract the persistent network")
-    common(p)
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--target-min-views", type=float)
-    p.add_argument("--source-view-frac", type=float)
-    p.set_defaults(handler=cmd_persistent)
-
-    p = sub.add_parser("simulate-persistence", help="survival probability of random presence")
-    common(p, data=False)
-    p.add_argument("--p-grid", dest="p_grid", help="comma-separated presence probabilities")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--days", type=int)
-    p.set_defaults(handler=cmd_simulate_persistence)
-
-    p = sub.add_parser("correlate", help="residual correlations across link groups")
-    common(p)
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--random-pairs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--target-min-views", type=float)
-    p.add_argument("--source-view-frac", type=float)
-    p.set_defaults(handler=cmd_correlate)
-
-    p = sub.add_parser("fit", help="fit one model family on persistent targets")
-    common(p)
-    p.add_argument("--persistent", required=True, help="persistent_edges.csv from the persistent step")
-    p.add_argument("--model", choices=MODEL_NAMES)
-    for flag in ("p", "m-star", "train-days", "horizon"):
-        p.add_argument(f"--{flag}", type=int)
-    p.add_argument("--threads", type=int, help=THREADS_HELP)
-    p.add_argument("--neighbor-mode", choices=("observed", "forecast"))
-    p.set_defaults(handler=cmd_fit)
-
-    p = sub.add_parser("evaluate", help="SMAPE report for a forecasts artifact")
-    common(p, data=False)
-    p.add_argument("--forecasts", required=True)
-    p.set_defaults(handler=cmd_evaluate)
-
-    p = sub.add_parser("contribute", help="network contribution and artist shifts")
-    common(p)
-    p.add_argument("--models", required=True)
-    p.add_argument("--forecasts", required=True)
-    p.set_defaults(handler=cmd_contribute)
-
-    p = sub.add_parser("pipeline", help="persistent -> fit x4 -> evaluate -> contribute")
-    common(p)
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--target-min-views", type=float)
-    p.add_argument("--source-view-frac", type=float)
-    for flag in ("p", "m-star", "train-days", "horizon"):
-        p.add_argument(f"--{flag}", type=int)
-    p.add_argument("--threads", type=int, help=THREADS_HELP)
-    p.add_argument("--neighbor-mode", choices=("observed", "forecast"))
-    p.set_defaults(handler=cmd_pipeline)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for path in command.paths:
+            p.add_argument(f"--{path}", **PATH_ARGS[path])
+        read = [s for s in SETTINGS.values() if name in s.commands]
+        if read:
+            p.add_argument("--config", help="flat key=value settings file")
+        for s in read:
+            p.add_argument("--" + s.name.replace("_", "-"), type=s.type,
+                           choices=s.choices or None, help=s.help or f"default {s.default}")
     return parser
 
 
@@ -805,7 +741,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         settings = resolve_settings(args)
-        return args.handler(args, settings)
+        command = COMMANDS[args.subcommand]
+        inputs = command.handler(args, settings)
+        if "out" in command.paths:
+            write_manifest(Path(args.out), args.subcommand, settings, inputs)
+        return 0
     except UsageError as exc:
         _emit_error("usage", exc)
         return 1

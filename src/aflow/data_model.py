@@ -260,11 +260,15 @@ class DynamicNetwork:
                         entries.extend(rlist.entries)
             targets, positions = zip(*entries) if entries else ((), ())
         tgt = np.fromiter(map(codes.__getitem__, targets), dtype=np.int32, count=len(targets))
+        names = list(codes)
+        bad = _bad_ids(names)
+        if bad:
+            raise DataFormatError(_id_problem(names[bad[0]]))
         pos = np.fromiter(positions, dtype=np.int64, count=len(positions))
         if pos.size and pos.max() > _MAX_POSITION:
             raise DataFormatError(f"position {pos.max()} is too large")
         day, kind, src = np.repeat(np.array(owners, dtype=np.int32).reshape(-1, 3), sizes, axis=0).T
-        table = SnapshotTable.from_codes(list(codes), day, src, tgt, pos, kind)
+        table = SnapshotTable.from_codes(names, day, src, tgt, pos, kind)
         return cls(window, table)
 
     @property
@@ -403,6 +407,23 @@ _MAX_POSITION = np.iinfo(np.int32).max
 _FORBIDDEN_ID_CHARS = "\0\r\n"
 
 
+def _id_problem(vid: str) -> str | None:
+    """Why ``vid`` cannot be a video id, or None when it can."""
+    if not vid:
+        return "empty video id"
+    if any(c in vid for c in _FORBIDDEN_ID_CHARS):
+        return f"video id {vid!r} holds a NUL or line break"
+    return None
+
+
+def _bad_ids(ids: Sequence[str]) -> list[int]:
+    """Indices of the ids that :func:`_id_problem` rejects; one joined scan when none is."""
+    joined = "\t".join(ids)
+    if "" not in ids and not any(c in joined for c in _FORBIDDEN_ID_CHARS):
+        return []
+    return [i for i, vid in enumerate(ids) if _id_problem(vid)]
+
+
 def _snapshot_row(line_no: int, row: Sequence[str]) -> None:
     """Raise the error for a snapshot row that fails a check of its own fields."""
     if len(row) != 5:
@@ -412,8 +433,9 @@ def _snapshot_row(line_no: int, row: Sequence[str]) -> None:
     if not src or not tgt:
         raise DataFormatError(f"line {line_no}: empty video id")
     for vid in (src, tgt):
-        if any(c in vid for c in _FORBIDDEN_ID_CHARS):
-            raise DataFormatError(f"line {line_no}: video id {vid!r} holds a NUL or line break")
+        problem = _id_problem(vid)
+        if problem:
+            raise DataFormatError(f"line {line_no}: {problem}")
     try:
         pos = int(row[3])
     except ValueError:
@@ -512,13 +534,7 @@ def parse_snapshots(source: str | Path | IO[str]) -> DynamicNetwork:
             src = np.fromiter(map(codes.__getitem__, srcs), dtype=np.int32, count=len(raw))
             tgt = np.fromiter(map(codes.__getitem__, tgts), dtype=np.int32, count=len(raw))
             if len(codes) > known:
-                new_ids = list(islice(codes, known, None))
-                joined = "\t".join(new_ids)
-                if "" in new_ids or any(c in joined for c in _FORBIDDEN_ID_CHARS):
-                    bad_ids.extend(
-                        code for code, vid in enumerate(new_ids, known)
-                        if not vid or any(c in vid for c in _FORBIDDEN_ID_CHARS)
-                    )
+                bad_ids.extend(known + i for i in _bad_ids(list(islice(codes, known, None))))
             ordinal = _coded(ordinals, dates, _ordinal_or_bad)
             pos = _coded(positions, pos_text, _position_or_bad)
             kind = _coded(kinds, kind_text, _kind_or_bad)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .data_model import DataFormatError, Dataset
 from .forecast import ArnetModel, ForecastConfig, ForecastResult, resolve_neighbor_values
+from .stats import average_ranks
 
 
 def smape(
@@ -105,9 +106,7 @@ class ContributionReport:
 
 def _midrank_percentiles(values: np.ndarray) -> np.ndarray:
     """Percentile ranks via average mid-ranks: 100 * (midrank - 0.5) / n."""
-    from scipy.stats import rankdata  # scipy.stats takes about 0.5 s to import
-
-    return 100.0 * (rankdata(values, method="average") - 0.5) / values.size
+    return 100.0 * (average_ranks(values) - 0.5) / values.size
 
 
 def contribution_report(
@@ -182,10 +181,6 @@ def contribution_report(
     )
     mean_eta = float(np.mean(list(eta.values())))
     return ContributionReport(eta, mean_eta, same_artist_share, rows)
-
-
-def same_artist_contribution(report: ContributionReport) -> float:
-    return report.same_artist_share
 
 
 def outlier_artists(rows: Sequence[ArtistRow], n_bins: int = 10) -> list[str]:

@@ -268,8 +268,24 @@ def spearman(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -
         raise DataFormatError("rank correlation inputs must be equal-length 1-D series")
     if xa.size < 3:
         raise DataFormatError("need at least 3 observations for a rank correlation")
-    from scipy.stats import rankdata  # scipy.stats takes about 0.5 s to import
+    return _pearson_r(average_ranks(xa), average_ranks(ya))
 
-    rx = rankdata(xa, method="average")
-    ry = rankdata(ya, method="average")
-    return _pearson_r(rx, ry)
+
+def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their mean rank; all NaN if any value is NaN.
+
+    The same values as ``scipy.stats.rankdata(values, method="average")``,
+    without importing ``scipy.stats``.  Tied ranks are whole or half
+    integers, so they are exact.
+    """
+    a = np.asarray(values, dtype=float)
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts_run = np.r_[True, ordered[1:] != ordered[:-1]]
+    bounds = np.flatnonzero(np.r_[starts_run, True])  # run starts, then the size
+    mean_rank = (bounds[:-1] + bounds[1:] + 1) / 2.0
+    ranks = np.empty(a.shape)
+    ranks[order] = mean_rank[np.cumsum(starts_run) - 1]
+    return ranks

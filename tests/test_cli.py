@@ -109,6 +109,105 @@ def test_config_file_problems_are_usage_errors(tmp_path, capsys):
     assert code == 1
 
 
+def usage_record(captured) -> dict:
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    record = json.loads(lines[0])
+    assert record["error"] == "usage"
+    return record
+
+
+def test_choices_hold_for_every_source(tmp_path, monkeypatch, capsys):
+    data = generate_data(tmp_path)
+    links = tmp_path / "links"
+    assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
+    fit = ["fit", "--data", str(data), "--out", str(tmp_path / "fit"),
+           "--persistent", str(links / "persistent_edges.csv")]
+    capsys.readouterr()
+
+    code, captured = run(fit + ["--neighbor-mode", "bogus"], capsys)
+    assert code == 1
+    usage_record(captured)
+
+    monkeypatch.setenv("AFLOW_NEIGHBOR_MODE", "bogus")
+    code, captured = run(fit, capsys)
+    assert code == 1
+    assert "neighbor_mode expects one of observed, forecast" in usage_record(captured)["message"]
+    monkeypatch.delenv("AFLOW_NEIGHBOR_MODE")
+
+    config = tmp_path / "bogus.cfg"
+    config.write_text("model=bogus\n", encoding="utf-8")
+    code, captured = run(fit + ["--config", str(config)], capsys)
+    assert code == 1
+    assert "model expects one of naive, snaive, ar, arnet" in usage_record(captured)["message"]
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("day", ["2030-01-01", "2018-13-01"])
+def test_analyze_date_problems_are_usage_errors(tmp_path, capsys, day):
+    data = generate_data(tmp_path)
+    capsys.readouterr()
+    code, captured = run(
+        ["analyze", "--data", str(data), "--out", str(tmp_path / "a"), "--date", day], capsys
+    )
+    assert code == 1
+    assert day in usage_record(captured)["message"]
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_manifests_record_only_the_settings_a_command_reads(tmp_path, monkeypatch):
+    monkeypatch.setenv("AFLOW_CUTOFF", "12")  # read by persistent, not by fit or evaluate
+    data = generate_data(tmp_path)
+    links, fit, ev = tmp_path / "links", tmp_path / "fit", tmp_path / "eval"
+    assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
+    assert cli.main(["fit", "--data", str(data), "--out", str(fit), "--model", "ar",
+                     "--persistent", str(links / "persistent_edges.csv")]) == 0
+    assert cli.main(["evaluate", "--forecasts", str(fit / "forecasts.csv"),
+                     "--out", str(ev)]) == 0
+
+    def config(out):
+        return json.loads((out / "run_manifest.json").read_text())["config"]
+
+    assert config(data) == {"days": 63, "edge_density": 0.12, "n_artists": 5, "n_videos": 16,
+                            "noise_scale": 5.0, "presence_prob": 1.0, "seed": 0}
+    assert config(links) == {"cutoff": 12, "source_view_frac": 0.01, "target_min_views": 100.0}
+    assert config(fit) == {"horizon": 7, "m_star": 7, "model": "ar",
+                           "neighbor_mode": "observed", "p": 7, "train_days": 56}
+    assert config(ev) == {}
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate", "contribute"])
+def test_commands_without_settings_take_no_config_flag(tmp_path, capsys, command):
+    argv = [command, "--config", str(tmp_path / "c.cfg")]
+    for path in cli.COMMANDS[command].paths:
+        argv += [f"--{path}", str(tmp_path / path)]
+    code, captured = run(argv, capsys)
+    assert code == 1
+    assert "--config" in usage_record(captured)["message"]
+
+
+def _readme_settings_table() -> list[list[str]]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| setting | type | default | choices | read by |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_settings_table_matches_the_code():
+    expected = [
+        [s.name, s.type.__name__,
+         "available cores" if s.name == "threads" else str(s.default),
+         ", ".join(s.choices), ", ".join(s.commands)]
+        for s in cli.SETTINGS.values()
+    ]
+    assert _readme_settings_table() == expected
+
+
 def test_missing_required_flag_is_usage_error(tmp_path, capsys):
     code, captured = run(["analyze", "--data", str(tmp_path)], capsys)
     assert code == 1
@@ -573,6 +672,27 @@ def test_importing_the_cli_leaves_out_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_contribute_leaves_out_scipy_stats(tmp_path):
+    data = generate_data(tmp_path)
+    links, fit = tmp_path / "links", tmp_path / "fit"
+    assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
+    assert cli.main(["fit", "--data", str(data), "--out", str(fit), "--threads", "1",
+                     "--persistent", str(links / "persistent_edges.csv")]) == 0
+    argv = ["contribute", "--data", str(data), "--out", str(tmp_path / "contrib"),
+            "--models", str(fit / "models.json"), "--forecasts", str(fit / "forecasts.csv")]
+    env = dict(os.environ, PYTHONPATH=str(Path(aflow.__file__).resolve().parents[1]))
+    script = (
+        "import sys, aflow.cli\n"
+        f"assert aflow.cli.main({argv!r}) == 0\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "contrib" / "artist_shift.csv").is_file()
     assert proc.stdout.strip() == "False"
 
 

@@ -91,6 +91,18 @@ def test_parse_snapshots_rejects_bad_rows():
         )
 
 
+@pytest.mark.parametrize("bad", ["", "a\rb", "a\nb", "a\0b"])
+@pytest.mark.parametrize("as_source", [True, False])
+def test_from_snapshots_rejects_the_ids_the_parser_rejects(bad, as_source):
+    src, tgt = (bad, "x") if as_source else ("x", bad)
+    with pytest.raises(DataFormatError) as parsed:
+        parse_snapshots(snap_csv([("2018-09-01", f'"{src}"', f'"{tgt}"', 1, "relevant")]))
+    with pytest.raises(DataFormatError) as converted:
+        _helpers.build_network([{src: [(tgt, 1)]}])
+    # The same reason, without the parser's line number.
+    assert str(parsed.value) == f"line 2: {converted.value}"
+
+
 def test_parse_snapshots_rejects_gap_in_days():
     src = snap_csv(
         [

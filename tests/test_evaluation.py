@@ -9,7 +9,6 @@ from aflow.evaluation import (
     evaluate_forecasts,
     network_contribution,
     outlier_artists,
-    same_artist_contribution,
     smape,
 )
 from aflow.forecast import ArnetModel, ForecastConfig, ForecastResult, run_model
@@ -115,7 +114,6 @@ def test_contribution_report_eta_and_shares():
     assert report.eta["c1"] == 0.0
     assert report.mean_eta == 0.5
     assert report.same_artist_share == 0.0
-    assert same_artist_contribution(report) == 0.0
 
 
 def test_midrank_percentiles_match_counting_oracle():

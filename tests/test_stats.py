@@ -3,6 +3,7 @@ import pytest
 
 from aflow.data_model import DataFormatError
 from aflow.stats import (
+    average_ranks,
     correlated_link_fractions,
     gini,
     pearson_test,
@@ -227,3 +228,12 @@ def test_sample_random_pairs_budget_exhaustion():
         sample_random_pairs(ds, 5, seed=0)
     with pytest.raises(DataFormatError, match="positive sample size"):
         sample_random_pairs(ds, 0, seed=0)
+
+
+def test_average_ranks_match_counting_oracle():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 60):
+        values = rng.integers(0, max(1, n // 4), size=n).astype(float)
+        values[0] = np.inf
+        np.testing.assert_array_equal(average_ranks(values), _oracles.midranks(values))
+    assert np.isnan(average_ranks([2.0, np.nan, 1.0])).all()

@@ -168,7 +168,10 @@ def _parse_config_file(path: Path) -> dict[str, object]:
         key, val = key.strip(), val.strip()
         if key not in SETTINGS:
             raise UsageError(f"{path}:{idx}: unknown setting {key!r}")
-        out[key] = _coerce(key, val)
+        try:
+            out[key] = _coerce(key, val)
+        except UsageError as exc:
+            raise UsageError(f"{path}:{idx}: {exc}") from None
     return out
 
 
@@ -598,13 +601,18 @@ def cmd_correlate(args: argparse.Namespace, settings: dict[str, object]) -> dict
     pn, ephemeral, filters = _persistent_links(dataset, settings)
     if not pn.edges:
         raise DataFormatError("no persistent links found; nothing to correlate")
+    random_pairs = sample_random_pairs(
+        dataset, settings["random_pairs"], settings["seed"], settings["cutoff"], filters
+    )
+    if len(random_pairs) < settings["random_pairs"]:
+        record = {"warning": "random_pairs_short", "wanted": settings["random_pairs"],
+                  "found": len(random_pairs)}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
     groups: dict[str, list[tuple[str, str]]] = {
         "persistent": [(e.source, e.target) for e in pn.edges],
         "reciprocal": [(e.source, e.target) for e in pn.edges if e.reciprocal],
         "ephemeral": list(ephemeral),
-        "random": sample_random_pairs(
-            dataset, settings["random_pairs"], settings["seed"], settings["cutoff"], filters
-        ),
+        "random": random_pairs,
     }
     groups = {name: pairs for name, pairs in groups.items() if pairs}
     results = correlated_link_fractions(groups, dataset, alpha=settings["alpha"])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.special
 
 from .data_model import DataFormatError, Dataset
 # Re-exported: callers, and the benchmark's tracer, look build_graph up on this module.
@@ -139,8 +138,11 @@ def pearson_test(
         return r, 0.0
     t_stat = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
     # stdtr is the Student-t CDF that scipy.stats.t.sf evaluates; calling it
-    # directly keeps scipy.stats out of the import graph.
-    p = 2.0 * float(scipy.special.stdtr(n - 2, -t_stat))
+    # directly keeps scipy.stats out of the import graph, and importing it
+    # here keeps scipy.special out of every command but correlate.
+    from scipy.special import stdtr
+
+    p = 2.0 * float(stdtr(n - 2, -t_stat))
     return r, min(1.0, p)
 
 
@@ -210,7 +212,10 @@ def sample_random_pairs(
 
     Pairs must pass the same view filters as persistence candidates so the
     group is comparable to the link groups.  Rejection sampling with a fixed
-    attempt budget; runs out loudly instead of looping forever.
+    attempt budget.  When the budget runs out, a corpus with fewer than ``n``
+    eligible never-linked pairs gives all of them, in sorted order, so the
+    result is shorter than ``n``; a corpus with none, or with ``n`` or more
+    that the sampler missed, raises instead of looping forever.
     """
     if n < 1:
         raise DataFormatError("need a positive sample size")
@@ -227,6 +232,9 @@ def sample_random_pairs(
     budget = max(1000, 50 * n)
     while len(chosen) < n:
         if budget == 0:
+            every = _eligible_never_linked(ids, forbidden, filters, n)
+            if every:
+                return every
             raise DataFormatError(
                 f"exhausted sampling budget with {len(chosen)} of {n} pairs found"
             )
@@ -242,6 +250,30 @@ def sample_random_pairs(
         seen.add(pair)
         chosen.append(pair)
     return chosen
+
+
+def _eligible_never_linked(
+    ids: list[str], forbidden: set[tuple[str, str]], filters: ViewFilters, limit: int
+) -> list[tuple[str, str]] | None:
+    """Every pair ``sample_random_pairs`` may draw, sorted; None once ``limit`` are found.
+
+    Sources are visited in order of mean views from each target's threshold
+    up, so the work is bounded by ``limit`` plus the forbidden pairs and the
+    targets, not by the square of the corpus.
+    """
+    means = np.array([filters.mean_views[v] for v in ids])
+    by_mean = np.argsort(means, kind="stable")
+    sorted_means = means[by_mean]
+    found: list[tuple[str, str]] = []
+    for j in np.flatnonzero(means >= filters.target_min):
+        first = np.searchsorted(sorted_means, filters.source_frac * means[j], side="left")
+        for i in by_mean[first:]:
+            pair = (ids[i], ids[j])
+            if i != j and pair not in forbidden:
+                found.append(pair)
+                if len(found) >= limit:
+                    return None
+    return sorted(found)
 
 
 def gini(values: Sequence[float] | np.ndarray) -> float:

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: Floyd-Warshall closures, quadratic
-rank counting, numeric quadrature, and link analyses that rebuild one
-``build_graph`` per day or walk ``RankedList`` entries.  None of it shares
-code paths with the implementations under test.
+rank counting, numeric quadrature, link analyses that rebuild one
+``build_graph`` per day or walk ``RankedList`` entries, and one ARNet fit at
+a time by scipy's L-BFGS-B.  None of it shares code paths with the
+implementations under test.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from collections import Counter, defaultdict
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
 from aflow.data_model import DataFormatError
+from aflow.forecast import SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig
 from aflow.graph_analysis import ChurnStats, build_graph
 
 
@@ -144,7 +147,8 @@ def link_frequency_histogram(snapshots, corpus, cutoff=15):
 
 
 def sample_random_pairs(dataset, snapshots, n, seed, cutoff, filters):
-    """Rejection sampling of never-linked pairs, forbidden set from per-day graphs."""
+    """Rejection sampling of never-linked pairs, forbidden set from per-day graphs;
+    every eligible pair, sorted, when the budget runs out with fewer than n in all."""
     if n < 1:
         raise DataFormatError("need a positive sample size")
     ever = set()
@@ -157,6 +161,11 @@ def sample_random_pairs(dataset, snapshots, n, seed, cutoff, filters):
     budget = max(1000, 50 * n)
     while len(chosen) < n:
         if budget == 0:
+            every = sorted((a, b) for a in ids for b in ids if a != b
+                           and (a, b) not in forbidden and filters.target_eligible(b)
+                           and filters.pair_eligible(a, b))
+            if 0 < len(every) < n:
+                return every
             raise DataFormatError(
                 f"exhausted sampling budget with {len(chosen)} of {n} pairs found"
             )
@@ -194,3 +203,48 @@ def alignment_counts(snapshots, from_kind, max_from, ranges):
                     if other is not None and lo <= other <= hi:
                         num[pos - 1, b] += 1
     return num, den
+
+
+def smape_objective(lags, neighbors, target):
+    """Smoothed training SMAPE of one target and its gradient, as a function of x."""
+    rows = target.size
+    abs_target = np.abs(target)
+
+    def fun(x):
+        p = lags.shape[1]
+        pred = lags @ x[:p] + neighbors @ x[p:]
+        diff = target - pred
+        absdiff = np.abs(diff)
+        denom = abs_target + np.abs(pred) + SMOOTH_EPS
+        value = 200.0 / rows * float(np.sum(absdiff / denom))
+        dpred = (-np.sign(diff) * denom - absdiff * np.sign(pred)) / denom**2
+        grad = 200.0 / rows * np.concatenate([lags.T @ dpred, neighbors.T @ dpred])
+        return value, grad
+
+    return fun
+
+
+def lbfgsb_arnet(video_id, series, neighbor_series, config=None):
+    """One ARNet fit by scipy's L-BFGS-B: memory 10, start alpha = 1/p, beta = 0.1."""
+    config = config or ForecastConfig()
+    p = config.p
+    y = np.asarray(series, dtype=float)
+    neighbor_ids = sorted(neighbor_series)
+    lags = np.column_stack([y[p - tau : y.size - tau] for tau in range(1, p + 1)])
+    nb = np.zeros((y.size - p, len(neighbor_ids)))
+    for j, u in enumerate(neighbor_ids):
+        nb[:, j] = np.asarray(neighbor_series[u], dtype=float)[p:]
+    fun = smape_objective(lags, nb, y[p:])
+    x0 = np.concatenate([np.full(p, 1.0 / p), np.full(len(neighbor_ids), 0.1)])
+    result = minimize(
+        fun, x0, jac=True, method="L-BFGS-B",
+        bounds=[(0.0, None)] * p + [(0.0, 1.0)] * len(neighbor_ids),
+        options={"maxiter": config.max_iter, "maxcor": 10, "gtol": config.grad_tol,
+                 "ftol": 1e-12},
+    )
+    x = result.x.copy()
+    x[:p] = np.maximum(x[:p], 0.0)
+    x[p:] = np.clip(x[p:], 0.0, 1.0)
+    fit = FitDiagnostics(bool(result.success), int(result.nit), int(result.nfev),
+                         float(result.fun), x.size, y.size - p, str(result.message).strip())
+    return ArnetModel(video_id, x[:p], {u: float(x[p + j]) for j, u in enumerate(neighbor_ids)}, fit)

@@ -102,6 +102,24 @@ def test_config_file_problems_are_usage_errors(tmp_path, capsys):
     assert code == 1
     assert "expects a int" in json.loads(captured.err.strip())["message"]
 
+    # A bad type or a bad choice names its file and line, like an unknown key.
+    bad_type = tmp_path / "bad_type.cfg"
+    bad_type.write_text("seed = 2\ntrials = many\n", encoding="utf-8")
+    code, captured = run(
+        ["simulate-persistence", "--out", str(tmp_path / "o"), "--config", str(bad_type)], capsys
+    )
+    assert code == 1
+    assert usage_record(captured)["message"] == (
+        f"{bad_type}:2: setting trials expects a int, got 'many'")
+
+    bad_choice = tmp_path / "bad_choice.cfg"
+    bad_choice.write_text("# settings\n\nmodel = bogus\n", encoding="utf-8")
+    code, captured = run(["fit", "--data", "d", "--out", str(tmp_path / "o"), "--persistent", "p",
+                          "--config", str(bad_choice)], capsys)
+    assert code == 1
+    assert usage_record(captured)["message"] == (
+        f"{bad_choice}:3: setting model expects one of naive, snaive, ar, arnet, got 'bogus'")
+
     code, captured = run(
         ["simulate-persistence", "--out", str(tmp_path / "o"), "--config", str(tmp_path / "nope")],
         capsys,
@@ -390,6 +408,29 @@ def test_correlate_artifacts(tmp_path, capsys):
         assert by_group[r[0]] == int(r[1])
 
 
+def test_correlate_takes_every_pair_a_small_corpus_has(tmp_path, capsys):
+    # The criterion-10 dataset has fewer eligible never-linked pairs than the default 200.
+    data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
+    out = tmp_path / "corr"
+    code, captured = run(["correlate", "--data", str(data), "--out", str(out)], capsys)
+    assert code == 0, captured.err
+    warning = json.loads(captured.err.strip())
+    assert warning["warning"] == "random_pairs_short" and warning["wanted"] == 200
+    _, links = read_csv(out / "link_correlations.csv")
+    random = [(r[1], r[2]) for r in links if r[0] == "random"]
+    assert 0 < len(random) == warning["found"] < 200
+    assert random == sorted(set(random))
+    # Every eligible never-linked pair is there: asking for exactly that many
+    # draws them all without a warning, and one more is short again.
+    for wanted, short in ((len(random), False), (len(random) + 1, True)):
+        code, captured = run(["correlate", "--data", str(data), "--out", str(tmp_path / "again"),
+                              "--random-pairs", str(wanted)], capsys)
+        assert code == 0
+        assert ("random_pairs_short" in captured.err) == short
+        _, again = read_csv(tmp_path / "again" / "link_correlations.csv")
+        assert sorted((r[1], r[2]) for r in again if r[0] == "random") == random
+
+
 def test_fit_without_persistent_artifact_is_data_error(tmp_path, capsys):
     data = generate_data(tmp_path)
     code, captured = run(
@@ -609,15 +650,15 @@ def test_worker_errors_keep_the_error_contract(tmp_path, monkeypatch, capfd, err
     assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
     _, edges = read_csv(links / "persistent_edges.csv")
     bad = min(row[1] for row in edges)
-    fit_arnet = aflow.forecast.fit_arnet
+    fit_arnet_batch = aflow.forecast.fit_arnet_batch
 
-    def fail_one(video_id, *args, **kwargs):
-        if video_id == bad:
-            raise error(f"synthetic failure for {video_id}")
-        return fit_arnet(video_id, *args, **kwargs)
+    def fail_one(problems, *args, **kwargs):
+        if any(video_id == bad for video_id, _, _ in problems):
+            raise error(f"synthetic failure for {bad}")
+        return fit_arnet_batch(problems, *args, **kwargs)
 
     # Forked workers inherit the patch.
-    monkeypatch.setattr(aflow.forecast, "fit_arnet", fail_one)
+    monkeypatch.setattr(aflow.forecast, "fit_arnet_batch", fail_one)
     capfd.readouterr()
 
     assert cli.main(["pipeline", "--data", str(data), "--out", str(tmp_path / "run"),
@@ -666,13 +707,28 @@ def test_importing_the_cli_caps_blas_threads():
     assert proc.stdout.split()[1] == "2"  # a value the user set wins
 
 
-def test_importing_the_cli_leaves_out_scipy_stats():
+SCIPY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.special")
+
+
+def scipy_modules_loaded(script: str) -> list[str]:
+    """Run ``script`` in a fresh interpreter; the scipy modules loaded when it ends."""
     env = dict(os.environ, PYTHONPATH=str(Path(aflow.__file__).resolve().parents[1]))
-    script = "import sys, aflow.cli\nprint('scipy.stats' in sys.modules)\n"
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    script += f"\nprint(','.join(m for m in {SCIPY_MODULES!r} if m in sys.modules))\n"
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + script], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return [m for m in proc.stdout.strip().split(",") if m]
+
+
+def test_importing_the_cli_leaves_out_scipy_stats():
+    assert scipy_modules_loaded("import aflow.cli") == []
+
+
+def test_persistent_leaves_out_scipy_optimize_and_special(tmp_path):
+    data = generate_data(tmp_path)
+    argv = ["persistent", "--data", str(data), "--out", str(tmp_path / "links")]
+    assert scipy_modules_loaded(f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0") == []
+    assert (tmp_path / "links" / "persistent_edges.csv").is_file()
 
 
 def test_contribute_leaves_out_scipy_stats(tmp_path):

@@ -14,6 +14,7 @@ from aflow.forecast import (
     ForecastConfig,
     fit_ar,
     fit_arnet,
+    fit_arnet_batch,
     forecast,
     predict_naive,
     predict_seasonal_naive,
@@ -24,6 +25,7 @@ from aflow.forecast import (
 from aflow.persistence import extract_persistent_network
 
 import _helpers
+import _oracles
 
 
 def test_naive_repeats_last_value():
@@ -156,24 +158,97 @@ def test_arnet_trace_never_increases():
 
 
 def test_arnet_gradient_matches_finite_differences():
-    from aflow.forecast import _lag_matrix, _smape_objective
+    from aflow.forecast import _lag_matrix, _smape_block
 
     rng = np.random.default_rng(21)
-    y = rng.uniform(20.0, 120.0, size=30)
-    nbv = rng.uniform(20.0, 120.0, size=30)
-    lags, target = _lag_matrix(y, 7)
-    nb = nbv[7:][:, None]
-    fun = _smape_objective(lags, nb, target)
-    x = np.concatenate([rng.uniform(0.05, 0.3, size=7), [0.4]])
-    _, grad = fun(x)
+    problems = []
+    for _ in range(3):
+        y = rng.uniform(20.0, 120.0, size=30)
+        lags, target = _lag_matrix(y, 7)
+        problems.append((np.hstack([lags, rng.uniform(20.0, 120.0, size=(23, 1))]), target))
+    points = np.hstack([rng.uniform(0.05, 0.3, size=(3, 7)), rng.uniform(0.2, 0.6, size=(3, 1))])
+    rows = np.stack([r for r, _ in problems])
+    cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
+    targets = np.stack([t for _, t in problems])
+
+    def batched(k):
+        # target k of a three-target block, the others held at their points
+        def fun(x):
+            values, grads = _smape_block(rows, cols, targets,
+                                         np.vstack([points[:k], x, points[k + 1:]]))
+            return values[k], grads[k]
+        return fun
+
+    single = [_oracles.smape_objective(r[:, :7], r[:, 7:], t) for r, t in problems]
+    checks = [(fun, points[k]) for k, fun in enumerate(single)]
+    checks += [(batched(k), points[k]) for k in range(3)]
     eps = 1e-7
-    for k in range(x.size):
-        step = np.zeros_like(x)
-        step[k] = eps
-        hi, _ = fun(x + step)
-        lo, _ = fun(x - step)
-        numeric = (hi - lo) / (2 * eps)
-        assert abs(grad[k] - numeric) < 1e-4
+    for fun, x in checks:
+        _, grad = fun(x)
+        for k in range(x.size):
+            step = np.zeros_like(x)
+            step[k] = eps
+            hi, _ = fun(x + step)
+            lo, _ = fun(x - step)
+            numeric = (hi - lo) / (2 * eps)
+            assert abs(grad[k] - numeric) < 1e-4
+
+
+def _mixed_problems():
+    """Targets with 0, 1 and 3 neighbors, several of each, as fit_arnet_batch takes them."""
+    rng = np.random.default_rng(17)
+    problems = []
+    for i, k in enumerate((0, 1, 3, 1, 3, 0, 3, 1)):
+        sources = {f"u{i}_{j}": rng.uniform(100.0, 400.0, size=56) for j in range(k)}
+        y = sum((rng.uniform(0.2, 0.6) * v for v in sources.values()), np.zeros(56))
+        y = y + rng.uniform(20.0, 60.0, size=56)
+        problems.append((f"v{i}", y, sources))
+    return problems
+
+
+def _same_fit(a, b):
+    return (a.video_id == b.video_id and np.array_equal(a.alpha, b.alpha)
+            and a.beta == b.beta and a.fit == b.fit)
+
+
+def test_batched_fits_equal_single_fits_bit_for_bit():
+    problems = _mixed_problems()
+    alone = [fit_arnet(*problem) for problem in problems]
+    assert {m.fit.n_params for m in alone} == {7, 8, 10}
+    batch = fit_arnet_batch(problems)
+    assert all(_same_fit(a, b) for a, b in zip(alone, batch))
+    order = np.random.default_rng(5).permutation(len(problems))
+    shuffled = fit_arnet_batch([problems[i] for i in order])
+    assert all(_same_fit(alone[i], m) for i, m in zip(order, shuffled))
+    subset = fit_arnet_batch([problems[i] for i in order[:3]])
+    assert all(_same_fit(alone[i], m) for i, m in zip(order[:3], subset))
+
+
+def test_arnet_fits_no_worse_than_lbfgsb_on_recovery_data():
+    from test_acceptance import _recovery_config
+
+    dataset, _ = datagen.generate(_recovery_config())
+    persistent = extract_persistent_network(dataset.network, dataset)
+    config = ForecastConfig()
+    train = {v: split_series(dataset, v, config)[0] for v in dataset.corpus}
+    problems = [(v, train[v], {u: train[u] for u in persistent.in_edges.get(v, ())})
+                for v in sorted(persistent.targets)]
+    ours = [m.fit.objective for m in fit_arnet_batch(problems, config)]
+    reference = [_oracles.lbfgsb_arnet(*problem, config).fit.objective for problem in problems]
+    assert len(ours) == 50
+    assert np.mean(ours) <= np.mean(reference)
+
+
+def test_arnet_stop_reasons_are_reported():
+    from aflow.forecast import CONVERGED_STOPS, STOP_ITERATIONS
+
+    fits = [m.fit for m in fit_arnet_batch(_mixed_problems())]
+    assert all(f.converged == (f.message in CONVERGED_STOPS) for f in fits)
+    capped = [m.fit for m in fit_arnet_batch(_mixed_problems(), ForecastConfig(max_iter=2))]
+    for short, full in zip(capped, fits):
+        assert short.nit <= 2
+        if full.nit > 2:
+            assert short.message == STOP_ITERATIONS and not short.converged
 
 
 def test_arnet_input_validation():
@@ -310,10 +385,10 @@ def test_thread_count_does_not_change_results():
 def test_arnet_fits_run_in_worker_processes(monkeypatch):
     ds, persistent = network_dataset()
 
-    def report_pid(video_id, *args, **kwargs):
+    def report_pid(problems, *args, **kwargs):
         raise NumericalError(f"pid {os.getpid()}")
 
-    monkeypatch.setattr(forecast_module, "fit_arnet", report_pid)
+    monkeypatch.setattr(forecast_module, "fit_arnet_batch", report_pid)
     with pytest.raises(NumericalError) as serial:
         run_model(ds, persistent, "arnet", threads=1)
     assert str(serial.value) == f"pid {os.getpid()}"

@@ -230,6 +230,18 @@ def test_sample_random_pairs_budget_exhaustion():
         sample_random_pairs(ds, 0, seed=0)
 
 
+def test_sample_random_pairs_short_corpus_gives_every_pair_sorted():
+    # three videos, a-b linked: the four other ordered pairs are all there is
+    views = {"a": [300] * 3, "b": [300] * 3, "c": [300] * 3}
+    ds = _helpers.build_dataset(views=views, daily_edges=[("a", "b", 1)])
+    expected = [("a", "c"), ("b", "c"), ("c", "a"), ("c", "b")]
+    assert sample_random_pairs(ds, 5, seed=0) == expected
+    assert sample_random_pairs(ds, 500, seed=1) == expected
+    # views filters still apply: c is too small to be a target
+    ds = _helpers.build_dataset(views={**views, "c": [50] * 3}, daily_edges=[("a", "b", 1)])
+    assert sample_random_pairs(ds, 5, seed=0) == [("c", "a"), ("c", "b")]
+
+
 def test_average_ranks_match_counting_oracle():
     rng = np.random.default_rng(3)
     for n in (1, 2, 7, 60):

@@ -67,7 +67,7 @@ from .graph_analysis import (
     Component,
     bowtie_attention,
     bowtie_decompose,
-    build_graph,
+    daily_graph,
     indegree_ccdf,
     indegree_change_ratios,
     link_frequency_histogram,
@@ -158,7 +158,8 @@ def _parse_config_file(path: Path) -> dict[str, object]:
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
     out: dict[str, object] = {}
-    for idx, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    # Bytes that are not UTF-8 decode to U+FFFD and fail as an unknown key or a bad value.
+    for idx, raw in enumerate(path.read_text(encoding="utf-8", errors="replace").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -267,21 +268,39 @@ def _data_inputs(data_dir: Path) -> dict[str, Path]:
 # artifact readers (for subcommands consuming earlier artifacts)
 
 
+def _artifact_rows(path: Path, header: list[str]):
+    """(line number, row) for each row of an artifact CSV, after checking its header."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            found = next(reader, None)
+            if found != header:
+                raise DataFormatError(f"{path}: unexpected header {found}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise DataFormatError(f"{path}:{reader.line_num}: malformed row {row}")
+                yield reader.line_num, row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _cell(convert: Callable[[str], object], text: str, where: str, what: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise DataFormatError(f"{where}: bad {what} {text!r}") from None
+
+
 def read_persistent_edges(path: Path) -> PersistentNetwork:
     if not path.is_file():
         raise DataFormatError(
             f"persistent edges artifact not found: {path}; run the persistent step first"
         )
     edges = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["source", "target", "reciprocal", "raw_presence_count"]:
-            raise DataFormatError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if len(row) != 4:
-                raise DataFormatError(f"{path}: malformed row {row}")
-            edges.append(PersistentEdge(row[0], row[1], bool(int(row[2])), int(row[3])))
+    for line, row in _artifact_rows(path, ["source", "target", "reciprocal", "raw_presence_count"]):
+        where = f"{path}:{line}"
+        reciprocal = bool(_cell(int, row[2], where, "reciprocal flag"))
+        edges.append(PersistentEdge(row[0], row[1], reciprocal, _cell(int, row[3], where, "presence count")))
     return PersistentNetwork(tuple(sorted(edges, key=lambda e: (e.source, e.target))))
 
 
@@ -289,18 +308,12 @@ def read_forecasts(path: Path, model_name: str = "model") -> ForecastResult:
     if not path.is_file():
         raise DataFormatError(f"forecasts artifact not found: {path}")
     per_video: dict[str, dict[date, tuple[float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["video_id", "date", "y_true", "y_pred"]:
-            raise DataFormatError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if len(row) != 4:
-                raise DataFormatError(f"{path}: malformed row {row}")
-            per_video.setdefault(row[0], {})[date.fromisoformat(row[1])] = (
-                float(row[2]),
-                float(row[3]),
-            )
+    for line, row in _artifact_rows(path, ["video_id", "date", "y_true", "y_pred"]):
+        where = f"{path}:{line}"
+        per_video.setdefault(row[0], {})[_cell(date.fromisoformat, row[1], where, "date")] = (
+            _cell(float, row[2], where, "y_true"),
+            _cell(float, row[3], where, "y_pred"),
+        )
     if not per_video:
         raise DataFormatError(f"{path}: no forecast rows")
     video_ids = tuple(sorted(per_video))
@@ -313,20 +326,47 @@ def read_forecasts(path: Path, model_name: str = "model") -> ForecastResult:
     return ForecastResult(model_name, video_ids, dates, y_true, y_pred)
 
 
+def _numbers(values: object) -> bool:
+    return isinstance(values, list) and all(type(v) in (int, float) for v in values)
+
+
 def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]:
     if not path.is_file():
         raise DataFormatError(f"models artifact not found: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataFormatError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     name = payload.get("model")
     if name != "arnet":
-        raise DataFormatError("contribution analysis needs a network-model artifact")
-    config = ForecastConfig(**payload["config"])
+        raise DataFormatError(f"{path}: contribution analysis needs a network-model artifact")
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(ForecastConfig)}
+    config = payload.get("config")
+    if not isinstance(config, dict) or any(  # a JSON int may stand for a float, never a bool for an int
+        type(value) is not kinds.get(key) and not (kinds.get(key) is float and type(value) is int)
+        for key, value in config.items()
+    ):
+        raise DataFormatError(f"{path}: 'config' must map ForecastConfig fields to values of their type")
+    try:
+        config = ForecastConfig(**config)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    videos = payload.get("videos")
+    if not isinstance(videos, dict) or not all(
+        isinstance(entry, dict) and _numbers(entry.get("alpha")) and len(entry["alpha"]) == config.p
+        and isinstance(entry.get("beta"), dict) and _numbers(list(entry["beta"].values()))
+        for entry in videos.values()
+    ):
+        raise DataFormatError(
+            f"{path}: each video needs 'alpha', {config.p} numbers, and 'beta', an object of numbers")
+    if not videos:
+        raise DataFormatError(f"{path}: no fitted videos")
     models = {
         vid: ArnetModel(vid, np.asarray(entry["alpha"], dtype=float), dict(entry["beta"]))
-        for vid, entry in payload["videos"].items()
+        for vid, entry in videos.items()
     }
-    if not models:
-        raise DataFormatError(f"{path}: no fitted videos")
     return name, config, models
 
 
@@ -515,17 +555,13 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> dict[s
         raise UsageError(
             f"--date {day} is outside the observation window {window.start}..{window.end}")
 
-    snap = dataset.network.snapshot_on(day)
-    graph = build_graph(snap, dataset.corpus, cutoff)
+    graph = daily_graph(dataset.network, day, dataset.corpus, cutoff)
     bowtie = bowtie_attention(bowtie_decompose(graph), dataset, day)
-    counts = {comp: 0 for comp in Component}
-    for comp in bowtie.assignment.values():
-        counts[comp] += 1
     _write_csv(
         out / "bowtie.csv",
         ["date", "component", "n_nodes", "node_fraction", "view_fraction"],
         [
-            (day.isoformat(), comp.value, counts[comp], bowtie.node_fractions[comp],
+            (day.isoformat(), comp.value, bowtie.sizes[comp], bowtie.node_fractions[comp],
              bowtie.view_fractions[comp])
             for comp in Component
         ],
@@ -652,6 +688,9 @@ def cmd_evaluate(args: argparse.Namespace, settings: dict[str, object]) -> dict[
 def cmd_contribute(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     dataset = load_dataset(args.data)
     name, config, models = read_models(Path(args.models))
+    unknown = sorted(({*models} | {u for m in models.values() for u in m.beta}) - dataset.corpus)
+    if unknown:
+        raise DataFormatError(f"{args.models}: {unknown[0]} is not a corpus video")
     result = read_forecasts(Path(args.forecasts), name)
     report = contribution_report(dataset, models, result, config)
     _emit_contribution(Path(args.out), report)
@@ -760,7 +799,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         _emit_error("numerical", exc)
         return 3
-    except (DataFormatError, ValueError, OSError) as exc:
+    except (DataFormatError, OSError) as exc:
         _emit_error("data", exc)
         return 2
 

@@ -159,9 +159,6 @@ class RankedList:
             seen.add(target)
             prev = pos
 
-    def targets_within(self, cutoff: int) -> list[str]:
-        return [t for t, p in self.entries if p <= cutoff]
-
     def position_of(self, target: str) -> int | None:
         for t, p in self.entries:
             if t == target:
@@ -176,13 +173,6 @@ class DailySnapshot:
     date: date
     relevant: Mapping[str, RankedList]
     recommended: Mapping[str, RankedList]
-
-    def lists_of(self, kind: str) -> Mapping[str, RankedList]:
-        if kind == "relevant":
-            return self.relevant
-        if kind == "recommended":
-            return self.recommended
-        raise DataFormatError(f"unknown list kind {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +199,13 @@ class SnapshotTable:
         cls, names: Sequence[str], day: np.ndarray, src: np.ndarray, tgt: np.ndarray,
         pos: np.ndarray, kind: np.ndarray,
     ) -> SnapshotTable:
-        """Sort ``names`` into the id vocabulary, recode and sort the rows."""
+        """Sort ``names`` into the id vocabulary, recode and sort the rows.
+
+        Rejects a name that :func:`_id_problem` rejects; the rows are not checked.
+        """
+        bad = _bad_ids(names)
+        if bad:
+            raise DataFormatError(_id_problem(names[bad[0]]))
         order = sorted(range(len(names)), key=names.__getitem__)
         recode = np.empty(len(names), dtype=np.int32)
         recode[order] = np.arange(len(names), dtype=np.int32)
@@ -237,39 +233,6 @@ class DynamicNetwork:
     window: ObservationWindow
     table: SnapshotTable
     _derived: dict = field(default_factory=dict, init=False, repr=False)
-
-    @classmethod
-    def from_snapshots(
-        cls, window: ObservationWindow, snapshots: Sequence[DailySnapshot]
-    ) -> DynamicNetwork:
-        """Convert per-list objects, one snapshot per window day, into the table."""
-        if len(snapshots) != window.n_days:
-            raise DataFormatError("snapshot count does not match window length")
-        codes: dict[str, int] = defaultdict(count().__next__)
-        owners: list[tuple[int, int, int]] = []  # (day, kind, source code) per list
-        sizes: list[int] = []
-        entries: list[tuple[str, int]] = []
-        with _gc_paused():
-            for i, snap in enumerate(snapshots):
-                if snap.date != window.start + timedelta(days=i):
-                    raise DataFormatError("snapshot dates are not consecutive")
-                for k, kind in enumerate(LIST_KINDS):
-                    for src, rlist in snap.lists_of(kind).items():
-                        owners.append((i, k, codes[src]))
-                        sizes.append(len(rlist.entries))
-                        entries.extend(rlist.entries)
-            targets, positions = zip(*entries) if entries else ((), ())
-        tgt = np.fromiter(map(codes.__getitem__, targets), dtype=np.int32, count=len(targets))
-        names = list(codes)
-        bad = _bad_ids(names)
-        if bad:
-            raise DataFormatError(_id_problem(names[bad[0]]))
-        pos = np.fromiter(positions, dtype=np.int64, count=len(positions))
-        if pos.size and pos.max() > _MAX_POSITION:
-            raise DataFormatError(f"position {pos.max()} is too large")
-        day, kind, src = np.repeat(np.array(owners, dtype=np.int32).reshape(-1, 3), sizes, axis=0).T
-        table = SnapshotTable.from_codes(names, day, src, tgt, pos, kind)
-        return cls(window, table)
 
     @property
     def snapshots(self) -> tuple[DailySnapshot, ...]:
@@ -377,6 +340,8 @@ def _open_reader(source: str | Path | IO[str], expected_header: Sequence[str]):
         yield reader
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 text: {exc.reason}") from None
     finally:
         if close:
             handle.close()
@@ -605,6 +570,8 @@ def parse_views(source: str | Path | IO[str]) -> dict[str, ViewSeries]:
             raise DataFormatError(f"line {line_no}: bad view count {row[2]!r}") from None
         if count < 0:
             raise DataFormatError(f"line {line_no}: negative view count for {vid}")
+        if count > np.iinfo(np.int64).max:
+            raise DataFormatError(f"line {line_no}: view count {count} is too large")
         per = rows.setdefault(vid, {})
         if d in per:
             raise DataFormatError(f"line {line_no}: duplicate day {d} for {vid}")

@@ -27,13 +27,12 @@ from typing import Mapping
 import numpy as np
 
 from .data_model import (
-    DailySnapshot,
     DataFormatError,
     Dataset,
     DynamicNetwork,
     NumericalError,
     ObservationWindow,
-    RankedList,
+    SnapshotTable,
     VideoMeta,
     ViewSeries,
     serialize_metadata,
@@ -120,6 +119,8 @@ def _draw_edges(config: GenConfig, rng: np.random.Generator) -> list[tuple[int, 
             if not 0.0 <= beta <= 1.0:
                 raise DataFormatError(f"edge weight {beta} outside [0, 1]")
             out.append((int(src), int(dst), float(beta)))
+        if len({(src, dst) for src, dst, _ in out}) < len(out):
+            raise DataFormatError("an edge is planted more than once")
         return sorted(out)
     if config.in_edges_per_target is not None:
         n_sources = config.n_sources if config.n_sources is not None else config.n_videos // 2
@@ -200,30 +201,27 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
 
     views = {ids[i]: ViewSeries(ids[i], START_DATE, y[:, i].astype(np.int64)) for i in range(n)}
 
-    snapshots = []
+    # Edges come sorted by source, so each source's targets are one run.
+    edge_src = np.array([e[0] for e in edge_list], dtype=np.int64)
+    edge_dst = np.array([e[1] for e in edge_list], dtype=np.int64)
+    day_col, src_col, tgt_col, pos_col = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
     for t in range(days):
         if config.presence_prob >= 1.0:
-            present = [True] * len(edge_list)
+            src, dst = edge_src, edge_dst
         else:
-            present = list(rng.random(len(edge_list)) < config.presence_prob)
-        by_source: dict[int, list[int]] = {}
-        for keep, (src, dst, _) in zip(present, edge_list):
-            if keep:
-                by_source.setdefault(src, []).append(dst)
-        relevant: dict[str, RankedList] = {}
-        for src in sorted(by_source):
-            targets = by_source[src]
-            k = len(targets)
-            slots = rng.permutation(np.arange(1, max(15, k) + 1))[:k]
-            order = rng.permutation(k)
-            entries = sorted(
-                ((ids[targets[order[m]]], int(pos)) for m, pos in enumerate(np.sort(slots))),
-                key=lambda e: e[1],
-            )
-            src_id = ids[src]
-            relevant[src_id] = RankedList(src_id, tuple(entries), "relevant")
-        snapshots.append(DailySnapshot(START_DATE + timedelta(days=t), relevant, {}))
-    network = DynamicNetwork.from_snapshots(window, snapshots)
+            present = rng.random(len(edge_list)) < config.presence_prob
+            src, dst = edge_src[present], edge_dst[present]
+        starts = np.flatnonzero(np.diff(src, prepend=-1)).tolist()
+        for a, b in zip(starts, starts[1:] + [src.size]):
+            # Shuffle k targets onto k of the relevant-list slots 1..max(15, k).
+            slots = rng.permutation(np.arange(1, max(15, b - a) + 1))[: b - a]
+            tgt_col.append(dst[a:b][rng.permutation(b - a)])
+            pos_col.append(np.sort(slots))
+        day_col.append(np.full(src.size, t))
+        src_col.append(src)
+    day, src, tgt, pos = map(np.concatenate, (day_col, src_col, tgt_col, pos_col))
+    table = SnapshotTable.from_codes(ids, day, src, tgt, pos, np.zeros(day.size, dtype=np.int8))
+    network = DynamicNetwork(window, table)
 
     dataset = validate_dataset(metadata, views, network)
     truth = GroundTruth(
@@ -260,41 +258,34 @@ def generate_paired_lists(
         raise DataFormatError("need positive pair counts")
 
     rng = np.random.default_rng(seed)
-    max_rel = k.shape[0]
-    n_days = (n_pairs + pairs_per_day - 1) // pairs_per_day
-    window = ObservationWindow(START_DATE, n_days)
-    rec_positions = list(range(1, bins.max_position + 1))
-    filler_suffixes = [f"{pos:02d}" for pos in rec_positions]
-
-    relevant_by_day: list[dict[str, RankedList]] = [dict() for _ in range(n_days)]
-    recommended_by_day: list[dict[str, RankedList]] = [dict() for _ in range(n_days)]
+    rank = np.arange(n_pairs) % k.shape[0] + 1
     cumulative = np.cumsum(k, axis=1)
+    shown = np.zeros((n_pairs, bins.max_position), dtype=bool)  # the tracked entry's slot
     for i in range(n_pairs):
-        day = i // pairs_per_day
-        rank = (i % max_rel) + 1
-        src = f"s{i:07d}"
-        tgt = f"t{i:07d}"
-        relevant_by_day[day][src] = RankedList(src, ((tgt, rank),), "relevant")
-
-        u = rng.random()
-        row = cumulative[rank - 1]
-        chosen_bin = int(np.searchsorted(row, u, side="right"))
-        display_pos = None
+        chosen_bin = int(np.searchsorted(cumulative[rank[i] - 1], rng.random(), side="right"))
         if chosen_bin < len(bins.ranges):
             lo, hi = bins.ranges[chosen_bin]
-            display_pos = int(rng.integers(lo, hi + 1))
-        filler = f"f{i:07d}p"
-        shown = [filler + suffix for suffix in filler_suffixes]
-        if display_pos is not None:
-            shown[display_pos - 1] = tgt
-        entries = tuple(zip(shown, rec_positions))
-        recommended_by_day[day][src] = RankedList(src, entries, "recommended")
+            shown[i, rng.integers(lo, hi + 1) - 1] = True
 
-    snapshots = tuple(
-        DailySnapshot(START_DATE + timedelta(days=d), relevant_by_day[d], recommended_by_day[d])
-        for d in range(n_days)
+    # Codes: fillers in (pair, position) order, then sources, then targets.  That
+    # is also id order, so the vocabulary sort in from_codes runs in linear time.
+    pair, slot = np.nonzero(~shown)
+    names = [f"f{i:07d}p{p + 1:02d}" for i, p in zip(pair.tolist(), slot.tolist())]
+    names += [f"{c}{i:07d}" for c in "st" for i in range(n_pairs)]
+    source = len(pair) + np.arange(n_pairs)
+    target = source + n_pairs
+    filler = np.cumsum(~shown).reshape(shown.shape) - 1
+    rows = 1 + bins.max_position  # per pair: the relevant entry, then a full recommended list
+    table = SnapshotTable.from_codes(
+        names,
+        np.arange(n_pairs).repeat(rows) // pairs_per_day,
+        source.repeat(rows),
+        np.column_stack([target, np.where(shown, target[:, None], filler)]).ravel(),
+        np.column_stack([rank, np.tile(np.arange(1, rows), (n_pairs, 1))]).ravel(),
+        np.tile(np.minimum(np.arange(rows), 1), n_pairs),  # kind 0 relevant, 1 recommended
     )
-    return DynamicNetwork.from_snapshots(window, snapshots)
+    n_days = (n_pairs + pairs_per_day - 1) // pairs_per_day
+    return DynamicNetwork(ObservationWindow(START_DATE, n_days), table)
 
 
 def export_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:

@@ -4,17 +4,18 @@ A daily graph is built from the relevant lists of one snapshot: there is an
 edge (source, target) whenever target sits at position <= cutoff in the
 source's relevant list and both endpoints belong to the corpus.  The node set
 is always the full corpus, so isolated videos stay visible to the structural
-measures below.
+measures below.  Graphs are int-coded: node i is the i-th smallest id, and
+the structural measures walk compressed sparse row (CSR) lists of codes.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain, count, repeat
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,34 +33,46 @@ class Component(Enum):
 
 
 class DirectedGraph:
-    """Immutable directed graph over string node ids, no self-loops."""
+    """Immutable directed graph over int-coded nodes, no self-loops.
 
-    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
-        self.nodes = frozenset(nodes)
-        self.edges = frozenset(edges)
-        for src, dst in self.edges:
-            if src == dst:
-                raise DataFormatError(f"self-loop on {src}")
-            if src not in self.nodes or dst not in self.nodes:
-                raise DataFormatError(f"edge ({src}, {dst}) leaves the node set")
+    ``ids`` holds the node ids sorted, so code i names ``ids[i]`` and code
+    order is id order.  ``src`` and ``tgt`` hold every edge once as codes,
+    sorted by (source, target).
+    """
+
+    def __new__(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> DirectedGraph:
+        ids = sorted(set(nodes))
+        code = dict(zip(ids, count()))
+        pairs = list(edges)  # repeated edges collapse in from_codes
+        src, tgt = np.fromiter(
+            map(code.get, chain.from_iterable(pairs), repeat(-1)), dtype=np.int64, count=2 * len(pairs)
+        ).reshape(-1, 2).T
+        for i in np.flatnonzero((src == tgt) | (src < 0) | (tgt < 0))[:1].tolist():
+            s, d = pairs[i]
+            raise DataFormatError(f"self-loop on {s}" if s == d else f"edge ({s}, {d}) leaves the node set")
+        return cls.from_codes(ids, src, tgt)
+
+    @classmethod
+    def from_codes(cls, ids: Sequence[str], src: np.ndarray, tgt: np.ndarray) -> DirectedGraph:
+        """Graph over the sorted, distinct ``ids``; repeated edges collapse, nothing is checked."""
+        graph = object.__new__(cls)
+        n = max(len(ids), 1)
+        keys = np.sort(np.asarray(src, dtype=np.int64) * n + tgt)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        graph.ids, graph.src, graph.tgt = tuple(ids), keys // n, keys % n
+        return graph
 
     @cached_property
-    def successors(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = defaultdict(list)
-        for src, dst in self.edges:
-            adj[src].append(dst)
-        return {v: tuple(sorted(ts)) for v, ts in adj.items()}
+    def edges(self) -> frozenset[tuple[str, str]]:
+        name = self.ids.__getitem__
+        return frozenset(zip(map(name, self.src.tolist()), map(name, self.tgt.tolist())))
 
-    @cached_property
-    def predecessors(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = defaultdict(list)
-        for src, dst in self.edges:
-            adj[dst].append(src)
-        return {v: tuple(sorted(ss)) for v, ss in adj.items()}
 
-    def indegrees(self) -> dict[str, int]:
-        counts = Counter(dst for _, dst in self.edges)
-        return {v: counts.get(v, 0) for v in self.nodes}
+def _csr(head: np.ndarray, tail: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """CSR lists (indptr, indices): v's tails, in code order, are ``indices[indptr[v]:indptr[v + 1]]``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(head, minlength=n), out=indptr[1:])
+    return indptr.tolist(), tail[np.lexsort((tail, head))].tolist()
 
 
 def build_graph(
@@ -75,32 +88,37 @@ def build_graph(
         raise DataFormatError(f"cutoff must be at least 1, got {cutoff}")
     if not snapshot.relevant and snapshot.recommended:
         raise DataFormatError(f"snapshot {snapshot.date} has no relevant lists")
-    edges: set[tuple[str, str]] = set()
-    for src, rlist in snapshot.relevant.items():
-        if src not in corpus:
-            continue
-        for tgt, pos in rlist.entries:
-            if pos <= cutoff and tgt in corpus:
-                edges.add((src, tgt))
+    edges = [(src, tgt) for src, rlist in snapshot.relevant.items() if src in corpus
+             for tgt, pos in rlist.entries if pos <= cutoff and tgt in corpus]
     return DirectedGraph(corpus, edges)
+
+
+def daily_graph(
+    network: DynamicNetwork, day: date, corpus: frozenset[str] | set[str], cutoff: int = 15
+) -> DirectedGraph:
+    """``build_graph(network.snapshot_on(day), ...)`` taken from :func:`daily_link_presence`."""
+    presence = daily_link_presence(network, corpus, cutoff)
+    on_day = presence.days[:, network.window.index(day)]
+    return DirectedGraph.from_codes(presence.ids, presence.src[on_day], presence.tgt[on_day])
 
 
 @dataclass(frozen=True, eq=False)
 class LinkPresence:
     """Daily presence of every link that enters at least one daily graph.
 
-    ``src`` and ``tgt`` hold one link each as codes into ``ids`` (the
-    snapshot table's vocabulary), sorted by (source, target).  ``days`` is a
-    read-only links x window-days boolean matrix.
+    ``src`` and ``tgt`` hold one link each as codes into ``ids``, the sorted
+    corpus, and are sorted by (source, target).  ``days`` is a read-only
+    links x window-days boolean matrix.
     """
 
-    ids: np.ndarray
+    ids: tuple[str, ...]
     src: np.ndarray
     tgt: np.ndarray
     days: np.ndarray
 
     def pairs(self) -> list[tuple[str, str]]:
-        return list(zip(self.ids[self.src].tolist(), self.ids[self.tgt].tolist()))
+        name = self.ids.__getitem__
+        return list(zip(map(name, self.src.tolist()), map(name, self.tgt.tolist())))
 
 
 def daily_link_presence(
@@ -124,97 +142,107 @@ def _link_presence(network: DynamicNetwork, corpus: frozenset[str], cutoff: int)
     if orphan_days.size:
         day = network.window.start + timedelta(days=int(orphan_days[0]))
         raise DataFormatError(f"snapshot {day} has no relevant lists")
-    n = t.ids.size
-    member = np.fromiter(map(corpus.__contains__, t.ids.tolist()), dtype=bool, count=n)
-    edge = relevant & (t.pos <= cutoff) & member[t.src] & member[t.tgt]
-    keys, link = np.unique(t.src[edge].astype(np.int64) * n + t.tgt[edge], return_inverse=True)
+    ids = tuple(sorted(corpus))
+    code = dict(zip(ids, count()))
+    recode = np.fromiter(map(code.get, t.ids.tolist(), repeat(-1)), dtype=np.int64, count=t.ids.size)
+    edge = relevant & (t.pos <= cutoff) & (recode[t.src] >= 0) & (recode[t.tgt] >= 0)
+    n = max(len(ids), 1)
+    keys, link = np.unique(recode[t.src[edge]] * n + recode[t.tgt[edge]], return_inverse=True)
     days = np.zeros((keys.size, network.window.n_days), dtype=bool)
     days[link, t.day[edge]] = True
     days.flags.writeable = False
-    return LinkPresence(t.ids, keys // n, keys % n, days)
+    return LinkPresence(ids, keys // n, keys % n, days)
+
+
+def _scc_labels(out_lists: tuple[list[int], list[int]]) -> np.ndarray:
+    """Component number of every node, by Tarjan's algorithm with an explicit stack.
+
+    Roots and successors are visited in code order, and components are
+    numbered in the order Tarjan completes them.  No recursion, so graphs
+    with very long paths are fine.
+    """
+    indptr, indices = out_lists
+    n = len(indptr) - 1
+    index, lowlink, depth = [-1] * n, [0] * n, [0] * n
+    label = [-1] * n  # an entered node is on Tarjan's stack until it gets a label
+    stack: list[int] = []
+    counter = n_labels = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, -1)]  # (node, next successor slot), -1 for a node not yet entered
+        while work:
+            node, i = work.pop()
+            if i < 0:
+                index[node] = lowlink[node] = counter
+                counter += 1
+                depth[node] = len(stack)
+                stack.append(node)
+                i = indptr[node]
+            else:  # back from the tree child at slot i - 1
+                lowlink[node] = min(lowlink[node], lowlink[indices[i - 1]])
+            while i < indptr[node + 1]:
+                child = indices[i]
+                i += 1
+                if index[child] < 0:
+                    work += [(node, i), (child, -1)]
+                    break
+                if label[child] < 0 and index[child] < lowlink[node]:
+                    lowlink[node] = index[child]
+            else:
+                if lowlink[node] == index[node]:
+                    for w in stack[depth[node] :]:
+                        label[w] = n_labels
+                    del stack[depth[node] :]
+                    n_labels += 1
+    return np.array(label, dtype=np.int64)
 
 
 def strongly_connected_components(graph: DirectedGraph) -> list[frozenset[str]]:
-    """Tarjan's algorithm with an explicit stack.
-
-    Roots are visited in sorted node order so the component list comes out in
-    a deterministic order.  No recursion, so graphs with very long paths are
-    fine.
-    """
-    succ = graph.successors
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[frozenset[str]] = []
-    counter = 0
-
-    for root in sorted(graph.nodes):
-        if root in index:
-            continue
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ.get(root, ())))]
-        while work:
-            node, children = work[-1]
-            descended = False
-            for child in children:
-                if child not in index:
-                    index[child] = lowlink[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ.get(child, ()))))
-                    descended = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(frozenset(comp))
-    return components
+    """Strongly connected components as id sets, in the order Tarjan completes them."""
+    labels = _scc_labels(_csr(graph.src, graph.tgt, len(graph.ids)))
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [frozenset(graph.ids[v] for v in order[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def _reach(seeds: Iterable[str], adjacency: Mapping[str, tuple[str, ...]]) -> set[str]:
-    seen = set(seeds)
-    frontier = list(seen)
+def _reach(seeds: np.ndarray, lists: tuple[list[int], list[int]]) -> np.ndarray:
+    """Mask of the nodes that CSR ``lists`` lead to from a ``seeds`` node, seeds included."""
+    indptr, indices = lists
+    seen = seeds.tolist()
+    frontier = np.flatnonzero(seeds).tolist()
     while frontier:
         node = frontier.pop()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
+        for nxt in indices[indptr[node] : indptr[node + 1]]:
+            if not seen[nxt]:
+                seen[nxt] = True
                 frontier.append(nxt)
-    return seen
+    return np.array(seen, dtype=bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BowTie:
     """Bow-tie decomposition of one daily graph.
 
-    ``node_fractions`` always sums to 1; ``view_fractions`` is filled in by
-    :func:`bowtie_attention` and sums to 1 as well.
+    Node ``ids[i]`` lies in ``list(Component)[component[i]]``.  ``node_fractions``
+    sums to 1, and so does ``view_fractions``, set by :func:`bowtie_attention`.
     """
 
-    assignment: Mapping[str, Component]
-    node_fractions: Mapping[Component, float]
+    ids: tuple[str, ...]
+    component: np.ndarray
     view_fractions: Mapping[Component, float] | None = None
 
-    def members(self, component: Component) -> frozenset[str]:
-        return frozenset(v for v, c in self.assignment.items() if c is component)
+    @cached_property
+    def sizes(self) -> dict[Component, int]:
+        return dict(zip(Component, np.bincount(self.component, minlength=len(Component)).tolist()))
+
+    @property
+    def node_fractions(self) -> dict[Component, float]:
+        return {comp: size / len(self.ids) for comp, size in self.sizes.items()}
+
+    @cached_property
+    def assignment(self) -> dict[str, Component]:
+        return dict(zip(self.ids, map(list(Component).__getitem__, self.component.tolist())))
 
 
 def bowtie_decompose(graph: DirectedGraph) -> BowTie:
@@ -226,52 +254,29 @@ def bowtie_decompose(graph: DirectedGraph) -> BowTie:
     that are reachable from IN or can reach OUT (tubes fold in here), and
     everything else is disconnected.
     """
-    if not graph.nodes:
+    n = len(graph.ids)
+    if not n:
         raise DataFormatError("cannot decompose an empty graph")
-    sccs = strongly_connected_components(graph)
-    lscc = min(sccs, key=lambda s: (-len(s), min(s)))
-
-    descendants = _reach(lscc, graph.successors)
-    ancestors = _reach(lscc, graph.predecessors)
-    out = descendants - lscc
-    in_ = ancestors - lscc
-
-    rest = graph.nodes - lscc - in_ - out
-    from_in = _reach(in_, graph.successors)
-    to_out = _reach(out, graph.predecessors)
-    tendrils = rest & (from_in | to_out)
-    disconnected = rest - tendrils
-
-    assignment: dict[str, Component] = {}
-    for comp, members in (
-        (Component.LSCC, lscc),
-        (Component.IN, in_),
-        (Component.OUT, out),
-        (Component.TENDRILS, tendrils),
-        (Component.DISCONNECTED, disconnected),
-    ):
-        for v in members:
-            assignment[v] = comp
-
-    n = len(graph.nodes)
-    node_fractions = {
-        comp: sum(1 for c in assignment.values() if c is comp) / n for comp in Component
-    }
-    return BowTie(assignment, node_fractions)
+    succ, pred = _csr(graph.src, graph.tgt, n), _csr(graph.tgt, graph.src, n)
+    labels = _scc_labels(succ)
+    # Codes follow id order, so a component's first code is its smallest member.
+    _, first, size = np.unique(labels, return_index=True, return_counts=True)
+    lscc = labels == np.lexsort((first, -size))[0]
+    out = _reach(lscc, succ) & ~lscc
+    in_ = _reach(lscc, pred) & ~lscc
+    tendrils = ~(lscc | in_ | out) & (_reach(in_, succ) | _reach(out, pred))
+    # Positions in Component: LSCC, IN, OUT, Tendrils, and Disconnected for the rest.
+    return BowTie(graph.ids, np.select([lscc, in_, out, tendrils], [0, 1, 2, 3], 4))
 
 
 def bowtie_attention(bowtie: BowTie, dataset: Dataset, on_date: date) -> BowTie:
     """Attach the fraction of that day's views falling into each component."""
-    totals = {comp: 0.0 for comp in Component}
-    grand = 0.0
-    for vid, comp in bowtie.assignment.items():
-        v = float(dataset.views_on(vid, on_date))
-        totals[comp] += v
-        grand += v
+    views = np.array([dataset.views_on(vid, on_date) for vid in bowtie.ids], dtype=float)
+    totals = np.bincount(bowtie.component, weights=views, minlength=len(Component))
+    grand = totals.sum()
     if grand == 0:
         raise DataFormatError(f"no views recorded on {on_date}")
-    view_fractions = {comp: totals[comp] / grand for comp in Component}
-    return BowTie(bowtie.assignment, bowtie.node_fractions, view_fractions)
+    return replace(bowtie, view_fractions=dict(zip(Component, (totals / grand).tolist())))
 
 
 def indegree_ccdf(graph: DirectedGraph) -> list[tuple[int, float]]:
@@ -280,12 +285,11 @@ def indegree_ccdf(graph: DirectedGraph) -> list[tuple[int, float]]:
     Covers the full integer grid 0..max indegree, so the first point is
     always (0, 1.0) and values never increase.
     """
-    if not graph.nodes:
+    n = len(graph.ids)
+    if not n:
         raise DataFormatError("cannot compute a degree distribution of an empty graph")
-    degs = np.fromiter(graph.indegrees().values(), dtype=np.int64, count=len(graph.nodes))
-    hist = np.bincount(degs)
-    ge = np.cumsum(hist[::-1])[::-1] / len(graph.nodes)
-    return [(k, float(ge[k])) for k in range(len(hist))]
+    hist = np.bincount(np.bincount(graph.tgt, minlength=n))
+    return list(enumerate((np.cumsum(hist[::-1])[::-1] / n).tolist()))
 
 
 def view_group_flow(graph: DirectedGraph, day_views: Mapping[str, float]) -> np.ndarray:
@@ -296,20 +300,15 @@ def view_group_flow(graph: DirectedGraph, day_views: Mapping[str, float]) -> np.
     members.  Row index is the source group, column index the target group,
     group 0 is the bottom quartile.  The matrix sums to the edge count.
     """
-    matrix = np.zeros((4, 4), dtype=np.int64)
-    if not graph.nodes:
-        return matrix
     try:
-        order = sorted(graph.nodes, key=lambda v: (day_views[v], v))
+        views = np.array([day_views[v] for v in graph.ids], dtype=float)
     except KeyError as exc:
         raise DataFormatError(f"missing views for node {exc.args[0]}") from None
-    group_of: dict[str, int] = {}
-    for gi, chunk in enumerate(np.array_split(np.arange(len(order)), 4)):
-        for idx in chunk:
-            group_of[order[idx]] = gi
-    for src, dst in graph.edges:
-        matrix[group_of[src], group_of[dst]] += 1
-    return matrix
+    group = np.empty(len(graph.ids), dtype=np.int64)
+    # A stable sort keeps equal views in code order, which is id order.
+    for g, members in enumerate(np.array_split(np.argsort(views, kind="stable"), 4)):
+        group[members] = g
+    return np.bincount(group[graph.src] * 4 + group[graph.tgt], minlength=16).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -340,7 +339,7 @@ def indegree_change_ratios(
     if network.window.n_days < 2:
         raise DataFormatError("need at least two snapshots to measure change")
     presence = daily_link_presence(network, corpus, cutoff)
-    n = presence.ids.size
+    n = len(presence.ids)
     indegree = [np.bincount(presence.tgt[present], minlength=n) for present in presence.days.T]
     degs, ratios = [], []
     for today, tomorrow in zip(indegree, indegree[1:]):

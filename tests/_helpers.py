@@ -7,17 +7,39 @@ from datetime import date, timedelta
 import numpy as np
 
 from aflow.data_model import (
+    LIST_KINDS,
     DailySnapshot,
+    DataFormatError,
     Dataset,
     DynamicNetwork,
     ObservationWindow,
     RankedList,
+    SnapshotTable,
     VideoMeta,
     ViewSeries,
     validate_dataset,
 )
 
 START = date(2018, 9, 1)
+
+
+def network_from_snapshots(window: ObservationWindow, snapshots) -> DynamicNetwork:
+    """Convert per-list objects, one snapshot per window day, into the snapshot table."""
+    if len(snapshots) != window.n_days:
+        raise DataFormatError("snapshot count does not match window length")
+    codes: dict[str, int] = {}
+    rows = []  # (day, kind, source code, target code, position)
+    for i, snap in enumerate(snapshots):
+        if snap.date != window.start + timedelta(days=i):
+            raise DataFormatError("snapshot dates are not consecutive")
+        for k, kind in enumerate(LIST_KINDS):
+            for src, rlist in getattr(snap, kind).items():
+                s = codes.setdefault(src, len(codes))
+                rows += [(i, k, s, codes.setdefault(t, len(codes)), p) for t, p in rlist.entries]
+    day, kind, src, tgt, pos = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    if pos.max(initial=0) > np.iinfo(np.int32).max:
+        raise DataFormatError(f"position {pos.max()} is too large")
+    return DynamicNetwork(window, SnapshotTable.from_codes(list(codes), day, src, tgt, pos, kind))
 
 
 def build_network(daily_relevant, daily_recommended=None, start=START) -> DynamicNetwork:
@@ -38,7 +60,7 @@ def build_network(daily_relevant, daily_recommended=None, start=START) -> Dynami
             for src, entries in rec.items()
         }
         snaps.append(DailySnapshot(date=day, relevant=relevant, recommended=recommended))
-    return DynamicNetwork.from_snapshots(window, snaps)
+    return network_from_snapshots(window, snaps)
 
 
 def build_dataset(

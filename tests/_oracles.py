@@ -190,8 +190,8 @@ def alignment_counts(snapshots, from_kind, max_from, ranges):
     num = np.zeros((max_from, len(ranges)), dtype=np.int64)
     den = np.zeros(max_from, dtype=np.int64)
     for snap in snapshots:
-        for src, from_list in snap.lists_of(from_kind).items():
-            to_list = snap.lists_of(to_kind).get(src)
+        for src, from_list in getattr(snap, from_kind).items():
+            to_list = getattr(snap, to_kind).get(src)
             if to_list is None:
                 continue
             for tgt, pos in from_list.entries:

@@ -568,6 +568,59 @@ def test_contribute_rejects_non_network_models(tmp_path, capsys):
     assert "network-model artifact" in json.loads(captured.err.strip())["message"]
 
 
+@pytest.mark.parametrize(
+    "payload, problem",
+    [
+        ({"model": "arnet"}, "'config' must map ForecastConfig fields"),
+        ({"model": "arnet", "config": {"lags": 7}, "videos": {}}, "'config' must map ForecastConfig fields"),
+        ({"model": "arnet", "config": {}, "videos": {"v00001": {"alpha": [0.1] * 7}}}, "each video needs"),
+        (["arnet"], "expected a JSON object, got list"),
+        ({"model": "arnet", "config": {}, "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"zz": 0.5}}}},
+         "zz is not a corpus video"),
+    ],
+)
+def test_contribute_reports_a_malformed_models_file(tmp_path, capsys, payload, problem):
+    data = generate_data(tmp_path)
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps(payload), encoding="utf-8")
+    code, captured = run(
+        ["contribute", "--data", str(data), "--out", str(tmp_path / "c"), "--models", str(models),
+         "--forecasts", str(tmp_path / "forecasts.csv")],
+        capsys,
+    )
+    assert code == 2
+    message = json.loads(captured.err)["message"]  # one JSON record and nothing else
+    assert message.startswith(f"{models}: ") and problem in message
+
+
+def test_bad_artifact_cells_name_the_file_and_line(tmp_path, capsys):
+    data = generate_data(tmp_path)
+    edges = tmp_path / "persistent_edges.csv"
+    edges.write_text("source,target,reciprocal,raw_presence_count\n"
+                     "v00000,v00001,0,63\nv00001,v00002,x,63\n", encoding="utf-8")
+    code, captured = run(["fit", "--data", str(data), "--out", str(tmp_path / "fit"),
+                          "--persistent", str(edges)], capsys)
+    assert code == 2
+    assert json.loads(captured.err)["message"] == f"{edges}:3: bad reciprocal flag 'x'"
+
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_text("video_id,date,y_true,y_pred\nv00000,2018-13-01,1.0,2.0\n", encoding="utf-8")
+    code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)], capsys)
+    assert code == 2
+    assert json.loads(captured.err)["message"] == f"{forecasts}:2: bad date '2018-13-01'"
+
+
+def test_programming_errors_are_not_reported_as_data_errors(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not bad data")
+
+    monkeypatch.setattr(cli, "evaluate_forecasts", broken)
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_text("video_id,date,y_true,y_pred\nv00000,2018-09-01,1.0,2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)])
+
+
 def test_pipeline_is_thread_count_invariant(tmp_path, capsys):
     data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
     out1 = tmp_path / "run1"
@@ -707,7 +760,7 @@ def test_importing_the_cli_caps_blas_threads():
     assert proc.stdout.split()[1] == "2"  # a value the user set wins
 
 
-SCIPY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.special")
+SCIPY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.special", "scipy.sparse")
 
 
 def scipy_modules_loaded(script: str) -> list[str]:
@@ -729,6 +782,13 @@ def test_persistent_leaves_out_scipy_optimize_and_special(tmp_path):
     argv = ["persistent", "--data", str(data), "--out", str(tmp_path / "links")]
     assert scipy_modules_loaded(f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0") == []
     assert (tmp_path / "links" / "persistent_edges.csv").is_file()
+
+
+def test_analyze_leaves_out_scipy(tmp_path):
+    data = generate_data(tmp_path)
+    argv = ["analyze", "--data", str(data), "--out", str(tmp_path / "analysis")]
+    assert scipy_modules_loaded(f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0") == []
+    assert (tmp_path / "analysis" / "bowtie.csv").is_file()
 
 
 def test_contribute_leaves_out_scipy_stats(tmp_path):

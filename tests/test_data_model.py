@@ -136,6 +136,15 @@ def test_parse_views_basic_and_errors():
         parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,1\nv,2018-09-03,2\n"))
     with pytest.raises(DataFormatError, match="bad view count '1.5'"):
         parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,1.5\n"))
+    with pytest.raises(DataFormatError, match="line 2: view count 9223372036854775808 is too large"):
+        parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,9223372036854775808\n"))
+
+
+def test_non_utf8_input_is_a_data_error(tmp_path):
+    path = tmp_path / "views.csv"
+    path.write_bytes(b"video_id,date,views\nv\xff,2018-09-01,1\n")
+    with pytest.raises(DataFormatError, match="not UTF-8 text: invalid start byte"):
+        parse_views(path)
 
 
 def test_parse_metadata_genres():
@@ -166,7 +175,6 @@ def test_ranked_list_invariants():
     with pytest.raises(DataFormatError, match="unknown list kind"):
         RankedList("a", (("b", 1),), "other")
     rl = RankedList("a", (("b", 1), ("c", 4)), "relevant")
-    assert rl.targets_within(3) == ["b"]
     assert rl.position_of("c") == 4
     assert rl.position_of("z") is None
 

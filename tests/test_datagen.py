@@ -118,6 +118,8 @@ def test_config_validation():
         datagen.generate(datagen.GenConfig(n_videos=3, edges=((2, 1, 0.5),)))
     with pytest.raises(DataFormatError, match="edge weight"):
         datagen.generate(datagen.GenConfig(n_videos=3, edges=((0, 1, 1.5),)))
+    with pytest.raises(DataFormatError, match="planted more than once"):
+        datagen.generate(datagen.GenConfig(n_videos=3, edges=((0, 1, 0.5), (0, 1, 0.3))))
     with pytest.raises(DataFormatError, match="alpha profile"):
         datagen.GenConfig(alpha_profile=(0.5,) * 6)
     with pytest.raises(DataFormatError, match="base_levels length"):

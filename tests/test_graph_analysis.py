@@ -1,3 +1,4 @@
+import time
 from datetime import date
 
 import numpy as np
@@ -23,6 +24,10 @@ import _oracles
 
 def make_graph(nodes, edges):
     return DirectedGraph(nodes, edges)
+
+
+def members(bowtie, component):
+    return {v for v, c in bowtie.assignment.items() if c is component}
 
 
 def snapshot_with(relevant, recommended=None, day=date(2018, 9, 1)):
@@ -57,7 +62,7 @@ def test_build_graph_applies_cutoff_and_corpus_filter():
     g = build_graph(snap, corpus={"a", "b", "c", "d"}, cutoff=2)
     # x is external, c sits beyond the cutoff, d is isolated but kept as a node
     assert g.edges == frozenset({("a", "b")})
-    assert g.nodes == frozenset({"a", "b", "c", "d"})
+    assert g.ids == ("a", "b", "c", "d")
     with pytest.raises(DataFormatError, match="cutoff must be at least 1"):
         build_graph(snap, corpus={"a", "b"}, cutoff=0)
 
@@ -65,7 +70,7 @@ def test_build_graph_applies_cutoff_and_corpus_filter():
 def test_build_graph_empty_snapshot_gives_edgeless_graph():
     g = build_graph(snapshot_with({}), corpus={"a", "b"})
     assert g.edges == frozenset()
-    assert g.nodes == frozenset({"a", "b"})
+    assert g.ids == ("a", "b")
 
 
 def test_build_graph_rejects_recommended_only_snapshot():
@@ -94,9 +99,9 @@ def test_bowtie_textbook_example():
     # cycle {a, b}; c feeds it; d is fed by it
     g = make_graph({"a", "b", "c", "d"}, {("a", "b"), ("b", "a"), ("c", "a"), ("b", "d")})
     bt = bowtie_decompose(g)
-    assert bt.members(Component.LSCC) == {"a", "b"}
-    assert bt.members(Component.IN) == {"c"}
-    assert bt.members(Component.OUT) == {"d"}
+    assert members(bt, Component.LSCC) == {"a", "b"}
+    assert members(bt, Component.IN) == {"c"}
+    assert members(bt, Component.OUT) == {"d"}
     assert bt.node_fractions[Component.LSCC] == 0.5
     assert sum(bt.node_fractions.values()) == pytest.approx(1.0)
 
@@ -115,7 +120,7 @@ def test_bowtie_two_node_cycle_is_all_core():
 
 def test_bowtie_singleton_tie_breaks_to_smallest_id():
     bt = bowtie_decompose(make_graph({"b", "a", "c"}, set()))
-    assert bt.members(Component.LSCC) == {"a"}
+    assert members(bt, Component.LSCC) == {"a"}
 
 
 def test_bowtie_empty_graph_rejected():
@@ -142,6 +147,20 @@ def test_bowtie_forbidden_edge_directions():
             a, b = bt.assignment[src], bt.assignment[dst]
             assert not (a is Component.OUT and b in (Component.LSCC, Component.IN))
             assert not (a is Component.LSCC and b is Component.IN)
+
+
+def test_bowtie_on_a_deep_graph_is_linear_and_needs_no_recursion():
+    # A 50,000-node path into a 3-cycle: far deeper than the recursion limit,
+    # and a reach that rescanned every edge per level would take about 10 s.
+    path = [f"p{i:05d}" for i in range(50_000)]
+    cycle = ["c0", "c1", "c2"]
+    edges = list(zip(path, path[1:] + ["c0"])) + [("c0", "c1"), ("c1", "c2"), ("c2", "c0")]
+    start = time.perf_counter()
+    bt = bowtie_decompose(make_graph(path + cycle, edges))
+    elapsed = time.perf_counter() - start
+    assert members(bt, Component.LSCC) == set(cycle)
+    assert members(bt, Component.IN) == set(path)
+    assert elapsed < 5.0
 
 
 def test_bowtie_attention_fractions():

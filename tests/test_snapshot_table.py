@@ -12,7 +12,6 @@ from aflow import datagen
 from aflow.data_model import (
     DailySnapshot,
     DataFormatError,
-    DynamicNetwork,
     RankedList,
     parse_snapshots,
     serialize_snapshots,
@@ -63,7 +62,7 @@ def augmented_dataset(seed):
             shown += [v for v in rng.choice(ids, 2, replace=False).tolist() if v not in shown and v != src]
             recommended[src] = RankedList(src, _entries(rng, list(rng.permutation(shown))), "recommended")
         snapshots.append(DailySnapshot(snap.date, relevant, recommended))
-    network = DynamicNetwork.from_snapshots(base.window, snapshots)
+    network = _helpers.network_from_snapshots(base.window, snapshots)
     return validate_dataset(base.metadata, base.views, network), snapshots
 
 

@@ -67,7 +67,7 @@ from .graph_analysis import (
     Component,
     bowtie_attention,
     bowtie_decompose,
-    daily_graph,
+    build_graph,
     indegree_ccdf,
     indegree_change_ratios,
     link_frequency_histogram,
@@ -190,6 +190,8 @@ def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             settings[key] = flag_val
+    if settings["seed"] < 0:  # numpy's generators take only non-negative seeds
+        raise UsageError(f"setting seed must be non-negative, got {settings['seed']}")
     return settings
 
 
@@ -555,7 +557,7 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> dict[s
         raise UsageError(
             f"--date {day} is outside the observation window {window.start}..{window.end}")
 
-    graph = daily_graph(dataset.network, day, dataset.corpus, cutoff)
+    graph = build_graph(dataset.network.snapshot_on(day), dataset.corpus, cutoff)
     bowtie = bowtie_attention(bowtie_decompose(graph), dataset, day)
     _write_csv(
         out / "bowtie.csv",

@@ -367,6 +367,7 @@ def _gc_paused():
 # Rows parsed per batch: bounds the memory the raw csv rows take at once.
 _BATCH_ROWS = 1 << 13
 _MAX_POSITION = np.iinfo(np.int32).max
+_MAX_VIEWS = np.iinfo(np.int64).max
 # numpy string arrays drop trailing NULs, and the canonical writer leaves a
 # carriage return unquoted, so ids holding these would not survive a round trip.
 _FORBIDDEN_ID_CHARS = "\0\r\n"
@@ -570,7 +571,7 @@ def parse_views(source: str | Path | IO[str]) -> dict[str, ViewSeries]:
             raise DataFormatError(f"line {line_no}: bad view count {row[2]!r}") from None
         if count < 0:
             raise DataFormatError(f"line {line_no}: negative view count for {vid}")
-        if count > np.iinfo(np.int64).max:
+        if count > _MAX_VIEWS:
             raise DataFormatError(f"line {line_no}: view count {count} is too large")
         per = rows.setdefault(vid, {})
         if d in per:

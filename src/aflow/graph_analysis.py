@@ -15,7 +15,7 @@ from datetime import date, timedelta
 from enum import Enum
 from functools import cached_property
 from itertools import chain, count, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -40,27 +40,20 @@ class DirectedGraph:
     sorted by (source, target).
     """
 
-    def __new__(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> DirectedGraph:
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
         ids = sorted(set(nodes))
         code = dict(zip(ids, count()))
-        pairs = list(edges)  # repeated edges collapse in from_codes
+        pairs = list(edges)
         src, tgt = np.fromiter(
             map(code.get, chain.from_iterable(pairs), repeat(-1)), dtype=np.int64, count=2 * len(pairs)
         ).reshape(-1, 2).T
         for i in np.flatnonzero((src == tgt) | (src < 0) | (tgt < 0))[:1].tolist():
             s, d = pairs[i]
             raise DataFormatError(f"self-loop on {s}" if s == d else f"edge ({s}, {d}) leaves the node set")
-        return cls.from_codes(ids, src, tgt)
-
-    @classmethod
-    def from_codes(cls, ids: Sequence[str], src: np.ndarray, tgt: np.ndarray) -> DirectedGraph:
-        """Graph over the sorted, distinct ``ids``; repeated edges collapse, nothing is checked."""
-        graph = object.__new__(cls)
         n = max(len(ids), 1)
-        keys = np.sort(np.asarray(src, dtype=np.int64) * n + tgt)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        graph.ids, graph.src, graph.tgt = tuple(ids), keys // n, keys % n
-        return graph
+        keys = np.sort(src * n + tgt)
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # repeated edges collapse
+        self.ids, self.src, self.tgt = tuple(ids), keys // n, keys % n
 
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -93,32 +86,22 @@ def build_graph(
     return DirectedGraph(corpus, edges)
 
 
-def daily_graph(
-    network: DynamicNetwork, day: date, corpus: frozenset[str] | set[str], cutoff: int = 15
-) -> DirectedGraph:
-    """``build_graph(network.snapshot_on(day), ...)`` taken from :func:`daily_link_presence`."""
-    presence = daily_link_presence(network, corpus, cutoff)
-    on_day = presence.days[:, network.window.index(day)]
-    return DirectedGraph.from_codes(presence.ids, presence.src[on_day], presence.tgt[on_day])
-
-
 @dataclass(frozen=True, eq=False)
 class LinkPresence:
     """Daily presence of every link that enters at least one daily graph.
 
-    ``src`` and ``tgt`` hold one link each as codes into ``ids``, the sorted
-    corpus, and are sorted by (source, target).  ``days`` is a read-only
-    links x window-days boolean matrix.
+    ``src`` and ``tgt`` hold one link each as codes into ``ids`` (the
+    snapshot table's vocabulary), sorted by (source, target).  ``days`` is a
+    read-only links x window-days boolean matrix.
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     src: np.ndarray
     tgt: np.ndarray
     days: np.ndarray
 
     def pairs(self) -> list[tuple[str, str]]:
-        name = self.ids.__getitem__
-        return list(zip(map(name, self.src.tolist()), map(name, self.tgt.tolist())))
+        return list(zip(self.ids[self.src].tolist(), self.ids[self.tgt].tolist()))
 
 
 def daily_link_presence(
@@ -142,16 +125,14 @@ def _link_presence(network: DynamicNetwork, corpus: frozenset[str], cutoff: int)
     if orphan_days.size:
         day = network.window.start + timedelta(days=int(orphan_days[0]))
         raise DataFormatError(f"snapshot {day} has no relevant lists")
-    ids = tuple(sorted(corpus))
-    code = dict(zip(ids, count()))
-    recode = np.fromiter(map(code.get, t.ids.tolist(), repeat(-1)), dtype=np.int64, count=t.ids.size)
-    edge = relevant & (t.pos <= cutoff) & (recode[t.src] >= 0) & (recode[t.tgt] >= 0)
-    n = max(len(ids), 1)
-    keys, link = np.unique(recode[t.src[edge]] * n + recode[t.tgt[edge]], return_inverse=True)
+    n = t.ids.size
+    member = np.fromiter(map(corpus.__contains__, t.ids.tolist()), dtype=bool, count=n)
+    edge = relevant & (t.pos <= cutoff) & member[t.src] & member[t.tgt]
+    keys, link = np.unique(t.src[edge].astype(np.int64) * n + t.tgt[edge], return_inverse=True)
     days = np.zeros((keys.size, network.window.n_days), dtype=bool)
     days[link, t.day[edge]] = True
     days.flags.writeable = False
-    return LinkPresence(ids, keys // n, keys % n, days)
+    return LinkPresence(t.ids, keys // n, keys % n, days)
 
 
 def _scc_labels(out_lists: tuple[list[int], list[int]]) -> np.ndarray:

@@ -161,6 +161,23 @@ def test_choices_hold_for_every_source(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "fit").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "simulate-persistence", "correlate"])
+def test_negative_seed_is_usage_error_from_every_source(tmp_path, monkeypatch, capsys, command):
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "correlate":
+        argv += ["--data", str(tmp_path / "data")]
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed=-1\n", encoding="utf-8")
+    for extra, env in (["--seed", "-1"], None), (["--config", str(config)], None), ([], "-1"):
+        if env is not None:
+            monkeypatch.setenv("AFLOW_SEED", env)
+        code, captured = run(argv + extra, capsys)
+        assert code == 1
+        assert usage_record(captured)["message"] == "setting seed must be non-negative, got -1"
+        assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("day", ["2030-01-01", "2018-13-01"])
 def test_analyze_date_problems_are_usage_errors(tmp_path, capsys, day):
     data = generate_data(tmp_path)

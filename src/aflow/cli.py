@@ -494,13 +494,9 @@ def _fit_and_emit(
     """Fit one model family, write models.json, fit_diagnostics.csv and forecasts.csv."""
     config = _forecast_config(settings)
     models, result = run_model(dataset, pn, model_name, config, settings["threads"])
-    videos: dict[str, dict[str, object]] = {}
-    for vid in sorted(models or {}):
-        model = models[vid]
-        videos[vid] = {
-            "alpha": [float(a) for a in model.alpha],
-            "beta": {u: float(b) for u, b in sorted(getattr(model, "beta", {}).items())},
-        }
+    videos = {vid: {"alpha": [float(a) for a in m.alpha],
+                    "beta": {u: float(b) for u, b in sorted(m.beta.items())}}
+              for vid, m in sorted((models or {}).items())}
     _write_json(out / "models.json",
                 {"model": model_name, "config": dataclasses.asdict(config), "videos": videos})
     if model_name == "arnet" and models:

@@ -62,6 +62,21 @@ def evaluate_forecasts(result: ForecastResult) -> EvalReport:
     return EvalReport(result.model_name, per_video, tuple(float(s) for s in ph), float(pv.mean()))
 
 
+def _inflows(
+    model: ArnetModel, neighbor_values: Mapping[str, Sequence[float] | np.ndarray], days: int
+) -> list[float]:
+    """Per beta term: beta times the neighbor's values summed over the first ``days`` days."""
+    return [b * float(np.asarray(neighbor_values[u], dtype=float)[:days].sum())
+            for u, b in model.beta.items()]
+
+
+def _eta(video_id: str, inflow: float, predictions: np.ndarray) -> float:
+    den = float(predictions.sum())
+    if den == 0:
+        raise DataFormatError(f"{video_id}: zero predicted total")
+    return float(np.clip(inflow / den, 0.0, 1.0))
+
+
 def network_contribution(
     model: ArnetModel,
     neighbor_values: Mapping[str, Sequence[float] | np.ndarray],
@@ -74,14 +89,10 @@ def network_contribution(
     [0, 1] because every prediction is at least its own network term.
     """
     preds = np.asarray(predictions, dtype=float)
-    den = float(preds.sum())
-    if den == 0:
-        raise DataFormatError(f"{model.video_id}: zero predicted total")
-    num = 0.0
-    for u, b in model.beta.items():
-        vals = np.asarray(neighbor_values[u], dtype=float)[: preds.size]
-        num += b * float(vals.sum())
-    return float(np.clip(num / den, 0.0, 1.0))
+    inflow = 0.0
+    for flow in _inflows(model, neighbor_values, preds.size):
+        inflow += flow
+    return _eta(model.video_id, inflow, preds)
 
 
 @dataclass(frozen=True)
@@ -124,48 +135,37 @@ def contribution_report(
     """
     config = config or ForecastConfig()
     neighbor_values = resolve_neighbor_values(dataset, models, config)
+    artist_of = {vid: meta.artist_id for vid, meta in dataset.metadata.items()}
 
     eta: dict[str, float] = {}
-    networked: dict[str, float] = {}
-    same_artist_num = 0.0
-    network_total = 0.0
+    networked = np.zeros(len(result.video_ids))
+    same_artist_num = network_total = 0.0
     for i, vid in enumerate(result.video_ids):
         model = models.get(vid)
         if model is None:
             continue
-        nv = neighbor_values[vid]
+        net = 0.0
+        for u, flow in zip(model.beta, _inflows(model, neighbor_values[vid], config.horizon)):
+            net += flow
+            if artist_of[u] == artist_of[vid]:
+                same_artist_num += flow
         try:
-            eta[vid] = network_contribution(model, nv, result.y_pred[i])
+            eta[vid] = _eta(vid, net, result.y_pred[i])
         except DataFormatError:
             pass
-        net = 0.0
-        for u, b in model.beta.items():
-            flow = b * float(np.asarray(nv[u], dtype=float)[: config.horizon].sum())
-            net += flow
-            if dataset.metadata[u].artist_id == dataset.metadata[vid].artist_id:
-                same_artist_num += flow
-        networked[vid] = net
+        networked[i] = net
         network_total += net
-
     if not eta:
         raise DataFormatError("no video produced a defined network contribution")
-    if network_total == 0:
-        same_artist_share = 0.0
-    else:
-        same_artist_share = same_artist_num / network_total
+    same_artist_share = same_artist_num / network_total if network_total else 0.0
 
-    by_artist_with: dict[str, float] = {}
-    by_artist_without: dict[str, float] = {}
-    for i, vid in enumerate(result.video_ids):
-        artist = dataset.metadata[vid].artist_id
-        observed = float(result.y_true[i].sum())
-        without = max(0.0, observed - networked.get(vid, 0.0))
-        by_artist_with[artist] = by_artist_with.get(artist, 0.0) + observed
-        by_artist_without[artist] = by_artist_without.get(artist, 0.0) + without
-
-    artists = sorted(by_artist_with)
-    with_totals = np.array([by_artist_with[a] for a in artists])
-    without_totals = np.array([by_artist_without[a] for a in artists])
+    artists = sorted({artist_of[vid] for vid in result.video_ids})
+    code = {a: k for k, a in enumerate(artists)}
+    codes = [code[artist_of[vid]] for vid in result.video_ids]
+    observed = result.y_true.sum(axis=1)
+    with_totals = np.bincount(codes, weights=observed, minlength=len(artists))
+    without = np.fmax(observed - networked, 0.0)  # as max(0.0, x): 0 for a NaN difference
+    without_totals = np.bincount(codes, weights=without, minlength=len(artists))
     pct_with = _midrank_percentiles(with_totals)
     pct_without = _midrank_percentiles(without_totals)
     rows = tuple(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Callable, Mapping, Sequence
 
@@ -52,14 +52,6 @@ class ForecastConfig:
             raise DataFormatError(f"unknown neighbor mode {self.neighbor_mode!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class ArModel:
-    """Linear autoregression y[t] ~ sum_tau alpha[tau] * y[t - tau]."""
-
-    video_id: str
-    alpha: np.ndarray
-
-
 @dataclass(frozen=True)
 class FitDiagnostics:
     """What the solver reported for one network-model fit.
@@ -82,13 +74,14 @@ class FitDiagnostics:
 class ArnetModel:
     """Autoregression plus same-day persistent in-neighbor terms.
 
-    alpha is non-negative, beta values lie in [0, 1], keyed by neighbor id.
+    Without beta terms it is the plain AR model.  A fitted network model has
+    non-negative alpha and beta values in [0, 1], keyed by neighbor id.
     ``fit`` holds the optimizer's report when the model was fitted here.
     """
 
     video_id: str
     alpha: np.ndarray
-    beta: Mapping[str, float]
+    beta: Mapping[str, float] = field(default_factory=dict)
     fit: FitDiagnostics | None = None
 
 
@@ -118,7 +111,7 @@ def _lag_matrix(y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lags, y[p:]
 
 
-def fit_ar(video_id: str, series: Sequence[float] | np.ndarray, p: int = 7) -> ArModel:
+def fit_ar(video_id: str, series: Sequence[float] | np.ndarray, p: int = 7) -> ArnetModel:
     """Least-squares AR(p) without intercept, tiny ridge for conditioning."""
     y = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -130,7 +123,7 @@ def fit_ar(video_id: str, series: Sequence[float] | np.ndarray, p: int = 7) -> A
     lags, target = _lag_matrix(y, p)
     gram = lags.T @ lags + RIDGE * np.eye(p)
     alpha = np.linalg.solve(gram, lags.T @ target)
-    return ArModel(video_id, alpha)
+    return ArnetModel(video_id, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +507,16 @@ def fit_arnet(
 
 
 def forecast(
-    model: ArModel | ArnetModel,
+    model: ArnetModel,
     history: Sequence[float] | np.ndarray,
     neighbor_values: Mapping[str, Sequence[float] | np.ndarray] | None = None,
     config: ForecastConfig | None = None,
 ) -> np.ndarray:
     """Recursive multi-step forecast, clamped at zero.
 
-    Lagged inputs beyond the history come from earlier predictions.  For a
-    network model, ``neighbor_values`` must provide each neighbor's value for
-    every horizon day.
+    Lagged inputs beyond the history come from earlier predictions.  A model
+    with beta terms needs ``neighbor_values`` to provide each neighbor's value
+    for every horizon day.
     """
     config = config or ForecastConfig()
     p = len(model.alpha)
@@ -531,17 +524,15 @@ def forecast(
     if hist.size < p:
         raise DataFormatError("history shorter than the lag order")
 
-    beta_items: list[tuple[str, float]] = []
-    if isinstance(model, ArnetModel) and model.beta:
-        beta_items = sorted(model.beta.items())
-        if neighbor_values is None:
-            raise DataFormatError(f"{model.video_id}: neighbor values are required")
-        for u, _ in beta_items:
-            vals = neighbor_values.get(u)
-            if vals is None or len(vals) < config.horizon:
-                raise DataFormatError(
-                    f"{model.video_id}: missing neighbor values for {u} over the horizon"
-                )
+    beta_items = sorted(model.beta.items())
+    if beta_items and neighbor_values is None:
+        raise DataFormatError(f"{model.video_id}: neighbor values are required")
+    for u, _ in beta_items:
+        vals = neighbor_values.get(u)
+        if vals is None or len(vals) < config.horizon:
+            raise DataFormatError(
+                f"{model.video_id}: missing neighbor values for {u} over the horizon"
+            )
 
     buf = list(hist[-p:])
     alpha = model.alpha
@@ -633,7 +624,7 @@ def run_model(
     model_name: str,
     config: ForecastConfig | None = None,
     threads: int = 1,
-) -> tuple[dict[str, ArModel] | dict[str, ArnetModel] | None, ForecastResult]:
+) -> tuple[dict[str, ArnetModel] | None, ForecastResult]:
     """Fit one model family on every persistent-network target and forecast.
 
     All four families forecast the same target set (targets of persistent
@@ -657,19 +648,14 @@ def run_model(
         for h in range(config.horizon)
     )
 
-    models: dict[str, ArModel] | dict[str, ArnetModel] | None = None
-    preds: dict[str, np.ndarray] = {}
-
+    models: dict[str, ArnetModel] | None = None
     if model_name == "naive":
-        for v in targets:
-            preds[v] = predict_naive(splits[v][0], config.horizon)
+        preds = {v: predict_naive(splits[v][0], config.horizon) for v in targets}
     elif model_name == "snaive":
-        for v in targets:
-            preds[v] = predict_seasonal_naive(splits[v][0], config.horizon, config.m_star)
+        preds = {v: predict_seasonal_naive(splits[v][0], config.horizon, config.m_star)
+                 for v in targets}
     elif model_name == "ar":
         models = {v: fit_ar(v, splits[v][0], config.p) for v in targets}
-        for v in targets:
-            preds[v] = forecast(models[v], splits[v][0], None, config)
     else:
         def train_of(u: str) -> np.ndarray:
             if u in splits:
@@ -684,9 +670,9 @@ def run_model(
             )
 
         models = _fit_all(targets, fit_chunk, threads)
+    if models is not None:
         neighbor_values = resolve_neighbor_values(dataset, models, config)
-        for v in targets:
-            preds[v] = forecast(models[v], splits[v][0], neighbor_values[v], config)
+        preds = {v: forecast(models[v], splits[v][0], neighbor_values[v], config) for v in targets}
 
     y_true = np.vstack([splits[v][1] for v in targets])
     y_pred = np.vstack([preds[v] for v in targets])

@@ -35,11 +35,12 @@ class PositionBins:
     def max_position(self) -> int:
         return self.ranges[-1][1]
 
-    def index_of(self, pos: int) -> int | None:
-        for i, (lo, hi) in enumerate(self.ranges):
-            if lo <= pos <= hi:
-                return i
-        return None
+    def bin_of(self, positions: np.ndarray) -> np.ndarray:
+        """Bin index of each position, -1 for a position outside every bin."""
+        table = np.full(self.max_position + 2, -1)
+        for b, (lo, hi) in enumerate(self.ranges):
+            table[lo : hi + 1] = b
+        return table[np.minimum(positions, self.max_position + 1)]
 
     def labels(self) -> list[str]:
         return [f"{lo}" if lo == hi else f"{lo}-{hi}" for lo, hi in self.ranges]
@@ -60,16 +61,19 @@ class DisplayProbabilityMatrix:
     col_labels: tuple[str, ...]
 
 
-def _aligned_counts(
-    network: DynamicNetwork, from_kind: int, max_from: int, bins: PositionBins
-) -> tuple[np.ndarray, np.ndarray]:
-    """Observation and placement counts for one direction of the alignment.
+def _alignment_matrix(
+    network: DynamicNetwork, from_kind: int, max_from: int, bound: str, bins: PositionBins | None
+) -> DisplayProbabilityMatrix:
+    """P(position in the other list falls in bin b | position p in a ``from_kind`` list).
 
     Each ``from_kind`` row at position <= ``max_from`` whose (day, source)
     also has a list of the other kind is one observation of its position.
     It is placed in bin b when the same target sits in that other list at a
     position inside bin b.  Rows are joined on (day, source, target) keys.
     """
+    if max_from < 1:
+        raise DataFormatError(f"{bound} must be at least 1, got {max_from}")
+    bins = bins or PositionBins()
     t = network.table
     list_key = t.day.astype(np.int64) * t.ids.size + t.src
     row_key = list_key * t.ids.size + t.tgt
@@ -82,14 +86,16 @@ def _aligned_counts(
     keys = row_key[observed]
     at = np.minimum(np.searchsorted(row_key[other], keys), other.size - 1)
     matched = row_key[other[at]] == keys
-    bin_of = np.full(bins.max_position + 2, -1)
-    for b, (lo, hi) in enumerate(bins.ranges):
-        bin_of[lo : hi + 1] = b
-    placed = bin_of[np.minimum(t.pos[other[at[matched]]], bins.max_position + 1)]
+    placed = bins.bin_of(t.pos[other[at[matched]]])
     inside = placed >= 0
     num = np.zeros((max_from, len(bins.ranges)), dtype=np.int64)
     np.add.at(num, (t.pos[observed][matched][inside] - 1, placed[inside]), 1)
-    return num, den
+    return DisplayProbabilityMatrix(
+        probs=num / np.maximum(den, 1)[:, None],
+        denominators=den,
+        row_labels=tuple(str(r) for r in range(1, max_from + 1)),
+        col_labels=tuple(bins.labels()),
+    )
 
 
 def display_probability_matrix(
@@ -103,17 +109,7 @@ def display_probability_matrix(
     The entry's target contributes to a numerator cell only when it also
     appears in that day's recommended list inside one of the bins.
     """
-    if max_rel < 1:
-        raise DataFormatError(f"max_rel must be at least 1, got {max_rel}")
-    bins = bins or PositionBins()
-    num, den = _aligned_counts(network, 0, max_rel, bins)
-    probs = num / np.maximum(den, 1)[:, None]
-    return DisplayProbabilityMatrix(
-        probs=probs,
-        denominators=den,
-        row_labels=tuple(str(r) for r in range(1, max_rel + 1)),
-        col_labels=tuple(bins.labels()),
-    )
+    return _alignment_matrix(network, 0, max_rel, "max_rel", bins)
 
 
 def origin_probability_matrix(
@@ -128,14 +124,4 @@ def origin_probability_matrix(
     binned range) contribute to the denominator only, so row sums below 1
     measure recommendations that did not originate from the binned ranks.
     """
-    if max_rec < 1:
-        raise DataFormatError(f"max_rec must be at least 1, got {max_rec}")
-    bins = bins or PositionBins()
-    num, den = _aligned_counts(network, 1, max_rec, bins)
-    probs = num / np.maximum(den, 1)[:, None]
-    return DisplayProbabilityMatrix(
-        probs=probs,
-        denominators=den,
-        row_labels=tuple(str(q) for q in range(1, max_rec + 1)),
-        col_labels=tuple(bins.labels()),
-    )
+    return _alignment_matrix(network, 1, max_rec, "max_rec", bins)

@@ -211,11 +211,11 @@ def sample_random_pairs(
     """Sample distinct (source, target) pairs never linked in any snapshot.
 
     Pairs must pass the same view filters as persistence candidates so the
-    group is comparable to the link groups.  Rejection sampling with a fixed
-    attempt budget.  When the budget runs out, a corpus with fewer than ``n``
+    group is comparable to the link groups.  A corpus with fewer than ``n``
     eligible never-linked pairs gives all of them, in sorted order, so the
-    result is shorter than ``n``; a corpus with none, or with ``n`` or more
-    that the sampler missed, raises instead of looping forever.
+    result is shorter than ``n``; a corpus with none raises.  Otherwise pairs
+    are drawn by rejection sampling with a fixed attempt budget, and running
+    out of it raises instead of looping forever.
     """
     if n < 1:
         raise DataFormatError("need a positive sample size")
@@ -226,15 +226,17 @@ def sample_random_pairs(
     ids = sorted(dataset.corpus)
     if len(ids) < 2:
         raise DataFormatError("corpus too small to sample pairs from")
+    every = _eligible_never_linked(ids, forbidden, filters, n)
+    if every is not None:
+        if every:
+            return every
+        raise DataFormatError(f"exhausted sampling budget with 0 of {n} pairs found")
     rng = np.random.default_rng(seed)
     chosen: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     budget = max(1000, 50 * n)
     while len(chosen) < n:
         if budget == 0:
-            every = _eligible_never_linked(ids, forbidden, filters, n)
-            if every:
-                return every
             raise DataFormatError(
                 f"exhausted sampling budget with {len(chosen)} of {n} pairs found"
             )

@@ -9,7 +9,6 @@ from aflow import forecast as forecast_module
 from aflow.data_model import DataFormatError, NumericalError
 from aflow.evaluation import smape
 from aflow.forecast import (
-    ArModel,
     ArnetModel,
     ForecastConfig,
     fit_ar,
@@ -261,7 +260,7 @@ def test_arnet_input_validation():
 
 
 def test_forecast_recursion_feeds_predictions_back():
-    model = ArModel("v", np.array([0.5]))
+    model = ArnetModel("v", np.array([0.5]))
     preds = forecast(model, [8.0], config=ForecastConfig(p=1, train_days=2, horizon=3))
     np.testing.assert_allclose(preds, [4.0, 2.0, 1.0])
 
@@ -269,13 +268,13 @@ def test_forecast_recursion_feeds_predictions_back():
 def test_forecast_lag_seven_echoes_last_week():
     alpha = np.zeros(7)
     alpha[6] = 1.0
-    model = ArModel("v", alpha)
+    model = ArnetModel("v", alpha)
     hist = np.arange(1.0, 8.0)
     np.testing.assert_allclose(forecast(model, hist), [1, 2, 3, 4, 5, 6, 7])
 
 
 def test_forecast_clamps_at_zero():
-    model = ArModel("v", np.array([-1.0]))
+    model = ArnetModel("v", np.array([-1.0]))
     preds = forecast(model, [5.0], config=ForecastConfig(p=1, train_days=2, horizon=2))
     np.testing.assert_array_equal(preds, [0.0, 0.0])
 
@@ -298,7 +297,7 @@ def test_beta_zero_forecast_equals_plain_ar():
     rng = np.random.default_rng(31)
     hist = rng.uniform(50.0, 100.0, size=14)
     alpha = rng.uniform(0.0, 0.2, size=7)
-    plain = forecast(ArModel("v", alpha), hist)
+    plain = forecast(ArnetModel("v", alpha), hist)
     netless = forecast(ArnetModel("v", alpha, {}), hist)
     np.testing.assert_array_equal(plain, netless)
 

@@ -16,10 +16,7 @@ def test_default_bins():
     bins = PositionBins()
     assert bins.max_position == 15
     assert bins.labels() == ["1", "2-5", "6-10", "11-15"]
-    assert bins.index_of(1) == 0
-    assert bins.index_of(5) == 1
-    assert bins.index_of(11) == 3
-    assert bins.index_of(16) is None
+    assert bins.bin_of(np.array([1, 5, 11, 16])).tolist() == [0, 1, 3, -1]
 
 
 def test_bins_validation():

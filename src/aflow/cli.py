@@ -32,7 +32,7 @@ import hashlib
 import json
 import math
 import sys
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -594,7 +594,10 @@ def _emit_matrix(path: Path, row_name: str, matrix: DisplayProbabilityMatrix) ->
 
 def cmd_display_prob(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     snapshots_path = Path(args.data) / "snapshots.csv"
-    network = parse_snapshots(snapshots_path)
+    try:
+        network = parse_snapshots(snapshots_path)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{snapshots_path}: {exc}") from None
     out = Path(args.out)
     disp = display_probability_matrix(network, max_rel=settings["max_rel"])
     orig = origin_probability_matrix(network, max_rec=settings["max_rec"])
@@ -690,6 +693,15 @@ def cmd_contribute(args: argparse.Namespace, settings: dict[str, object]) -> dic
     if unknown:
         raise DataFormatError(f"{args.models}: {unknown[0]} is not a corpus video")
     result = read_forecasts(Path(args.forecasts), name)
+    first = dataset.window.start + timedelta(days=config.train_days)
+    horizon = tuple(first + timedelta(days=h) for h in range(config.horizon))
+    if result.dates != horizon:
+        raise DataFormatError(
+            f"{args.forecasts}: forecast dates {result.dates[0]}..{result.dates[-1]} "
+            f"({len(result.dates)} days) are not the models' horizon {horizon[0]}..{horizon[-1]}")
+    unknown = sorted(set(result.video_ids) - dataset.corpus)
+    if unknown:
+        raise DataFormatError(f"{args.forecasts}: {unknown[0]} is not a corpus video")
     report = contribution_report(dataset, models, result, config)
     _emit_contribution(Path(args.out), report)
     return {**_data_inputs(Path(args.data)), "models.json": Path(args.models),

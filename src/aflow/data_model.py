@@ -373,12 +373,12 @@ _MAX_VIEWS = np.iinfo(np.int64).max
 _FORBIDDEN_ID_CHARS = "\0\r\n"
 
 
-def _id_problem(vid: str) -> str | None:
-    """Why ``vid`` cannot be a video id, or None when it can."""
-    if not vid:
-        return "empty video id"
-    if any(c in vid for c in _FORBIDDEN_ID_CHARS):
-        return f"video id {vid!r} holds a NUL or line break"
+def _id_problem(text: str, what: str = "video id") -> str | None:
+    """Why ``text`` cannot be a ``what`` (an id or a genre name), or None when it can."""
+    if not text:
+        return f"empty {what}"
+    if any(c in text for c in _FORBIDDEN_ID_CHARS):
+        return f"{what} {text!r} holds a NUL or line break"
     return None
 
 
@@ -562,8 +562,10 @@ def parse_views(source: str | Path | IO[str]) -> dict[str, ViewSeries]:
         if len(row) != 3:
             raise DataFormatError(f"line {line_no}: expected 3 fields, got {len(row)}")
         vid = row[0]
-        if not vid:
-            raise DataFormatError(f"line {line_no}: empty video id")
+        if vid not in rows:  # each distinct id is checked once
+            problem = _id_problem(vid)
+            if problem:
+                raise DataFormatError(f"line {line_no}: {problem}")
         d = _parse_date(row[1], line_no)
         try:
             count = int(row[2])
@@ -606,6 +608,10 @@ def parse_metadata(source: str | Path | IO[str]) -> dict[str, VideoMeta]:
             raise DataFormatError(f"line {line_no}: duplicate metadata for {vid}")
         upload = _parse_date(row[2], line_no)
         genres = frozenset(g for g in row[3].split("|") if g)
+        for text, what in ((vid, "video id"), (artist, "artist id"), *((g, "genre") for g in genres)):
+            problem = _id_problem(text, what)
+            if problem:
+                raise DataFormatError(f"line {line_no}: {problem}")
         out[vid] = VideoMeta(vid, artist, genres, upload)
     if not out:
         raise DataFormatError("metadata file holds no rows")
@@ -661,12 +667,16 @@ def validate_dataset(
 
 
 def load_dataset(data_dir: str | Path) -> Dataset:
-    """Load ``snapshots.csv``, ``views.csv`` and ``metadata.csv`` from a directory."""
+    """Load ``snapshots.csv``, ``views.csv`` and ``metadata.csv``; parse errors name their file."""
     base = Path(data_dir)
-    network = parse_snapshots(base / "snapshots.csv")
-    views = parse_views(base / "views.csv")
-    metadata = parse_metadata(base / "metadata.csv")
-    return validate_dataset(metadata, views, network)
+    parsed = {}
+    for key, parse, name in (("network", parse_snapshots, "snapshots.csv"),
+                             ("views", parse_views, "views.csv"), ("metadata", parse_metadata, "metadata.csv")):
+        try:
+            parsed[key] = parse(base / name)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{base / name}: {exc}") from None
+    return validate_dataset(**parsed)
 
 
 # ---------------------------------------------------------------------------

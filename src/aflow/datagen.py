@@ -90,6 +90,10 @@ class GenConfig:
             raise DataFormatError("base_levels length must match n_videos")
         if self.phases is not None and len(self.phases) != self.n_videos:
             raise DataFormatError("phases length must match n_videos")
+        for name in ("noise_scale", "seasonal_amplitude", "base_level_range", "beta_range",
+                     "alpha_profile", "base_levels", "phases"):
+            if not np.isfinite(getattr(self, name) or ()).all():
+                raise DataFormatError(f"{name} must hold only finite values")
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,8 @@ def evaluate_forecasts(result: ForecastResult) -> EvalReport:
     return EvalReport(result.model_name, per_video, tuple(float(s) for s in ph), float(pv.mean()))
 
 
-def _inflows(
-    model: ArnetModel, neighbor_values: Mapping[str, Sequence[float] | np.ndarray], days: int
-) -> list[float]:
+def _inflows(model: ArnetModel, neighbor_values: Mapping[str, Sequence[float] | np.ndarray],
+             days: int) -> list[float]:
     """Per beta term: beta times the neighbor's values summed over the first ``days`` days."""
     return [b * float(np.asarray(neighbor_values[u], dtype=float)[:days].sum())
             for u, b in model.beta.items()]
@@ -128,10 +127,12 @@ def contribution_report(
 ) -> ContributionReport:
     """Network contribution per video plus artist-level percentile shifts.
 
-    Artist totals aggregate observed test-horizon views over the evaluated
-    videos; the "without network" variant subtracts each video's networked
-    views, clamped at zero.  Percentile changes sum to zero by construction.
-    Videos with a zero predicted total are left out of the eta map.
+    ``result`` covers the ``config.horizon`` test days, and eta and the
+    networked views share one inflow sum over them.  Artist totals aggregate
+    observed views over the evaluated videos; the "without network" variant
+    subtracts each video's networked views, clamped at zero.  Percentile
+    changes sum to zero by construction.  Videos with a zero predicted total
+    are left out of the eta map.
     """
     config = config or ForecastConfig()
     neighbor_values = resolve_neighbor_values(dataset, models, config)

@@ -227,9 +227,9 @@ def sample_random_pairs(
     if len(ids) < 2:
         raise DataFormatError("corpus too small to sample pairs from")
     every = _eligible_never_linked(ids, forbidden, filters, n)
+    if every:
+        return every
     if every is not None:
-        if every:
-            return every
         raise DataFormatError(f"exhausted sampling budget with 0 of {n} pairs found")
     rng = np.random.default_rng(seed)
     chosen: list[tuple[str, str]] = []

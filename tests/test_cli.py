@@ -627,6 +627,58 @@ def test_bad_artifact_cells_name_the_file_and_line(tmp_path, capsys):
     assert json.loads(captured.err)["message"] == f"{forecasts}:2: bad date '2018-13-01'"
 
 
+def one_data_error(captured) -> str:
+    """The message of the one JSON record on stderr, which must be a data error."""
+    record = json.loads(captured.err)  # one JSON record and nothing else
+    assert record["error"] == "data"
+    return record["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_generate_rejects_a_non_finite_noise_scale(tmp_path, capsys, value):
+    code, captured = run(["generate", "--out", str(tmp_path / "g"), "--noise-scale", value], capsys)
+    assert code == 2
+    assert one_data_error(captured) == "noise_scale must hold only finite values"
+
+
+@pytest.mark.parametrize("name", ["snapshots.csv", "views.csv", "metadata.csv"])
+def test_data_errors_name_their_file(tmp_path, capsys, name):
+    data = generate_data(tmp_path)
+    lines = (data / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[2].split(",")
+    fields[{"snapshots.csv": 0, "views.csv": 1, "metadata.csv": 2}[name]] = "2018-13-01"
+    lines[2] = ",".join(fields)
+    (data / name).write_text("".join(lines), encoding="utf-8")
+    commands = [["validate", "--data", str(data)]]
+    if name == "snapshots.csv":
+        commands.append(["display-prob", "--data", str(data), "--out", str(tmp_path / "dp")])
+    for argv in commands:
+        code, captured = run(argv, capsys)
+        assert code == 2
+        assert one_data_error(captured) == f"{data / name}: line 3: bad date '2018-13-01'"
+
+
+def test_contribute_checks_the_forecasts_file(tmp_path, capsys):
+    data = generate_data(tmp_path)
+    assert cli.main(["pipeline", "--data", str(data), "--out", str(tmp_path / "p")]) == 0
+    fitted = tmp_path / "p" / "arnet"
+    header, rows = read_csv(fitted / "forecasts.csv")
+    forecasts = tmp_path / "forecasts.csv"
+    argv = ["contribute", "--data", str(data), "--out", str(tmp_path / "c"),
+            "--models", str(fitted / "models.json"), "--forecasts", str(forecasts)]
+    for kept, problem in (
+        ([r for r in rows if r[1] <= "2018-10-30"],
+         "forecast dates 2018-10-27..2018-10-30 (4 days) are not the models' horizon 2018-10-27..2018-11-02"),
+        (rows + [["zz"] + r[1:] for r in rows[:7]], "zz is not a corpus video"),
+    ):
+        with open(forecasts, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header] + kept)
+        code, captured = run(argv, capsys)
+        assert code == 2
+        assert one_data_error(captured) == f"{forecasts}: {problem}"
+    assert not (tmp_path / "c").exists()
+
+
 def test_programming_errors_are_not_reported_as_data_errors(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a bug, not bad data")

@@ -1,11 +1,15 @@
+import csv
 import io
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from aflow import datagen
 from aflow.data_model import (
+    METADATA_HEADER,
+    VIEWS_HEADER,
     DataFormatError,
     ObservationWindow,
     RankedList,
@@ -163,6 +167,73 @@ def test_parse_metadata_genres():
                 "video_id,artist_id,upload_date,genres\nv1,a1,2018-01-01,\nv1,a2,2018-01-01,\n"
             )
         )
+
+
+@pytest.mark.parametrize("bad", ["v\r1", "v\n1"])
+def test_views_and_metadata_apply_the_id_rule(bad):
+    with pytest.raises(DataFormatError, match=r"line 3: video id .* holds a NUL or line break"):
+        parse_views(io.StringIO(f'video_id,date,views\nv,2018-09-01,1\n"{bad}",2018-09-01,1\n'))
+    header = "video_id,artist_id,upload_date,genres\nv,a,2018-01-01,pop\n"
+    for row, what in (
+        (f'"{bad}",a,2018-01-01,pop', "video id"),
+        (f'w,"{bad}",2018-01-01,pop', "artist id"),
+        (f'w,a,2018-01-01,"pop|{bad}"', "genre"),
+    ):
+        with pytest.raises(DataFormatError, match=rf"line 3: {what} .* holds a NUL or line break"):
+            parse_metadata(io.StringIO(header + row + "\n"))
+
+
+# Ids and genres drawn with the characters a CSV writer treats specially.  NUL
+# is left out: Python 3.10's csv reader rejects it before the id rule runs.
+FIELD = st.text(st.one_of(st.sampled_from(',"|\r\n '), st.characters(blacklist_categories=("Cs",),
+                                                                     blacklist_characters="\0")),
+                min_size=1, max_size=4)
+START = datagen.START_DATE
+
+
+def _quoted_csv(header, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _reparsed(parse, serialize, text, fields):
+    """None when a field breaks the id rule and the parser rejects it; else the
+    first parse and the parse of its serialization, which must serialize the same."""
+    if any(c in field for field in fields for c in "\r\n"):
+        with pytest.raises(DataFormatError, match="holds a NUL or line break"):
+            parse(io.StringIO(text))
+        return None
+    first = parse(io.StringIO(text))
+    again = parse(io.StringIO(serialize(first)))
+    assert serialize(again) == serialize(first)
+    return first, again
+
+
+@given(st.dictionaries(FIELD, st.tuples(st.integers(0, 3), st.lists(st.integers(0, 2**63 - 1), min_size=1,
+                                                                     max_size=3)), min_size=1, max_size=4))
+def test_views_parse_serialize_round_trip(series):
+    rows = [(vid, START + timedelta(days=d + i), count)
+            for vid, (d, counts) in series.items() for i, count in enumerate(counts)]
+    parsed = _reparsed(parse_views, serialize_views, _quoted_csv(VIEWS_HEADER, rows), series)
+    if parsed:
+        first, again = parsed
+        assert {v: (s.start_date, s.values.tolist()) for v, s in again.items()} == {
+            v: (s.start_date, s.values.tolist()) for v, s in first.items()}
+        assert sorted(first) == sorted(series)
+
+
+@given(st.dictionaries(FIELD, st.tuples(FIELD, st.integers(0, 400), st.lists(FIELD, max_size=3)),
+                       min_size=1, max_size=4))
+def test_metadata_parse_serialize_round_trip(meta):
+    rows = [(vid, artist, START - timedelta(days=d), "|".join(genres))
+            for vid, (artist, d, genres) in meta.items()]
+    fields = [field for row in rows for field in (row[0], row[1], row[3])]
+    parsed = _reparsed(parse_metadata, serialize_metadata, _quoted_csv(METADATA_HEADER, rows), fields)
+    if parsed:
+        first, again = parsed
+        assert again == first
+        assert sorted(first) == sorted(meta)
 
 
 def test_ranked_list_invariants():

@@ -132,6 +132,24 @@ def test_config_validation():
         datagen.GenConfig(edge_density=-0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("noise_scale", lambda x: x),
+        ("seasonal_amplitude", lambda x: x),
+        ("base_level_range", lambda x: (200.0, x)),
+        ("beta_range", lambda x: (x, 0.8)),
+        ("alpha_profile", lambda x: (0.3, 0.0, 0.0, x, 0.0, 0.0, 0.3)),
+        ("base_levels", lambda x: (100.0, x, 100.0)),
+        ("phases", lambda x: (0.0, 0.0, x)),
+    ],
+)
+def test_config_rejects_non_finite_values(name, value, bad):
+    with pytest.raises(DataFormatError, match=f"^{name} must hold only finite values$"):
+        datagen.GenConfig(n_videos=3, **{name: value(bad)})
+
+
 def test_ground_truth_json_layout():
     cfg = datagen.GenConfig(
         n_videos=3, n_artists=1, days=7, edges=((0, 2, 0.4), (1, 2, 0.3)), seed=0

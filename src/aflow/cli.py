@@ -32,7 +32,7 @@ import hashlib
 import json
 import math
 import sys
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -45,6 +45,7 @@ from .data_model import (
     Dataset,
     NumericalError,
     load_dataset,
+    parse_file,
     parse_snapshots,
 )
 from .datagen import GenConfig, export_dataset, generate, ground_truth_to_json
@@ -61,6 +62,7 @@ from .forecast import (
     FitDiagnostics,
     ForecastConfig,
     ForecastResult,
+    horizon_dates,
     run_model,
 )
 from .graph_analysis import (
@@ -269,6 +271,9 @@ def _data_inputs(data_dir: Path) -> dict[str, Path]:
 # ---------------------------------------------------------------------------
 # artifact readers (for subcommands consuming earlier artifacts)
 
+PERSISTENT_HEADER = ["source", "target", "reciprocal", "raw_presence_count"]
+FORECASTS_HEADER = ["video_id", "date", "y_true", "y_pred"]
+
 
 def _artifact_rows(path: Path, header: list[str]):
     """(line number, row) for each row of an artifact CSV, after checking its header."""
@@ -293,13 +298,19 @@ def _cell(convert: Callable[[str], object], text: str, where: str, what: str):
         raise DataFormatError(f"{where}: bad {what} {text!r}") from None
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
 def read_persistent_edges(path: Path) -> PersistentNetwork:
     if not path.is_file():
         raise DataFormatError(
             f"persistent edges artifact not found: {path}; run the persistent step first"
         )
     edges = []
-    for line, row in _artifact_rows(path, ["source", "target", "reciprocal", "raw_presence_count"]):
+    for line, row in _artifact_rows(path, PERSISTENT_HEADER):
         where = f"{path}:{line}"
         reciprocal = bool(_cell(int, row[2], where, "reciprocal flag"))
         edges.append(PersistentEdge(row[0], row[1], reciprocal, _cell(int, row[3], where, "presence count")))
@@ -310,12 +321,14 @@ def read_forecasts(path: Path, model_name: str = "model") -> ForecastResult:
     if not path.is_file():
         raise DataFormatError(f"forecasts artifact not found: {path}")
     per_video: dict[str, dict[date, tuple[float, float]]] = {}
-    for line, row in _artifact_rows(path, ["video_id", "date", "y_true", "y_pred"]):
+    for line, row in _artifact_rows(path, FORECASTS_HEADER):
         where = f"{path}:{line}"
-        per_video.setdefault(row[0], {})[_cell(date.fromisoformat, row[1], where, "date")] = (
-            _cell(float, row[2], where, "y_true"),
-            _cell(float, row[3], where, "y_pred"),
-        )
+        day = _cell(date.fromisoformat, row[1], where, "date")
+        values = (_cell(_finite, row[2], where, "y_true"), _cell(_finite, row[3], where, "y_pred"))
+        per_day = per_video.setdefault(row[0], {})
+        if day in per_day:
+            raise DataFormatError(f"{where}: repeated row for {row[0]} on {day}")
+        per_day[day] = values
     if not per_video:
         raise DataFormatError(f"{path}: no forecast rows")
     video_ids = tuple(sorted(per_video))
@@ -379,7 +392,7 @@ def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]
 def _emit_persistent(out: Path, dataset: Dataset, pn: PersistentNetwork) -> None:
     _write_csv(
         out / "persistent_edges.csv",
-        ["source", "target", "reciprocal", "raw_presence_count"],
+        PERSISTENT_HEADER,
         [(e.source, e.target, e.reciprocal, e.days_present) for e in pn.edges],
     )
     if pn.edges:
@@ -501,11 +514,9 @@ def _fit_and_emit(
                 {"model": model_name, "config": dataclasses.asdict(config), "videos": videos})
     if model_name == "arnet" and models:
         _emit_fit_diagnostics(out, {vid: models[vid].fit for vid in sorted(models)})
-    rows = []
-    for i, vid in enumerate(result.video_ids):
-        for h, d in enumerate(result.dates):
-            rows.append((vid, d.isoformat(), result.y_true[i, h], result.y_pred[i, h]))
-    _write_csv(out / "forecasts.csv", ["video_id", "date", "y_true", "y_pred"], rows)
+    rows = [(vid, d.isoformat(), result.y_true[i, h], result.y_pred[i, h])
+            for i, vid in enumerate(result.video_ids) for h, d in enumerate(result.dates)]
+    _write_csv(out / "forecasts.csv", FORECASTS_HEADER, rows)
     return config, models, result
 
 
@@ -585,19 +596,14 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> dict[s
 
 
 def _emit_matrix(path: Path, row_name: str, matrix: DisplayProbabilityMatrix) -> None:
-    rows = []
-    for i, label in enumerate(matrix.row_labels):
-        for j, bin_label in enumerate(matrix.col_labels):
-            rows.append([label, bin_label, matrix.probs[i, j]])
+    rows = [[label, bin_label, matrix.probs[i, j]]
+            for i, label in enumerate(matrix.row_labels) for j, bin_label in enumerate(matrix.col_labels)]
     _write_csv(path, [row_name, "bin_label", "probability"], rows)
 
 
 def cmd_display_prob(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     snapshots_path = Path(args.data) / "snapshots.csv"
-    try:
-        network = parse_snapshots(snapshots_path)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{snapshots_path}: {exc}") from None
+    network = parse_file(parse_snapshots, snapshots_path)
     out = Path(args.out)
     disp = display_probability_matrix(network, max_rel=settings["max_rel"])
     orig = origin_probability_matrix(network, max_rec=settings["max_rec"])
@@ -661,14 +667,10 @@ def cmd_correlate(args: argparse.Namespace, settings: dict[str, object]) -> dict
             for g in (results[name] for name in sorted(results))
         ],
     )
-    link_rows = []
-    for name in sorted(results):
-        for link in results[name].links:
-            link_rows.append((name, link.source, link.target, link.r, link.p))
     _write_csv(
         out / "link_correlations.csv",
         ["group", "source", "target", "r", "p"],
-        link_rows,
+        [(name, link.source, link.target, link.r, link.p) for name in sorted(results) for link in results[name].links],
     )
     return _data_inputs(Path(args.data))
 
@@ -693,8 +695,7 @@ def cmd_contribute(args: argparse.Namespace, settings: dict[str, object]) -> dic
     if unknown:
         raise DataFormatError(f"{args.models}: {unknown[0]} is not a corpus video")
     result = read_forecasts(Path(args.forecasts), name)
-    first = dataset.window.start + timedelta(days=config.train_days)
-    horizon = tuple(first + timedelta(days=h) for h in range(config.horizon))
+    horizon = horizon_dates(dataset, config)
     if result.dates != horizon:
         raise DataFormatError(
             f"{args.forecasts}: forecast dates {result.dates[0]}..{result.dates[-1]} "

@@ -669,14 +669,19 @@ def validate_dataset(
 def load_dataset(data_dir: str | Path) -> Dataset:
     """Load ``snapshots.csv``, ``views.csv`` and ``metadata.csv``; parse errors name their file."""
     base = Path(data_dir)
-    parsed = {}
-    for key, parse, name in (("network", parse_snapshots, "snapshots.csv"),
-                             ("views", parse_views, "views.csv"), ("metadata", parse_metadata, "metadata.csv")):
-        try:
-            parsed[key] = parse(base / name)
-        except DataFormatError as exc:
-            raise DataFormatError(f"{base / name}: {exc}") from None
-    return validate_dataset(**parsed)
+    return validate_dataset(
+        network=parse_file(parse_snapshots, base / "snapshots.csv"),
+        views=parse_file(parse_views, base / "views.csv"),
+        metadata=parse_file(parse_metadata, base / "metadata.csv"),
+    )
+
+
+def parse_file(parse: Callable[[Path], T], path: Path) -> T:
+    """``parse(path)``, with the path put before the message of a parse error."""
+    try:
+        return parse(path)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -618,6 +618,12 @@ def resolve_neighbor_values(
     return {vid: {u: values[u] for u in m.beta} for vid, m in models.items()}
 
 
+def horizon_dates(dataset: Dataset, config: ForecastConfig) -> tuple[date, ...]:
+    """The ``horizon`` days forecast after the first ``train_days`` of the window."""
+    first = dataset.window.start + timedelta(days=config.train_days)
+    return tuple(first + timedelta(days=h) for h in range(config.horizon))
+
+
 def run_model(
     dataset: Dataset,
     persistent: PersistentNetwork,
@@ -643,10 +649,6 @@ def run_model(
         raise DataFormatError("persistent network has no targets to forecast")
 
     splits = {v: split_series(dataset, v, config) for v in targets}
-    test_dates = tuple(
-        dataset.window.start + timedelta(days=config.train_days + h)
-        for h in range(config.horizon)
-    )
 
     models: dict[str, ArnetModel] | None = None
     if model_name == "naive":
@@ -676,7 +678,7 @@ def run_model(
 
     y_true = np.vstack([splits[v][1] for v in targets])
     y_pred = np.vstack([preds[v] for v in targets])
-    result = ForecastResult(model_name, tuple(targets), test_dates, y_true, y_pred)
+    result = ForecastResult(model_name, tuple(targets), horizon_dates(dataset, config), y_true, y_pred)
     return models, result
 
 

@@ -90,18 +90,16 @@ def build_graph(
 class LinkPresence:
     """Daily presence of every link that enters at least one daily graph.
 
-    ``src`` and ``tgt`` hold one link each as codes into ``ids`` (the
-    snapshot table's vocabulary), sorted by (source, target).  ``days`` is a
-    read-only links x window-days boolean matrix.
+    ``ids`` holds the corpus sorted, as ``DirectedGraph.ids`` does, and
+    ``src`` and ``tgt`` hold one link each as codes into it, sorted by
+    (source, target).  ``days`` is a read-only links x window-days boolean
+    matrix.
     """
 
     ids: np.ndarray
     src: np.ndarray
     tgt: np.ndarray
     days: np.ndarray
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return list(zip(self.ids[self.src].tolist(), self.ids[self.tgt].tolist()))
 
 
 def daily_link_presence(
@@ -125,14 +123,16 @@ def _link_presence(network: DynamicNetwork, corpus: frozenset[str], cutoff: int)
     if orphan_days.size:
         day = network.window.start + timedelta(days=int(orphan_days[0]))
         raise DataFormatError(f"snapshot {day} has no relevant lists")
-    n = t.ids.size
-    member = np.fromiter(map(corpus.__contains__, t.ids.tolist()), dtype=bool, count=n)
+    ids = np.array(sorted(corpus), dtype=str)
+    code = np.searchsorted(ids, t.ids)  # table code -> corpus code, where it is one
+    member = np.isin(t.ids, ids)
     edge = relevant & (t.pos <= cutoff) & member[t.src] & member[t.tgt]
-    keys, link = np.unique(t.src[edge].astype(np.int64) * n + t.tgt[edge], return_inverse=True)
+    n = max(ids.size, 1)
+    keys, link = np.unique(code[t.src[edge]] * n + code[t.tgt[edge]], return_inverse=True)
     days = np.zeros((keys.size, network.window.n_days), dtype=bool)
     days[link, t.day[edge]] = True
     days.flags.writeable = False
-    return LinkPresence(t.ids, keys // n, keys % n, days)
+    return LinkPresence(ids, keys // n, keys % n, days)
 
 
 def _scc_labels(out_lists: tuple[list[int], list[int]]) -> np.ndarray:

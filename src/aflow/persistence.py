@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .data_model import DataFormatError, Dataset, DynamicNetwork, VideoMeta
-# Re-exported: callers, and the benchmark's tracer, look build_graph up on this module.
+# Re-exported for the benchmark's tracer only; nothing in src/ or tests/ looks it up here.
 from .graph_analysis import build_graph  # noqa: F401
 from .graph_analysis import daily_link_presence
 
@@ -25,23 +25,23 @@ HALF_WINDOW = 3
 
 @dataclass(frozen=True)
 class ViewFilters:
-    """Pre-computed view means plus the two eligibility predicates.
+    """Pre-computed view means plus the eligibility rule they feed.
 
-    A target is eligible when its mean daily views over the full window reach
-    ``target_min``.  A (source, target) pair is eligible when the source mean
-    reaches ``source_frac`` of the target mean.  Both thresholds are
-    inclusive.
+    A (source, target) pair is eligible when the target's mean daily views
+    over the full window reach ``target_min`` and the source's mean reaches
+    ``source_frac`` of the target's.  Both thresholds are inclusive.
     """
 
     mean_views: Mapping[str, float]
     target_min: float = TARGET_MIN_MEAN_VIEWS
     source_frac: float = SOURCE_VIEW_FRACTION
 
-    def target_eligible(self, target: str) -> bool:
-        return self.mean_views[target] >= self.target_min
+    def means(self, ids: Iterable[str]) -> np.ndarray:
+        return np.array([self.mean_views[v] for v in ids], dtype=float)
 
-    def pair_eligible(self, source: str, target: str) -> bool:
-        return self.mean_views[source] >= self.source_frac * self.mean_views[target]
+    def eligible(self, source_mean, target_mean):
+        """The rule, elementwise over source and target means (arrays or floats)."""
+        return (target_mean >= self.target_min) & (source_mean >= self.source_frac * target_mean)
 
 
 def apply_view_filters(
@@ -92,7 +92,7 @@ def link_presence(
     daily graphs.  The matrix is shared by every caller and is read-only.
     """
     presence = daily_link_presence(network, corpus, cutoff)
-    return presence.pairs(), presence.days
+    return list(zip(presence.ids[presence.src].tolist(), presence.ids[presence.tgt].tolist())), presence.days
 
 
 @dataclass(frozen=True)
@@ -141,37 +141,24 @@ def classify_links(
 ) -> tuple[PersistentNetwork, tuple[tuple[str, str], ...]]:
     """Split filter-passing links into persistent and ephemeral.
 
-    Candidates are the pairs that pass both view filters; a candidate is
+    Candidates are the pairs that pass the view filters; a candidate is
     persistent when its smoothed presence vector is all-ones and ephemeral
-    otherwise.
+    otherwise.  The work is on corpus codes; only the links returned are
+    named.
     """
     filters = filters or apply_view_filters(dataset)
-    pairs, matrix = link_presence(network, dataset.corpus, cutoff)
-    keep = [
-        i
-        for i, (src, tgt) in enumerate(pairs)
-        if filters.target_eligible(tgt) and filters.pair_eligible(src, tgt)
-    ]
-    persistent_pairs: list[tuple[str, str]] = []
-    ephemeral: list[tuple[str, str]] = []
-    raw_days: dict[tuple[str, str], int] = {}
-    if keep:
-        kept = matrix[keep]
-        smoothed = _smooth_rows(kept)
-        all_days = smoothed.all(axis=1)
-        for row, i in enumerate(keep):
-            pair = pairs[i]
-            if all_days[row]:
-                persistent_pairs.append(pair)
-                raw_days[pair] = int(kept[row].sum())
-            else:
-                ephemeral.append(pair)
-    pair_set = set(persistent_pairs)
-    edges = tuple(
-        PersistentEdge(src, tgt, (tgt, src) in pair_set, raw_days[(src, tgt)])
-        for src, tgt in sorted(persistent_pairs)
-    )
-    return PersistentNetwork(edges), tuple(ephemeral)
+    pairs, days = link_presence(network, dataset.corpus, cutoff)
+    presence = daily_link_presence(network, dataset.corpus, cutoff)  # the codes of ``pairs``
+    means = filters.means(presence.ids.tolist())
+    keep = np.flatnonzero(filters.eligible(means[presence.src], means[presence.tgt]))
+    steady = _smooth_rows(days[keep]).all(axis=1)
+    persistent, ephemeral = keep[steady], keep[~steady]
+    n = presence.ids.size
+    src, tgt = presence.src[persistent], presence.tgt[persistent]
+    reciprocal, present = np.isin(tgt * n + src, src * n + tgt), days[persistent].sum(axis=1)
+    edges = (PersistentEdge(*pairs[i], back, d)
+             for i, back, d in zip(persistent.tolist(), reciprocal.tolist(), present.tolist()))
+    return PersistentNetwork(tuple(edges)), tuple(pairs[i] for i in ephemeral.tolist())
 
 
 def extract_persistent_network(

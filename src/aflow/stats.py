@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data_model import DataFormatError, Dataset
-# Re-exported: callers, and the benchmark's tracer, look build_graph up on this module.
+# Re-exported for the benchmark's tracer only; nothing in src/ or tests/ looks it up here.
 from .graph_analysis import build_graph  # noqa: F401
 from .graph_analysis import daily_link_presence
 from .persistence import ViewFilters, apply_view_filters
@@ -220,59 +220,58 @@ def sample_random_pairs(
     if n < 1:
         raise DataFormatError("need a positive sample size")
     filters = filters or apply_view_filters(dataset)
-    ever = daily_link_presence(dataset.network, dataset.corpus, cutoff).pairs()
-    forbidden = set(ever) | {(b, a) for a, b in ever}
-
-    ids = sorted(dataset.corpus)
-    if len(ids) < 2:
+    presence = daily_link_presence(dataset.network, dataset.corpus, cutoff)
+    ids = presence.ids.tolist()
+    size = len(ids)
+    if size < 2:
         raise DataFormatError("corpus too small to sample pairs from")
-    every = _eligible_never_linked(ids, forbidden, filters, n)
-    if every:
-        return every
-    if every is not None:
+    # Pairs are keyed i * size + j over corpus codes; a link forbids both directions.
+    forbidden = set(np.concatenate((presence.src * size + presence.tgt,
+                                    presence.tgt * size + presence.src)).tolist())
+    means = filters.means(ids)
+    keys = _eligible_never_linked(means, forbidden, filters, n)
+    if keys == []:
         raise DataFormatError(f"exhausted sampling budget with 0 of {n} pairs found")
-    rng = np.random.default_rng(seed)
-    chosen: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    budget = max(1000, 50 * n)
-    while len(chosen) < n:
-        if budget == 0:
-            raise DataFormatError(
-                f"exhausted sampling budget with {len(chosen)} of {n} pairs found"
-            )
-        budget -= 1
-        i, j = rng.integers(0, len(ids), size=2)
-        if i == j:
-            continue
-        pair = (ids[i], ids[j])
-        if pair in seen or pair in forbidden:
-            continue
-        if not (filters.target_eligible(pair[1]) and filters.pair_eligible(*pair)):
-            continue
-        seen.add(pair)
-        chosen.append(pair)
-    return chosen
+    if keys is None:
+        rng = np.random.default_rng(seed)
+        drawn: dict[int, None] = {}  # keys in draw order; a repeat draw changes nothing
+        mean = means.tolist()
+        budget = max(1000, 50 * n)
+        while len(drawn) < n:
+            if budget == 0:
+                raise DataFormatError(
+                    f"exhausted sampling budget with {len(drawn)} of {n} pairs found"
+                )
+            budget -= 1
+            i, j = rng.integers(0, size, size=2).tolist()
+            key = i * size + j
+            if i != j and key not in forbidden and filters.eligible(mean[i], mean[j]):
+                drawn[key] = None
+        keys = list(drawn)
+    return [(ids[k // size], ids[k % size]) for k in keys]
 
 
 def _eligible_never_linked(
-    ids: list[str], forbidden: set[tuple[str, str]], filters: ViewFilters, limit: int
-) -> list[tuple[str, str]] | None:
-    """Every pair ``sample_random_pairs`` may draw, sorted; None once ``limit`` are found.
+    means: np.ndarray, forbidden: set[int], filters: ViewFilters, limit: int
+) -> list[int] | None:
+    """Keys of every pair ``sample_random_pairs`` may draw, sorted; None once ``limit`` are found.
 
-    Sources are visited in order of mean views from each target's threshold
-    up, so the work is bounded by ``limit`` plus the forbidden pairs and the
-    targets, not by the square of the corpus.
+    Enumerates ``filters.eligible`` without testing every pair: a target j
+    needs a mean of at least ``target_min``, and its sources, visited in
+    order of mean views, start at the first mean of at least ``source_frac``
+    times j's.  So the work is bounded by ``limit`` plus the forbidden pairs
+    and the targets, not by the square of the corpus.
     """
-    means = np.array([filters.mean_views[v] for v in ids])
+    size = means.size
     by_mean = np.argsort(means, kind="stable")
     sorted_means = means[by_mean]
-    found: list[tuple[str, str]] = []
-    for j in np.flatnonzero(means >= filters.target_min):
+    found: list[int] = []
+    for j in np.flatnonzero(means >= filters.target_min).tolist():
         first = np.searchsorted(sorted_means, filters.source_frac * means[j], side="left")
-        for i in by_mean[first:]:
-            pair = (ids[i], ids[j])
-            if i != j and pair not in forbidden:
-                found.append(pair)
+        for i in by_mean[first:].tolist():
+            key = i * size + j
+            if i != j and key not in forbidden:
+                found.append(key)
                 if len(found) >= limit:
                     return None
     return sorted(found)

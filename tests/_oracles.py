@@ -146,6 +146,37 @@ def link_frequency_histogram(snapshots, corpus, cutoff=15):
     return dict(sorted(Counter(presence.values()).items()))
 
 
+def view_eligible(filters, source, target):
+    """The view filters spelled out on ids: both thresholds inclusive."""
+    means = filters.mean_views
+    return means[target] >= filters.target_min and means[source] >= filters.source_frac * means[target]
+
+
+def smooth(bits, h=3):
+    """Clipped-window majority, one day at a time."""
+    out = []
+    for t in range(len(bits)):
+        window = bits[max(0, t - h) : t + h + 1]
+        out.append(sum(window) >= (len(window) + 1) // 2)
+    return out
+
+
+def classify_links(snapshots, corpus, cutoff, filters):
+    """(persistent edges as (source, target, reciprocal, days present), ephemeral pairs),
+    filtering and smoothing one pair at a time over the per-day presence matrix."""
+    pairs, matrix = link_presence(snapshots, corpus, cutoff)
+    persistent, ephemeral = {}, []
+    for pair, row in zip(pairs, matrix):
+        if not view_eligible(filters, *pair):
+            continue
+        if all(smooth(row.tolist())):
+            persistent[pair] = int(row.sum())
+        else:
+            ephemeral.append(pair)
+    edges = [(s, t, (t, s) in persistent, days) for (s, t), days in sorted(persistent.items())]
+    return edges, ephemeral
+
+
 def sample_random_pairs(dataset, snapshots, n, seed, cutoff, filters):
     """Rejection sampling of never-linked pairs, forbidden set from per-day graphs;
     every eligible pair, sorted, when the budget runs out with fewer than n in all."""
@@ -162,8 +193,7 @@ def sample_random_pairs(dataset, snapshots, n, seed, cutoff, filters):
     while len(chosen) < n:
         if budget == 0:
             every = sorted((a, b) for a in ids for b in ids if a != b
-                           and (a, b) not in forbidden and filters.target_eligible(b)
-                           and filters.pair_eligible(a, b))
+                           and (a, b) not in forbidden and view_eligible(filters, a, b))
             if 0 < len(every) < n:
                 return every
             raise DataFormatError(
@@ -176,7 +206,7 @@ def sample_random_pairs(dataset, snapshots, n, seed, cutoff, filters):
         pair = (ids[i], ids[j])
         if pair in seen or pair in forbidden:
             continue
-        if not (filters.target_eligible(pair[1]) and filters.pair_eligible(*pair)):
+        if not view_eligible(filters, *pair):
             continue
         seen.add(pair)
         chosen.append(pair)

@@ -679,6 +679,31 @@ def test_contribute_checks_the_forecasts_file(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("case", ["nan y_true", "inf y_pred", "repeated row"])
+def test_forecast_readers_reject_non_finite_and_repeated_rows(tmp_path, capsys, case):
+    data = generate_data(tmp_path)
+    assert cli.main(["pipeline", "--data", str(data), "--out", str(tmp_path / "p")]) == 0
+    fitted = tmp_path / "p" / "arnet"
+    header, rows = read_csv(fitted / "forecasts.csv")
+    if case == "repeated row":
+        rows.append(list(rows[0]))
+        problem = f"{len(rows) + 1}: repeated row for {rows[0][0]} on {rows[0][1]}"
+    else:
+        text, column = case.split()
+        rows[3][header.index(column)] = text
+        problem = f"5: bad {column} {text!r}"
+    forecasts = tmp_path / "forecasts.csv"
+    with open(forecasts, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header] + rows)
+    for argv in (["evaluate", "--out", str(tmp_path / "e"), "--forecasts", str(forecasts)],
+                 ["contribute", "--data", str(data), "--out", str(tmp_path / "c"),
+                  "--models", str(fitted / "models.json"), "--forecasts", str(forecasts)]):
+        code, captured = run(argv, capsys)
+        assert code == 2
+        assert one_data_error(captured) == f"{forecasts}:{problem}"
+    assert not (tmp_path / "e").exists() and not (tmp_path / "c").exists()
+
+
 def test_programming_errors_are_not_reported_as_data_errors(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a bug, not bad data")

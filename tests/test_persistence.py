@@ -18,35 +18,25 @@ from aflow.persistence import (
 )
 
 import _helpers
-
-
-def smooth_oracle(bits, h=3):
-    # literal clipped-window majority, one day at a time
-    n = len(bits)
-    out = []
-    for t in range(n):
-        lo, hi = max(0, t - h), min(n - 1, t + h)
-        window = bits[lo : hi + 1]
-        k = hi - lo + 1
-        out.append(sum(window) >= (k + 1) // 2)
-    return np.array(out, dtype=bool)
+import _oracles
 
 
 def test_filter_thresholds_are_inclusive():
-    filters = ViewFilters({"t": 100.0, "u": 99.9, "s": 1.0, "w": 0.99}, 100.0, 0.01)
-    assert filters.target_eligible("t")
-    assert not filters.target_eligible("u")
-    # source needs >= 1% of the target mean, boundary included
-    assert filters.pair_eligible("s", "t")
-    assert not filters.pair_eligible("w", "t")
+    filters = ViewFilters({}, 100.0, 0.01)
+    # target needs a mean >= 100 and its source >= 1% of it, boundaries included
+    assert filters.eligible(1.0, 100.0)
+    assert not filters.eligible(1.0, 99.9)
+    assert not filters.eligible(0.99, 100.0)
+    got = filters.eligible(np.array([1.0, 1.0, 0.99, 5.0]), np.array([100.0, 99.9, 100.0, 500.0]))
+    assert got.tolist() == [True, False, False, True]
 
 
 def test_apply_view_filters_uses_window_means():
     ds = _helpers.build_dataset(views={"a": [10, 20, 30], "b": [0, 0, 3]})
     filters = apply_view_filters(ds, target_min=20.0, source_frac=0.05)
     assert filters.mean_views == {"a": 20.0, "b": 1.0}
-    assert filters.target_eligible("a")
-    assert not filters.target_eligible("b")
+    assert filters.means(["b", "a"]).tolist() == [1.0, 20.0]
+    assert (filters.target_min, filters.source_frac) == (20.0, 0.05)
 
 
 def test_smoothing_keeps_uninterrupted_presence():
@@ -78,7 +68,7 @@ def test_smoothing_matches_literal_oracle():
         n = int(rng.integers(1, 80))
         bits = rng.random(n) < rng.uniform(0.1, 0.9)
         got = smooth_link_presence(bits)
-        assert np.array_equal(got, smooth_oracle(bits.tolist()))
+        assert np.array_equal(got, _oracles.smooth(bits.tolist()))
 
 
 def test_smoothing_is_monotone_in_presence():

@@ -17,9 +17,9 @@ from aflow.data_model import (
     serialize_snapshots,
     validate_dataset,
 )
-from aflow.graph_analysis import indegree_change_ratios, link_frequency_histogram
+from aflow.graph_analysis import daily_link_presence, indegree_change_ratios, link_frequency_histogram
 from aflow.list_alignment import PositionBins, display_probability_matrix, origin_probability_matrix
-from aflow.persistence import apply_view_filters, link_presence
+from aflow.persistence import apply_view_filters, classify_links, link_presence
 from aflow.stats import sample_random_pairs
 
 import _helpers
@@ -27,6 +27,10 @@ import _oracles
 
 EXTERNAL = ("x0", "x1", "x2")
 GAPPED_BINS = PositionBins(((1, 1), (3, 4), (8, 12)))
+# (target_min, source_frac): no filter; one that drops pairs, among them one
+# direction of a reciprocal pair, and keeps other reciprocal pairs on the
+# augmented data; one that drops most pairs.
+FILTERS = ((0.0, 0.0), (500.0, 0.05), (5000.0, 0.5))
 
 
 def _entries(rng, targets, top=20):
@@ -37,9 +41,11 @@ def _entries(rng, targets, top=20):
 def augmented_dataset(seed):
     """Generated data with presence_prob < 1, plus external ids and recommended lists.
 
-    Relevant lists gain external targets and external sources; recommended
-    lists re-rank part of a source's relevant targets among externals, some
-    for sources without a relevant list that day.
+    Relevant lists gain external targets and external sources, and four
+    targets link back to their source at the first free position, so some
+    links are reciprocal (the generator never makes one); recommended lists
+    re-rank part of a source's relevant targets among externals, some for
+    sources without a relevant list that day.
     """
     base, _ = datagen.generate(
         datagen.GenConfig(n_videos=24, n_artists=4, days=9, edge_density=0.3,
@@ -47,13 +53,19 @@ def augmented_dataset(seed):
     )
     rng = np.random.default_rng(seed)
     ids = sorted(base.corpus)
+    first_day = base.network.snapshots[0].relevant
+    back = {first_day[src].entries[0][0]: src for src in sorted(first_day)[:4]}
     snapshots = []
     for snap in base.network.snapshots:
         relevant = {}
         for src, rlist in snap.relevant.items():
-            last = rlist.entries[-1][1]
+            entries = rlist.entries
+            if src in back and back[src] not in dict(entries):
+                free = min(set(range(1, 20)) - {pos for _, pos in entries})
+                entries = tuple(sorted(entries + ((back[src], free),), key=lambda e: e[1]))
+            last = entries[-1][1]
             extra = tuple((x, last + 1 + i) for i, x in enumerate(EXTERNAL[: rng.integers(0, 3)]))
-            relevant[src] = RankedList(src, rlist.entries + extra, "relevant")
+            relevant[src] = RankedList(src, entries + extra, "relevant")
         relevant["x0"] = RankedList("x0", _entries(rng, list(rng.choice(ids, 3, replace=False))), "relevant")
         recommended = {}
         for src in rng.choice(ids, 12, replace=False).tolist():
@@ -100,6 +112,7 @@ def test_link_analyses_match_per_day_oracles(augmented, cutoff):
         assert got[1][0] == want[1][0]
         assert np.array_equal(got[1][1], want[1][1])
         assert got[1][1].any(axis=1).all() and not got[1][1].all()
+        assert daily_link_presence(net, corpus, cutoff).ids.tolist() == sorted(corpus)
 
     for fn, oracle in (
         (link_frequency_histogram, _oracles.link_frequency_histogram),
@@ -108,9 +121,28 @@ def test_link_analyses_match_per_day_oracles(augmented, cutoff):
     ):
         assert outcome(fn, net, corpus, cutoff) == outcome(oracle, snapshots, corpus, cutoff)
 
-    filters = apply_view_filters(dataset, target_min=0.0, source_frac=0.0)
-    got = outcome(sample_random_pairs, dataset, 15, 3, cutoff, filters)
-    assert got == outcome(_oracles.sample_random_pairs, dataset, snapshots, 15, 3, cutoff, filters)
+    for target_min, source_frac in FILTERS:
+        filters = apply_view_filters(dataset, target_min, source_frac)
+        got = outcome(sample_random_pairs, dataset, 15, 3, cutoff, filters)
+        assert got == outcome(_oracles.sample_random_pairs, dataset, snapshots, 15, 3, cutoff, filters)
+
+
+@pytest.mark.parametrize("cutoff", [1, 5, 15])
+def test_classify_links_matches_per_pair_oracle(augmented, cutoff):
+    dataset, snapshots = augmented
+    n_links = len(link_presence(dataset.network, dataset.corpus, cutoff)[0])
+    reciprocal = {}
+    for target_min, source_frac in FILTERS:
+        filters = apply_view_filters(dataset, target_min, source_frac)
+        persistent, ephemeral = classify_links(dataset.network, dataset, cutoff, filters)
+        edges = [(e.source, e.target, e.reciprocal, e.days_present) for e in persistent.edges]
+        assert (edges, list(ephemeral)) == _oracles.classify_links(snapshots, dataset.corpus, cutoff, filters)
+        assert {v for e in edges for v in e[:2]} | {v for p in ephemeral for v in p} <= dataset.corpus
+        if target_min > 0:
+            assert len(edges) + len(ephemeral) < n_links
+        reciprocal[target_min] = persistent.reciprocal_count
+    if cutoff == 15:
+        assert reciprocal[0.0] > reciprocal[500.0] > 0  # a filtered-out reverse link is no reciprocity
 
 
 @pytest.mark.parametrize("max_from", [1, 5, 15])

@@ -1,14 +1,20 @@
 """Core data types, CSV parsing, validation and canonical serialization.
 
-All input files are plain CSV (RFC 4180, LF line endings, header row).
-Three file kinds exist:
+All input files are CSV as Python's ``csv`` module reads it: a header row,
+LF or CRLF line endings, and optional ``"`` quoting.  Three file kinds exist:
 
 * snapshots:  ``date,source_id,target_id,position,list_kind``
 * views:      ``video_id,date,views``
 * metadata:   ``video_id,artist_id,upload_date,genres`` (genres joined by ``|``)
 
+Dates are exactly ``YYYY-MM-DD``; positions and view counts are ASCII digits.
 Parsing is strict: malformed rows raise :class:`DataFormatError` with the
 offending line number, there is no silent repair and no imputation.
+
+Snapshots and views files are first split as bytes with numpy.  A file the
+split cannot prove clean (quoting, CR, non-ASCII bytes, or a row some check
+rejects) goes unchanged to the csv row reader, which alone reports errors; both
+paths give the same result and the same message.
 """
 
 from __future__ import annotations
@@ -16,13 +22,15 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import math
+import re
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 from itertools import count, islice
-from typing import IO, Callable, Hashable, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,11 +51,38 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to produce a usable result."""
 
 
+# One grammar on every Python version: 3.11's date.fromisoformat also takes
+# 20180901 and 2018-W35-6, and int() takes signs, spaces, underscores and
+# non-ASCII digits.
+_DATE_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def _date_or_none(text: str) -> date | None:
+    """The date ``text`` spells as ``YYYY-MM-DD``, or None."""
+    if _DATE_TEXT.fullmatch(text):
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass
+    return None
+
+
+def _int_or_none(text: str) -> int | None:
+    """The integer ``text`` spells in ASCII digits after an optional ``-``, or None."""
+    if _INT_TEXT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def _parse_date(text: str, line_no: int) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise DataFormatError(f"line {line_no}: bad date {text!r}") from None
+    parsed = _date_or_none(text)
+    if parsed is None:
+        raise DataFormatError(f"line {line_no}: bad date {text!r}")
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -308,7 +343,7 @@ class Dataset:
 # parsing
 
 
-def _open_rows(source: str | Path | IO[str], expected_header: Sequence[str]):
+def _open_rows(source: str | Path | Iterable[str], expected_header: Sequence[str]):
     """Yield (line_no, row) pairs after checking the header row."""
     with _open_reader(source, expected_header) as reader:
         for line_no, row in enumerate(reader, start=2):
@@ -318,7 +353,7 @@ def _open_rows(source: str | Path | IO[str], expected_header: Sequence[str]):
 
 
 @contextmanager
-def _open_reader(source: str | Path | IO[str], expected_header: Sequence[str]):
+def _open_reader(source: str | Path | Iterable[str], expected_header: Sequence[str]):
     """A csv reader positioned after the header row, which it checks."""
     if isinstance(source, (str, Path)):
         handle: IO[str] = open(source, "r", newline="", encoding="utf-8")
@@ -402,10 +437,9 @@ def _snapshot_row(line_no: int, row: Sequence[str]) -> None:
         problem = _id_problem(vid)
         if problem:
             raise DataFormatError(f"line {line_no}: {problem}")
-    try:
-        pos = int(row[3])
-    except ValueError:
-        raise DataFormatError(f"line {line_no}: bad position {row[3]!r}") from None
+    pos = _int_or_none(row[3])
+    if pos is None:
+        raise DataFormatError(f"line {line_no}: bad position {row[3]!r}")
     if pos < 1:
         raise DataFormatError(f"line {line_no}: position {pos} is below 1")
     if pos > _MAX_POSITION:
@@ -419,18 +453,13 @@ def _snapshot_row(line_no: int, row: Sequence[str]) -> None:
 
 
 def _ordinal_or_bad(text: str) -> int:
-    try:
-        return date.fromisoformat(text).toordinal()
-    except ValueError:
-        return -1
+    parsed = _date_or_none(text)
+    return -1 if parsed is None else parsed.toordinal()
 
 
 def _position_or_bad(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        return 0
-    return value if value <= _MAX_POSITION else 0
+    value = _int_or_none(text)
+    return value if value is not None and value <= _MAX_POSITION else 0
 
 
 def _kind_or_bad(text: str) -> int:
@@ -461,7 +490,7 @@ def _first_repeat(line: np.ndarray, *key: np.ndarray) -> tuple[int, int] | None:
     return int(line[rows[first]]), int(line[rows[run_start[first]]])
 
 
-def parse_snapshots(source: str | Path | IO[str]) -> DynamicNetwork:
+def parse_snapshots(source: str | Path | IO[str] | IO[bytes]) -> DynamicNetwork:
     """Parse a snapshots CSV into a :class:`DynamicNetwork`.
 
     Raises :class:`DataFormatError` (with line numbers) on malformed rows,
@@ -469,6 +498,21 @@ def parse_snapshots(source: str | Path | IO[str]) -> DynamicNetwork:
     inside one list, or observation days that are not consecutive.  The
     first failing line is reported, as a row-by-row reader would.
     """
+    return _split_or_read(source, _split_snapshots, _read_snapshot_rows)
+
+
+def parse_views(source: str | Path | IO[str] | IO[bytes]) -> dict[str, ViewSeries]:
+    """Parse a views CSV into per-video series, in the order ids first appear.
+
+    Each video's rows must form one contiguous date range with non-negative
+    counts; gaps and negatives are errors, nothing is imputed.
+    """
+    return _split_or_read(source, _split_views, _read_view_rows)
+
+
+def _read_snapshot_rows(source: str | Path | Iterable[str]) -> DynamicNetwork:
+    """:func:`parse_snapshots` row by row with the csv module: the reader of every file
+    the byte split declines, and the only source of its errors."""
     # Codes in first-seen order; from_codes recodes them in id order.
     codes: dict[str, int] = defaultdict(count().__next__)
     ordinals: dict[str, int] = {}
@@ -551,12 +595,8 @@ def parse_snapshots(source: str | Path | IO[str]) -> DynamicNetwork:
     return DynamicNetwork(window, table)
 
 
-def parse_views(source: str | Path | IO[str]) -> dict[str, ViewSeries]:
-    """Parse a views CSV into per-video series.
-
-    Each video's rows must form one contiguous date range with non-negative
-    counts; gaps and negatives are errors, nothing is imputed.
-    """
+def _read_view_rows(source: str | Path | Iterable[str]) -> dict[str, ViewSeries]:
+    """:func:`parse_views` row by row with the csv module, as :func:`_read_snapshot_rows`."""
     rows: dict[str, dict[date, int]] = {}
     for line_no, row in _open_rows(source, VIEWS_HEADER):
         if len(row) != 3:
@@ -567,10 +607,9 @@ def parse_views(source: str | Path | IO[str]) -> dict[str, ViewSeries]:
             if problem:
                 raise DataFormatError(f"line {line_no}: {problem}")
         d = _parse_date(row[1], line_no)
-        try:
-            count = int(row[2])
-        except ValueError:
-            raise DataFormatError(f"line {line_no}: bad view count {row[2]!r}") from None
+        count = _int_or_none(row[2])
+        if count is None:
+            raise DataFormatError(f"line {line_no}: bad view count {row[2]!r}")
         if count < 0:
             raise DataFormatError(f"line {line_no}: negative view count for {vid}")
         if count > _MAX_VIEWS:
@@ -593,6 +632,304 @@ def parse_views(source: str | Path | IO[str]) -> dict[str, ViewSeries]:
         values = np.array([per[d] for d in days], dtype=np.int64)
         out[vid] = ViewSeries(vid, days[0], values)
     return out
+
+
+# ---------------------------------------------------------------------------
+# byte split: snapshots and views files that are provably clean, without the csv module
+
+# Bytes per block.  Not larger: with 1 MB blocks a whole `pipeline` command
+# peaked 5% higher, as freeing bigger temporaries raises glibc's dynamic mmap
+# threshold and later arrays stay on the heap.
+_BLOCK_BYTES = 1 << 18
+# A quote, CR, NUL or non-ASCII (>= 0x80) byte anywhere sends the file to the row reader.
+_DECLINED_BYTES = (ord('"'), ord("\r"), 0)
+_COMMA, _LF, _ZERO = ord(","), ord("\n"), ord("0")
+# _KEEP[k] keeps the first k bytes of a big-endian uint64 and zeroes the rest.
+_KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * k)) for k in range(1, 9)], dtype=np.uint64)
+# Digits a view count may have on the byte split: 10**18 - 1 fits in int64.
+_VIEW_DIGITS = 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class _Declined(Exception):
+    """The byte split cannot prove a file clean; the row reader reads it instead."""
+
+
+def _split_or_read(
+    source: str | Path | IO[str] | IO[bytes], split: Callable[[IO[bytes]], T], read_rows: Callable[..., T]
+) -> T:
+    """``split`` over the bytes of ``source``, or ``read_rows`` over the same text when it declines."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as handle:
+            try:
+                return split(handle)
+            except _Declined:
+                pass
+        return read_rows(source)
+    lines = source.readlines()
+    if lines and isinstance(lines[0], bytes):
+        data = b"".join(lines)
+        rows = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    else:
+        # The csv reader gets the very lines it would have read from the stream.
+        data, rows = "".join(lines).encode("utf-8", "surrogatepass"), lines
+    try:
+        return split(io.BytesIO(data))
+    except _Declined:
+        return read_rows(rows)
+
+
+def _blocks(handle: IO[bytes], header: Sequence[str]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(bytes, field starts, field lengths) of each newline-aligned block of rows.
+
+    Declines a header that differs from ``header`` byte for byte, and a block
+    holding a declined byte, a blank line, a row with another field count, an
+    empty field or a field at the csv module's size limit.
+    """
+    if handle.read(len(",".join(header)) + 1) != ",".join(header).encode() + b"\n":
+        raise _Declined
+    limit = csv.field_size_limit()
+    tail = b""
+    while True:
+        chunk = handle.read(_BLOCK_BYTES)
+        data = tail + chunk
+        if not chunk:
+            if data:  # a last line without its LF
+                yield _fields(np.frombuffer(data + b"\n", dtype=np.uint8), len(header), limit)
+            return
+        cut = data.rfind(b"\n") + 1
+        tail = data[cut:]
+        if len(tail) > len(header) * (limit + 1):
+            raise _Declined  # a line this long holds a field over the limit
+        if cut:
+            yield _fields(np.frombuffer(data, dtype=np.uint8, count=cut), len(header), limit)
+
+
+def _fields(buf: np.ndarray, n_fields: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block of :func:`_blocks`, which ends with a LF."""
+    declined = buf >= 0x80
+    for byte in _DECLINED_BYTES:
+        declined |= buf == byte
+    if declined.any():
+        raise _Declined
+    newline = buf == _LF
+    ends = np.flatnonzero(newline | (buf == _COMMA))
+    n_rows = ends.size // n_fields
+    if ends.size % n_fields or np.count_nonzero(newline) != n_rows:
+        raise _Declined
+    ends = ends.reshape(n_rows, n_fields)
+    if not newline[ends[:, -1]].all():
+        raise _Declined
+    starts = np.empty_like(ends)
+    starts[0, 0] = 0
+    starts[1:, 0] = ends[:-1, -1] + 1
+    starts[:, 1:] = ends[:, :-1] + 1
+    lengths = ends - starts
+    if lengths.min() < 1 or lengths.max() >= limit:
+        raise _Declined
+    return buf, starts, lengths
+
+
+def _lanes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each field as a row of zero-padded big-endian uint64 lanes.
+
+    Fields hold no NUL, so the order of lane rows is the byte order of the
+    fields, which for ASCII is the order of the ``str`` they spell.
+    """
+    n_lanes = -(-int(lengths.max()) // 8)
+    padded = np.concatenate([buf, np.zeros(8 * n_lanes, dtype=np.uint8)])
+    # The big-endian uint64 that starts at each byte.
+    words = np.ndarray(padded.size - 7, dtype=">u8", buffer=padded, strides=(1,))
+    lanes = np.empty((starts.size, n_lanes), dtype=np.uint64)
+    for j in range(n_lanes):
+        lanes[:, j] = words[starts + 8 * j] & _KEEP[np.clip(lengths - 8 * j, 0, 8)]
+    return lanes
+
+
+def _hashed(lanes: np.ndarray) -> np.ndarray:
+    """One uint64 per lane row: the lane itself, or splitmix64's finalizer over each lane in turn."""
+    if lanes.shape[1] == 1:
+        return lanes[:, 0]
+    h = np.zeros(lanes.shape[0], dtype=np.uint64)
+    for lane in lanes.T:
+        h ^= lane
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(0x94D049BB133111EB)
+        h ^= h >> np.uint64(31)
+    return h
+
+
+def _distinct(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted distinct hashes, the lane row of each, inverse); declines on a hash collision."""
+    hashes, inverse = np.unique(_hashed(lanes), return_inverse=True)
+    inverse = inverse.ravel()
+    row = np.empty(hashes.size, dtype=np.intp)
+    row[inverse] = np.arange(inverse.size)  # any row with that hash
+    distinct = lanes[row]
+    if not np.array_equal(distinct[inverse], lanes):
+        raise _Declined  # two fields share a hash
+    return hashes, distinct, inverse
+
+
+class _Vocabulary:
+    """The distinct fields of a file's id columns, as lane rows coded in the order they are added.
+
+    Each block's fields are found by their hash in the sorted hashes of the
+    rows seen so far, so memory grows with the vocabulary and not the rows.
+    """
+
+    def __init__(self) -> None:
+        self.lanes = np.zeros((0, 1), dtype=np.uint64)
+        self.hashes = np.zeros(0, dtype=np.uint64)  # sorted
+        self.coded = np.zeros(0, dtype=np.int32)  # the code of each of ``hashes``
+
+    def codes(self, lanes: np.ndarray) -> np.ndarray:
+        """The int32 code of each lane row; rows not seen before get new codes."""
+        if lanes.shape[1] > self.lanes.shape[1]:  # hashes depend on the lane count
+            self.lanes = np.pad(self.lanes, ((0, 0), (0, lanes.shape[1] - self.lanes.shape[1])))
+            hashes = _hashed(self.lanes)
+            self.coded = np.argsort(hashes).astype(np.int32)
+            self.hashes = hashes[self.coded]
+        lanes = np.pad(lanes, ((0, 0), (0, self.lanes.shape[1] - lanes.shape[1])))
+        hashes, distinct, inverse = _distinct(lanes)
+        at = np.searchsorted(self.hashes, hashes)
+        known = at < self.hashes.size
+        known[known] = self.hashes[at[known]] == hashes[known]
+        code = np.empty(hashes.size, dtype=np.int32)
+        code[known] = self.coded[at[known]]
+        new = np.flatnonzero(~known)
+        code[new] = np.arange(len(self.lanes), len(self.lanes) + new.size)
+        if not np.array_equal(self.lanes[code[known]], distinct[known]):
+            raise _Declined  # a field shares its hash with an earlier one
+        self.lanes = np.concatenate([self.lanes, distinct[new]])
+        self.hashes = np.insert(self.hashes, at[new], hashes[new])
+        self.coded = np.insert(self.coded, at[new], code[new])
+        return code[inverse]
+
+    def sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the lane rows in byte order, the int32 rank of each code in that order)."""
+        order = np.lexsort(self.lanes.T[::-1])
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        return self.lanes[order], rank
+
+
+def _texts(lanes: np.ndarray, width: int) -> np.ndarray:
+    """The ``str`` array, of at most ``width`` characters each, that lane rows spell."""
+    spelled = np.ascontiguousarray(lanes.astype(">u8")).view(f"S{8 * lanes.shape[1]}")[:, 0]
+    return spelled.astype(f"U{width}")
+
+
+def _converted(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, convert: Callable[[str], int]) -> np.ndarray:
+    """``convert`` of each field as int64, called once per distinct field."""
+    _, keys, inverse = _distinct(_lanes(buf, starts, lengths))
+    values = [convert(text) for text in _texts(keys, int(lengths.max())).tolist()]
+    return np.array(values, dtype=np.int64)[inverse]
+
+
+def _digits(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 each field spells in at most ``_VIEW_DIGITS`` ASCII digits."""
+    width = int(lengths.max())
+    if width > _VIEW_DIGITS:
+        raise _Declined
+    place = np.arange(-width, 0)
+    # Places before a field's first digit may wrap past the block's start; they are zeroed.
+    digits = buf[(starts + lengths)[:, None] + place] - np.uint8(_ZERO)
+    digits[place < -lengths[:, None]] = 0
+    if (digits > 9).any():
+        raise _Declined
+    return digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _repeat_free_order(day: np.ndarray, kind: np.ndarray, src: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Row order by (day, kind, src, col); declines when two rows share that key."""
+    spans = [int(c.max()) + 1 for c in (day, kind, src, col)]
+    if math.prod(spans) <= _INT64_MAX:
+        key = day.astype(np.int64)
+        for c, span in zip((kind, src, col), spans[1:]):
+            key *= span
+            key += c
+        order = np.argsort(key)
+        key = key[order]
+        if (key[1:] == key[:-1]).any():
+            raise _Declined
+        return order
+    order = np.lexsort((col, src, kind, day))
+    same = np.ones(order.size - 1, dtype=bool)
+    for c in (day, kind, src, col):
+        c = c[order]
+        same &= c[1:] == c[:-1]
+    if same.any():
+        raise _Declined
+    return order
+
+
+def _split_snapshots(handle: IO[bytes]) -> DynamicNetwork:
+    """:func:`parse_snapshots` of a clean file by a numpy byte split."""
+    vocabulary, width = _Vocabulary(), 0
+    ordinal, src, tgt, pos, kind = [], [], [], [], []
+    for buf, starts, lengths in _blocks(handle, SNAPSHOT_HEADER):
+        ordinal.append(_converted(buf, starts[:, 0], lengths[:, 0], _ordinal_or_bad).astype(np.int32))
+        pos.append(_converted(buf, starts[:, 3], lengths[:, 3], _position_or_bad).astype(np.int32))
+        kind.append(_converted(buf, starts[:, 4], lengths[:, 4], _kind_or_bad).astype(np.int8))
+        if ordinal[-1].min() < 0 or pos[-1].min() < 1 or kind[-1].min() < 0:
+            raise _Declined
+        codes = vocabulary.codes(_lanes(buf, starts[:, 1:3].ravel(), lengths[:, 1:3].ravel()))
+        src.append(codes[0::2])
+        tgt.append(codes[1::2])
+        width = max(width, int(lengths[:, 1:3].max()))
+    if not src:
+        raise _Declined
+    names, rank = vocabulary.sorted()
+    del vocabulary
+    src, tgt = rank[np.concatenate(src)], rank[np.concatenate(tgt)]
+    ordinal, pos, kind = np.concatenate(ordinal), np.concatenate(pos), np.concatenate(kind)
+    first = int(ordinal.min())
+    day = ordinal - np.int32(first)
+    del ordinal
+    if (src == tgt).any() or not np.bincount(day).all():
+        raise _Declined  # a self-link, or a day without rows
+    _repeat_free_order(day, kind, src, tgt)  # only its check: a target twice in one list
+    rows = _repeat_free_order(day, kind, src, pos)
+    window = ObservationWindow(date.fromordinal(first), int(day.max()) + 1)
+    day, src, tgt, pos, kind = day[rows], src[rows], tgt[rows], pos[rows], kind[rows]
+    return DynamicNetwork(window, SnapshotTable(_texts(names, width), day, src, tgt, pos, kind))
+
+
+def _split_views(handle: IO[bytes]) -> dict[str, ViewSeries]:
+    """:func:`parse_views` of a clean file by a numpy byte split."""
+    vocabulary, width = _Vocabulary(), 0
+    code, ordinal, counts = [], [], []
+    for buf, starts, lengths in _blocks(handle, VIEWS_HEADER):
+        ordinal.append(_converted(buf, starts[:, 1], lengths[:, 1], _ordinal_or_bad))
+        if ordinal[-1].min() < 0:
+            raise _Declined
+        counts.append(_digits(buf, starts[:, 2], lengths[:, 2]))
+        code.append(vocabulary.codes(_lanes(buf, starts[:, 0], lengths[:, 0])))
+        width = max(width, int(lengths[:, 0].max()))
+    if not code:
+        raise _Declined
+    names, rank = vocabulary.sorted()
+    code, ordinal, counts = rank[np.concatenate(code)], np.concatenate(ordinal), np.concatenate(counts)
+    first = int(ordinal.min())
+    rows = np.argsort(code.astype(np.int64) * (int(ordinal.max()) - first + 1) + (ordinal - first))
+    code, ordinal = code[rows], ordinal[rows]
+    opens = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    steps = np.diff(ordinal)
+    steps[opens[1:] - 1] = 1
+    if (steps != 1).any():
+        raise _Declined  # a gap or a repeated day in some video's rows
+    values = counts[rows]
+    first_row = np.minimum.reduceat(rows, opens)
+    bounds = np.r_[opens, rows.size].tolist()
+    start = ordinal[opens].tolist()
+    names = _texts(names, width).tolist()
+    return {
+        names[k]: ViewSeries(names[k], date.fromordinal(start[k]), values[bounds[k] : bounds[k + 1]])
+        for k in np.argsort(first_row).tolist()
+    }
 
 
 def parse_metadata(source: str | Path | IO[str]) -> dict[str, VideoMeta]:

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -142,6 +143,27 @@ def test_parse_views_basic_and_errors():
         parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,1.5\n"))
     with pytest.raises(DataFormatError, match="line 2: view count 9223372036854775808 is too large"):
         parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,9223372036854775808\n"))
+
+
+# Python 3.11's date.fromisoformat accepts these, 3.10's does not; neither file may.
+@pytest.mark.parametrize("text", ["20180901", "2018-W35-6"])
+def test_dates_are_exactly_year_month_day(text):
+    for parse, rows in (
+        (parse_snapshots, f"date,source_id,target_id,position,list_kind\n{text},a,b,1,relevant\n"),
+        (parse_views, f"video_id,date,views\nv,{text},1\n"),
+        (parse_metadata, f"video_id,artist_id,upload_date,genres\nv,a,{text},pop\n"),
+    ):
+        with pytest.raises(DataFormatError, match=re.escape(f"line 2: bad date {text!r}")):
+            parse(io.StringIO(rows))
+
+
+# int() accepts each of these.
+@pytest.mark.parametrize("text", ["+5", " 5", "5 ", "1_0", "\u0665"])
+def test_positions_and_view_counts_are_ascii_digits(text):
+    with pytest.raises(DataFormatError, match=re.escape(f"line 2: bad position {text!r}")):
+        parse_snapshots(snap_csv([("2018-09-01", "a", "b", text, "relevant")]))
+    with pytest.raises(DataFormatError, match=re.escape(f"line 2: bad view count {text!r}")):
+        parse_views(io.StringIO(f"video_id,date,views\nv,2018-09-01,{text}\n"))
 
 
 def test_non_utf8_input_is_a_data_error(tmp_path):

@@ -776,44 +776,63 @@ def _distinct(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Vocabulary:
     """The distinct fields of a file's id columns, as lane rows coded in the order they are added.
 
-    Each block's fields are found by their hash in the sorted hashes of the
-    rows seen so far, so memory grows with the vocabulary and not the rows.
+    A block's fields are looked up by hash in sorted runs of the hashes seen
+    so far.  A run merges into the one before it while that one is at most
+    twice its size, so there are O(log n) runs and each hash is merged
+    O(log n) times; memory grows with the vocabulary, not the rows.
     """
 
     def __init__(self) -> None:
-        self.lanes = np.zeros((0, 1), dtype=np.uint64)
-        self.hashes = np.zeros(0, dtype=np.uint64)  # sorted
-        self.coded = np.zeros(0, dtype=np.int32)  # the code of each of ``hashes``
+        self.lanes = np.zeros((0, 1), dtype=np.uint64)  # row i is code i, up to ``size``; the rest is spare
+        self.size = 0
+        self.runs: list[tuple[np.ndarray, np.ndarray]] = []  # (sorted hashes, their int32 codes)
 
     def codes(self, lanes: np.ndarray) -> np.ndarray:
         """The int32 code of each lane row; rows not seen before get new codes."""
         if lanes.shape[1] > self.lanes.shape[1]:  # hashes depend on the lane count
             self.lanes = np.pad(self.lanes, ((0, 0), (0, lanes.shape[1] - self.lanes.shape[1])))
-            hashes = _hashed(self.lanes)
-            self.coded = np.argsort(hashes).astype(np.int32)
-            self.hashes = hashes[self.coded]
+            self.runs = []
+            self._add_run(_hashed(self.lanes[: self.size]), np.arange(self.size, dtype=np.int32))
         lanes = np.pad(lanes, ((0, 0), (0, self.lanes.shape[1] - lanes.shape[1])))
         hashes, distinct, inverse = _distinct(lanes)
-        at = np.searchsorted(self.hashes, hashes)
-        known = at < self.hashes.size
-        known[known] = self.hashes[at[known]] == hashes[known]
-        code = np.empty(hashes.size, dtype=np.int32)
-        code[known] = self.coded[at[known]]
-        new = np.flatnonzero(~known)
-        code[new] = np.arange(len(self.lanes), len(self.lanes) + new.size)
+        code = np.full(hashes.size, -1, dtype=np.int32)
+        for run, run_codes in self.runs:
+            at = np.searchsorted(run, hashes)
+            hit = at < run.size
+            hit[hit] = run[at[hit]] == hashes[hit]
+            code[hit] = run_codes[at[hit]]
+        known = code >= 0
         if not np.array_equal(self.lanes[code[known]], distinct[known]):
             raise _Declined  # a field shares its hash with an earlier one
-        self.lanes = np.concatenate([self.lanes, distinct[new]])
-        self.hashes = np.insert(self.hashes, at[new], hashes[new])
-        self.coded = np.insert(self.coded, at[new], code[new])
+        new = np.flatnonzero(~known)
+        code[new] = np.arange(self.size, self.size + new.size, dtype=np.int32)
+        if self.size + new.size > len(self.lanes):  # grow geometrically: appends stay O(1) each
+            grown = np.zeros((max(2 * len(self.lanes), self.size + new.size), self.lanes.shape[1]), dtype=np.uint64)
+            grown[: self.size] = self.lanes[: self.size]
+            self.lanes = grown
+        self.lanes[self.size : self.size + new.size] = distinct[new]
+        self.size += new.size
+        self._add_run(hashes[new], code[new])
         return code[inverse]
+
+    def _add_run(self, hashes: np.ndarray, codes: np.ndarray) -> None:
+        if not hashes.size:
+            return
+        order = np.argsort(hashes, kind="stable")
+        self.runs.append((hashes[order], codes[order]))
+        while len(self.runs) > 1 and self.runs[-2][0].size <= 2 * self.runs[-1][0].size:
+            (later, later_codes), (earlier, earlier_codes) = self.runs.pop(), self.runs.pop()
+            hashes, codes = np.concatenate([earlier, later]), np.concatenate([earlier_codes, later_codes])
+            order = np.argsort(hashes, kind="stable")  # a merge of two sorted runs
+            self.runs.append((hashes[order], codes[order]))
 
     def sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """(the lane rows in byte order, the int32 rank of each code in that order)."""
-        order = np.lexsort(self.lanes.T[::-1])
+        lanes = self.lanes[: self.size]
+        order = np.lexsort(lanes.T[::-1])
         rank = np.empty(order.size, dtype=np.int32)
         rank[order] = np.arange(order.size, dtype=np.int32)
-        return self.lanes[order], rank
+        return lanes[order], rank
 
 
 def _texts(lanes: np.ndarray, width: int) -> np.ndarray:

@@ -31,6 +31,8 @@ from aflow.data_model import (
 ID = st.text(st.sampled_from("abcXYZ019-_.|;:' "), min_size=1, max_size=17)
 POSITION = st.one_of(st.integers(1, 30), st.integers(1, 2**31 - 1))
 START = st.dates(date(1900, 1, 1), date(2100, 1, 1))
+# A block size that splits small files into many blocks, some shorter than a line.
+SMALL_BLOCK = 40
 
 
 @st.composite
@@ -180,6 +182,9 @@ def _same_outcomes(data, path, parse, read_rows, outcome):
     expected = outcome(read_rows, path)
     assert outcome(parse, path) == expected
     assert outcome(parse, io.BytesIO(data)) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_BLOCK_BYTES", SMALL_BLOCK)
+        assert outcome(parse, path) == expected
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -209,11 +214,13 @@ def _refuse(source):
     raise AssertionError("the row reader read a clean file")
 
 
-@given(snapshot_rows(), view_rows())
-def test_the_byte_split_carries_clean_files(tmp_path_factory, snapshots, views):
+@pytest.mark.parametrize("block", [SMALL_BLOCK, data_model._BLOCK_BYTES])
+@given(snapshots=snapshot_rows(), views=view_rows())
+def test_the_byte_split_carries_clean_files(tmp_path_factory, block, snapshots, views):
     snapshot_text, view_text = _text(SNAPSHOT_HEADER, snapshots), _text(VIEWS_HEADER, views)
     path = tmp_path_factory.getbasetemp() / "clean.csv"
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_BLOCK_BYTES", block)
         patch.setattr(data_model, "_read_snapshot_rows", _refuse)
         patch.setattr(data_model, "_read_view_rows", _refuse)
         path.write_text(snapshot_text)
@@ -237,6 +244,7 @@ def test_the_byte_split_loads_a_generated_dataset(tmp_path):
     dataset, _ = datagen.generate(cfg)
     datagen.export_dataset(dataset, tmp_path)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_BLOCK_BYTES", 4096)  # many blocks
         patch.setattr(data_model, "_read_snapshot_rows", _refuse)
         patch.setattr(data_model, "_read_view_rows", _refuse)
         reloaded = load_dataset(tmp_path)

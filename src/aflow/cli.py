@@ -231,6 +231,20 @@ def _read_by(subcommand: str, settings: Mapping[str, object]) -> dict[str, objec
     return {k: v for k, v in sorted(settings.items()) if subcommand in SETTINGS[k].commands}
 
 
+def _file_sha256(path: Path) -> str:
+    """sha256 of a file read in 64 KB chunks.
+
+    A buffer the size of the whole file lands in mmap or in a heap hole
+    depending on earlier allocations, which moved a command's peak RSS by
+    3 MB with the length of the data directory's path.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_manifest(
     out_dir: Path,
     subcommand: str,
@@ -242,10 +256,7 @@ def write_manifest(
     The thread count is an execution detail, not configuration, so it is
     excluded and runs with different --threads stay byte-identical.
     """
-    inputs = {
-        name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        for name, p in sorted(input_files.items())
-    }
+    inputs = {name: _file_sha256(Path(p)) for name, p in sorted(input_files.items())}
     manifest = {
         "subcommand": subcommand,
         "config": {k: v for k, v in _read_by(subcommand, settings).items() if k != "threads"},

@@ -44,6 +44,8 @@ from .data_model import (
     DataFormatError,
     Dataset,
     NumericalError,
+    date_or_none,
+    int_or_none,
     load_dataset,
     parse_file,
     parse_snapshots,
@@ -303,16 +305,23 @@ def _artifact_rows(path: Path, header: list[str]):
 
 
 def _cell(convert: Callable[[str], object], text: str, where: str, what: str):
+    """``convert(text)``; a ValueError or a None result is a bad cell."""
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError:
-        raise DataFormatError(f"{where}: bad {what} {text!r}") from None
+        value = None
+    if value is None:
+        raise DataFormatError(f"{where}: bad {what} {text!r}")
+    return value
 
 
 def _finite(text: str) -> float:
     if not math.isfinite(value := float(text)):
         raise ValueError(text)
     return value
+
+
+_FLAGS = {"0": False, "1": True}
 
 
 def read_persistent_edges(path: Path) -> PersistentNetwork:
@@ -323,8 +332,9 @@ def read_persistent_edges(path: Path) -> PersistentNetwork:
     edges = []
     for line, row in _artifact_rows(path, PERSISTENT_HEADER):
         where = f"{path}:{line}"
-        reciprocal = bool(_cell(int, row[2], where, "reciprocal flag"))
-        edges.append(PersistentEdge(row[0], row[1], reciprocal, _cell(int, row[3], where, "presence count")))
+        reciprocal = _cell(_FLAGS.get, row[2], where, "reciprocal flag")
+        count = _cell(int_or_none, row[3], where, "presence count")
+        edges.append(PersistentEdge(row[0], row[1], reciprocal, count))
     return PersistentNetwork(tuple(sorted(edges, key=lambda e: (e.source, e.target))))
 
 
@@ -334,7 +344,7 @@ def read_forecasts(path: Path, model_name: str = "model") -> ForecastResult:
     per_video: dict[str, dict[date, tuple[float, float]]] = {}
     for line, row in _artifact_rows(path, FORECASTS_HEADER):
         where = f"{path}:{line}"
-        day = _cell(date.fromisoformat, row[1], where, "date")
+        day = _cell(date_or_none, row[1], where, "date")
         values = (_cell(_finite, row[2], where, "y_true"), _cell(_finite, row[3], where, "y_pred"))
         per_day = per_video.setdefault(row[0], {})
         if day in per_day:
@@ -433,8 +443,10 @@ def _emit_fit_diagnostics(out: Path, fits: Mapping[str, FitDiagnostics]) -> None
     """
     _write_csv(
         out / "fit_diagnostics.csv",
-        ["video_id", "converged", "nit", "nfev", "objective", "n_params", "n_rows", "message"],
-        [(vid, d.converged, d.nit, d.nfev, d.objective, d.n_params, d.n_rows, d.message)
+        ["video_id", "converged", "nit", "nfev", "objective", "n_params", "n_rows", "message",
+         "start_objective"],
+        [(vid, d.converged, d.nit, d.nfev, d.objective, d.n_params, d.n_rows, d.message,
+          d.start_objective)
          for vid, d in fits.items()],
     )
     for warning, flagged in (
@@ -747,13 +759,21 @@ class Command(NamedTuple):
     paths: tuple[str, ...]  # keys of PATH_ARGS
 
 
+def _date_arg(text: str) -> date:
+    """``--date`` in the input files' date grammar."""
+    parsed = date_or_none(text)
+    if parsed is None:
+        raise argparse.ArgumentTypeError(f"bad date {text!r}")
+    return parsed
+
+
 PATH_ARGS: dict[str, dict[str, object]] = {
     "data": {"required": True, "help": "directory with the three input CSVs"},
     "out": {"required": True, "help": "artifact output directory"},
     "persistent": {"required": True, "help": "persistent_edges.csv from the persistent step"},
     "models": {"required": True, "help": "models.json from an arnet fit"},
     "forecasts": {"required": True, "help": "forecasts.csv from a fit"},
-    "date": {"type": date.fromisoformat, "help": "analysis day (ISO), default last window day"},
+    "date": {"type": _date_arg, "help": "analysis day (YYYY-MM-DD), default last window day"},
 }
 
 COMMANDS: dict[str, Command] = {

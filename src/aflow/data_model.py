@@ -58,7 +58,7 @@ _DATE_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _INT_TEXT = re.compile(r"-?[0-9]+")
 
 
-def _date_or_none(text: str) -> date | None:
+def date_or_none(text: str) -> date | None:
     """The date ``text`` spells as ``YYYY-MM-DD``, or None."""
     if _DATE_TEXT.fullmatch(text):
         try:
@@ -68,7 +68,7 @@ def _date_or_none(text: str) -> date | None:
     return None
 
 
-def _int_or_none(text: str) -> int | None:
+def int_or_none(text: str) -> int | None:
     """The integer ``text`` spells in ASCII digits after an optional ``-``, or None."""
     if _INT_TEXT.fullmatch(text):
         try:
@@ -79,7 +79,7 @@ def _int_or_none(text: str) -> int | None:
 
 
 def _parse_date(text: str, line_no: int) -> date:
-    parsed = _date_or_none(text)
+    parsed = date_or_none(text)
     if parsed is None:
         raise DataFormatError(f"line {line_no}: bad date {text!r}")
     return parsed
@@ -437,7 +437,7 @@ def _snapshot_row(line_no: int, row: Sequence[str]) -> None:
         problem = _id_problem(vid)
         if problem:
             raise DataFormatError(f"line {line_no}: {problem}")
-    pos = _int_or_none(row[3])
+    pos = int_or_none(row[3])
     if pos is None:
         raise DataFormatError(f"line {line_no}: bad position {row[3]!r}")
     if pos < 1:
@@ -453,12 +453,12 @@ def _snapshot_row(line_no: int, row: Sequence[str]) -> None:
 
 
 def _ordinal_or_bad(text: str) -> int:
-    parsed = _date_or_none(text)
+    parsed = date_or_none(text)
     return -1 if parsed is None else parsed.toordinal()
 
 
 def _position_or_bad(text: str) -> int:
-    value = _int_or_none(text)
+    value = int_or_none(text)
     return value if value is not None and value <= _MAX_POSITION else 0
 
 
@@ -607,7 +607,7 @@ def _read_view_rows(source: str | Path | Iterable[str]) -> dict[str, ViewSeries]
             if problem:
                 raise DataFormatError(f"line {line_no}: {problem}")
         d = _parse_date(row[1], line_no)
-        count = _int_or_none(row[2])
+        count = int_or_none(row[2])
         if count is None:
             raise DataFormatError(f"line {line_no}: bad view count {row[2]!r}")
         if count < 0:

@@ -56,7 +56,8 @@ class ForecastConfig:
 class FitDiagnostics:
     """What the solver reported for one network-model fit.
 
-    ``objective`` is the final smoothed training SMAPE; ``n_params`` = p plus
+    ``objective`` is the final smoothed training SMAPE and
+    ``start_objective`` its value at the start point; ``n_params`` = p plus
     the neighbor count, against ``n_rows`` regression rows.  ``message`` is
     the stop reason, one of the ``STOP_*`` strings below.
     """
@@ -68,6 +69,7 @@ class FitDiagnostics:
     n_params: int
     n_rows: int
     message: str
+    start_objective: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,6 +254,7 @@ class _Solution:
 
     x: np.ndarray
     f: np.ndarray
+    f0: np.ndarray  # the objective at the start point
     nit: np.ndarray
     nfev: np.ndarray
     stop: np.ndarray  # the stop reason of each target, as str objects
@@ -302,7 +305,7 @@ def _solve_block(
     n, _, n_params = rows.shape
     cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
     f, g = _smape_block(rows, cols, target, x0)
-    out = _Solution(x0.copy(), f.copy(), np.zeros(n, dtype=np.int64),
+    out = _Solution(x0.copy(), f.copy(), f.copy(), np.zeros(n, dtype=np.int64),
                     np.ones(n, dtype=np.int64), np.full(n, "", dtype=object),
                     [[float(v)] for v in f] if return_trace else None)
     live = _Live(
@@ -418,6 +421,33 @@ def _arnet_design(
     return neighbor_ids, np.hstack([lags, nb]), target
 
 
+def _ridge_start(rows: np.ndarray, target: np.ndarray, upper: np.ndarray,
+                 fixed: np.ndarray) -> np.ndarray:
+    """Each target's ridge least-squares fit, clipped to the box.
+
+    Both products reduce along the last, contiguous axis of the regressors
+    as (targets, params, rows), and numpy's stacked solve factors each
+    target's matrix on its own.  A target whose matrix is exactly singular,
+    or whose solution is not finite, starts from ``fixed`` instead.
+    """
+    cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
+    gram = np.einsum("tpr,tqr->tpq", cols, cols) + RIDGE * np.eye(cols.shape[1])
+    rhs = np.einsum("tpr,tr->tp", cols, target)[:, :, None]
+    try:
+        x = np.linalg.solve(gram, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
+        x = np.stack([_solve_or_nan(a, b)[:, 0] for a, b in zip(gram, rhs)])
+    x = np.clip(x, 0.0, upper)
+    return np.where(np.isfinite(x).all(axis=1, keepdims=True), x, fixed)
+
+
+def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.full(b.shape, np.nan)
+
+
 def fit_arnet_batch(
     problems: Sequence[tuple[str, Sequence[float] | np.ndarray,
                              Mapping[str, Sequence[float] | np.ndarray]]],
@@ -428,11 +458,15 @@ def fit_arnet_batch(
 
     ``problems`` holds (video_id, training series, {neighbor id: neighbor
     training series}).  Each fit minimizes smoothed training SMAPE by
-    projected L-BFGS (``_solve_block``) from the fixed start alpha = 1/p,
-    beta = 0.1, within alpha >= 0 and 0 <= beta <= 1.  Targets sharing row
-    and parameter counts are solved as one block; no target is padded, and a
-    target's coefficients and diagnostics are bit-identical however the
-    problems are batched or ordered.  Deterministic: no randomness anywhere.
+    projected L-BFGS (``_solve_block``) within alpha >= 0 and 0 <= beta <= 1.
+    It starts from the target's least-squares fit with ``fit_ar``'s ridge,
+    clipped to that box.  Targets sharing row and parameter counts are solved
+    as one block.  A block with at least as many parameters as rows has no
+    unique least-squares fit, so its targets start from alpha = 1/p, beta =
+    0.1 instead, as does a target whose ridge system is exactly singular.  No
+    target is padded, and a target's coefficients and diagnostics are
+    bit-identical however the problems are batched or ordered.
+    Deterministic: no randomness anywhere.
 
     Each model carries the solver's report in ``fit``; ``converged`` is true
     for the stops in ``CONVERGED_STOPS`` and false at the iteration limit.  A
@@ -449,15 +483,17 @@ def fit_arnet_batch(
         blocks.setdefault(regressors.shape, []).append(i)
 
     solved: dict[int, tuple[_Solution, int]] = {}
-    for (_, n_params), members in blocks.items():
+    for (n_rows, n_params), members in blocks.items():
+        rows = np.stack([designs[i][1] for i in members])
+        target = np.stack([designs[i][2] for i in members])
         upper = np.concatenate([np.full(p, np.inf), np.ones(n_params - p)])
-        x0 = np.concatenate([np.full(p, 1.0 / p), np.full(n_params - p, 0.1)])
-        solution = _solve_block(
-            np.stack([designs[i][1] for i in members]),
-            np.stack([designs[i][2] for i in members]),
-            upper, np.tile(x0, (len(members), 1)),
-            config.max_iter, config.grad_tol, return_trace,
-        )
+        fixed = np.concatenate([np.full(p, 1.0 / p), np.full(n_params - p, 0.1)])
+        if n_params < n_rows:
+            x0 = _ridge_start(rows, target, upper, fixed)
+        else:
+            x0 = np.tile(fixed, (len(members), 1))
+        solution = _solve_block(rows, target, upper, x0, config.max_iter, config.grad_tol,
+                                return_trace)
         solved.update((i, (solution, k)) for k, i in enumerate(members))
 
     models: list[ArnetModel] = []
@@ -479,6 +515,7 @@ def fit_arnet_batch(
             n_params=x.size,
             n_rows=target.size,
             message=solution.stop[k],
+            start_objective=float(solution.f0[k]),
         )
         beta = {u: float(x[p + j]) for j, u in enumerate(neighbor_ids)}
         models.append(ArnetModel(vid, x[:p], beta, diagnostics))

@@ -4,7 +4,8 @@ Everything here is deliberately naive: Floyd-Warshall closures, quadratic
 rank counting, numeric quadrature, link analyses that rebuild one
 ``build_graph`` per day or walk ``RankedList`` entries, and one ARNet fit at
 a time by scipy's L-BFGS-B.  None of it shares code paths with the
-implementations under test.
+implementations under test, except ``fixed_start_arnet``, which keeps the
+package's solver and changes only its start point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 
 from aflow.data_model import DataFormatError
-from aflow.forecast import SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig
+from aflow.forecast import (SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
+                            _arnet_design, _solve_block)
 from aflow.graph_analysis import ChurnStats, build_graph
 
 
@@ -276,5 +278,23 @@ def lbfgsb_arnet(video_id, series, neighbor_series, config=None):
     x[:p] = np.maximum(x[:p], 0.0)
     x[p:] = np.clip(x[p:], 0.0, 1.0)
     fit = FitDiagnostics(bool(result.success), int(result.nit), int(result.nfev),
-                         float(result.fun), x.size, y.size - p, str(result.message).strip())
+                         float(result.fun), x.size, y.size - p, str(result.message).strip(),
+                         fun(x0)[0])
     return ArnetModel(video_id, x[:p], {u: float(x[p + j]) for j, u in enumerate(neighbor_ids)}, fit)
+
+
+def fixed_start_arnet(video_id, series, neighbor_series, config=None):
+    """(nit, objective) of one ARNet fit by the package's own solver from the
+    fixed start alpha = 1/p, beta = 0.1, as fits began before the ridge start.
+
+    Unlike the rest of this module it reuses the package's ``_solve_block``,
+    so that only the start point differs from ``fit_arnet``."""
+    config = config or ForecastConfig()
+    p = config.p
+    _, regressors, target = _arnet_design(video_id, series, neighbor_series, p)
+    k = regressors.shape[1] - p
+    upper = np.concatenate([np.full(p, np.inf), np.ones(k)])
+    x0 = np.concatenate([np.full(p, 1.0 / p), np.full(k, 0.1)])
+    solution = _solve_block(regressors[None], target[None], upper, x0[None],
+                            config.max_iter, config.grad_tol)
+    return int(solution.nit[0]), float(solution.f[0])

@@ -190,6 +190,17 @@ def test_analyze_date_problems_are_usage_errors(tmp_path, capsys, day):
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_analyze_date_follows_the_input_grammar(tmp_path, capsys):
+    data = generate_data(tmp_path)
+    capsys.readouterr()
+    code, captured = run(
+        ["analyze", "--data", str(data), "--out", str(tmp_path / "a"), "--date", "20181027"], capsys
+    )
+    assert code == 1
+    assert usage_record(captured)["message"] == "argument --date: bad date '20181027'"
+    assert not (tmp_path / "a").exists()
+
+
 def test_manifests_record_only_the_settings_a_command_reads(tmp_path, monkeypatch):
     monkeypatch.setenv("AFLOW_CUTOFF", "12")  # read by persistent, not by fit or evaluate
     data = generate_data(tmp_path)
@@ -627,6 +638,33 @@ def test_bad_artifact_cells_name_the_file_and_line(tmp_path, capsys):
     assert json.loads(captured.err)["message"] == f"{forecasts}:2: bad date '2018-13-01'"
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("v00000,v00001,2,63", "bad reciprocal flag '2'"),
+    ("v00000,v00001,+1,63", "bad reciprocal flag '+1'"),
+    ("v00000,v00001,1,+5", "bad presence count '+5'"),
+    ("v00000,v00001,1, 5", "bad presence count ' 5'"),
+])
+def test_persistent_edges_cells_follow_the_input_grammar(tmp_path, capsys, row, problem):
+    data = generate_data(tmp_path)
+    edges = tmp_path / "persistent_edges.csv"
+    edges.write_text(f"source,target,reciprocal,raw_presence_count\n{row}\n", encoding="utf-8")
+    code, captured = run(["fit", "--data", str(data), "--out", str(tmp_path / "fit"),
+                          "--persistent", str(edges)], capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"{edges}:2: {problem}"
+
+
+def test_forecast_dates_follow_the_input_grammar(tmp_path, capsys):
+    # Python 3.11's date.fromisoformat reads 20181027 as 2018-10-27; the input files may not
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_text("video_id,date,y_true,y_pred\nv00000,20181027,1.0,2.0\n", encoding="utf-8")
+    code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)],
+                         capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"{forecasts}:2: bad date '20181027'"
+    assert not (tmp_path / "eval").exists()
+
+
 def one_data_error(captured) -> str:
     """The message of the one JSON record on stderr, which must be a data error."""
     record = json.loads(captured.err)  # one JSON record and nothing else
@@ -740,7 +778,9 @@ def test_pipeline_is_thread_count_invariant(tmp_path, capsys):
     assert "arnet/fit_diagnostics.csv" in d1
     header, rows = read_csv(out1 / "arnet" / "fit_diagnostics.csv")
     assert header == ["video_id", "converged", "nit", "nfev", "objective", "n_params",
-                      "n_rows", "message"]
+                      "n_rows", "message", "start_objective"]
+    # the solver only ever descends from the start point
+    assert all(float(r[4]) <= float(r[8]) for r in rows)
     fitted = json.loads((out1 / "arnet" / "models.json").read_text())["videos"]
     assert [r[0] for r in rows] == sorted(fitted)
 
@@ -854,7 +894,8 @@ def test_importing_the_cli_caps_blas_threads():
     assert proc.stdout.split()[1] == "2"  # a value the user set wins
 
 
-SCIPY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.special", "scipy.sparse")
+SCIPY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.special", "scipy.sparse",
+                 "scipy.linalg")
 
 
 def scipy_modules_loaded(script: str) -> list[str]:
@@ -883,6 +924,13 @@ def test_analyze_leaves_out_scipy(tmp_path):
     argv = ["analyze", "--data", str(data), "--out", str(tmp_path / "analysis")]
     assert scipy_modules_loaded(f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0") == []
     assert (tmp_path / "analysis" / "bowtie.csv").is_file()
+
+
+def test_pipeline_leaves_out_scipy(tmp_path):
+    data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
+    argv = ["pipeline", "--data", str(data), "--out", str(tmp_path / "run"), "--threads", "1"]
+    assert scipy_modules_loaded(f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0") == []
+    assert (tmp_path / "run" / "arnet" / "fit_diagnostics.csv").is_file()
 
 
 def test_contribute_leaves_out_scipy_stats(tmp_path):

@@ -194,7 +194,14 @@ def test_arnet_gradient_matches_finite_differences():
 
 
 def _mixed_problems():
-    """Targets with 0, 1 and 3 neighbors, several of each, as fit_arnet_batch takes them."""
+    """Targets of several block shapes, several of each, as fit_arnet_batch takes them.
+
+    Besides targets with 0, 1 and 3 independent neighbors there is a block
+    with a duplicated neighbor series and an all-zero neighbor (singular
+    least squares, made regular only by the ridge), a constant target whose
+    ridge system is exactly singular, and an underdetermined block with more
+    parameters than regression rows.
+    """
     rng = np.random.default_rng(17)
     problems = []
     for i, k in enumerate((0, 1, 3, 1, 3, 0, 3, 1)):
@@ -202,6 +209,15 @@ def _mixed_problems():
         y = sum((rng.uniform(0.2, 0.6) * v for v in sources.values()), np.zeros(56))
         y = y + rng.uniform(20.0, 60.0, size=56)
         problems.append((f"v{i}", y, sources))
+    twin = rng.uniform(100.0, 400.0, size=56)
+    problems.append(("d0", 0.4 * twin + rng.uniform(20.0, 60.0, size=56), {"a": twin, "b": twin}))
+    other = rng.uniform(100.0, 400.0, size=56)
+    problems.append(("d1", 0.3 * other + rng.uniform(20.0, 60.0, size=56),
+                     {"a": other, "z": np.zeros(56)}))
+    problems.append(("c0", np.full(56, 1e5), {}))
+    for i in range(2):
+        source = rng.uniform(100.0, 400.0, size=14)
+        problems.append((f"s{i}", 0.5 * source + rng.uniform(20.0, 60.0, size=14), {"a": source}))
     return problems
 
 
@@ -213,17 +229,33 @@ def _same_fit(a, b):
 def test_batched_fits_equal_single_fits_bit_for_bit():
     problems = _mixed_problems()
     alone = [fit_arnet(*problem) for problem in problems]
-    assert {m.fit.n_params for m in alone} == {7, 8, 10}
+    assert {(m.fit.n_params, m.fit.n_rows) for m in alone} == {(7, 49), (8, 49), (10, 49),
+                                                               (9, 49), (8, 7)}
     batch = fit_arnet_batch(problems)
     assert all(_same_fit(a, b) for a, b in zip(alone, batch))
     order = np.random.default_rng(5).permutation(len(problems))
     shuffled = fit_arnet_batch([problems[i] for i in order])
     assert all(_same_fit(alone[i], m) for i, m in zip(order, shuffled))
-    subset = fit_arnet_batch([problems[i] for i in order[:3]])
-    assert all(_same_fit(alone[i], m) for i, m in zip(order[:3], subset))
+    subset = fit_arnet_batch([problems[i] for i in order[:6]])
+    assert all(_same_fit(alone[i], m) for i, m in zip(order[:6], subset))
 
 
-def test_arnet_fits_no_worse_than_lbfgsb_on_recovery_data():
+def test_fixed_start_where_least_squares_has_no_answer():
+    from aflow.forecast import RIDGE, _arnet_design
+
+    problems = {vid: (vid, y, nbs) for vid, y, nbs in _mixed_problems()}
+    _, regressors, target = _arnet_design(*problems["c0"], 7)
+    with pytest.raises(np.linalg.LinAlgError):  # the constant target's ridge system
+        np.linalg.solve(regressors.T @ regressors + RIDGE * np.eye(7), regressors.T @ target)
+    for vid in ("c0", "s0", "s1"):
+        model = fit_arnet(*problems[vid])
+        assert (model.fit.nit, model.fit.objective) == _oracles.fixed_start_arnet(*problems[vid])
+    ridge = fit_arnet(*problems["v0"])
+    assert (ridge.fit.nit, ridge.fit.objective) != _oracles.fixed_start_arnet(*problems["v0"])
+
+
+def _recovery_problems():
+    """Criterion 4's targets, as fit_arnet_batch takes them, and the config."""
     from test_acceptance import _recovery_config
 
     dataset, _ = datagen.generate(_recovery_config())
@@ -232,6 +264,21 @@ def test_arnet_fits_no_worse_than_lbfgsb_on_recovery_data():
     train = {v: split_series(dataset, v, config)[0] for v in dataset.corpus}
     problems = [(v, train[v], {u: train[u] for u in persistent.in_edges.get(v, ())})
                 for v in sorted(persistent.targets)]
+    return problems, config
+
+
+def test_ridge_start_beats_the_fixed_start_on_recovery_data():
+    problems, config = _recovery_problems()
+    fits = [m.fit for m in fit_arnet_batch(problems, config)]
+    fixed = [_oracles.fixed_start_arnet(*problem, config) for problem in problems]
+    assert np.median([f.nit for f in fits]) < np.median([nit for nit, _ in fixed])
+    # a few targets end slightly higher, so compare the means, not each target
+    assert np.mean([f.objective for f in fits]) <= np.mean([f for _, f in fixed])
+    assert all(f.objective <= f.start_objective for f in fits)
+
+
+def test_arnet_fits_no_worse_than_lbfgsb_on_recovery_data():
+    problems, config = _recovery_problems()
     ours = [m.fit.objective for m in fit_arnet_batch(problems, config)]
     reference = [_oracles.lbfgsb_arnet(*problem, config).fit.objective for problem in problems]
     assert len(ours) == 50

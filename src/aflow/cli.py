@@ -31,10 +31,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 from datetime import date
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy
@@ -315,12 +316,12 @@ def _cell(convert: Callable[[str], object], text: str, where: str, what: str):
     return value
 
 
-def _finite(text: str) -> float:
-    if not math.isfinite(value := float(text)):
-        raise ValueError(text)
-    return value
+def _finite(text: str) -> float | None:
+    value = float(text) if _FLOAT_TEXT.fullmatch(text) else math.nan
+    return value if math.isfinite(value) else None
 
 
+_FLOAT_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?")  # what _fmt writes for a finite float
 _FLAGS = {"0": False, "1": True}
 
 
@@ -599,8 +600,7 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> dict[s
         ],
     )
     _write_csv(out / "ccdf.csv", ["indegree", "prob_ge"], indegree_ccdf(graph))
-    day_views = {vid: float(dataset.views_on(vid, day)) for vid in dataset.corpus}
-    flow = view_group_flow(graph, day_views)
+    flow = view_group_flow(graph, dataset.window_views[:, window.index(day)])
     labels = ["bottom25", "q2", "q3", "top25"]
     _write_csv(
         out / "group_flow.csv",
@@ -698,9 +698,16 @@ def cmd_correlate(args: argparse.Namespace, settings: dict[str, object]) -> dict
     return _data_inputs(Path(args.data))
 
 
+def _corpus_only(path: str, ids: Iterable[str], dataset: Dataset) -> None:
+    """Reject an artifact at ``path`` that names a video outside the corpus."""
+    if unknown := set(ids) - dataset.corpus:
+        raise DataFormatError(f"{path}: {min(unknown)} is not a corpus video")
+
+
 def cmd_fit(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     dataset = load_dataset(args.data)
     pn = read_persistent_edges(Path(args.persistent))
+    _corpus_only(args.persistent, pn.sources | pn.targets, dataset)
     _fit_and_emit(Path(args.out), dataset, pn, settings["model"], settings)
     return {**_data_inputs(Path(args.data)), "persistent_edges.csv": Path(args.persistent)}
 
@@ -714,18 +721,14 @@ def cmd_evaluate(args: argparse.Namespace, settings: dict[str, object]) -> dict[
 def cmd_contribute(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
     dataset = load_dataset(args.data)
     name, config, models = read_models(Path(args.models))
-    unknown = sorted(({*models} | {u for m in models.values() for u in m.beta}) - dataset.corpus)
-    if unknown:
-        raise DataFormatError(f"{args.models}: {unknown[0]} is not a corpus video")
+    _corpus_only(args.models, [*models, *(u for m in models.values() for u in m.beta)], dataset)
     result = read_forecasts(Path(args.forecasts), name)
     horizon = horizon_dates(dataset, config)
     if result.dates != horizon:
         raise DataFormatError(
             f"{args.forecasts}: forecast dates {result.dates[0]}..{result.dates[-1]} "
             f"({len(result.dates)} days) are not the models' horizon {horizon[0]}..{horizon[-1]}")
-    unknown = sorted(set(result.video_ids) - dataset.corpus)
-    if unknown:
-        raise DataFormatError(f"{args.forecasts}: {unknown[0]} is not a corpus video")
+    _corpus_only(args.forecasts, result.video_ids, dataset)
     report = contribution_report(dataset, models, result, config)
     _emit_contribution(Path(args.out), report)
     return {**_data_inputs(Path(args.data)), "models.json": Path(args.models),

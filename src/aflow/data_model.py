@@ -312,13 +312,15 @@ class DatasetSummary:
     n_external_targets: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Validated bundle of metadata, view series and the dynamic network.
 
     ``corpus`` holds every id with metadata; ``external`` holds ids that
     appear in snapshots without metadata.  Every corpus video has a view
-    series covering the observation window.
+    series covering the observation window.  ``ids`` holds the corpus sorted,
+    as ``DirectedGraph.ids`` does, and row k of the read-only int64 matrix
+    ``window_views`` holds the window's daily views of ``ids[k]``.
     """
 
     metadata: Mapping[str, VideoMeta]
@@ -327,16 +329,20 @@ class Dataset:
     corpus: frozenset[str]
     external: frozenset[str]
     summary: DatasetSummary
+    ids: np.ndarray
+    window_views: np.ndarray
 
     @property
     def window(self) -> ObservationWindow:
         return self.network.window
 
-    def aligned_views(self, video_id: str) -> np.ndarray:
-        return self.views[video_id].slice_to(self.window)
-
-    def views_on(self, video_id: str, d: date) -> int:
-        return int(self.aligned_views(video_id)[self.window.index(d)])
+    def codes(self, video_ids: Iterable[str]) -> np.ndarray:
+        """The corpus code of each id; a non-corpus id is a :class:`DataFormatError`."""
+        names = list(video_ids)
+        for name in names:
+            if name not in self.corpus:
+                raise DataFormatError(f"{name} is not a corpus video")
+        return np.searchsorted(self.ids, np.array(names, dtype=str))
 
 
 # ---------------------------------------------------------------------------
@@ -1019,7 +1025,11 @@ def validate_dataset(
         mean_edges_per_day=edge_rows / window.n_days,
         n_external_targets=len(external),
     )
-    return Dataset(dict(metadata), dict(views), network, corpus, external, summary)
+    ids = np.array(sorted(corpus), dtype=str)
+    rows = [views[vid].slice_to(window) for vid in ids.tolist()]
+    window_views = np.array(rows, dtype=np.int64).reshape(ids.size, window.n_days)
+    ids.flags.writeable = window_views.flags.writeable = False
+    return Dataset(dict(metadata), dict(views), network, corpus, external, summary, ids, window_views)
 
 
 def load_dataset(data_dir: str | Path) -> Dataset:

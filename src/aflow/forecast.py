@@ -124,7 +124,10 @@ def fit_ar(video_id: str, series: Sequence[float] | np.ndarray, p: int = 7) -> A
         )
     lags, target = _lag_matrix(y, p)
     gram = lags.T @ lags + RIDGE * np.eye(p)
-    alpha = np.linalg.solve(gram, lags.T @ target)
+    try:
+        alpha = np.linalg.solve(gram, lags.T @ target)
+    except np.linalg.LinAlgError:  # e.g. a constant series, whose ridge is lost against gram
+        alpha = np.linalg.lstsq(lags, target, rcond=None)[0]
     return ArnetModel(video_id, alpha)
 
 
@@ -605,15 +608,18 @@ class ForecastResult:
         return self.y_true[i], self.y_pred[i]
 
 
-def split_series(dataset: Dataset, video_id: str, config: ForecastConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(train, test) split of one video's window-aligned series."""
+def split_series(
+    dataset: Dataset, video_ids: Sequence[str], config: ForecastConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) matrices of the videos' window views, one row per id in order."""
     if config.train_days + config.horizon > dataset.window.n_days:
         raise DataFormatError(
             f"window of {dataset.window.n_days} days cannot hold "
             f"{config.train_days} training days plus a {config.horizon}-day horizon"
         )
-    aligned = dataset.aligned_views(video_id).astype(float)
-    return aligned[: config.train_days], aligned[config.train_days : config.train_days + config.horizon]
+    rows = dataset.window_views[dataset.codes(video_ids)]
+    end = config.train_days + config.horizon
+    return rows[:, : config.train_days].astype(float), rows[:, config.train_days : end].astype(float)
 
 
 def resolve_neighbor_values(
@@ -630,28 +636,15 @@ def resolve_neighbor_values(
     forecast.
     """
     sources = sorted({u for m in models.values() for u in m.beta})
-    values: dict[str, np.ndarray] = {}
+    train, test = split_series(dataset, sources, config)
     if config.neighbor_mode == "observed":
-        for u in sources:
-            _, test = split_series(dataset, u, config)
-            values[u] = test
+        values = dict(zip(sources, test))
     else:
-        base: dict[str, np.ndarray] = {}
-
-        def snaive_of(vid: str) -> np.ndarray:
-            if vid not in base:
-                train, _ = split_series(dataset, vid, config)
-                base[vid] = predict_seasonal_naive(train, config.horizon, config.m_star)
-            return base[vid]
-
-        for u in sources:
-            if u in models:
-                m = models[u]
-                train, _ = split_series(dataset, u, config)
-                feed = {w: snaive_of(w) for w in m.beta}
-                values[u] = forecast(m, train, feed, config)
-            else:
-                values[u] = snaive_of(u)
+        train = dict(zip(sources, train))
+        # A modeled source's own neighbors are sources too.
+        snaive = {u: predict_seasonal_naive(train[u], config.horizon, config.m_star) for u in sources}
+        values = {u: forecast(models[u], train[u], {w: snaive[w] for w in models[u].beta}, config)
+                  if u in models else snaive[u] for u in sources}
     return {vid: {u: values[u] for u in m.beta} for vid, m in models.items()}
 
 
@@ -685,25 +678,22 @@ def run_model(
     if not targets:
         raise DataFormatError("persistent network has no targets to forecast")
 
-    splits = {v: split_series(dataset, v, config) for v in targets}
+    train, y_true = split_series(dataset, targets, config)
 
     models: dict[str, ArnetModel] | None = None
     if model_name == "naive":
-        preds = {v: predict_naive(splits[v][0], config.horizon) for v in targets}
+        preds = [predict_naive(y, config.horizon) for y in train]
     elif model_name == "snaive":
-        preds = {v: predict_seasonal_naive(splits[v][0], config.horizon, config.m_star)
-                 for v in targets}
+        preds = [predict_seasonal_naive(y, config.horizon, config.m_star) for y in train]
     elif model_name == "ar":
-        models = {v: fit_ar(v, splits[v][0], config.p) for v in targets}
+        models = {v: fit_ar(v, y, config.p) for v, y in zip(targets, train)}
     else:
-        def train_of(u: str) -> np.ndarray:
-            if u in splits:
-                return splits[u][0]
-            return split_series(dataset, u, config)[0]
+        ids = sorted(persistent.sources | persistent.targets)
+        train_of = dict(zip(ids, split_series(dataset, ids, config)[0]))
 
         def fit_chunk(chunk: list[str]) -> list[ArnetModel]:
             return fit_arnet_batch(
-                [(v, splits[v][0], {u: train_of(u) for u in persistent.in_edges.get(v, ())})
+                [(v, train_of[v], {u: train_of[u] for u in persistent.in_edges.get(v, ())})
                  for v in chunk],
                 config,
             )
@@ -711,10 +701,9 @@ def run_model(
         models = _fit_all(targets, fit_chunk, threads)
     if models is not None:
         neighbor_values = resolve_neighbor_values(dataset, models, config)
-        preds = {v: forecast(models[v], splits[v][0], neighbor_values[v], config) for v in targets}
+        preds = [forecast(models[v], y, neighbor_values[v], config) for v, y in zip(targets, train)]
 
-    y_true = np.vstack([splits[v][1] for v in targets])
-    y_pred = np.vstack([preds[v] for v in targets])
+    y_pred = np.vstack(preds)
     result = ForecastResult(model_name, tuple(targets), horizon_dates(dataset, config), y_true, y_pred)
     return models, result
 

@@ -252,7 +252,7 @@ def bowtie_decompose(graph: DirectedGraph) -> BowTie:
 
 def bowtie_attention(bowtie: BowTie, dataset: Dataset, on_date: date) -> BowTie:
     """Attach the fraction of that day's views falling into each component."""
-    views = np.array([dataset.views_on(vid, on_date) for vid in bowtie.ids], dtype=float)
+    views = dataset.window_views[dataset.codes(bowtie.ids), dataset.window.index(on_date)]
     totals = np.bincount(bowtie.component, weights=views, minlength=len(Component))
     grand = totals.sum()
     if grand == 0:
@@ -273,18 +273,18 @@ def indegree_ccdf(graph: DirectedGraph) -> list[tuple[int, float]]:
     return list(enumerate((np.cumsum(hist[::-1])[::-1] / n).tolist()))
 
 
-def view_group_flow(graph: DirectedGraph, day_views: Mapping[str, float]) -> np.ndarray:
+def view_group_flow(graph: DirectedGraph, views: np.ndarray) -> np.ndarray:
     """4x4 edge-count matrix between same-day view quartiles.
 
-    Nodes are sorted by (views, id) ascending and cut into four groups; when
-    the node count is not divisible by 4 the lower groups take the extra
-    members.  Row index is the source group, column index the target group,
-    group 0 is the bottom quartile.  The matrix sums to the edge count.
+    ``views[i]`` holds the day's views of node ``graph.ids[i]``.  Nodes are
+    sorted by (views, id) ascending and cut into four groups; when the node
+    count is not divisible by 4 the lower groups take the extra members.
+    Row index is the source group, column index the target group, group 0
+    is the bottom quartile.  The matrix sums to the edge count.
     """
-    try:
-        views = np.array([day_views[v] for v in graph.ids], dtype=float)
-    except KeyError as exc:
-        raise DataFormatError(f"missing views for node {exc.args[0]}") from None
+    views = np.asarray(views, dtype=float)
+    if views.shape != (len(graph.ids),):
+        raise DataFormatError(f"{views.size} view counts for {len(graph.ids)} nodes")
     group = np.empty(len(graph.ids), dtype=np.int64)
     # A stable sort keeps equal views in code order, which is id order.
     for g, members in enumerate(np.array_split(np.argsort(views, kind="stable"), 4)):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -23,21 +23,19 @@ SOURCE_VIEW_FRACTION = 0.01
 HALF_WINDOW = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViewFilters:
     """Pre-computed view means plus the eligibility rule they feed.
 
-    A (source, target) pair is eligible when the target's mean daily views
-    over the full window reach ``target_min`` and the source's mean reaches
-    ``source_frac`` of the target's.  Both thresholds are inclusive.
+    ``mean_views[k]`` is the mean daily views over the full window of corpus
+    code k.  A (source, target) pair is eligible when the target's mean
+    reaches ``target_min`` and the source's reaches ``source_frac`` of it.
+    Both thresholds are inclusive.
     """
 
-    mean_views: Mapping[str, float]
+    mean_views: np.ndarray
     target_min: float = TARGET_MIN_MEAN_VIEWS
     source_frac: float = SOURCE_VIEW_FRACTION
-
-    def means(self, ids: Iterable[str]) -> np.ndarray:
-        return np.array([self.mean_views[v] for v in ids], dtype=float)
 
     def eligible(self, source_mean, target_mean):
         """The rule, elementwise over source and target means (arrays or floats)."""
@@ -50,10 +48,7 @@ def apply_view_filters(
     source_frac: float = SOURCE_VIEW_FRACTION,
 ) -> ViewFilters:
     """Compute per-video mean daily views over the observation window."""
-    means = {
-        vid: float(dataset.aligned_views(vid).mean()) for vid in sorted(dataset.corpus)
-    }
-    return ViewFilters(means, target_min, source_frac)
+    return ViewFilters(dataset.window_views.mean(axis=1), target_min, source_frac)
 
 
 def _smooth_rows(bits: np.ndarray, half_window: int = HALF_WINDOW) -> np.ndarray:
@@ -149,7 +144,7 @@ def classify_links(
     filters = filters or apply_view_filters(dataset)
     pairs, days = link_presence(network, dataset.corpus, cutoff)
     presence = daily_link_presence(network, dataset.corpus, cutoff)  # the codes of ``pairs``
-    means = filters.means(presence.ids.tolist())
+    means = filters.mean_views
     keep = np.flatnonzero(filters.eligible(means[presence.src], means[presence.tgt]))
     steady = _smooth_rows(days[keep]).all(axis=1)
     persistent, ephemeral = keep[steady], keep[~steady]

@@ -173,25 +173,27 @@ def correlated_link_fractions(
     """Fraction of links per group whose residual series correlate (p < alpha).
 
     Residuals are preprocessed once per video.  Pairs where either residual
-    is degenerate (zero variance) count as not significant with r = p = nan.
+    is undefined (a window under three periods) or degenerate (zero variance)
+    count as not significant with r = p = nan.
     """
-    cache: dict[str, ResidualSeries] = {}
+    cache: dict[int, ResidualSeries] = {}
 
-    def resid(vid: str) -> ResidualSeries:
-        if vid not in cache:
-            cache[vid] = preprocess(dataset.aligned_views(vid), period)
-        return cache[vid]
+    def resid(code: int) -> ResidualSeries:
+        if code not in cache:
+            cache[code] = preprocess(dataset.window_views[code], period)
+        return cache[code]
 
     out: dict[str, GroupCorrelation] = {}
     for name in sorted(groups):
         pairs = list(groups[name])
         if not pairs:
             raise DataFormatError(f"link group {name!r} is empty")
+        codes = dataset.codes(v for pair in pairs for v in pair).tolist()
         rows: list[LinkCorrelation] = []
         n_sig = 0
-        for src, tgt in pairs:
+        for (src, tgt), src_code, tgt_code in zip(pairs, codes[0::2], codes[1::2]):
             try:
-                r, p = pearson_test(resid(src), resid(tgt))
+                r, p = pearson_test(resid(src_code), resid(tgt_code))
                 sig = p < alpha
             except DataFormatError:
                 r, p, sig = float("nan"), float("nan"), False
@@ -228,7 +230,7 @@ def sample_random_pairs(
     # Pairs are keyed i * size + j over corpus codes; a link forbids both directions.
     forbidden = set(np.concatenate((presence.src * size + presence.tgt,
                                     presence.tgt * size + presence.src)).tolist())
-    means = filters.means(ids)
+    means = filters.mean_views
     keys = _eligible_never_linked(means, forbidden, filters, n)
     if keys == []:
         raise DataFormatError(f"exhausted sampling budget with 0 of {n} pairs found")

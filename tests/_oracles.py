@@ -11,6 +11,7 @@ package's solver and changes only its start point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -148,10 +149,14 @@ def link_frequency_histogram(snapshots, corpus, cutoff=15):
     return dict(sorted(Counter(presence.values()).items()))
 
 
-def view_eligible(filters, source, target):
-    """The view filters spelled out on ids: both thresholds inclusive."""
-    means = filters.mean_views
-    return means[target] >= filters.target_min and means[source] >= filters.source_frac * means[target]
+def view_eligible(filters, ids, source, target):
+    """The view filters spelled out on ids: both thresholds inclusive.
+
+    ``filters.mean_views`` is indexed by corpus code, an id's place in the
+    sorted corpus ``ids``.
+    """
+    source_mean, target_mean = (float(filters.mean_views[bisect_left(ids, v)]) for v in (source, target))
+    return target_mean >= filters.target_min and source_mean >= filters.source_frac * target_mean
 
 
 def smooth(bits, h=3):
@@ -167,9 +172,10 @@ def classify_links(snapshots, corpus, cutoff, filters):
     """(persistent edges as (source, target, reciprocal, days present), ephemeral pairs),
     filtering and smoothing one pair at a time over the per-day presence matrix."""
     pairs, matrix = link_presence(snapshots, corpus, cutoff)
+    ids = sorted(corpus)
     persistent, ephemeral = {}, []
     for pair, row in zip(pairs, matrix):
-        if not view_eligible(filters, *pair):
+        if not view_eligible(filters, ids, *pair):
             continue
         if all(smooth(row.tolist())):
             persistent[pair] = int(row.sum())
@@ -195,7 +201,7 @@ def sample_random_pairs(dataset, snapshots, n, seed, cutoff, filters):
     while len(chosen) < n:
         if budget == 0:
             every = sorted((a, b) for a in ids for b in ids if a != b
-                           and (a, b) not in forbidden and view_eligible(filters, a, b))
+                           and (a, b) not in forbidden and view_eligible(filters, ids, a, b))
             if 0 < len(every) < n:
                 return every
             raise DataFormatError(
@@ -208,7 +214,7 @@ def sample_random_pairs(dataset, snapshots, n, seed, cutoff, filters):
         pair = (ids[i], ids[j])
         if pair in seen or pair in forbidden:
             continue
-        if not view_eligible(filters, *pair):
+        if not view_eligible(filters, ids, *pair):
             continue
         seen.add(pair)
         chosen.append(pair)

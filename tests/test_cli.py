@@ -717,7 +717,23 @@ def test_contribute_checks_the_forecasts_file(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
-@pytest.mark.parametrize("case", ["nan y_true", "inf y_pred", "repeated row"])
+@pytest.mark.parametrize("model", ["arnet", "ar"])
+def test_fit_rejects_persistent_edges_outside_the_corpus(tmp_path, capsys, model):
+    data = generate_data(tmp_path)
+    assert cli.main(["persistent", "--data", str(data), "--out", str(tmp_path / "p")]) == 0
+    edges = tmp_path / "p" / "persistent_edges.csv"
+    header, rows = read_csv(edges)
+    with open(edges, "a", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(["zz_unknown", rows[0][1], "0", "63"])
+    code, captured = run(["fit", "--data", str(data), "--out", str(tmp_path / "f"),
+                          "--persistent", str(edges), "--model", model], capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"{edges}: zz_unknown is not a corpus video"
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("case", ["nan y_true", "inf y_pred", "repeated row",
+                                  " 5 y_true", "5  y_pred", "1_0 y_true", "+5 y_pred"])
 def test_forecast_readers_reject_non_finite_and_repeated_rows(tmp_path, capsys, case):
     data = generate_data(tmp_path)
     assert cli.main(["pipeline", "--data", str(data), "--out", str(tmp_path / "p")]) == 0
@@ -727,7 +743,7 @@ def test_forecast_readers_reject_non_finite_and_repeated_rows(tmp_path, capsys, 
         rows.append(list(rows[0]))
         problem = f"{len(rows) + 1}: repeated row for {rows[0][0]} on {rows[0][1]}"
     else:
-        text, column = case.split()
+        text, column = case.rsplit(" ", 1)
         rows[3][header.index(column)] = text
         problem = f"5: bad {column} {text!r}"
     forecasts = tmp_path / "forecasts.csv"

@@ -24,6 +24,7 @@ from aflow.data_model import (
     serialize_views,
     validate_dataset,
 )
+from aflow.graph_analysis import build_graph, daily_link_presence
 
 import _helpers
 
@@ -329,8 +330,40 @@ def test_longer_series_is_sliced_on_access():
     meta = {"v": _helpers.VideoMeta("v", "a0", frozenset(), date(2018, 8, 1))}
     views = {"v": ViewSeries("v", date(2018, 8, 30), np.array([9, 9, 3, 4, 9]))}
     ds = validate_dataset(meta, views, net)
-    assert np.array_equal(ds.aligned_views("v"), [3, 4])
-    assert ds.views_on("v", date(2018, 9, 2)) == 4
+    (k,) = ds.codes(["v"])
+    assert np.array_equal(ds.window_views[k], [3, 4])
+    assert np.array_equal(ds.window_views[:, ds.window.index(date(2018, 9, 2))], [4])
+    assert ds.views["v"].values.tolist() == [9, 9, 3, 4, 9]  # the parsed series keeps its days
+
+
+def test_dataset_ids_are_the_graph_code_space():
+    dataset, _ = datagen.generate(datagen.GenConfig(n_videos=12, n_artists=3, days=21, seed=5))
+    presence = daily_link_presence(dataset.network, dataset.corpus)
+    graph = build_graph(dataset.network.snapshots[0], dataset.corpus)
+    assert dataset.ids.tolist() == sorted(dataset.corpus)
+    assert np.array_equal(dataset.ids, presence.ids)
+    assert dataset.ids.tolist() == list(graph.ids)
+    assert dataset.window_views.shape == (12, 21)
+    for k, vid in enumerate(dataset.ids.tolist()):
+        assert np.array_equal(dataset.window_views[k], dataset.views[vid].slice_to(dataset.window))
+    assert dataset.codes(["v00003", "v00000", "v00003"]).tolist() == [3, 0, 3]
+    assert dataset.codes([]).tolist() == []
+
+
+def test_window_views_and_ids_are_read_only():
+    ds = _helpers.build_dataset(views={"a": [1, 2], "b": [3, 4]})
+    with pytest.raises(ValueError, match="read-only"):
+        ds.window_views[0, 0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        ds.ids[0] = "z"
+    assert ds.window_views.tolist() == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("vid", ["zz", "", "a\0", "a ", "0"])
+def test_codes_reject_non_corpus_ids(vid):
+    ds = _helpers.build_dataset(views={"a": [1, 2], "b": [3, 4]})
+    with pytest.raises(DataFormatError, match=f"^{re.escape(vid)} is not a corpus video$"):
+        ds.codes(["b", vid])
 
 
 def test_serialization_is_canonical_under_row_shuffle():

@@ -47,18 +47,16 @@ def test_noise_free_constant_chain():
         seed=0,
     )
     dataset, truth = datagen.generate(cfg)
-    assert np.array_equal(dataset.aligned_views("v00000"), [100] * 21)
-    assert np.array_equal(dataset.aligned_views("v00001"), [50] * 21)
+    assert np.array_equal(dataset.window_views[dataset.codes(["v00000", "v00001"])], [[100] * 21, [50] * 21])
     assert truth.beta == {("v00000", "v00001"): 0.5}
 
 
 def test_views_are_non_negative_integers():
     cfg = datagen.GenConfig(n_videos=15, n_artists=3, days=21, noise_scale=500.0, seed=3)
     dataset, _ = datagen.generate(cfg)
-    for vid in dataset.corpus:
-        vals = dataset.aligned_views(vid)
-        assert vals.dtype == np.int64
-        assert np.all(vals >= 0)
+    assert dataset.window_views.dtype == np.int64
+    assert dataset.window_views.shape == (15, 21)
+    assert np.all(dataset.window_views >= 0)
 
 
 def test_full_presence_edge_survives_persistence_extraction():

@@ -80,6 +80,14 @@ def test_ar_constant_series_reproduces_itself():
     assert forecast(model, np.full(56, 80.0), config=ForecastConfig(horizon=1))[0] == pytest.approx(80.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("level", [1e4, 1e5])
+def test_ar_singular_constant_series_falls_back_to_least_squares(level):
+    # equal lag columns make the Gram matrix singular: the 1e-8 ridge is lost against ~5e9 entries
+    model = fit_ar("v", np.full(56, level))
+    np.testing.assert_allclose(model.alpha, np.full(7, 1 / 7))
+    np.testing.assert_allclose(forecast(model, np.full(56, level)), np.full(7, level))
+
+
 def test_ar_all_zero_series_gives_zero_coefficients():
     model = fit_ar("v", np.zeros(56))
     np.testing.assert_array_equal(model.alpha, np.zeros(7))
@@ -261,7 +269,8 @@ def _recovery_problems():
     dataset, _ = datagen.generate(_recovery_config())
     persistent = extract_persistent_network(dataset.network, dataset)
     config = ForecastConfig()
-    train = {v: split_series(dataset, v, config)[0] for v in dataset.corpus}
+    ids = dataset.ids.tolist()
+    train = dict(zip(ids, split_series(dataset, ids, config)[0]))
     problems = [(v, train[v], {u: train[u] for u in persistent.in_edges.get(v, ())})
                 for v in sorted(persistent.targets)]
     return problems, config
@@ -368,12 +377,16 @@ def network_dataset(noise_seed=0):
 def test_split_series_boundaries():
     ds, _ = network_dataset()
     cfg = ForecastConfig()
-    train, test = split_series(ds, "u", cfg)
-    assert train.size == 56 and test.size == 7
-    assert train[0] == ds.aligned_views("u")[0]
-    assert test[-1] == ds.aligned_views("u")[-1]
+    train, test = split_series(ds, ["w", "u"], cfg)
+    assert train.shape == (2, 56) and test.shape == (2, 7)
+    u = ds.window_views[ds.codes(["u"])[0]]
+    assert train[1, 0] == u[0]
+    assert test[1, -1] == u[-1]
+    assert train[0].tolist() == [150.0] * 56
     with pytest.raises(DataFormatError, match="cannot hold"):
-        split_series(ds, "u", ForecastConfig(train_days=60, horizon=7))
+        split_series(ds, ["u"], ForecastConfig(train_days=60, horizon=7))
+    with pytest.raises(DataFormatError, match="zz is not a corpus video"):
+        split_series(ds, ["u", "zz"], cfg)
 
 
 def test_run_model_covers_all_four_families():
@@ -451,8 +464,8 @@ def test_observed_mode_feeds_actual_neighbor_views():
     cfg = ForecastConfig()
     models = {"v": ArnetModel("v", np.zeros(7), {"u": 1.0})}
     values = resolve_neighbor_values(ds, models, cfg)
-    _, test_u = split_series(ds, "u", cfg)
-    np.testing.assert_array_equal(values["v"]["u"], test_u)
+    _, test = split_series(ds, ["u"], cfg)
+    np.testing.assert_array_equal(values["v"]["u"], test[0])
 
 
 def test_forecast_mode_uses_snaive_for_unmodeled_neighbors():
@@ -460,9 +473,9 @@ def test_forecast_mode_uses_snaive_for_unmodeled_neighbors():
     cfg = ForecastConfig(neighbor_mode="forecast")
     models = {"v": ArnetModel("v", np.zeros(7), {"u": 1.0})}
     values = resolve_neighbor_values(ds, models, cfg)
-    train_u, _ = split_series(ds, "u", cfg)
+    train, _ = split_series(ds, ["u"], cfg)
     np.testing.assert_array_equal(
-        values["v"]["u"], predict_seasonal_naive(train_u, cfg.horizon)
+        values["v"]["u"], predict_seasonal_naive(train[0], cfg.horizon)
     )
 
 
@@ -503,7 +516,7 @@ def test_datagen_recovery_two_neighbors():
         edges=edges,
     )
     dataset, truth = datagen.generate(cfg)
-    train = {v: split_series(dataset, v, ForecastConfig())[0] for v in dataset.corpus}
+    train = dict(zip(dataset.ids.tolist(), split_series(dataset, dataset.ids, ForecastConfig())[0]))
     model = fit_arnet(
         "v00002",
         train["v00002"],

@@ -200,21 +200,21 @@ def test_indegree_ccdf_never_increases():
 
 def test_view_group_flow_quartiles():
     nodes = [f"v{i}" for i in range(8)]
-    views = {v: float(10 * (i + 1)) for i, v in enumerate(nodes)}
+    views = np.array([10.0 * (i + 1) for i in range(8)])  # in node code order
     # every node points at the top-viewed video v7
     edges = {(v, "v7") for v in nodes[:-1]}
     flow = view_group_flow(make_graph(nodes, edges), views)
     assert flow.sum() == 7
     assert flow[:, 3].sum() == 7
     assert flow[3, 3] == 1  # v6 sits in the top quartile with v7
-    with pytest.raises(DataFormatError, match="missing views"):
-        view_group_flow(make_graph({"a"}, set()), {})
+    for wrong in ([], [1.0, 2.0]):
+        with pytest.raises(DataFormatError, match=f"{len(wrong)} view counts for 1 nodes"):
+            view_group_flow(make_graph({"a"}, set()), np.array(wrong))
 
 
 def test_view_group_flow_lower_groups_take_extras():
     nodes = [f"v{i}" for i in range(6)]
-    views = {v: float(i) for i, v in enumerate(nodes)}
-    flow = view_group_flow(make_graph(nodes, {("v0", "v5")}), views)
+    flow = view_group_flow(make_graph(nodes, {("v0", "v5")}), np.arange(6.0))
     # 6 nodes split 2/2/1/1, so v5 is alone in the top group
     assert flow[0, 3] == 1
 

@@ -22,7 +22,7 @@ import _oracles
 
 
 def test_filter_thresholds_are_inclusive():
-    filters = ViewFilters({}, 100.0, 0.01)
+    filters = ViewFilters(np.zeros(0), 100.0, 0.01)
     # target needs a mean >= 100 and its source >= 1% of it, boundaries included
     assert filters.eligible(1.0, 100.0)
     assert not filters.eligible(1.0, 99.9)
@@ -34,8 +34,8 @@ def test_filter_thresholds_are_inclusive():
 def test_apply_view_filters_uses_window_means():
     ds = _helpers.build_dataset(views={"a": [10, 20, 30], "b": [0, 0, 3]})
     filters = apply_view_filters(ds, target_min=20.0, source_frac=0.05)
-    assert filters.mean_views == {"a": 20.0, "b": 1.0}
-    assert filters.means(["b", "a"]).tolist() == [1.0, 20.0]
+    assert filters.mean_views.tolist() == [20.0, 1.0]
+    assert filters.mean_views[ds.codes(["b", "a"])].tolist() == [1.0, 20.0]
     assert (filters.target_min, filters.source_frac) == (20.0, 0.05)
 
 

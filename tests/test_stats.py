@@ -198,6 +198,19 @@ def test_correlated_link_fractions_degenerate_pair_not_significant():
     assert out["g"].fraction == 0.0
 
 
+def test_correlated_link_fractions_short_window_gives_nan_rows():
+    # 14 days are too few for the weekly seasonality test, which needs 21
+    rng = np.random.default_rng(2)
+    views = {v: (200 + rng.integers(0, 50, 14)).tolist() for v in ("a", "b", "c")}
+    ds = _helpers.build_dataset(views=views)
+    out = correlated_link_fractions({"g": [("a", "b"), ("c", "a")]}, ds)
+    assert [(link.source, link.target) for link in out["g"].links] == [("a", "b"), ("c", "a")]
+    assert all(np.isnan(link.r) and np.isnan(link.p) and not link.significant for link in out["g"].links)
+    assert (out["g"].n_significant, out["g"].fraction) == (0, 0.0)
+    with pytest.raises(DataFormatError, match="zz is not a corpus video"):
+        correlated_link_fractions({"g": [("a", "zz")]}, ds)
+
+
 def test_correlated_link_fractions_rejects_empty_group():
     ds = _helpers.build_dataset(views={"a": [100] * 63, "b": [100] * 63})
     with pytest.raises(DataFormatError, match="empty"):

@@ -197,6 +197,11 @@ def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
             settings[key] = flag_val
     if settings["seed"] < 0:  # numpy's generators take only non-negative seeds
         raise UsageError(f"setting seed must be non-negative, got {settings['seed']}")
+    for key in ("target_min_views", "source_view_frac"):  # nan passes no view filter
+        if not math.isfinite(settings[key]):
+            raise UsageError(f"setting {key} must be finite, got {settings[key]}")
+    if not 0 < settings["alpha"] < 1:
+        raise UsageError(f"setting alpha must lie in (0, 1), got {settings['alpha']}")
     return settings
 
 

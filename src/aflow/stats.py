@@ -4,12 +4,13 @@ The preprocessing pipeline mirrors the common forecasting-competition recipe:
 a seasonality test on the autocorrelation at the seasonal lag, classical
 decomposition to strip the weekly pattern when present, ordinary
 least-squares detrending, and z-normalization.  Correlations are computed on
-the resulting residual series only.
+the resulting residual series only.  Both run over the rows of a 2-D array,
+and a row's numbers depend on that row alone, so a one-series call and a
+batch agree bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -22,28 +23,9 @@ from .graph_analysis import daily_link_presence
 from .persistence import ViewFilters, apply_view_filters
 
 SIGNIFICANCE_LEVEL = 0.05
-
-
-def seasonality_test(values: Sequence[float] | np.ndarray, period: int = 7) -> bool:
-    """90% autocorrelation test for seasonality at the given lag.
-
-    The series is seasonal when |acf(period)| exceeds
-    1.645 * sqrt((1 + 2 * sum of squared lower-lag acfs) / n).  Constant
-    series are never seasonal; series shorter than 3 periods are rejected.
-    """
-    y = np.asarray(values, dtype=float)
-    if y.ndim != 1:
-        raise DataFormatError("seasonality test expects a 1-D series")
-    n = y.size
-    if n < 3 * period:
-        raise DataFormatError(f"series of length {n} too short for period {period}")
-    dev = y - y.mean()
-    denom = float(np.dot(dev, dev))
-    if denom == 0:
-        return False
-    acf = np.array([np.dot(dev[lag:], dev[:-lag]) / denom for lag in range(1, period + 1)])
-    limit = 1.645 * math.sqrt((1 + 2 * float(np.sum(acf[:-1] ** 2))) / n)
-    return bool(abs(acf[-1]) > limit)
+# correlated_link_fractions gathers and tests at most this many rows or row
+# pairs at a time, which bounds its temporaries; it never changes a number.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,95 +37,108 @@ class ResidualSeries:
     additive_fallback: bool = False
 
 
-def _seasonal_indices(y: np.ndarray, period: int) -> tuple[np.ndarray, bool]:
-    """Classical-decomposition seasonal indices per phase.
+def residual_rows(y: np.ndarray, period: int = 7) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z-normalized residuals of each row of ``y``, with its seasonal and additive flags.
 
-    Multiplicative by default; falls back to additive when the series touches
-    zero or goes negative, since ratios are undefined there.
+    A row is seasonal when its lag-``period`` autocorrelation passes the 90%
+    test |acf(period)| > 1.645 * sqrt((1 + 2 * sum of squared lower-lag
+    acfs) / n); a constant row never is.  A seasonal row is divided by its
+    classical-decomposition indices, each phase's mean ratio to the centred
+    moving average; a row that touches zero or goes negative has no ratios
+    and subtracts mean differences instead (additive).  Every row is then
+    detrended by least squares and z-normalized.  A row that is flat after
+    the fit gives zeros rather than dividing by a vanishing standard
+    deviation.  Rows shorter than 3 periods are rejected.
     """
-    n = y.size
-    additive = bool(np.any(y <= 0))
-    kernel = np.full(period, 1.0 / period)
-    half = period // 2
-    trend = np.full(n, np.nan)
-    trend[half : n - half] = np.convolve(y, kernel, mode="valid")
+    m, n = y.shape
+    if n < 3 * period:
+        raise DataFormatError(f"series of length {n} too short for period {period}")
+    dev = y - y.mean(axis=1, keepdims=True)
+    denom = (dev * dev).sum(axis=1)
+    phase = np.arange(n) % period
+    valid = n - period + 1  # centred moving averages start at period // 2
+    start = period // 2
+    with np.errstate(invalid="ignore", divide="ignore"):  # rows the masks below discard
+        acf = np.stack([(dev[:, lag:] * dev[:, :-lag]).sum(axis=1)
+                        for lag in range(1, period + 1)], axis=1) / denom[:, None]
+        limit = 1.645 * np.sqrt((1 + 2 * (acf[:, :-1] ** 2).sum(axis=1)) / n)
+        seasonal = (denom != 0) & (np.abs(acf[:, -1]) > limit)
+        additive = (seasonal & (y <= 0).any(axis=1))[:, None]
+
+        trend = sum(y[:, k : k + valid] for k in range(period)) / period
+        mid = y[:, start : start + valid]
+        padded = np.zeros((m, -(-n // period) * period))
+        padded[:, start : start + valid] = np.where(additive, mid - trend, mid / trend)
+        counts = np.bincount(phase[start : start + valid], minlength=period)
+        indices = padded.reshape(m, -1, period).sum(axis=1) / counts
+        centre = indices.mean(axis=1, keepdims=True)
+        tiled = np.where(additive, indices - centre, indices / centre)[:, phase]
+        work = np.where(seasonal[:, None], np.where(additive, y - tiled, y / tiled), y)
+
+    t = np.arange(n) - (n - 1) / 2
+    level = work.mean(axis=1, keepdims=True)
+    slope = ((work - level) * t).sum(axis=1, keepdims=True) / float(t @ t)
+    resid = work - (level + slope * t)
+    sd = resid.std(axis=1)
+    flat = sd <= 1e-12 * np.maximum(1.0, np.abs(resid).max(axis=1))
     with np.errstate(invalid="ignore", divide="ignore"):
-        detrended = y - trend if additive else y / trend
-    indices = np.array([np.nanmean(detrended[phase::period]) for phase in range(period)])
-    if additive:
-        indices = indices - indices.mean()
-    else:
-        indices = indices / indices.mean()
-    return indices, additive
+        z = (resid - resid.mean(axis=1, keepdims=True)) / sd[:, None]
+    z[flat] = 0.0
+    return z, seasonal, additive[:, 0]
 
 
 def preprocess(values: Sequence[float] | np.ndarray, period: int = 7) -> ResidualSeries:
-    """Deseasonalize (when seasonal), detrend, and z-normalize a series.
-
-    Returns all-zero residuals for series that are constant after the linear
-    fit rather than dividing by a vanishing standard deviation.
-    """
+    """Deseasonalize (when seasonal), detrend, and z-normalize a series: one row of :func:`residual_rows`."""
     y = np.asarray(values, dtype=float)
-    was_seasonal = seasonality_test(y, period)
-    n = y.size
-    work = y.astype(float)
-    additive = False
-    if was_seasonal:
-        indices, additive = _seasonal_indices(y, period)
-        tiled = indices[np.arange(n) % period]
-        work = y - tiled if additive else y / tiled
-
-    t = np.arange(n, dtype=float)
-    slope, intercept = np.polyfit(t, work, 1)
-    resid = work - (intercept + slope * t)
-
-    sd = float(resid.std())
-    scale = max(1.0, float(np.abs(resid).max(initial=0.0)))
-    if sd <= 1e-12 * scale:
-        z = np.zeros(n)
-    else:
-        z = (resid - resid.mean()) / sd
-    return ResidualSeries(z, was_seasonal, additive)
+    if y.ndim != 1:
+        raise DataFormatError("seasonality test expects a 1-D series")
+    z, seasonal, additive = residual_rows(y[None, :], period)
+    return ResidualSeries(z[0], bool(seasonal[0]), bool(additive[0]))
 
 
-def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = math.sqrt(float(np.dot(xd, xd)))
-    sy = math.sqrt(float(np.dot(yd, yd)))
-    if sx == 0 or sy == 0:
-        raise DataFormatError("correlation of a zero-variance series is undefined")
-    r = float(np.dot(xd, yd) / (sx * sy))
-    return max(-1.0, min(1.0, r))
+def seasonality_test(values: Sequence[float] | np.ndarray, period: int = 7) -> bool:
+    """The 90% autocorrelation test for seasonality at lag ``period`` that :func:`residual_rows` runs."""
+    return preprocess(values, period).was_seasonal
+
+
+def pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson r of each row of ``x`` with the same row of ``y``, and its two-sided p-value.
+
+    p comes from t = |r| * sqrt((n-2) / (1-r^2)) on n-2 degrees of freedom, so
+    |r| = 1 gives p = 0.  A zero-variance row gives r = p = nan.
+    """
+    # stdtr is the Student-t CDF that scipy.stats.t.sf evaluates; calling it
+    # directly keeps scipy.stats out of the import graph, and importing it
+    # here keeps scipy.special out of every command but correlate.
+    from scipy.special import stdtr
+
+    xd = x - x.mean(axis=1, keepdims=True)
+    yd = y - y.mean(axis=1, keepdims=True)
+    df = x.shape[1] - 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = (xd * yd).sum(axis=1) / (np.sqrt((xd * xd).sum(axis=1)) * np.sqrt((yd * yd).sum(axis=1)))
+        r = np.clip(r, -1.0, 1.0)
+        t_stat = np.abs(r) * np.sqrt(df / (1.0 - r * r))
+    return r, np.minimum(1.0, 2.0 * stdtr(df, -t_stat))
 
 
 def pearson_test(
     x: ResidualSeries | Sequence[float] | np.ndarray,
     y: ResidualSeries | Sequence[float] | np.ndarray,
 ) -> tuple[float, float]:
-    """Pearson correlation with a two-sided p-value from the t distribution.
-
-    Uses t = r * sqrt((n-2) / (1-r^2)) on n-2 degrees of freedom; |r| = 1
-    maps to p = 0.
-    """
+    """Pearson correlation with a two-sided p-value: one row of :func:`pearson_rows`."""
     xa = np.asarray(getattr(x, "values", x), dtype=float)
     ya = np.asarray(getattr(y, "values", y), dtype=float)
     if xa.ndim != 1 or xa.shape != ya.shape:
         raise DataFormatError("correlation inputs must be equal-length 1-D series")
-    n = xa.size
-    if n < 3:
+    if xa.size < 3:
         raise DataFormatError("need at least 3 observations for a correlation test")
-    r = _pearson_r(xa, ya)
-    if abs(r) == 1.0:
-        return r, 0.0
-    t_stat = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
-    # stdtr is the Student-t CDF that scipy.stats.t.sf evaluates; calling it
-    # directly keeps scipy.stats out of the import graph, and importing it
-    # here keeps scipy.special out of every command but correlate.
-    from scipy.special import stdtr
-
-    p = 2.0 * float(stdtr(n - 2, -t_stat))
-    return r, min(1.0, p)
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise DataFormatError("correlation inputs must be finite")
+    r, p = pearson_rows(xa[None, :], ya[None, :])
+    if np.isnan(r[0]):
+        raise DataFormatError("correlation of a zero-variance series is undefined")
+    return float(r[0]), float(p[0])
 
 
 @dataclass(frozen=True)
@@ -172,34 +167,38 @@ def correlated_link_fractions(
 ) -> dict[str, GroupCorrelation]:
     """Fraction of links per group whose residual series correlate (p < alpha).
 
-    Residuals are preprocessed once per video.  Pairs where either residual
-    is undefined (a window under three periods) or degenerate (zero variance)
-    count as not significant with r = p = nan.
+    Residuals are computed once per video, over the ``window_views`` rows the
+    groups use, and each group's pairs are tested in blocks.  Pairs where
+    either residual is undefined (a window under three periods) or degenerate
+    (zero variance) count as not significant with r = p = nan.
     """
-    cache: dict[int, ResidualSeries] = {}
-
-    def resid(code: int) -> ResidualSeries:
-        if code not in cache:
-            cache[code] = preprocess(dataset.window_views[code], period)
-        return cache[code]
+    pairs = {name: list(groups[name]) for name in sorted(groups)}
+    codes: dict[str, np.ndarray] = {}
+    for name, links in pairs.items():
+        if not links:
+            raise DataFormatError(f"link group {name!r} is empty")
+        codes[name] = dataset.codes(v for pair in links for v in pair)
+    used = np.unique(np.concatenate(list(codes.values())))
+    views = dataset.window_views
+    resid = np.full((used.size, views.shape[1]), np.nan)  # stays nan under three periods
+    if views.shape[1] >= 3 * period:
+        for at in range(0, used.size, BLOCK_ROWS):
+            block = used[at : at + BLOCK_ROWS]
+            resid[at : at + block.size] = residual_rows(views[block].astype(float), period)[0]
 
     out: dict[str, GroupCorrelation] = {}
-    for name in sorted(groups):
-        pairs = list(groups[name])
-        if not pairs:
-            raise DataFormatError(f"link group {name!r} is empty")
-        codes = dataset.codes(v for pair in pairs for v in pair).tolist()
-        rows: list[LinkCorrelation] = []
-        n_sig = 0
-        for (src, tgt), src_code, tgt_code in zip(pairs, codes[0::2], codes[1::2]):
-            try:
-                r, p = pearson_test(resid(src_code), resid(tgt_code))
-                sig = p < alpha
-            except DataFormatError:
-                r, p, sig = float("nan"), float("nan"), False
-            n_sig += int(sig)
-            rows.append(LinkCorrelation(src, tgt, r, p, sig))
-        out[name] = GroupCorrelation(name, len(rows), n_sig, n_sig / len(rows), tuple(rows))
+    for name, links in pairs.items():
+        rows = np.searchsorted(used, codes[name])
+        src, tgt = rows[0::2], rows[1::2]
+        r, p = np.empty(len(links)), np.empty(len(links))
+        for at in range(0, len(links), BLOCK_ROWS):
+            block = slice(at, at + BLOCK_ROWS)
+            r[block], p[block] = pearson_rows(resid[src[block]], resid[tgt[block]])
+        sig = p < alpha
+        n_sig = int(sig.sum())
+        tested = tuple(LinkCorrelation(*link, *row)
+                       for link, *row in zip(links, r.tolist(), p.tolist(), sig.tolist()))
+        out[name] = GroupCorrelation(name, len(links), n_sig, n_sig / len(links), tested)
     return out
 
 
@@ -303,7 +302,7 @@ def spearman(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -
         raise DataFormatError("rank correlation inputs must be equal-length 1-D series")
     if xa.size < 3:
         raise DataFormatError("need at least 3 observations for a rank correlation")
-    return _pearson_r(average_ranks(xa), average_ranks(ya))
+    return pearson_test(average_ranks(xa), average_ranks(ya))[0]
 
 
 def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:

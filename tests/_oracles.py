@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: Floyd-Warshall closures, quadratic
-rank counting, numeric quadrature, link analyses that rebuild one
-``build_graph`` per day or walk ``RankedList`` entries, and one ARNet fit at
-a time by scipy's L-BFGS-B.  None of it shares code paths with the
+rank counting, numeric quadrature, series preprocessed one at a time with
+``np.polyfit``, link analyses that rebuild one ``build_graph`` per day or
+walk ``RankedList`` entries, and one ARNet fit at a time by scipy's L-BFGS-B.  None of it shares code paths with the
 implementations under test, except ``fixed_start_arnet``, which keeps the
 package's solver and changes only its start point.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -22,6 +23,7 @@ from aflow.data_model import DataFormatError
 from aflow.forecast import (SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
                             _arnet_design, _solve_block)
 from aflow.graph_analysis import ChurnStats, build_graph
+from aflow.stats import ResidualSeries
 
 
 def reachability(node_ids: list[str], edges) -> np.ndarray:
@@ -107,6 +109,83 @@ def two_sided_p(r: float, n: int) -> float:
         return 0.0
     t_stat = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
     return min(1.0, 2.0 * t_sf(t_stat, n - 2))
+
+
+# ---------------------------------------------------------------------------
+# per-series preprocessing: one series at a time, with np.polyfit
+
+
+def seasonality_test(values: Sequence[float] | np.ndarray, period: int = 7) -> bool:
+    """90% autocorrelation test for seasonality at the given lag.
+
+    The series is seasonal when |acf(period)| exceeds
+    1.645 * sqrt((1 + 2 * sum of squared lower-lag acfs) / n).  Constant
+    series are never seasonal; series shorter than 3 periods are rejected.
+    """
+    y = np.asarray(values, dtype=float)
+    if y.ndim != 1:
+        raise DataFormatError("seasonality test expects a 1-D series")
+    n = y.size
+    if n < 3 * period:
+        raise DataFormatError(f"series of length {n} too short for period {period}")
+    dev = y - y.mean()
+    denom = float(np.dot(dev, dev))
+    if denom == 0:
+        return False
+    acf = np.array([np.dot(dev[lag:], dev[:-lag]) / denom for lag in range(1, period + 1)])
+    limit = 1.645 * math.sqrt((1 + 2 * float(np.sum(acf[:-1] ** 2))) / n)
+    return bool(abs(acf[-1]) > limit)
+
+
+def _seasonal_indices(y: np.ndarray, period: int) -> tuple[np.ndarray, bool]:
+    """Classical-decomposition seasonal indices per phase.
+
+    Multiplicative by default; falls back to additive when the series touches
+    zero or goes negative, since ratios are undefined there.
+    """
+    n = y.size
+    additive = bool(np.any(y <= 0))
+    kernel = np.full(period, 1.0 / period)
+    half = period // 2
+    trend = np.full(n, np.nan)
+    trend[half : n - half] = np.convolve(y, kernel, mode="valid")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        detrended = y - trend if additive else y / trend
+    indices = np.array([np.nanmean(detrended[phase::period]) for phase in range(period)])
+    if additive:
+        indices = indices - indices.mean()
+    else:
+        indices = indices / indices.mean()
+    return indices, additive
+
+
+def preprocess(values: Sequence[float] | np.ndarray, period: int = 7) -> ResidualSeries:
+    """Deseasonalize (when seasonal), detrend, and z-normalize a series.
+
+    Returns all-zero residuals for series that are constant after the linear
+    fit rather than dividing by a vanishing standard deviation.
+    """
+    y = np.asarray(values, dtype=float)
+    was_seasonal = seasonality_test(y, period)
+    n = y.size
+    work = y.astype(float)
+    additive = False
+    if was_seasonal:
+        indices, additive = _seasonal_indices(y, period)
+        tiled = indices[np.arange(n) % period]
+        work = y - tiled if additive else y / tiled
+
+    t = np.arange(n, dtype=float)
+    slope, intercept = np.polyfit(t, work, 1)
+    resid = work - (intercept + slope * t)
+
+    sd = float(resid.std())
+    scale = max(1.0, float(np.abs(resid).max(initial=0.0)))
+    if sd <= 1e-12 * scale:
+        z = np.zeros(n)
+    else:
+        z = (resid - resid.mean()) / sd
+    return ResidualSeries(z, was_seasonal, additive)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,29 @@ def test_negative_seed_is_usage_error_from_every_source(tmp_path, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,key,value,message", [
+    ("correlate", "alpha", "nan", "setting alpha must lie in (0, 1), got nan"),
+    ("correlate", "alpha", "1.0", "setting alpha must lie in (0, 1), got 1.0"),
+    ("correlate", "alpha", "0", "setting alpha must lie in (0, 1), got 0.0"),
+    ("persistent", "target_min_views", "inf", "setting target_min_views must be finite, got inf"),
+    ("pipeline", "source_view_frac", "nan", "setting source_view_frac must be finite, got nan"),
+])
+def test_bad_view_filter_and_alpha_are_usage_errors_from_every_source(
+        tmp_path, monkeypatch, capsys, command, key, value, message):
+    argv = [command, "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key}={value}\n", encoding="utf-8")
+    flag = "--" + key.replace("_", "-")
+    for extra, env in ([flag, value], None), (["--config", str(config)], None), ([], value):
+        if env is not None:
+            monkeypatch.setenv(f"AFLOW_{key.upper()}", env)
+        code, captured = run(argv + extra, capsys)
+        assert code == 1
+        assert usage_record(captured)["message"] == message
+        assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("day", ["2030-01-01", "2018-13-01"])
 def test_analyze_date_problems_are_usage_errors(tmp_path, capsys, day):
     data = generate_data(tmp_path)
@@ -947,6 +970,14 @@ def test_pipeline_leaves_out_scipy(tmp_path):
     argv = ["pipeline", "--data", str(data), "--out", str(tmp_path / "run"), "--threads", "1"]
     assert scipy_modules_loaded(f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0") == []
     assert (tmp_path / "run" / "arnet" / "fit_diagnostics.csv").is_file()
+
+
+def test_correlate_loads_only_scipy_special(tmp_path):
+    data = generate_data(tmp_path)
+    argv = ["correlate", "--data", str(data), "--out", str(tmp_path / "corr")]
+    script = f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0"
+    assert scipy_modules_loaded(script) == ["scipy.special"]
+    assert (tmp_path / "corr" / "link_correlations.csv").is_file()
 
 
 def test_contribute_leaves_out_scipy_stats(tmp_path):

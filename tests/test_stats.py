@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from aflow import stats
 from aflow.data_model import DataFormatError
 from aflow.stats import (
     average_ranks,
     correlated_link_fractions,
     gini,
+    pearson_rows,
     pearson_test,
     preprocess,
+    residual_rows,
     sample_random_pairs,
     seasonality_test,
     spearman,
@@ -77,6 +80,30 @@ def test_preprocess_output_is_z_normalized():
     assert abs(out.values.std() - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("n", [21, 22, 63, 64])
+def test_residual_rows_match_the_per_series_oracle(n):
+    # lengths off a multiple of 7 give phases with unequal counts
+    rng = np.random.default_rng(n)
+    t = np.arange(n, dtype=float)
+    weekly = np.resize(WEEK, n)
+    series = {
+        "iid noise": rng.normal(100.0, 10.0, n),
+        "weekly x trend": (200.0 + 2.0 * t) * weekly + rng.normal(0.0, 5.0, n),
+        "pure weekly": 10.0 * weekly,
+        "linear ramp": 3.0 * t + 5.0,
+        "constant": np.full(n, 7.0),
+        "zero-touching": np.maximum(0.0, 100.0 * (weekly - 0.7) + rng.normal(0.0, 3.0, n)),
+    }
+    z, seasonal, additive = residual_rows(np.array(list(series.values())))
+    for k, (name, y) in enumerate(series.items()):
+        expected = _oracles.preprocess(y)
+        assert (seasonal[k], additive[k]) == (expected.was_seasonal, expected.additive_fallback), name
+        np.testing.assert_allclose(z[k], expected.values, rtol=0, atol=1e-9, err_msg=name)
+    # the decomposition runs, multiplicative and additive, at every length
+    assert seasonal[1] and not additive[1]
+    assert seasonal[-1] and additive[-1]
+
+
 def test_pearson_perfect_correlation():
     x = np.arange(10, dtype=float)
     r, p = pearson_test(x, 2.0 * x + 1.0)
@@ -104,6 +131,10 @@ def test_pearson_rejects_degenerate_input():
         pearson_test(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     with pytest.raises(DataFormatError, match="equal-length"):
         pearson_test(np.arange(5.0), np.arange(6.0))
+    with pytest.raises(DataFormatError, match="finite"):
+        pearson_test(np.array([np.nan, 1.0, 2.0, 4.0]), np.arange(4.0))
+    with pytest.raises(DataFormatError, match="finite"):
+        spearman(np.arange(4.0), np.array([1.0, np.inf, np.nan, 0.0]))
 
 
 def test_pearson_size_under_the_null():
@@ -209,6 +240,44 @@ def test_correlated_link_fractions_short_window_gives_nan_rows():
     assert (out["g"].n_significant, out["g"].fraction) == (0, 0.0)
     with pytest.raises(DataFormatError, match="zz is not a corpus video"):
         correlated_link_fractions({"g": [("a", "zz")]}, ds)
+
+
+def test_correlated_link_fractions_rows_do_not_depend_on_the_batch(monkeypatch):
+    rng = np.random.default_rng(6)
+    base = 300.0 + 40.0 * np.resize(WEEK, 63) + rng.normal(0.0, 20.0, (12, 63))
+    views = {f"v{i:02d}": np.clip(row, 1, None).astype(int).tolist() for i, row in enumerate(base)}
+    ds = _helpers.build_dataset(views=views)
+    pair = ("v00", "v01")
+    others = [(a, b) for a in views for b in views if a != b and (a, b) != pair]
+
+    def link(groups, name):
+        (row,) = [x for x in correlated_link_fractions(groups, ds)[name].links
+                  if (x.source, x.target) == pair]
+        return row.r, row.p
+
+    alone = link({"g": [pair]}, "g")
+    assert np.isfinite(alone).all()
+    assert link({"g": others[:40] + [pair] + others[40:]}, "g") == alone
+    both = {"a": [pair] + others[:5], "b": others[5:9] + [pair]}
+    assert link(both, "a") == link(both, "b") == alone
+    for block in (1, 2, 3, 7):  # the pair and the videos' rows sit on either side of a block edge
+        monkeypatch.setattr(stats, "BLOCK_ROWS", block)
+        assert link({"g": others[:block - 1] + [pair] + others[:5]}, "g") == alone
+        assert link({"g": others[:block] + [pair]}, "g") == alone
+    x, y = (preprocess(ds.window_views[k]) for k in ds.codes(pair))
+    assert pearson_test(x, y) == alone
+
+
+def test_pearson_rows_match_one_pair_calls():
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=(2, 9, 30))
+    y[0] = x[0]
+    y[1] = 5.0
+    r, p = pearson_rows(x, y)
+    assert (r[0], p[0]) == (1.0, 0.0)
+    assert np.isnan(r[1]) and np.isnan(p[1])
+    for k in range(2, 9):
+        assert pearson_test(x[k], y[k]) == (r[k], p[k])
 
 
 def test_correlated_link_fractions_rejects_empty_group():

@@ -335,11 +335,16 @@ def read_persistent_edges(path: Path) -> PersistentNetwork:
         raise DataFormatError(
             f"persistent edges artifact not found: {path}; run the persistent step first"
         )
-    edges = []
+    edges, first_line = [], {}
     for line, row in _artifact_rows(path, PERSISTENT_HEADER):
         where = f"{path}:{line}"
         reciprocal = _cell(_FLAGS.get, row[2], where, "reciprocal flag")
         count = _cell(int_or_none, row[3], where, "presence count")
+        if row[0] == row[1]:
+            raise DataFormatError(f"{where}: self-loop on {row[0]}")
+        first = first_line.setdefault((row[0], row[1]), line)
+        if first != line:
+            raise DataFormatError(f"{where}: repeated edge {row[0]} -> {row[1]} (first at line {first})")
         edges.append(PersistentEdge(row[0], row[1], reciprocal, count))
     return PersistentNetwork(tuple(sorted(edges, key=lambda e: (e.source, e.target))))
 
@@ -391,6 +396,9 @@ def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]
         for key, value in config.items()
     ):
         raise DataFormatError(f"{path}: 'config' must map ForecastConfig fields to values of their type")
+    missing = sorted(kinds.keys() - config.keys())
+    if missing:
+        raise DataFormatError(f"{path}: 'config' lacks the ForecastConfig fields {', '.join(missing)}")
     try:
         config = ForecastConfig(**config)
     except DataFormatError as exc:
@@ -405,6 +413,9 @@ def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]
             f"{path}: each video needs 'alpha', {config.p} numbers, and 'beta', an object of numbers")
     if not videos:
         raise DataFormatError(f"{path}: no fitted videos")
+    for vid, entry in videos.items():
+        if vid in entry["beta"]:
+            raise DataFormatError(f"{path}: {vid} has a beta on itself")
     models = {
         vid: ArnetModel(vid, np.asarray(entry["alpha"], dtype=float), dict(entry["beta"]))
         for vid, entry in videos.items()

@@ -129,36 +129,19 @@ class VideoMeta:
 
 
 @dataclass(frozen=True, eq=False)
-class ViewSeries:
-    """Daily view counts for one video over consecutive days."""
+class ViewTable:
+    """Daily view counts of every video in one table.
 
-    id: str
-    start_date: date
+    ``ids`` holds the distinct video ids as a sorted numpy string array.  Video
+    ``ids[k]`` has the counts ``values[bounds[k] : bounds[k + 1]]`` on the
+    consecutive days from the date ordinal ``start[k]`` on.  ``start``,
+    ``bounds`` and ``values`` are int64.
+    """
+
+    ids: np.ndarray
+    start: np.ndarray
+    bounds: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.int64)
-        if vals.ndim != 1 or vals.size == 0:
-            raise DataFormatError(f"view series for {self.id} must be a non-empty vector")
-        if np.any(vals < 0):
-            raise DataFormatError(f"view series for {self.id} contains negative counts")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def end_date(self) -> date:
-        return self.start_date + timedelta(days=len(self.values) - 1)
-
-    def covers(self, window: ObservationWindow) -> bool:
-        return self.start_date <= window.start and self.end_date >= window.end
-
-    def slice_to(self, window: ObservationWindow) -> np.ndarray:
-        """Values aligned to the window; requires ``covers(window)``."""
-        if not self.covers(window):
-            raise DataFormatError(
-                f"view series for {self.id} does not cover {window.start}..{window.end}"
-            )
-        off = (window.start - self.start_date).days
-        return self.values[off : off + window.n_days]
 
 
 @dataclass(frozen=True)
@@ -314,17 +297,18 @@ class DatasetSummary:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Validated bundle of metadata, view series and the dynamic network.
+    """Validated bundle of metadata, view counts and the dynamic network.
 
     ``corpus`` holds every id with metadata; ``external`` holds ids that
-    appear in snapshots without metadata.  Every corpus video has a view
-    series covering the observation window.  ``ids`` holds the corpus sorted,
-    as ``DirectedGraph.ids`` does, and row k of the read-only int64 matrix
-    ``window_views`` holds the window's daily views of ``ids[k]``.
+    appear in snapshots without metadata.  Every corpus video has view counts
+    covering the observation window; ``views`` keeps the days outside it too.
+    ``ids`` holds the corpus sorted, as ``DirectedGraph.ids`` does, and row k
+    of the read-only int64 matrix ``window_views`` holds the window's daily
+    views of ``ids[k]``.
     """
 
     metadata: Mapping[str, VideoMeta]
-    views: Mapping[str, ViewSeries]
+    views: ViewTable
     network: DynamicNetwork
     corpus: frozenset[str]
     external: frozenset[str]
@@ -507,11 +491,12 @@ def parse_snapshots(source: str | Path | IO[str] | IO[bytes]) -> DynamicNetwork:
     return _split_or_read(source, _split_snapshots, _read_snapshot_rows)
 
 
-def parse_views(source: str | Path | IO[str] | IO[bytes]) -> dict[str, ViewSeries]:
-    """Parse a views CSV into per-video series, in the order ids first appear.
+def parse_views(source: str | Path | IO[str] | IO[bytes]) -> ViewTable:
+    """Parse a views CSV into a :class:`ViewTable`.
 
     Each video's rows must form one contiguous date range with non-negative
-    counts; gaps and negatives are errors, nothing is imputed.
+    counts; gaps and negatives are errors, nothing is imputed.  Of several
+    videos with a gap, the one whose rows start first is reported.
     """
     return _split_or_read(source, _split_views, _read_view_rows)
 
@@ -601,7 +586,7 @@ def _read_snapshot_rows(source: str | Path | Iterable[str]) -> DynamicNetwork:
     return DynamicNetwork(window, table)
 
 
-def _read_view_rows(source: str | Path | Iterable[str]) -> dict[str, ViewSeries]:
+def _read_view_rows(source: str | Path | Iterable[str]) -> ViewTable:
     """:func:`parse_views` row by row with the csv module, as :func:`_read_snapshot_rows`."""
     rows: dict[str, dict[date, int]] = {}
     for line_no, row in _open_rows(source, VIEWS_HEADER):
@@ -628,16 +613,20 @@ def _read_view_rows(source: str | Path | Iterable[str]) -> dict[str, ViewSeries]
     if not rows:
         raise DataFormatError("views file holds no rows")
 
-    out: dict[str, ViewSeries] = {}
-    for vid, per in rows.items():
-        days = sorted(per)
-        span = (days[-1] - days[0]).days + 1
-        if len(days) != span:
-            missing = sorted(set(ObservationWindow(days[0], span).dates()) - set(days))
+    for vid, per in rows.items():  # in first-appearance order: the first video with a gap is reported
+        first = min(per)
+        span = (max(per) - first).days + 1
+        if len(per) != span:
+            missing = sorted(set(ObservationWindow(first, span).dates()) - set(per))
             raise DataFormatError(f"view series for {vid} has a gap at {missing[0]}")
-        values = np.array([per[d] for d in days], dtype=np.int64)
-        out[vid] = ViewSeries(vid, days[0], values)
-    return out
+    ids = sorted(rows)
+    days = [sorted(rows[vid]) for vid in ids]
+    return ViewTable(
+        np.array(ids, dtype=str),
+        np.array([d[0].toordinal() for d in days], dtype=np.int64),
+        np.cumsum([0, *map(len, days)], dtype=np.int64),
+        np.array([rows[vid][d] for vid, vid_days in zip(ids, days) for d in vid_days], dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +912,7 @@ def _split_snapshots(handle: IO[bytes]) -> DynamicNetwork:
     return DynamicNetwork(window, SnapshotTable(_texts(names, width), day, src, tgt, pos, kind))
 
 
-def _split_views(handle: IO[bytes]) -> dict[str, ViewSeries]:
+def _split_views(handle: IO[bytes]) -> ViewTable:
     """:func:`parse_views` of a clean file by a numpy byte split."""
     vocabulary, width = _Vocabulary(), 0
     code, ordinal, counts = [], [], []
@@ -946,15 +935,8 @@ def _split_views(handle: IO[bytes]) -> dict[str, ViewSeries]:
     steps[opens[1:] - 1] = 1
     if (steps != 1).any():
         raise _Declined  # a gap or a repeated day in some video's rows
-    values = counts[rows]
-    first_row = np.minimum.reduceat(rows, opens)
-    bounds = np.r_[opens, rows.size].tolist()
-    start = ordinal[opens].tolist()
-    names = _texts(names, width).tolist()
-    return {
-        names[k]: ViewSeries(names[k], date.fromordinal(start[k]), values[bounds[k] : bounds[k + 1]])
-        for k in np.argsort(first_row).tolist()
-    }
+    bounds = np.append(opens, rows.size).astype(np.int64)
+    return ViewTable(_texts(names, width), ordinal[opens], bounds, counts[rows])
 
 
 def parse_metadata(source: str | Path | IO[str]) -> dict[str, VideoMeta]:
@@ -986,33 +968,42 @@ def parse_metadata(source: str | Path | IO[str]) -> dict[str, VideoMeta]:
 
 def validate_dataset(
     metadata: Mapping[str, VideoMeta],
-    views: Mapping[str, ViewSeries],
+    views: ViewTable,
     network: DynamicNetwork,
 ) -> Dataset:
     """Cross-check the three inputs and assemble a :class:`Dataset`.
 
     The corpus is the set of ids with metadata.  Every corpus video must have
-    a view series covering the observation window (a longer series is fine,
-    it is sliced on access).  Ids seen in snapshots without metadata are kept
-    in ``external`` so they can be dropped at graph construction.
+    view counts covering the observation window (longer ones are fine, the
+    window is cut from them).  Ids seen in snapshots without metadata are kept
+    in ``external`` so they can be dropped at graph construction.  Of several
+    failing videos, the first in id order is reported.
     """
     corpus = frozenset(metadata)
     window = network.window
 
-    for vid in sorted(corpus):
-        series = views.get(vid)
-        if series is None:
-            raise DataFormatError(f"corpus video {vid} has no view series")
-        if not series.covers(window):
+    if (views.values < 0).any():  # the readers reject these; a table built by hand may hold one
+        k = np.searchsorted(views.bounds, np.argmax(views.values < 0), side="right") - 1
+        raise DataFormatError(f"view series for {views.ids[k]} contains negative counts")
+    ids = np.array(sorted(corpus), dtype=str)
+    row = np.searchsorted(views.ids, ids)
+    found = row < views.ids.size
+    found[found] = views.ids[row[found]] == ids[found]
+    start, end = np.zeros((2, ids.size), dtype=np.int64)
+    start[found] = views.start[row[found]]
+    end[found] = start[found] + np.diff(views.bounds)[row[found]] - 1
+    covers = (start <= window.start.toordinal()) & (end >= window.end.toordinal())
+    upload = np.array([metadata[vid].upload_date.toordinal() for vid in ids.tolist()], dtype=np.int64)
+    bad = np.flatnonzero(~found | ~covers | (upload > start))
+    if bad.size:
+        k = int(bad[0])
+        if not found[k]:
+            raise DataFormatError(f"corpus video {ids[k]} has no view series")
+        vid, first, last = ids[k], date.fromordinal(int(start[k])), date.fromordinal(int(end[k]))
+        if not covers[k]:
             raise DataFormatError(
-                f"view series for {vid} spans {series.start_date}..{series.end_date}, "
-                f"window needs {window.start}..{window.end}"
-            )
-        if metadata[vid].upload_date > series.start_date:
-            raise DataFormatError(
-                f"{vid} uploaded {metadata[vid].upload_date}, "
-                f"after its first observed day {series.start_date}"
-            )
+                f"view series for {vid} spans {first}..{last}, window needs {window.start}..{window.end}")
+        raise DataFormatError(f"{vid} uploaded {metadata[vid].upload_date}, after its first observed day {first}")
 
     table = network.table
     external = frozenset(table.ids.tolist()) - corpus
@@ -1025,11 +1016,10 @@ def validate_dataset(
         mean_edges_per_day=edge_rows / window.n_days,
         n_external_targets=len(external),
     )
-    ids = np.array(sorted(corpus), dtype=str)
-    rows = [views[vid].slice_to(window) for vid in ids.tolist()]
-    window_views = np.array(rows, dtype=np.int64).reshape(ids.size, window.n_days)
+    first_day = views.bounds[row] + window.start.toordinal() - start
+    window_views = views.values[first_day[:, None] + np.arange(window.n_days)]
     ids.flags.writeable = window_views.flags.writeable = False
-    return Dataset(dict(metadata), dict(views), network, corpus, external, summary, ids, window_views)
+    return Dataset(dict(metadata), views, network, corpus, external, summary, ids, window_views)
 
 
 def load_dataset(data_dir: str | Path) -> Dataset:
@@ -1053,47 +1043,42 @@ def parse_file(parse: Callable[[Path], T], path: Path) -> T:
 # ---------------------------------------------------------------------------
 # canonical serialization
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """The header row, then ``rows``, written by the csv module with LF line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def serialize_snapshots(network: DynamicNetwork) -> str:
     """Canonical snapshots CSV: rows sorted by (date, source, kind, position)."""
     t = network.table
     rows = np.lexsort((t.pos, t.kind, t.src, t.day))
     days = [d.isoformat() for d in network.window.dates()]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SNAPSHOT_HEADER)
-    writer.writerows(
-        zip(
-            map(days.__getitem__, t.day[rows].tolist()),
-            t.ids[t.src[rows]].tolist(),
-            t.ids[t.tgt[rows]].tolist(),
-            t.pos[rows].tolist(),
-            map(LIST_KINDS.__getitem__, t.kind[rows].tolist()),
-        )
-    )
-    return buf.getvalue()
+    return _csv_text(SNAPSHOT_HEADER, zip(
+        map(days.__getitem__, t.day[rows].tolist()),
+        t.ids[t.src[rows]].tolist(),
+        t.ids[t.tgt[rows]].tolist(),
+        t.pos[rows].tolist(),
+        map(LIST_KINDS.__getitem__, t.kind[rows].tolist()),
+    ))
 
 
-def serialize_views(views: Mapping[str, ViewSeries]) -> str:
+def serialize_views(views: ViewTable) -> str:
     """Canonical views CSV: rows sorted by (video_id, date)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(VIEWS_HEADER)
-    for vid in sorted(views):
-        series = views[vid]
-        for i, val in enumerate(series.values):
-            d = series.start_date + timedelta(days=i)
-            writer.writerow([vid, d.isoformat(), int(val)])
-    return buf.getvalue()
+    lengths = np.diff(views.bounds)
+    ordinal = np.repeat(views.start - views.bounds[:-1], lengths) + np.arange(views.values.size)
+    ordinals, day = np.unique(ordinal, return_inverse=True)
+    days = [date.fromordinal(o).isoformat() for o in ordinals.tolist()]
+    ids = np.repeat(views.ids, lengths).tolist()
+    return _csv_text(VIEWS_HEADER, zip(ids, map(days.__getitem__, day.ravel().tolist()), views.values.tolist()))
 
 
 def serialize_metadata(metadata: Mapping[str, VideoMeta]) -> str:
     """Canonical metadata CSV: rows sorted by video_id, genres sorted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METADATA_HEADER)
-    for vid in sorted(metadata):
-        meta = metadata[vid]
-        writer.writerow(
-            [vid, meta.artist_id, meta.upload_date.isoformat(), "|".join(sorted(meta.genres))]
-        )
-    return buf.getvalue()
+    return _csv_text(METADATA_HEADER, (
+        (vid, m.artist_id, m.upload_date.isoformat(), "|".join(sorted(m.genres)))
+        for vid, m in sorted(metadata.items())
+    ))

@@ -34,7 +34,7 @@ from .data_model import (
     ObservationWindow,
     SnapshotTable,
     VideoMeta,
-    ViewSeries,
+    ViewTable,
     serialize_metadata,
     serialize_snapshots,
     serialize_views,
@@ -203,7 +203,10 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     if y.max() > VALUE_CEILING:
         raise NumericalError("generated views overflow; lower alpha/beta or base levels")
 
-    views = {ids[i]: ViewSeries(ids[i], START_DATE, y[:, i].astype(np.int64)) for i in range(n)}
+    names = np.array(ids, dtype=str)
+    order = np.argsort(names)  # the identity below 100,000 videos, as the ids are zero-padded
+    starts, bounds = np.full(n, START_DATE.toordinal(), dtype=np.int64), np.arange(n + 1, dtype=np.int64) * days
+    views = ViewTable(names[order], starts, bounds, y.T[order].astype(np.int64).ravel())
 
     # Edges come sorted by source, so each source's targets are one run.
     edge_src = np.array([e[0] for e in edge_list], dtype=np.int64)

@@ -16,7 +16,7 @@ from aflow.data_model import (
     RankedList,
     SnapshotTable,
     VideoMeta,
-    ViewSeries,
+    ViewTable,
     validate_dataset,
 )
 
@@ -105,11 +105,18 @@ def build_dataset(
         )
         for vid in views
     }
-    series = {
-        vid: ViewSeries(id=vid, start_date=start, values=np.asarray(vals, dtype=np.int64))
-        for vid, vals in views.items()
-    }
-    return validate_dataset(metadata, series, network)
+    return validate_dataset(metadata, view_table({vid: (start, vals) for vid, vals in views.items()}), network)
+
+
+def view_table(series) -> ViewTable:
+    """The table of ``{id: (first day, counts)}``, built without checking ids or counts."""
+    ids = sorted(series)
+    return ViewTable(
+        np.array(ids, dtype=str),
+        np.array([series[vid][0].toordinal() for vid in ids], dtype=np.int64),
+        np.cumsum([0, *(len(series[vid][1]) for vid in ids)], dtype=np.int64),
+        np.array([n for vid in ids for n in series[vid][1]], dtype=np.int64),
+    )
 
 
 def seasonal_values(base: float, n_days: int, amplitude: float = 0.3, phase: int = 0) -> list[int]:

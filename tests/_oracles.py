@@ -3,23 +3,27 @@
 Everything here is deliberately naive: Floyd-Warshall closures, quadratic
 rank counting, numeric quadrature, series preprocessed one at a time with
 ``np.polyfit``, link analyses that rebuild one ``build_graph`` per day or
-walk ``RankedList`` entries, and one ARNet fit at a time by scipy's L-BFGS-B.  None of it shares code paths with the
-implementations under test, except ``fixed_start_arnet``, which keeps the
-package's solver and changes only its start point.
+walk ``RankedList`` entries, view series checked and written one video at a
+time, and one ARNet fit at a time by scipy's L-BFGS-B.  None of it shares
+code paths with the implementations under test, except ``fixed_start_arnet``,
+which keeps the package's solver and changes only its start point.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from datetime import timedelta
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from aflow.data_model import DataFormatError
+from aflow.data_model import VIEWS_HEADER, DataFormatError
 from aflow.forecast import (SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
                             _arnet_design, _solve_block)
 from aflow.graph_analysis import ChurnStats, build_graph
@@ -109,6 +113,52 @@ def two_sided_p(r: float, n: int) -> float:
         return 0.0
     t_stat = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
     return min(1.0, 2.0 * t_sf(t_stat, n - 2))
+
+
+# ---------------------------------------------------------------------------
+# view series: ``{id: (first day, counts)}``, checked and written one video at a time
+
+
+def window_views(metadata, views, window):
+    """The view checks of ``validate_dataset`` and its window matrix, one corpus video at a time."""
+    for vid in sorted(views):
+        if any(count < 0 for count in views[vid][1]):
+            raise DataFormatError(f"view series for {vid} contains negative counts")
+    for vid in sorted(metadata):
+        series = views.get(vid)
+        if series is None:
+            raise DataFormatError(f"corpus video {vid} has no view series")
+        start_date, values = series
+        end_date = start_date + timedelta(days=len(values) - 1)
+        if not (start_date <= window.start and end_date >= window.end):
+            raise DataFormatError(
+                f"view series for {vid} spans {start_date}..{end_date}, "
+                f"window needs {window.start}..{window.end}"
+            )
+        if metadata[vid].upload_date > start_date:
+            raise DataFormatError(
+                f"{vid} uploaded {metadata[vid].upload_date}, "
+                f"after its first observed day {start_date}"
+            )
+    rows = []
+    for vid in sorted(metadata):
+        start_date, values = views[vid]
+        off = (window.start - start_date).days
+        rows.append(values[off : off + window.n_days])
+    return np.array(rows, dtype=np.int64).reshape(len(metadata), window.n_days)
+
+
+def serialize_views(views) -> str:
+    """Canonical views CSV: rows sorted by (video_id, date)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(VIEWS_HEADER)
+    for vid in sorted(views):
+        start_date, values = views[vid]
+        for i, val in enumerate(values):
+            d = start_date + timedelta(days=i)
+            writer.writerow([vid, d.isoformat(), int(val)])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

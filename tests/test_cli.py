@@ -619,15 +619,26 @@ def test_contribute_rejects_non_network_models(tmp_path, capsys):
     assert "network-model artifact" in json.loads(captured.err.strip())["message"]
 
 
+DEFAULT_CONFIG = dataclasses.asdict(aflow.forecast.ForecastConfig())
+PARTIAL_CONFIG = {k: v for k, v in DEFAULT_CONFIG.items() if k not in ("neighbor_mode", "max_iter")}
+
+
 @pytest.mark.parametrize(
     "payload, problem",
     [
         ({"model": "arnet"}, "'config' must map ForecastConfig fields"),
         ({"model": "arnet", "config": {"lags": 7}, "videos": {}}, "'config' must map ForecastConfig fields"),
-        ({"model": "arnet", "config": {}, "videos": {"v00001": {"alpha": [0.1] * 7}}}, "each video needs"),
+        ({"model": "arnet", "config": DEFAULT_CONFIG, "videos": {"v00001": {"alpha": [0.1] * 7}}},
+         "each video needs"),
         (["arnet"], "expected a JSON object, got list"),
-        ({"model": "arnet", "config": {}, "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"zz": 0.5}}}},
+        ({"model": "arnet", "config": DEFAULT_CONFIG,
+          "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"zz": 0.5}}}},
          "zz is not a corpus video"),
+        ({"model": "arnet", "config": DEFAULT_CONFIG,
+          "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 0.5, "v00001": 0.5}}}},
+         "v00001 has a beta on itself"),
+        ({"model": "arnet", "config": PARTIAL_CONFIG, "videos": {}},
+         "'config' lacks the ForecastConfig fields max_iter, neighbor_mode"),
     ],
 )
 def test_contribute_reports_a_malformed_models_file(tmp_path, capsys, payload, problem):
@@ -738,6 +749,25 @@ def test_contribute_checks_the_forecasts_file(tmp_path, capsys):
         assert code == 2
         assert one_data_error(captured) == f"{forecasts}: {problem}"
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("case", ["self-loop", "repeated edge"])
+def test_fit_rejects_a_self_loop_or_a_repeated_persistent_edge(tmp_path, capsys, case):
+    data = generate_data(tmp_path)
+    assert cli.main(["persistent", "--data", str(data), "--out", str(tmp_path / "p")]) == 0
+    edges = tmp_path / "p" / "persistent_edges.csv"
+    header, rows = read_csv(edges)
+    extra = [rows[0][0], rows[0][0], "0", "63"] if case == "self-loop" else rows[0]
+    with open(edges, "a", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(extra)
+    code, captured = run(["fit", "--data", str(data), "--out", str(tmp_path / "f"),
+                          "--persistent", str(edges)], capsys)
+    assert code == 2
+    line = len(rows) + 2
+    problem = (f"self-loop on {rows[0][0]}" if case == "self-loop"
+               else f"repeated edge {rows[0][0]} -> {rows[0][1]} (first at line 2)")
+    assert one_data_error(captured) == f"{edges}:{line}: {problem}"
+    assert not (tmp_path / "f").exists()
 
 
 @pytest.mark.parametrize("model", ["arnet", "ar"])

@@ -14,7 +14,6 @@ from aflow.data_model import (
     DataFormatError,
     ObservationWindow,
     RankedList,
-    ViewSeries,
     load_dataset,
     parse_metadata,
     parse_snapshots,
@@ -130,9 +129,11 @@ def test_parse_snapshots_rejects_wrong_header_and_empty():
 
 
 def test_parse_views_basic_and_errors():
-    views = parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,5\nv,2018-09-02,0\n"))
-    assert np.array_equal(views["v"].values, [5, 0])
-    assert views["v"].start_date == date(2018, 9, 1)
+    views = parse_views(io.StringIO("video_id,date,views\nw,2018-08-31,7\nv,2018-09-01,5\nv,2018-09-02,0\n"))
+    assert views.ids.tolist() == ["v", "w"]
+    assert views.start.tolist() == [date(2018, 9, 1).toordinal(), date(2018, 8, 31).toordinal()]
+    assert views.bounds.tolist() == [0, 2, 3]
+    assert views.values.tolist() == [5, 0, 7]
 
     with pytest.raises(DataFormatError, match="line 2: negative view count for v"):
         parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,-1\n"))
@@ -241,9 +242,9 @@ def test_views_parse_serialize_round_trip(series):
     parsed = _reparsed(parse_views, serialize_views, _quoted_csv(VIEWS_HEADER, rows), series)
     if parsed:
         first, again = parsed
-        assert {v: (s.start_date, s.values.tolist()) for v, s in again.items()} == {
-            v: (s.start_date, s.values.tolist()) for v, s in first.items()}
-        assert sorted(first) == sorted(series)
+        for column in ("ids", "start", "bounds", "values"):
+            assert getattr(again, column).tolist() == getattr(first, column).tolist()
+        assert first.ids.tolist() == sorted(series)
 
 
 @given(st.dictionaries(FIELD, st.tuples(FIELD, st.integers(0, 400), st.lists(FIELD, max_size=3)),
@@ -285,17 +286,6 @@ def test_window_index_and_contains():
         ObservationWindow(date(2018, 9, 1), 0)
 
 
-def test_view_series_slice_and_covers():
-    series = ViewSeries("v", date(2018, 8, 30), np.arange(10))
-    win = ObservationWindow(date(2018, 9, 1), 3)
-    assert series.covers(win)
-    assert np.array_equal(series.slice_to(win), [2, 3, 4])
-    short = ViewSeries("v", date(2018, 9, 2), np.arange(5))
-    assert not short.covers(win)
-    with pytest.raises(DataFormatError, match="does not cover"):
-        short.slice_to(win)
-
-
 def test_validate_flags_external_ids():
     ds = _helpers.build_dataset(
         views={"a": [100] * 3, "b": [50] * 3},
@@ -311,16 +301,29 @@ def test_validate_rejects_missing_or_short_series():
     net = _helpers.build_network([{}, {}])
     meta = {"v": _helpers.VideoMeta("v", "a0", frozenset(), date(2018, 9, 1))}
     with pytest.raises(DataFormatError, match="corpus video v has no view series"):
-        validate_dataset(meta, {}, net)
-    short = {"v": ViewSeries("v", date(2018, 9, 1), np.array([1]))}
-    with pytest.raises(DataFormatError, match="window needs"):
+        validate_dataset(meta, _helpers.view_table({}), net)  # an empty table
+    with pytest.raises(DataFormatError, match="corpus video v has no view series"):
+        validate_dataset(meta, _helpers.view_table({"u": (date(2018, 9, 1), [1, 2])}), net)
+    short = _helpers.view_table({"v": (date(2018, 9, 1), [1])})
+    with pytest.raises(DataFormatError, match=r"spans 2018-09-01\.\.2018-09-01, window needs 2018-09-01\.\.2018-09-02$"):
         validate_dataset(meta, short, net)
+    late = _helpers.view_table({"v": (date(2018, 9, 2), [1, 2])})
+    with pytest.raises(DataFormatError, match=r"spans 2018-09-02\.\.2018-09-03, window needs"):
+        validate_dataset(meta, late, net)
+
+
+def test_validate_rejects_negative_counts_in_a_built_table():
+    net = _helpers.build_network([{}])
+    meta = {"v": _helpers.VideoMeta("v", "a0", frozenset(), date(2018, 9, 1))}
+    views = _helpers.view_table({"u": (date(2018, 9, 1), [1]), "v": (date(2018, 9, 1), [2, -1])})
+    with pytest.raises(DataFormatError, match="^view series for v contains negative counts$"):
+        validate_dataset(meta, views, net)
 
 
 def test_validate_rejects_upload_after_first_observation():
     net = _helpers.build_network([{}])
     meta = {"v": _helpers.VideoMeta("v", "a0", frozenset(), date(2018, 9, 5))}
-    views = {"v": ViewSeries("v", date(2018, 9, 1), np.array([1, 2, 3, 4, 5]))}
+    views = _helpers.view_table({"v": (date(2018, 9, 1), [1, 2, 3, 4, 5])})
     with pytest.raises(DataFormatError, match="uploaded 2018-09-05"):
         validate_dataset(meta, views, net)
 
@@ -328,12 +331,12 @@ def test_validate_rejects_upload_after_first_observation():
 def test_longer_series_is_sliced_on_access():
     net = _helpers.build_network([{}, {}])
     meta = {"v": _helpers.VideoMeta("v", "a0", frozenset(), date(2018, 8, 1))}
-    views = {"v": ViewSeries("v", date(2018, 8, 30), np.array([9, 9, 3, 4, 9]))}
+    views = _helpers.view_table({"u": (date(2018, 9, 1), [5, 6]), "v": (date(2018, 8, 30), [9, 9, 3, 4, 9])})
     ds = validate_dataset(meta, views, net)
     (k,) = ds.codes(["v"])
     assert np.array_equal(ds.window_views[k], [3, 4])
     assert np.array_equal(ds.window_views[:, ds.window.index(date(2018, 9, 2))], [4])
-    assert ds.views["v"].values.tolist() == [9, 9, 3, 4, 9]  # the parsed series keeps its days
+    assert ds.views is views  # the parsed table keeps the days outside the window
 
 
 def test_dataset_ids_are_the_graph_code_space():
@@ -344,8 +347,8 @@ def test_dataset_ids_are_the_graph_code_space():
     assert np.array_equal(dataset.ids, presence.ids)
     assert dataset.ids.tolist() == list(graph.ids)
     assert dataset.window_views.shape == (12, 21)
-    for k, vid in enumerate(dataset.ids.tolist()):
-        assert np.array_equal(dataset.window_views[k], dataset.views[vid].slice_to(dataset.window))
+    assert dataset.views.ids.tolist() == dataset.ids.tolist()
+    assert np.array_equal(dataset.window_views.ravel(), dataset.views.values)
     assert dataset.codes(["v00003", "v00000", "v00003"]).tolist() == [3, 0, 3]
     assert dataset.codes([]).tolist() == []
 

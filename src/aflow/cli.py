@@ -416,6 +416,13 @@ def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]
     for vid, entry in videos.items():
         if vid in entry["beta"]:
             raise DataFormatError(f"{path}: {vid} has a beta on itself")
+        # the bounds fit keeps to; NaN fails every comparison
+        for alpha in entry["alpha"]:
+            if not 0 <= alpha < math.inf:
+                raise DataFormatError(f"{path}: {vid} has alpha {alpha}, outside [0, inf)")
+        for beta in entry["beta"].values():
+            if not 0 <= beta <= 1:
+                raise DataFormatError(f"{path}: {vid} has beta {beta}, outside [0, 1]")
     models = {
         vid: ArnetModel(vid, np.asarray(entry["alpha"], dtype=float), dict(entry["beta"]))
         for vid, entry in videos.items()

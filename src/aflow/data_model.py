@@ -11,25 +11,23 @@ Dates are exactly ``YYYY-MM-DD``; positions and view counts are ASCII digits.
 Parsing is strict: malformed rows raise :class:`DataFormatError` with the
 offending line number, there is no silent repair and no imputation.
 
-Snapshots and views files are first split as bytes with numpy.  A file the
-split cannot prove clean (quoting, CR, non-ASCII bytes, or a row some check
-rejects) goes unchanged to the csv row reader, which alone reports errors; both
-paths give the same result and the same message.
+Snapshots and views files, LF or CRLF, are first split as bytes with numpy.  A
+file the split cannot prove clean (quoting, a CR outside a CRLF line end, NUL or
+non-ASCII bytes, a blank line, or a malformed row or one some check rejects)
+goes unchanged to the csv row reader, which alone reports errors; both paths
+give the same result and the same message.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import math
 import re
-from collections import defaultdict
-from contextlib import contextmanager
+from array import array
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from itertools import count, islice
 from typing import IO, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -333,18 +331,8 @@ class Dataset:
 # parsing
 
 
-def _open_rows(source: str | Path | Iterable[str], expected_header: Sequence[str]):
-    """Yield (line_no, row) pairs after checking the header row."""
-    with _open_reader(source, expected_header) as reader:
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            yield line_no, row
-
-
-@contextmanager
-def _open_reader(source: str | Path | Iterable[str], expected_header: Sequence[str]):
-    """A csv reader positioned after the header row, which it checks."""
+def _open_rows(source: str | Path | Iterable[str], expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, row) pairs of the non-blank rows after checking the header row."""
     if isinstance(source, (str, Path)):
         handle: IO[str] = open(source, "r", newline="", encoding="utf-8")
         close = True
@@ -362,7 +350,9 @@ def _open_reader(source: str | Path | Iterable[str], expected_header: Sequence[s
                 f"line 1: expected header {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
             )
-        yield reader
+        for line_no, row in enumerate(reader, start=2):
+            if row:
+                yield line_no, row
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise DataFormatError(f"line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -372,25 +362,6 @@ def _open_reader(source: str | Path | Iterable[str], expected_header: Sequence[s
             handle.close()
 
 
-@contextmanager
-def _gc_paused():
-    """Hold off the cyclic garbage collector.
-
-    Reading a large CSV allocates a list per row; each allocation burst
-    triggers collections that rescan every live row, which costs more than
-    the parsing itself.  Rows hold only strings, so they form no cycles.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-# Rows parsed per batch: bounds the memory the raw csv rows take at once.
-_BATCH_ROWS = 1 << 13
 _MAX_POSITION = np.iinfo(np.int32).max
 _MAX_VIEWS = np.iinfo(np.int64).max
 # numpy string arrays drop trailing NULs, and the canonical writer leaves a
@@ -415,16 +386,17 @@ def _bad_ids(ids: Sequence[str]) -> list[int]:
     return [i for i, vid in enumerate(ids) if _id_problem(vid)]
 
 
-def _snapshot_row(line_no: int, row: Sequence[str]) -> None:
-    """Raise the error for a snapshot row that fails a check of its own fields."""
+def _snapshot_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tuple[int, ...]:
+    """The (ordinal, source code, target code, position, kind, line) of a snapshot row, or
+    the error for a row that fails a check of its own fields.  New ids get the next codes."""
     if len(row) != 5:
         raise DataFormatError(f"line {line_no}: expected 5 fields, got {len(row)}")
-    _parse_date(row[0], line_no)
+    ordinal = _parse_date(row[0], line_no).toordinal()
     src, tgt = row[1], row[2]
     if not src or not tgt:
         raise DataFormatError(f"line {line_no}: empty video id")
     for vid in (src, tgt):
-        problem = _id_problem(vid)
+        problem = None if vid in codes else _id_problem(vid)
         if problem:
             raise DataFormatError(f"line {line_no}: {problem}")
     pos = int_or_none(row[3])
@@ -439,7 +411,8 @@ def _snapshot_row(line_no: int, row: Sequence[str]) -> None:
         raise DataFormatError(f"line {line_no}: unknown list kind {kind!r}")
     if tgt == src:
         raise DataFormatError(f"line {line_no}: self-link on {src}")
-    raise AssertionError(f"line {line_no} passed every row check")
+    return (ordinal, codes.setdefault(src, len(codes)), codes.setdefault(tgt, len(codes)), pos,
+            LIST_KINDS.index(kind), line_no)
 
 
 def _ordinal_or_bad(text: str) -> int:
@@ -454,13 +427,6 @@ def _position_or_bad(text: str) -> int:
 
 def _kind_or_bad(text: str) -> int:
     return LIST_KINDS.index(text) if text in LIST_KINDS else -1
-
-
-def _coded(cache: dict[str, int], texts: Sequence[str], convert: Callable[[str], int]) -> np.ndarray:
-    """``convert`` each text, calling it once per distinct text across batches."""
-    for text in set(texts).difference(cache):
-        cache[text] = convert(text)
-    return np.fromiter(map(cache.__getitem__, texts), dtype=np.int32, count=len(texts))
 
 
 def _first_repeat(line: np.ndarray, *key: np.ndarray) -> tuple[int, int] | None:
@@ -505,57 +471,20 @@ def _read_snapshot_rows(source: str | Path | Iterable[str]) -> DynamicNetwork:
     """:func:`parse_snapshots` row by row with the csv module: the reader of every file
     the byte split declines, and the only source of its errors."""
     # Codes in first-seen order; from_codes recodes them in id order.
-    codes: dict[str, int] = defaultdict(count().__next__)
-    ordinals: dict[str, int] = {}
-    positions: dict[str, int] = {}
-    kinds: dict[str, int] = {}
-    bad_ids: list[int] = []
-    batches: list[tuple[np.ndarray, ...]] = []
-    bad_row: tuple[int, list[str]] | None = None
-    line_no = 2
-    with _open_reader(source, SNAPSHOT_HEADER) as reader, _gc_paused():
-        while bad_row is None:
-            raw = list(islice(reader, _BATCH_ROWS))
-            if not raw:
-                break
-            line = np.arange(line_no, line_no + len(raw), dtype=np.int32)
-            line_no += len(raw)
-            if not all(raw):
-                line = line[[i for i, r in enumerate(raw) if r]]
-                raw = [r for r in raw if r]
-            width = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
-            wrong = np.flatnonzero(width != 5)
-            if wrong.size:
-                bad_row = (int(line[wrong[0]]), raw[wrong[0]])
-                raw, line = raw[: wrong[0]], line[: wrong[0]]
-            if not raw:
-                break
-            dates, srcs, tgts, pos_text, kind_text = zip(*raw)
-            known = len(codes)
-            src = np.fromiter(map(codes.__getitem__, srcs), dtype=np.int32, count=len(raw))
-            tgt = np.fromiter(map(codes.__getitem__, tgts), dtype=np.int32, count=len(raw))
-            if len(codes) > known:
-                bad_ids.extend(known + i for i in _bad_ids(list(islice(codes, known, None))))
-            ordinal = _coded(ordinals, dates, _ordinal_or_bad)
-            pos = _coded(positions, pos_text, _position_or_bad)
-            kind = _coded(kinds, kind_text, _kind_or_bad)
-            bad = (ordinal < 0) | (pos < 1) | (kind < 0) | (src == tgt)
-            if bad_ids:
-                bad |= np.isin(src, bad_ids) | np.isin(tgt, bad_ids)
-            if bad.any():
-                first = int(np.argmax(bad))
-                bad_row = (int(line[first]), list(raw[first]))
-                ordinal, src, tgt, pos, kind, line = (
-                    col[:first] for col in (ordinal, src, tgt, pos, kind, line)
-                )
-            batches.append((ordinal, src, tgt, pos, kind, line))
+    codes: dict[str, int] = {}
+    coded = array("i")  # (ordinal, src, tgt, pos, kind, line) of each row in turn
+    bad_row: tuple[int, DataFormatError] | None = None
+    for line_no, row in _open_rows(source, SNAPSHOT_HEADER):
+        try:
+            coded.extend(_snapshot_row(line_no, row, codes))
+        except DataFormatError as exc:
+            bad_row = (line_no, exc)
+            break
 
     names = list(codes)
     del codes  # the interning dict is as large as the vocabulary; free it early
-    empty = np.zeros(0, dtype=np.int32)
-    ordinal, src, tgt, pos, kind, line = (
-        [np.concatenate(col) for col in zip(*batches)] if batches else [empty] * 6
-    )
+    ordinal, src, tgt, pos, kind, line = np.array(coded, dtype=np.int32).reshape(-1, 6).T
+    del coded
     duplicate = None
     for label, col in (("position", pos), ("target", tgt)):
         found = _first_repeat(line, ordinal, kind, src, col)
@@ -570,7 +499,7 @@ def _read_snapshot_rows(source: str | Path | Iterable[str]) -> DynamicNetwork:
             f"{names[src[i]]} on {date.fromordinal(int(ordinal[i]))} (first seen at line {first_at})"
         )
     if bad_row is not None:
-        _snapshot_row(*bad_row)
+        raise bad_row[1]
     if not ordinal.size:
         raise DataFormatError("snapshots file holds no rows")
 
@@ -636,9 +565,10 @@ def _read_view_rows(source: str | Path | Iterable[str]) -> ViewTable:
 # peaked 5% higher, as freeing bigger temporaries raises glibc's dynamic mmap
 # threshold and later arrays stay on the heap.
 _BLOCK_BYTES = 1 << 18
-# A quote, CR, NUL or non-ASCII (>= 0x80) byte anywhere sends the file to the row reader.
-_DECLINED_BYTES = (ord('"'), ord("\r"), 0)
-_COMMA, _LF, _ZERO = ord(","), ord("\n"), ord("0")
+# A quote, NUL or non-ASCII (>= 0x80) byte anywhere sends the file to the row reader, as
+# does a CR that does not end a line before its LF.
+_DECLINED_BYTES = (ord('"'), 0)
+_COMMA, _CR, _LF, _ZERO = ord(","), ord("\r"), ord("\n"), ord("0")
 # _KEEP[k] keeps the first k bytes of a big-endian uint64 and zeroes the rest.
 _KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * k)) for k in range(1, 9)], dtype=np.uint64)
 # Digits a view count may have on the byte split: 10**18 - 1 fits in int64.
@@ -677,11 +607,12 @@ def _split_or_read(
 def _blocks(handle: IO[bytes], header: Sequence[str]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(bytes, field starts, field lengths) of each newline-aligned block of rows.
 
-    Declines a header that differs from ``header`` byte for byte, and a block
+    Declines a first line other than ``header`` and its LF or CRLF, and a block
     holding a declined byte, a blank line, a row with another field count, an
     empty field or a field at the csv module's size limit.
     """
-    if handle.read(len(",".join(header)) + 1) != ",".join(header).encode() + b"\n":
+    expected = ",".join(header).encode()
+    if handle.readline(len(expected) + 2) not in (expected + b"\n", expected + b"\r\n"):
         raise _Declined
     limit = csv.field_size_limit()
     tail = b""
@@ -701,7 +632,12 @@ def _blocks(handle: IO[bytes], header: Sequence[str]) -> Iterator[tuple[np.ndarr
 
 
 def _fields(buf: np.ndarray, n_fields: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One block of :func:`_blocks`, which ends with a LF."""
+    """One block of :func:`_blocks`, which ends with a LF, split after each CR of a CRLF is dropped."""
+    cr = np.flatnonzero(buf == _CR)
+    if cr.size:
+        if (buf[cr + 1] != _LF).any():  # the block ends with a LF, so cr + 1 is inside it
+            raise _Declined
+        buf = np.delete(buf, cr)
     declined = buf >= 0x80
     for byte in _DECLINED_BYTES:
         declined |= buf == byte

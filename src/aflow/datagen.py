@@ -139,9 +139,9 @@ def _draw_edges(config: GenConfig, rng: np.random.Generator) -> list[tuple[int, 
             out.extend((int(s), dst, float(b)) for s, b in zip(np.sort(srcs), betas))
         return sorted(out)
     mask = rng.random((config.n_videos, config.n_videos)) < config.edge_density
-    pairs = [(i, j) for i in range(config.n_videos) for j in range(i + 1, config.n_videos) if mask[i, j]]
-    betas = rng.uniform(lo, hi, size=len(pairs))
-    return [(i, j, float(b)) for (i, j), b in zip(pairs, betas)]
+    src, dst = np.nonzero(np.triu(mask, 1))  # the i < j pairs in row-major order
+    betas = rng.uniform(lo, hi, size=src.size)
+    return list(zip(src.tolist(), dst.tolist(), betas.tolist()))
 
 
 def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:

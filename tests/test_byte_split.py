@@ -120,6 +120,7 @@ COMMON = {
     "none": _row_edit(lambda rows, r: None),
     "quote": _field_edit(lambda f: f'"{f}"'),
     "crlf": lambda header, rows, at: _text(header, rows).replace("\n", "\r\n").encode(),
+    "crlf header": lambda header, rows, at: _text(header, rows).replace("\n", "\r\n", 1)[:-1].encode(),
     "lone cr": _field_edit(lambda f: f[:1] + "\r" + f[1:]),
     "blank line": _row_edit(lambda rows, r: rows.insert(r, [])),
     "no final lf": lambda header, rows, at: _text(header, rows)[:-1].encode(),
@@ -223,19 +224,20 @@ def test_the_byte_split_carries_clean_files(tmp_path_factory, block, snapshots, 
         patch.setattr(data_model, "_BLOCK_BYTES", block)
         patch.setattr(data_model, "_read_snapshot_rows", _refuse)
         patch.setattr(data_model, "_read_view_rows", _refuse)
-        path.write_text(snapshot_text)
-        net = parse_snapshots(path)
-        again = parse_snapshots(io.StringIO(serialize_snapshots(parse_snapshots(io.StringIO(snapshot_text)))))
-        assert serialize_snapshots(again) == serialize_snapshots(net)
-        assert net.table.day.size == len(snapshots)
-        assert net.table.ids.tolist() == sorted({r[1] for r in snapshots} | {r[2] for r in snapshots})
+        for line_end in ("\n", "\r\n"):
+            path.write_text(snapshot_text, newline=line_end)
+            net = parse_snapshots(path)
+            again = parse_snapshots(io.StringIO(serialize_snapshots(parse_snapshots(io.StringIO(snapshot_text)))))
+            assert serialize_snapshots(again) == serialize_snapshots(net)
+            assert net.table.day.size == len(snapshots)
+            assert net.table.ids.tolist() == sorted({r[1] for r in snapshots} | {r[2] for r in snapshots})
 
-        path.write_text(view_text)
-        table = parse_views(path)
-        again = parse_views(io.StringIO(serialize_views(parse_views(io.StringIO(view_text)))))
-        assert serialize_views(again) == serialize_views(table)
-        assert table.ids.tolist() == sorted({r[0] for r in views})
-        assert table.values.size == table.bounds[-1] == len(views)
+            path.write_text(view_text, newline=line_end)
+            table = parse_views(path)
+            again = parse_views(io.StringIO(serialize_views(parse_views(io.StringIO(view_text)))))
+            assert serialize_views(again) == serialize_views(table)
+            assert table.ids.tolist() == sorted({r[0] for r in views})
+            assert table.values.size == table.bounds[-1] == len(views)
 
 
 def test_the_byte_split_loads_a_generated_dataset(tmp_path):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -639,6 +640,18 @@ PARTIAL_CONFIG = {k: v for k, v in DEFAULT_CONFIG.items() if k not in ("neighbor
          "v00001 has a beta on itself"),
         ({"model": "arnet", "config": PARTIAL_CONFIG, "videos": {}},
          "'config' lacks the ForecastConfig fields max_iter, neighbor_mode"),
+        ({"model": "arnet", "config": DEFAULT_CONFIG,
+          "videos": {"v00001": {"alpha": [-3.0] + [0.1] * 6, "beta": {"v00002": 0.5}}}},
+         "v00001 has alpha -3.0, outside [0, inf)"),
+        ({"model": "arnet", "config": DEFAULT_CONFIG,
+          "videos": {"v00001": {"alpha": [math.nan] + [0.1] * 6, "beta": {"v00002": 0.5}}}},
+         "v00001 has alpha nan, outside [0, inf)"),
+        ({"model": "arnet", "config": DEFAULT_CONFIG,
+          "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 5}}}},
+         "v00001 has beta 5, outside [0, 1]"),
+        ({"model": "arnet", "config": DEFAULT_CONFIG,
+          "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": math.inf}}}},
+         "v00001 has beta inf, outside [0, 1]"),
     ],
 )
 def test_contribute_reports_a_malformed_models_file(tmp_path, capsys, payload, problem):

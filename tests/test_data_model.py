@@ -96,6 +96,20 @@ def test_parse_snapshots_rejects_bad_rows():
         )
 
 
+def test_parse_snapshots_reports_a_bad_row_before_a_later_csv_error(tmp_path):
+    text = snap_csv([
+        ("2018-09-01", "a", "b", 1, "relevant"),
+        ("2018-09-01", "a", "c", 0, "relevant"),
+        ("2018-09-01", "a", "d", 3, "relevant"),
+        ("2018-09-01", "a", "x" * (csv.field_size_limit() + 1), 4, "relevant"),
+    ]).getvalue()
+    path = tmp_path / "snapshots.csv"
+    path.write_text(text)
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(DataFormatError, match=r"^line 3: position 0 is below 1$"):
+            parse_snapshots(source)
+
+
 @pytest.mark.parametrize("bad", ["", "a\rb", "a\nb", "a\0b"])
 @pytest.mark.parametrize("as_source", [True, False])
 def test_from_snapshots_rejects_the_ids_the_parser_rejects(bad, as_source):

@@ -9,6 +9,12 @@ flags.  Every run that writes artifacts also writes ``run_manifest.json``
 with the settings its subcommand reads, SHA-256 hashes of the input files
 and library versions; no timestamps, so reruns are byte-identical.
 
+``main`` reads ``--data`` once per command and hands the result to the
+handler: the parsed ``snapshots.csv`` for ``display-prob``, the loaded
+``Dataset`` for every other subcommand that takes ``--data``.  The manifest
+hashes the files under ``--data`` that ``Command.data`` names and each
+artifact flag's file under its ``ARTIFACTS`` key.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 Failures print a one-line JSON error record to stderr.
 
@@ -44,6 +50,7 @@ from . import __version__
 from .data_model import (
     DataFormatError,
     Dataset,
+    DynamicNetwork,
     NumericalError,
     date_or_none,
     int_or_none,
@@ -67,6 +74,7 @@ from .forecast import (
     ForecastResult,
     horizon_dates,
     run_model,
+    split_series,
 )
 from .graph_analysis import (
     Component,
@@ -279,14 +287,6 @@ def write_manifest(
     _write_json(out_dir / "run_manifest.json", manifest)
 
 
-def _data_inputs(data_dir: Path) -> dict[str, Path]:
-    return {
-        "snapshots.csv": data_dir / "snapshots.csv",
-        "views.csv": data_dir / "views.csv",
-        "metadata.csv": data_dir / "metadata.csv",
-    }
-
-
 # ---------------------------------------------------------------------------
 # artifact readers (for subcommands consuming earlier artifacts)
 
@@ -349,7 +349,7 @@ def read_persistent_edges(path: Path) -> PersistentNetwork:
     return PersistentNetwork(tuple(sorted(edges, key=lambda e: (e.source, e.target))))
 
 
-def read_forecasts(path: Path, model_name: str = "model") -> ForecastResult:
+def read_forecasts(path: Path) -> ForecastResult:
     if not path.is_file():
         raise DataFormatError(f"forecasts artifact not found: {path}")
     per_video: dict[str, dict[date, tuple[float, float]]] = {}
@@ -370,7 +370,7 @@ def read_forecasts(path: Path, model_name: str = "model") -> ForecastResult:
             raise DataFormatError(f"{path}: horizon dates differ for {vid}")
     y_true = np.array([[per_video[v][d][0] for d in dates] for v in video_ids])
     y_pred = np.array([[per_video[v][d][1] for d in dates] for v in video_ids])
-    return ForecastResult(model_name, video_ids, dates, y_true, y_pred)
+    return ForecastResult("model", video_ids, dates, y_true, y_pred)
 
 
 def _numbers(values: object) -> bool:
@@ -549,11 +549,11 @@ def _fit_and_emit(
     dataset: Dataset,
     pn: PersistentNetwork,
     model_name: str,
-    settings: Mapping[str, object],
-) -> tuple[ForecastConfig, Mapping[str, object] | None, ForecastResult]:
+    config: ForecastConfig,
+    threads: int,
+) -> tuple[Mapping[str, object] | None, ForecastResult]:
     """Fit one model family, write models.json, fit_diagnostics.csv and forecasts.csv."""
-    config = _forecast_config(settings)
-    models, result = run_model(dataset, pn, model_name, config, settings["threads"])
+    models, result = run_model(dataset, pn, model_name, config, threads)
     videos = {vid: {"alpha": [float(a) for a in m.alpha],
                     "beta": {u: float(b) for u, b in sorted(m.beta.items())}}
               for vid, m in sorted((models or {}).items())}
@@ -564,25 +564,23 @@ def _fit_and_emit(
     rows = [(vid, d.isoformat(), result.y_true[i, h], result.y_pred[i, h])
             for i, vid in enumerate(result.video_ids) for h, d in enumerate(result.dates)]
     _write_csv(out / "forecasts.csv", FORECASTS_HEADER, rows)
-    return config, models, result
+    return models, result
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns the input files its manifest hashes
+# subcommand handlers: each takes what ``main`` read from ``--data``, or None
 
 
-def cmd_generate(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
+def cmd_generate(args: argparse.Namespace, settings: dict[str, object], _: None) -> None:
     out = Path(args.out)
     dataset, truth = generate(GenConfig(**_read_by("generate", settings)))
     export_dataset(dataset, out)
     _write_json(out / "ground_truth.json", ground_truth_to_json(truth))
     print(json.dumps({"videos": dataset.summary.n_videos, "days": dataset.summary.n_days,
                       "edges": len(truth.beta), "out": str(out)}, sort_keys=True))
-    return {}
 
 
-def cmd_validate(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
-    dataset = load_dataset(args.data)
+def cmd_validate(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
     summary = dataset.summary
     print(
         json.dumps(
@@ -598,11 +596,9 @@ def cmd_validate(args: argparse.Namespace, settings: dict[str, object]) -> dict[
             sort_keys=True,
         )
     )
-    return {}
 
 
-def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
-    dataset = load_dataset(args.data)
+def cmd_analyze(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
     out = Path(args.out)
     cutoff = settings["cutoff"]
     window = dataset.window
@@ -638,7 +634,6 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object]) -> dict[s
     )
     freq = link_frequency_histogram(dataset.network, dataset.corpus, cutoff)
     _write_csv(out / "link_freq.csv", ["days_present", "n_links"], sorted(freq.items()))
-    return _data_inputs(Path(args.data))
 
 
 def _emit_matrix(path: Path, row_name: str, matrix: DisplayProbabilityMatrix) -> None:
@@ -647,25 +642,20 @@ def _emit_matrix(path: Path, row_name: str, matrix: DisplayProbabilityMatrix) ->
     _write_csv(path, [row_name, "bin_label", "probability"], rows)
 
 
-def cmd_display_prob(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
-    snapshots_path = Path(args.data) / "snapshots.csv"
-    network = parse_file(parse_snapshots, snapshots_path)
+def cmd_display_prob(args: argparse.Namespace, settings: dict[str, object], network: DynamicNetwork) -> None:
     out = Path(args.out)
     disp = display_probability_matrix(network, max_rel=settings["max_rel"])
     orig = origin_probability_matrix(network, max_rec=settings["max_rec"])
     _emit_matrix(out / "display_prob.csv", "rel_rank", disp)
     _emit_matrix(out / "origin_prob.csv", "rec_position", orig)
-    return {"snapshots.csv": snapshots_path}
 
 
-def cmd_persistent(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
-    dataset = load_dataset(args.data)
+def cmd_persistent(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
     pn, _, _ = _persistent_links(dataset, settings)
     _emit_persistent(Path(args.out), dataset, pn)
-    return _data_inputs(Path(args.data))
 
 
-def cmd_simulate_persistence(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
+def cmd_simulate_persistence(args: argparse.Namespace, settings: dict[str, object], _: None) -> None:
     out = Path(args.out)
     try:
         grid = [float(x) for x in settings["p_grid"].split(",") if x.strip()]
@@ -681,11 +671,9 @@ def cmd_simulate_persistence(args: argparse.Namespace, settings: dict[str, objec
         )
         rows.append((p, xi, trials))
     _write_csv(out / "xi_curve.csv", ["p", "xi", "trials"], rows)
-    return {}
 
 
-def cmd_correlate(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
-    dataset = load_dataset(args.data)
+def cmd_correlate(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
     out = Path(args.out)
     pn, ephemeral, filters = _persistent_links(dataset, settings)
     if not pn.edges:
@@ -718,7 +706,6 @@ def cmd_correlate(args: argparse.Namespace, settings: dict[str, object]) -> dict
         ["group", "source", "target", "r", "p"],
         [(name, link.source, link.target, link.r, link.p) for name in sorted(results) for link in results[name].links],
     )
-    return _data_inputs(Path(args.data))
 
 
 def _corpus_only(path: str, ids: Iterable[str], dataset: Dataset) -> None:
@@ -727,62 +714,64 @@ def _corpus_only(path: str, ids: Iterable[str], dataset: Dataset) -> None:
         raise DataFormatError(f"{path}: {min(unknown)} is not a corpus video")
 
 
-def cmd_fit(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
-    dataset = load_dataset(args.data)
+def cmd_fit(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
     pn = read_persistent_edges(Path(args.persistent))
     _corpus_only(args.persistent, pn.sources | pn.targets, dataset)
-    _fit_and_emit(Path(args.out), dataset, pn, settings["model"], settings)
-    return {**_data_inputs(Path(args.data)), "persistent_edges.csv": Path(args.persistent)}
+    _fit_and_emit(Path(args.out), dataset, pn, settings["model"], _forecast_config(settings),
+                  settings["threads"])
 
 
-def cmd_evaluate(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
-    result = read_forecasts(Path(args.forecasts))
-    _emit_eval(Path(args.out), evaluate_forecasts(result))
-    return {"forecasts.csv": Path(args.forecasts)}
+def cmd_evaluate(args: argparse.Namespace, settings: dict[str, object], _: None) -> None:
+    _emit_eval(Path(args.out), evaluate_forecasts(read_forecasts(Path(args.forecasts))))
 
 
-def cmd_contribute(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
-    dataset = load_dataset(args.data)
-    name, config, models = read_models(Path(args.models))
+def cmd_contribute(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
+    _, config, models = read_models(Path(args.models))
     _corpus_only(args.models, [*models, *(u for m in models.values() for u in m.beta)], dataset)
-    result = read_forecasts(Path(args.forecasts), name)
+    result = read_forecasts(Path(args.forecasts))
     horizon = horizon_dates(dataset, config)
     if result.dates != horizon:
         raise DataFormatError(
             f"{args.forecasts}: forecast dates {result.dates[0]}..{result.dates[-1]} "
             f"({len(result.dates)} days) are not the models' horizon {horizon[0]}..{horizon[-1]}")
     _corpus_only(args.forecasts, result.video_ids, dataset)
-    report = contribution_report(dataset, models, result, config)
-    _emit_contribution(Path(args.out), report)
-    return {**_data_inputs(Path(args.data)), "models.json": Path(args.models),
-            "forecasts.csv": Path(args.forecasts)}
+    truth = split_series(dataset, result.video_ids, config)[1]  # what fit writes as y_true
+    if (differs := np.argwhere(result.y_true != truth)).size:
+        i, h = differs[0]
+        raise DataFormatError(f"{args.forecasts}: y_true of {result.video_ids[i]} on {result.dates[h]} "
+                              f"is {_fmt(result.y_true[i, h])}, but the dataset has {_fmt(truth[i, h])} views")
+    _emit_contribution(Path(args.out), contribution_report(dataset, models, result, config))
 
 
-def cmd_pipeline(args: argparse.Namespace, settings: dict[str, object]) -> dict[str, Path]:
+def cmd_pipeline(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
     """persistent -> fit x4 -> evaluate -> contribute over one loaded dataset."""
-    dataset = load_dataset(args.data)
     out = Path(args.out)
+    config = _forecast_config(settings)
+    split_series(dataset, (), config)  # only its check, before any file is written
     pn, _, _ = _persistent_links(dataset, settings)
     _emit_persistent(out, dataset, pn)
     if not pn.edges:
         raise DataFormatError("no persistent links found; cannot run the forecast stage")
     for model_name in MODEL_NAMES:
         subdir = out / model_name
-        config, models, result = _fit_and_emit(subdir, dataset, pn, model_name, settings)
+        models, result = _fit_and_emit(subdir, dataset, pn, model_name, config, settings["threads"])
         _emit_eval(subdir, evaluate_forecasts(result))
         if model_name == "arnet":
             _emit_contribution(subdir, contribution_report(dataset, models, result, config))
-    return _data_inputs(Path(args.data))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+DATASET_FILES = ("snapshots.csv", "views.csv", "metadata.csv")
+
+
 class Command(NamedTuple):
-    handler: Callable[[argparse.Namespace, dict[str, object]], Mapping[str, Path]]
+    handler: Callable[[argparse.Namespace, dict[str, object], object], None]
     help: str
     paths: tuple[str, ...]  # keys of PATH_ARGS
+    data: tuple[str, ...] = DATASET_FILES  # the files under --data it reads, when it takes --data
 
 
 def _date_arg(text: str) -> date:
@@ -801,6 +790,7 @@ PATH_ARGS: dict[str, dict[str, object]] = {
     "forecasts": {"required": True, "help": "forecasts.csv from a fit"},
     "date": {"type": _date_arg, "help": "analysis day (YYYY-MM-DD), default last window day"},
 }
+ARTIFACTS = {"persistent": "persistent_edges.csv", "models": "models.json", "forecasts": "forecasts.csv"}
 
 COMMANDS: dict[str, Command] = {
     "generate": Command(cmd_generate, "generate a synthetic dataset with ground truth", ("out",)),
@@ -808,7 +798,7 @@ COMMANDS: dict[str, Command] = {
     "analyze": Command(cmd_analyze, "bow-tie, degree, flow and churn analyses",
                        ("data", "out", "date")),
     "display-prob": Command(cmd_display_prob, "relevant/recommended alignment matrices",
-                            ("data", "out")),
+                            ("data", "out"), ("snapshots.csv",)),
     "persistent": Command(cmd_persistent, "extract the persistent network", ("data", "out")),
     "simulate-persistence": Command(cmd_simulate_persistence,
                                     "survival probability of random presence", ("out",)),
@@ -857,7 +847,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         settings = resolve_settings(args)
         command = COMMANDS[args.subcommand]
-        inputs = command.handler(args, settings)
+        inputs = {ARTIFACTS[p]: Path(getattr(args, p)) for p in command.paths if p in ARTIFACTS}
+        data = None
+        if "data" in command.paths:
+            inputs.update((name, Path(args.data) / name) for name in command.data)
+            # module globals looked up at call time: perfbench's tracer replaces them to count loads
+            data = (load_dataset(args.data) if command.data == DATASET_FILES
+                    else parse_file(parse_snapshots, inputs["snapshots.csv"]))
+        command.handler(args, settings, data)
         if "out" in command.paths:
             write_manifest(Path(args.out), args.subcommand, settings, inputs)
         return 0

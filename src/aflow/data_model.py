@@ -794,24 +794,17 @@ def _digits(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndar
 
 
 def _repeat_free_order(day: np.ndarray, kind: np.ndarray, src: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Row order by (day, kind, src, col); declines when two rows share that key."""
+    """Row order by (day, kind, src, col); declines when two rows share that key or it overflows int64."""
     spans = [int(c.max()) + 1 for c in (day, kind, src, col)]
-    if math.prod(spans) <= _INT64_MAX:
-        key = day.astype(np.int64)
-        for c, span in zip((kind, src, col), spans[1:]):
-            key *= span
-            key += c
-        order = np.argsort(key)
-        key = key[order]
-        if (key[1:] == key[:-1]).any():
-            raise _Declined
-        return order
-    order = np.lexsort((col, src, kind, day))
-    same = np.ones(order.size - 1, dtype=bool)
-    for c in (day, kind, src, col):
-        c = c[order]
-        same &= c[1:] == c[:-1]
-    if same.any():
+    if math.prod(spans) > _INT64_MAX:
+        raise _Declined
+    key = day.astype(np.int64)
+    for c, span in zip((kind, src, col), spans[1:]):
+        key *= span
+        key += c
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
         raise _Declined
     return order
 

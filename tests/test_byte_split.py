@@ -253,3 +253,22 @@ def test_the_byte_split_loads_a_generated_dataset(tmp_path):
     assert serialize_views(reloaded.views) == serialize_views(dataset.views)
     for column in ("day", "src", "tgt", "pos", "kind"):
         assert np.array_equal(getattr(reloaded.network.table, column), getattr(dataset.network.table, column))
+
+
+def test_a_key_past_int64_sends_the_file_to_the_row_reader(tmp_path):
+    cfg = datagen.GenConfig(n_videos=30, n_artists=4, days=12, edge_density=0.2, presence_prob=0.8, seed=2)
+    datagen.export_dataset(datagen.generate(cfg)[0], tmp_path)
+    path = tmp_path / "snapshots.csv"
+    expected = _snapshot_outcome(parse_snapshots, path)
+    read_rows = data_model._read_snapshot_rows
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return read_rows(source)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_INT64_MAX", 0)  # no (day, kind, src, col) key fits
+        patch.setattr(data_model, "_read_snapshot_rows", counted)
+        assert _snapshot_outcome(parse_snapshots, path) == expected
+    assert len(calls) == 1

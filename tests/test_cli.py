@@ -246,6 +246,48 @@ def test_manifests_record_only_the_settings_a_command_reads(tmp_path, monkeypatc
     assert config(ev) == {}
 
 
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """Each file a command may take, by its manifest key: a generated dataset and a pipeline run on it."""
+    root = tmp_path_factory.mktemp("chain")
+    data, out = generate_data(root), root / "pipeline"
+    assert cli.main(["pipeline", "--data", str(data), "--out", str(out), "--threads", "1"]) == 0
+    files = {name: data / name for name in ("snapshots.csv", "views.csv", "metadata.csv")}
+    return {"generate": data, "pipeline": out, "data": data, **files,
+            "persistent_edges.csv": out / "persistent_edges.csv",
+            "models.json": out / "arnet" / "models.json", "forecasts.csv": out / "arnet" / "forecasts.csv"}
+
+
+DATA = ["snapshots.csv", "views.csv", "metadata.csv"]
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("generate", []),
+    ("simulate-persistence", []),
+    ("analyze", DATA),
+    ("display-prob", ["snapshots.csv"]),
+    ("persistent", DATA),
+    ("correlate", DATA),
+    ("fit", DATA + ["persistent_edges.csv"]),
+    ("evaluate", ["forecasts.csv"]),
+    ("contribute", DATA + ["models.json", "forecasts.csv"]),
+    ("pipeline", DATA),
+])
+def test_manifests_hash_exactly_the_files_a_command_reads(chain, tmp_path, command, inputs):
+    out = chain.get(command)  # generate and pipeline ran in the fixture
+    if out is None:
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), *(["--trials", "10"] if command == "simulate-persistence" else [])]
+        for key, flag in (("data", "data"), ("persistent_edges.csv", "persistent"),
+                          ("models.json", "models"), ("forecasts.csv", "forecasts")):
+            if flag in cli.COMMANDS[command].paths:
+                argv += [f"--{flag}", str(chain[key])]
+        assert cli.main(argv) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {
+        name: hashlib.sha256(chain[name].read_bytes()).hexdigest() for name in inputs}
+
+
 @pytest.mark.parametrize("command", ["validate", "evaluate", "contribute"])
 def test_commands_without_settings_take_no_config_flag(tmp_path, capsys, command):
     argv = [command, "--config", str(tmp_path / "c.cfg")]
@@ -755,6 +797,9 @@ def test_contribute_checks_the_forecasts_file(tmp_path, capsys):
         ([r for r in rows if r[1] <= "2018-10-30"],
          "forecast dates 2018-10-27..2018-10-30 (4 days) are not the models' horizon 2018-10-27..2018-11-02"),
         (rows + [["zz"] + r[1:] for r in rows[:7]], "zz is not a corpus video"),
+        (rows[:2] + [r[:2] + [repr(float(r[2]) + 1)] + r[3:] for r in rows[2:]],
+         f"y_true of {rows[2][0]} on {rows[2][1]} is {float(rows[2][2]) + 1!r}, "
+         f"but the dataset has {float(rows[2][2])!r} views"),
     ):
         with open(forecasts, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle, lineterminator="\n").writerows([header] + kept)
@@ -865,6 +910,19 @@ def test_pipeline_is_thread_count_invariant(tmp_path, capsys):
     assert all(float(r[4]) <= float(r[8]) for r in rows)
     fitted = json.loads((out1 / "arnet" / "models.json").read_text())["videos"]
     assert [r[0] for r in rows] == sorted(fitted)
+
+
+@pytest.mark.parametrize("flags, problem", [
+    (["--p", "0"], "p, m_star and horizon must be positive"),
+    (["--train-days", "60"], "window of 63 days cannot hold 60 training days plus a 7-day horizon"),
+])
+def test_pipeline_checks_its_forecast_settings_before_writing(tmp_path, capsys, flags, problem):
+    data = generate_data(tmp_path)
+    out = tmp_path / "p"
+    code, captured = run(["pipeline", "--data", str(data), "--out", str(out), *flags], capsys)
+    assert code == 2
+    assert one_data_error(captured) == problem
+    assert not out.exists()
 
 
 def test_fit_diagnostics_report_non_converged_fits(tmp_path, monkeypatch, capsys):

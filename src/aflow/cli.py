@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .data_model import (
@@ -281,7 +280,6 @@ def write_manifest(
             "aflow": __version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     _write_json(out_dir / "run_manifest.json", manifest)

@@ -11,21 +11,27 @@ batch agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data_model import DataFormatError, Dataset
+from .data_model import DataFormatError, Dataset, NumericalError
 # Re-exported for the benchmark's tracer only; nothing in src/ or tests/ looks it up here.
 from .graph_analysis import build_graph  # noqa: F401
 from .graph_analysis import daily_link_presence
 from .persistence import ViewFilters, apply_view_filters
 
 SIGNIFICANCE_LEVEL = 0.05
-# correlated_link_fractions gathers and tests at most this many rows or row
-# pairs at a time, which bounds its temporaries; it never changes a number.
+# correlated_link_fractions gathers and correlates at most this many rows or
+# row pairs at a time, which bounds its temporaries; it never changes a number.
 BLOCK_ROWS = 256
+# _beta_fraction: Lentz's floor for a vanishing denominator, the step size
+# that ends a row, and the most steps any row may take.
+_FRACTION_TINY = 1e-300
+_FRACTION_EPS = float(np.finfo(float).eps)
+_FRACTION_STEPS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,22 +110,87 @@ def seasonality_test(values: Sequence[float] | np.ndarray, period: int = 7) -> b
 def pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pearson r of each row of ``x`` with the same row of ``y``, and its two-sided p-value.
 
-    p comes from t = |r| * sqrt((n-2) / (1-r^2)) on n-2 degrees of freedom, so
-    |r| = 1 gives p = 0.  A zero-variance row gives r = p = nan.
+    p is :func:`pearson_p` on n-2 degrees of freedom, so |r| = 1 gives
+    p = 0.  A zero-variance row gives r = p = nan.
     """
-    # stdtr is the Student-t CDF that scipy.stats.t.sf evaluates; calling it
-    # directly keeps scipy.stats out of the import graph, and importing it
-    # here keeps scipy.special out of every command but correlate.
-    from scipy.special import stdtr
+    r = _pearson_r(x, y)
+    return r, pearson_p(r, x.shape[1] - 2)
 
+
+def _pearson_r(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson r of each row pair, clipped to [-1, 1]; nan for a zero-variance row."""
     xd = x - x.mean(axis=1, keepdims=True)
     yd = y - y.mean(axis=1, keepdims=True)
-    df = x.shape[1] - 2
     with np.errstate(invalid="ignore", divide="ignore"):
         r = (xd * yd).sum(axis=1) / (np.sqrt((xd * xd).sum(axis=1)) * np.sqrt((yd * yd).sum(axis=1)))
-        r = np.clip(r, -1.0, 1.0)
-        t_stat = np.abs(r) * np.sqrt(df / (1.0 - r * r))
-    return r, np.minimum(1.0, 2.0 * stdtr(df, -t_stat))
+    return np.clip(r, -1.0, 1.0)
+
+
+def pearson_p(r: np.ndarray, df: int) -> np.ndarray:
+    """Two-sided p-value of each Pearson r on ``df`` >= 1 degrees of freedom; nan stays nan.
+
+    p = P(|T| >= t) for Student's T at t = |r| sqrt(df / (1 - r^2)), which is
+    the regularised incomplete beta I_x(a, b) with a = df/2, b = 1/2 and
+    x = df / (df + t^2) = 1 - r^2 (Abramowitz & Stegun, sections 26.5 and
+    26.7).  Where x < (a + 1) / (a + b + 2) the continued fraction of I_x(a, b)
+    converges fast and gives the tail itself, so a p far under 1e-16 keeps its
+    digits rather than rounding to 0.  Above that point p is near 1 and is
+    1 - I_{1-x}(b, a), by the fraction of the complement.  r = 0 gives 1 and
+    |r| = 1 gives 0.  A row's p depends on its own r alone.
+    """
+    a, b = df / 2.0, 0.5
+    p = np.full(r.shape, np.nan)
+    ok = np.flatnonzero(~np.isnan(r))
+    if ok.size == 0:
+        return p
+    y = r[ok] * r[ok]  # 1 - x, without the cancellation of 1 - (1 - r^2) at small r
+    swap = 1.0 - y > (a + 1.0) / (a + b + 2.0)
+    first = np.where(swap, b, a)
+    h = _beta_fraction(first, np.where(swap, a, b), np.where(swap, y, 1.0 - y))
+    with np.errstate(divide="ignore"):  # log(0) at r = 0 and |r| = 1 gives the limits
+        # x^a y^b / B(a, b) * h / first, in one exp
+        log_front = a * np.log1p(-y) + b * np.log(y) - math.log(_beta_half(df))
+        tail = np.exp(log_front + np.log(h / first))
+    p[ok] = np.where(swap, 1.0 - tail, tail)
+    return p
+
+
+def _beta_half(df: int) -> float:
+    """B(df/2, 1/2) as a product of ratios; lgamma differences lose digits as df grows."""
+    m, odd = divmod(df, 2)
+    if odd:  # B(m + 1/2, 1/2) = pi * prod (2k - 1) / 2k
+        return math.prod(((2 * k - 1) / (2 * k) for k in range(1, m + 1)), start=math.pi)
+    return math.prod((2 * k / (2 * k + 1) for k in range(1, m)), start=2.0)  # B(m, 1/2)
+
+
+def _beta_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The continued fraction of I_x(a, b) (A&S 26.5.8) by Lentz's method, one value per row.
+
+    A row leaves the loop at the step that converges it, so its value does
+    not depend on the other rows.  Below x = (a + 1) / (a + b + 2) a row
+    takes O(sqrt(max(a, b))) steps; a row still open after
+    ``_FRACTION_STEPS`` raises.
+    """
+    def nonzero(v):
+        return np.where(np.abs(v) < _FRACTION_TINY, _FRACTION_TINY, v)
+
+    out = np.empty(x.shape)
+    rows = np.arange(x.size)
+    c = np.ones(x.shape)
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _FRACTION_STEPS + 1):
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 / nonzero(1.0 + aa * d)
+            c = nonzero(1.0 + aa / c)
+            h = h * (d * c)
+        done = np.abs(d * c - 1.0) <= _FRACTION_EPS
+        out[rows[done]] = h[done]
+        if done.all():
+            return out
+        rows, a, b, x, c, d, h = (v[~done] for v in (rows, a, b, x, c, d, h))
+    raise NumericalError(f"Student-t tail: continued fraction open after {_FRACTION_STEPS} steps")
 
 
 def pearson_test(
@@ -168,9 +239,10 @@ def correlated_link_fractions(
     """Fraction of links per group whose residual series correlate (p < alpha).
 
     Residuals are computed once per video, over the ``window_views`` rows the
-    groups use, and each group's pairs are tested in blocks.  Pairs where
-    either residual is undefined (a window under three periods) or degenerate
-    (zero variance) count as not significant with r = p = nan.
+    groups use.  Each group's pairs are correlated in blocks and then tested
+    in one :func:`pearson_p` call.  Pairs where either residual is undefined
+    (a window under three periods) or degenerate (zero variance) count as not
+    significant with r = p = nan.
     """
     pairs = {name: list(groups[name]) for name in sorted(groups)}
     codes: dict[str, np.ndarray] = {}
@@ -190,10 +262,11 @@ def correlated_link_fractions(
     for name, links in pairs.items():
         rows = np.searchsorted(used, codes[name])
         src, tgt = rows[0::2], rows[1::2]
-        r, p = np.empty(len(links)), np.empty(len(links))
+        r = np.empty(len(links))
         for at in range(0, len(links), BLOCK_ROWS):
             block = slice(at, at + BLOCK_ROWS)
-            r[block], p[block] = pearson_rows(resid[src[block]], resid[tgt[block]])
+            r[block] = _pearson_r(resid[src[block]], resid[tgt[block]])
+        p = pearson_p(r, views.shape[1] - 2)
         sig = p < alpha
         n_sig = int(sig.sum())
         tested = tuple(LinkCorrelation(*link, *row)

@@ -258,6 +258,18 @@ def chain(tmp_path_factory):
             "models.json": out / "arnet" / "models.json", "forecasts.csv": out / "arnet" / "forecasts.csv"}
 
 
+def chain_argv(chain, command, out):
+    """``command``'s argv on small inputs: the ``chain`` files, and ``out`` for ``--out``."""
+    argv = [command, *{"generate": ["--n-videos", "16", "--n-artists", "5", "--days", "63"],
+                       "simulate-persistence": ["--trials", "10"],
+                       "pipeline": ["--threads", "1"], "fit": ["--threads", "1"]}.get(command, [])]
+    for key, flag in (("data", "data"), ("persistent_edges.csv", "persistent"),
+                      ("models.json", "models"), ("forecasts.csv", "forecasts")):
+        if flag in cli.COMMANDS[command].paths:
+            argv += [f"--{flag}", str(chain[key])]
+    return argv + (["--out", str(out)] if "out" in cli.COMMANDS[command].paths else [])
+
+
 DATA = ["snapshots.csv", "views.csv", "metadata.csv"]
 
 
@@ -277,12 +289,7 @@ def test_manifests_hash_exactly_the_files_a_command_reads(chain, tmp_path, comma
     out = chain.get(command)  # generate and pipeline ran in the fixture
     if out is None:
         out = tmp_path / "out"
-        argv = [command, "--out", str(out), *(["--trials", "10"] if command == "simulate-persistence" else [])]
-        for key, flag in (("data", "data"), ("persistent_edges.csv", "persistent"),
-                          ("models.json", "models"), ("forecasts.csv", "forecasts")):
-            if flag in cli.COMMANDS[command].paths:
-                argv += [f"--{flag}", str(chain[key])]
-        assert cli.main(argv) == 0
+        assert cli.main(chain_argv(chain, command, out)) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["inputs"] == {
         name: hashlib.sha256(chain[name].read_bytes()).hexdigest() for name in inputs}
@@ -1034,72 +1041,32 @@ def test_importing_the_cli_caps_blas_threads():
     assert proc.stdout.split()[1] == "2"  # a value the user set wins
 
 
-SCIPY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.special", "scipy.sparse",
-                 "scipy.linalg")
-
-
-def scipy_modules_loaded(script: str) -> list[str]:
-    """Run ``script`` in a fresh interpreter; the scipy modules loaded when it ends."""
-    env = dict(os.environ, PYTHONPATH=str(Path(aflow.__file__).resolve().parents[1]))
-    script += f"\nprint(','.join(m for m in {SCIPY_MODULES!r} if m in sys.modules))\n"
-    proc = subprocess.run([sys.executable, "-c", "import sys\n" + script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return [m for m in proc.stdout.strip().split(",") if m]
-
-
 def test_importing_the_cli_leaves_out_scipy_stats():
-    assert scipy_modules_loaded("import aflow.cli") == []
+    env = dict(os.environ, PYTHONPATH=str(Path(aflow.__file__).resolve().parents[1]))
+    script = "import sys, aflow.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"  # no scipy module loads, though scipy is installed
 
 
-def test_persistent_leaves_out_scipy_optimize_and_special(tmp_path):
-    data = generate_data(tmp_path)
-    argv = ["persistent", "--data", str(data), "--out", str(tmp_path / "links")]
-    assert scipy_modules_loaded(f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0") == []
-    assert (tmp_path / "links" / "persistent_edges.csv").is_file()
-
-
-def test_analyze_leaves_out_scipy(tmp_path):
-    data = generate_data(tmp_path)
-    argv = ["analyze", "--data", str(data), "--out", str(tmp_path / "analysis")]
-    assert scipy_modules_loaded(f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0") == []
-    assert (tmp_path / "analysis" / "bowtie.csv").is_file()
-
-
-def test_pipeline_leaves_out_scipy(tmp_path):
-    data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
-    argv = ["pipeline", "--data", str(data), "--out", str(tmp_path / "run"), "--threads", "1"]
-    assert scipy_modules_loaded(f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0") == []
-    assert (tmp_path / "run" / "arnet" / "fit_diagnostics.csv").is_file()
-
-
-def test_correlate_loads_only_scipy_special(tmp_path):
-    data = generate_data(tmp_path)
-    argv = ["correlate", "--data", str(data), "--out", str(tmp_path / "corr")]
-    script = f"import aflow.cli\nassert aflow.cli.main({argv!r}) == 0"
-    assert scipy_modules_loaded(script) == ["scipy.special"]
-    assert (tmp_path / "corr" / "link_correlations.csv").is_file()
-
-
-def test_contribute_leaves_out_scipy_stats(tmp_path):
-    data = generate_data(tmp_path)
-    links, fit = tmp_path / "links", tmp_path / "fit"
-    assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
-    assert cli.main(["fit", "--data", str(data), "--out", str(fit), "--threads", "1",
-                     "--persistent", str(links / "persistent_edges.csv")]) == 0
-    argv = ["contribute", "--data", str(data), "--out", str(tmp_path / "contrib"),
-            "--models", str(fit / "models.json"), "--forecasts", str(fit / "forecasts.csv")]
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_no_subcommand_needs_scipy(chain, tmp_path, command):
+    """Each subcommand runs in a fresh interpreter in which any scipy import fails."""
+    argv = chain_argv(chain, command, tmp_path / "out")
     env = dict(os.environ, PYTHONPATH=str(Path(aflow.__file__).resolve().parents[1]))
     script = (
-        "import sys, aflow.cli\n"
-        f"assert aflow.cli.main({argv!r}) == 0\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None  # importing scipy or any submodule now raises\n"
+        "import aflow.cli\n"
+        f"code = aflow.cli.main({argv!r})\n"
+        "print(code, sorted(m for m, mod in sys.modules.items()"
+        " if m.split('.')[0] == 'scipy' and mod is not None))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "contrib" / "artist_shift.csv").is_file()
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import stdtr
 
 from aflow import stats
 from aflow.data_model import DataFormatError
@@ -7,6 +8,7 @@ from aflow.stats import (
     average_ranks,
     correlated_link_fractions,
     gini,
+    pearson_p,
     pearson_rows,
     pearson_test,
     preprocess,
@@ -122,6 +124,33 @@ def test_pearson_p_matches_quadrature_oracle():
         y = rng.normal(size=n) + 0.4 * x
         r, p = pearson_test(x, y)
         assert abs(p - _oracles.two_sided_p(r, n)) < 1e-6
+
+
+def test_pearson_p_matches_stdtr():
+    """The numpy tail against scipy's Student-t CDF, the parent's formula for p.
+
+    The bound is 1e-12 relative down to p = 1e-10, and 1e-8 below it: there
+    a 1e-15 change in r moves p = 1e-146 by about 8e-10 relative.
+    """
+    rng = np.random.default_rng(17)
+    near_one = 1.0 - 10.0 ** -np.arange(1, 16)
+    for df in [*range(1, 400), 1000, 10000]:
+        r = np.concatenate([rng.uniform(-1.0, 1.0, 200), near_one, -near_one])
+        expected = np.minimum(1.0, 2.0 * stdtr(df, -np.abs(r) * np.sqrt(df / (1.0 - r * r))))
+        p = pearson_p(r, df)
+        big, small = expected > 1e-10, (expected > 0) & (expected <= 1e-10)
+        np.testing.assert_allclose(p[big], expected[big], rtol=1e-12, atol=0, err_msg=f"df={df}")
+        np.testing.assert_allclose(p[small], expected[small], rtol=1e-8, atol=0, err_msg=f"df={df}")
+        assert (p[expected > 0] > 0).all(), df  # the tail itself, never 1 - (1 - p)
+
+
+def test_pearson_p_limits():
+    for df in (1, 2, 61, 10000):
+        # r = 0 is t = 0 and |r| = 1 is t = inf
+        assert (2.0 * stdtr(df, -np.array([0.0, np.inf])) == [1.0, 0.0]).all()
+        p = pearson_p(np.array([0.0, 1.0, -1.0, np.nan]), df)
+        assert p[:3].tolist() == [1.0, 0.0, 0.0] and np.isnan(p[3])
+    assert np.isnan(pearson_p(np.full(3, np.nan), 61)).all()
 
 
 def test_pearson_rejects_degenerate_input():
@@ -277,6 +306,18 @@ def test_pearson_rows_match_one_pair_calls():
     assert (r[0], p[0]) == (1.0, 0.0)
     assert np.isnan(r[1]) and np.isnan(p[1])
     for k in range(2, 9):
+        assert pearson_test(x[k], y[k]) == (r[k], p[k])
+    # r near 0, near +-1 and at +-1 in one block: their continued fractions end many steps apart
+    base = x[2] - x[2].mean()
+    orth = x[3] - x[3].mean() - (x[3] @ base) / (base @ base) * base
+    y = np.stack([orth, orth + 1e-3 * base, orth + 0.2 * base, orth + 0.3 * base, orth + 0.8 * base,
+                  base + 0.5 * orth, base + 1e-4 * orth, -base + 1e-7 * orth, 3.0 * base + 2.0,
+                  -base, base])
+    x = np.broadcast_to(base, y.shape)
+    r, p = pearson_rows(x, y)
+    assert p[0] > 0.99 and 0 < p[7] < 1e-100
+    assert r[-2:].tolist() == [-1.0, 1.0] and (p[-2:] == 0).all()
+    for k in range(y.shape[0]):
         assert pearson_test(x[k], y[k]) == (r[k], p[k])
 
 

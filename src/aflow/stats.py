@@ -141,8 +141,6 @@ def pearson_p(r: np.ndarray, df: int) -> np.ndarray:
     a, b = df / 2.0, 0.5
     p = np.full(r.shape, np.nan)
     ok = np.flatnonzero(~np.isnan(r))
-    if ok.size == 0:
-        return p
     y = r[ok] * r[ok]  # 1 - x, without the cancellation of 1 - (1 - r^2) at small r
     swap = 1.0 - y > (a + 1.0) / (a + b + 2.0)
     first = np.where(swap, b, a)

@@ -45,8 +45,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, graph_analysis, list_alignment, persistence, stats
 from .data_model import (
+    DATASET_FILES,
     DataFormatError,
     Dataset,
     DynamicNetwork,
@@ -124,32 +125,32 @@ _LINKS = ("persistent", "correlate", "pipeline")
 _FITS = ("fit", "pipeline")
 
 SETTINGS: dict[str, Setting] = {s.name: s for s in (
-    Setting("cutoff", int, 15, ("analyze",) + _LINKS),
-    Setting("min_indegree", int, 20, ("analyze",)),
-    Setting("max_rel", int, 50, ("display-prob",)),
-    Setting("max_rec", int, 15, ("display-prob",)),
-    Setting("target_min_views", float, 100.0, _LINKS),
-    Setting("source_view_frac", float, 0.01, _LINKS),
+    Setting("cutoff", int, graph_analysis.CUTOFF, ("analyze",) + _LINKS),
+    Setting("min_indegree", int, graph_analysis.MIN_INDEGREE, ("analyze",)),
+    Setting("max_rel", int, list_alignment.MAX_REL, ("display-prob",)),
+    Setting("max_rec", int, list_alignment.MAX_REC, ("display-prob",)),
+    Setting("target_min_views", float, persistence.TARGET_MIN_MEAN_VIEWS, _LINKS),
+    Setting("source_view_frac", float, persistence.SOURCE_VIEW_FRACTION, _LINKS),
     Setting("random_pairs", int, 200, ("correlate",)),
-    Setting("alpha", float, 0.05, ("correlate",)),
+    Setting("alpha", float, stats.SIGNIFICANCE_LEVEL, ("correlate",)),
     Setting("model", str, "arnet", ("fit",), MODEL_NAMES),
-    Setting("p", int, 7, _FITS),
-    Setting("m_star", int, 7, _FITS),
-    Setting("train_days", int, 56, _FITS),
-    Setting("horizon", int, 7, _FITS),
-    Setting("neighbor_mode", str, "observed", _FITS, ("observed", "forecast")),
+    Setting("p", int, ForecastConfig.p, _FITS),
+    Setting("m_star", int, ForecastConfig.m_star, _FITS),
+    Setting("train_days", int, ForecastConfig.train_days, _FITS),
+    Setting("horizon", int, ForecastConfig.horizon, _FITS),
+    Setting("neighbor_mode", str, ForecastConfig.neighbor_mode, _FITS, ("observed", "forecast")),
     Setting("threads", int, _available_cores(), _FITS,
             help="worker processes for network-model fits (default: available cores)"),
-    Setting("seed", int, 0, ("generate", "simulate-persistence", "correlate")),
-    Setting("days", int, 63, ("generate", "simulate-persistence")),
-    Setting("n_videos", int, 60, ("generate",)),
-    Setting("n_artists", int, 12, ("generate",)),
-    Setting("edge_density", float, 0.02, ("generate",)),
-    Setting("presence_prob", float, 1.0, ("generate",)),
-    Setting("noise_scale", float, 5.0, ("generate",)),
+    Setting("seed", int, GenConfig.seed, ("generate", "simulate-persistence", "correlate")),
+    Setting("days", int, GenConfig.days, ("generate", "simulate-persistence")),
+    Setting("n_videos", int, GenConfig.n_videos, ("generate",)),
+    Setting("n_artists", int, GenConfig.n_artists, ("generate",)),
+    Setting("edge_density", float, GenConfig.edge_density, ("generate",)),
+    Setting("presence_prob", float, GenConfig.presence_prob, ("generate",)),
+    Setting("noise_scale", float, GenConfig.noise_scale, ("generate",)),
     Setting("p_grid", str, "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
             ("simulate-persistence",), help="comma-separated presence probabilities"),
-    Setting("trials", int, 100000, ("simulate-persistence",)),
+    Setting("trials", int, persistence.TRIALS, ("simulate-persistence",)),
 )}
 
 
@@ -204,6 +205,8 @@ def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
             settings[key] = flag_val
     if settings["seed"] < 0:  # numpy's generators take only non-negative seeds
         raise UsageError(f"setting seed must be non-negative, got {settings['seed']}")
+    if settings["threads"] < 1:
+        raise UsageError(f"setting threads must be at least 1, got {settings['threads']}")
     for key in ("target_min_views", "source_view_frac"):  # nan passes no view filter
         if not math.isfinite(settings[key]):
             raise UsageError(f"setting {key} must be finite, got {settings[key]}")
@@ -439,9 +442,9 @@ def _emit_persistent(out: Path, dataset: Dataset, pn: PersistentNetwork) -> None
         [(e.source, e.target, e.reciprocal, e.days_present) for e in pn.edges],
     )
     if pn.edges:
-        stats = homophily_stats(pn, dataset.metadata)
-        same_artist: float | None = stats.same_artist_fraction
-        shared_genre: float | None = stats.shared_genre_fraction
+        homophily = homophily_stats(pn, dataset.metadata)
+        same_artist: float | None = homophily.same_artist_fraction
+        shared_genre: float | None = homophily.shared_genre_fraction
     else:
         same_artist = shared_genre = None
     _write_json(
@@ -525,8 +528,8 @@ def _emit_contribution(out: Path, report: ContributionReport) -> None:
 
 
 def _forecast_config(settings: Mapping[str, object]) -> ForecastConfig:
-    return ForecastConfig(**{k: settings[k] for k in
-                             ("p", "m_star", "train_days", "horizon", "neighbor_mode")})
+    fields = (f.name for f in dataclasses.fields(ForecastConfig))
+    return ForecastConfig(**{k: settings[k] for k in fields if k in SETTINGS})
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +763,6 @@ def cmd_pipeline(args: argparse.Namespace, settings: dict[str, object], dataset:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-DATASET_FILES = ("snapshots.csv", "views.csv", "metadata.csv")
 
 
 class Command(NamedTuple):

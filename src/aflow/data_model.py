@@ -39,6 +39,9 @@ T = TypeVar("T")
 SNAPSHOT_HEADER = ("date", "source_id", "target_id", "position", "list_kind")
 VIEWS_HEADER = ("video_id", "date", "views")
 METADATA_HEADER = ("video_id", "artist_id", "upload_date", "genres")
+DATASET_FILES = ("snapshots.csv", "views.csv", "metadata.csv")  # under one data directory
+WINDOW_DAYS = 63  # the paper's observation window
+SEED = 0  # of the generators and simulations that take a seed
 
 
 class DataFormatError(ValueError):
@@ -952,12 +955,12 @@ def validate_dataset(
 
 
 def load_dataset(data_dir: str | Path) -> Dataset:
-    """Load ``snapshots.csv``, ``views.csv`` and ``metadata.csv``; parse errors name their file."""
-    base = Path(data_dir)
+    """Load the ``DATASET_FILES`` under ``data_dir``; parse errors name their file."""
+    snapshots, views, metadata = (Path(data_dir) / name for name in DATASET_FILES)
     return validate_dataset(
-        network=parse_file(parse_snapshots, base / "snapshots.csv"),
-        views=parse_file(parse_views, base / "views.csv"),
-        metadata=parse_file(parse_metadata, base / "metadata.csv"),
+        network=parse_file(parse_snapshots, snapshots),
+        views=parse_file(parse_views, views),
+        metadata=parse_file(parse_metadata, metadata),
     )
 
 

@@ -27,6 +27,9 @@ from typing import Mapping
 import numpy as np
 
 from .data_model import (
+    DATASET_FILES,
+    SEED,
+    WINDOW_DAYS,
     DataFormatError,
     Dataset,
     DynamicNetwork,
@@ -60,13 +63,13 @@ class GenConfig:
 
     n_videos: int = 60
     n_artists: int = 12
-    days: int = 63
+    days: int = WINDOW_DAYS
     base_level_range: tuple[float, float] = (200.0, 2000.0)
     seasonal_amplitude: float = 0.3
     noise_scale: float = 5.0
     edge_density: float = 0.02
     presence_prob: float = 1.0
-    seed: int = 0
+    seed: int = SEED
     alpha_profile: tuple[float, ...] = (0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3)
     beta_range: tuple[float, float] = (0.2, 0.8)
     n_sources: int | None = None
@@ -242,8 +245,7 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
 def generate_paired_lists(
     kernel: np.ndarray,
     n_pairs: int,
-    seed: int = 0,
-    bins: PositionBins | None = None,
+    seed: int = SEED,
     pairs_per_day: int = 2000,
 ) -> DynamicNetwork:
     """Snapshots with matched relevant/recommended lists for alignment tests.
@@ -256,7 +258,7 @@ def generate_paired_lists(
     kernel.
     """
     k = np.asarray(kernel, dtype=float)
-    bins = bins or PositionBins()
+    bins = PositionBins()
     if k.ndim != 2 or k.shape[1] != len(bins.ranges):
         raise DataFormatError("kernel columns must match the position bins")
     if np.any(k < 0) or np.any(k.sum(axis=1) > 1.0 + 1e-12):
@@ -296,17 +298,14 @@ def generate_paired_lists(
 
 
 def export_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write the three canonical CSVs; returns the paths keyed by file kind."""
+    """Write the canonical ``DATASET_FILES``; returns their paths keyed by file name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "snapshots": out / "snapshots.csv",
-        "views": out / "views.csv",
-        "metadata": out / "metadata.csv",
-    }
-    paths["snapshots"].write_text(serialize_snapshots(dataset.network), encoding="utf-8")
-    paths["views"].write_text(serialize_views(dataset.views), encoding="utf-8")
-    paths["metadata"].write_text(serialize_metadata(dataset.metadata), encoding="utf-8")
+    paths = {name: out / name for name in DATASET_FILES}
+    snapshots, views, metadata = paths.values()
+    snapshots.write_text(serialize_snapshots(dataset.network), encoding="utf-8")
+    views.write_text(serialize_views(dataset.views), encoding="utf-8")
+    metadata.write_text(serialize_metadata(dataset.metadata), encoding="utf-8")
     return paths
 
 

@@ -16,6 +16,8 @@ from .data_model import DataFormatError, Dataset
 from .forecast import ArnetModel, ForecastConfig, ForecastResult, resolve_neighbor_values
 from .stats import average_ranks
 
+OUTLIER_BINS = 10  # equal-width pct_without bins of outlier_artists
+
 
 def smape(
     y_true: Sequence[float] | np.ndarray,
@@ -184,18 +186,16 @@ def contribution_report(
     return ContributionReport(eta, mean_eta, same_artist_share, rows)
 
 
-def outlier_artists(rows: Sequence[ArtistRow], n_bins: int = 10) -> list[str]:
+def outlier_artists(rows: Sequence[ArtistRow]) -> list[str]:
     """Artists whose percentile change is a Tukey outlier within its decile.
 
-    Rows are binned by pct_without into equal-width bins over [0, 100]; a row
-    is an outlier when its pct_change falls outside 1.5 IQR beyond its bin's
-    quartiles.
+    Rows are binned by pct_without into ``OUTLIER_BINS`` equal-width bins over
+    [0, 100]; a row is an outlier when its pct_change falls outside 1.5 IQR
+    beyond its bin's quartiles.
     """
-    if n_bins < 1:
-        raise DataFormatError("need at least one bin")
     binned: dict[int, list[ArtistRow]] = {}
     for row in rows:
-        b = min(int(row.pct_without / (100.0 / n_bins)), n_bins - 1)
+        b = min(int(row.pct_without / (100.0 / OUTLIER_BINS)), OUTLIER_BINS - 1)
         binned.setdefault(b, []).append(row)
     flagged: list[str] = []
     for b in sorted(binned):

@@ -96,7 +96,7 @@ def predict_naive(history: Sequence[float] | np.ndarray, horizon: int) -> np.nda
 
 
 def predict_seasonal_naive(
-    history: Sequence[float] | np.ndarray, horizon: int, m_star: int = 7
+    history: Sequence[float] | np.ndarray, horizon: int, m_star: int = ForecastConfig.m_star
 ) -> np.ndarray:
     """Repeat the value one season back, cycling the last season forward."""
     h = np.asarray(history, dtype=float)
@@ -113,7 +113,7 @@ def _lag_matrix(y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lags, y[p:]
 
 
-def fit_ar(video_id: str, series: Sequence[float] | np.ndarray, p: int = 7) -> ArnetModel:
+def fit_ar(video_id: str, series: Sequence[float] | np.ndarray, p: int = ForecastConfig.p) -> ArnetModel:
     """Least-squares AR(p) without intercept, tiny ridge for conditioning."""
     y = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -749,9 +749,13 @@ def _fit_all(targets: list[str], fit_chunk: Callable[[list[str]], list], workers
 
 def __getattr__(name: str):
     # ``minimize`` used to be imported here, and the benchmark's tracer still
-    # looks it up; scipy.optimize loads only on that lookup.
+    # looks it up; scipy.optimize loads only on that lookup.  Without scipy
+    # (a numpy-only install) the name is missing, so hasattr() reads False.
     if name == "minimize":
-        from scipy.optimize import minimize
+        try:
+            from scipy.optimize import minimize
 
-        return minimize
+            return minimize
+        except ImportError:
+            pass
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

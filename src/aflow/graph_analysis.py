@@ -21,6 +21,9 @@ import numpy as np
 
 from .data_model import DailySnapshot, DataFormatError, Dataset, DynamicNetwork
 
+CUTOFF = 15  # deepest relevant-list position that makes a link
+MIN_INDEGREE = 20  # lowest in-degree the churn analysis counts
+
 
 class Component(Enum):
     """Bow-tie component labels."""
@@ -69,7 +72,7 @@ def _csr(head: np.ndarray, tail: np.ndarray, n: int) -> tuple[list[int], list[in
 
 
 def build_graph(
-    snapshot: DailySnapshot, corpus: frozenset[str] | set[str], cutoff: int = 15
+    snapshot: DailySnapshot, corpus: frozenset[str] | set[str], cutoff: int = CUTOFF
 ) -> DirectedGraph:
     """Build the daily graph for one snapshot.
 
@@ -103,7 +106,7 @@ class LinkPresence:
 
 
 def daily_link_presence(
-    network: DynamicNetwork, corpus: frozenset[str] | set[str], cutoff: int = 15
+    network: DynamicNetwork, corpus: frozenset[str] | set[str], cutoff: int = CUTOFF
 ) -> LinkPresence:
     """Link presence of every daily graph at once, read off the snapshot table.
 
@@ -308,8 +311,8 @@ class ChurnStats:
 def indegree_change_ratios(
     network: DynamicNetwork,
     corpus: frozenset[str] | set[str],
-    cutoff: int = 15,
-    min_indegree: int = 20,
+    cutoff: int = CUTOFF,
+    min_indegree: int = MIN_INDEGREE,
 ) -> dict[int, ChurnStats]:
     """Relative in-degree change (d_next - d) / d grouped by today's in-degree.
 
@@ -339,7 +342,7 @@ def indegree_change_ratios(
 
 
 def link_frequency_histogram(
-    network: DynamicNetwork, corpus: frozenset[str] | set[str], cutoff: int = 15
+    network: DynamicNetwork, corpus: frozenset[str] | set[str], cutoff: int = CUTOFF
 ) -> dict[int, int]:
     """Histogram mapping number-of-days-present to the count of such links.
 

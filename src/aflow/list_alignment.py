@@ -14,6 +14,8 @@ import numpy as np
 from .data_model import DataFormatError, DynamicNetwork
 
 DEFAULT_BINS: tuple[tuple[int, int], ...] = ((1, 1), (2, 5), (6, 10), (11, 15))
+MAX_REL = 50  # deepest relevant rank the display matrix conditions on
+MAX_REC = 15  # deepest recommended position the origin matrix conditions on
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ def _alignment_matrix(
 def display_probability_matrix(
     network: DynamicNetwork,
     bins: PositionBins | None = None,
-    max_rel: int = 50,
+    max_rel: int = MAX_REL,
 ) -> DisplayProbabilityMatrix:
     """P(recommended position falls in bin b | relevant rank r).
 
@@ -115,7 +117,7 @@ def display_probability_matrix(
 def origin_probability_matrix(
     network: DynamicNetwork,
     bins: PositionBins | None = None,
-    max_rec: int = 15,
+    max_rec: int = MAX_REC,
 ) -> DisplayProbabilityMatrix:
     """P(relevant rank falls in bin b | recommended position q).
 

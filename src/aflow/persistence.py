@@ -13,14 +13,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .data_model import DataFormatError, Dataset, DynamicNetwork, VideoMeta
+from .data_model import SEED, WINDOW_DAYS, DataFormatError, Dataset, DynamicNetwork, VideoMeta
 # Re-exported for the benchmark's tracer only; nothing in src/ or tests/ looks it up here.
 from .graph_analysis import build_graph  # noqa: F401
-from .graph_analysis import daily_link_presence
+from .graph_analysis import CUTOFF, daily_link_presence
 
 TARGET_MIN_MEAN_VIEWS = 100.0
 SOURCE_VIEW_FRACTION = 0.01
 HALF_WINDOW = 3
+TRIALS = 100_000  # random presence vectors per survival probability
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +52,8 @@ def apply_view_filters(
     return ViewFilters(dataset.window_views.mean(axis=1), target_min, source_frac)
 
 
-def _smooth_rows(bits: np.ndarray, half_window: int = HALF_WINDOW) -> np.ndarray:
-    """Majority-smooth each row over clipped windows [t-h, t+h].
+def _smooth_rows(bits: np.ndarray) -> np.ndarray:
+    """Majority-smooth each row over clipped windows [t-h, t+h], h = ``HALF_WINDOW``.
 
     A day is kept when the link is present on at least ceil(k/2) of the k
     days the clipped window actually covers; for interior days k = 2h+1 = 7
@@ -62,23 +63,23 @@ def _smooth_rows(bits: np.ndarray, half_window: int = HALF_WINDOW) -> np.ndarray
     cum = np.zeros((m, n + 1), dtype=np.int32)
     np.cumsum(bits, axis=1, out=cum[:, 1:])
     t = np.arange(n)
-    lo = np.maximum(t - half_window, 0)
-    hi = np.minimum(t + half_window, n - 1)
+    lo = np.maximum(t - HALF_WINDOW, 0)
+    hi = np.minimum(t + HALF_WINDOW, n - 1)
     width = hi - lo + 1
     counts = cum[:, hi + 1] - cum[:, lo]
     return counts >= (width + 1) // 2
 
 
-def smooth_link_presence(bits: np.ndarray | list[int], half_window: int = HALF_WINDOW) -> np.ndarray:
+def smooth_link_presence(bits: np.ndarray | list[int]) -> np.ndarray:
     """Smooth one daily presence vector; returns a boolean vector of equal length."""
     arr = np.asarray(bits)
     if arr.ndim != 1 or arr.size == 0:
         raise DataFormatError("presence vector must be a non-empty 1-D sequence")
-    return _smooth_rows(arr.astype(bool)[None, :], half_window)[0]
+    return _smooth_rows(arr.astype(bool)[None, :])[0]
 
 
 def link_presence(
-    network: DynamicNetwork, corpus: frozenset[str] | set[str], cutoff: int = 15
+    network: DynamicNetwork, corpus: frozenset[str] | set[str], cutoff: int = CUTOFF
 ) -> tuple[list[tuple[str, str]], np.ndarray]:
     """All (source, target) pairs ever present, with their daily presence matrix.
 
@@ -131,7 +132,7 @@ class PersistentNetwork:
 def classify_links(
     network: DynamicNetwork,
     dataset: Dataset,
-    cutoff: int = 15,
+    cutoff: int = CUTOFF,
     filters: ViewFilters | None = None,
 ) -> tuple[PersistentNetwork, tuple[tuple[str, str], ...]]:
     """Split filter-passing links into persistent and ephemeral.
@@ -159,7 +160,7 @@ def classify_links(
 def extract_persistent_network(
     network: DynamicNetwork,
     dataset: Dataset,
-    cutoff: int = 15,
+    cutoff: int = CUTOFF,
     filters: ViewFilters | None = None,
 ) -> PersistentNetwork:
     """Extract the persistent network; see :func:`classify_links`."""
@@ -200,10 +201,9 @@ def homophily_stats(
 
 def simulate_persistence_probability(
     presence_prob: float,
-    n_days: int = 63,
-    trials: int = 100_000,
-    seed: int = 0,
-    half_window: int = HALF_WINDOW,
+    n_days: int = WINDOW_DAYS,
+    trials: int = TRIALS,
+    seed: int = SEED,
 ) -> float:
     """Probability that an i.i.d. Bernoulli presence vector survives as persistent.
 
@@ -221,6 +221,6 @@ def simulate_persistence_probability(
     while remaining > 0:
         size = min(chunk, remaining)
         bits = rng.random((size, n_days)) < presence_prob
-        survived += int(_smooth_rows(bits, half_window).all(axis=1).sum())
+        survived += int(_smooth_rows(bits).all(axis=1).sum())
         remaining -= size
     return survived / trials

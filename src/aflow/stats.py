@@ -20,10 +20,11 @@ import numpy as np
 from .data_model import DataFormatError, Dataset, NumericalError
 # Re-exported for the benchmark's tracer only; nothing in src/ or tests/ looks it up here.
 from .graph_analysis import build_graph  # noqa: F401
-from .graph_analysis import daily_link_presence
+from .graph_analysis import CUTOFF, daily_link_presence
 from .persistence import ViewFilters, apply_view_filters
 
 SIGNIFICANCE_LEVEL = 0.05
+PERIOD = 7  # the seasonal lag, in days: views follow a weekly cycle
 # correlated_link_fractions gathers and correlates at most this many rows or
 # row pairs at a time, which bounds its temporaries; it never changes a number.
 BLOCK_ROWS = 256
@@ -43,11 +44,11 @@ class ResidualSeries:
     additive_fallback: bool = False
 
 
-def residual_rows(y: np.ndarray, period: int = 7) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def residual_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z-normalized residuals of each row of ``y``, with its seasonal and additive flags.
 
-    A row is seasonal when its lag-``period`` autocorrelation passes the 90%
-    test |acf(period)| > 1.645 * sqrt((1 + 2 * sum of squared lower-lag
+    A row is seasonal when its lag-``PERIOD`` autocorrelation passes the 90%
+    test |acf(PERIOD)| > 1.645 * sqrt((1 + 2 * sum of squared lower-lag
     acfs) / n); a constant row never is.  A seasonal row is divided by its
     classical-decomposition indices, each phase's mean ratio to the centred
     moving average; a row that touches zero or goes negative has no ratios
@@ -57,26 +58,26 @@ def residual_rows(y: np.ndarray, period: int = 7) -> tuple[np.ndarray, np.ndarra
     deviation.  Rows shorter than 3 periods are rejected.
     """
     m, n = y.shape
-    if n < 3 * period:
-        raise DataFormatError(f"series of length {n} too short for period {period}")
+    if n < 3 * PERIOD:
+        raise DataFormatError(f"series of length {n} too short for period {PERIOD}")
     dev = y - y.mean(axis=1, keepdims=True)
     denom = (dev * dev).sum(axis=1)
-    phase = np.arange(n) % period
-    valid = n - period + 1  # centred moving averages start at period // 2
-    start = period // 2
+    phase = np.arange(n) % PERIOD
+    valid = n - PERIOD + 1  # centred moving averages start at PERIOD // 2
+    start = PERIOD // 2
     with np.errstate(invalid="ignore", divide="ignore"):  # rows the masks below discard
         acf = np.stack([(dev[:, lag:] * dev[:, :-lag]).sum(axis=1)
-                        for lag in range(1, period + 1)], axis=1) / denom[:, None]
+                        for lag in range(1, PERIOD + 1)], axis=1) / denom[:, None]
         limit = 1.645 * np.sqrt((1 + 2 * (acf[:, :-1] ** 2).sum(axis=1)) / n)
         seasonal = (denom != 0) & (np.abs(acf[:, -1]) > limit)
         additive = (seasonal & (y <= 0).any(axis=1))[:, None]
 
-        trend = sum(y[:, k : k + valid] for k in range(period)) / period
+        trend = sum(y[:, k : k + valid] for k in range(PERIOD)) / PERIOD
         mid = y[:, start : start + valid]
-        padded = np.zeros((m, -(-n // period) * period))
+        padded = np.zeros((m, -(-n // PERIOD) * PERIOD))
         padded[:, start : start + valid] = np.where(additive, mid - trend, mid / trend)
-        counts = np.bincount(phase[start : start + valid], minlength=period)
-        indices = padded.reshape(m, -1, period).sum(axis=1) / counts
+        counts = np.bincount(phase[start : start + valid], minlength=PERIOD)
+        indices = padded.reshape(m, -1, PERIOD).sum(axis=1) / counts
         centre = indices.mean(axis=1, keepdims=True)
         tiled = np.where(additive, indices - centre, indices / centre)[:, phase]
         work = np.where(seasonal[:, None], np.where(additive, y - tiled, y / tiled), y)
@@ -93,18 +94,18 @@ def residual_rows(y: np.ndarray, period: int = 7) -> tuple[np.ndarray, np.ndarra
     return z, seasonal, additive[:, 0]
 
 
-def preprocess(values: Sequence[float] | np.ndarray, period: int = 7) -> ResidualSeries:
+def preprocess(values: Sequence[float] | np.ndarray) -> ResidualSeries:
     """Deseasonalize (when seasonal), detrend, and z-normalize a series: one row of :func:`residual_rows`."""
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise DataFormatError("seasonality test expects a 1-D series")
-    z, seasonal, additive = residual_rows(y[None, :], period)
+    z, seasonal, additive = residual_rows(y[None, :])
     return ResidualSeries(z[0], bool(seasonal[0]), bool(additive[0]))
 
 
-def seasonality_test(values: Sequence[float] | np.ndarray, period: int = 7) -> bool:
-    """The 90% autocorrelation test for seasonality at lag ``period`` that :func:`residual_rows` runs."""
-    return preprocess(values, period).was_seasonal
+def seasonality_test(values: Sequence[float] | np.ndarray) -> bool:
+    """The 90% autocorrelation test for seasonality at lag ``PERIOD`` that :func:`residual_rows` runs."""
+    return preprocess(values).was_seasonal
 
 
 def pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +232,6 @@ class GroupCorrelation:
 def correlated_link_fractions(
     groups: Mapping[str, Sequence[tuple[str, str]]],
     dataset: Dataset,
-    period: int = 7,
     alpha: float = SIGNIFICANCE_LEVEL,
 ) -> dict[str, GroupCorrelation]:
     """Fraction of links per group whose residual series correlate (p < alpha).
@@ -251,10 +251,10 @@ def correlated_link_fractions(
     used = np.unique(np.concatenate(list(codes.values())))
     views = dataset.window_views
     resid = np.full((used.size, views.shape[1]), np.nan)  # stays nan under three periods
-    if views.shape[1] >= 3 * period:
+    if views.shape[1] >= 3 * PERIOD:
         for at in range(0, used.size, BLOCK_ROWS):
             block = used[at : at + BLOCK_ROWS]
-            resid[at : at + block.size] = residual_rows(views[block].astype(float), period)[0]
+            resid[at : at + block.size] = residual_rows(views[block].astype(float))[0]
 
     out: dict[str, GroupCorrelation] = {}
     for name, links in pairs.items():
@@ -277,7 +277,7 @@ def sample_random_pairs(
     dataset: Dataset,
     n: int,
     seed: int,
-    cutoff: int = 15,
+    cutoff: int = CUTOFF,
     filters: ViewFilters | None = None,
 ) -> list[tuple[str, str]]:
     """Sample distinct (source, target) pairs never linked in any snapshot.

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import aflow.forecast
-from aflow import cli, datagen
+from aflow import cli, datagen, forecast, graph_analysis, list_alignment, persistence, stats
 from aflow.data_model import DataFormatError, NumericalError, serialize_snapshots
 
 
@@ -179,6 +180,25 @@ def test_negative_seed_is_usage_error_from_every_source(tmp_path, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "pipeline"])
+def test_threads_below_one_is_usage_error_from_every_source(tmp_path, monkeypatch, capsys, command):
+    argv = [command, "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+    if command == "fit":
+        argv += ["--persistent", str(tmp_path / "persistent_edges.csv")]
+    config = tmp_path / "threads.cfg"
+    for value in ("0", "-3"):
+        config.write_text(f"threads={value}\n", encoding="utf-8")
+        for extra, env in (["--threads", value], None), (["--config", str(config)], None), ([], value):
+            monkeypatch.delenv("AFLOW_THREADS", raising=False)
+            if env is not None:
+                monkeypatch.setenv("AFLOW_THREADS", env)
+            code, captured = run(argv + extra, capsys)
+            assert code == 1
+            assert usage_record(captured)["message"] == f"setting threads must be at least 1, got {value}"
+            assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,key,value,message", [
     ("correlate", "alpha", "nan", "setting alpha must lie in (0, 1), got nan"),
     ("correlate", "alpha", "1.0", "setting alpha must lie in (0, 1), got 1.0"),
@@ -325,6 +345,58 @@ def test_readme_settings_table_matches_the_code():
         for s in cli.SETTINGS.values()
     ]
     assert _readme_settings_table() == expected
+
+
+# Every library parameter or config field a setting feeds, as (owner, name).
+# random_pairs, model, p_grid and threads feed none that has a default.
+LIBRARY_DEFAULTS = {
+    "cutoff": [(graph_analysis.build_graph, "cutoff"), (graph_analysis.daily_link_presence, "cutoff"),
+               (graph_analysis.indegree_change_ratios, "cutoff"),
+               (graph_analysis.link_frequency_histogram, "cutoff"),
+               (persistence.link_presence, "cutoff"), (persistence.classify_links, "cutoff"),
+               (persistence.extract_persistent_network, "cutoff"), (stats.sample_random_pairs, "cutoff")],
+    "min_indegree": [(graph_analysis.indegree_change_ratios, "min_indegree")],
+    "max_rel": [(list_alignment.display_probability_matrix, "max_rel")],
+    "max_rec": [(list_alignment.origin_probability_matrix, "max_rec")],
+    "target_min_views": [(persistence.apply_view_filters, "target_min"),
+                         (persistence.ViewFilters, "target_min")],
+    "source_view_frac": [(persistence.apply_view_filters, "source_frac"),
+                         (persistence.ViewFilters, "source_frac")],
+    "alpha": [(stats.correlated_link_fractions, "alpha")],
+    "p": [(forecast.ForecastConfig, "p"), (forecast.fit_ar, "p")],
+    "m_star": [(forecast.ForecastConfig, "m_star"), (forecast.predict_seasonal_naive, "m_star")],
+    "train_days": [(forecast.ForecastConfig, "train_days")],
+    "horizon": [(forecast.ForecastConfig, "horizon")],
+    "neighbor_mode": [(forecast.ForecastConfig, "neighbor_mode")],
+    "seed": [(datagen.GenConfig, "seed"), (persistence.simulate_persistence_probability, "seed")],
+    "days": [(datagen.GenConfig, "days"), (persistence.simulate_persistence_probability, "n_days")],
+    "n_videos": [(datagen.GenConfig, "n_videos")],
+    "n_artists": [(datagen.GenConfig, "n_artists")],
+    "edge_density": [(datagen.GenConfig, "edge_density")],
+    "presence_prob": [(datagen.GenConfig, "presence_prob")],
+    "noise_scale": [(datagen.GenConfig, "noise_scale")],
+    "trials": [(persistence.simulate_persistence_probability, "trials")],
+}
+
+
+def _library_default(owner, name):
+    """A dataclass field's default, or a function parameter's."""
+    if dataclasses.is_dataclass(owner):
+        return {f.name: f.default for f in dataclasses.fields(owner)}[name]
+    return inspect.signature(owner).parameters[name].default
+
+
+@pytest.mark.parametrize("setting", sorted(LIBRARY_DEFAULTS))
+def test_each_setting_default_is_the_library_default(setting):
+    default = cli.SETTINGS[setting].default
+    for owner, name in LIBRARY_DEFAULTS[setting]:
+        value = _library_default(owner, name)
+        assert (value, type(value)) == (default, type(default)), f"{owner.__qualname__}({name})"
+
+
+def test_every_setting_with_a_library_default_is_pinned():
+    unpinned = set(cli.SETTINGS) - set(LIBRARY_DEFAULTS)
+    assert unpinned == {"random_pairs", "model", "p_grid", "threads"}
 
 
 def test_missing_required_flag_is_usage_error(tmp_path, capsys):

@@ -219,8 +219,6 @@ def test_outlier_artists_bins_independently():
     high_bin = [row_with_change(f"h{i}", 95.0, 0.0) for i in range(8)]
     rows = low_bin + high_bin + [row_with_change("spike", 96.0, 4.0)]
     assert outlier_artists(rows) == ["spike"]
-    with pytest.raises(DataFormatError, match="at least one bin"):
-        outlier_artists(rows, n_bins=0)
 
 
 def test_end_to_end_eta_on_run_model_output():

@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,3 +531,19 @@ def test_datagen_recovery_two_neighbors():
     # the lag-7 weight rides on a nearly periodic regressor, so it is the
     # loosest coordinate of the fit
     assert np.max(np.abs(model.alpha - true_alpha)) < 0.08
+
+
+@pytest.mark.parametrize("script,expected", [
+    ("import scipy.optimize, aflow.forecast as f\n"
+     "print(f.minimize is scipy.optimize.minimize)", "True"),
+    ("import sys\nsys.modules['scipy'] = None  # a numpy-only install\n"
+     "import aflow.forecast as f\n"
+     "print(hasattr(f, 'minimize'), getattr(f, 'minimize', None))", "False None"),
+])
+def test_minimize_lookup_follows_the_attribute_protocol(script, expected):
+    """``forecast.minimize`` is scipy's when scipy imports, and a missing attribute when not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(forecast_module.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected

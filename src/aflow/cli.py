@@ -68,6 +68,7 @@ from .evaluation import (
 )
 from .forecast import (
     MODEL_NAMES,
+    NEIGHBOR_MODES,
     ArnetModel,
     FitDiagnostics,
     ForecastConfig,
@@ -138,7 +139,7 @@ SETTINGS: dict[str, Setting] = {s.name: s for s in (
     Setting("m_star", int, ForecastConfig.m_star, _FITS),
     Setting("train_days", int, ForecastConfig.train_days, _FITS),
     Setting("horizon", int, ForecastConfig.horizon, _FITS),
-    Setting("neighbor_mode", str, ForecastConfig.neighbor_mode, _FITS, ("observed", "forecast")),
+    Setting("neighbor_mode", str, ForecastConfig.neighbor_mode, _FITS, NEIGHBOR_MODES),
     Setting("threads", int, _available_cores(), _FITS,
             help="worker processes for network-model fits (default: available cores)"),
     Setting("seed", int, GenConfig.seed, ("generate", "simulate-persistence", "correlate")),
@@ -417,9 +418,9 @@ def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]
     for vid, entry in videos.items():
         if vid in entry["beta"]:
             raise DataFormatError(f"{path}: {vid} has a beta on itself")
-        # the bounds fit keeps to; NaN fails every comparison
+        # the bounds fit keeps to; NaN fails every comparison, and an int past every float fails too
         for alpha in entry["alpha"]:
-            if not 0 <= alpha < math.inf:
+            if not 0 <= alpha <= sys.float_info.max:
                 raise DataFormatError(f"{path}: {vid} has alpha {alpha}, outside [0, inf)")
         for beta in entry["beta"].values():
             if not 0 <= beta <= 1:

@@ -43,7 +43,7 @@ from .data_model import (
     serialize_views,
     validate_dataset,
 )
-from .list_alignment import PositionBins
+from .list_alignment import BINS
 
 START_DATE = date(2018, 9, 1)
 GENRE_POOL = ("g0", "g1", "g2", "g3", "g4", "g5", "g6", "g7")
@@ -258,8 +258,7 @@ def generate_paired_lists(
     kernel.
     """
     k = np.asarray(kernel, dtype=float)
-    bins = PositionBins()
-    if k.ndim != 2 or k.shape[1] != len(bins.ranges):
+    if k.ndim != 2 or k.shape[1] != len(BINS):
         raise DataFormatError("kernel columns must match the position bins")
     if np.any(k < 0) or np.any(k.sum(axis=1) > 1.0 + 1e-12):
         raise DataFormatError("kernel rows must be sub-probability vectors")
@@ -269,11 +268,11 @@ def generate_paired_lists(
     rng = np.random.default_rng(seed)
     rank = np.arange(n_pairs) % k.shape[0] + 1
     cumulative = np.cumsum(k, axis=1)
-    shown = np.zeros((n_pairs, bins.max_position), dtype=bool)  # the tracked entry's slot
+    shown = np.zeros((n_pairs, BINS[-1][1]), dtype=bool)  # the tracked entry's slot
     for i in range(n_pairs):
         chosen_bin = int(np.searchsorted(cumulative[rank[i] - 1], rng.random(), side="right"))
-        if chosen_bin < len(bins.ranges):
-            lo, hi = bins.ranges[chosen_bin]
+        if chosen_bin < len(BINS):
+            lo, hi = BINS[chosen_bin]
             shown[i, rng.integers(lo, hi + 1) - 1] = True
 
     # Codes: fillers in (pair, position) order, then sources, then targets.  That
@@ -284,7 +283,7 @@ def generate_paired_lists(
     source = len(pair) + np.arange(n_pairs)
     target = source + n_pairs
     filler = np.cumsum(~shown).reshape(shown.shape) - 1
-    rows = 1 + bins.max_position  # per pair: the relevant entry, then a full recommended list
+    rows = 1 + shown.shape[1]  # per pair: the relevant entry, then a full recommended list
     table = SnapshotTable.from_codes(
         names,
         np.arange(n_pairs).repeat(rows) // pairs_per_day,

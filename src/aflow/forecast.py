@@ -11,6 +11,7 @@ forecasts when ``neighbor_mode="forecast"``.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -25,6 +26,7 @@ SMOOTH_EPS = 1e-8
 RIDGE = 1e-8
 
 MODEL_NAMES = ("naive", "snaive", "ar", "arnet")
+NEIGHBOR_MODES = ("observed", "forecast")
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,12 @@ class ForecastConfig:
             raise DataFormatError("p, m_star and horizon must be positive")
         if self.train_days < self.p + 1:
             raise DataFormatError("training window shorter than the lag order allows")
-        if self.neighbor_mode not in ("observed", "forecast"):
+        if self.neighbor_mode not in NEIGHBOR_MODES:
             raise DataFormatError(f"unknown neighbor mode {self.neighbor_mode!r}")
+        if self.max_iter < 1:
+            raise DataFormatError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not 0 <= self.grad_tol <= sys.float_info.max:  # NaN fails, and so does an int past every float
+            raise DataFormatError(f"grad_tol must be finite and non-negative, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,6 @@ class _Solution:
     nit: np.ndarray
     nfev: np.ndarray
     stop: np.ndarray  # the stop reason of each target, as str objects
-    trace: list[list[float]] | None
 
 
 class _Live:
@@ -282,7 +287,6 @@ def _solve_block(
     x0: np.ndarray,
     max_iter: int,
     grad_tol: float,
-    return_trace: bool = False,
 ) -> _Solution:
     """Projected L-BFGS (memory ``MEMORY``) for every problem of one block.
 
@@ -309,8 +313,7 @@ def _solve_block(
     cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
     f, g = _smape_block(rows, cols, target, x0)
     out = _Solution(x0.copy(), f.copy(), f.copy(), np.zeros(n, dtype=np.int64),
-                    np.ones(n, dtype=np.int64), np.full(n, "", dtype=object),
-                    [[float(v)] for v in f] if return_trace else None)
+                    np.ones(n, dtype=np.int64), np.full(n, "", dtype=object))
     live = _Live(
         slot=np.arange(n), rows=rows, cols=cols, target=target,
         x=x0.copy(), f=f, g=g, nit=np.zeros(n, dtype=np.int64), nfev=np.ones(n, dtype=np.int64),
@@ -337,7 +340,6 @@ def _solve_block(
 
     finite = np.isfinite(f)
     live.stop[finite & projected_gradient_small(np.arange(n))] = STOP_GRADIENT
-    live.stop[finite & (live.stop == "") & (max_iter <= 0)] = STOP_ITERATIONS
     live.stop[~finite] = _START_NOT_FINITE
     start_search(np.flatnonzero(live.stop == ""))
 
@@ -379,9 +381,6 @@ def _solve_block(
             scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f_new)), 1.0)
             live.x[moved], live.f[moved], live.g[moved] = x_new, f_new, g_new
             live.nit[moved] += 1
-            if out.trace is not None:
-                for k in moved:
-                    out.trace[live.slot[k]].append(float(live.f[k]))
             for hit, reason in (
                 (projected_gradient_small(moved), STOP_GRADIENT),
                 (f_old - f_new <= REL_REDUCTION * scale, STOP_REDUCTION),
@@ -455,8 +454,7 @@ def fit_arnet_batch(
     problems: Sequence[tuple[str, Sequence[float] | np.ndarray,
                              Mapping[str, Sequence[float] | np.ndarray]]],
     config: ForecastConfig | None = None,
-    return_trace: bool = False,
-) -> list[ArnetModel] | tuple[list[ArnetModel], list[np.ndarray]]:
+) -> list[ArnetModel]:
     """Fit the network-augmented model for many targets in one solve.
 
     ``problems`` holds (video_id, training series, {neighbor id: neighbor
@@ -475,8 +473,7 @@ def fit_arnet_batch(
     for the stops in ``CONVERGED_STOPS`` and false at the iteration limit.  A
     fit that stopped without converging is returned, not rejected, and
     callers report it.  Errors name the first offending target in
-    ``problems`` order.  With ``return_trace`` the objective value at the
-    start and at each accepted iterate is returned per target.
+    ``problems`` order.
     """
     config = config or ForecastConfig()
     p = config.p
@@ -495,12 +492,10 @@ def fit_arnet_batch(
             x0 = _ridge_start(rows, target, upper, fixed)
         else:
             x0 = np.tile(fixed, (len(members), 1))
-        solution = _solve_block(rows, target, upper, x0, config.max_iter, config.grad_tol,
-                                return_trace)
+        solution = _solve_block(rows, target, upper, x0, config.max_iter, config.grad_tol)
         solved.update((i, (solution, k)) for k, i in enumerate(members))
 
     models: list[ArnetModel] = []
-    traces: list[np.ndarray] = []
     for i, (vid, _, _) in enumerate(problems):
         solution, k = solved[i]
         if solution.stop[k] == _START_NOT_FINITE:
@@ -522,10 +517,6 @@ def fit_arnet_batch(
         )
         beta = {u: float(x[p + j]) for j, u in enumerate(neighbor_ids)}
         models.append(ArnetModel(vid, x[:p], beta, diagnostics))
-        if return_trace:
-            traces.append(np.asarray(solution.trace[k]))
-    if return_trace:
-        return models, traces
     return models
 
 
@@ -534,15 +525,11 @@ def fit_arnet(
     series: Sequence[float] | np.ndarray,
     neighbor_series: Mapping[str, Sequence[float] | np.ndarray],
     config: ForecastConfig | None = None,
-    return_trace: bool = False,
-) -> ArnetModel | tuple[ArnetModel, np.ndarray]:
+) -> ArnetModel:
     """Fit one target's network-augmented model; see ``fit_arnet_batch``.
 
     The result is bit-identical to the same target's fit inside any batch.
     """
-    if return_trace:
-        models, traces = fit_arnet_batch([(video_id, series, neighbor_series)], config, True)
-        return models[0], traces[0]
     return fit_arnet_batch([(video_id, series, neighbor_series)], config)[0]
 
 

@@ -1,5 +1,6 @@
 """Alignment between relevant and recommended lists.
 
+Positions are binned as in the paper, into ``BINS``: 1, 2-5, 6-10 and 11-15.
 Both matrices below condition on (day, source) pairs where the snapshot holds
 both a relevant and a recommended list; days where either list is missing are
 excluded from numerators and denominators alike.
@@ -13,39 +14,12 @@ import numpy as np
 
 from .data_model import DataFormatError, DynamicNetwork
 
-DEFAULT_BINS: tuple[tuple[int, int], ...] = ((1, 1), (2, 5), (6, 10), (11, 15))
+BINS = ((1, 1), (2, 5), (6, 10), (11, 15))  # inclusive position ranges, contiguous from 1
 MAX_REL = 50  # deepest relevant rank the display matrix conditions on
 MAX_REC = 15  # deepest recommended position the origin matrix conditions on
 
-
-@dataclass(frozen=True)
-class PositionBins:
-    """Disjoint ascending inclusive position ranges, e.g. (1,1),(2,5),(6,10),(11,15)."""
-
-    ranges: tuple[tuple[int, int], ...] = DEFAULT_BINS
-
-    def __post_init__(self) -> None:
-        prev_hi = 0
-        for lo, hi in self.ranges:
-            if lo < 1 or hi < lo:
-                raise DataFormatError(f"bad position bin ({lo}, {hi})")
-            if lo <= prev_hi:
-                raise DataFormatError("position bins must be disjoint and ascending")
-            prev_hi = hi
-
-    @property
-    def max_position(self) -> int:
-        return self.ranges[-1][1]
-
-    def bin_of(self, positions: np.ndarray) -> np.ndarray:
-        """Bin index of each position, -1 for a position outside every bin."""
-        table = np.full(self.max_position + 2, -1)
-        for b, (lo, hi) in enumerate(self.ranges):
-            table[lo : hi + 1] = b
-        return table[np.minimum(positions, self.max_position + 1)]
-
-    def labels(self) -> list[str]:
-        return [f"{lo}" if lo == hi else f"{lo}-{hi}" for lo, hi in self.ranges]
+# _BIN_OF[q] is the bin of position q, and -1 at 0 and past the last bin
+_BIN_OF = np.array([-1] + [b for b, (lo, hi) in enumerate(BINS) for _ in range(lo, hi + 1)] + [-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +38,7 @@ class DisplayProbabilityMatrix:
 
 
 def _alignment_matrix(
-    network: DynamicNetwork, from_kind: int, max_from: int, bound: str, bins: PositionBins | None
+    network: DynamicNetwork, from_kind: int, max_from: int, bound: str
 ) -> DisplayProbabilityMatrix:
     """P(position in the other list falls in bin b | position p in a ``from_kind`` list).
 
@@ -75,7 +49,6 @@ def _alignment_matrix(
     """
     if max_from < 1:
         raise DataFormatError(f"{bound} must be at least 1, got {max_from}")
-    bins = bins or PositionBins()
     t = network.table
     list_key = t.day.astype(np.int64) * t.ids.size + t.src
     row_key = list_key * t.ids.size + t.tgt
@@ -88,22 +61,20 @@ def _alignment_matrix(
     keys = row_key[observed]
     at = np.minimum(np.searchsorted(row_key[other], keys), other.size - 1)
     matched = row_key[other[at]] == keys
-    placed = bins.bin_of(t.pos[other[at[matched]]])
+    placed = _BIN_OF[np.minimum(t.pos[other[at[matched]]], _BIN_OF.size - 1)]
     inside = placed >= 0
-    num = np.zeros((max_from, len(bins.ranges)), dtype=np.int64)
+    num = np.zeros((max_from, len(BINS)), dtype=np.int64)
     np.add.at(num, (t.pos[observed][matched][inside] - 1, placed[inside]), 1)
     return DisplayProbabilityMatrix(
         probs=num / np.maximum(den, 1)[:, None],
         denominators=den,
         row_labels=tuple(str(r) for r in range(1, max_from + 1)),
-        col_labels=tuple(bins.labels()),
+        col_labels=tuple(f"{lo}" if lo == hi else f"{lo}-{hi}" for lo, hi in BINS),
     )
 
 
 def display_probability_matrix(
-    network: DynamicNetwork,
-    bins: PositionBins | None = None,
-    max_rel: int = MAX_REL,
+    network: DynamicNetwork, max_rel: int = MAX_REL
 ) -> DisplayProbabilityMatrix:
     """P(recommended position falls in bin b | relevant rank r).
 
@@ -111,13 +82,11 @@ def display_probability_matrix(
     The entry's target contributes to a numerator cell only when it also
     appears in that day's recommended list inside one of the bins.
     """
-    return _alignment_matrix(network, 0, max_rel, "max_rel", bins)
+    return _alignment_matrix(network, 0, max_rel, "max_rel")
 
 
 def origin_probability_matrix(
-    network: DynamicNetwork,
-    bins: PositionBins | None = None,
-    max_rec: int = MAX_REC,
+    network: DynamicNetwork, max_rec: int = MAX_REC
 ) -> DisplayProbabilityMatrix:
     """P(relevant rank falls in bin b | recommended position q).
 
@@ -126,4 +95,4 @@ def origin_probability_matrix(
     binned range) contribute to the denominator only, so row sums below 1
     measure recommendations that did not originate from the binned ranks.
     """
-    return _alignment_matrix(network, 1, max_rec, "max_rec", bins)
+    return _alignment_matrix(network, 1, max_rec, "max_rec")

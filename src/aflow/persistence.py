@@ -157,15 +157,9 @@ def classify_links(
     return PersistentNetwork(tuple(edges)), tuple(pairs[i] for i in ephemeral.tolist())
 
 
-def extract_persistent_network(
-    network: DynamicNetwork,
-    dataset: Dataset,
-    cutoff: int = CUTOFF,
-    filters: ViewFilters | None = None,
-) -> PersistentNetwork:
+def extract_persistent_network(network: DynamicNetwork, dataset: Dataset) -> PersistentNetwork:
     """Extract the persistent network; see :func:`classify_links`."""
-    persistent, _ = classify_links(network, dataset, cutoff, filters)
-    return persistent
+    return classify_links(network, dataset)[0]
 
 
 @dataclass(frozen=True)

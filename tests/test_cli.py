@@ -354,7 +354,7 @@ LIBRARY_DEFAULTS = {
                (graph_analysis.indegree_change_ratios, "cutoff"),
                (graph_analysis.link_frequency_histogram, "cutoff"),
                (persistence.link_presence, "cutoff"), (persistence.classify_links, "cutoff"),
-               (persistence.extract_persistent_network, "cutoff"), (stats.sample_random_pairs, "cutoff")],
+               (stats.sample_random_pairs, "cutoff")],
     "min_indegree": [(graph_analysis.indegree_change_ratios, "min_indegree")],
     "max_rel": [(list_alignment.display_probability_matrix, "max_rel")],
     "max_rec": [(list_alignment.origin_probability_matrix, "max_rec")],
@@ -397,6 +397,13 @@ def test_each_setting_default_is_the_library_default(setting):
 def test_every_setting_with_a_library_default_is_pinned():
     unpinned = set(cli.SETTINGS) - set(LIBRARY_DEFAULTS)
     assert unpinned == {"random_pairs", "model", "p_grid", "threads"}
+
+
+def test_setting_choices_are_the_library_choices():
+    choices = {name: s.choices for name, s in cli.SETTINGS.items() if s.choices}
+    assert choices.keys() == {"model", "neighbor_mode"}
+    assert choices["model"] is forecast.MODEL_NAMES
+    assert choices["neighbor_mode"] is forecast.NEIGHBOR_MODES
 
 
 def test_missing_required_flag_is_usage_error(tmp_path, capsys):
@@ -743,6 +750,7 @@ def test_contribute_rejects_non_network_models(tmp_path, capsys):
 
 DEFAULT_CONFIG = dataclasses.asdict(aflow.forecast.ForecastConfig())
 PARTIAL_CONFIG = {k: v for k, v in DEFAULT_CONFIG.items() if k not in ("neighbor_mode", "max_iter")}
+ONE_MODEL = {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 0.5}}}
 
 
 @pytest.mark.parametrize(
@@ -773,6 +781,19 @@ PARTIAL_CONFIG = {k: v for k, v in DEFAULT_CONFIG.items() if k not in ("neighbor
         ({"model": "arnet", "config": DEFAULT_CONFIG,
           "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": math.inf}}}},
          "v00001 has beta inf, outside [0, 1]"),
+        # a JSON integer too large for a float
+        pytest.param({"model": "arnet", "config": DEFAULT_CONFIG,
+                      "videos": {"v00001": {"alpha": [10**400] + [0.1] * 6, "beta": {"v00002": 0.5}}}},
+                     "v00001 has alpha 1" + "0" * 400 + ", outside [0, inf)", id="alpha-10^400"),
+        pytest.param({"model": "arnet", "config": DEFAULT_CONFIG,
+                      "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 10**400}}}},
+                     "v00001 has beta 1" + "0" * 400 + ", outside [0, 1]", id="beta-10^400"),
+        pytest.param({"model": "arnet", "config": {**DEFAULT_CONFIG, "grad_tol": 10**400}, "videos": ONE_MODEL},
+                     "grad_tol must be finite and non-negative, got 1" + "0" * 400, id="grad_tol-10^400"),
+        pytest.param({"model": "arnet", "config": {**DEFAULT_CONFIG, "grad_tol": math.nan}, "videos": ONE_MODEL},
+                     "grad_tol must be finite and non-negative, got nan", id="grad_tol-nan"),
+        pytest.param({"model": "arnet", "config": {**DEFAULT_CONFIG, "max_iter": -7}, "videos": ONE_MODEL},
+                     "max_iter must be at least 1, got -7", id="max_iter-minus-7"),
     ],
 )
 def test_contribute_reports_a_malformed_models_file(tmp_path, capsys, payload, problem):

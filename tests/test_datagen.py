@@ -3,7 +3,7 @@ import pytest
 
 from aflow import datagen
 from aflow.data_model import DataFormatError, serialize_snapshots, serialize_views
-from aflow.list_alignment import PositionBins
+from aflow.list_alignment import BINS
 from aflow.persistence import extract_persistent_network
 
 
@@ -172,7 +172,6 @@ def test_paired_lists_layout_and_determinism():
     assert serialize_snapshots(net1) == serialize_snapshots(net2)
     assert net1.window.n_days == 2
 
-    bins = PositionBins()
     for snap in net1.snapshots:
         assert set(snap.relevant) == set(snap.recommended)
         for src, rel in snap.relevant.items():
@@ -180,7 +179,7 @@ def test_paired_lists_layout_and_determinism():
             tgt, rank = rel.entries[0]
             assert 1 <= rank <= kernel.shape[0]
             rec = snap.recommended[src]
-            assert [p for _, p in rec.entries] == list(range(1, bins.max_position + 1))
+            assert [p for _, p in rec.entries] == list(range(1, BINS[-1][1] + 1))
             matches = [p for t, p in rec.entries if t == tgt]
             assert len(matches) <= 1
 

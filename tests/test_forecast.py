@@ -55,6 +55,10 @@ def test_config_validation():
         ForecastConfig(p=7, train_days=7)
     with pytest.raises(DataFormatError, match="neighbor mode"):
         ForecastConfig(neighbor_mode="oracle")
+    for field, value in (("max_iter", 0), ("max_iter", -7), ("grad_tol", -1e-6), ("grad_tol", np.nan),
+                         ("grad_tol", np.inf), ("grad_tol", 10**400)):  # the last is past every float
+        with pytest.raises(DataFormatError, match=field):
+            ForecastConfig(**{field: value})
 
 
 def test_ar_recovers_planted_coefficients():
@@ -161,8 +165,13 @@ def test_arnet_reports_optimizer_status():
 def test_arnet_trace_never_increases():
     rng = np.random.default_rng(2)
     nb = rng.uniform(100.0, 300.0, size=56)
-    y = 0.4 * nb + rng.normal(0.0, 5.0, size=56)
-    _, trace = fit_arnet("v", np.clip(y, 0, None), {"u": nb}, return_trace=True)
+    y = np.clip(0.4 * nb + rng.normal(0.0, 5.0, size=56), 0, None)
+    fit = fit_arnet("v", y, {"u": nb}).fit
+    # The solver is deterministic, so the fit stopped after k iterations ends
+    # at the full fit's k-th iterate.
+    trace = [fit.start_objective] + [
+        fit_arnet("v", y, {"u": nb}, ForecastConfig(max_iter=k)).fit.objective for k in range(1, fit.nit + 1)
+    ]
     assert len(trace) >= 2
     assert np.all(np.diff(trace) <= 1e-9)
 

@@ -1,31 +1,18 @@
 import numpy as np
 import pytest
 
-from aflow import datagen
+from aflow import datagen, list_alignment
 from aflow.data_model import DataFormatError
-from aflow.list_alignment import (
-    PositionBins,
-    display_probability_matrix,
-    origin_probability_matrix,
-)
+from aflow.list_alignment import BINS, display_probability_matrix, origin_probability_matrix
 
 import _helpers
 
 
 def test_default_bins():
-    bins = PositionBins()
-    assert bins.max_position == 15
-    assert bins.labels() == ["1", "2-5", "6-10", "11-15"]
-    assert bins.bin_of(np.array([1, 5, 11, 16])).tolist() == [0, 1, 3, -1]
-
-
-def test_bins_validation():
-    with pytest.raises(DataFormatError, match="disjoint and ascending"):
-        PositionBins(((1, 5), (4, 8)))
-    with pytest.raises(DataFormatError, match="bad position bin"):
-        PositionBins(((0, 3),))
-    with pytest.raises(DataFormatError, match="bad position bin"):
-        PositionBins(((3, 2),))
+    assert BINS == ((1, 1), (2, 5), (6, 10), (11, 15))
+    assert list_alignment._BIN_OF.tolist() == [-1, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, -1]
+    net = _helpers.build_network(daily_relevant=[{"s": [("t", 1)]}], daily_recommended=[{"s": [("t", 1)]}])
+    assert display_probability_matrix(net).col_labels == ("1", "2-5", "6-10", "11-15")
 
 
 def test_display_matrix_single_match():

@@ -18,7 +18,7 @@ from aflow.data_model import (
     validate_dataset,
 )
 from aflow.graph_analysis import daily_link_presence, indegree_change_ratios, link_frequency_histogram
-from aflow.list_alignment import PositionBins, display_probability_matrix, origin_probability_matrix
+from aflow.list_alignment import BINS, display_probability_matrix, origin_probability_matrix
 from aflow.persistence import apply_view_filters, classify_links, link_presence
 from aflow.stats import sample_random_pairs
 
@@ -26,7 +26,6 @@ import _helpers
 import _oracles
 
 EXTERNAL = ("x0", "x1", "x2")
-GAPPED_BINS = PositionBins(((1, 1), (3, 4), (8, 12)))
 # (target_min, source_frac): no filter; one that drops pairs, among them one
 # direction of a reciprocal pair, and keeps other reciprocal pairs on the
 # augmented data; one that drops most pairs.
@@ -146,12 +145,11 @@ def test_classify_links_matches_per_pair_oracle(augmented, cutoff):
 
 
 @pytest.mark.parametrize("max_from", [1, 5, 15])
-@pytest.mark.parametrize("bins", [GAPPED_BINS, PositionBins()])
-def test_alignment_matrices_match_entry_oracle(augmented, max_from, bins):
+def test_alignment_matrices_match_entry_oracle(augmented, max_from):
     dataset, snapshots = augmented
     for fn, kind in ((display_probability_matrix, "relevant"), (origin_probability_matrix, "recommended")):
-        matrix = fn(dataset.network, bins, max_from)
-        num, den = _oracles.alignment_counts(snapshots, kind, max_from, bins.ranges)
+        matrix = fn(dataset.network, max_from)
+        num, den = _oracles.alignment_counts(snapshots, kind, max_from, BINS)
         assert np.array_equal(matrix.denominators, den)
         assert np.array_equal(matrix.probs, num / np.maximum(den, 1)[:, None])
         assert den.sum() > 0

@@ -52,6 +52,7 @@ from .data_model import (
     Dataset,
     DynamicNetwork,
     NumericalError,
+    cell,
     date_or_none,
     int_or_none,
     load_dataset,
@@ -73,7 +74,7 @@ from .forecast import (
     FitDiagnostics,
     ForecastConfig,
     ForecastResult,
-    horizon_dates,
+    model_forecasts,
     run_model,
     split_series,
 )
@@ -312,17 +313,6 @@ def _artifact_rows(path: Path, header: list[str]):
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _cell(convert: Callable[[str], object], text: str, where: str, what: str):
-    """``convert(text)``; a ValueError or a None result is a bad cell."""
-    try:
-        value = convert(text)
-    except ValueError:
-        value = None
-    if value is None:
-        raise DataFormatError(f"{where}: bad {what} {text!r}")
-    return value
-
-
 def _finite(text: str) -> float | None:
     value = float(text) if _FLOAT_TEXT.fullmatch(text) else math.nan
     return value if math.isfinite(value) else None
@@ -340,8 +330,8 @@ def read_persistent_edges(path: Path) -> PersistentNetwork:
     edges, first_line = [], {}
     for line, row in _artifact_rows(path, PERSISTENT_HEADER):
         where = f"{path}:{line}"
-        reciprocal = _cell(_FLAGS.get, row[2], where, "reciprocal flag")
-        count = _cell(int_or_none, row[3], where, "presence count")
+        reciprocal = cell(_FLAGS.get, row[2], where, "reciprocal flag")
+        count = cell(int_or_none, row[3], where, "presence count")
         if row[0] == row[1]:
             raise DataFormatError(f"{where}: self-loop on {row[0]}")
         first = first_line.setdefault((row[0], row[1]), line)
@@ -357,8 +347,8 @@ def read_forecasts(path: Path) -> ForecastResult:
     per_video: dict[str, dict[date, tuple[float, float]]] = {}
     for line, row in _artifact_rows(path, FORECASTS_HEADER):
         where = f"{path}:{line}"
-        day = _cell(date_or_none, row[1], where, "date")
-        values = (_cell(_finite, row[2], where, "y_true"), _cell(_finite, row[3], where, "y_pred"))
+        day = cell(date_or_none, row[1], where, "date")
+        values = (cell(_finite, row[2], where, "y_true"), cell(_finite, row[3], where, "y_pred"))
         per_day = per_video.setdefault(row[0], {})
         if day in per_day:
             raise DataFormatError(f"{where}: repeated row for {row[0]} on {day}")
@@ -719,6 +709,9 @@ def _corpus_only(path: str, ids: Iterable[str], dataset: Dataset) -> None:
 def cmd_fit(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
     pn = read_persistent_edges(Path(args.persistent))
     _corpus_only(args.persistent, pn.sources | pn.targets, dataset)
+    if bad := [e for e in pn.edges if not 1 <= e.days_present <= dataset.window.n_days]:
+        raise DataFormatError(f"{args.persistent}: {bad[0].source} -> {bad[0].target} has presence "
+                              f"count {bad[0].days_present}, outside 1..{dataset.window.n_days}")
     _fit_and_emit(Path(args.out), dataset, pn, settings["model"], _forecast_config(settings),
                   settings["threads"])
 
@@ -728,20 +721,9 @@ def cmd_evaluate(args: argparse.Namespace, settings: dict[str, object], _: None)
 
 
 def cmd_contribute(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
-    _, config, models = read_models(Path(args.models))
+    name, config, models = read_models(Path(args.models))
     _corpus_only(args.models, [*models, *(u for m in models.values() for u in m.beta)], dataset)
-    result = read_forecasts(Path(args.forecasts))
-    horizon = horizon_dates(dataset, config)
-    if result.dates != horizon:
-        raise DataFormatError(
-            f"{args.forecasts}: forecast dates {result.dates[0]}..{result.dates[-1]} "
-            f"({len(result.dates)} days) are not the models' horizon {horizon[0]}..{horizon[-1]}")
-    _corpus_only(args.forecasts, result.video_ids, dataset)
-    truth = split_series(dataset, result.video_ids, config)[1]  # what fit writes as y_true
-    if (differs := np.argwhere(result.y_true != truth)).size:
-        i, h = differs[0]
-        raise DataFormatError(f"{args.forecasts}: y_true of {result.video_ids[i]} on {result.dates[h]} "
-                              f"is {_fmt(result.y_true[i, h])}, but the dataset has {_fmt(truth[i, h])} views")
+    result = model_forecasts(dataset, name, models, config)
     _emit_contribution(Path(args.out), contribution_report(dataset, models, result, config))
 
 
@@ -808,7 +790,7 @@ COMMANDS: dict[str, Command] = {
     "evaluate": Command(cmd_evaluate, "SMAPE report for a forecasts artifact",
                         ("forecasts", "out")),
     "contribute": Command(cmd_contribute, "network contribution and artist shifts",
-                          ("data", "out", "models", "forecasts")),
+                          ("data", "out", "models")),
     "pipeline": Command(cmd_pipeline, "persistent -> fit x4 -> evaluate -> contribute",
                         ("data", "out")),
 }

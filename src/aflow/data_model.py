@@ -79,11 +79,12 @@ def int_or_none(text: str) -> int | None:
     return None
 
 
-def _parse_date(text: str, line_no: int) -> date:
-    parsed = date_or_none(text)
-    if parsed is None:
-        raise DataFormatError(f"line {line_no}: bad date {text!r}")
-    return parsed
+def cell(convert: Callable[[str], T | None], text: str, where: str, what: str) -> T:
+    """``convert(text)``; a None result is a bad cell, reported at ``where``."""
+    value = convert(text)
+    if value is None:
+        raise DataFormatError(f"{where}: bad {what} {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -394,7 +395,8 @@ def _snapshot_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tu
     the error for a row that fails a check of its own fields.  New ids get the next codes."""
     if len(row) != 5:
         raise DataFormatError(f"line {line_no}: expected 5 fields, got {len(row)}")
-    ordinal = _parse_date(row[0], line_no).toordinal()
+    where = f"line {line_no}"
+    ordinal = cell(date_or_none, row[0], where, "date").toordinal()
     src, tgt = row[1], row[2]
     if not src or not tgt:
         raise DataFormatError(f"line {line_no}: empty video id")
@@ -402,9 +404,7 @@ def _snapshot_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tu
         problem = None if vid in codes else _id_problem(vid)
         if problem:
             raise DataFormatError(f"line {line_no}: {problem}")
-    pos = int_or_none(row[3])
-    if pos is None:
-        raise DataFormatError(f"line {line_no}: bad position {row[3]!r}")
+    pos = cell(int_or_none, row[3], where, "position")
     if pos < 1:
         raise DataFormatError(f"line {line_no}: position {pos} is below 1")
     if pos > _MAX_POSITION:
@@ -529,10 +529,9 @@ def _read_view_rows(source: str | Path | Iterable[str]) -> ViewTable:
             problem = _id_problem(vid)
             if problem:
                 raise DataFormatError(f"line {line_no}: {problem}")
-        d = _parse_date(row[1], line_no)
-        count = int_or_none(row[2])
-        if count is None:
-            raise DataFormatError(f"line {line_no}: bad view count {row[2]!r}")
+        where = f"line {line_no}"
+        d = cell(date_or_none, row[1], where, "date")
+        count = cell(int_or_none, row[2], where, "view count")
         if count < 0:
             raise DataFormatError(f"line {line_no}: negative view count for {vid}")
         if count > _MAX_VIEWS:
@@ -882,7 +881,7 @@ def parse_metadata(source: str | Path | IO[str]) -> dict[str, VideoMeta]:
             raise DataFormatError(f"line {line_no}: empty id field")
         if vid in out:
             raise DataFormatError(f"line {line_no}: duplicate metadata for {vid}")
-        upload = _parse_date(row[2], line_no)
+        upload = cell(date_or_none, row[2], f"line {line_no}", "date")
         genres = frozenset(g for g in row[3].split("|") if g)
         for text, what in ((vid, "video id"), (artist, "artist id"), *((g, "genre") for g in genres)):
             problem = _id_problem(text, what)

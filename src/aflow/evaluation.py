@@ -129,12 +129,13 @@ def contribution_report(
 ) -> ContributionReport:
     """Network contribution per video plus artist-level percentile shifts.
 
-    ``result`` covers the ``config.horizon`` test days, and eta and the
-    networked views share one inflow sum over them.  Artist totals aggregate
-    observed views over the evaluated videos; the "without network" variant
-    subtracts each video's networked views, clamped at zero.  Percentile
-    changes sum to zero by construction.  Videos with a zero predicted total
-    are left out of the eta map.
+    ``result`` holds the models' forecasts over the ``config.horizon`` test
+    days, one row per model, and eta and the networked views share one
+    inflow sum over them.  Artist totals aggregate observed views over the
+    evaluated videos; the "without network" variant subtracts each video's
+    networked views, clamped at zero.  Percentile changes sum to zero by
+    construction.  Videos with a zero predicted total are left out of the eta
+    map.
     """
     config = config or ForecastConfig()
     neighbor_values = resolve_neighbor_values(dataset, models, config)
@@ -144,9 +145,7 @@ def contribution_report(
     networked = np.zeros(len(result.video_ids))
     same_artist_num = network_total = 0.0
     for i, vid in enumerate(result.video_ids):
-        model = models.get(vid)
-        if model is None:
-            continue
+        model = models[vid]
         net = 0.0
         for u, flow in zip(model.beta, _inflows(model, neighbor_values[vid], config.horizon)):
             net += flow

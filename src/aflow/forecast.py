@@ -667,14 +667,9 @@ def run_model(
 
     train, y_true = split_series(dataset, targets, config)
 
-    models: dict[str, ArnetModel] | None = None
-    if model_name == "naive":
-        preds = [predict_naive(y, config.horizon) for y in train]
-    elif model_name == "snaive":
-        preds = [predict_seasonal_naive(y, config.horizon, config.m_star) for y in train]
-    elif model_name == "ar":
+    if model_name == "ar":
         models = {v: fit_ar(v, y, config.p) for v, y in zip(targets, train)}
-    else:
+    elif model_name == "arnet":
         ids = sorted(persistent.sources | persistent.targets)
         train_of = dict(zip(ids, split_series(dataset, ids, config)[0]))
 
@@ -686,13 +681,23 @@ def run_model(
             )
 
         models = _fit_all(targets, fit_chunk, threads)
-    if models is not None:
-        neighbor_values = resolve_neighbor_values(dataset, models, config)
-        preds = [forecast(models[v], y, neighbor_values[v], config) for v, y in zip(targets, train)]
+    else:
+        preds = [predict_naive(y, config.horizon) if model_name == "naive"
+                 else predict_seasonal_naive(y, config.horizon, config.m_star) for y in train]
+        return None, ForecastResult(model_name, tuple(targets), horizon_dates(dataset, config), y_true,
+                                    np.vstack(preds))
+    return models, model_forecasts(dataset, model_name, models, config)
 
-    y_pred = np.vstack(preds)
-    result = ForecastResult(model_name, tuple(targets), horizon_dates(dataset, config), y_true, y_pred)
-    return models, result
+
+def model_forecasts(dataset: Dataset, model_name: str, models: Mapping[str, ArnetModel],
+                    config: ForecastConfig) -> ForecastResult:
+    """Each fitted model's forecast over the test horizon, one row per video in id order."""
+    video_ids = sorted(models)
+    train, y_true = split_series(dataset, video_ids, config)
+    neighbor_values = resolve_neighbor_values(dataset, models, config)
+    y_pred = np.vstack([forecast(models[v], y, neighbor_values[v], config)
+                        for v, y in zip(video_ids, train)])
+    return ForecastResult(model_name, tuple(video_ids), horizon_dates(dataset, config), y_true, y_pred)
 
 
 # The fit a worker process runs on its chunk of targets; set in each worker at start-up.

@@ -302,7 +302,7 @@ DATA = ["snapshots.csv", "views.csv", "metadata.csv"]
     ("correlate", DATA),
     ("fit", DATA + ["persistent_edges.csv"]),
     ("evaluate", ["forecasts.csv"]),
-    ("contribute", DATA + ["models.json", "forecasts.csv"]),
+    ("contribute", DATA + ["models.json"]),
     ("pipeline", DATA),
 ])
 def test_manifests_hash_exactly_the_files_a_command_reads(chain, tmp_path, command, inputs):
@@ -313,6 +313,24 @@ def test_manifests_hash_exactly_the_files_a_command_reads(chain, tmp_path, comma
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["inputs"] == {
         name: hashlib.sha256(chain[name].read_bytes()).hexdigest() for name in inputs}
+
+
+def test_each_stage_run_alone_writes_what_pipeline_writes(chain, tmp_path):
+    data, out = str(chain["data"]), tmp_path / "stages"
+    assert cli.main(["persistent", "--data", data, "--out", str(out)]) == 0
+    for model in forecast.MODEL_NAMES:
+        sub = out / model
+        assert cli.main(["fit", "--data", data, "--persistent", str(out / "persistent_edges.csv"),
+                         "--out", str(sub), "--model", model, "--threads", "1"]) == 0
+        assert cli.main(["evaluate", "--forecasts", str(sub / "forecasts.csv"), "--out", str(sub)]) == 0
+    assert cli.main(["contribute", "--data", data, "--models", str(out / "arnet" / "models.json"),
+                     "--out", str(out / "arnet")]) == 0
+
+    def artifacts(root):
+        return {name: digest for name, digest in tree_digest(root).items()
+                if not name.endswith("run_manifest.json")}
+
+    assert artifacts(out) == artifacts(chain["pipeline"])
 
 
 @pytest.mark.parametrize("command", ["validate", "evaluate", "contribute"])
@@ -682,8 +700,6 @@ def test_fit_evaluate_contribute_chain(tmp_path, capsys):
             str(contrib),
             "--models",
             str(tmp_path / "fit_arnet" / "models.json"),
-            "--forecasts",
-            str(tmp_path / "fit_arnet" / "forecasts.csv"),
         ],
         capsys,
     )
@@ -739,8 +755,6 @@ def test_contribute_rejects_non_network_models(tmp_path, capsys):
             str(tmp_path / "c"),
             "--models",
             str(out / "models.json"),
-            "--forecasts",
-            str(out / "forecasts.csv"),
         ],
         capsys,
     )
@@ -801,13 +815,31 @@ def test_contribute_reports_a_malformed_models_file(tmp_path, capsys, payload, p
     models = tmp_path / "models.json"
     models.write_text(json.dumps(payload), encoding="utf-8")
     code, captured = run(
-        ["contribute", "--data", str(data), "--out", str(tmp_path / "c"), "--models", str(models),
-         "--forecasts", str(tmp_path / "forecasts.csv")],
+        ["contribute", "--data", str(data), "--out", str(tmp_path / "c"), "--models", str(models)],
         capsys,
     )
     assert code == 2
     message = json.loads(captured.err)["message"]  # one JSON record and nothing else
     assert message.startswith(f"{models}: ") and problem in message
+
+
+@pytest.mark.parametrize("key, value", [pytest.param("horizon", 10**9, id="horizon-10^9"),
+                                        pytest.param("train_days", 10**400, id="train_days-10^400")])
+def test_contribute_rejects_a_split_past_the_window(tmp_path, capsys, key, value):
+    data = generate_data(tmp_path)
+    config = {**DEFAULT_CONFIG, key: value}
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps({"model": "arnet", "config": config, "videos": ONE_MODEL}),
+                      encoding="utf-8")
+    code, captured = run(
+        ["contribute", "--data", str(data), "--out", str(tmp_path / "c"), "--models", str(models)],
+        capsys,
+    )
+    assert code == 2
+    assert one_data_error(captured) == (
+        f"window of 63 days cannot hold {config['train_days']} training days "
+        f"plus a {config['horizon']}-day horizon")
+    assert not (tmp_path / "c").exists()
 
 
 def test_bad_artifact_cells_name_the_file_and_line(tmp_path, capsys):
@@ -885,30 +917,6 @@ def test_data_errors_name_their_file(tmp_path, capsys, name):
         assert one_data_error(captured) == f"{data / name}: line 3: bad date '2018-13-01'"
 
 
-def test_contribute_checks_the_forecasts_file(tmp_path, capsys):
-    data = generate_data(tmp_path)
-    assert cli.main(["pipeline", "--data", str(data), "--out", str(tmp_path / "p")]) == 0
-    fitted = tmp_path / "p" / "arnet"
-    header, rows = read_csv(fitted / "forecasts.csv")
-    forecasts = tmp_path / "forecasts.csv"
-    argv = ["contribute", "--data", str(data), "--out", str(tmp_path / "c"),
-            "--models", str(fitted / "models.json"), "--forecasts", str(forecasts)]
-    for kept, problem in (
-        ([r for r in rows if r[1] <= "2018-10-30"],
-         "forecast dates 2018-10-27..2018-10-30 (4 days) are not the models' horizon 2018-10-27..2018-11-02"),
-        (rows + [["zz"] + r[1:] for r in rows[:7]], "zz is not a corpus video"),
-        (rows[:2] + [r[:2] + [repr(float(r[2]) + 1)] + r[3:] for r in rows[2:]],
-         f"y_true of {rows[2][0]} on {rows[2][1]} is {float(rows[2][2]) + 1!r}, "
-         f"but the dataset has {float(rows[2][2])!r} views"),
-    ):
-        with open(forecasts, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle, lineterminator="\n").writerows([header] + kept)
-        code, captured = run(argv, capsys)
-        assert code == 2
-        assert one_data_error(captured) == f"{forecasts}: {problem}"
-    assert not (tmp_path / "c").exists()
-
-
 @pytest.mark.parametrize("case", ["self-loop", "repeated edge"])
 def test_fit_rejects_a_self_loop_or_a_repeated_persistent_edge(tmp_path, capsys, case):
     data = generate_data(tmp_path)
@@ -943,6 +951,20 @@ def test_fit_rejects_persistent_edges_outside_the_corpus(tmp_path, capsys, model
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize("count", [-5, 0, 64, 999999])
+def test_fit_rejects_a_presence_count_outside_the_window(tmp_path, capsys, count):
+    data = generate_data(tmp_path)
+    edges = tmp_path / "persistent_edges.csv"
+    edges.write_text("source,target,reciprocal,raw_presence_count\n"
+                     f"v00000,v00001,0,63\nv00001,v00002,0,{count}\n", encoding="utf-8")
+    code, captured = run(["fit", "--data", str(data), "--out", str(tmp_path / "f"),
+                          "--persistent", str(edges), "--model", "ar"], capsys)
+    assert code == 2
+    assert one_data_error(captured) == (
+        f"{edges}: v00001 -> v00002 has presence count {count}, outside 1..63")
+    assert not (tmp_path / "f").exists()
+
+
 @pytest.mark.parametrize("case", ["nan y_true", "inf y_pred", "repeated row",
                                   " 5 y_true", "5  y_pred", "1_0 y_true", "+5 y_pred"])
 def test_forecast_readers_reject_non_finite_and_repeated_rows(tmp_path, capsys, case):
@@ -960,13 +982,10 @@ def test_forecast_readers_reject_non_finite_and_repeated_rows(tmp_path, capsys, 
     forecasts = tmp_path / "forecasts.csv"
     with open(forecasts, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, lineterminator="\n").writerows([header] + rows)
-    for argv in (["evaluate", "--out", str(tmp_path / "e"), "--forecasts", str(forecasts)],
-                 ["contribute", "--data", str(data), "--out", str(tmp_path / "c"),
-                  "--models", str(fitted / "models.json"), "--forecasts", str(forecasts)]):
-        code, captured = run(argv, capsys)
-        assert code == 2
-        assert one_data_error(captured) == f"{forecasts}:{problem}"
-    assert not (tmp_path / "e").exists() and not (tmp_path / "c").exists()
+    code, captured = run(["evaluate", "--out", str(tmp_path / "e"), "--forecasts", str(forecasts)], capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"{forecasts}:{problem}"
+    assert not (tmp_path / "e").exists()
 
 
 def test_programming_errors_are_not_reported_as_data_errors(tmp_path, monkeypatch):

@@ -383,10 +383,11 @@ def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]
         raise DataFormatError(f"{path}: contribution analysis needs a network-model artifact")
     kinds = {f.name: type(f.default) for f in dataclasses.fields(ForecastConfig)}
     config = payload.get("config")
-    if not isinstance(config, dict) or any(  # a JSON int may stand for a float, never a bool for an int
-        type(value) is not kinds.get(key) and not (kinds.get(key) is float and type(value) is int)
-        for key, value in config.items()
-    ):
+    if isinstance(config, dict) and (extra := sorted(config.keys() - kinds.keys())):
+        raise DataFormatError(f"{path}: 'config' holds keys that are not ForecastConfig fields: "
+                              f"{', '.join(extra)}; refit to write a models.json this version reads")
+    # type(), not isinstance(): a JSON true is no int
+    if not isinstance(config, dict) or any(type(value) is not kinds[key] for key, value in config.items()):
         raise DataFormatError(f"{path}: 'config' must map ForecastConfig fields to values of their type")
     missing = sorted(kinds.keys() - config.keys())
     if missing:
@@ -519,8 +520,7 @@ def _emit_contribution(out: Path, report: ContributionReport) -> None:
 
 
 def _forecast_config(settings: Mapping[str, object]) -> ForecastConfig:
-    fields = (f.name for f in dataclasses.fields(ForecastConfig))
-    return ForecastConfig(**{k: settings[k] for k in fields if k in SETTINGS})
+    return ForecastConfig(**{f.name: settings[f.name] for f in dataclasses.fields(ForecastConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -568,22 +568,22 @@ def cmd_generate(args: argparse.Namespace, settings: dict[str, object], _: None)
     dataset, truth = generate(GenConfig(**_read_by("generate", settings)))
     export_dataset(dataset, out)
     _write_json(out / "ground_truth.json", ground_truth_to_json(truth))
-    print(json.dumps({"videos": dataset.summary.n_videos, "days": dataset.summary.n_days,
+    print(json.dumps({"videos": len(dataset.corpus), "days": dataset.window.n_days,
                       "edges": len(truth.beta), "out": str(out)}, sort_keys=True))
 
 
 def cmd_validate(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
-    summary = dataset.summary
+    table, window = dataset.network.table, dataset.window
     print(
         json.dumps(
             {
-                "n_videos": summary.n_videos,
-                "n_artists": summary.n_artists,
-                "n_days": summary.n_days,
-                "mean_edges_per_day": summary.mean_edges_per_day,
-                "n_external_targets": summary.n_external_targets,
-                "window_start": dataset.window.start.isoformat(),
-                "window_end": dataset.window.end.isoformat(),
+                "n_videos": len(dataset.corpus),
+                "n_artists": len({m.artist_id for m in dataset.metadata.values()}),
+                "n_days": window.n_days,
+                "mean_edges_per_day": int(np.count_nonzero(table.kind == 0)) / window.n_days,
+                "n_external_targets": len(set(table.ids.tolist()) - dataset.corpus),
+                "window_start": window.start.isoformat(),
+                "window_end": window.end.isoformat(),
             },
             sort_keys=True,
         )

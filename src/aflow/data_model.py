@@ -288,21 +288,12 @@ class DynamicNetwork:
         return self._derived[key]
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
-    n_videos: int
-    n_artists: int
-    n_days: int
-    mean_edges_per_day: float
-    n_external_targets: int
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Validated bundle of metadata, view counts and the dynamic network.
 
-    ``corpus`` holds every id with metadata; ``external`` holds ids that
-    appear in snapshots without metadata.  Every corpus video has view counts
+    ``corpus`` holds every id with metadata; snapshots may name other ids
+    too, which graph construction drops.  Every corpus video has view counts
     covering the observation window; ``views`` keeps the days outside it too.
     ``ids`` holds the corpus sorted, as ``DirectedGraph.ids`` does, and row k
     of the read-only int64 matrix ``window_views`` holds the window's daily
@@ -313,8 +304,6 @@ class Dataset:
     views: ViewTable
     network: DynamicNetwork
     corpus: frozenset[str]
-    external: frozenset[str]
-    summary: DatasetSummary
     ids: np.ndarray
     window_views: np.ndarray
 
@@ -906,9 +895,8 @@ def validate_dataset(
 
     The corpus is the set of ids with metadata.  Every corpus video must have
     view counts covering the observation window (longer ones are fine, the
-    window is cut from them).  Ids seen in snapshots without metadata are kept
-    in ``external`` so they can be dropped at graph construction.  Of several
-    failing videos, the first in id order is reported.
+    window is cut from them).  Snapshots may name ids without metadata.  Of
+    several failing videos, the first in id order is reported.
     """
     corpus = frozenset(metadata)
     window = network.window
@@ -936,21 +924,10 @@ def validate_dataset(
                 f"view series for {vid} spans {first}..{last}, window needs {window.start}..{window.end}")
         raise DataFormatError(f"{vid} uploaded {metadata[vid].upload_date}, after its first observed day {first}")
 
-    table = network.table
-    external = frozenset(table.ids.tolist()) - corpus
-    edge_rows = int(np.count_nonzero(table.kind == 0))
-
-    summary = DatasetSummary(
-        n_videos=len(corpus),
-        n_artists=len({m.artist_id for m in metadata.values()}),
-        n_days=window.n_days,
-        mean_edges_per_day=edge_rows / window.n_days,
-        n_external_targets=len(external),
-    )
     first_day = views.bounds[row] + window.start.toordinal() - start
     window_views = views.values[first_day[:, None] + np.arange(window.n_days)]
     ids.flags.writeable = window_views.flags.writeable = False
-    return Dataset(dict(metadata), views, network, corpus, external, summary, ids, window_views)
+    return Dataset(dict(metadata), views, network, corpus, ids, window_views)
 
 
 def load_dataset(data_dir: str | Path) -> Dataset:

@@ -48,6 +48,8 @@ from .list_alignment import BINS
 START_DATE = date(2018, 9, 1)
 GENRE_POOL = ("g0", "g1", "g2", "g3", "g4", "g5", "g6", "g7")
 VALUE_CEILING = 1e15
+BASE_LEVEL_RANGE = (200.0, 2000.0)  # a video's base level is drawn uniformly from it
+PAIRS_PER_DAY = 2000  # (source, tracked entry) pairs per day of generate_paired_lists
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class GenConfig:
     n_videos: int = 60
     n_artists: int = 12
     days: int = WINDOW_DAYS
-    base_level_range: tuple[float, float] = (200.0, 2000.0)
     seasonal_amplitude: float = 0.3
     noise_scale: float = 5.0
     edge_density: float = 0.02
@@ -93,7 +94,7 @@ class GenConfig:
             raise DataFormatError("base_levels length must match n_videos")
         if self.phases is not None and len(self.phases) != self.n_videos:
             raise DataFormatError("phases length must match n_videos")
-        for name in ("noise_scale", "seasonal_amplitude", "base_level_range", "beta_range",
+        for name in ("noise_scale", "seasonal_amplitude", "beta_range",
                      "alpha_profile", "base_levels", "phases"):
             if not np.isfinite(getattr(self, name) or ()).all():
                 raise DataFormatError(f"{name} must hold only finite values")
@@ -176,7 +177,7 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     if config.base_levels is not None:
         base = np.asarray(config.base_levels, dtype=float)
     else:
-        base = rng.uniform(*config.base_level_range, size=n)
+        base = rng.uniform(*BASE_LEVEL_RANGE, size=n)
     if config.phases is not None:
         phase = np.asarray(config.phases, dtype=float)
     else:
@@ -246,7 +247,6 @@ def generate_paired_lists(
     kernel: np.ndarray,
     n_pairs: int,
     seed: int = SEED,
-    pairs_per_day: int = 2000,
 ) -> DynamicNetwork:
     """Snapshots with matched relevant/recommended lists for alignment tests.
 
@@ -262,7 +262,7 @@ def generate_paired_lists(
         raise DataFormatError("kernel columns must match the position bins")
     if np.any(k < 0) or np.any(k.sum(axis=1) > 1.0 + 1e-12):
         raise DataFormatError("kernel rows must be sub-probability vectors")
-    if n_pairs < 1 or pairs_per_day < 1:
+    if n_pairs < 1:
         raise DataFormatError("need positive pair counts")
 
     rng = np.random.default_rng(seed)
@@ -286,18 +286,22 @@ def generate_paired_lists(
     rows = 1 + shown.shape[1]  # per pair: the relevant entry, then a full recommended list
     table = SnapshotTable.from_codes(
         names,
-        np.arange(n_pairs).repeat(rows) // pairs_per_day,
+        np.arange(n_pairs).repeat(rows) // PAIRS_PER_DAY,
         source.repeat(rows),
         np.column_stack([target, np.where(shown, target[:, None], filler)]).ravel(),
         np.column_stack([rank, np.tile(np.arange(1, rows), (n_pairs, 1))]).ravel(),
         np.tile(np.minimum(np.arange(rows), 1), n_pairs),  # kind 0 relevant, 1 recommended
     )
-    n_days = (n_pairs + pairs_per_day - 1) // pairs_per_day
+    n_days = (n_pairs + PAIRS_PER_DAY - 1) // PAIRS_PER_DAY
     return DynamicNetwork(ObservationWindow(START_DATE, n_days), table)
 
 
 def export_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     """Write the canonical ``DATASET_FILES``; returns their paths keyed by file name."""
+    rows = np.bincount(dataset.network.table.day, minlength=dataset.window.n_days)
+    if not rows.all():  # a reader takes the window from the snapshot days
+        day = dataset.window.start + timedelta(days=int(np.argmin(rows)))
+        raise DataFormatError(f"window day {day} has no snapshot row, so the files would not load back")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / name for name in DATASET_FILES}

@@ -11,7 +11,6 @@ forecasts when ``neighbor_mode="forecast"``.
 from __future__ import annotations
 
 import multiprocessing
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -42,8 +41,6 @@ class ForecastConfig:
     train_days: int = 56
     horizon: int = 7
     neighbor_mode: str = "observed"
-    max_iter: int = 500
-    grad_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.m_star < 1 or self.horizon < 1:
@@ -52,10 +49,6 @@ class ForecastConfig:
             raise DataFormatError("training window shorter than the lag order allows")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise DataFormatError(f"unknown neighbor mode {self.neighbor_mode!r}")
-        if self.max_iter < 1:
-            raise DataFormatError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0 <= self.grad_tol <= sys.float_info.max:  # NaN fails, and so does an int past every float
-            raise DataFormatError(f"grad_tol must be finite and non-negative, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +144,8 @@ def fit_ar(video_id: str, series: Sequence[float] | np.ndarray, p: int = Forecas
 # it stops.
 
 MEMORY = 10  # correction pairs kept per target, as L-BFGS-B's default
+MAX_ITER = 500  # iterations before a fit stops unconverged
+GRAD_TOL = 1e-6  # projected-gradient max-norm that counts as converged, as L-BFGS-B's gtol
 REL_REDUCTION = 1e-12  # L-BFGS-B's ftol
 MIN_STEP = 1e-7  # a line search tries no step that moves every parameter less
 _ARMIJO = 1e-4  # sufficient decrease, as L-BFGS-B's line search
@@ -285,8 +280,6 @@ def _solve_block(
     target: np.ndarray,
     upper: np.ndarray,
     x0: np.ndarray,
-    max_iter: int,
-    grad_tol: float,
 ) -> _Solution:
     """Projected L-BFGS (memory ``MEMORY``) for every problem of one block.
 
@@ -306,8 +299,8 @@ def _solve_block(
     smoothed SMAPE most fits end there: the objective is not differentiable
     where a prediction equals its target, and the minimum sits on such
     points.  The other stops are
-    L-BFGS-B's: projected-gradient max-norm <= ``grad_tol``, relative
-    reduction of f <= ``REL_REDUCTION``, and ``max_iter`` iterations.
+    L-BFGS-B's: projected-gradient max-norm <= ``GRAD_TOL``, relative
+    reduction of f <= ``REL_REDUCTION``, and ``MAX_ITER`` iterations.
     """
     n, _, n_params = rows.shape
     cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
@@ -328,7 +321,7 @@ def _solve_block(
 
     def projected_gradient_small(k: np.ndarray) -> np.ndarray:
         pg = live.x[k] - np.clip(live.x[k] - live.g[k], 0.0, upper)
-        return np.abs(pg).max(axis=1, initial=0.0) <= grad_tol
+        return np.abs(pg).max(axis=1, initial=0.0) <= GRAD_TOL
 
     def start_search(k: np.ndarray) -> None:
         d, steepest = _search_direction(live.x[k], live.g[k], live.s[k], live.y[k], upper)
@@ -384,7 +377,7 @@ def _solve_block(
             for hit, reason in (
                 (projected_gradient_small(moved), STOP_GRADIENT),
                 (f_old - f_new <= REL_REDUCTION * scale, STOP_REDUCTION),
-                (live.nit[moved] >= max_iter, STOP_ITERATIONS),
+                (live.nit[moved] >= MAX_ITER, STOP_ITERATIONS),
             ):
                 hit = moved[hit & (live.stop[moved] == "")]
                 live.stop[hit] = reason
@@ -492,7 +485,7 @@ def fit_arnet_batch(
             x0 = _ridge_start(rows, target, upper, fixed)
         else:
             x0 = np.tile(fixed, (len(members), 1))
-        solution = _solve_block(rows, target, upper, x0, config.max_iter, config.grad_tol)
+        solution = _solve_block(rows, target, upper, x0)
         solved.update((i, (solution, k)) for k, i in enumerate(members))
 
     models: list[ArnetModel] = []

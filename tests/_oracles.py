@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
+from aflow import forecast
 from aflow.data_model import VIEWS_HEADER, DataFormatError
 from aflow.forecast import (SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
                             _arnet_design, _solve_block)
@@ -406,7 +407,7 @@ def lbfgsb_arnet(video_id, series, neighbor_series, config=None):
     result = minimize(
         fun, x0, jac=True, method="L-BFGS-B",
         bounds=[(0.0, None)] * p + [(0.0, 1.0)] * len(neighbor_ids),
-        options={"maxiter": config.max_iter, "maxcor": 10, "gtol": config.grad_tol,
+        options={"maxiter": forecast.MAX_ITER, "maxcor": 10, "gtol": forecast.GRAD_TOL,
                  "ftol": 1e-12},
     )
     x = result.x.copy()
@@ -430,6 +431,5 @@ def fixed_start_arnet(video_id, series, neighbor_series, config=None):
     k = regressors.shape[1] - p
     upper = np.concatenate([np.full(p, np.inf), np.ones(k)])
     x0 = np.concatenate([np.full(p, 1.0 / p), np.full(k, 0.1)])
-    solution = _solve_block(regressors[None], target[None], upper, x0[None],
-                            config.max_iter, config.grad_tol)
+    solution = _solve_block(regressors[None], target[None], upper, x0[None])
     return int(solution.nit[0]), float(solution.f[0])

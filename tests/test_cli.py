@@ -415,6 +415,9 @@ def test_each_setting_default_is_the_library_default(setting):
 def test_every_setting_with_a_library_default_is_pinned():
     unpinned = set(cli.SETTINGS) - set(LIBRARY_DEFAULTS)
     assert unpinned == {"random_pairs", "model", "p_grid", "threads"}
+    # ForecastConfig holds the fit settings and nothing else, such as a solver limit
+    read_by_fit = {name for name, s in cli.SETTINGS.items() if "fit" in s.commands}
+    assert {f.name for f in dataclasses.fields(forecast.ForecastConfig)} == read_by_fit - {"model", "threads"}
 
 
 def test_setting_choices_are_the_library_choices():
@@ -763,7 +766,7 @@ def test_contribute_rejects_non_network_models(tmp_path, capsys):
 
 
 DEFAULT_CONFIG = dataclasses.asdict(aflow.forecast.ForecastConfig())
-PARTIAL_CONFIG = {k: v for k, v in DEFAULT_CONFIG.items() if k not in ("neighbor_mode", "max_iter")}
+PARTIAL_CONFIG = {k: v for k, v in DEFAULT_CONFIG.items() if k not in ("neighbor_mode", "horizon")}
 ONE_MODEL = {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 0.5}}}
 
 
@@ -771,7 +774,7 @@ ONE_MODEL = {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 0.5}}}
     "payload, problem",
     [
         ({"model": "arnet"}, "'config' must map ForecastConfig fields"),
-        ({"model": "arnet", "config": {"lags": 7}, "videos": {}}, "'config' must map ForecastConfig fields"),
+        ({"model": "arnet", "config": {"p": "7"}, "videos": {}}, "'config' must map ForecastConfig fields"),
         ({"model": "arnet", "config": DEFAULT_CONFIG, "videos": {"v00001": {"alpha": [0.1] * 7}}},
          "each video needs"),
         (["arnet"], "expected a JSON object, got list"),
@@ -782,7 +785,7 @@ ONE_MODEL = {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 0.5}}}
           "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 0.5, "v00001": 0.5}}}},
          "v00001 has a beta on itself"),
         ({"model": "arnet", "config": PARTIAL_CONFIG, "videos": {}},
-         "'config' lacks the ForecastConfig fields max_iter, neighbor_mode"),
+         "'config' lacks the ForecastConfig fields horizon, neighbor_mode"),
         ({"model": "arnet", "config": DEFAULT_CONFIG,
           "videos": {"v00001": {"alpha": [-3.0] + [0.1] * 6, "beta": {"v00002": 0.5}}}},
          "v00001 has alpha -3.0, outside [0, inf)"),
@@ -802,12 +805,11 @@ ONE_MODEL = {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 0.5}}}
         pytest.param({"model": "arnet", "config": DEFAULT_CONFIG,
                       "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 10**400}}}},
                      "v00001 has beta 1" + "0" * 400 + ", outside [0, 1]", id="beta-10^400"),
-        pytest.param({"model": "arnet", "config": {**DEFAULT_CONFIG, "grad_tol": 10**400}, "videos": ONE_MODEL},
-                     "grad_tol must be finite and non-negative, got 1" + "0" * 400, id="grad_tol-10^400"),
-        pytest.param({"model": "arnet", "config": {**DEFAULT_CONFIG, "grad_tol": math.nan}, "videos": ONE_MODEL},
-                     "grad_tol must be finite and non-negative, got nan", id="grad_tol-nan"),
-        pytest.param({"model": "arnet", "config": {**DEFAULT_CONFIG, "max_iter": -7}, "videos": ONE_MODEL},
-                     "max_iter must be at least 1, got -7", id="max_iter-minus-7"),
+        # the solver limits that models.json held before they became constants
+        pytest.param({"model": "arnet", "config": {**DEFAULT_CONFIG, "grad_tol": 1e-06, "max_iter": 500},
+                      "videos": ONE_MODEL},
+                     "'config' holds keys that are not ForecastConfig fields: grad_tol, max_iter; refit",
+                     id="solver-limits-of-an-older-fit"),
     ],
 )
 def test_contribute_reports_a_malformed_models_file(tmp_path, capsys, payload, problem):
@@ -898,6 +900,17 @@ def test_generate_rejects_a_non_finite_noise_scale(tmp_path, capsys, value):
     code, captured = run(["generate", "--out", str(tmp_path / "g"), "--noise-scale", value], capsys)
     assert code == 2
     assert one_data_error(captured) == "noise_scale must hold only finite values"
+
+
+@pytest.mark.parametrize("flags, day", [(["--presence-prob", "0"], "2018-09-01"),
+                                        (["--presence-prob", "0.05", "--edge-density", "0.05"], "2018-09-02")])
+def test_generate_rejects_a_window_day_without_snapshots(tmp_path, capsys, flags, day):
+    # A reader takes the window from the snapshot days, so no file may be written.
+    out = tmp_path / "g"
+    code, captured = run(["generate", "--out", str(out), "--n-videos", "30", *flags], capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"window day {day} has no snapshot row, so the files would not load back"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["snapshots.csv", "views.csv", "metadata.csv"])
@@ -1048,11 +1061,7 @@ def test_fit_diagnostics_report_non_converged_fits(tmp_path, monkeypatch, capsys
     data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
     links = tmp_path / "links"
     assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
-    forecast_config = cli._forecast_config
-    monkeypatch.setattr(
-        cli, "_forecast_config", lambda settings: dataclasses.replace(
-            forecast_config(settings), max_iter=1)
-    )
+    monkeypatch.setattr(forecast, "MAX_ITER", 1)
     out = tmp_path / "fit"
     code, captured = run(
         ["fit", "--data", str(data), "--out", str(out), "--model", "arnet",

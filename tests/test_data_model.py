@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import re
 from datetime import date, timedelta
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aflow import datagen
+from aflow import cli, datagen
 from aflow.data_model import (
     METADATA_HEADER,
     VIEWS_HEADER,
@@ -300,15 +301,16 @@ def test_window_index_and_contains():
         ObservationWindow(date(2018, 9, 1), 0)
 
 
-def test_validate_flags_external_ids():
+def test_validate_flags_external_ids(capsys):
     ds = _helpers.build_dataset(
         views={"a": [100] * 3, "b": [50] * 3},
         daily_edges=[("a", "b", 1), ("a", "x", 2)],
     )
     assert ds.corpus == frozenset({"a", "b"})
-    assert ds.external == frozenset({"x"})
-    assert ds.summary.n_external_targets == 1
-    assert ds.summary.mean_edges_per_day == 2.0
+    cli.cmd_validate(None, {}, ds)
+    record = json.loads(capsys.readouterr().out)
+    assert record["n_external_targets"] == 1
+    assert record["mean_edges_per_day"] == 2.0
 
 
 def test_validate_rejects_missing_or_short_series():

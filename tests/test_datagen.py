@@ -33,6 +33,16 @@ def test_zero_density_means_no_edges():
     assert all(not snap.relevant for snap in dataset.network.snapshots)
 
 
+def test_export_rejects_a_window_day_without_snapshot_rows(tmp_path):
+    # The last day has no row, so the files would load as a 9-day window.
+    cfg = datagen.GenConfig(n_videos=6, n_artists=2, days=10, edges=((0, 1, 0.5), (2, 3, 0.4)),
+                            presence_prob=0.6, seed=7)
+    dataset, _ = datagen.generate(cfg)
+    with pytest.raises(DataFormatError, match="^window day 2018-09-10 has no snapshot row"):
+        datagen.export_dataset(dataset, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_noise_free_constant_chain():
     # source fixed at 100, single edge with beta 0.5, no seasonality or memory
     cfg = datagen.GenConfig(
@@ -136,7 +146,6 @@ def test_config_validation():
     [
         ("noise_scale", lambda x: x),
         ("seasonal_amplitude", lambda x: x),
-        ("base_level_range", lambda x: (200.0, x)),
         ("beta_range", lambda x: (x, 0.8)),
         ("alpha_profile", lambda x: (0.3, 0.0, 0.0, x, 0.0, 0.0, 0.3)),
         ("base_levels", lambda x: (100.0, x, 100.0)),
@@ -160,15 +169,16 @@ def test_ground_truth_json_layout():
     assert len(payload["alpha"]["v00000"]) == 7
 
 
-def test_paired_lists_layout_and_determinism():
+def test_paired_lists_layout_and_determinism(monkeypatch):
     kernel = np.array(
         [
             [0.5, 0.2, 0.1, 0.1],
             [0.2, 0.3, 0.2, 0.1],
         ]
     )
-    net1 = datagen.generate_paired_lists(kernel, n_pairs=40, seed=2, pairs_per_day=25)
-    net2 = datagen.generate_paired_lists(kernel, n_pairs=40, seed=2, pairs_per_day=25)
+    monkeypatch.setattr(datagen, "PAIRS_PER_DAY", 25)
+    net1 = datagen.generate_paired_lists(kernel, n_pairs=40, seed=2)
+    net2 = datagen.generate_paired_lists(kernel, n_pairs=40, seed=2)
     assert serialize_snapshots(net1) == serialize_snapshots(net2)
     assert net1.window.n_days == 2
 

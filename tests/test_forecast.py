@@ -55,10 +55,6 @@ def test_config_validation():
         ForecastConfig(p=7, train_days=7)
     with pytest.raises(DataFormatError, match="neighbor mode"):
         ForecastConfig(neighbor_mode="oracle")
-    for field, value in (("max_iter", 0), ("max_iter", -7), ("grad_tol", -1e-6), ("grad_tol", np.nan),
-                         ("grad_tol", np.inf), ("grad_tol", 10**400)):  # the last is past every float
-        with pytest.raises(DataFormatError, match=field):
-            ForecastConfig(**{field: value})
 
 
 def test_ar_recovers_planted_coefficients():
@@ -146,7 +142,7 @@ def test_arnet_is_deterministic():
     assert m1.beta == m2.beta
 
 
-def test_arnet_reports_optimizer_status():
+def test_arnet_reports_optimizer_status(monkeypatch):
     rng = np.random.default_rng(3)
     u = 500 + 50 * rng.random(60)
     y = 0.4 * u + 10 * rng.random(60)
@@ -156,22 +152,24 @@ def test_arnet_reports_optimizer_status():
     assert (model.fit.n_params, model.fit.n_rows) == (8, 53)
     assert model.fit.objective >= 0.0
 
-    stopped = fit_arnet("v", y, {"u": u}, ForecastConfig(max_iter=1))
+    monkeypatch.setattr(forecast_module, "MAX_ITER", 1)
+    stopped = fit_arnet("v", y, {"u": u})
     assert not stopped.fit.converged
     assert stopped.fit.nit == 1
     assert stopped.fit.message
 
 
-def test_arnet_trace_never_increases():
+def test_arnet_trace_never_increases(monkeypatch):
     rng = np.random.default_rng(2)
     nb = rng.uniform(100.0, 300.0, size=56)
     y = np.clip(0.4 * nb + rng.normal(0.0, 5.0, size=56), 0, None)
     fit = fit_arnet("v", y, {"u": nb}).fit
     # The solver is deterministic, so the fit stopped after k iterations ends
     # at the full fit's k-th iterate.
-    trace = [fit.start_objective] + [
-        fit_arnet("v", y, {"u": nb}, ForecastConfig(max_iter=k)).fit.objective for k in range(1, fit.nit + 1)
-    ]
+    trace = [fit.start_objective]
+    for k in range(1, fit.nit + 1):
+        monkeypatch.setattr(forecast_module, "MAX_ITER", k)
+        trace.append(fit_arnet("v", y, {"u": nb}).fit.objective)
     assert len(trace) >= 2
     assert np.all(np.diff(trace) <= 1e-9)
 
@@ -306,12 +304,13 @@ def test_arnet_fits_no_worse_than_lbfgsb_on_recovery_data():
     assert np.mean(ours) <= np.mean(reference)
 
 
-def test_arnet_stop_reasons_are_reported():
+def test_arnet_stop_reasons_are_reported(monkeypatch):
     from aflow.forecast import CONVERGED_STOPS, STOP_ITERATIONS
 
     fits = [m.fit for m in fit_arnet_batch(_mixed_problems())]
     assert all(f.converged == (f.message in CONVERGED_STOPS) for f in fits)
-    capped = [m.fit for m in fit_arnet_batch(_mixed_problems(), ForecastConfig(max_iter=2))]
+    monkeypatch.setattr(forecast_module, "MAX_ITER", 2)
+    capped = [m.fit for m in fit_arnet_batch(_mixed_problems())]
     for short, full in zip(capped, fits):
         assert short.nit <= 2
         if full.nit > 2:

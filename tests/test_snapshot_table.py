@@ -2,13 +2,14 @@
 
 import csv
 import io
+import json
 from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from aflow import datagen
+from aflow import cli, datagen
 from aflow.data_model import (
     DailySnapshot,
     DataFormatError,
@@ -90,9 +91,10 @@ def augmented():
     return augmented_dataset(seed=5)
 
 
-def test_views_reproduce_the_converted_lists(augmented):
+def test_views_reproduce_the_converted_lists(augmented, capsys):
     dataset, snapshots = augmented
-    assert dataset.external == frozenset(EXTERNAL)
+    cli.cmd_validate(None, {}, dataset)
+    assert json.loads(capsys.readouterr().out)["n_external_targets"] == len(EXTERNAL)
     assert dataset.network.snapshots == tuple(snapshots)
     day = snapshots[4].date
     assert dataset.network.snapshot_on(day) == snapshots[4]

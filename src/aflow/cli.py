@@ -53,6 +53,7 @@ from .data_model import (
     DynamicNetwork,
     NumericalError,
     cell,
+    csv_rows,
     date_or_none,
     int_or_none,
     load_dataset,
@@ -121,38 +122,40 @@ class Setting(NamedTuple):
     commands: tuple[str, ...]  # the subcommands that read it
     choices: tuple[str, ...] = ()
     help: str | None = None
+    least: int | None = None  # the smallest value the library takes
 
 
 _LINKS = ("persistent", "correlate", "pipeline")
 _FITS = ("fit", "pipeline")
 
 SETTINGS: dict[str, Setting] = {s.name: s for s in (
-    Setting("cutoff", int, graph_analysis.CUTOFF, ("analyze",) + _LINKS),
+    Setting("cutoff", int, graph_analysis.CUTOFF, ("analyze",) + _LINKS, least=1),
     Setting("min_indegree", int, graph_analysis.MIN_INDEGREE, ("analyze",)),
-    Setting("max_rel", int, list_alignment.MAX_REL, ("display-prob",)),
-    Setting("max_rec", int, list_alignment.MAX_REC, ("display-prob",)),
+    Setting("max_rel", int, list_alignment.MAX_REL, ("display-prob",), least=1),
+    Setting("max_rec", int, list_alignment.MAX_REC, ("display-prob",), least=1),
     Setting("target_min_views", float, persistence.TARGET_MIN_MEAN_VIEWS, _LINKS),
     Setting("source_view_frac", float, persistence.SOURCE_VIEW_FRACTION, _LINKS),
-    Setting("random_pairs", int, 200, ("correlate",)),
+    Setting("random_pairs", int, 200, ("correlate",), least=1),
     Setting("alpha", float, stats.SIGNIFICANCE_LEVEL, ("correlate",)),
     Setting("model", str, "arnet", ("fit",), MODEL_NAMES),
-    Setting("p", int, ForecastConfig.p, _FITS),
-    Setting("m_star", int, ForecastConfig.m_star, _FITS),
+    Setting("p", int, ForecastConfig.p, _FITS, least=1),
+    Setting("m_star", int, ForecastConfig.m_star, _FITS, least=1),
     Setting("train_days", int, ForecastConfig.train_days, _FITS),
-    Setting("horizon", int, ForecastConfig.horizon, _FITS),
+    Setting("horizon", int, ForecastConfig.horizon, _FITS, least=1),
     Setting("neighbor_mode", str, ForecastConfig.neighbor_mode, _FITS, NEIGHBOR_MODES),
     Setting("threads", int, _available_cores(), _FITS,
-            help="worker processes for network-model fits (default: available cores)"),
-    Setting("seed", int, GenConfig.seed, ("generate", "simulate-persistence", "correlate")),
-    Setting("days", int, GenConfig.days, ("generate", "simulate-persistence")),
-    Setting("n_videos", int, GenConfig.n_videos, ("generate",)),
-    Setting("n_artists", int, GenConfig.n_artists, ("generate",)),
+            help="worker processes for network-model fits (default: available cores)", least=1),
+    # numpy's generators take only non-negative seeds
+    Setting("seed", int, GenConfig.seed, ("generate", "simulate-persistence", "correlate"), least=0),
+    Setting("days", int, GenConfig.days, ("generate", "simulate-persistence"), least=1),
+    Setting("n_videos", int, GenConfig.n_videos, ("generate",), least=2),
+    Setting("n_artists", int, GenConfig.n_artists, ("generate",), least=1),
     Setting("edge_density", float, GenConfig.edge_density, ("generate",)),
     Setting("presence_prob", float, GenConfig.presence_prob, ("generate",)),
     Setting("noise_scale", float, GenConfig.noise_scale, ("generate",)),
     Setting("p_grid", str, "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
             ("simulate-persistence",), help="comma-separated presence probabilities"),
-    Setting("trials", int, persistence.TRIALS, ("simulate-persistence",)),
+    Setting("trials", int, persistence.TRIALS, ("simulate-persistence",), least=1),
 )}
 
 
@@ -205,10 +208,9 @@ def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             settings[key] = flag_val
-    if settings["seed"] < 0:  # numpy's generators take only non-negative seeds
-        raise UsageError(f"setting seed must be non-negative, got {settings['seed']}")
-    if settings["threads"] < 1:
-        raise UsageError(f"setting threads must be at least 1, got {settings['threads']}")
+    for key, s in SETTINGS.items():
+        if s.least is not None and settings[key] < s.least:
+            raise UsageError(f"setting {key} must be at least {s.least}, got {settings[key]}")
     for key in ("target_min_views", "source_view_frac"):  # nan passes no view filter
         if not math.isfinite(settings[key]):
             raise UsageError(f"setting {key} must be finite, got {settings[key]}")
@@ -297,22 +299,6 @@ PERSISTENT_HEADER = ["source", "target", "reciprocal", "raw_presence_count"]
 FORECASTS_HEADER = ["video_id", "date", "y_true", "y_pred"]
 
 
-def _artifact_rows(path: Path, header: list[str]):
-    """(line number, row) for each row of an artifact CSV, after checking its header."""
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            found = next(reader, None)
-            if found != header:
-                raise DataFormatError(f"{path}: unexpected header {found}")
-            for row in reader:
-                if len(row) != len(header):
-                    raise DataFormatError(f"{path}:{reader.line_num}: malformed row {row}")
-                yield reader.line_num, row
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-
-
 def _finite(text: str) -> float | None:
     value = float(text) if _FLOAT_TEXT.fullmatch(text) else math.nan
     return value if math.isfinite(value) else None
@@ -324,12 +310,12 @@ _FLAGS = {"0": False, "1": True}
 
 def read_persistent_edges(path: Path) -> PersistentNetwork:
     if not path.is_file():
-        raise DataFormatError(
-            f"persistent edges artifact not found: {path}; run the persistent step first"
-        )
+        raise DataFormatError("persistent edges artifact not found; run the persistent step first")
     edges, first_line = [], {}
-    for line, row in _artifact_rows(path, PERSISTENT_HEADER):
-        where = f"{path}:{line}"
+    for line, row in csv_rows(path, PERSISTENT_HEADER):
+        where = f"line {line}"
+        if len(row) != 4:
+            raise DataFormatError(f"{where}: expected 4 fields, got {len(row)}")
         reciprocal = cell(_FLAGS.get, row[2], where, "reciprocal flag")
         count = cell(int_or_none, row[3], where, "presence count")
         if row[0] == row[1]:
@@ -343,10 +329,12 @@ def read_persistent_edges(path: Path) -> PersistentNetwork:
 
 def read_forecasts(path: Path) -> ForecastResult:
     if not path.is_file():
-        raise DataFormatError(f"forecasts artifact not found: {path}")
+        raise DataFormatError("forecasts artifact not found")
     per_video: dict[str, dict[date, tuple[float, float]]] = {}
-    for line, row in _artifact_rows(path, FORECASTS_HEADER):
-        where = f"{path}:{line}"
+    for line, row in csv_rows(path, FORECASTS_HEADER):
+        where = f"line {line}"
+        if len(row) != 4:
+            raise DataFormatError(f"{where}: expected 4 fields, got {len(row)}")
         day = cell(date_or_none, row[1], where, "date")
         values = (cell(_finite, row[2], where, "y_true"), cell(_finite, row[3], where, "y_pred"))
         per_day = per_video.setdefault(row[0], {})
@@ -354,12 +342,12 @@ def read_forecasts(path: Path) -> ForecastResult:
             raise DataFormatError(f"{where}: repeated row for {row[0]} on {day}")
         per_day[day] = values
     if not per_video:
-        raise DataFormatError(f"{path}: no forecast rows")
+        raise DataFormatError("no forecast rows")
     video_ids = tuple(sorted(per_video))
     dates = tuple(sorted(per_video[video_ids[0]]))
     for vid in video_ids:
         if tuple(sorted(per_video[vid])) != dates:
-            raise DataFormatError(f"{path}: horizon dates differ for {vid}")
+            raise DataFormatError(f"horizon dates differ for {vid}")
     y_true = np.array([[per_video[v][d][0] for d in dates] for v in video_ids])
     y_pred = np.array([[per_video[v][d][1] for d in dates] for v in video_ids])
     return ForecastResult("model", video_ids, dates, y_true, y_pred)
@@ -371,31 +359,28 @@ def _numbers(values: object) -> bool:
 
 def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]:
     if not path.is_file():
-        raise DataFormatError(f"models artifact not found: {path}")
+        raise DataFormatError("models artifact not found")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataFormatError(f"{path}: {exc}") from None
+        raise DataFormatError(str(exc)) from None
     if not isinstance(payload, dict):
-        raise DataFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+        raise DataFormatError(f"expected a JSON object, got {type(payload).__name__}")
     name = payload.get("model")
     if name != "arnet":
-        raise DataFormatError(f"{path}: contribution analysis needs a network-model artifact")
+        raise DataFormatError("contribution analysis needs a network-model artifact")
     kinds = {f.name: type(f.default) for f in dataclasses.fields(ForecastConfig)}
     config = payload.get("config")
     if isinstance(config, dict) and (extra := sorted(config.keys() - kinds.keys())):
-        raise DataFormatError(f"{path}: 'config' holds keys that are not ForecastConfig fields: "
+        raise DataFormatError("'config' holds keys that are not ForecastConfig fields: "
                               f"{', '.join(extra)}; refit to write a models.json this version reads")
     # type(), not isinstance(): a JSON true is no int
     if not isinstance(config, dict) or any(type(value) is not kinds[key] for key, value in config.items()):
-        raise DataFormatError(f"{path}: 'config' must map ForecastConfig fields to values of their type")
+        raise DataFormatError("'config' must map ForecastConfig fields to values of their type")
     missing = sorted(kinds.keys() - config.keys())
     if missing:
-        raise DataFormatError(f"{path}: 'config' lacks the ForecastConfig fields {', '.join(missing)}")
-    try:
-        config = ForecastConfig(**config)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+        raise DataFormatError(f"'config' lacks the ForecastConfig fields {', '.join(missing)}")
+    config = ForecastConfig(**config)
     videos = payload.get("videos")
     if not isinstance(videos, dict) or not all(
         isinstance(entry, dict) and _numbers(entry.get("alpha")) and len(entry["alpha"]) == config.p
@@ -403,19 +388,19 @@ def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]
         for entry in videos.values()
     ):
         raise DataFormatError(
-            f"{path}: each video needs 'alpha', {config.p} numbers, and 'beta', an object of numbers")
+            f"each video needs 'alpha', {config.p} numbers, and 'beta', an object of numbers")
     if not videos:
-        raise DataFormatError(f"{path}: no fitted videos")
+        raise DataFormatError("no fitted videos")
     for vid, entry in videos.items():
         if vid in entry["beta"]:
-            raise DataFormatError(f"{path}: {vid} has a beta on itself")
+            raise DataFormatError(f"{vid} has a beta on itself")
         # the bounds fit keeps to; NaN fails every comparison, and an int past every float fails too
         for alpha in entry["alpha"]:
             if not 0 <= alpha <= sys.float_info.max:
-                raise DataFormatError(f"{path}: {vid} has alpha {alpha}, outside [0, inf)")
+                raise DataFormatError(f"{vid} has alpha {alpha}, outside [0, inf)")
         for beta in entry["beta"].values():
             if not 0 <= beta <= 1:
-                raise DataFormatError(f"{path}: {vid} has beta {beta}, outside [0, 1]")
+                raise DataFormatError(f"{vid} has beta {beta}, outside [0, 1]")
     models = {
         vid: ArnetModel(vid, np.asarray(entry["alpha"], dtype=float), dict(entry["beta"]))
         for vid, entry in videos.items()
@@ -581,7 +566,7 @@ def cmd_validate(args: argparse.Namespace, settings: dict[str, object], dataset:
                 "n_artists": len({m.artist_id for m in dataset.metadata.values()}),
                 "n_days": window.n_days,
                 "mean_edges_per_day": int(np.count_nonzero(table.kind == 0)) / window.n_days,
-                "n_external_targets": len(set(table.ids.tolist()) - dataset.corpus),
+                "n_external_targets": len(set(table.ids[np.unique(table.tgt)].tolist()) - dataset.corpus),
                 "window_start": window.start.isoformat(),
                 "window_end": window.end.isoformat(),
             },
@@ -707,7 +692,7 @@ def _corpus_only(path: str, ids: Iterable[str], dataset: Dataset) -> None:
 
 
 def cmd_fit(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
-    pn = read_persistent_edges(Path(args.persistent))
+    pn = parse_file(read_persistent_edges, Path(args.persistent))
     _corpus_only(args.persistent, pn.sources | pn.targets, dataset)
     if bad := [e for e in pn.edges if not 1 <= e.days_present <= dataset.window.n_days]:
         raise DataFormatError(f"{args.persistent}: {bad[0].source} -> {bad[0].target} has presence "
@@ -717,11 +702,11 @@ def cmd_fit(args: argparse.Namespace, settings: dict[str, object], dataset: Data
 
 
 def cmd_evaluate(args: argparse.Namespace, settings: dict[str, object], _: None) -> None:
-    _emit_eval(Path(args.out), evaluate_forecasts(read_forecasts(Path(args.forecasts))))
+    _emit_eval(Path(args.out), evaluate_forecasts(parse_file(read_forecasts, Path(args.forecasts))))
 
 
 def cmd_contribute(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
-    name, config, models = read_models(Path(args.models))
+    name, config, models = parse_file(read_models, Path(args.models))
     _corpus_only(args.models, [*models, *(u for m in models.values() for u in m.beta)], dataset)
     result = model_forecasts(dataset, name, models, config)
     _emit_contribution(Path(args.out), contribution_report(dataset, models, result, config))

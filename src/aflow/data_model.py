@@ -324,8 +324,12 @@ class Dataset:
 # parsing
 
 
-def _open_rows(source: str | Path | Iterable[str], expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_no, row) pairs of the non-blank rows after checking the header row."""
+def csv_rows(source: str | Path | Iterable[str], expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, row) pairs of the non-blank rows after checking the header row.
+
+    The row reader of every CSV that aflow reads, inputs and artifacts alike;
+    its errors name no file, :func:`parse_file` adds the path.
+    """
     if isinstance(source, (str, Path)):
         handle: IO[str] = open(source, "r", newline="", encoding="utf-8")
         close = True
@@ -466,7 +470,7 @@ def _read_snapshot_rows(source: str | Path | Iterable[str]) -> DynamicNetwork:
     codes: dict[str, int] = {}
     coded = array("i")  # (ordinal, src, tgt, pos, kind, line) of each row in turn
     bad_row: tuple[int, DataFormatError] | None = None
-    for line_no, row in _open_rows(source, SNAPSHOT_HEADER):
+    for line_no, row in csv_rows(source, SNAPSHOT_HEADER):
         try:
             coded.extend(_snapshot_row(line_no, row, codes))
         except DataFormatError as exc:
@@ -510,7 +514,7 @@ def _read_snapshot_rows(source: str | Path | Iterable[str]) -> DynamicNetwork:
 def _read_view_rows(source: str | Path | Iterable[str]) -> ViewTable:
     """:func:`parse_views` row by row with the csv module, as :func:`_read_snapshot_rows`."""
     rows: dict[str, dict[date, int]] = {}
-    for line_no, row in _open_rows(source, VIEWS_HEADER):
+    for line_no, row in csv_rows(source, VIEWS_HEADER):
         if len(row) != 3:
             raise DataFormatError(f"line {line_no}: expected 3 fields, got {len(row)}")
         vid = row[0]
@@ -862,7 +866,7 @@ def _split_views(handle: IO[bytes]) -> ViewTable:
 def parse_metadata(source: str | Path | IO[str]) -> dict[str, VideoMeta]:
     """Parse a metadata CSV; genres field is ``|``-joined and may be empty."""
     out: dict[str, VideoMeta] = {}
-    for line_no, row in _open_rows(source, METADATA_HEADER):
+    for line_no, row in csv_rows(source, METADATA_HEADER):
         if len(row) != 4:
             raise DataFormatError(f"line {line_no}: expected 4 fields, got {len(row)}")
         vid, artist = row[0], row[1]

@@ -175,7 +175,7 @@ def test_negative_seed_is_usage_error_from_every_source(tmp_path, monkeypatch, c
             monkeypatch.setenv("AFLOW_SEED", env)
         code, captured = run(argv + extra, capsys)
         assert code == 1
-        assert usage_record(captured)["message"] == "setting seed must be non-negative, got -1"
+        assert usage_record(captured)["message"] == "setting seed must be at least 0, got -1"
         assert "Traceback" not in captured.err + captured.out
     assert not (tmp_path / "out").exists()
 
@@ -196,6 +196,23 @@ def test_threads_below_one_is_usage_error_from_every_source(tmp_path, monkeypatc
             assert code == 1
             assert usage_record(captured)["message"] == f"setting threads must be at least 1, got {value}"
             assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("analyze", "--cutoff"), ("display-prob", "--max-rel"), ("correlate", "--random-pairs"),
+    ("simulate-persistence", "--trials"), ("pipeline", "--p"), ("generate", "--days"),
+])
+def test_an_integer_setting_below_its_bound_is_usage_error(tmp_path, capsys, command, flag):
+    # --data names no directory, so a usage error shows the setting is checked before any read
+    argv = [command, "--out", str(tmp_path / "out"), flag, "0"]
+    if "data" in cli.COMMANDS[command].paths:
+        argv += ["--data", str(tmp_path / "data")]
+    code, captured = run(argv, capsys)
+    assert code == 1
+    key = flag[2:].replace("-", "_")
+    assert usage_record(captured)["message"] == f"setting {key} must be at least 1, got 0"
+    assert "Traceback" not in captured.err + captured.out
     assert not (tmp_path / "out").exists()
 
 
@@ -852,13 +869,13 @@ def test_bad_artifact_cells_name_the_file_and_line(tmp_path, capsys):
     code, captured = run(["fit", "--data", str(data), "--out", str(tmp_path / "fit"),
                           "--persistent", str(edges)], capsys)
     assert code == 2
-    assert json.loads(captured.err)["message"] == f"{edges}:3: bad reciprocal flag 'x'"
+    assert json.loads(captured.err)["message"] == f"{edges}: line 3: bad reciprocal flag 'x'"
 
     forecasts = tmp_path / "forecasts.csv"
     forecasts.write_text("video_id,date,y_true,y_pred\nv00000,2018-13-01,1.0,2.0\n", encoding="utf-8")
     code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)], capsys)
     assert code == 2
-    assert json.loads(captured.err)["message"] == f"{forecasts}:2: bad date '2018-13-01'"
+    assert json.loads(captured.err)["message"] == f"{forecasts}: line 2: bad date '2018-13-01'"
 
 
 @pytest.mark.parametrize("row, problem", [
@@ -874,7 +891,7 @@ def test_persistent_edges_cells_follow_the_input_grammar(tmp_path, capsys, row, 
     code, captured = run(["fit", "--data", str(data), "--out", str(tmp_path / "fit"),
                           "--persistent", str(edges)], capsys)
     assert code == 2
-    assert one_data_error(captured) == f"{edges}:2: {problem}"
+    assert one_data_error(captured) == f"{edges}: line 2: {problem}"
 
 
 def test_forecast_dates_follow_the_input_grammar(tmp_path, capsys):
@@ -884,7 +901,7 @@ def test_forecast_dates_follow_the_input_grammar(tmp_path, capsys):
     code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)],
                          capsys)
     assert code == 2
-    assert one_data_error(captured) == f"{forecasts}:2: bad date '20181027'"
+    assert one_data_error(captured) == f"{forecasts}: line 2: bad date '20181027'"
     assert not (tmp_path / "eval").exists()
 
 
@@ -930,6 +947,54 @@ def test_data_errors_name_their_file(tmp_path, capsys, name):
         assert one_data_error(captured) == f"{data / name}: line 3: bad date '2018-13-01'"
 
 
+# Each CSV a command reads, and the command that reads it.
+CSV_READERS = {"snapshots.csv": "validate", "views.csv": "validate", "metadata.csv": "validate",
+               "persistent_edges.csv": "fit", "forecasts.csv": "evaluate"}
+
+
+@pytest.mark.parametrize("case", ["header", "empty", "extra field", "0xFF byte", "oversized field"])
+@pytest.mark.parametrize("name", CSV_READERS)
+def test_every_csv_a_command_reads_fails_in_one_form(chain, tmp_path, capsys, name, case):
+    files = {**chain, "data": tmp_path / "data"}
+    shutil.copytree(chain["data"], files["data"])
+    path = files[name] = files["data"] / name if name in DATA else tmp_path / name
+    lines = chain[name].read_bytes().splitlines(keepends=True)
+    n_fields = len(next(csv.reader([lines[2].decode()])))
+    if case == "header":
+        lines[0] = b"wrong,header\n"
+    elif case == "empty":
+        lines = []
+    elif case == "extra field":
+        lines[2] = lines[2].rstrip(b"\n") + b",x\n"
+    elif case == "0xFF byte":
+        lines[2] = b"\xff" + lines[2]
+    else:
+        lines[2] = b"x" * (csv.field_size_limit() + 1) + lines[2]
+    path.write_bytes(b"".join(lines))
+    argv = chain_argv(files, CSV_READERS[name], tmp_path / "out")
+    code, captured = run(argv + (["--model", "naive"] if name == "persistent_edges.csv" else []), capsys)
+    assert code == 2
+    assert "Traceback" not in captured.err + captured.out
+    message = one_data_error(captured)
+    # the input files' messages, after the one location form
+    expected = f"{path}: " + {
+        "header": "line 1: expected header ", "empty": "empty file, expected a header row",
+        "extra field": f"line 3: expected {n_fields} fields, got {n_fields + 1}",
+        "0xFF byte": "not UTF-8 text: ", "oversized field": "line 3: field larger than field limit"}[case]
+    assert message == expected if case == "extra field" else message.startswith(expected)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [b"{not json", b'{"model": "\xff"}'])
+def test_a_models_file_that_is_not_json_text_fails_in_one_form(chain, tmp_path, capsys, text):
+    models = tmp_path / "models.json"
+    models.write_bytes(text)
+    code, captured = run(chain_argv({**chain, "models.json": models}, "contribute", tmp_path / "out"), capsys)
+    assert code == 2
+    assert one_data_error(captured).startswith(f"{models}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("case", ["self-loop", "repeated edge"])
 def test_fit_rejects_a_self_loop_or_a_repeated_persistent_edge(tmp_path, capsys, case):
     data = generate_data(tmp_path)
@@ -945,7 +1010,7 @@ def test_fit_rejects_a_self_loop_or_a_repeated_persistent_edge(tmp_path, capsys,
     line = len(rows) + 2
     problem = (f"self-loop on {rows[0][0]}" if case == "self-loop"
                else f"repeated edge {rows[0][0]} -> {rows[0][1]} (first at line 2)")
-    assert one_data_error(captured) == f"{edges}:{line}: {problem}"
+    assert one_data_error(captured) == f"{edges}: line {line}: {problem}"
     assert not (tmp_path / "f").exists()
 
 
@@ -997,7 +1062,7 @@ def test_forecast_readers_reject_non_finite_and_repeated_rows(tmp_path, capsys, 
         csv.writer(handle, lineterminator="\n").writerows([header] + rows)
     code, captured = run(["evaluate", "--out", str(tmp_path / "e"), "--forecasts", str(forecasts)], capsys)
     assert code == 2
-    assert one_data_error(captured) == f"{forecasts}:{problem}"
+    assert one_data_error(captured) == f"{forecasts}: line {problem}"
     assert not (tmp_path / "e").exists()
 
 
@@ -1045,15 +1110,15 @@ def test_pipeline_is_thread_count_invariant(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, problem", [
-    (["--p", "0"], "p, m_star and horizon must be positive"),
+    (["--p", "0"], "setting p must be at least 1, got 0"),
     (["--train-days", "60"], "window of 63 days cannot hold 60 training days plus a 7-day horizon"),
 ])
 def test_pipeline_checks_its_forecast_settings_before_writing(tmp_path, capsys, flags, problem):
     data = generate_data(tmp_path)
     out = tmp_path / "p"
     code, captured = run(["pipeline", "--data", str(data), "--out", str(out), *flags], capsys)
-    assert code == 2
-    assert one_data_error(captured) == problem
+    assert code == (1 if problem.startswith("setting ") else 2)  # a bad setting is a usage error
+    assert json.loads(captured.err)["message"] == problem  # one JSON record and nothing else
     assert not out.exists()
 
 

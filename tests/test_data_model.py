@@ -311,6 +311,13 @@ def test_validate_flags_external_ids(capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["n_external_targets"] == 1
     assert record["mean_edges_per_day"] == 2.0
+    # an id outside the corpus that only ever lists others is no external target
+    ds = _helpers.build_dataset(
+        views={"a": [100] * 3, "b": [50] * 3},
+        daily_edges=[("y", "a", 1), ("a", "b", 1)],
+    )
+    cli.cmd_validate(None, {}, ds)
+    assert json.loads(capsys.readouterr().out)["n_external_targets"] == 0
 
 
 def test_validate_rejects_missing_or_short_series():

@@ -94,7 +94,9 @@ def augmented():
 def test_views_reproduce_the_converted_lists(augmented, capsys):
     dataset, snapshots = augmented
     cli.cmd_validate(None, {}, dataset)
-    assert json.loads(capsys.readouterr().out)["n_external_targets"] == len(EXTERNAL)
+    targets = {t for snap in snapshots for lists in (snap.relevant, snap.recommended)
+               for rlist in lists.values() for t, _ in rlist.entries}
+    assert json.loads(capsys.readouterr().out)["n_external_targets"] == len(targets - dataset.corpus)
     assert dataset.network.snapshots == tuple(snapshots)
     day = snapshots[4].date
     assert dataset.network.snapshot_on(day) == snapshots[4]

@@ -216,6 +216,11 @@ def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
             raise UsageError(f"setting {key} must be finite, got {settings[key]}")
     if not 0 < settings["alpha"] < 1:
         raise UsageError(f"setting alpha must lie in (0, 1), got {settings['alpha']}")
+    try:  # the library configs' own checks, such as a density outside [0, 1]
+        GenConfig(**_read_by("generate", settings))
+        _forecast_config(settings)
+    except DataFormatError as exc:
+        raise UsageError(str(exc)) from None
     return settings
 
 
@@ -350,14 +355,14 @@ def read_forecasts(path: Path) -> ForecastResult:
             raise DataFormatError(f"horizon dates differ for {vid}")
     y_true = np.array([[per_video[v][d][0] for d in dates] for v in video_ids])
     y_pred = np.array([[per_video[v][d][1] for d in dates] for v in video_ids])
-    return ForecastResult("model", video_ids, dates, y_true, y_pred)
+    return ForecastResult(video_ids, dates, y_true, y_pred)
 
 
 def _numbers(values: object) -> bool:
     return isinstance(values, list) and all(type(v) in (int, float) for v in values)
 
 
-def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]:
+def read_models(path: Path) -> tuple[ForecastConfig, dict[str, ArnetModel]]:
     if not path.is_file():
         raise DataFormatError("models artifact not found")
     try:
@@ -366,8 +371,7 @@ def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]
         raise DataFormatError(str(exc)) from None
     if not isinstance(payload, dict):
         raise DataFormatError(f"expected a JSON object, got {type(payload).__name__}")
-    name = payload.get("model")
-    if name != "arnet":
+    if payload.get("model") != "arnet":
         raise DataFormatError("contribution analysis needs a network-model artifact")
     kinds = {f.name: type(f.default) for f in dataclasses.fields(ForecastConfig)}
     config = payload.get("config")
@@ -405,7 +409,7 @@ def read_models(path: Path) -> tuple[str, ForecastConfig, dict[str, ArnetModel]]
         vid: ArnetModel(vid, np.asarray(entry["alpha"], dtype=float), dict(entry["beta"]))
         for vid, entry in videos.items()
     }
-    return name, config, models
+    return config, models
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +644,8 @@ def cmd_simulate_persistence(args: argparse.Namespace, settings: dict[str, objec
         raise UsageError(f"could not parse p_grid {settings['p_grid']!r}") from None
     if not grid:
         raise UsageError("p_grid is empty")
+    if bad := [p for p in grid if not 0.0 <= p <= 1.0]:  # nan included
+        raise UsageError(f"p_grid value {bad[0]} lies outside [0, 1]")
     trials = settings["trials"]
     rows = []
     for p in grid:
@@ -706,9 +712,9 @@ def cmd_evaluate(args: argparse.Namespace, settings: dict[str, object], _: None)
 
 
 def cmd_contribute(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
-    name, config, models = parse_file(read_models, Path(args.models))
+    config, models = parse_file(read_models, Path(args.models))
     _corpus_only(args.models, [*models, *(u for m in models.values() for u in m.beta)], dataset)
-    result = model_forecasts(dataset, name, models, config)
+    result = model_forecasts(dataset, models, config)
     _emit_contribution(Path(args.out), contribution_report(dataset, models, result, config))
 
 

@@ -124,7 +124,6 @@ class ObservationWindow:
 class VideoMeta:
     """Static attributes of one video."""
 
-    id: str
     artist_id: str
     genres: frozenset[str]
     upload_date: date
@@ -178,12 +177,6 @@ class RankedList:
                 )
             seen.add(target)
             prev = pos
-
-    def position_of(self, target: str) -> int | None:
-        for t, p in self.entries:
-            if t == target:
-                return p
-        return None
 
 
 @dataclass(frozen=True)
@@ -293,15 +286,13 @@ class Dataset:
     """Validated bundle of metadata, view counts and the dynamic network.
 
     ``corpus`` holds every id with metadata; snapshots may name other ids
-    too, which graph construction drops.  Every corpus video has view counts
-    covering the observation window; ``views`` keeps the days outside it too.
-    ``ids`` holds the corpus sorted, as ``DirectedGraph.ids`` does, and row k
-    of the read-only int64 matrix ``window_views`` holds the window's daily
-    views of ``ids[k]``.
+    too, which graph construction drops.  ``ids`` holds the corpus sorted, as
+    ``DirectedGraph.ids`` does, and row k of the read-only int64 matrix
+    ``window_views`` holds the window's daily views of ``ids[k]``: the only
+    view counts kept.
     """
 
     metadata: Mapping[str, VideoMeta]
-    views: ViewTable
     network: DynamicNetwork
     corpus: frozenset[str]
     ids: np.ndarray
@@ -337,6 +328,7 @@ def csv_rows(source: str | Path | Iterable[str], expected_header: Sequence[str])
         handle = source
         close = False
     reader = csv.reader(handle)
+    line_no = 1  # the first line of the row being read: a quoted cell may span several
     try:
         try:
             header = next(reader)
@@ -347,11 +339,13 @@ def csv_rows(source: str | Path | Iterable[str], expected_header: Sequence[str])
                 f"line 1: expected header {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        line_no = reader.line_num + 1
+        for row in reader:
             if row:
                 yield line_no, row
+            line_no = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+        raise DataFormatError(f"line {line_no}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text: {exc.reason}") from None
     finally:
@@ -880,7 +874,7 @@ def parse_metadata(source: str | Path | IO[str]) -> dict[str, VideoMeta]:
             problem = _id_problem(text, what)
             if problem:
                 raise DataFormatError(f"line {line_no}: {problem}")
-        out[vid] = VideoMeta(vid, artist, genres, upload)
+        out[vid] = VideoMeta(artist, genres, upload)
     if not out:
         raise DataFormatError("metadata file holds no rows")
     return out
@@ -900,7 +894,8 @@ def validate_dataset(
     The corpus is the set of ids with metadata.  Every corpus video must have
     view counts covering the observation window (longer ones are fine, the
     window is cut from them).  Snapshots may name ids without metadata.  Of
-    several failing videos, the first in id order is reported.
+    several failing videos, the first in id order is reported.  The dataset
+    keeps only the window's views of the corpus, not ``views``.
     """
     corpus = frozenset(metadata)
     window = network.window
@@ -931,7 +926,7 @@ def validate_dataset(
     first_day = views.bounds[row] + window.start.toordinal() - start
     window_views = views.values[first_day[:, None] + np.arange(window.n_days)]
     ids.flags.writeable = window_views.flags.writeable = False
-    return Dataset(dict(metadata), views, network, corpus, ids, window_views)
+    return Dataset(dict(metadata), network, corpus, ids, window_views)
 
 
 def load_dataset(data_dir: str | Path) -> Dataset:

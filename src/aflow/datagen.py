@@ -108,10 +108,6 @@ class GroundTruth:
     beta: Mapping[tuple[str, str], float]
     presence_prob: float
 
-    @property
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.beta))
-
 
 def _video_id(i: int) -> str:
     return f"v{i:05d}"
@@ -161,7 +157,6 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     upload_offsets = rng.integers(30, 3000, size=n)
     metadata = {
         ids[i]: VideoMeta(
-            ids[i],
             artists[i],
             frozenset(GENRE_POOL[g] for g in genre_picks[i]),
             START_DATE - timedelta(days=int(upload_offsets[i])),
@@ -296,20 +291,22 @@ def generate_paired_lists(
     return DynamicNetwork(ObservationWindow(START_DATE, n_days), table)
 
 
-def export_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write the canonical ``DATASET_FILES``; returns their paths keyed by file name."""
-    rows = np.bincount(dataset.network.table.day, minlength=dataset.window.n_days)
+def export_dataset(dataset: Dataset, out_dir: str | Path) -> None:
+    """Write the canonical ``DATASET_FILES``; views.csv holds each corpus video's window."""
+    window = dataset.window
+    rows = np.bincount(dataset.network.table.day, minlength=window.n_days)
     if not rows.all():  # a reader takes the window from the snapshot days
-        day = dataset.window.start + timedelta(days=int(np.argmin(rows)))
+        day = window.start + timedelta(days=int(np.argmin(rows)))
         raise DataFormatError(f"window day {day} has no snapshot row, so the files would not load back")
+    n = dataset.ids.size
+    views = ViewTable(dataset.ids, np.full(n, window.start.toordinal(), dtype=np.int64),
+                      np.arange(n + 1, dtype=np.int64) * window.n_days, dataset.window_views.ravel())
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {name: out / name for name in DATASET_FILES}
-    snapshots, views, metadata = paths.values()
+    snapshots, views_csv, metadata = (out / name for name in DATASET_FILES)
     snapshots.write_text(serialize_snapshots(dataset.network), encoding="utf-8")
-    views.write_text(serialize_views(dataset.views), encoding="utf-8")
+    views_csv.write_text(serialize_views(views), encoding="utf-8")
     metadata.write_text(serialize_metadata(dataset.metadata), encoding="utf-8")
-    return paths
 
 
 def ground_truth_to_json(truth: GroundTruth) -> dict:

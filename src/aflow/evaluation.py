@@ -50,7 +50,6 @@ def smape(
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    model_name: str
     per_video: Mapping[str, float]
     per_horizon: tuple[float, ...]
     overall: float
@@ -61,7 +60,7 @@ def evaluate_forecasts(result: ForecastResult) -> EvalReport:
     pv = smape(result.y_true, result.y_pred, mode="per_video")
     ph = smape(result.y_true, result.y_pred, mode="per_horizon")
     per_video = {vid: float(s) for vid, s in zip(result.video_ids, pv)}
-    return EvalReport(result.model_name, per_video, tuple(float(s) for s in ph), float(pv.mean()))
+    return EvalReport(per_video, tuple(float(s) for s in ph), float(pv.mean()))
 
 
 def _inflows(model: ArnetModel, neighbor_values: Mapping[str, Sequence[float] | np.ndarray],

@@ -577,7 +577,6 @@ def forecast(
 class ForecastResult:
     """Aligned truth/prediction matrices for one model over the test horizon."""
 
-    model_name: str
     video_ids: tuple[str, ...]
     dates: tuple[date, ...]
     y_true: np.ndarray
@@ -677,12 +676,11 @@ def run_model(
     else:
         preds = [predict_naive(y, config.horizon) if model_name == "naive"
                  else predict_seasonal_naive(y, config.horizon, config.m_star) for y in train]
-        return None, ForecastResult(model_name, tuple(targets), horizon_dates(dataset, config), y_true,
-                                    np.vstack(preds))
-    return models, model_forecasts(dataset, model_name, models, config)
+        return None, ForecastResult(tuple(targets), horizon_dates(dataset, config), y_true, np.vstack(preds))
+    return models, model_forecasts(dataset, models, config)
 
 
-def model_forecasts(dataset: Dataset, model_name: str, models: Mapping[str, ArnetModel],
+def model_forecasts(dataset: Dataset, models: Mapping[str, ArnetModel],
                     config: ForecastConfig) -> ForecastResult:
     """Each fitted model's forecast over the test horizon, one row per video in id order."""
     video_ids = sorted(models)
@@ -690,7 +688,7 @@ def model_forecasts(dataset: Dataset, model_name: str, models: Mapping[str, Arne
     neighbor_values = resolve_neighbor_values(dataset, models, config)
     y_pred = np.vstack([forecast(models[v], y, neighbor_values[v], config)
                         for v, y in zip(video_ids, train)])
-    return ForecastResult(model_name, tuple(video_ids), horizon_dates(dataset, config), y_true, y_pred)
+    return ForecastResult(tuple(video_ids), horizon_dates(dataset, config), y_true, y_pred)
 
 
 # The fit a worker process runs on its chunk of targets; set in each worker at start-up.

@@ -164,7 +164,6 @@ def extract_persistent_network(network: DynamicNetwork, dataset: Dataset) -> Per
 
 @dataclass(frozen=True)
 class HomophilyStats:
-    n_edges: int
     same_artist_fraction: float
     shared_genre_fraction: float
 
@@ -190,7 +189,7 @@ def homophily_stats(
         if src.genres & tgt.genres:
             shared_genre += 1
     n = len(network.edges)
-    return HomophilyStats(n, same_artist / n, shared_genre / n)
+    return HomophilyStats(same_artist / n, shared_genre / n)
 
 
 def simulate_persistence_probability(

@@ -35,15 +35,6 @@ _FRACTION_EPS = float(np.finfo(float).eps)
 _FRACTION_STEPS = 10_000
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualSeries:
-    """Z-normalized residuals with flags describing what was removed."""
-
-    values: np.ndarray
-    was_seasonal: bool
-    additive_fallback: bool = False
-
-
 def residual_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z-normalized residuals of each row of ``y``, with its seasonal and additive flags.
 
@@ -92,20 +83,6 @@ def residual_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         z = (resid - resid.mean(axis=1, keepdims=True)) / sd[:, None]
     z[flat] = 0.0
     return z, seasonal, additive[:, 0]
-
-
-def preprocess(values: Sequence[float] | np.ndarray) -> ResidualSeries:
-    """Deseasonalize (when seasonal), detrend, and z-normalize a series: one row of :func:`residual_rows`."""
-    y = np.asarray(values, dtype=float)
-    if y.ndim != 1:
-        raise DataFormatError("seasonality test expects a 1-D series")
-    z, seasonal, additive = residual_rows(y[None, :])
-    return ResidualSeries(z[0], bool(seasonal[0]), bool(additive[0]))
-
-
-def seasonality_test(values: Sequence[float] | np.ndarray) -> bool:
-    """The 90% autocorrelation test for seasonality at lag ``PERIOD`` that :func:`residual_rows` runs."""
-    return preprocess(values).was_seasonal
 
 
 def pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,13 +169,10 @@ def _beta_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     raise NumericalError(f"Student-t tail: continued fraction open after {_FRACTION_STEPS} steps")
 
 
-def pearson_test(
-    x: ResidualSeries | Sequence[float] | np.ndarray,
-    y: ResidualSeries | Sequence[float] | np.ndarray,
-) -> tuple[float, float]:
+def pearson_test(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """Pearson correlation with a two-sided p-value: one row of :func:`pearson_rows`."""
-    xa = np.asarray(getattr(x, "values", x), dtype=float)
-    ya = np.asarray(getattr(y, "values", y), dtype=float)
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
     if xa.ndim != 1 or xa.shape != ya.shape:
         raise DataFormatError("correlation inputs must be equal-length 1-D series")
     if xa.size < 3:
@@ -217,7 +191,6 @@ class LinkCorrelation:
     target: str
     r: float
     p: float
-    significant: bool
 
 
 @dataclass(frozen=True)
@@ -265,10 +238,8 @@ def correlated_link_fractions(
             block = slice(at, at + BLOCK_ROWS)
             r[block] = _pearson_r(resid[src[block]], resid[tgt[block]])
         p = pearson_p(r, views.shape[1] - 2)
-        sig = p < alpha
-        n_sig = int(sig.sum())
-        tested = tuple(LinkCorrelation(*link, *row)
-                       for link, *row in zip(links, r.tolist(), p.tolist(), sig.tolist()))
+        n_sig = int((p < alpha).sum())
+        tested = tuple(LinkCorrelation(*link, *row) for link, *row in zip(links, r.tolist(), p.tolist()))
         out[name] = GroupCorrelation(name, len(links), n_sig, n_sig / len(links), tested)
     return out
 

@@ -98,7 +98,6 @@ def build_dataset(
     genres = genres or {}
     metadata = {
         vid: VideoMeta(
-            id=vid,
             artist_id=artists.get(vid, "a0000"),
             genres=frozenset(genres.get(vid, frozenset())),
             upload_date=start,

@@ -28,7 +28,6 @@ from aflow.data_model import VIEWS_HEADER, DataFormatError
 from aflow.forecast import (SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
                             _arnet_design, _solve_block)
 from aflow.graph_analysis import ChurnStats, build_graph
-from aflow.stats import ResidualSeries
 
 
 def reachability(node_ids: list[str], edges) -> np.ndarray:
@@ -210,11 +209,12 @@ def _seasonal_indices(y: np.ndarray, period: int) -> tuple[np.ndarray, bool]:
     return indices, additive
 
 
-def preprocess(values: Sequence[float] | np.ndarray, period: int = 7) -> ResidualSeries:
+def preprocess(values: Sequence[float] | np.ndarray, period: int = 7) -> tuple[np.ndarray, bool, bool]:
     """Deseasonalize (when seasonal), detrend, and z-normalize a series.
 
     Returns all-zero residuals for series that are constant after the linear
-    fit rather than dividing by a vanishing standard deviation.
+    fit rather than dividing by a vanishing standard deviation, as
+    (residuals, was_seasonal, additive).
     """
     y = np.asarray(values, dtype=float)
     was_seasonal = seasonality_test(y, period)
@@ -236,7 +236,7 @@ def preprocess(values: Sequence[float] | np.ndarray, period: int = 7) -> Residua
         z = np.zeros(n)
     else:
         z = (resid - resid.mean()) / sd
-    return ResidualSeries(z, was_seasonal, additive)
+    return z, was_seasonal, additive
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def alignment_counts(snapshots, from_kind, max_from, ranges):
                 if pos > max_from:
                     continue
                 den[pos - 1] += 1
-                other = to_list.position_of(tgt)
+                other = dict(to_list.entries).get(tgt)
                 for b, (lo, hi) in enumerate(ranges):
                     if other is not None and lo <= other <= hi:
                         num[pos - 1, b] += 1

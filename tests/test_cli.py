@@ -915,8 +915,45 @@ def one_data_error(captured) -> str:
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_generate_rejects_a_non_finite_noise_scale(tmp_path, capsys, value):
     code, captured = run(["generate", "--out", str(tmp_path / "g"), "--noise-scale", value], capsys)
+    assert code == 1
+    assert usage_record(captured)["message"] == "noise_scale must hold only finite values"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--edge-density", "1.5"], "edge density outside [0, 1]"),
+    (["generate", "--presence-prob", "-0.1"], "presence probability outside [0, 1]"),
+    (["generate", "--noise-scale", "-1"], "amplitude and noise scale must be non-negative"),
+    (["simulate-persistence", "--p-grid", "0.5,1.5"], "p_grid value 1.5 lies outside [0, 1]"),
+    (["pipeline", "--train-days", "3", "--p", "7"], "training window shorter than the lag order allows"),
+    (["fit", "--train-days", "3", "--p", "7"], "training window shorter than the lag order allows"),
+])
+def test_a_setting_the_library_rejects_is_usage_error(tmp_path, capsys, argv, message):
+    # --data and --persistent name no file, so a usage error shows the setting is checked before any read
+    out = tmp_path / "out"
+    paths = cli.COMMANDS[argv[0]].paths
+    argv = [*argv, "--out", str(out)]
+    if "data" in paths:
+        argv += ["--data", str(tmp_path / "data")]
+    if "persistent" in paths:
+        argv += ["--persistent", str(tmp_path / "persistent_edges.csv")]
+    code, captured = run(argv, capsys)
+    assert code == 1
+    assert usage_record(captured)["message"] == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("v,2018-13-01,1.0,2.0", "bad date '2018-13-01'"),
+    ('"c\n' + "x" * csv.field_size_limit() + '",2018-09-01,1.0,2.0',
+     f"field larger than field limit ({csv.field_size_limit()})"),
+])
+def test_a_row_after_a_multiline_cell_is_reported_at_its_first_line(tmp_path, capsys, row, problem):
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_text(f'video_id,date,y_true,y_pred\n"a\nb",2018-09-01,1.0,2.0\n{row}\n', encoding="utf-8")
+    code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)],
+                         capsys)
     assert code == 2
-    assert one_data_error(captured) == "noise_scale must hold only finite values"
+    assert one_data_error(captured) == f"{forecasts}: line 4: {problem}"
 
 
 @pytest.mark.parametrize("flags, day", [(["--presence-prob", "0"], "2018-09-01"),

@@ -1,14 +1,16 @@
 import csv
+import gc
 import io
 import json
 import re
+import weakref
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aflow import cli, datagen
+from aflow import cli, data_model, datagen
 from aflow.data_model import (
     METADATA_HEADER,
     VIEWS_HEADER,
@@ -284,9 +286,6 @@ def test_ranked_list_invariants():
         RankedList("a", (("a", 1),), "recommended")
     with pytest.raises(DataFormatError, match="unknown list kind"):
         RankedList("a", (("b", 1),), "other")
-    rl = RankedList("a", (("b", 1), ("c", 4)), "relevant")
-    assert rl.position_of("c") == 4
-    assert rl.position_of("z") is None
 
 
 def test_window_index_and_contains():
@@ -322,7 +321,7 @@ def test_validate_flags_external_ids(capsys):
 
 def test_validate_rejects_missing_or_short_series():
     net = _helpers.build_network([{}, {}])
-    meta = {"v": _helpers.VideoMeta("v", "a0", frozenset(), date(2018, 9, 1))}
+    meta = {"v": _helpers.VideoMeta("a0", frozenset(), date(2018, 9, 1))}
     with pytest.raises(DataFormatError, match="corpus video v has no view series"):
         validate_dataset(meta, _helpers.view_table({}), net)  # an empty table
     with pytest.raises(DataFormatError, match="corpus video v has no view series"):
@@ -337,7 +336,7 @@ def test_validate_rejects_missing_or_short_series():
 
 def test_validate_rejects_negative_counts_in_a_built_table():
     net = _helpers.build_network([{}])
-    meta = {"v": _helpers.VideoMeta("v", "a0", frozenset(), date(2018, 9, 1))}
+    meta = {"v": _helpers.VideoMeta("a0", frozenset(), date(2018, 9, 1))}
     views = _helpers.view_table({"u": (date(2018, 9, 1), [1]), "v": (date(2018, 9, 1), [2, -1])})
     with pytest.raises(DataFormatError, match="^view series for v contains negative counts$"):
         validate_dataset(meta, views, net)
@@ -345,7 +344,7 @@ def test_validate_rejects_negative_counts_in_a_built_table():
 
 def test_validate_rejects_upload_after_first_observation():
     net = _helpers.build_network([{}])
-    meta = {"v": _helpers.VideoMeta("v", "a0", frozenset(), date(2018, 9, 5))}
+    meta = {"v": _helpers.VideoMeta("a0", frozenset(), date(2018, 9, 5))}
     views = _helpers.view_table({"v": (date(2018, 9, 1), [1, 2, 3, 4, 5])})
     with pytest.raises(DataFormatError, match="uploaded 2018-09-05"):
         validate_dataset(meta, views, net)
@@ -353,13 +352,12 @@ def test_validate_rejects_upload_after_first_observation():
 
 def test_longer_series_is_sliced_on_access():
     net = _helpers.build_network([{}, {}])
-    meta = {"v": _helpers.VideoMeta("v", "a0", frozenset(), date(2018, 8, 1))}
+    meta = {"v": _helpers.VideoMeta("a0", frozenset(), date(2018, 8, 1))}
     views = _helpers.view_table({"u": (date(2018, 9, 1), [5, 6]), "v": (date(2018, 8, 30), [9, 9, 3, 4, 9])})
     ds = validate_dataset(meta, views, net)
     (k,) = ds.codes(["v"])
     assert np.array_equal(ds.window_views[k], [3, 4])
     assert np.array_equal(ds.window_views[:, ds.window.index(date(2018, 9, 2))], [4])
-    assert ds.views is views  # the parsed table keeps the days outside the window
 
 
 def test_dataset_ids_are_the_graph_code_space():
@@ -370,8 +368,6 @@ def test_dataset_ids_are_the_graph_code_space():
     assert np.array_equal(dataset.ids, presence.ids)
     assert dataset.ids.tolist() == list(graph.ids)
     assert dataset.window_views.shape == (12, 21)
-    assert dataset.views.ids.tolist() == dataset.ids.tolist()
-    assert np.array_equal(dataset.window_views.ravel(), dataset.views.values)
     assert dataset.codes(["v00003", "v00000", "v00003"]).tolist() == [3, 0, 3]
     assert dataset.codes([]).tolist() == []
 
@@ -416,9 +412,40 @@ def test_round_trip_through_files(tmp_path):
     datagen.export_dataset(dataset, tmp_path)
     reloaded = load_dataset(tmp_path)
     assert serialize_snapshots(reloaded.network) == serialize_snapshots(dataset.network)
-    assert serialize_views(reloaded.views) == serialize_views(dataset.views)
+    assert np.array_equal(reloaded.window_views, dataset.window_views)
     assert serialize_metadata(reloaded.metadata) == serialize_metadata(dataset.metadata)
     assert reloaded.corpus == dataset.corpus
+
+
+def test_a_load_keeps_no_view_table_and_the_export_writes_the_window(tmp_path, monkeypatch):
+    # The views run from before the window to after it, and z has no metadata.
+    data, again = tmp_path / "data", tmp_path / "again"
+    data.mkdir()
+    window = [date(2018, 9, 1) + timedelta(days=i) for i in range(3)]
+    snapshots = snap_csv([(day, "a", "b", 1, "relevant") for day in window]).getvalue()
+    (data / "snapshots.csv").write_text(snapshots, encoding="utf-8")
+    series = {"a": (date(2018, 8, 30), [1, 2, 3, 4, 5, 6, 7]), "b": (date(2018, 8, 31), [8, 9, 10, 11, 12]),
+              "z": (date(2018, 9, 1), [13, 14])}
+    (data / "views.csv").write_text(serialize_views(_helpers.view_table(series)), encoding="utf-8")
+    (data / "metadata.csv").write_text(
+        "video_id,artist_id,upload_date,genres\na,x,2018-01-01,\nb,x,2018-01-01,pop\n", encoding="utf-8")
+    tables = []
+
+    def parse_views_kept(source):
+        table = parse_views(source)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(data_model, "parse_views", parse_views_kept)
+    dataset = load_dataset(data)
+    gc.collect()
+    assert len(tables) == 1 and tables[0]() is None
+    assert dataset.window_views.tolist() == [[3, 4, 5], [9, 10, 11]]
+    datagen.export_dataset(dataset, again)
+    assert np.array_equal(load_dataset(again).window_views, dataset.window_views)
+    assert (again / "views.csv").read_text(encoding="utf-8") == (
+        "video_id,date,views\na,2018-09-01,3\na,2018-09-02,4\na,2018-09-03,5\n"
+        "b,2018-09-01,9\nb,2018-09-02,10\nb,2018-09-03,11\n")
 
 
 def test_load_dataset_missing_file(tmp_path):

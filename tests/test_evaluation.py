@@ -60,7 +60,6 @@ def test_smape_modes_on_matrix():
 
 def test_evaluate_forecasts_overall_is_mean_of_videos():
     result = ForecastResult(
-        model_name="naive",
         video_ids=("a", "b"),
         dates=(),
         y_true=np.array([[100.0, 100.0], [50.0, 50.0]]),
@@ -70,7 +69,6 @@ def test_evaluate_forecasts_overall_is_mean_of_videos():
     assert report.per_video == {"a": 100.0, "b": 0.0}
     assert report.overall == 50.0
     assert report.per_horizon == (0.0, 100.0)
-    assert report.model_name == "naive"
 
 
 def test_network_contribution_bounds_and_endpoints():
@@ -102,7 +100,7 @@ def make_contribution_setup():
     }
     y_true = np.array([[120.0] * 7, [80.0] * 7])
     y_pred = np.array([[100.0] * 7, [80.0] * 7])
-    result = ForecastResult("arnet", ("b1", "c1"), (), y_true, y_pred)
+    result = ForecastResult(("b1", "c1"), (), y_true, y_pred)
     return ds, models, result, cfg
 
 
@@ -149,9 +147,7 @@ def test_contribution_report_scale_invariance_of_percentiles():
     }
     artists = {"a1": "artA", "b1": "artB", "c1": "artC"}
     ds3 = _helpers.build_dataset(views=scaled_views, artists=artists)
-    result3 = ForecastResult(
-        "arnet", ("b1", "c1"), (), result.y_true * 3.0, result.y_pred * 3.0
-    )
+    result3 = ForecastResult(("b1", "c1"), (), result.y_true * 3.0, result.y_pred * 3.0)
     scaled = contribution_report(ds3, models, result3, cfg)
     for row, row3 in zip(base.artist_rows, scaled.artist_rows):
         assert row.artist_id == row3.artist_id
@@ -166,9 +162,7 @@ def test_contribution_report_same_artist_flow():
     artists = {"a1": "artA", "a2": "artA"}
     ds = _helpers.build_dataset(views=views, artists=artists)
     models = {"a2": ArnetModel("a2", np.zeros(7), {"a1": 0.4})}
-    result = ForecastResult(
-        "arnet", ("a2",), (), np.array([[100.0] * 7]), np.array([[80.0] * 7])
-    )
+    result = ForecastResult(("a2",), (), np.array([[100.0] * 7]), np.array([[80.0] * 7]))
     report = contribution_report(ds, models, result, ForecastConfig())
     assert report.same_artist_share == 1.0
 
@@ -183,7 +177,6 @@ def test_contribution_report_zero_beta_means_no_shift():
         "y": ArnetModel("y", np.zeros(7), {}),
     }
     result = ForecastResult(
-        "arnet",
         ("x", "y"),
         (),
         np.array([[150.0] * 7, [90.0] * 7]),
@@ -197,7 +190,7 @@ def test_contribution_report_zero_beta_means_no_shift():
 
 def test_contribution_report_needs_some_eta():
     ds, models, result, cfg = make_contribution_setup()
-    zeroed = ForecastResult("arnet", ("b1", "c1"), (), result.y_true, np.zeros((2, 7)))
+    zeroed = ForecastResult(("b1", "c1"), (), result.y_true, np.zeros((2, 7)))
     with pytest.raises(DataFormatError, match="no video produced"):
         contribution_report(ds, models, zeroed, cfg)
 

@@ -405,7 +405,6 @@ def test_run_model_covers_all_four_families():
     assert persistent.targets == frozenset({"v"})
     for name in ("naive", "snaive", "ar", "arnet"):
         models, result = run_model(ds, persistent, name)
-        assert result.model_name == name
         assert result.video_ids == ("v",)
         assert result.y_true.shape == (1, 7)
         assert result.y_pred.shape == (1, 7)

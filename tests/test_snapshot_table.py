@@ -1,6 +1,7 @@
 """The snapshot table against per-day oracles, and its CSV round trip."""
 
 import csv
+import dataclasses
 import io
 import json
 from datetime import timedelta
@@ -16,7 +17,6 @@ from aflow.data_model import (
     RankedList,
     parse_snapshots,
     serialize_snapshots,
-    validate_dataset,
 )
 from aflow.graph_analysis import daily_link_presence, indegree_change_ratios, link_frequency_histogram
 from aflow.list_alignment import BINS, display_probability_matrix, origin_probability_matrix
@@ -75,7 +75,7 @@ def augmented_dataset(seed):
             recommended[src] = RankedList(src, _entries(rng, list(rng.permutation(shown))), "recommended")
         snapshots.append(DailySnapshot(snap.date, relevant, recommended))
     network = _helpers.network_from_snapshots(base.window, snapshots)
-    return validate_dataset(base.metadata, base.views, network), snapshots
+    return dataclasses.replace(base, network=network), snapshots
 
 
 def outcome(fn, *args, **kwargs):

@@ -11,10 +11,8 @@ from aflow.stats import (
     pearson_p,
     pearson_rows,
     pearson_test,
-    preprocess,
     residual_rows,
     sample_random_pairs,
-    seasonality_test,
     spearman,
 )
 
@@ -24,62 +22,66 @@ import _oracles
 WEEK = np.array([1.2, 0.8, 1.1, 0.9, 1.3, 0.7, 1.0])
 
 
+def one_row(y):
+    """residual_rows of the one series ``y``: (residuals, seasonal, additive)."""
+    z, seasonal, additive = residual_rows(np.asarray(y, dtype=float)[None, :])
+    return z[0], bool(seasonal[0]), bool(additive[0])
+
+
 def test_seasonality_detects_weekly_sawtooth():
     y = np.arange(63) % 7 + 1.0
-    assert seasonality_test(y)
+    assert one_row(y)[1]
 
 
 def test_seasonality_rejects_constant_and_short():
-    assert not seasonality_test(np.full(63, 42.0))
+    assert not one_row(np.full(63, 42.0))[1]
     with pytest.raises(DataFormatError, match="too short"):
-        seasonality_test(np.ones(20))
-    with pytest.raises(DataFormatError, match="1-D"):
-        seasonality_test(np.ones((9, 7)))
+        one_row(np.ones(20))
 
 
 def test_seasonality_false_positive_rate_on_iid_noise():
     hits = 0
     for seed in range(100):
         y = np.random.default_rng(seed).normal(100.0, 10.0, size=63)
-        hits += seasonality_test(y)
+        hits += one_row(y)[1]
     assert hits <= 20
 
 
 def test_preprocess_pure_weekly_pattern_leaves_zero_residuals():
     y = 10.0 * np.tile(WEEK, 9)
-    out = preprocess(y)
-    assert out.was_seasonal
-    assert not out.additive_fallback
-    np.testing.assert_array_equal(out.values, np.zeros(63))
+    z, seasonal, additive = one_row(y)
+    assert seasonal
+    assert not additive
+    np.testing.assert_array_equal(z, np.zeros(63))
 
 
 def test_preprocess_linear_ramp_leaves_zero_residuals():
     # a strong trend trips the lag-7 autocorrelation test, but the
     # trend/seasonal decomposition still absorbs a ramp exactly
-    out = preprocess(np.arange(63, dtype=float) * 3.0 + 5.0)
-    np.testing.assert_allclose(out.values, np.zeros(63), atol=1e-10)
+    z, _, _ = one_row(np.arange(63, dtype=float) * 3.0 + 5.0)
+    np.testing.assert_allclose(z, np.zeros(63), atol=1e-10)
 
 
 def test_preprocess_constant_series():
-    out = preprocess(np.full(63, 7.0))
-    assert not out.was_seasonal
-    np.testing.assert_array_equal(out.values, np.zeros(63))
+    z, seasonal, _ = one_row(np.full(63, 7.0))
+    assert not seasonal
+    np.testing.assert_array_equal(z, np.zeros(63))
 
 
 def test_preprocess_zero_touching_series_uses_additive_indices():
     y = np.tile(np.array([0.0, 5.0, 10.0, 15.0, 10.0, 5.0, 0.0]), 9)
-    out = preprocess(y)
-    assert out.was_seasonal
-    assert out.additive_fallback
-    np.testing.assert_allclose(out.values, np.zeros(63), atol=1e-10)
+    z, seasonal, additive = one_row(y)
+    assert seasonal
+    assert additive
+    np.testing.assert_allclose(z, np.zeros(63), atol=1e-10)
 
 
 def test_preprocess_output_is_z_normalized():
     rng = np.random.default_rng(5)
     y = 200.0 * np.tile(WEEK, 9) + rng.normal(0.0, 20.0, size=63)
-    out = preprocess(y)
-    assert abs(out.values.mean()) < 1e-10
-    assert abs(out.values.std() - 1.0) < 1e-10
+    z, _, _ = one_row(y)
+    assert abs(z.mean()) < 1e-10
+    assert abs(z.std() - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("n", [21, 22, 63, 64])
@@ -98,9 +100,9 @@ def test_residual_rows_match_the_per_series_oracle(n):
     }
     z, seasonal, additive = residual_rows(np.array(list(series.values())))
     for k, (name, y) in enumerate(series.items()):
-        expected = _oracles.preprocess(y)
-        assert (seasonal[k], additive[k]) == (expected.was_seasonal, expected.additive_fallback), name
-        np.testing.assert_allclose(z[k], expected.values, rtol=0, atol=1e-9, err_msg=name)
+        expected, was_seasonal, additive_fallback = _oracles.preprocess(y)
+        assert (seasonal[k], additive[k]) == (was_seasonal, additive_fallback), name
+        np.testing.assert_allclose(z[k], expected, rtol=0, atol=1e-9, err_msg=name)
     # the decomposition runs, multiplicative and additive, at every length
     assert seasonal[1] and not additive[1]
     assert seasonal[-1] and additive[-1]
@@ -254,7 +256,6 @@ def test_correlated_link_fractions_degenerate_pair_not_significant():
     out = correlated_link_fractions({"g": [("a", "b")]}, ds)
     link = out["g"].links[0]
     assert np.isnan(link.r) and np.isnan(link.p)
-    assert not link.significant
     assert out["g"].fraction == 0.0
 
 
@@ -265,7 +266,7 @@ def test_correlated_link_fractions_short_window_gives_nan_rows():
     ds = _helpers.build_dataset(views=views)
     out = correlated_link_fractions({"g": [("a", "b"), ("c", "a")]}, ds)
     assert [(link.source, link.target) for link in out["g"].links] == [("a", "b"), ("c", "a")]
-    assert all(np.isnan(link.r) and np.isnan(link.p) and not link.significant for link in out["g"].links)
+    assert all(np.isnan(link.r) and np.isnan(link.p) for link in out["g"].links)
     assert (out["g"].n_significant, out["g"].fraction) == (0, 0.0)
     with pytest.raises(DataFormatError, match="zz is not a corpus video"):
         correlated_link_fractions({"g": [("a", "zz")]}, ds)
@@ -293,7 +294,7 @@ def test_correlated_link_fractions_rows_do_not_depend_on_the_batch(monkeypatch):
         monkeypatch.setattr(stats, "BLOCK_ROWS", block)
         assert link({"g": others[:block - 1] + [pair] + others[:5]}, "g") == alone
         assert link({"g": others[:block] + [pair]}, "g") == alone
-    x, y = (preprocess(ds.window_views[k]) for k in ds.codes(pair))
+    x, y = residual_rows(ds.window_views[ds.codes(pair)].astype(float))[0]
     assert pearson_test(x, y) == alone
 
 

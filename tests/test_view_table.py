@@ -55,7 +55,7 @@ def view_cases(draw):
         start = START + timedelta(days=draw(st.integers(-3, 1)))
         if role != "not in corpus":
             upload = start + timedelta(days=draw(st.integers(-2, 1)))
-            metadata[vid] = VideoMeta(vid, "a0", frozenset(), upload)
+            metadata[vid] = VideoMeta("a0", frozenset(), upload)
         if role != "missing":
             views[vid] = (start, draw(st.lists(COUNT, min_size=1, max_size=n_days + 5)))
     if views and draw(st.integers(0, 9)) == 0:
@@ -71,7 +71,7 @@ def test_validate_matches_the_per_video_checks(case):
 
 def test_several_bad_videos_are_reported_in_id_order():
     def meta(vid, upload=START - timedelta(days=9)):
-        return VideoMeta(vid, "a0", frozenset(), upload)
+        return VideoMeta("a0", frozenset(), upload)
 
     metadata = {vid: meta(vid) for vid in "abcde"}
     metadata["d"] = meta("d", START + timedelta(days=1))

@@ -52,6 +52,8 @@ from .data_model import (
     Dataset,
     DynamicNetwork,
     NumericalError,
+    _bad_ids,
+    _id_problem,
     cell,
     csv_rows,
     date_or_none,
@@ -316,7 +318,7 @@ _FLAGS = {"0": False, "1": True}
 def read_persistent_edges(path: Path) -> PersistentNetwork:
     if not path.is_file():
         raise DataFormatError("persistent edges artifact not found; run the persistent step first")
-    edges, first_line = [], {}
+    edges, first_line, id_line = [], {}, {}
     for line, row in csv_rows(path, PERSISTENT_HEADER):
         where = f"line {line}"
         if len(row) != 4:
@@ -329,6 +331,11 @@ def read_persistent_edges(path: Path) -> PersistentNetwork:
         if first != line:
             raise DataFormatError(f"{where}: repeated edge {row[0]} -> {row[1]} (first at line {first})")
         edges.append(PersistentEdge(row[0], row[1], reciprocal, count))
+        id_line.setdefault(row[0], line)
+        id_line.setdefault(row[1], line)
+    ids = list(id_line)  # checked once each, after the rows: the first bad id in file order is reported
+    if bad := _bad_ids(ids):
+        raise DataFormatError(f"line {id_line[ids[bad[0]]]}: {_id_problem(ids[bad[0]])}")
     return PersistentNetwork(tuple(sorted(edges, key=lambda e: (e.source, e.target))))
 
 
@@ -336,6 +343,7 @@ def read_forecasts(path: Path) -> ForecastResult:
     if not path.is_file():
         raise DataFormatError("forecasts artifact not found")
     per_video: dict[str, dict[date, tuple[float, float]]] = {}
+    id_line: dict[str, int] = {}
     for line, row in csv_rows(path, FORECASTS_HEADER):
         where = f"line {line}"
         if len(row) != 4:
@@ -346,6 +354,10 @@ def read_forecasts(path: Path) -> ForecastResult:
         if day in per_day:
             raise DataFormatError(f"{where}: repeated row for {row[0]} on {day}")
         per_day[day] = values
+        id_line.setdefault(row[0], line)
+    ids = list(id_line)  # as in read_persistent_edges
+    if bad := _bad_ids(ids):
+        raise DataFormatError(f"line {id_line[ids[bad[0]]]}: {_id_problem(ids[bad[0]])}")
     if not per_video:
         raise DataFormatError("no forecast rows")
     video_ids = tuple(sorted(per_video))

@@ -7,9 +7,12 @@ LF or CRLF line endings, and optional ``"`` quoting.  Three file kinds exist:
 * views:      ``video_id,date,views``
 * metadata:   ``video_id,artist_id,upload_date,genres`` (genres joined by ``|``)
 
-Dates are exactly ``YYYY-MM-DD``; positions and view counts are ASCII digits.
-Parsing is strict: malformed rows raise :class:`DataFormatError` with the
-offending line number, there is no silent repair and no imputation.
+Every reader takes a file path.  Dates are exactly ``YYYY-MM-DD``; positions
+and view counts are ASCII digits.  Video ids, artist ids and genre names are
+non-empty and hold no NUL, CR or LF; the same id rule covers the video ids of
+the ``persistent_edges.csv`` and ``forecasts.csv`` artifacts.  Parsing is
+strict: malformed rows raise :class:`DataFormatError` with the offending line
+number, there is no silent repair and no imputation.
 
 Snapshots and views files, LF or CRLF, are first split as bytes with numpy.  A
 file the split cannot prove clean (quoting, a CR outside a CRLF line end, NUL or
@@ -315,42 +318,33 @@ class Dataset:
 # parsing
 
 
-def csv_rows(source: str | Path | Iterable[str], expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_no, row) pairs of the non-blank rows after checking the header row.
+def csv_rows(path: str | Path, expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, row) pairs of the file's non-blank rows after checking its header row.
 
     The row reader of every CSV that aflow reads, inputs and artifacts alike;
     its errors name no file, :func:`parse_file` adds the path.
     """
-    if isinstance(source, (str, Path)):
-        handle: IO[str] = open(source, "r", newline="", encoding="utf-8")
-        close = True
-    else:
-        handle = source
-        close = False
-    reader = csv.reader(handle)
-    line_no = 1  # the first line of the row being read: a quoted cell may span several
-    try:
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        line_no = 1  # the first line of the row being read: a quoted cell may span several
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file, expected a header row") from None
-        if tuple(header) != tuple(expected_header):
-            raise DataFormatError(
-                f"line 1: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        line_no = reader.line_num + 1
-        for row in reader:
-            if row:
-                yield line_no, row
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError("empty file, expected a header row")
+            if tuple(header) != tuple(expected_header):
+                raise DataFormatError(
+                    f"line 1: expected header {','.join(expected_header)!r}, "
+                    f"got {','.join(header)!r}"
+                )
             line_no = reader.line_num + 1
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise DataFormatError(f"line {line_no}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"not UTF-8 text: {exc.reason}") from None
-    finally:
-        if close:
-            handle.close()
+            for row in reader:
+                if row:
+                    yield line_no, row
+                line_no = reader.line_num + 1
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise DataFormatError(f"line {line_no}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text: {exc.reason}") from None
 
 
 _MAX_POSITION = np.iinfo(np.int32).max
@@ -436,35 +430,35 @@ def _first_repeat(line: np.ndarray, *key: np.ndarray) -> tuple[int, int] | None:
     return int(line[rows[first]]), int(line[rows[run_start[first]]])
 
 
-def parse_snapshots(source: str | Path | IO[str] | IO[bytes]) -> DynamicNetwork:
-    """Parse a snapshots CSV into a :class:`DynamicNetwork`.
+def parse_snapshots(path: str | Path) -> DynamicNetwork:
+    """Parse the snapshots CSV at ``path`` into a :class:`DynamicNetwork`.
 
     Raises :class:`DataFormatError` (with line numbers) on malformed rows,
     positions below 1, self-links, duplicate positions or duplicate targets
     inside one list, or observation days that are not consecutive.  The
     first failing line is reported, as a row-by-row reader would.
     """
-    return _split_or_read(source, _split_snapshots, _read_snapshot_rows)
+    return _split_or_read(path, _split_snapshots, _read_snapshot_rows)
 
 
-def parse_views(source: str | Path | IO[str] | IO[bytes]) -> ViewTable:
-    """Parse a views CSV into a :class:`ViewTable`.
+def parse_views(path: str | Path) -> ViewTable:
+    """Parse the views CSV at ``path`` into a :class:`ViewTable`.
 
     Each video's rows must form one contiguous date range with non-negative
     counts; gaps and negatives are errors, nothing is imputed.  Of several
     videos with a gap, the one whose rows start first is reported.
     """
-    return _split_or_read(source, _split_views, _read_view_rows)
+    return _split_or_read(path, _split_views, _read_view_rows)
 
 
-def _read_snapshot_rows(source: str | Path | Iterable[str]) -> DynamicNetwork:
+def _read_snapshot_rows(path: str | Path) -> DynamicNetwork:
     """:func:`parse_snapshots` row by row with the csv module: the reader of every file
     the byte split declines, and the only source of its errors."""
     # Codes in first-seen order; from_codes recodes them in id order.
     codes: dict[str, int] = {}
     coded = array("i")  # (ordinal, src, tgt, pos, kind, line) of each row in turn
     bad_row: tuple[int, DataFormatError] | None = None
-    for line_no, row in csv_rows(source, SNAPSHOT_HEADER):
+    for line_no, row in csv_rows(path, SNAPSHOT_HEADER):
         try:
             coded.extend(_snapshot_row(line_no, row, codes))
         except DataFormatError as exc:
@@ -505,10 +499,10 @@ def _read_snapshot_rows(source: str | Path | Iterable[str]) -> DynamicNetwork:
     return DynamicNetwork(window, table)
 
 
-def _read_view_rows(source: str | Path | Iterable[str]) -> ViewTable:
+def _read_view_rows(path: str | Path) -> ViewTable:
     """:func:`parse_views` row by row with the csv module, as :func:`_read_snapshot_rows`."""
     rows: dict[str, dict[date, int]] = {}
-    for line_no, row in csv_rows(source, VIEWS_HEADER):
+    for line_no, row in csv_rows(path, VIEWS_HEADER):
         if len(row) != 3:
             raise DataFormatError(f"line {line_no}: expected 3 fields, got {len(row)}")
         vid = row[0]
@@ -569,28 +563,14 @@ class _Declined(Exception):
     """The byte split cannot prove a file clean; the row reader reads it instead."""
 
 
-def _split_or_read(
-    source: str | Path | IO[str] | IO[bytes], split: Callable[[IO[bytes]], T], read_rows: Callable[..., T]
-) -> T:
-    """``split`` over the bytes of ``source``, or ``read_rows`` over the same text when it declines."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
-            try:
-                return split(handle)
-            except _Declined:
-                pass
-        return read_rows(source)
-    lines = source.readlines()
-    if lines and isinstance(lines[0], bytes):
-        data = b"".join(lines)
-        rows = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    else:
-        # The csv reader gets the very lines it would have read from the stream.
-        data, rows = "".join(lines).encode("utf-8", "surrogatepass"), lines
-    try:
-        return split(io.BytesIO(data))
-    except _Declined:
-        return read_rows(rows)
+def _split_or_read(path: str | Path, split: Callable[[IO[bytes]], T], read_rows: Callable[[str | Path], T]) -> T:
+    """``split`` over the bytes of the file at ``path``, or ``read_rows`` of it when the split declines."""
+    with open(path, "rb") as handle:
+        try:
+            return split(handle)
+        except _Declined:
+            pass
+    return read_rows(path)
 
 
 def _blocks(handle: IO[bytes], header: Sequence[str]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -857,10 +837,10 @@ def _split_views(handle: IO[bytes]) -> ViewTable:
     return ViewTable(_texts(names, width), ordinal[opens], bounds, counts[rows])
 
 
-def parse_metadata(source: str | Path | IO[str]) -> dict[str, VideoMeta]:
-    """Parse a metadata CSV; genres field is ``|``-joined and may be empty."""
+def parse_metadata(path: str | Path) -> dict[str, VideoMeta]:
+    """Parse the metadata CSV at ``path``; genres field is ``|``-joined and may be empty."""
     out: dict[str, VideoMeta] = {}
-    for line_no, row in csv_rows(source, METADATA_HEADER):
+    for line_no, row in csv_rows(path, METADATA_HEADER):
         if len(row) != 4:
             raise DataFormatError(f"line {line_no}: expected 4 fields, got {len(row)}")
         vid, artist = row[0], row[1]

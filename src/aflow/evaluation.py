@@ -124,7 +124,7 @@ def contribution_report(
     dataset: Dataset,
     models: Mapping[str, ArnetModel],
     result: ForecastResult,
-    config: ForecastConfig | None = None,
+    config: ForecastConfig,
 ) -> ContributionReport:
     """Network contribution per video plus artist-level percentile shifts.
 
@@ -136,7 +136,6 @@ def contribution_report(
     construction.  Videos with a zero predicted total are left out of the eta
     map.
     """
-    config = config or ForecastConfig()
     neighbor_values = resolve_neighbor_values(dataset, models, config)
     artist_of = {vid: meta.artist_id for vid, meta in dataset.metadata.items()}
 

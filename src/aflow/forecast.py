@@ -32,6 +32,8 @@ NEIGHBOR_MODES = ("observed", "forecast")
 class ForecastConfig:
     """Shared protocol settings.
 
+    ``train_days`` is at least ``2p + 1``, so an AR(p) fit has ``p + 1``
+    regression rows, and at least ``m_star``, one season for seasonal naive.
     ``train_days`` + ``horizon`` must not exceed the observation window; the
     split is checked where the data is at hand.
     """
@@ -45,8 +47,10 @@ class ForecastConfig:
     def __post_init__(self) -> None:
         if self.p < 1 or self.m_star < 1 or self.horizon < 1:
             raise DataFormatError("p, m_star and horizon must be positive")
-        if self.train_days < self.p + 1:
+        if self.train_days < 2 * self.p + 1:
             raise DataFormatError("training window shorter than the lag order allows")
+        if self.train_days < self.m_star:
+            raise DataFormatError("training window shorter than the season length m_star")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise DataFormatError(f"unknown neighbor mode {self.neighbor_mode!r}")
 
@@ -446,7 +450,7 @@ def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fit_arnet_batch(
     problems: Sequence[tuple[str, Sequence[float] | np.ndarray,
                              Mapping[str, Sequence[float] | np.ndarray]]],
-    config: ForecastConfig | None = None,
+    config: ForecastConfig,
 ) -> list[ArnetModel]:
     """Fit the network-augmented model for many targets in one solve.
 
@@ -468,7 +472,6 @@ def fit_arnet_batch(
     callers report it.  Errors name the first offending target in
     ``problems`` order.
     """
-    config = config or ForecastConfig()
     p = config.p
     designs = [_arnet_design(vid, series, nbs, p) for vid, series, nbs in problems]
     blocks: dict[tuple[int, int], list[int]] = {}
@@ -517,7 +520,7 @@ def fit_arnet(
     video_id: str,
     series: Sequence[float] | np.ndarray,
     neighbor_series: Mapping[str, Sequence[float] | np.ndarray],
-    config: ForecastConfig | None = None,
+    config: ForecastConfig,
 ) -> ArnetModel:
     """Fit one target's network-augmented model; see ``fit_arnet_batch``.
 
@@ -529,8 +532,8 @@ def fit_arnet(
 def forecast(
     model: ArnetModel,
     history: Sequence[float] | np.ndarray,
-    neighbor_values: Mapping[str, Sequence[float] | np.ndarray] | None = None,
-    config: ForecastConfig | None = None,
+    neighbor_values: Mapping[str, Sequence[float] | np.ndarray],
+    config: ForecastConfig,
 ) -> np.ndarray:
     """Recursive multi-step forecast, clamped at zero.
 
@@ -538,15 +541,12 @@ def forecast(
     with beta terms needs ``neighbor_values`` to provide each neighbor's value
     for every horizon day.
     """
-    config = config or ForecastConfig()
     p = len(model.alpha)
     hist = np.asarray(history, dtype=float)
     if hist.size < p:
         raise DataFormatError("history shorter than the lag order")
 
     beta_items = sorted(model.beta.items())
-    if beta_items and neighbor_values is None:
-        raise DataFormatError(f"{model.video_id}: neighbor values are required")
     for u, _ in beta_items:
         vals = neighbor_values.get(u)
         if vals is None or len(vals) < config.horizon:

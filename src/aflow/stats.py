@@ -20,8 +20,8 @@ import numpy as np
 from .data_model import DataFormatError, Dataset, NumericalError
 # Re-exported for the benchmark's tracer only; nothing in src/ or tests/ looks it up here.
 from .graph_analysis import build_graph  # noqa: F401
-from .graph_analysis import CUTOFF, daily_link_presence
-from .persistence import ViewFilters, apply_view_filters
+from .graph_analysis import daily_link_presence
+from .persistence import ViewFilters
 
 SIGNIFICANCE_LEVEL = 0.05
 PERIOD = 7  # the seasonal lag, in days: views follow a weekly cycle
@@ -248,8 +248,8 @@ def sample_random_pairs(
     dataset: Dataset,
     n: int,
     seed: int,
-    cutoff: int = CUTOFF,
-    filters: ViewFilters | None = None,
+    cutoff: int,
+    filters: ViewFilters,
 ) -> list[tuple[str, str]]:
     """Sample distinct (source, target) pairs never linked in any snapshot.
 
@@ -262,7 +262,6 @@ def sample_random_pairs(
     """
     if n < 1:
         raise DataFormatError("need a positive sample size")
-    filters = filters or apply_view_filters(dataset)
     presence = daily_link_presence(dataset.network, dataset.corpus, cutoff)
     ids = presence.ids.tolist()
     size = len(ids)

@@ -388,8 +388,7 @@ LIBRARY_DEFAULTS = {
     "cutoff": [(graph_analysis.build_graph, "cutoff"), (graph_analysis.daily_link_presence, "cutoff"),
                (graph_analysis.indegree_change_ratios, "cutoff"),
                (graph_analysis.link_frequency_histogram, "cutoff"),
-               (persistence.link_presence, "cutoff"), (persistence.classify_links, "cutoff"),
-               (stats.sample_random_pairs, "cutoff")],
+               (persistence.link_presence, "cutoff"), (persistence.classify_links, "cutoff")],
     "min_indegree": [(graph_analysis.indegree_change_ratios, "min_indegree")],
     "max_rel": [(list_alignment.display_probability_matrix, "max_rel")],
     "max_rec": [(list_alignment.origin_probability_matrix, "max_rec")],
@@ -883,6 +882,8 @@ def test_bad_artifact_cells_name_the_file_and_line(tmp_path, capsys):
     ("v00000,v00001,+1,63", "bad reciprocal flag '+1'"),
     ("v00000,v00001,1,+5", "bad presence count '+5'"),
     ("v00000,v00001,1, 5", "bad presence count ' 5'"),
+    (",v00001,0,5", "empty video id"),
+    ('v00000,"a\nb",0,5', "video id 'a\\nb' holds a NUL or line break"),
 ])
 def test_persistent_edges_cells_follow_the_input_grammar(tmp_path, capsys, row, problem):
     data = generate_data(tmp_path)
@@ -926,6 +927,8 @@ def test_generate_rejects_a_non_finite_noise_scale(tmp_path, capsys, value):
     (["simulate-persistence", "--p-grid", "0.5,1.5"], "p_grid value 1.5 lies outside [0, 1]"),
     (["pipeline", "--train-days", "3", "--p", "7"], "training window shorter than the lag order allows"),
     (["fit", "--train-days", "3", "--p", "7"], "training window shorter than the lag order allows"),
+    (["pipeline", "--train-days", "10"], "training window shorter than the lag order allows"),
+    (["pipeline", "--m-star", "60"], "training window shorter than the season length m_star"),
 ])
 def test_a_setting_the_library_rejects_is_usage_error(tmp_path, capsys, argv, message):
     # --data and --persistent name no file, so a usage error shows the setting is checked before any read
@@ -954,6 +957,22 @@ def test_a_row_after_a_multiline_cell_is_reported_at_its_first_line(tmp_path, ca
                          capsys)
     assert code == 2
     assert one_data_error(captured) == f"{forecasts}: line 4: {problem}"
+
+
+@pytest.mark.parametrize("vid, problem", [
+    pytest.param("", "empty video id", id="empty"),
+    pytest.param('"a\rb"', "video id 'a\\rb' holds a NUL or line break", id="cr"),
+])
+def test_forecasts_ids_follow_the_input_id_rule(tmp_path, capsys, vid, problem):
+    # checked after the rows, so each id is reported at the line it first appears on
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_bytes(
+        f"video_id,date,y_true,y_pred\nv,2018-09-01,1.0,2.0\n{vid},2018-09-01,1.0,2.0\n".encode())
+    code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)],
+                         capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"{forecasts}: line 3: {problem}"
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("flags, day", [(["--presence-prob", "0"], "2018-09-01"),
@@ -1185,7 +1204,7 @@ def test_fit_diagnostics_report_underdetermined_fits(tmp_path, capsys):
     assert cli.main(["persistent", "--data", str(data), "--out", str(links)]) == 0
     out = tmp_path / "fit"
     code, captured = run(
-        ["fit", "--data", str(data), "--out", str(out), "--model", "arnet", "--train-days", "10",
+        ["fit", "--data", str(data), "--out", str(out), "--model", "arnet", "--train-days", "15",
          "--persistent", str(links / "persistent_edges.csv"), "--threads", "1"],
         capsys,
     )

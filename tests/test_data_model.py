@@ -34,11 +34,11 @@ import _helpers
 def snap_csv(rows):
     lines = ["date,source_id,target_id,position,list_kind"]
     lines += [",".join(str(f) for f in row) for row in rows]
-    return io.StringIO("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def test_parse_snapshots_single_row():
-    net = parse_snapshots(snap_csv([("2018-09-01", "a", "b", 1, "relevant")]))
+def test_parse_snapshots_single_row(csv_file):
+    net = parse_snapshots(csv_file(snap_csv([("2018-09-01", "a", "b", 1, "relevant")])))
     assert net.window.n_days == 1
     snap = net.snapshots[0]
     assert snap.date == date(2018, 9, 1)
@@ -46,19 +46,19 @@ def test_parse_snapshots_single_row():
     assert snap.recommended == {}
 
 
-def test_parse_snapshots_orders_positions():
+def test_parse_snapshots_orders_positions(csv_file):
     net = parse_snapshots(
-        snap_csv(
+        csv_file(snap_csv(
             [
                 ("2018-09-01", "a", "c", 5, "relevant"),
                 ("2018-09-01", "a", "b", 1, "relevant"),
             ]
-        )
+        ))
     )
     assert net.snapshots[0].relevant["a"].entries == (("b", 1), ("c", 5))
 
 
-def test_parse_snapshots_duplicate_position_reports_both_lines():
+def test_parse_snapshots_duplicate_position_reports_both_lines(csv_file):
     src = snap_csv(
         [
             ("2018-09-01", "a", "b", 1, "relevant"),
@@ -66,66 +66,63 @@ def test_parse_snapshots_duplicate_position_reports_both_lines():
         ]
     )
     with pytest.raises(DataFormatError, match=r"line 3: duplicate position 1.*first seen at line 2"):
-        parse_snapshots(src)
+        parse_snapshots(csv_file(src))
 
 
-def test_parse_snapshots_rejects_bad_rows():
+def test_parse_snapshots_rejects_bad_rows(csv_file):
     with pytest.raises(DataFormatError, match="line 2: bad date"):
-        parse_snapshots(snap_csv([("09/01/2018", "a", "b", 1, "relevant")]))
+        parse_snapshots(csv_file(snap_csv([("09/01/2018", "a", "b", 1, "relevant")])))
     with pytest.raises(DataFormatError, match="line 2: position 0 is below 1"):
-        parse_snapshots(snap_csv([("2018-09-01", "a", "b", 0, "relevant")]))
+        parse_snapshots(csv_file(snap_csv([("2018-09-01", "a", "b", 0, "relevant")])))
     with pytest.raises(DataFormatError, match="line 2: unknown list kind 'related'"):
-        parse_snapshots(snap_csv([("2018-09-01", "a", "b", 1, "related")]))
+        parse_snapshots(csv_file(snap_csv([("2018-09-01", "a", "b", 1, "related")])))
     with pytest.raises(DataFormatError, match="line 2: self-link on a"):
-        parse_snapshots(snap_csv([("2018-09-01", "a", "a", 1, "relevant")]))
+        parse_snapshots(csv_file(snap_csv([("2018-09-01", "a", "a", 1, "relevant")])))
     with pytest.raises(DataFormatError, match="expected 5 fields"):
-        parse_snapshots(io.StringIO("date,source_id,target_id,position,list_kind\n2018-09-01,a,b\n"))
+        parse_snapshots(csv_file("date,source_id,target_id,position,list_kind\n2018-09-01,a,b\n"))
     with pytest.raises(DataFormatError, match=r"line 2: video id 'a\\rb' holds a NUL or line break"):
-        parse_snapshots(snap_csv([("2018-09-01", '"a\rb"', "b", 1, "relevant")]))
+        parse_snapshots(csv_file(snap_csv([("2018-09-01", '"a\rb"', "b", 1, "relevant")])))
     with pytest.raises(DataFormatError, match="line 2: field larger than field limit"):
-        parse_snapshots(snap_csv([("2018-09-01", "a" * 200_000, "b", 1, "relevant")]))
+        parse_snapshots(csv_file(snap_csv([("2018-09-01", "a" * 200_000, "b", 1, "relevant")])))
     with pytest.raises(
         DataFormatError,
         match=r"line 4: duplicate target b in relevant list of a on 2018-09-01 \(first seen at line 2\)",
     ):
         parse_snapshots(
-            snap_csv(
+            csv_file(snap_csv(
                 [
                     ("2018-09-01", "a", "b", 1, "relevant"),
                     ("2018-09-01", "a", "c", 2, "relevant"),
                     ("2018-09-01", "a", "b", 3, "relevant"),
                 ]
-            )
+            ))
         )
 
 
-def test_parse_snapshots_reports_a_bad_row_before_a_later_csv_error(tmp_path):
-    text = snap_csv([
+def test_parse_snapshots_reports_a_bad_row_before_a_later_csv_error(csv_file):
+    path = csv_file(snap_csv([
         ("2018-09-01", "a", "b", 1, "relevant"),
         ("2018-09-01", "a", "c", 0, "relevant"),
         ("2018-09-01", "a", "d", 3, "relevant"),
         ("2018-09-01", "a", "x" * (csv.field_size_limit() + 1), 4, "relevant"),
-    ]).getvalue()
-    path = tmp_path / "snapshots.csv"
-    path.write_text(text)
-    for source in (path, io.StringIO(text)):
-        with pytest.raises(DataFormatError, match=r"^line 3: position 0 is below 1$"):
-            parse_snapshots(source)
+    ]))
+    with pytest.raises(DataFormatError, match=r"^line 3: position 0 is below 1$"):
+        parse_snapshots(path)
 
 
 @pytest.mark.parametrize("bad", ["", "a\rb", "a\nb", "a\0b"])
 @pytest.mark.parametrize("as_source", [True, False])
-def test_from_snapshots_rejects_the_ids_the_parser_rejects(bad, as_source):
+def test_from_snapshots_rejects_the_ids_the_parser_rejects(bad, as_source, csv_file):
     src, tgt = (bad, "x") if as_source else ("x", bad)
     with pytest.raises(DataFormatError) as parsed:
-        parse_snapshots(snap_csv([("2018-09-01", f'"{src}"', f'"{tgt}"', 1, "relevant")]))
+        parse_snapshots(csv_file(snap_csv([("2018-09-01", f'"{src}"', f'"{tgt}"', 1, "relevant")])))
     with pytest.raises(DataFormatError) as converted:
         _helpers.build_network([{src: [(tgt, 1)]}])
     # The same reason, without the parser's line number.
     assert str(parsed.value) == f"line 2: {converted.value}"
 
 
-def test_parse_snapshots_rejects_gap_in_days():
+def test_parse_snapshots_rejects_gap_in_days(csv_file):
     src = snap_csv(
         [
             ("2018-09-01", "a", "b", 1, "relevant"),
@@ -133,56 +130,56 @@ def test_parse_snapshots_rejects_gap_in_days():
         ]
     )
     with pytest.raises(DataFormatError, match="not consecutive, missing 2018-09-02"):
-        parse_snapshots(src)
+        parse_snapshots(csv_file(src))
 
 
-def test_parse_snapshots_rejects_wrong_header_and_empty():
+def test_parse_snapshots_rejects_wrong_header_and_empty(csv_file):
     with pytest.raises(DataFormatError, match="line 1: expected header"):
-        parse_snapshots(io.StringIO("a,b,c,d,e\n"))
+        parse_snapshots(csv_file("a,b,c,d,e\n"))
     with pytest.raises(DataFormatError, match="empty file"):
-        parse_snapshots(io.StringIO(""))
+        parse_snapshots(csv_file(""))
     with pytest.raises(DataFormatError, match="no rows"):
-        parse_snapshots(io.StringIO("date,source_id,target_id,position,list_kind\n"))
+        parse_snapshots(csv_file("date,source_id,target_id,position,list_kind\n"))
 
 
-def test_parse_views_basic_and_errors():
-    views = parse_views(io.StringIO("video_id,date,views\nw,2018-08-31,7\nv,2018-09-01,5\nv,2018-09-02,0\n"))
+def test_parse_views_basic_and_errors(csv_file):
+    views = parse_views(csv_file("video_id,date,views\nw,2018-08-31,7\nv,2018-09-01,5\nv,2018-09-02,0\n"))
     assert views.ids.tolist() == ["v", "w"]
     assert views.start.tolist() == [date(2018, 9, 1).toordinal(), date(2018, 8, 31).toordinal()]
     assert views.bounds.tolist() == [0, 2, 3]
     assert views.values.tolist() == [5, 0, 7]
 
     with pytest.raises(DataFormatError, match="line 2: negative view count for v"):
-        parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,-1\n"))
+        parse_views(csv_file("video_id,date,views\nv,2018-09-01,-1\n"))
     with pytest.raises(DataFormatError, match="line 3: duplicate day 2018-09-01 for v"):
-        parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,1\nv,2018-09-01,2\n"))
+        parse_views(csv_file("video_id,date,views\nv,2018-09-01,1\nv,2018-09-01,2\n"))
     with pytest.raises(DataFormatError, match="gap at 2018-09-02"):
-        parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,1\nv,2018-09-03,2\n"))
+        parse_views(csv_file("video_id,date,views\nv,2018-09-01,1\nv,2018-09-03,2\n"))
     with pytest.raises(DataFormatError, match="bad view count '1.5'"):
-        parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,1.5\n"))
+        parse_views(csv_file("video_id,date,views\nv,2018-09-01,1.5\n"))
     with pytest.raises(DataFormatError, match="line 2: view count 9223372036854775808 is too large"):
-        parse_views(io.StringIO("video_id,date,views\nv,2018-09-01,9223372036854775808\n"))
+        parse_views(csv_file("video_id,date,views\nv,2018-09-01,9223372036854775808\n"))
 
 
 # Python 3.11's date.fromisoformat accepts these, 3.10's does not; neither file may.
 @pytest.mark.parametrize("text", ["20180901", "2018-W35-6"])
-def test_dates_are_exactly_year_month_day(text):
+def test_dates_are_exactly_year_month_day(text, csv_file):
     for parse, rows in (
         (parse_snapshots, f"date,source_id,target_id,position,list_kind\n{text},a,b,1,relevant\n"),
         (parse_views, f"video_id,date,views\nv,{text},1\n"),
         (parse_metadata, f"video_id,artist_id,upload_date,genres\nv,a,{text},pop\n"),
     ):
         with pytest.raises(DataFormatError, match=re.escape(f"line 2: bad date {text!r}")):
-            parse(io.StringIO(rows))
+            parse(csv_file(rows))
 
 
 # int() accepts each of these.
 @pytest.mark.parametrize("text", ["+5", " 5", "5 ", "1_0", "\u0665"])
-def test_positions_and_view_counts_are_ascii_digits(text):
+def test_positions_and_view_counts_are_ascii_digits(text, csv_file):
     with pytest.raises(DataFormatError, match=re.escape(f"line 2: bad position {text!r}")):
-        parse_snapshots(snap_csv([("2018-09-01", "a", "b", text, "relevant")]))
+        parse_snapshots(csv_file(snap_csv([("2018-09-01", "a", "b", text, "relevant")])))
     with pytest.raises(DataFormatError, match=re.escape(f"line 2: bad view count {text!r}")):
-        parse_views(io.StringIO(f"video_id,date,views\nv,2018-09-01,{text}\n"))
+        parse_views(csv_file(f"video_id,date,views\nv,2018-09-01,{text}\n"))
 
 
 def test_non_utf8_input_is_a_data_error(tmp_path):
@@ -192,9 +189,9 @@ def test_non_utf8_input_is_a_data_error(tmp_path):
         parse_views(path)
 
 
-def test_parse_metadata_genres():
+def test_parse_metadata_genres(csv_file):
     meta = parse_metadata(
-        io.StringIO(
+        csv_file(
             "video_id,artist_id,upload_date,genres\n"
             "v1,a1,2018-01-01,pop|rock\n"
             "v2,a1,2018-01-02,\n"
@@ -204,16 +201,16 @@ def test_parse_metadata_genres():
     assert meta["v2"].genres == frozenset()
     with pytest.raises(DataFormatError, match="line 3: duplicate metadata for v1"):
         parse_metadata(
-            io.StringIO(
+            csv_file(
                 "video_id,artist_id,upload_date,genres\nv1,a1,2018-01-01,\nv1,a2,2018-01-01,\n"
             )
         )
 
 
 @pytest.mark.parametrize("bad", ["v\r1", "v\n1"])
-def test_views_and_metadata_apply_the_id_rule(bad):
+def test_views_and_metadata_apply_the_id_rule(bad, csv_file):
     with pytest.raises(DataFormatError, match=r"line 3: video id .* holds a NUL or line break"):
-        parse_views(io.StringIO(f'video_id,date,views\nv,2018-09-01,1\n"{bad}",2018-09-01,1\n'))
+        parse_views(csv_file(f'video_id,date,views\nv,2018-09-01,1\n"{bad}",2018-09-01,1\n'))
     header = "video_id,artist_id,upload_date,genres\nv,a,2018-01-01,pop\n"
     for row, what in (
         (f'"{bad}",a,2018-01-01,pop', "video id"),
@@ -221,7 +218,7 @@ def test_views_and_metadata_apply_the_id_rule(bad):
         (f'w,a,2018-01-01,"pop|{bad}"', "genre"),
     ):
         with pytest.raises(DataFormatError, match=rf"line 3: {what} .* holds a NUL or line break"):
-            parse_metadata(io.StringIO(header + row + "\n"))
+            parse_metadata(csv_file(header + row + "\n"))
 
 
 # Ids and genres drawn with the characters a CSV writer treats specially.  NUL
@@ -238,25 +235,25 @@ def _quoted_csv(header, rows):
     return buf.getvalue()
 
 
-def _reparsed(parse, serialize, text, fields):
+def _reparsed(csv_file, parse, serialize, text, fields):
     """None when a field breaks the id rule and the parser rejects it; else the
     first parse and the parse of its serialization, which must serialize the same."""
     if any(c in field for field in fields for c in "\r\n"):
         with pytest.raises(DataFormatError, match="holds a NUL or line break"):
-            parse(io.StringIO(text))
+            parse(csv_file(text))
         return None
-    first = parse(io.StringIO(text))
-    again = parse(io.StringIO(serialize(first)))
+    first = parse(csv_file(text))
+    again = parse(csv_file(serialize(first)))
     assert serialize(again) == serialize(first)
     return first, again
 
 
 @given(st.dictionaries(FIELD, st.tuples(st.integers(0, 3), st.lists(st.integers(0, 2**63 - 1), min_size=1,
                                                                      max_size=3)), min_size=1, max_size=4))
-def test_views_parse_serialize_round_trip(series):
+def test_views_parse_serialize_round_trip(csv_file, series):
     rows = [(vid, START + timedelta(days=d + i), count)
             for vid, (d, counts) in series.items() for i, count in enumerate(counts)]
-    parsed = _reparsed(parse_views, serialize_views, _quoted_csv(VIEWS_HEADER, rows), series)
+    parsed = _reparsed(csv_file, parse_views, serialize_views, _quoted_csv(VIEWS_HEADER, rows), series)
     if parsed:
         first, again = parsed
         for column in ("ids", "start", "bounds", "values"):
@@ -266,11 +263,11 @@ def test_views_parse_serialize_round_trip(series):
 
 @given(st.dictionaries(FIELD, st.tuples(FIELD, st.integers(0, 400), st.lists(FIELD, max_size=3)),
                        min_size=1, max_size=4))
-def test_metadata_parse_serialize_round_trip(meta):
+def test_metadata_parse_serialize_round_trip(csv_file, meta):
     rows = [(vid, artist, START - timedelta(days=d), "|".join(genres))
             for vid, (artist, d, genres) in meta.items()]
     fields = [field for row in rows for field in (row[0], row[1], row[3])]
-    parsed = _reparsed(parse_metadata, serialize_metadata, _quoted_csv(METADATA_HEADER, rows), fields)
+    parsed = _reparsed(csv_file, parse_metadata, serialize_metadata, _quoted_csv(METADATA_HEADER, rows), fields)
     if parsed:
         first, again = parsed
         assert again == first
@@ -388,7 +385,7 @@ def test_codes_reject_non_corpus_ids(vid):
         ds.codes(["b", vid])
 
 
-def test_serialization_is_canonical_under_row_shuffle():
+def test_serialization_is_canonical_under_row_shuffle(csv_file):
     rows = [
         ("2018-09-02", "b", "a", 1, "recommended"),
         ("2018-09-01", "b", "c", 2, "relevant"),
@@ -396,8 +393,8 @@ def test_serialization_is_canonical_under_row_shuffle():
         ("2018-09-01", "b", "a", 1, "relevant"),
         ("2018-09-02", "a", "c", 3, "relevant"),
     ]
-    text_a = serialize_snapshots(parse_snapshots(snap_csv(rows)))
-    text_b = serialize_snapshots(parse_snapshots(snap_csv(rows[::-1])))
+    text_a = serialize_snapshots(parse_snapshots(csv_file(snap_csv(rows))))
+    text_b = serialize_snapshots(parse_snapshots(csv_file(snap_csv(rows[::-1]))))
     assert text_a == text_b
     # relevant rows sort before recommended for the same source
     lines = text_a.strip().split("\n")
@@ -422,7 +419,7 @@ def test_a_load_keeps_no_view_table_and_the_export_writes_the_window(tmp_path, m
     data, again = tmp_path / "data", tmp_path / "again"
     data.mkdir()
     window = [date(2018, 9, 1) + timedelta(days=i) for i in range(3)]
-    snapshots = snap_csv([(day, "a", "b", 1, "relevant") for day in window]).getvalue()
+    snapshots = snap_csv([(day, "a", "b", 1, "relevant") for day in window])
     (data / "snapshots.csv").write_text(snapshots, encoding="utf-8")
     series = {"a": (date(2018, 8, 30), [1, 2, 3, 4, 5, 6, 7]), "b": (date(2018, 8, 31), [8, 9, 10, 11, 12]),
               "z": (date(2018, 9, 1), [13, 14])}

@@ -224,7 +224,7 @@ def test_end_to_end_eta_on_run_model_output():
     ds = _helpers.build_dataset(views=views, daily_edges=[("u", "v", 1)])
     persistent = extract_persistent_network(ds.network, ds)
     models, result = run_model(ds, persistent, "arnet")
-    report = contribution_report(ds, models, result)
+    report = contribution_report(ds, models, result, ForecastConfig())
     assert set(report.eta) == {"v"}
     assert 0.0 <= report.eta["v"] <= 1.0
     # nearly all of v's views arrive over the single in-edge

@@ -29,6 +29,8 @@ from aflow.persistence import extract_persistent_network
 import _helpers
 import _oracles
 
+CONFIG = ForecastConfig()
+
 
 def test_naive_repeats_last_value():
     np.testing.assert_array_equal(predict_naive([3.0, 9.0, 4.0], 3), [4.0, 4.0, 4.0])
@@ -51,8 +53,12 @@ def test_seasonal_naive_cycles_last_season():
 def test_config_validation():
     with pytest.raises(DataFormatError, match="positive"):
         ForecastConfig(p=0)
-    with pytest.raises(DataFormatError, match="training window"):
-        ForecastConfig(p=7, train_days=7)
+    with pytest.raises(DataFormatError, match="training window shorter than the lag order allows"):
+        ForecastConfig(p=7, train_days=14)  # 7 regression rows: AR(7) needs 8
+    ForecastConfig(p=7, train_days=15)
+    with pytest.raises(DataFormatError, match="training window shorter than the season length m_star"):
+        ForecastConfig(m_star=57)
+    ForecastConfig(p=1, m_star=3, train_days=3)
     with pytest.raises(DataFormatError, match="neighbor mode"):
         ForecastConfig(neighbor_mode="oracle")
 
@@ -80,7 +86,7 @@ def test_ar_matches_unregularized_least_squares():
 
 def test_ar_constant_series_reproduces_itself():
     model = fit_ar("v", np.full(56, 80.0))
-    assert forecast(model, np.full(56, 80.0), config=ForecastConfig(horizon=1))[0] == pytest.approx(80.0, abs=1e-6)
+    assert forecast(model, np.full(56, 80.0), {}, ForecastConfig(horizon=1))[0] == pytest.approx(80.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("level", [1e4, 1e5])
@@ -88,7 +94,7 @@ def test_ar_singular_constant_series_falls_back_to_least_squares(level):
     # equal lag columns make the Gram matrix singular: the 1e-8 ridge is lost against ~5e9 entries
     model = fit_ar("v", np.full(56, level))
     np.testing.assert_allclose(model.alpha, np.full(7, 1 / 7))
-    np.testing.assert_allclose(forecast(model, np.full(56, level)), np.full(7, level))
+    np.testing.assert_allclose(forecast(model, np.full(56, level), {}, CONFIG), np.full(7, level))
 
 
 def test_ar_all_zero_series_gives_zero_coefficients():
@@ -108,7 +114,7 @@ def test_arnet_recovers_single_neighbor_weight():
     rng = np.random.default_rng(3)
     nb = rng.uniform(100.0, 400.0, size=56)
     y = 0.5 * nb
-    model = fit_arnet("v", y, {"u": nb})
+    model = fit_arnet("v", y, {"u": nb}, CONFIG)
     assert abs(model.beta["u"] - 0.5) < 1e-3
     assert np.all(model.alpha < 1e-3)
     assert np.all(model.alpha >= 0.0)
@@ -118,7 +124,7 @@ def test_arnet_respects_bounds():
     rng = np.random.default_rng(9)
     y = rng.uniform(0.0, 50.0, size=40)
     nb = rng.uniform(0.0, 50.0, size=40)
-    model = fit_arnet("v", y, {"u": nb})
+    model = fit_arnet("v", y, {"u": nb}, CONFIG)
     assert np.all(model.alpha >= 0.0)
     assert 0.0 <= model.beta["u"] <= 1.0
 
@@ -126,8 +132,8 @@ def test_arnet_respects_bounds():
 def test_arnet_without_neighbors_matches_empty_beta_fit():
     rng = np.random.default_rng(11)
     y = rng.uniform(50.0, 150.0, size=56)
-    alone = fit_arnet("v", y, {})
-    with_zero = fit_arnet("v", y, {"u": np.zeros(56)})
+    alone = fit_arnet("v", y, {}, CONFIG)
+    with_zero = fit_arnet("v", y, {"u": np.zeros(56)}, CONFIG)
     assert alone.beta == {}
     np.testing.assert_allclose(with_zero.alpha, alone.alpha, atol=1e-8)
 
@@ -136,8 +142,8 @@ def test_arnet_is_deterministic():
     rng = np.random.default_rng(13)
     y = rng.uniform(10.0, 200.0, size=56)
     nb = rng.uniform(10.0, 200.0, size=56)
-    m1 = fit_arnet("v", y, {"u": nb})
-    m2 = fit_arnet("v", y, {"u": nb})
+    m1 = fit_arnet("v", y, {"u": nb}, CONFIG)
+    m2 = fit_arnet("v", y, {"u": nb}, CONFIG)
     assert np.array_equal(m1.alpha, m2.alpha)
     assert m1.beta == m2.beta
 
@@ -146,14 +152,14 @@ def test_arnet_reports_optimizer_status(monkeypatch):
     rng = np.random.default_rng(3)
     u = 500 + 50 * rng.random(60)
     y = 0.4 * u + 10 * rng.random(60)
-    model = fit_arnet("v", y, {"u": u})
+    model = fit_arnet("v", y, {"u": u}, CONFIG)
     assert model.fit.converged
     assert model.fit.nit >= 1 and model.fit.nfev >= model.fit.nit
     assert (model.fit.n_params, model.fit.n_rows) == (8, 53)
     assert model.fit.objective >= 0.0
 
     monkeypatch.setattr(forecast_module, "MAX_ITER", 1)
-    stopped = fit_arnet("v", y, {"u": u})
+    stopped = fit_arnet("v", y, {"u": u}, CONFIG)
     assert not stopped.fit.converged
     assert stopped.fit.nit == 1
     assert stopped.fit.message
@@ -163,13 +169,13 @@ def test_arnet_trace_never_increases(monkeypatch):
     rng = np.random.default_rng(2)
     nb = rng.uniform(100.0, 300.0, size=56)
     y = np.clip(0.4 * nb + rng.normal(0.0, 5.0, size=56), 0, None)
-    fit = fit_arnet("v", y, {"u": nb}).fit
+    fit = fit_arnet("v", y, {"u": nb}, CONFIG).fit
     # The solver is deterministic, so the fit stopped after k iterations ends
     # at the full fit's k-th iterate.
     trace = [fit.start_objective]
     for k in range(1, fit.nit + 1):
         monkeypatch.setattr(forecast_module, "MAX_ITER", k)
-        trace.append(fit_arnet("v", y, {"u": nb}).fit.objective)
+        trace.append(fit_arnet("v", y, {"u": nb}, CONFIG).fit.objective)
     assert len(trace) >= 2
     assert np.all(np.diff(trace) <= 1e-9)
 
@@ -246,15 +252,15 @@ def _same_fit(a, b):
 
 def test_batched_fits_equal_single_fits_bit_for_bit():
     problems = _mixed_problems()
-    alone = [fit_arnet(*problem) for problem in problems]
+    alone = [fit_arnet(*problem, CONFIG) for problem in problems]
     assert {(m.fit.n_params, m.fit.n_rows) for m in alone} == {(7, 49), (8, 49), (10, 49),
                                                                (9, 49), (8, 7)}
-    batch = fit_arnet_batch(problems)
+    batch = fit_arnet_batch(problems, CONFIG)
     assert all(_same_fit(a, b) for a, b in zip(alone, batch))
     order = np.random.default_rng(5).permutation(len(problems))
-    shuffled = fit_arnet_batch([problems[i] for i in order])
+    shuffled = fit_arnet_batch([problems[i] for i in order], CONFIG)
     assert all(_same_fit(alone[i], m) for i, m in zip(order, shuffled))
-    subset = fit_arnet_batch([problems[i] for i in order[:6]])
+    subset = fit_arnet_batch([problems[i] for i in order[:6]], CONFIG)
     assert all(_same_fit(alone[i], m) for i, m in zip(order[:6], subset))
 
 
@@ -266,9 +272,9 @@ def test_fixed_start_where_least_squares_has_no_answer():
     with pytest.raises(np.linalg.LinAlgError):  # the constant target's ridge system
         np.linalg.solve(regressors.T @ regressors + RIDGE * np.eye(7), regressors.T @ target)
     for vid in ("c0", "s0", "s1"):
-        model = fit_arnet(*problems[vid])
+        model = fit_arnet(*problems[vid], CONFIG)
         assert (model.fit.nit, model.fit.objective) == _oracles.fixed_start_arnet(*problems[vid])
-    ridge = fit_arnet(*problems["v0"])
+    ridge = fit_arnet(*problems["v0"], CONFIG)
     assert (ridge.fit.nit, ridge.fit.objective) != _oracles.fixed_start_arnet(*problems["v0"])
 
 
@@ -307,10 +313,10 @@ def test_arnet_fits_no_worse_than_lbfgsb_on_recovery_data():
 def test_arnet_stop_reasons_are_reported(monkeypatch):
     from aflow.forecast import CONVERGED_STOPS, STOP_ITERATIONS
 
-    fits = [m.fit for m in fit_arnet_batch(_mixed_problems())]
+    fits = [m.fit for m in fit_arnet_batch(_mixed_problems(), CONFIG)]
     assert all(f.converged == (f.message in CONVERGED_STOPS) for f in fits)
     monkeypatch.setattr(forecast_module, "MAX_ITER", 2)
-    capped = [m.fit for m in fit_arnet_batch(_mixed_problems())]
+    capped = [m.fit for m in fit_arnet_batch(_mixed_problems(), CONFIG)]
     for short, full in zip(capped, fits):
         assert short.nit <= 2
         if full.nit > 2:
@@ -319,16 +325,16 @@ def test_arnet_stop_reasons_are_reported(monkeypatch):
 
 def test_arnet_input_validation():
     with pytest.raises(DataFormatError, match="no regression rows"):
-        fit_arnet("v", np.ones(7), {})
+        fit_arnet("v", np.ones(7), {}, CONFIG)
     with pytest.raises(DataFormatError, match="does not match the target length"):
-        fit_arnet("v", np.ones(56), {"u": np.ones(40)})
+        fit_arnet("v", np.ones(56), {"u": np.ones(40)}, CONFIG)
     with pytest.raises(DataFormatError, match="non-finite"):
-        fit_arnet("v", np.ones(56), {"u": np.full(56, np.inf)})
+        fit_arnet("v", np.ones(56), {"u": np.full(56, np.inf)}, CONFIG)
 
 
 def test_forecast_recursion_feeds_predictions_back():
     model = ArnetModel("v", np.array([0.5]))
-    preds = forecast(model, [8.0], config=ForecastConfig(p=1, train_days=2, horizon=3))
+    preds = forecast(model, [8.0], {}, ForecastConfig(p=1, m_star=1, train_days=3, horizon=3))
     np.testing.assert_allclose(preds, [4.0, 2.0, 1.0])
 
 
@@ -337,12 +343,12 @@ def test_forecast_lag_seven_echoes_last_week():
     alpha[6] = 1.0
     model = ArnetModel("v", alpha)
     hist = np.arange(1.0, 8.0)
-    np.testing.assert_allclose(forecast(model, hist), [1, 2, 3, 4, 5, 6, 7])
+    np.testing.assert_allclose(forecast(model, hist, {}, CONFIG), [1, 2, 3, 4, 5, 6, 7])
 
 
 def test_forecast_clamps_at_zero():
     model = ArnetModel("v", np.array([-1.0]))
-    preds = forecast(model, [5.0], config=ForecastConfig(p=1, train_days=2, horizon=2))
+    preds = forecast(model, [5.0], {}, ForecastConfig(p=1, m_star=1, train_days=3, horizon=2))
     np.testing.assert_array_equal(preds, [0.0, 0.0])
 
 
@@ -352,8 +358,8 @@ def test_forecast_neighbor_terms_and_validation():
     cfg = ForecastConfig(horizon=3)
     preds = forecast(model, hist, {"u": [3.0, 4.0, 5.0]}, cfg)
     np.testing.assert_allclose(preds, [3.0, 4.0, 5.0])
-    with pytest.raises(DataFormatError, match="neighbor values are required"):
-        forecast(model, hist, None, cfg)
+    with pytest.raises(DataFormatError, match="missing neighbor values for u"):
+        forecast(model, hist, {}, cfg)
     with pytest.raises(DataFormatError, match="missing neighbor values for u"):
         forecast(model, hist, {"u": [1.0]}, cfg)
     with pytest.raises(DataFormatError, match="history shorter"):
@@ -364,8 +370,8 @@ def test_beta_zero_forecast_equals_plain_ar():
     rng = np.random.default_rng(31)
     hist = rng.uniform(50.0, 100.0, size=14)
     alpha = rng.uniform(0.0, 0.2, size=7)
-    plain = forecast(ArnetModel("v", alpha), hist)
-    netless = forecast(ArnetModel("v", alpha, {}), hist)
+    plain = forecast(ArnetModel("v", alpha), hist, {}, CONFIG)
+    netless = forecast(ArnetModel("v", alpha, {}), hist, {}, CONFIG)
     np.testing.assert_array_equal(plain, netless)
 
 
@@ -531,6 +537,7 @@ def test_datagen_recovery_two_neighbors():
         "v00002",
         train["v00002"],
         {"v00000": train["v00000"], "v00001": train["v00001"]},
+        CONFIG,
     )
     assert abs(model.beta["v00000"] - 0.6) < 0.05
     assert abs(model.beta["v00001"] - 0.3) < 0.05

@@ -213,17 +213,17 @@ def _columns(table):
 
 
 @given(st.lists(ROW, min_size=1, max_size=40), st.randoms(use_true_random=False))
-def test_parse_serialize_round_trip(rows, random):
+def test_parse_serialize_round_trip(csv_file, rows, random):
     rows = _valid(rows)
     assume(rows)
-    net = parse_snapshots(io.StringIO(_csv(rows)))
+    net = parse_snapshots(csv_file(_csv(rows)))
     text = serialize_snapshots(net)
-    again = parse_snapshots(io.StringIO(text))
+    again = parse_snapshots(csv_file(text))
     assert _columns(again.table) == _columns(net.table)
     assert again.window == net.window
     assert net.table.day.size == len(rows)
 
     shuffled = list(rows)
     random.shuffle(shuffled)
-    assert serialize_snapshots(parse_snapshots(io.StringIO(_csv(shuffled)))) == text
+    assert serialize_snapshots(parse_snapshots(csv_file(_csv(shuffled)))) == text
     assert list(net.table.ids) == sorted({r[1] for r in rows} | {r[2] for r in rows})

@@ -4,6 +4,8 @@ from scipy.special import stdtr
 
 from aflow import stats
 from aflow.data_model import DataFormatError
+from aflow.graph_analysis import CUTOFF
+from aflow.persistence import apply_view_filters
 from aflow.stats import (
     average_ranks,
     correlated_link_fractions,
@@ -333,15 +335,15 @@ def test_sample_random_pairs_properties():
     views = {f"v{i}": [200] * n_days for i in range(12)}
     daily = [[("v0", "v1", 1), ("v2", "v3", 1)]] * n_days
     ds = _helpers.build_dataset(views=views, daily_edges=daily)
-    pairs = sample_random_pairs(ds, 30, seed=2)
+    pairs = sample_random_pairs(ds, 30, 2, CUTOFF, apply_view_filters(ds))
     assert len(pairs) == 30
     assert len(set(pairs)) == 30
     for src, tgt in pairs:
         assert src != tgt
         assert (src, tgt) not in {("v0", "v1"), ("v1", "v0"), ("v2", "v3"), ("v3", "v2")}
-    again = sample_random_pairs(ds, 30, seed=2)
+    again = sample_random_pairs(ds, 30, 2, CUTOFF, apply_view_filters(ds))
     assert pairs == again
-    assert sample_random_pairs(ds, 30, seed=9) != pairs
+    assert sample_random_pairs(ds, 30, 9, CUTOFF, apply_view_filters(ds)) != pairs
 
 
 def test_sample_random_pairs_budget_exhaustion():
@@ -349,9 +351,9 @@ def test_sample_random_pairs_budget_exhaustion():
     views = {"a": [300] * 3, "b": [300] * 3}
     ds = _helpers.build_dataset(views=views, daily_edges=[("a", "b", 1)])
     with pytest.raises(DataFormatError, match="exhausted sampling budget"):
-        sample_random_pairs(ds, 5, seed=0)
+        sample_random_pairs(ds, 5, 0, CUTOFF, apply_view_filters(ds))
     with pytest.raises(DataFormatError, match="positive sample size"):
-        sample_random_pairs(ds, 0, seed=0)
+        sample_random_pairs(ds, 0, 0, CUTOFF, apply_view_filters(ds))
 
 
 def test_sample_random_pairs_short_corpus_gives_every_pair_sorted():
@@ -359,11 +361,11 @@ def test_sample_random_pairs_short_corpus_gives_every_pair_sorted():
     views = {"a": [300] * 3, "b": [300] * 3, "c": [300] * 3}
     ds = _helpers.build_dataset(views=views, daily_edges=[("a", "b", 1)])
     expected = [("a", "c"), ("b", "c"), ("c", "a"), ("c", "b")]
-    assert sample_random_pairs(ds, 5, seed=0) == expected
-    assert sample_random_pairs(ds, 500, seed=1) == expected
+    assert sample_random_pairs(ds, 5, 0, CUTOFF, apply_view_filters(ds)) == expected
+    assert sample_random_pairs(ds, 500, 1, CUTOFF, apply_view_filters(ds)) == expected
     # views filters still apply: c is too small to be a target
     ds = _helpers.build_dataset(views={**views, "c": [50] * 3}, daily_edges=[("a", "b", 1)])
-    assert sample_random_pairs(ds, 5, seed=0) == [("c", "a"), ("c", "b")]
+    assert sample_random_pairs(ds, 5, 0, CUTOFF, apply_view_filters(ds)) == [("c", "a"), ("c", "b")]
 
 
 def test_average_ranks_match_counting_oracle():

@@ -6,7 +6,6 @@ the table's arrays.  The oracles do both one video at a time over
 ``{id: (first day, counts)}``.
 """
 
-import io
 from datetime import date, timedelta
 
 import numpy as np
@@ -102,12 +101,12 @@ def test_an_empty_corpus_has_an_empty_matrix():
 
 @given(st.dictionaries(ID, st.tuples(st.dates(date(1900, 1, 1), date(2100, 1, 1)),
                                      st.lists(COUNT, min_size=1, max_size=4)), max_size=5))
-def test_serialize_views_matches_the_per_video_writer(series):
+def test_serialize_views_matches_the_per_video_writer(csv_file, series):
     table = _helpers.view_table(series)
     text = serialize_views(table)
     assert text == _oracles.serialize_views(series)
     if series:
-        again = parse_views(io.StringIO(text))
+        again = parse_views(csv_file(text))
         for column in ("ids", "start", "bounds", "values"):
             assert getattr(again, column).tolist() == getattr(table, column).tolist()
 

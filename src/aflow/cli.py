@@ -83,9 +83,11 @@ from .forecast import (
 )
 from .graph_analysis import (
     Component,
+    LinkPresence,
     bowtie_attention,
     bowtie_decompose,
     build_graph,
+    daily_link_presence,
     indegree_ccdf,
     indegree_change_ratios,
     link_frequency_histogram,
@@ -325,14 +327,14 @@ def read_persistent_edges(path: Path) -> PersistentNetwork:
             raise DataFormatError(f"{where}: expected 4 fields, got {len(row)}")
         reciprocal = cell(_FLAGS.get, row[2], where, "reciprocal flag")
         count = cell(int_or_none, row[3], where, "presence count")
-        if row[0] == row[1]:
-            raise DataFormatError(f"{where}: self-loop on {row[0]}")
-        first = first_line.setdefault((row[0], row[1]), line)
-        if first != line:
-            raise DataFormatError(f"{where}: repeated edge {row[0]} -> {row[1]} (first at line {first})")
-        edges.append(PersistentEdge(row[0], row[1], reciprocal, count))
         id_line.setdefault(row[0], line)
         id_line.setdefault(row[1], line)
+        if row[0] == row[1] and not _id_problem(row[0]):  # a bad id is reported after the rows
+            raise DataFormatError(f"{where}: self-loop on {row[0]}")
+        first = first_line.setdefault((row[0], row[1]), line)
+        if first != line and not (_id_problem(row[0]) or _id_problem(row[1])):
+            raise DataFormatError(f"{where}: repeated edge {row[0]} -> {row[1]} (first at line {first})")
+        edges.append(PersistentEdge(row[0], row[1], reciprocal, count))
     ids = list(id_line)  # checked once each, after the rows: the first bad id in file order is reported
     if bad := _bad_ids(ids):
         raise DataFormatError(f"line {id_line[ids[bad[0]]]}: {_id_problem(ids[bad[0]])}")
@@ -351,10 +353,10 @@ def read_forecasts(path: Path) -> ForecastResult:
         day = cell(date_or_none, row[1], where, "date")
         values = (cell(_finite, row[2], where, "y_true"), cell(_finite, row[3], where, "y_pred"))
         per_day = per_video.setdefault(row[0], {})
-        if day in per_day:
+        id_line.setdefault(row[0], line)
+        if day in per_day and not _id_problem(row[0]):  # as in read_persistent_edges
             raise DataFormatError(f"{where}: repeated row for {row[0]} on {day}")
         per_day[day] = values
-        id_line.setdefault(row[0], line)
     ids = list(id_line)  # as in read_persistent_edges
     if bad := _bad_ids(ids):
         raise DataFormatError(f"line {id_line[ids[bad[0]]]}: {_id_problem(ids[bad[0]])}")
@@ -407,6 +409,9 @@ def read_models(path: Path) -> tuple[ForecastConfig, dict[str, ArnetModel]]:
             f"each video needs 'alpha', {config.p} numbers, and 'beta', an object of numbers")
     if not videos:
         raise DataFormatError("no fitted videos")
+    ids = [u for vid, entry in videos.items() for u in (vid, *entry["beta"])]  # in file order
+    if bad := _bad_ids(ids):
+        raise DataFormatError(_id_problem(ids[bad[0]]))
     for vid, entry in videos.items():
         if vid in entry["beta"]:
             raise DataFormatError(f"{vid} has a beta on itself")
@@ -530,11 +535,12 @@ def _forecast_config(settings: Mapping[str, object]) -> ForecastConfig:
 
 def _persistent_links(
     dataset: Dataset, settings: Mapping[str, object]
-) -> tuple[PersistentNetwork, tuple[tuple[str, str], ...], ViewFilters]:
-    """Persistent network and ephemeral links under the view filters, and the filters."""
+) -> tuple[PersistentNetwork, tuple[tuple[str, str], ...], ViewFilters, LinkPresence]:
+    """Persistent network and ephemeral links under the view filters, the filters and the link presence."""
     filters = apply_view_filters(dataset, settings["target_min_views"], settings["source_view_frac"])
-    pn, ephemeral = classify_links(dataset.network, dataset, settings["cutoff"], filters)
-    return pn, ephemeral, filters
+    presence = daily_link_presence(dataset.network, dataset.corpus, settings["cutoff"])
+    pn, ephemeral = classify_links(presence, filters)
+    return pn, ephemeral, filters, presence
 
 
 def _fit_and_emit(
@@ -619,13 +625,14 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object], dataset: 
         ["source_group"] + labels,
         [[labels[i]] + [int(flow[i, j]) for j in range(4)] for i in range(4)],
     )
-    churn = indegree_change_ratios(dataset.network, dataset.corpus, cutoff, settings["min_indegree"])
+    presence = daily_link_presence(dataset.network, dataset.corpus, cutoff)
+    churn = indegree_change_ratios(presence, settings["min_indegree"])
     _write_csv(
         out / "churn.csv",
         ["indegree", "count", "p10", "p25", "p50", "p75", "p90"],
         [(c.indegree, c.count, c.p10, c.p25, c.p50, c.p75, c.p90) for c in churn.values()],
     )
-    freq = link_frequency_histogram(dataset.network, dataset.corpus, cutoff)
+    freq = link_frequency_histogram(presence)
     _write_csv(out / "link_freq.csv", ["days_present", "n_links"], sorted(freq.items()))
 
 
@@ -644,7 +651,7 @@ def cmd_display_prob(args: argparse.Namespace, settings: dict[str, object], netw
 
 
 def cmd_persistent(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
-    pn, _, _ = _persistent_links(dataset, settings)
+    pn, *_ = _persistent_links(dataset, settings)
     _emit_persistent(Path(args.out), dataset, pn)
 
 
@@ -670,12 +677,10 @@ def cmd_simulate_persistence(args: argparse.Namespace, settings: dict[str, objec
 
 def cmd_correlate(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
     out = Path(args.out)
-    pn, ephemeral, filters = _persistent_links(dataset, settings)
+    pn, ephemeral, filters, presence = _persistent_links(dataset, settings)
     if not pn.edges:
         raise DataFormatError("no persistent links found; nothing to correlate")
-    random_pairs = sample_random_pairs(
-        dataset, settings["random_pairs"], settings["seed"], settings["cutoff"], filters
-    )
+    random_pairs = sample_random_pairs(presence, settings["random_pairs"], settings["seed"], filters)
     if len(random_pairs) < settings["random_pairs"]:
         record = {"warning": "random_pairs_short", "wanted": settings["random_pairs"],
                   "found": len(random_pairs)}
@@ -735,7 +740,7 @@ def cmd_pipeline(args: argparse.Namespace, settings: dict[str, object], dataset:
     out = Path(args.out)
     config = _forecast_config(settings)
     split_series(dataset, (), config)  # only its check, before any file is written
-    pn, _, _ = _persistent_links(dataset, settings)
+    pn, *_ = _persistent_links(dataset, settings)
     _emit_persistent(out, dataset, pn)
     if not pn.edges:
         raise DataFormatError("no persistent links found; cannot run the forecast stage")

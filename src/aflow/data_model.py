@@ -28,10 +28,10 @@ import io
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import IO, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -248,7 +248,6 @@ class DynamicNetwork:
 
     window: ObservationWindow
     table: SnapshotTable
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def snapshots(self) -> tuple[DailySnapshot, ...]:
@@ -272,16 +271,6 @@ class DynamicNetwork:
             entries = tuple(zip(targets[a:b], positions[a:b]))
             lists[k][name] = RankedList(name, entries, LIST_KINDS[k])
         return DailySnapshot(self.window.start + timedelta(days=i), lists[0], lists[1])
-
-    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
-        """``build()``, computed once per network and key.
-
-        For structures derived from the table that several analyses of one
-        command share, such as daily link presence.
-        """
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
 
 
 @dataclass(frozen=True, eq=False)

@@ -110,16 +110,11 @@ def daily_link_presence(
 ) -> LinkPresence:
     """Link presence of every daily graph at once, read off the snapshot table.
 
-    Same rules and errors as :func:`build_graph` on each day; built once per
-    network, corpus and cutoff.
+    Same rules and errors as :func:`build_graph` on each day.  A command builds
+    it once and passes it to every analysis that reads it.
     """
     if cutoff < 1:
         raise DataFormatError(f"cutoff must be at least 1, got {cutoff}")
-    corpus = frozenset(corpus)
-    return network.derived(("links", corpus, cutoff), lambda: _link_presence(network, corpus, cutoff))
-
-
-def _link_presence(network: DynamicNetwork, corpus: frozenset[str], cutoff: int) -> LinkPresence:
     t = network.table
     relevant = t.kind == 0
     orphan_days = np.setdiff1d(t.day[~relevant], t.day[relevant])
@@ -131,9 +126,10 @@ def _link_presence(network: DynamicNetwork, corpus: frozenset[str], cutoff: int)
     member = np.isin(t.ids, ids)
     edge = relevant & (t.pos <= cutoff) & member[t.src] & member[t.tgt]
     n = max(ids.size, 1)
-    keys, link = np.unique(code[t.src[edge]] * n + code[t.tgt[edge]], return_inverse=True)
+    links = code[t.src[edge]] * n + code[t.tgt[edge]]
+    keys = np.unique(links)
     days = np.zeros((keys.size, network.window.n_days), dtype=bool)
-    days[link, t.day[edge]] = True
+    days[np.searchsorted(keys, links), t.day[edge]] = True
     days.flags.writeable = False
     return LinkPresence(ids, keys // n, keys % n, days)
 
@@ -308,21 +304,15 @@ class ChurnStats:
     p90: float
 
 
-def indegree_change_ratios(
-    network: DynamicNetwork,
-    corpus: frozenset[str] | set[str],
-    cutoff: int = CUTOFF,
-    min_indegree: int = MIN_INDEGREE,
-) -> dict[int, ChurnStats]:
+def indegree_change_ratios(presence: LinkPresence, min_indegree: int = MIN_INDEGREE) -> dict[int, ChurnStats]:
     """Relative in-degree change (d_next - d) / d grouped by today's in-degree.
 
     Only nodes with in-degree >= min_indegree contribute, which keeps the
     ratio well defined and drops the noisy low-degree mass.  A node absent
     tomorrow counts as in-degree 0.
     """
-    if network.window.n_days < 2:
+    if presence.days.shape[1] < 2:
         raise DataFormatError("need at least two snapshots to measure change")
-    presence = daily_link_presence(network, corpus, cutoff)
     n = len(presence.ids)
     indegree = [np.bincount(presence.tgt[present], minlength=n) for present in presence.days.T]
     degs, ratios = [], []
@@ -341,14 +331,12 @@ def indegree_change_ratios(
     return out
 
 
-def link_frequency_histogram(
-    network: DynamicNetwork, corpus: frozenset[str] | set[str], cutoff: int = CUTOFF
-) -> dict[int, int]:
+def link_frequency_histogram(presence: LinkPresence) -> dict[int, int]:
     """Histogram mapping number-of-days-present to the count of such links.
 
     A link is one directed (source, target) pair under the daily graph
     construction rules.  Pairs never present do not appear, so keys run from
     1 to the window length and the products sum to the total daily edge count.
     """
-    days_present = daily_link_presence(network, corpus, cutoff).days.sum(axis=1)
+    days_present = presence.days.sum(axis=1)
     return {k: int(n) for k, n in enumerate(np.bincount(days_present)) if n}

@@ -16,7 +16,7 @@ import numpy as np
 from .data_model import SEED, WINDOW_DAYS, DataFormatError, Dataset, DynamicNetwork, VideoMeta
 # Re-exported for the benchmark's tracer only; nothing in src/ or tests/ looks it up here.
 from .graph_analysis import build_graph  # noqa: F401
-from .graph_analysis import CUTOFF, daily_link_presence
+from .graph_analysis import LinkPresence, daily_link_presence
 
 TARGET_MIN_MEAN_VIEWS = 100.0
 SOURCE_VIEW_FRACTION = 0.01
@@ -35,8 +35,8 @@ class ViewFilters:
     """
 
     mean_views: np.ndarray
-    target_min: float = TARGET_MIN_MEAN_VIEWS
-    source_frac: float = SOURCE_VIEW_FRACTION
+    target_min: float
+    source_frac: float
 
     def eligible(self, source_mean, target_mean):
         """The rule, elementwise over source and target means (arrays or floats)."""
@@ -78,16 +78,13 @@ def smooth_link_presence(bits: np.ndarray | list[int]) -> np.ndarray:
     return _smooth_rows(arr.astype(bool)[None, :])[0]
 
 
-def link_presence(
-    network: DynamicNetwork, corpus: frozenset[str] | set[str], cutoff: int = CUTOFF
-) -> tuple[list[tuple[str, str]], np.ndarray]:
+def link_presence(presence: LinkPresence) -> tuple[list[tuple[str, str]], np.ndarray]:
     """All (source, target) pairs ever present, with their daily presence matrix.
 
     Pairs come out sorted; the matrix has one boolean row per pair and one
     column per observation day, under the same construction rules as the
-    daily graphs.  The matrix is shared by every caller and is read-only.
+    daily graphs.  The matrix is ``presence.days``, read-only.
     """
-    presence = daily_link_presence(network, corpus, cutoff)
     return list(zip(presence.ids[presence.src].tolist(), presence.ids[presence.tgt].tolist())), presence.days
 
 
@@ -130,21 +127,19 @@ class PersistentNetwork:
 
 
 def classify_links(
-    network: DynamicNetwork,
-    dataset: Dataset,
-    cutoff: int = CUTOFF,
-    filters: ViewFilters | None = None,
+    presence: LinkPresence, filters: ViewFilters
 ) -> tuple[PersistentNetwork, tuple[tuple[str, str], ...]]:
     """Split filter-passing links into persistent and ephemeral.
 
     Candidates are the pairs that pass the view filters; a candidate is
     persistent when its smoothed presence vector is all-ones and ephemeral
-    otherwise.  The work is on corpus codes; only the links returned are
-    named.
+    otherwise.  ``presence`` and ``filters`` must come from one dataset:
+    ``filters.mean_views`` is indexed by the codes of ``presence``.  The work
+    is on those codes, but every link ever present, not only those returned,
+    is named through :func:`link_presence`: the benchmark's tracer counts
+    pairs from that call.
     """
-    filters = filters or apply_view_filters(dataset)
-    pairs, days = link_presence(network, dataset.corpus, cutoff)
-    presence = daily_link_presence(network, dataset.corpus, cutoff)  # the codes of ``pairs``
+    pairs, days = link_presence(presence)
     means = filters.mean_views
     keep = np.flatnonzero(filters.eligible(means[presence.src], means[presence.tgt]))
     steady = _smooth_rows(days[keep]).all(axis=1)
@@ -158,8 +153,9 @@ def classify_links(
 
 
 def extract_persistent_network(network: DynamicNetwork, dataset: Dataset) -> PersistentNetwork:
-    """Extract the persistent network; see :func:`classify_links`."""
-    return classify_links(network, dataset)[0]
+    """Extract the persistent network at the default cutoff and view filters; see :func:`classify_links`."""
+    filters = apply_view_filters(dataset)
+    return classify_links(daily_link_presence(network, dataset.corpus), filters)[0]
 
 
 @dataclass(frozen=True)

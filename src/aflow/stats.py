@@ -20,7 +20,7 @@ import numpy as np
 from .data_model import DataFormatError, Dataset, NumericalError
 # Re-exported for the benchmark's tracer only; nothing in src/ or tests/ looks it up here.
 from .graph_analysis import build_graph  # noqa: F401
-from .graph_analysis import daily_link_presence
+from .graph_analysis import LinkPresence
 from .persistence import ViewFilters
 
 SIGNIFICANCE_LEVEL = 0.05
@@ -245,24 +245,21 @@ def correlated_link_fractions(
 
 
 def sample_random_pairs(
-    dataset: Dataset,
-    n: int,
-    seed: int,
-    cutoff: int,
-    filters: ViewFilters,
+    presence: LinkPresence, n: int, seed: int, filters: ViewFilters
 ) -> list[tuple[str, str]]:
     """Sample distinct (source, target) pairs never linked in any snapshot.
 
     Pairs must pass the same view filters as persistence candidates so the
-    group is comparable to the link groups.  A corpus with fewer than ``n``
-    eligible never-linked pairs gives all of them, in sorted order, so the
-    result is shorter than ``n``; a corpus with none raises.  Otherwise pairs
-    are drawn by rejection sampling with a fixed attempt budget, and running
-    out of it raises instead of looping forever.
+    group is comparable to the link groups.  ``presence`` and ``filters``
+    must come from one dataset: ``filters.mean_views`` is indexed by the
+    codes of ``presence``.  A corpus with fewer than ``n`` eligible
+    never-linked pairs gives all of them, in sorted order, so the result is
+    shorter than ``n``; a corpus with none raises.  Otherwise pairs are
+    drawn by rejection sampling with a fixed attempt budget, and running out
+    of it raises instead of looping forever.
     """
     if n < 1:
         raise DataFormatError("need a positive sample size")
-    presence = daily_link_presence(dataset.network, dataset.corpus, cutoff)
     ids = presence.ids.tolist()
     size = len(ids)
     if size < 2:

@@ -350,6 +350,19 @@ def test_each_stage_run_alone_writes_what_pipeline_writes(chain, tmp_path):
     assert artifacts(out) == artifacts(chain["pipeline"])
 
 
+@pytest.mark.parametrize("command", ["analyze", "persistent", "correlate", "pipeline"])
+def test_a_command_builds_its_link_presence_once(chain, tmp_path, monkeypatch, command):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return graph_analysis.daily_link_presence(*args)
+
+    monkeypatch.setattr(cli, "daily_link_presence", counted)
+    assert cli.main(chain_argv(chain, command, tmp_path / "out")) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["validate", "evaluate", "contribute"])
 def test_commands_without_settings_take_no_config_flag(tmp_path, capsys, command):
     argv = [command, "--config", str(tmp_path / "c.cfg")]
@@ -385,17 +398,12 @@ def test_readme_settings_table_matches_the_code():
 # Every library parameter or config field a setting feeds, as (owner, name).
 # random_pairs, model, p_grid and threads feed none that has a default.
 LIBRARY_DEFAULTS = {
-    "cutoff": [(graph_analysis.build_graph, "cutoff"), (graph_analysis.daily_link_presence, "cutoff"),
-               (graph_analysis.indegree_change_ratios, "cutoff"),
-               (graph_analysis.link_frequency_histogram, "cutoff"),
-               (persistence.link_presence, "cutoff"), (persistence.classify_links, "cutoff")],
+    "cutoff": [(graph_analysis.build_graph, "cutoff"), (graph_analysis.daily_link_presence, "cutoff")],
     "min_indegree": [(graph_analysis.indegree_change_ratios, "min_indegree")],
     "max_rel": [(list_alignment.display_probability_matrix, "max_rel")],
     "max_rec": [(list_alignment.origin_probability_matrix, "max_rec")],
-    "target_min_views": [(persistence.apply_view_filters, "target_min"),
-                         (persistence.ViewFilters, "target_min")],
-    "source_view_frac": [(persistence.apply_view_filters, "source_frac"),
-                         (persistence.ViewFilters, "source_frac")],
+    "target_min_views": [(persistence.apply_view_filters, "target_min")],
+    "source_view_frac": [(persistence.apply_view_filters, "source_frac")],
     "alpha": [(stats.correlated_link_fractions, "alpha")],
     "p": [(forecast.ForecastConfig, "p"), (forecast.fit_ar, "p")],
     "m_star": [(forecast.ForecastConfig, "m_star"), (forecast.predict_seasonal_naive, "m_star")],
@@ -826,6 +834,14 @@ ONE_MODEL = {"v00001": {"alpha": [0.1] * 7, "beta": {"v00002": 0.5}}}
                       "videos": ONE_MODEL},
                      "'config' holds keys that are not ForecastConfig fields: grad_tol, max_iter; refit",
                      id="solver-limits-of-an-older-fit"),
+        # video ids follow the input files' id rule; the first bad one in file order is reported
+        pytest.param({"model": "arnet", "config": DEFAULT_CONFIG,
+                      "videos": {"": {"alpha": [0.1] * 7, "beta": {"v00002": 0.5}}}},
+                     "empty video id", id="empty-video-id"),
+        pytest.param({"model": "arnet", "config": DEFAULT_CONFIG,
+                      "videos": {"v00001": {"alpha": [0.1] * 7, "beta": {"a\nb": 0.5}},
+                                 "": {"alpha": [0.1] * 7, "beta": {}}}},
+                     "video id 'a\\nb' holds a NUL or line break", id="line-break-in-a-beta-key"),
     ],
 )
 def test_contribute_reports_a_malformed_models_file(tmp_path, capsys, payload, problem):
@@ -893,6 +909,34 @@ def test_persistent_edges_cells_follow_the_input_grammar(tmp_path, capsys, row, 
                           "--persistent", str(edges)], capsys)
     assert code == 2
     assert one_data_error(captured) == f"{edges}: line 2: {problem}"
+
+
+@pytest.mark.parametrize("rows, problem", [
+    pytest.param([",,0,5"], "line 2: empty video id", id="empty-self-loop"),
+    pytest.param(["v00000,v00001,0,5", ",v00001,0,5", ",v00001,0,5"], "line 3: empty video id",
+                 id="empty-repeated-edge"),
+    pytest.param(['"a\nb","a\nb",0,5'], "line 2: video id 'a\\nb' holds a NUL or line break",
+                 id="line-break-self-loop"),
+])
+def test_a_bad_persistent_edges_id_is_no_self_loop_or_repeated_edge(tmp_path, capsys, rows, problem):
+    data = generate_data(tmp_path)
+    edges = tmp_path / "persistent_edges.csv"
+    edges.write_text("\n".join(["source,target,reciprocal,raw_presence_count", *rows, ""]), encoding="utf-8")
+    code, captured = run(["fit", "--data", str(data), "--out", str(tmp_path / "fit"),
+                          "--persistent", str(edges)], capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"{edges}: {problem}"
+    assert not (tmp_path / "fit").exists()
+
+
+def test_a_bad_forecasts_id_is_no_repeated_row(tmp_path, capsys):
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_text("video_id,date,y_true,y_pred\n,2018-09-01,1.0,2.0\n,2018-09-01,1.0,2.0\n",
+                         encoding="utf-8")
+    code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)],
+                         capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"{forecasts}: line 2: empty video id"
 
 
 def test_forecast_dates_follow_the_input_grammar(tmp_path, capsys):

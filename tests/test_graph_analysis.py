@@ -11,6 +11,7 @@ from aflow.graph_analysis import (
     bowtie_attention,
     bowtie_decompose,
     build_graph,
+    daily_link_presence,
     indegree_ccdf,
     indegree_change_ratios,
     link_frequency_histogram,
@@ -225,13 +226,13 @@ def test_indegree_change_ratio_values():
     corpus = set(sources) | {"hub"}
     stable_day = {s: [("hub", 1)] for s in sources}
     net = _helpers.build_network([stable_day, stable_day])
-    stats = indegree_change_ratios(net, corpus, min_indegree=20)
+    stats = indegree_change_ratios(daily_link_presence(net, corpus), min_indegree=20)
     assert list(stats) == [25]
     assert stats[25].count == 1
     assert stats[25].p50 == 0.0
 
     vanished = _helpers.build_network([stable_day, {}])
-    stats = indegree_change_ratios(vanished, corpus, min_indegree=20)
+    stats = indegree_change_ratios(daily_link_presence(vanished, corpus), min_indegree=20)
     assert stats[25].p50 == -1.0
     assert stats[25].p10 == -1.0
 
@@ -239,14 +240,14 @@ def test_indegree_change_ratio_values():
 def test_indegree_change_needs_two_days():
     net = _helpers.build_network([{"a": [("b", 1)]}])
     with pytest.raises(DataFormatError, match="at least two snapshots"):
-        indegree_change_ratios(net, {"a", "b"})
+        indegree_change_ratios(daily_link_presence(net, {"a", "b"}))
 
 
 def test_link_frequency_histogram():
     day_ab = {"a": [("b", 1)]}
     day_ab_cd = {"a": [("b", 1)], "c": [("d", 1)]}
     net = _helpers.build_network([day_ab_cd, day_ab, day_ab_cd])
-    hist = link_frequency_histogram(net, {"a", "b", "c", "d"})
+    hist = link_frequency_histogram(daily_link_presence(net, {"a", "b", "c", "d"}))
     assert hist == {2: 1, 3: 1}
     total_edges = sum(days * n for days, n in hist.items())
     assert total_edges == 5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aflow.data_model import DataFormatError, VideoMeta
+from aflow.graph_analysis import daily_link_presence
 from aflow.persistence import (
     PersistentEdge,
     PersistentNetwork,
@@ -91,7 +92,7 @@ def test_link_presence_matrix():
     ds = _helpers.build_dataset(
         views={v: [100] * 3 for v in "abcd"}, daily_edges=daily
     )
-    pairs, matrix = link_presence(ds.network, ds.corpus)
+    pairs, matrix = link_presence(daily_link_presence(ds.network, ds.corpus))
     assert pairs == [("a", "b"), ("c", "d")]
     assert matrix.tolist() == [[True, True, False], [False, True, True]]
 
@@ -108,7 +109,7 @@ def test_classify_links_splits_persistent_and_ephemeral():
         daily.append(edges)
     views = {"a": [500] * n_days, "b": [200] * n_days, "c": [500] * n_days, "d": [200] * n_days}
     ds = _helpers.build_dataset(views=views, daily_edges=daily)
-    persistent, ephemeral = classify_links(ds.network, ds)
+    persistent, ephemeral = classify_links(daily_link_presence(ds.network, ds.corpus), apply_view_filters(ds))
     assert persistent.pair_set == {("a", "b")}
     assert persistent.edges[0].days_present == 62
     assert not persistent.edges[0].reciprocal
@@ -125,7 +126,7 @@ def test_classify_links_drops_filtered_pairs_entirely():
     }
     daily = [[("s", "t", 1), ("u", "w", 1)]] * n_days
     ds = _helpers.build_dataset(views=views, daily_edges=daily)
-    persistent, ephemeral = classify_links(ds.network, ds)
+    persistent, ephemeral = classify_links(daily_link_presence(ds.network, ds.corpus), apply_view_filters(ds))
     assert persistent.pair_set == frozenset()
     assert ephemeral == ()
 

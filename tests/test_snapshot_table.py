@@ -106,38 +106,45 @@ def test_views_reproduce_the_converted_lists(augmented, capsys):
 def test_link_analyses_match_per_day_oracles(augmented, cutoff):
     dataset, snapshots = augmented
     net, corpus = dataset.network, dataset.corpus
+    analyses = (
+        (link_frequency_histogram, _oracles.link_frequency_histogram),
+        (lambda p: indegree_change_ratios(p, min_indegree=2),
+         lambda *a: _oracles.indegree_change_ratios(*a, min_indegree=2)),
+    )
 
-    got = outcome(link_presence, net, corpus, cutoff)
+    built = outcome(daily_link_presence, net, corpus, cutoff)
     want = outcome(_oracles.link_presence, snapshots, corpus, cutoff)
     if cutoff < 1:
-        assert got == want == ("error", DataFormatError, f"cutoff must be at least 1, got {cutoff}")
-    else:
-        assert got[1][0] == want[1][0]
-        assert np.array_equal(got[1][1], want[1][1])
-        assert got[1][1].any(axis=1).all() and not got[1][1].all()
-        assert daily_link_presence(net, corpus, cutoff).ids.tolist() == sorted(corpus)
+        error = ("error", DataFormatError, f"cutoff must be at least 1, got {cutoff}")
+        assert built == want == error
+        for _, oracle in analyses:
+            assert outcome(oracle, snapshots, corpus, cutoff) == error
+        return
+    presence = built[1]
+    got = outcome(link_presence, presence)
+    assert got[1][0] == want[1][0]
+    assert np.array_equal(got[1][1], want[1][1])
+    assert got[1][1].any(axis=1).all() and not got[1][1].all()
+    assert presence.ids.tolist() == sorted(corpus)
 
-    for fn, oracle in (
-        (link_frequency_histogram, _oracles.link_frequency_histogram),
-        (lambda *a: indegree_change_ratios(*a, min_indegree=2),
-         lambda *a: _oracles.indegree_change_ratios(*a, min_indegree=2)),
-    ):
-        assert outcome(fn, net, corpus, cutoff) == outcome(oracle, snapshots, corpus, cutoff)
+    for fn, oracle in analyses:
+        assert outcome(fn, presence) == outcome(oracle, snapshots, corpus, cutoff)
 
     for target_min, source_frac in FILTERS:
         filters = apply_view_filters(dataset, target_min, source_frac)
-        got = outcome(sample_random_pairs, dataset, 15, 3, cutoff, filters)
+        got = outcome(sample_random_pairs, presence, 15, 3, filters)
         assert got == outcome(_oracles.sample_random_pairs, dataset, snapshots, 15, 3, cutoff, filters)
 
 
 @pytest.mark.parametrize("cutoff", [1, 5, 15])
 def test_classify_links_matches_per_pair_oracle(augmented, cutoff):
     dataset, snapshots = augmented
-    n_links = len(link_presence(dataset.network, dataset.corpus, cutoff)[0])
+    presence = daily_link_presence(dataset.network, dataset.corpus, cutoff)
+    n_links = len(link_presence(presence)[0])
     reciprocal = {}
     for target_min, source_frac in FILTERS:
         filters = apply_view_filters(dataset, target_min, source_frac)
-        persistent, ephemeral = classify_links(dataset.network, dataset, cutoff, filters)
+        persistent, ephemeral = classify_links(presence, filters)
         edges = [(e.source, e.target, e.reciprocal, e.days_present) for e in persistent.edges]
         assert (edges, list(ephemeral)) == _oracles.classify_links(snapshots, dataset.corpus, cutoff, filters)
         assert {v for e in edges for v in e[:2]} | {v for p in ephemeral for v in p} <= dataset.corpus
@@ -165,13 +172,9 @@ def test_recommended_lists_without_relevant_ones_fail_like_the_oracle():
     corpus = {"a", "b"}
     message = f"snapshot {net.window.start + timedelta(days=1)} has no relevant lists"
     expected = ("error", DataFormatError, message)
-    assert outcome(link_presence, net, corpus) == expected
-    assert outcome(_oracles.link_presence, net.snapshots, corpus) == expected
-    for fn, oracle in (
-        (link_frequency_histogram, _oracles.link_frequency_histogram),
-        (indegree_change_ratios, _oracles.indegree_change_ratios),
-    ):
-        assert outcome(fn, net, corpus) == outcome(oracle, net.snapshots, corpus) == expected
+    assert outcome(daily_link_presence, net, corpus) == expected
+    for oracle in (_oracles.link_presence, _oracles.link_frequency_histogram, _oracles.indegree_change_ratios):
+        assert outcome(oracle, net.snapshots, corpus) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from scipy.special import stdtr
 
 from aflow import stats
 from aflow.data_model import DataFormatError
-from aflow.graph_analysis import CUTOFF
+from aflow.graph_analysis import daily_link_presence
 from aflow.persistence import apply_view_filters
 from aflow.stats import (
     average_ranks,
@@ -330,20 +330,25 @@ def test_correlated_link_fractions_rejects_empty_group():
         correlated_link_fractions({"g": []}, ds)
 
 
+def _sample(ds, n, seed):
+    """``sample_random_pairs`` over ``ds``'s link presence and default view filters."""
+    return sample_random_pairs(daily_link_presence(ds.network, ds.corpus), n, seed, apply_view_filters(ds))
+
+
 def test_sample_random_pairs_properties():
     n_days = 3
     views = {f"v{i}": [200] * n_days for i in range(12)}
     daily = [[("v0", "v1", 1), ("v2", "v3", 1)]] * n_days
     ds = _helpers.build_dataset(views=views, daily_edges=daily)
-    pairs = sample_random_pairs(ds, 30, 2, CUTOFF, apply_view_filters(ds))
+    pairs = _sample(ds, 30, 2)
     assert len(pairs) == 30
     assert len(set(pairs)) == 30
     for src, tgt in pairs:
         assert src != tgt
         assert (src, tgt) not in {("v0", "v1"), ("v1", "v0"), ("v2", "v3"), ("v3", "v2")}
-    again = sample_random_pairs(ds, 30, 2, CUTOFF, apply_view_filters(ds))
+    again = _sample(ds, 30, 2)
     assert pairs == again
-    assert sample_random_pairs(ds, 30, 9, CUTOFF, apply_view_filters(ds)) != pairs
+    assert _sample(ds, 30, 9) != pairs
 
 
 def test_sample_random_pairs_budget_exhaustion():
@@ -351,9 +356,9 @@ def test_sample_random_pairs_budget_exhaustion():
     views = {"a": [300] * 3, "b": [300] * 3}
     ds = _helpers.build_dataset(views=views, daily_edges=[("a", "b", 1)])
     with pytest.raises(DataFormatError, match="exhausted sampling budget"):
-        sample_random_pairs(ds, 5, 0, CUTOFF, apply_view_filters(ds))
+        _sample(ds, 5, 0)
     with pytest.raises(DataFormatError, match="positive sample size"):
-        sample_random_pairs(ds, 0, 0, CUTOFF, apply_view_filters(ds))
+        _sample(ds, 0, 0)
 
 
 def test_sample_random_pairs_short_corpus_gives_every_pair_sorted():
@@ -361,11 +366,11 @@ def test_sample_random_pairs_short_corpus_gives_every_pair_sorted():
     views = {"a": [300] * 3, "b": [300] * 3, "c": [300] * 3}
     ds = _helpers.build_dataset(views=views, daily_edges=[("a", "b", 1)])
     expected = [("a", "c"), ("b", "c"), ("c", "a"), ("c", "b")]
-    assert sample_random_pairs(ds, 5, 0, CUTOFF, apply_view_filters(ds)) == expected
-    assert sample_random_pairs(ds, 500, 1, CUTOFF, apply_view_filters(ds)) == expected
+    assert _sample(ds, 5, 0) == expected
+    assert _sample(ds, 500, 1) == expected
     # views filters still apply: c is too small to be a target
     ds = _helpers.build_dataset(views={**views, "c": [50] * 3}, daily_edges=[("a", "b", 1)])
-    assert sample_random_pairs(ds, 5, 0, CUTOFF, apply_view_filters(ds)) == [("c", "a"), ("c", "b")]
+    assert _sample(ds, 5, 0) == [("c", "a"), ("c", "b")]
 
 
 def test_average_ranks_match_counting_oracle():

@@ -320,24 +320,22 @@ _FLAGS = {"0": False, "1": True}
 def read_persistent_edges(path: Path) -> PersistentNetwork:
     if not path.is_file():
         raise DataFormatError("persistent edges artifact not found; run the persistent step first")
-    edges, first_line, id_line = [], {}, {}
+    edges, first_line = [], {}
     for line, row in csv_rows(path, PERSISTENT_HEADER):
         where = f"line {line}"
         if len(row) != 4:
             raise DataFormatError(f"{where}: expected 4 fields, got {len(row)}")
+        for vid in row[:2]:  # before the cells: a bad id is never reported as a self-loop or a repeat
+            if problem := _id_problem(vid):
+                raise DataFormatError(f"{where}: {problem}")
         reciprocal = cell(_FLAGS.get, row[2], where, "reciprocal flag")
         count = cell(int_or_none, row[3], where, "presence count")
-        id_line.setdefault(row[0], line)
-        id_line.setdefault(row[1], line)
-        if row[0] == row[1] and not _id_problem(row[0]):  # a bad id is reported after the rows
+        if row[0] == row[1]:
             raise DataFormatError(f"{where}: self-loop on {row[0]}")
         first = first_line.setdefault((row[0], row[1]), line)
-        if first != line and not (_id_problem(row[0]) or _id_problem(row[1])):
+        if first != line:
             raise DataFormatError(f"{where}: repeated edge {row[0]} -> {row[1]} (first at line {first})")
         edges.append(PersistentEdge(row[0], row[1], reciprocal, count))
-    ids = list(id_line)  # checked once each, after the rows: the first bad id in file order is reported
-    if bad := _bad_ids(ids):
-        raise DataFormatError(f"line {id_line[ids[bad[0]]]}: {_id_problem(ids[bad[0]])}")
     return PersistentNetwork(tuple(sorted(edges, key=lambda e: (e.source, e.target))))
 
 
@@ -345,21 +343,18 @@ def read_forecasts(path: Path) -> ForecastResult:
     if not path.is_file():
         raise DataFormatError("forecasts artifact not found")
     per_video: dict[str, dict[date, tuple[float, float]]] = {}
-    id_line: dict[str, int] = {}
     for line, row in csv_rows(path, FORECASTS_HEADER):
         where = f"line {line}"
         if len(row) != 4:
             raise DataFormatError(f"{where}: expected 4 fields, got {len(row)}")
+        if problem := _id_problem(row[0]):  # as in read_persistent_edges
+            raise DataFormatError(f"{where}: {problem}")
         day = cell(date_or_none, row[1], where, "date")
         values = (cell(_finite, row[2], where, "y_true"), cell(_finite, row[3], where, "y_pred"))
         per_day = per_video.setdefault(row[0], {})
-        id_line.setdefault(row[0], line)
-        if day in per_day and not _id_problem(row[0]):  # as in read_persistent_edges
+        if day in per_day:
             raise DataFormatError(f"{where}: repeated row for {row[0]} on {day}")
         per_day[day] = values
-    ids = list(id_line)  # as in read_persistent_edges
-    if bad := _bad_ids(ids):
-        raise DataFormatError(f"line {id_line[ids[bad[0]]]}: {_id_problem(ids[bad[0]])}")
     if not per_video:
         raise DataFormatError("no forecast rows")
     video_ids = tuple(sorted(per_video))

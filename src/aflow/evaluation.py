@@ -8,12 +8,13 @@ perfect 0.  Overall model scores are grand means over per-video scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data_model import DataFormatError, Dataset
-from .forecast import ArnetModel, ForecastConfig, ForecastResult, resolve_neighbor_values
+from .forecast import ArnetModel, ForecastConfig, ForecastResult, _beta_terms, _source_values
 from .stats import average_ranks
 
 OUTLIER_BINS = 10  # equal-width pct_without bins of outlier_artists
@@ -63,18 +64,18 @@ def evaluate_forecasts(result: ForecastResult) -> EvalReport:
     return EvalReport(per_video, tuple(float(s) for s in ph), float(pv.mean()))
 
 
-def _inflows(model: ArnetModel, neighbor_values: Mapping[str, Sequence[float] | np.ndarray],
-             days: int) -> list[float]:
-    """Per beta term: beta times the neighbor's values summed over the first ``days`` days."""
-    return [b * float(np.asarray(neighbor_values[u], dtype=float)[:days].sum())
-            for u, b in model.beta.items()]
+def _network_views(row: np.ndarray, flow: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each video's networked views, the bincount of the flows ``flow[k]`` of its rows ``row[k]``,
+    in table order from 0.0; which videos have a nonzero predicted total; and their eta."""
+    networked = np.bincount(row, weights=flow, minlength=len(y_pred))
+    total = y_pred.sum(axis=1)
+    defined = total != 0
+    return networked, defined, np.clip(networked[defined] / total[defined], 0.0, 1.0)
 
 
-def _eta(video_id: str, inflow: float, predictions: np.ndarray) -> float:
-    den = float(predictions.sum())
-    if den == 0:
-        raise DataFormatError(f"{video_id}: zero predicted total")
-    return float(np.clip(inflow / den, 0.0, 1.0))
+def _sequential_sum(values: np.ndarray) -> float:
+    """``values`` added one by one in order from 0.0, as a loop would; ``np.sum`` sums pairwise."""
+    return float(np.bincount(np.zeros(values.size, dtype=np.intp), weights=values, minlength=1)[0])
 
 
 def network_contribution(
@@ -82,17 +83,20 @@ def network_contribution(
     neighbor_values: Mapping[str, Sequence[float] | np.ndarray],
     predictions: Sequence[float] | np.ndarray,
 ) -> float:
-    """Share of a video's predicted views that flows in over network terms.
+    """Share of a video's predicted views that flows in over network terms: ``contribution_report``'s eta.
 
-    Numerator: sum over horizon days and in-neighbors of beta * neighbor
-    value; denominator: sum of the video's predictions.  Always within
-    [0, 1] because every prediction is at least its own network term.
+    Numerator: beta times the in-neighbor's values summed over the prediction days, added up
+    over the in-neighbors in id order; denominator: sum of the video's predictions.  Always
+    within [0, 1] because every prediction is at least its own network term.
     """
     preds = np.asarray(predictions, dtype=float)
-    inflow = 0.0
-    for flow in _inflows(model, neighbor_values, preds.size):
-        inflow += flow
-    return _eta(model.video_id, inflow, preds)
+    sources = sorted(model.beta)
+    row, source, beta = _beta_terms([model], sources)
+    totals = np.array([np.asarray(neighbor_values[u], dtype=float)[: preds.size].sum() for u in sources])
+    _, defined, eta = _network_views(row, beta * totals[source], preds[None, :])
+    if not defined[0]:
+        raise DataFormatError(f"{model.video_id}: zero predicted total")
+    return float(eta[0])
 
 
 @dataclass(frozen=True)
@@ -129,39 +133,31 @@ def contribution_report(
     """Network contribution per video plus artist-level percentile shifts.
 
     ``result`` holds the models' forecasts over the ``config.horizon`` test
-    days, one row per model, and eta and the networked views share one
-    inflow sum over them.  Artist totals aggregate observed views over the
-    evaluated videos; the "without network" variant subtracts each video's
-    networked views, clamped at zero.  Percentile changes sum to zero by
-    construction.  Videos with a zero predicted total are left out of the eta
-    map.
+    days, one row per model.  Every beta term's flow is its beta times its
+    source's horizon total (see ``forecast._source_values``), and a video's
+    networked views are the ``bincount`` of its flows, in the same
+    (target, source id) order the forecasts use.  Eta is networked views
+    over predicted total; videos with a zero predicted total are left out of
+    the eta map.  Artist totals aggregate observed views over the evaluated
+    videos; the "without network" variant subtracts each video's networked
+    views, clamped at zero.  Percentile changes sum to zero by construction.
     """
-    neighbor_values = resolve_neighbor_values(dataset, models, config)
-    artist_of = {vid: meta.artist_id for vid, meta in dataset.metadata.items()}
-
-    eta: dict[str, float] = {}
-    networked = np.zeros(len(result.video_ids))
-    same_artist_num = network_total = 0.0
-    for i, vid in enumerate(result.video_ids):
-        model = models[vid]
-        net = 0.0
-        for u, flow in zip(model.beta, _inflows(model, neighbor_values[vid], config.horizon)):
-            net += flow
-            if artist_of[u] == artist_of[vid]:
-                same_artist_num += flow
-        try:
-            eta[vid] = _eta(vid, net, result.y_pred[i])
-        except DataFormatError:
-            pass
-        networked[i] = net
-        network_total += net
-    if not eta:
+    sources, values = _source_values(dataset, models, config)
+    row, source, beta = _beta_terms([models[v] for v in result.video_ids], sources)
+    flow = beta * values.sum(axis=1)[source]
+    networked, defined, eta_values = _network_views(row, flow, result.y_pred)
+    if not defined.any():
         raise DataFormatError("no video produced a defined network contribution")
-    same_artist_share = same_artist_num / network_total if network_total else 0.0
+    eta = dict(zip(compress(result.video_ids, defined), eta_values.tolist()))
 
-    artists = sorted({artist_of[vid] for vid in result.video_ids})
-    code = {a: k for k, a in enumerate(artists)}
-    codes = [code[artist_of[vid]] for vid in result.video_ids]
+    artist_of = {vid: meta.artist_id for vid, meta in dataset.metadata.items()}
+    target_artist = np.array([artist_of[vid] for vid in result.video_ids], dtype=object)
+    source_artist = np.array([artist_of[u] for u in sources], dtype=object)
+    same = source_artist[source] == target_artist[row]
+    network_total = _sequential_sum(networked)
+    same_artist_share = _sequential_sum(flow[same]) / network_total if network_total else 0.0
+
+    artists, codes = np.unique(target_artist, return_inverse=True)
     observed = result.y_true.sum(axis=1)
     with_totals = np.bincount(codes, weights=observed, minlength=len(artists))
     without = np.fmax(observed - networked, 0.0)  # as max(0.0, x): 0 for a NaN difference
@@ -179,7 +175,7 @@ def contribution_report(
         )
         for k, a in enumerate(artists)
     )
-    mean_eta = float(np.mean(list(eta.values())))
+    mean_eta = float(eta_values.mean())
     return ContributionReport(eta, mean_eta, same_artist_share, rows)
 
 

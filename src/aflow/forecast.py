@@ -529,44 +529,25 @@ def fit_arnet(
     return fit_arnet_batch([(video_id, series, neighbor_series)], config)[0]
 
 
-def forecast(
-    model: ArnetModel,
-    history: Sequence[float] | np.ndarray,
-    neighbor_values: Mapping[str, Sequence[float] | np.ndarray],
-    config: ForecastConfig,
-) -> np.ndarray:
-    """Recursive multi-step forecast, clamped at zero.
+def _forecast_rows(alpha: np.ndarray, history: np.ndarray, row: np.ndarray,
+                   beta: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Recursive forecasts of n targets at once, clamped at zero.
 
-    Lagged inputs beyond the history come from earlier predictions.  A model
-    with beta terms needs ``neighbor_values`` to provide each neighbor's value
-    for every horizon day.
+    ``alpha`` is (n, p) and ``history`` (n, >= p).  Each day adds, from 0.0, the lag terms
+    tau = 1..p and then ``beta[k] * values[k]`` to target ``row[k]`` in table order
+    (``np.add.at`` is unbuffered); ``values`` has one column per horizon day.
     """
-    p = len(model.alpha)
-    hist = np.asarray(history, dtype=float)
-    if hist.size < p:
-        raise DataFormatError("history shorter than the lag order")
-
-    beta_items = sorted(model.beta.items())
-    for u, _ in beta_items:
-        vals = neighbor_values.get(u)
-        if vals is None or len(vals) < config.horizon:
-            raise DataFormatError(
-                f"{model.video_id}: missing neighbor values for {u} over the horizon"
-            )
-
-    buf = list(hist[-p:])
-    alpha = model.alpha
-    preds = np.empty(config.horizon)
-    for h in range(config.horizon):
-        val = 0.0
+    n, p = alpha.shape
+    horizon = values.shape[1]
+    buf = np.hstack([history[:, -p:], np.empty((n, horizon))])
+    flows = beta[:, None] * values
+    for h in range(horizon):
+        val = np.zeros(n)
         for tau in range(1, p + 1):
-            val += alpha[tau - 1] * buf[-tau]
-        for u, b in beta_items:
-            val += b * float(neighbor_values[u][h])
-        val = max(0.0, val)
-        preds[h] = val
-        buf.append(val)
-    return preds
+            val += alpha[:, tau - 1] * buf[:, p + h - tau]
+        np.add.at(val, row, flows[:, h])
+        buf[:, p + h] = np.where(val > 0.0, val, 0.0)  # NaN and -0.0 become 0.0, as with max()
+    return buf[:, p:].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -601,30 +582,50 @@ def split_series(
     return rows[:, : config.train_days].astype(float), rows[:, config.train_days : end].astype(float)
 
 
+def _beta_terms(models: Sequence[ArnetModel], sources: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """The one table of beta terms: each term's model index, source index in the sorted
+    ``sources`` and beta, ordered by model and then source id, whatever the key order of ``beta``."""
+    code = {u: k for k, u in enumerate(sources)}
+    terms = [(i, code[u], b) for i, m in enumerate(models) for u, b in sorted(m.beta.items())]
+    row, source, beta = zip(*terms) if terms else ((), (), ())
+    return np.array(row, dtype=np.intp), np.array(source, dtype=np.intp), np.array(beta, dtype=float)
+
+
+def _model_rows(models: Sequence[ArnetModel], history: np.ndarray, sources: Sequence[str],
+                values: np.ndarray, p: int) -> np.ndarray:
+    """The models' forecasts, their beta terms reading the rows of ``values``, one per source."""
+    row, source, beta = _beta_terms(models, sources)
+    alpha = np.array([m.alpha for m in models], dtype=float).reshape(-1, p)
+    return _forecast_rows(alpha, history, row, beta, values[source])
+
+
+def _source_values(dataset: Dataset, models: Mapping[str, ArnetModel],
+                   config: ForecastConfig) -> tuple[list[str], np.ndarray]:
+    """The sorted ids of every source the models name, and a row of horizon values for each:
+    its test-day views ("observed"), or ("forecast") a modeled source's own model's forecast
+    over seasonal-naive neighbor values and any other source's seasonal-naive forecast."""
+    sources = sorted({u for m in models.values() for u in m.beta})
+    train, test = split_series(dataset, sources, config)
+    if config.neighbor_mode == "observed":
+        return sources, test
+    # in C order, as ``test`` is: numpy sums a row of a C-ordered matrix pairwise, as it
+    # does a 1-D array, but a row of this index's F-ordered result one value at a time
+    values = np.ascontiguousarray(train[:, np.arange(config.horizon) % config.m_star - config.m_star])
+    modeled = [k for k, u in enumerate(sources) if u in models]
+    values[modeled] = _model_rows([models[sources[k]] for k in modeled], train[modeled], sources,
+                                  values, config.p)
+    return sources, values
+
+
 def resolve_neighbor_values(
     dataset: Dataset,
     models: Mapping[str, ArnetModel],
     config: ForecastConfig,
 ) -> dict[str, dict[str, np.ndarray]]:
-    """Per-target neighbor value vectors for the test horizon.
-
-    "observed" feeds each neighbor's actual test-day views.  "forecast" never
-    touches test observations: neighbors that are themselves modeled targets
-    contribute their own model forecast (with seasonal-naive values feeding
-    that model's neighbor terms), all others contribute their seasonal-naive
-    forecast.
-    """
-    sources = sorted({u for m in models.values() for u in m.beta})
-    train, test = split_series(dataset, sources, config)
-    if config.neighbor_mode == "observed":
-        values = dict(zip(sources, test))
-    else:
-        train = dict(zip(sources, train))
-        # A modeled source's own neighbors are sources too.
-        snaive = {u: predict_seasonal_naive(train[u], config.horizon, config.m_star) for u in sources}
-        values = {u: forecast(models[u], train[u], {w: snaive[w] for w in models[u].beta}, config)
-                  if u in models else snaive[u] for u in sources}
-    return {vid: {u: values[u] for u in m.beta} for vid, m in models.items()}
+    """Each target's {neighbor id: horizon values}, the rows of ``_source_values``' matrix;
+    every target maps to one shared dict, which holds every source any model names."""
+    sources, values = _source_values(dataset, models, config)
+    return dict.fromkeys(models, dict(zip(sources, values)))
 
 
 def horizon_dates(dataset: Dataset, config: ForecastConfig) -> tuple[date, ...]:
@@ -682,12 +683,12 @@ def run_model(
 
 def model_forecasts(dataset: Dataset, models: Mapping[str, ArnetModel],
                     config: ForecastConfig) -> ForecastResult:
-    """Each fitted model's forecast over the test horizon, one row per video in id order."""
+    """Each fitted model's forecast over the test horizon, one row per video in id order;
+    every alpha holds ``config.p`` values, and all targets are forecast at once."""
     video_ids = sorted(models)
     train, y_true = split_series(dataset, video_ids, config)
-    neighbor_values = resolve_neighbor_values(dataset, models, config)
-    y_pred = np.vstack([forecast(models[v], y, neighbor_values[v], config)
-                        for v, y in zip(video_ids, train)])
+    sources, values = _source_values(dataset, models, config)
+    y_pred = _model_rows([models[v] for v in video_ids], train, sources, values, config.p)
     return ForecastResult(tuple(video_ids), horizon_dates(dataset, config), y_true, y_pred)
 
 

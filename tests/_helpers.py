@@ -5,6 +5,7 @@ from __future__ import annotations
 from datetime import date, timedelta
 
 import numpy as np
+from hypothesis import strategies as st
 
 from aflow.data_model import (
     LIST_KINDS,
@@ -19,6 +20,7 @@ from aflow.data_model import (
     ViewTable,
     validate_dataset,
 )
+from aflow.forecast import NEIGHBOR_MODES, ArnetModel, ForecastConfig
 
 START = date(2018, 9, 1)
 
@@ -121,3 +123,43 @@ def view_table(series) -> ViewTable:
 def seasonal_values(base: float, n_days: int, amplitude: float = 0.3, phase: int = 0) -> list[int]:
     shape = 1.0 + amplitude * np.sin(2.0 * np.pi * (np.arange(n_days) + phase) / 7.0)
     return [int(round(base * s)) for s in shape]
+
+
+@st.composite
+def model_cases(draw):
+    """(dataset, models, config): 2-12 videos over a window of exactly train + horizon days.
+
+    Views may be zero, alphas may be negative, some models have no beta
+    terms, and each beta dict has its keys in a drawn order.  With 8 or more
+    values numpy's pairwise sums part from a sequential one.
+    """
+    p = draw(st.integers(1, 3))
+    m_star = draw(st.integers(1, 4))
+    train_days = max(2 * p + 1, m_star) + draw(st.integers(0, 2))
+    horizon = draw(st.integers(1, 10))
+    config = ForecastConfig(p=p, m_star=m_star, train_days=train_days, horizon=horizon,
+                            neighbor_mode=draw(st.sampled_from(NEIGHBOR_MODES)))
+    ids = [f"v{i:02d}" for i in range(draw(st.integers(2, 12)))]
+    days = train_days + horizon
+    views = {v: draw(st.lists(st.integers(0, 1000), min_size=days, max_size=days)) for v in ids}
+    artists = {v: draw(st.sampled_from(["a0", "a1"])) for v in ids}
+    models = {}
+    for v in draw(st.lists(st.sampled_from(ids), min_size=1, unique=True)):
+        alpha = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+        sources = draw(st.lists(st.sampled_from([u for u in ids if u != v]), unique=True))
+        models[v] = ArnetModel(v, alpha, {u: draw(st.floats(0.0, 1.0)) for u in sources})
+    return build_dataset(views, artists=artists), models, config
+
+
+def covering_model_case():
+    """A fixed ``model_cases`` case: forecast mode with a modeled source, beta keys out of id
+    order, and a target without beta terms whose clamped forecast totals zero."""
+    days, artists = 11, {"a": "a0", "b": "a0", "c": "a1", "d": "a1"}
+    views = {"a": [100] * days, "b": list(range(40, 40 + days)), "c": [0] * days, "d": [70] * days}
+    config = ForecastConfig(p=1, m_star=2, train_days=3, horizon=8, neighbor_mode="forecast")
+    models = {
+        "b": ArnetModel("b", np.array([0.7]), {"c": 0.25, "a": 0.3}),
+        "c": ArnetModel("c", np.array([-1.0])),
+        "d": ArnetModel("d", np.array([0.2]), {"b": 0.5, "a": 0.1}),
+    }
+    return build_dataset(views, artists=artists), models, config

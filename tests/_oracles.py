@@ -4,9 +4,11 @@ Everything here is deliberately naive: Floyd-Warshall closures, quadratic
 rank counting, numeric quadrature, series preprocessed one at a time with
 ``np.polyfit``, link analyses that rebuild one ``build_graph`` per day or
 walk ``RankedList`` entries, view series checked and written one video at a
-time, and one ARNet fit at a time by scipy's L-BFGS-B.  None of it shares
+time, one ARNet fit at a time by scipy's L-BFGS-B, and forecasts and network
+contributions computed one target and one beta term at a time.  None of it shares
 code paths with the implementations under test, except ``fixed_start_arnet``,
-which keeps the package's solver and changes only its start point.
+which keeps the package's solver and changes only its start point, and the
+forecast oracles, which take their train/test split from ``split_series``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.optimize import minimize
 from aflow import forecast
 from aflow.data_model import VIEWS_HEADER, DataFormatError
 from aflow.forecast import (SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
-                            _arnet_design, _solve_block)
+                            _arnet_design, _solve_block, split_series)
 from aflow.graph_analysis import ChurnStats, build_graph
 
 
@@ -433,3 +435,77 @@ def fixed_start_arnet(video_id, series, neighbor_series, config=None):
     x0 = np.concatenate([np.full(p, 1.0 / p), np.full(k, 0.1)])
     solution = _solve_block(regressors[None], target[None], upper, x0[None])
     return int(solution.nit[0]), float(solution.f[0])
+
+
+def recursive_forecast(model, history, neighbor_values, horizon):
+    """One target's recursive forecast, clamped at zero, a Python float at a time.
+
+    Each day adds the lag terms tau = 1..p and then the beta terms in source
+    id order to 0.0; ``neighbor_values[u][h]`` is source u's value on day h.
+    """
+    p = len(model.alpha)
+    buf = list(np.asarray(history, dtype=float)[-p:])
+    preds = np.empty(horizon)
+    for h in range(horizon):
+        val = 0.0
+        for tau in range(1, p + 1):
+            val += model.alpha[tau - 1] * buf[-tau]
+        for u, b in sorted(model.beta.items()):
+            val += b * float(neighbor_values[u][h])
+        val = max(0.0, val)
+        preds[h] = val
+        buf.append(val)
+    return preds
+
+
+def neighbor_values(dataset, models, config):
+    """{source id: horizon values} for every source the models name, one source at a time.
+
+    "forecast" mode gives a modeled source its own model's forecast over
+    seasonal-naive neighbor values, and any other source its seasonal-naive
+    forecast.
+    """
+    sources = sorted({u for m in models.values() for u in m.beta})
+    train, test = split_series(dataset, sources, config)
+    if config.neighbor_mode == "observed":
+        return dict(zip(sources, test))
+    m, h = config.m_star, config.horizon
+    snaive = {u: np.array([y[-m + k % m] for k in range(h)]) for u, y in zip(sources, train)}
+    return {u: recursive_forecast(models[u], y, snaive, h) if u in models else snaive[u]
+            for u, y in zip(sources, train)}
+
+
+def model_forecasts(dataset, models, config):
+    """Each model's forecast, one row per video in id order."""
+    video_ids = sorted(models)
+    train, _ = split_series(dataset, video_ids, config)
+    values = neighbor_values(dataset, models, config)
+    return np.vstack([recursive_forecast(models[v], y, values, config.horizon)
+                      for v, y in zip(video_ids, train)])
+
+
+def contribution(dataset, models, result, config):
+    """(eta, mean eta, same-artist share, each artist's total without network) one video at a time.
+
+    A video's inflow adds beta times the source's horizon total, in source
+    id order, to 0.0; eta is inflow over predicted total, clipped to [0, 1],
+    and a video with a zero predicted total has none.
+    """
+    values = neighbor_values(dataset, models, config)
+    artist_of = {vid: meta.artist_id for vid, meta in dataset.metadata.items()}
+    eta, without = {}, defaultdict(float)
+    same_artist = network_total = 0.0
+    for i, vid in enumerate(result.video_ids):
+        net = 0.0
+        for u, b in sorted(models[vid].beta.items()):
+            flow = b * float(np.asarray(values[u], dtype=float)[: config.horizon].sum())
+            net += flow
+            if artist_of[u] == artist_of[vid]:
+                same_artist += flow
+        total = float(result.y_pred[i].sum())
+        if total != 0:
+            eta[vid] = float(np.clip(net / total, 0.0, 1.0))
+        network_total += net
+        without[artist_of[vid]] += max(0.0, float(result.y_true[i].sum()) - net)
+    share = same_artist / network_total if network_total else 0.0
+    return eta, float(np.mean(list(eta.values()))) if eta else None, share, dict(without)

@@ -350,6 +350,23 @@ def test_each_stage_run_alone_writes_what_pipeline_writes(chain, tmp_path):
     assert artifacts(out) == artifacts(chain["pipeline"])
 
 
+def test_contribute_ignores_the_key_order_of_beta(tmp_path):
+    data = generate_data(tmp_path, n_videos=60, density=0.1)
+    assert cli.main(["pipeline", "--data", str(data), "--out", str(tmp_path / "run"), "--threads", "1"]) == 0
+    fitted = tmp_path / "run" / "arnet" / "models.json"
+    payload = json.loads(fitted.read_text(encoding="utf-8"))
+    assert max(len(entry["beta"]) for entry in payload["videos"].values()) >= 3
+    for entry in payload["videos"].values():
+        entry["beta"] = dict(reversed(list(entry["beta"].items())))
+    flipped = tmp_path / "reversed.json"
+    flipped.write_text(json.dumps(payload), encoding="utf-8")
+    outs = tmp_path / "contrib", tmp_path / "contrib_reversed"
+    for models, out in zip((fitted, flipped), outs):
+        assert cli.main(["contribute", "--data", str(data), "--models", str(models), "--out", str(out)]) == 0
+    for name in ("eta.csv", "artist_shift.csv", "contribution_summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["analyze", "persistent", "correlate", "pipeline"])
 def test_a_command_builds_its_link_presence_once(chain, tmp_path, monkeypatch, command):
     calls = []
@@ -939,6 +956,25 @@ def test_a_bad_forecasts_id_is_no_repeated_row(tmp_path, capsys):
     assert one_data_error(captured) == f"{forecasts}: line 2: empty video id"
 
 
+def test_artifact_readers_report_a_bad_id_before_a_later_bad_cell(tmp_path, capsys):
+    data = generate_data(tmp_path)
+    edges = tmp_path / "persistent_edges.csv"
+    edges.write_text("source,target,reciprocal,raw_presence_count\n"
+                     ",v00001,0,5\nv00001,v00002,x,5\n", encoding="utf-8")
+    code, captured = run(["fit", "--data", str(data), "--out", str(tmp_path / "fit"),
+                          "--persistent", str(edges)], capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"{edges}: line 2: empty video id"
+
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_text("video_id,date,y_true,y_pred\n"
+                         ",2018-09-01,1.0,2.0\nv00000,2018-13-01,1.0,2.0\n", encoding="utf-8")
+    code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)],
+                         capsys)
+    assert code == 2
+    assert one_data_error(captured) == f"{forecasts}: line 2: empty video id"
+
+
 def test_forecast_dates_follow_the_input_grammar(tmp_path, capsys):
     # Python 3.11's date.fromisoformat reads 20181027 as 2018-10-27; the input files may not
     forecasts = tmp_path / "forecasts.csv"
@@ -994,7 +1030,11 @@ def test_a_setting_the_library_rejects_is_usage_error(tmp_path, capsys, argv, me
     ('"c\n' + "x" * csv.field_size_limit() + '",2018-09-01,1.0,2.0',
      f"field larger than field limit ({csv.field_size_limit()})"),
 ])
-def test_a_row_after_a_multiline_cell_is_reported_at_its_first_line(tmp_path, capsys, row, problem):
+def test_a_row_after_a_multiline_cell_is_reported_at_its_first_line(tmp_path, capsys, monkeypatch,
+                                                                    row, problem):
+    # no artifact cell may hold a line break, and a row's ids are checked first, so the id rule
+    # is switched off to let the two-line id on line 2 through
+    monkeypatch.setattr(cli, "_id_problem", lambda text: None)
     forecasts = tmp_path / "forecasts.csv"
     forecasts.write_text(f'video_id,date,y_true,y_pred\n"a\nb",2018-09-01,1.0,2.0\n{row}\n', encoding="utf-8")
     code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)],
@@ -1008,7 +1048,6 @@ def test_a_row_after_a_multiline_cell_is_reported_at_its_first_line(tmp_path, ca
     pytest.param('"a\rb"', "video id 'a\\rb' holds a NUL or line break", id="cr"),
 ])
 def test_forecasts_ids_follow_the_input_id_rule(tmp_path, capsys, vid, problem):
-    # checked after the rows, so each id is reported at the line it first appears on
     forecasts = tmp_path / "forecasts.csv"
     forecasts.write_bytes(
         f"video_id,date,y_true,y_pred\nv,2018-09-01,1.0,2.0\n{vid},2018-09-01,1.0,2.0\n".encode())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from aflow.data_model import DataFormatError
 from aflow.evaluation import (
@@ -11,7 +12,8 @@ from aflow.evaluation import (
     outlier_artists,
     smape,
 )
-from aflow.forecast import ArnetModel, ForecastConfig, ForecastResult, run_model
+from aflow.forecast import (ArnetModel, ForecastConfig, ForecastResult, model_forecasts,
+                            resolve_neighbor_values, run_model)
 from aflow.persistence import extract_persistent_network
 
 import _helpers
@@ -229,3 +231,22 @@ def test_end_to_end_eta_on_run_model_output():
     assert 0.0 <= report.eta["v"] <= 1.0
     # nearly all of v's views arrive over the single in-edge
     assert report.eta["v"] > 0.8
+
+
+@given(_helpers.model_cases())
+@example(_helpers.covering_model_case())
+def test_contribution_report_equals_the_per_video_loop(case):
+    ds, models, config = case
+    result = model_forecasts(ds, models, config)
+    eta, mean_eta, share, without = _oracles.contribution(ds, models, result, config)
+    if not eta:
+        with pytest.raises(DataFormatError, match="no video produced"):
+            contribution_report(ds, models, result, config)
+        return
+    report = contribution_report(ds, models, result, config)
+    assert list(report.eta.items()) == list(eta.items())
+    assert (report.mean_eta, report.same_artist_share) == (mean_eta, share)
+    assert {row.artist_id: row.total_without for row in report.artist_rows} == without
+    values = resolve_neighbor_values(ds, models, config)
+    for vid in eta:
+        assert network_contribution(models[vid], values[vid], result.row(vid)[1]) == eta[vid]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from aflow import datagen
 from aflow import forecast as forecast_module
@@ -17,7 +18,8 @@ from aflow.forecast import (
     fit_ar,
     fit_arnet,
     fit_arnet_batch,
-    forecast,
+    _forecast_rows,
+    model_forecasts,
     predict_naive,
     predict_seasonal_naive,
     resolve_neighbor_values,
@@ -30,6 +32,12 @@ import _helpers
 import _oracles
 
 CONFIG = ForecastConfig()
+
+
+def ar_forecast(alpha, history, horizon):
+    """``_forecast_rows`` for one target without beta terms."""
+    return _forecast_rows(np.asarray(alpha, dtype=float)[None], np.asarray(history, dtype=float)[None],
+                          np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, horizon)))[0]
 
 
 def test_naive_repeats_last_value():
@@ -86,7 +94,7 @@ def test_ar_matches_unregularized_least_squares():
 
 def test_ar_constant_series_reproduces_itself():
     model = fit_ar("v", np.full(56, 80.0))
-    assert forecast(model, np.full(56, 80.0), {}, ForecastConfig(horizon=1))[0] == pytest.approx(80.0, abs=1e-6)
+    assert ar_forecast(model.alpha, np.full(56, 80.0), 1)[0] == pytest.approx(80.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("level", [1e4, 1e5])
@@ -94,7 +102,7 @@ def test_ar_singular_constant_series_falls_back_to_least_squares(level):
     # equal lag columns make the Gram matrix singular: the 1e-8 ridge is lost against ~5e9 entries
     model = fit_ar("v", np.full(56, level))
     np.testing.assert_allclose(model.alpha, np.full(7, 1 / 7))
-    np.testing.assert_allclose(forecast(model, np.full(56, level), {}, CONFIG), np.full(7, level))
+    np.testing.assert_allclose(ar_forecast(model.alpha, np.full(56, level), 7), np.full(7, level))
 
 
 def test_ar_all_zero_series_gives_zero_coefficients():
@@ -333,46 +341,79 @@ def test_arnet_input_validation():
 
 
 def test_forecast_recursion_feeds_predictions_back():
-    model = ArnetModel("v", np.array([0.5]))
-    preds = forecast(model, [8.0], {}, ForecastConfig(p=1, m_star=1, train_days=3, horizon=3))
-    np.testing.assert_allclose(preds, [4.0, 2.0, 1.0])
+    np.testing.assert_allclose(ar_forecast([0.5], [8.0], 3), [4.0, 2.0, 1.0])
 
 
 def test_forecast_lag_seven_echoes_last_week():
     alpha = np.zeros(7)
     alpha[6] = 1.0
-    model = ArnetModel("v", alpha)
-    hist = np.arange(1.0, 8.0)
-    np.testing.assert_allclose(forecast(model, hist, {}, CONFIG), [1, 2, 3, 4, 5, 6, 7])
+    np.testing.assert_allclose(ar_forecast(alpha, np.arange(1.0, 8.0), 7), [1, 2, 3, 4, 5, 6, 7])
 
 
 def test_forecast_clamps_at_zero():
-    model = ArnetModel("v", np.array([-1.0]))
-    preds = forecast(model, [5.0], {}, ForecastConfig(p=1, m_star=1, train_days=3, horizon=2))
-    np.testing.assert_array_equal(preds, [0.0, 0.0])
+    np.testing.assert_array_equal(ar_forecast([-1.0], [5.0], 2), [0.0, 0.0])
+    # as max(0.0, x): a NaN and a negative zero both become 0.0
+    preds = ar_forecast([np.nan], [5.0], 1)
+    assert preds[0] == 0.0 and not np.signbit(preds[0])
+    preds = ar_forecast([-0.0], [5.0], 1)
+    assert preds[0] == 0.0 and not np.signbit(preds[0])
 
 
 def test_forecast_neighbor_terms_and_validation():
-    model = ArnetModel("v", np.zeros(7), {"u": 1.0})
-    hist = np.full(7, 9.0)
-    cfg = ForecastConfig(horizon=3)
-    preds = forecast(model, hist, {"u": [3.0, 4.0, 5.0]}, cfg)
-    np.testing.assert_allclose(preds, [3.0, 4.0, 5.0])
-    with pytest.raises(DataFormatError, match="missing neighbor values for u"):
-        forecast(model, hist, {}, cfg)
-    with pytest.raises(DataFormatError, match="missing neighbor values for u"):
-        forecast(model, hist, {"u": [1.0]}, cfg)
-    with pytest.raises(DataFormatError, match="history shorter"):
-        forecast(model, np.ones(3), {"u": [1.0, 1.0, 1.0]}, cfg)
+    # target 0 has two terms, target 1 none
+    preds = _forecast_rows(np.zeros((2, 7)), np.full((2, 7), 9.0), np.array([0, 0]), np.array([1.0, 0.5]),
+                           np.array([[3.0, 4.0, 5.0], [2.0, 2.0, 2.0]]))
+    np.testing.assert_allclose(preds, [[4.0, 5.0, 6.0], [0.0, 0.0, 0.0]])
+    # a model's sources are resolved from the dataset, so one outside the corpus is a data error
+    ds, _ = network_dataset()
+    with pytest.raises(DataFormatError, match="zz is not a corpus video"):
+        model_forecasts(ds, {"v": ArnetModel("v", np.zeros(7), {"zz": 1.0})}, CONFIG)
 
 
 def test_beta_zero_forecast_equals_plain_ar():
-    rng = np.random.default_rng(31)
-    hist = rng.uniform(50.0, 100.0, size=14)
-    alpha = rng.uniform(0.0, 0.2, size=7)
-    plain = forecast(ArnetModel("v", alpha), hist, {}, CONFIG)
-    netless = forecast(ArnetModel("v", alpha, {}), hist, {}, CONFIG)
-    np.testing.assert_array_equal(plain, netless)
+    ds, _ = network_dataset()
+    alpha = np.random.default_rng(31).uniform(0.0, 0.2, size=7)
+    plain = model_forecasts(ds, {"v": ArnetModel("v", alpha)}, CONFIG)
+    netless = model_forecasts(ds, {"v": ArnetModel("v", alpha, {"u": 0.0, "w": 0.0})}, CONFIG)
+    np.testing.assert_array_equal(plain.y_pred, netless.y_pred)
+    train, _ = split_series(ds, ["v"], CONFIG)
+    np.testing.assert_array_equal(plain.y_pred[0], ar_forecast(alpha, train[0], 7))
+
+
+@given(st.data())
+def test_forecast_rows_equal_the_scalar_recursion(data):
+    n, p, horizon = (data.draw(st.integers(1, k)) for k in (4, 3, 10))
+
+    def rows(k, lo, hi):
+        return np.array(data.draw(st.lists(st.lists(st.floats(lo, hi), min_size=k, max_size=k),
+                                           min_size=n, max_size=n)))
+
+    alpha, history = rows(p, -1.0, 1.0), rows(p + 2, 0.0, 1000.0)
+    # terms in table order: by target, then by source id ("s00", "s01", ...)
+    row = np.array([i for i in range(n) for _ in range(data.draw(st.integers(0, 3)))], dtype=np.intp)
+    beta = np.array([data.draw(st.floats(0.0, 1.0)) for _ in row])
+    values = np.array([data.draw(st.lists(st.floats(0.0, 1000.0), min_size=horizon, max_size=horizon))
+                       for _ in row]).reshape(row.size, horizon)
+    names = [f"s{k:02d}" for k in range(row.size)]
+    models = [ArnetModel(str(i), alpha[i], {u: beta[k] for k, u in enumerate(names) if row[k] == i})
+              for i in range(n)]
+    expected = np.array([_oracles.recursive_forecast(m, history[i], dict(zip(names, values)), horizon)
+                         for i, m in enumerate(models)])
+    np.testing.assert_array_equal(_forecast_rows(alpha, history, row, beta, values), expected)
+
+
+@given(_helpers.model_cases())
+@example(_helpers.covering_model_case())
+def test_model_forecasts_equal_the_per_target_loop(case):
+    ds, models, config = case
+    result = model_forecasts(ds, models, config)
+    assert result.video_ids == tuple(sorted(models))
+    np.testing.assert_array_equal(result.y_pred, _oracles.model_forecasts(ds, models, config))
+    values = resolve_neighbor_values(ds, models, config)
+    oracle = _oracles.neighbor_values(ds, models, config)
+    for vid, model in models.items():
+        for u in model.beta:
+            np.testing.assert_array_equal(values[vid][u], oracle[u])
 
 
 def network_dataset(noise_seed=0):

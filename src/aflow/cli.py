@@ -313,7 +313,7 @@ def _finite(text: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-_FLOAT_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?")  # what _fmt writes for a finite float
+_FLOAT_TEXT = re.compile(r"[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?")  # a finite non-negative float, as _fmt writes one
 _FLAGS = {"0": False, "1": True}
 
 

@@ -91,47 +91,65 @@ class ArnetModel:
 
 
 def predict_naive(history: Sequence[float] | np.ndarray, horizon: int) -> np.ndarray:
-    """Repeat the last observed value."""
+    """Repeat the last observed value of a series, or of each row of a matrix."""
     h = np.asarray(history, dtype=float)
-    if h.size == 0:
+    if h.shape[-1] == 0:
         raise DataFormatError("cannot forecast from an empty history")
-    return np.full(horizon, h[-1])
+    return np.repeat(h[..., -1:], horizon, axis=-1)
 
 
 def predict_seasonal_naive(
     history: Sequence[float] | np.ndarray, horizon: int, m_star: int = ForecastConfig.m_star
 ) -> np.ndarray:
-    """Repeat the value one season back, cycling the last season forward."""
+    """Repeat the value one season back, cycling the last season forward, of a series or each row."""
     h = np.asarray(history, dtype=float)
-    if h.size < m_star:
+    if h.shape[-1] < m_star:
         raise DataFormatError(f"history shorter than the season length {m_star}")
-    tail = h[-m_star:]
-    return tail[np.arange(horizon) % m_star]
+    # in C order: numpy sums a row of a C-ordered matrix pairwise, as it does a 1-D array,
+    # but a row of this index's F-ordered result one value at a time
+    return np.ascontiguousarray(h[..., np.arange(horizon) % m_star - m_star])
 
 
-def _lag_matrix(y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows t = p..n-1 of lagged values; column tau-1 holds y[t - tau]."""
-    n = y.size
-    lags = np.column_stack([y[p - tau : n - tau] for tau in range(1, p + 1)])
-    return lags, y[p:]
+def _finite_rows(ids: Sequence[str], train: np.ndarray) -> None:
+    """Raise on the first row of ``train``, named by ``ids``, that holds a non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(train).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"training series of {ids[bad[0]]} has non-finite values")
 
 
-def fit_ar(video_id: str, series: Sequence[float] | np.ndarray, p: int = ForecastConfig.p) -> ArnetModel:
-    """Least-squares AR(p) without intercept, tiny ridge for conditioning."""
-    y = np.asarray(series, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DataFormatError(f"training series of {video_id} has non-finite values")
-    if y.size - p < p + 1:
-        raise DataFormatError(
-            f"{video_id}: {y.size} training days leave fewer than p+1 regression rows"
-        )
-    lags, target = _lag_matrix(y, p)
-    gram = lags.T @ lags + RIDGE * np.eye(p)
+def _lags(train: np.ndarray, p: int) -> np.ndarray:
+    """Each row's AR(p) regressors, (rows, days - p, p): [i, t - p, tau - 1] holds train[i, t - tau].
+    ``np.take`` returns them C-ordered, where ``train[:, days]`` would need a second copy."""
+    return np.take(train, np.arange(p, train.shape[1])[:, None] - np.arange(1, p + 1), axis=1)
+
+
+def fit_ar(video_ids: Sequence[str], train: np.ndarray, p: int = ForecastConfig.p) -> dict[str, ArnetModel]:
+    """Least-squares AR(p), without intercept and with a tiny ridge for conditioning, of each
+    row of ``train``, named by ``video_ids``.  One stacked matmul and one stacked solve fit all
+    rows, each on its own; a row whose Gram matrix is singular (e.g. a constant series, whose
+    ridge is lost against it) takes ``lstsq``'s fit."""
+    train = np.asarray(train, dtype=float)
+    _finite_rows(video_ids, train)
+    if train.shape[1] - p < p + 1:
+        raise DataFormatError(f"{train.shape[1]} training days leave fewer than p+1 regression rows")
+    lags, target = _lags(train, p), train[:, p:, None]
+    gram = np.matmul(lags.transpose(0, 2, 1), lags) + RIDGE * np.eye(p)
+    alpha = _solve_each(gram, np.matmul(lags.transpose(0, 2, 1), target))
+    for i in np.flatnonzero(np.isnan(alpha).any(axis=1)):
+        alpha[i] = np.linalg.lstsq(lags[i], target[i, :, 0], rcond=None)[0]
+    return {v: ArnetModel(v, a) for v, a in zip(video_ids, alpha)}
+
+
+def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The (n, params) solutions of n systems, (params, params) matrices and (params, 1)
+    right-hand sides, each solved on its own; NaN where numpy finds the matrix singular."""
     try:
-        alpha = np.linalg.solve(gram, lags.T @ target)
-    except np.linalg.LinAlgError:  # e.g. a constant series, whose ridge is lost against gram
-        alpha = np.linalg.lstsq(lags, target, rcond=None)[0]
-    return ArnetModel(video_id, alpha)
+        return np.linalg.solve(gram, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack: split it
+        if len(gram) == 1:
+            return np.full((1, rhs.shape[1]), np.nan)
+        half = len(gram) // 2
+        return np.concatenate([_solve_each(gram[:half], rhs[:half]), _solve_each(gram[half:], rhs[half:])])
 
 
 # ---------------------------------------------------------------------------
@@ -395,31 +413,6 @@ def _solve_block(
             start_search(restart)
 
 
-def _arnet_design(
-    video_id: str,
-    series: Sequence[float] | np.ndarray,
-    neighbor_series: Mapping[str, Sequence[float] | np.ndarray],
-    p: int,
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Sorted neighbor ids, the (rows, p + neighbors) regressors and the targets."""
-    y = np.asarray(series, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DataFormatError(f"training series of {video_id} has non-finite values")
-    if y.size - p < 1:
-        raise DataFormatError(f"{video_id}: no regression rows for p = {p}")
-    neighbor_ids = sorted(neighbor_series)
-    nb = np.zeros((y.size - p, len(neighbor_ids)))
-    for j, u in enumerate(neighbor_ids):
-        vals = np.asarray(neighbor_series[u], dtype=float)
-        if vals.shape != y.shape:
-            raise DataFormatError(f"neighbor series {u} does not match the target length")
-        if not np.all(np.isfinite(vals)):
-            raise DataFormatError(f"neighbor series {u} has non-finite values")
-        nb[:, j] = vals[p:]
-    lags, target = _lag_matrix(y, p)
-    return neighbor_ids, np.hstack([lags, nb]), target
-
-
 def _ridge_start(rows: np.ndarray, target: np.ndarray, upper: np.ndarray,
                  fixed: np.ndarray) -> np.ndarray:
     """Each target's ridge least-squares fit, clipped to the box.
@@ -432,67 +425,72 @@ def _ridge_start(rows: np.ndarray, target: np.ndarray, upper: np.ndarray,
     cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
     gram = np.einsum("tpr,tqr->tpq", cols, cols) + RIDGE * np.eye(cols.shape[1])
     rhs = np.einsum("tpr,tr->tp", cols, target)[:, :, None]
-    try:
-        x = np.linalg.solve(gram, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
-        x = np.stack([_solve_or_nan(a, b)[:, 0] for a, b in zip(gram, rhs)])
-    x = np.clip(x, 0.0, upper)
+    x = np.clip(_solve_each(gram, rhs), 0.0, upper)
     return np.where(np.isfinite(x).all(axis=1, keepdims=True), x, fixed)
 
 
-def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return np.full(b.shape, np.nan)
+def _arnet_blocks(targets: Sequence[str], ids: Sequence[str], train: np.ndarray,
+                  in_edges: Mapping[str, Sequence[str]], p: int):
+    """Each block of the targets of one in-degree: their positions in ``targets``, their
+    (targets, days - p, p + in-degree) regressors, lags and then the sources' same-day values
+    in ``in_edges`` order, and their (targets, days - p) values."""
+    row_of = {u: i for i, u in enumerate(ids)}
+    rows = np.array([row_of[v] for v in targets], dtype=np.intp)
+    sources = [in_edges.get(v, ()) for v in targets]
+    degree = np.array([len(s) for s in sources], dtype=np.intp)
+    for k in np.unique(degree):
+        members = np.flatnonzero(degree == k)
+        source_rows = np.array([[row_of[u] for u in sources[i]] for i in members],
+                               dtype=np.intp).reshape(members.size, k)
+        regressors = np.concatenate(
+            [_lags(train[rows[members]], p), train[source_rows][:, :, p:].transpose(0, 2, 1)], axis=2)
+        yield members, regressors, np.ascontiguousarray(train[rows[members], p:])
 
 
 def fit_arnet_batch(
-    problems: Sequence[tuple[str, Sequence[float] | np.ndarray,
-                             Mapping[str, Sequence[float] | np.ndarray]]],
+    targets: Sequence[str],
+    ids: Sequence[str],
+    train: np.ndarray,
+    in_edges: Mapping[str, Sequence[str]],
     config: ForecastConfig,
 ) -> list[ArnetModel]:
-    """Fit the network-augmented model for many targets in one solve.
+    """Fit the network-augmented model of each of ``targets`` in one solve.
 
-    ``problems`` holds (video_id, training series, {neighbor id: neighbor
-    training series}).  Each fit minimizes smoothed training SMAPE by
-    projected L-BFGS (``_solve_block``) within alpha >= 0 and 0 <= beta <= 1.
-    It starts from the target's least-squares fit with ``fit_ar``'s ridge,
-    clipped to that box.  Targets sharing row and parameter counts are solved
-    as one block.  A block with at least as many parameters as rows has no
-    unique least-squares fit, so its targets start from alpha = 1/p, beta =
-    0.1 instead, as does a target whose ridge system is exactly singular.  No
-    target is padded, and a target's coefficients and diagnostics are
-    bit-identical however the problems are batched or ordered.
-    Deterministic: no randomness anywhere.
+    Row i of ``train`` is the training series of ``ids[i]``, and ``in_edges``
+    maps a target to its sources in id order, as ``PersistentNetwork.in_edges``
+    does.  Each fit minimizes smoothed training SMAPE by projected L-BFGS
+    (``_solve_block``) within alpha >= 0 and 0 <= beta <= 1, from the target's
+    least-squares fit with ``fit_ar``'s ridge, clipped to that box.  The
+    targets of one in-degree form one block (``_arnet_blocks``).  A block with
+    at least as many parameters as rows has no unique least-squares fit, so
+    its targets start from alpha = 1/p, beta = 0.1 instead, as does a target
+    whose ridge system is exactly singular.  No target is padded, and a
+    target's coefficients and diagnostics are bit-identical however the
+    targets are batched or ordered.  Deterministic: no randomness anywhere.
 
-    Each model carries the solver's report in ``fit``; ``converged`` is true
-    for the stops in ``CONVERGED_STOPS`` and false at the iteration limit.  A
-    fit that stopped without converging is returned, not rejected, and
-    callers report it.  Errors name the first offending target in
-    ``problems`` order.
+    Each model carries the solver's report in ``fit``; ``converged`` is false
+    only at the iteration limit, and such a fit is returned for callers to
+    report.  A non-finite training value is an error naming its row's id; a
+    solver error names the first offending target in ``targets`` order.
     """
     p = config.p
-    designs = [_arnet_design(vid, series, nbs, p) for vid, series, nbs in problems]
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for i, (_, regressors, _) in enumerate(designs):
-        blocks.setdefault(regressors.shape, []).append(i)
-
+    _finite_rows(ids, train)
+    if train.shape[1] - p < 1:
+        raise DataFormatError(f"{train.shape[1]} training days leave no regression rows for p = {p}")
     solved: dict[int, tuple[_Solution, int]] = {}
-    for (n_rows, n_params), members in blocks.items():
-        rows = np.stack([designs[i][1] for i in members])
-        target = np.stack([designs[i][2] for i in members])
+    for members, rows, target in _arnet_blocks(targets, ids, train, in_edges, p):
+        n_rows, n_params = rows.shape[1:]
         upper = np.concatenate([np.full(p, np.inf), np.ones(n_params - p)])
         fixed = np.concatenate([np.full(p, 1.0 / p), np.full(n_params - p, 0.1)])
         if n_params < n_rows:
             x0 = _ridge_start(rows, target, upper, fixed)
         else:
-            x0 = np.tile(fixed, (len(members), 1))
+            x0 = np.tile(fixed, (members.size, 1))
         solution = _solve_block(rows, target, upper, x0)
         solved.update((i, (solution, k)) for k, i in enumerate(members))
 
     models: list[ArnetModel] = []
-    for i, (vid, _, _) in enumerate(problems):
+    for i, vid in enumerate(targets):
         solution, k = solved[i]
         if solution.stop[k] == _START_NOT_FINITE:
             raise NumericalError(f"{vid}: objective is not finite at the start point")
@@ -500,18 +498,17 @@ def fit_arnet_batch(
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"{vid}: optimizer returned non-finite coefficients")
         x = x + 0.0  # no negative zeros in the artifacts
-        neighbor_ids, _, target = designs[i]
         diagnostics = FitDiagnostics(
             converged=solution.stop[k] in CONVERGED_STOPS,
             nit=int(solution.nit[k]),
             nfev=int(solution.nfev[k]),
             objective=float(solution.f[k]),
             n_params=x.size,
-            n_rows=target.size,
+            n_rows=train.shape[1] - p,
             message=solution.stop[k],
             start_objective=float(solution.f0[k]),
         )
-        beta = {u: float(x[p + j]) for j, u in enumerate(neighbor_ids)}
+        beta = dict(zip(in_edges.get(vid, ()), x[p:].tolist()))
         models.append(ArnetModel(vid, x[:p], beta, diagnostics))
     return models
 
@@ -522,11 +519,18 @@ def fit_arnet(
     neighbor_series: Mapping[str, Sequence[float] | np.ndarray],
     config: ForecastConfig,
 ) -> ArnetModel:
-    """Fit one target's network-augmented model; see ``fit_arnet_batch``.
-
-    The result is bit-identical to the same target's fit inside any batch.
-    """
-    return fit_arnet_batch([(video_id, series, neighbor_series)], config)[0]
+    """Fit one target from its training series and {neighbor id: training series}; the
+    result is bit-identical to ``fit_arnet_batch``'s fit of the target in any batch."""
+    if video_id in neighbor_series:  # its row would name two series
+        raise DataFormatError(f"{video_id} is its own neighbor")
+    y = np.asarray(series, dtype=float)
+    neighbor_ids = sorted(neighbor_series)
+    train = [y] + [np.asarray(neighbor_series[u], dtype=float) for u in neighbor_ids]
+    for u, values in zip(neighbor_ids, train[1:]):
+        if values.shape != y.shape:
+            raise DataFormatError(f"neighbor series {u} does not match the target length")
+    return fit_arnet_batch([video_id], [video_id, *neighbor_ids], np.array(train),
+                           {video_id: tuple(neighbor_ids)}, config)[0]
 
 
 def _forecast_rows(alpha: np.ndarray, history: np.ndarray, row: np.ndarray,
@@ -608,9 +612,7 @@ def _source_values(dataset: Dataset, models: Mapping[str, ArnetModel],
     train, test = split_series(dataset, sources, config)
     if config.neighbor_mode == "observed":
         return sources, test
-    # in C order, as ``test`` is: numpy sums a row of a C-ordered matrix pairwise, as it
-    # does a 1-D array, but a row of this index's F-ordered result one value at a time
-    values = np.ascontiguousarray(train[:, np.arange(config.horizon) % config.m_star - config.m_star])
+    values = predict_seasonal_naive(train, config.horizon, config.m_star)
     modeled = [k for k, u in enumerate(sources) if u in models]
     values[modeled] = _model_rows([models[sources[k]] for k in modeled], train[modeled], sources,
                                   values, config.p)
@@ -644,12 +646,13 @@ def run_model(
     """Fit one model family on every persistent-network target and forecast.
 
     All four families forecast the same target set (targets of persistent
-    links), so their reports are directly comparable.  The network fits go
-    through ``fit_arnet_batch``: one batch here, or with ``threads`` > 1 one
-    contiguous chunk per worker process (see ``_fit_all``).  A target's fit
-    does not depend on its batch, so the worker count never changes the
-    output.  The closed-form AR fits are too cheap to ship to workers and
-    always run here.
+    links), so their reports are directly comparable.  Each fits every target
+    at once from one training matrix: naive and seasonal naive slice it,
+    ``fit_ar`` solves all targets' systems in one stack, and ``fit_arnet_batch``
+    reads it with the network's in-edge table, in one batch here or, with
+    ``threads`` > 1, one contiguous chunk of targets per worker process (see
+    ``_fit_all``).  A target's fit does not depend on its batch, so the worker
+    count never changes the output.
     """
     if model_name not in MODEL_NAMES:
         raise DataFormatError(f"unknown model {model_name!r}")
@@ -661,23 +664,19 @@ def run_model(
     train, y_true = split_series(dataset, targets, config)
 
     if model_name == "ar":
-        models = {v: fit_ar(v, y, config.p) for v, y in zip(targets, train)}
+        models = fit_ar(targets, train, config.p)
     elif model_name == "arnet":
         ids = sorted(persistent.sources | persistent.targets)
-        train_of = dict(zip(ids, split_series(dataset, ids, config)[0]))
+        train_all, in_edges = split_series(dataset, ids, config)[0], persistent.in_edges
 
         def fit_chunk(chunk: list[str]) -> list[ArnetModel]:
-            return fit_arnet_batch(
-                [(v, train_of[v], {u: train_of[u] for u in persistent.in_edges.get(v, ())})
-                 for v in chunk],
-                config,
-            )
+            return fit_arnet_batch(chunk, ids, train_all, in_edges, config)
 
         models = _fit_all(targets, fit_chunk, threads)
     else:
-        preds = [predict_naive(y, config.horizon) if model_name == "naive"
-                 else predict_seasonal_naive(y, config.horizon, config.m_star) for y in train]
-        return None, ForecastResult(tuple(targets), horizon_dates(dataset, config), y_true, np.vstack(preds))
+        y_pred = (predict_naive(train, config.horizon) if model_name == "naive"
+                  else predict_seasonal_naive(train, config.horizon, config.m_star))
+        return None, ForecastResult(tuple(targets), horizon_dates(dataset, config), y_true, y_pred)
     return models, model_forecasts(dataset, models, config)
 
 

@@ -4,8 +4,9 @@ Everything here is deliberately naive: Floyd-Warshall closures, quadratic
 rank counting, numeric quadrature, series preprocessed one at a time with
 ``np.polyfit``, link analyses that rebuild one ``build_graph`` per day or
 walk ``RankedList`` entries, view series checked and written one video at a
-time, one ARNet fit at a time by scipy's L-BFGS-B, and forecasts and network
-contributions computed one target and one beta term at a time.  None of it shares
+time, one ARNet fit at a time by scipy's L-BFGS-B, AR fits and ARNet regressors
+built one target at a time, and forecasts and network contributions computed
+one target and one beta term at a time.  None of it shares
 code paths with the implementations under test, except ``fixed_start_arnet``,
 which keeps the package's solver and changes only its start point, and the
 forecast oracles, which take their train/test split from ``split_series``.
@@ -27,8 +28,8 @@ from scipy.optimize import minimize
 
 from aflow import forecast
 from aflow.data_model import VIEWS_HEADER, DataFormatError
-from aflow.forecast import (SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
-                            _arnet_design, _solve_block, split_series)
+from aflow.forecast import (RIDGE, SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
+                            _solve_block, split_series)
 from aflow.graph_analysis import ChurnStats, build_graph
 
 
@@ -375,6 +376,37 @@ def alignment_counts(snapshots, from_kind, max_from, ranges):
     return num, den
 
 
+def lag_matrix(y, p):
+    """Rows t = p..n-1 of one series' lagged values; column tau-1 holds y[t - tau]."""
+    n = y.size
+    lags = np.column_stack([y[p - tau : n - tau] for tau in range(1, p + 1)])
+    return lags, y[p:]
+
+
+def fit_ar(video_id, series, p=ForecastConfig.p):
+    """One series' least-squares AR(p) without intercept, with the package's ridge, and
+    ``lstsq``'s fit where the ridge system is singular."""
+    y = np.asarray(series, dtype=float)
+    lags, target = lag_matrix(y, p)
+    gram = lags.T @ lags + RIDGE * np.eye(p)
+    try:
+        alpha = np.linalg.solve(gram, lags.T @ target)
+    except np.linalg.LinAlgError:
+        alpha = np.linalg.lstsq(lags, target, rcond=None)[0]
+    return ArnetModel(video_id, alpha)
+
+
+def arnet_design(video_id, series, neighbor_series, p):
+    """One target's sorted neighbor ids, (rows, p + neighbors) regressors and targets."""
+    y = np.asarray(series, dtype=float)
+    neighbor_ids = sorted(neighbor_series)
+    nb = np.zeros((y.size - p, len(neighbor_ids)))
+    for j, u in enumerate(neighbor_ids):
+        nb[:, j] = np.asarray(neighbor_series[u], dtype=float)[p:]
+    lags, target = lag_matrix(y, p)
+    return neighbor_ids, np.hstack([lags, nb]), target
+
+
 def smape_objective(lags, neighbors, target):
     """Smoothed training SMAPE of one target and its gradient, as a function of x."""
     rows = target.size
@@ -398,13 +430,9 @@ def lbfgsb_arnet(video_id, series, neighbor_series, config=None):
     """One ARNet fit by scipy's L-BFGS-B: memory 10, start alpha = 1/p, beta = 0.1."""
     config = config or ForecastConfig()
     p = config.p
-    y = np.asarray(series, dtype=float)
-    neighbor_ids = sorted(neighbor_series)
-    lags = np.column_stack([y[p - tau : y.size - tau] for tau in range(1, p + 1)])
-    nb = np.zeros((y.size - p, len(neighbor_ids)))
-    for j, u in enumerate(neighbor_ids):
-        nb[:, j] = np.asarray(neighbor_series[u], dtype=float)[p:]
-    fun = smape_objective(lags, nb, y[p:])
+    neighbor_ids, regressors, target = arnet_design(video_id, series, neighbor_series, p)
+    fun = smape_objective(np.ascontiguousarray(regressors[:, :p]),
+                          np.ascontiguousarray(regressors[:, p:]), target)
     x0 = np.concatenate([np.full(p, 1.0 / p), np.full(len(neighbor_ids), 0.1)])
     result = minimize(
         fun, x0, jac=True, method="L-BFGS-B",
@@ -416,7 +444,7 @@ def lbfgsb_arnet(video_id, series, neighbor_series, config=None):
     x[:p] = np.maximum(x[:p], 0.0)
     x[p:] = np.clip(x[p:], 0.0, 1.0)
     fit = FitDiagnostics(bool(result.success), int(result.nit), int(result.nfev),
-                         float(result.fun), x.size, y.size - p, str(result.message).strip(),
+                         float(result.fun), x.size, target.size, str(result.message).strip(),
                          fun(x0)[0])
     return ArnetModel(video_id, x[:p], {u: float(x[p + j]) for j, u in enumerate(neighbor_ids)}, fit)
 
@@ -429,7 +457,7 @@ def fixed_start_arnet(video_id, series, neighbor_series, config=None):
     so that only the start point differs from ``fit_arnet``."""
     config = config or ForecastConfig()
     p = config.p
-    _, regressors, target = _arnet_design(video_id, series, neighbor_series, p)
+    _, regressors, target = arnet_design(video_id, series, neighbor_series, p)
     k = regressors.shape[1] - p
     upper = np.concatenate([np.full(p, np.inf), np.ones(k)])
     x0 = np.concatenate([np.full(p, 1.0 / p), np.full(k, 0.1)])

@@ -1183,7 +1183,8 @@ def test_fit_rejects_a_presence_count_outside_the_window(tmp_path, capsys, count
 
 
 @pytest.mark.parametrize("case", ["nan y_true", "inf y_pred", "repeated row",
-                                  " 5 y_true", "5  y_pred", "1_0 y_true", "+5 y_pred"])
+                                  " 5 y_true", "5  y_pred", "1_0 y_true", "+5 y_pred",
+                                  "-100.0 y_true", "-0.0 y_pred"])
 def test_forecast_readers_reject_non_finite_and_repeated_rows(tmp_path, capsys, case):
     data = generate_data(tmp_path)
     assert cli.main(["pipeline", "--data", str(data), "--out", str(tmp_path / "p")]) == 0
@@ -1311,10 +1312,10 @@ def test_worker_errors_keep_the_error_contract(tmp_path, monkeypatch, capfd, err
     bad = min(row[1] for row in edges)
     fit_arnet_batch = aflow.forecast.fit_arnet_batch
 
-    def fail_one(problems, *args, **kwargs):
-        if any(video_id == bad for video_id, _, _ in problems):
+    def fail_one(targets, *args, **kwargs):
+        if bad in targets:
             raise error(f"synthetic failure for {bad}")
-        return fit_arnet_batch(problems, *args, **kwargs)
+        return fit_arnet_batch(targets, *args, **kwargs)
 
     # Forked workers inherit the patch.
     monkeypatch.setattr(aflow.forecast, "fit_arnet_batch", fail_one)

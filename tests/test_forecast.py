@@ -18,7 +18,9 @@ from aflow.forecast import (
     fit_ar,
     fit_arnet,
     fit_arnet_batch,
+    _arnet_blocks,
     _forecast_rows,
+    _source_values,
     model_forecasts,
     predict_naive,
     predict_seasonal_naive,
@@ -78,7 +80,7 @@ def test_ar_recovers_planted_coefficients():
     y[:7] = rng.uniform(50.0, 150.0, size=7)
     for t in range(7, 56):
         y[t] = 0.5 * y[t - 1] + 0.25 * y[t - 7]
-    model = fit_ar("v", y)
+    model = fit_ar(["v"], [y])["v"]
     expected = np.array([0.5, 0, 0, 0, 0, 0, 0.25])
     assert np.max(np.abs(model.alpha - expected)) < 1e-6
 
@@ -86,36 +88,62 @@ def test_ar_recovers_planted_coefficients():
 def test_ar_matches_unregularized_least_squares():
     rng = np.random.default_rng(1)
     y = rng.uniform(10.0, 100.0, size=56)
-    model = fit_ar("v", y)
+    model = fit_ar(["v"], [y])["v"]
     lags = np.column_stack([y[7 - tau : 56 - tau] for tau in range(1, 8)])
     reference, *_ = np.linalg.lstsq(lags, y[7:], rcond=None)
     assert np.max(np.abs(model.alpha - reference)) < 1e-6
 
 
 def test_ar_constant_series_reproduces_itself():
-    model = fit_ar("v", np.full(56, 80.0))
+    model = fit_ar(["v"], [np.full(56, 80.0)])["v"]
     assert ar_forecast(model.alpha, np.full(56, 80.0), 1)[0] == pytest.approx(80.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("level", [1e4, 1e5])
 def test_ar_singular_constant_series_falls_back_to_least_squares(level):
     # equal lag columns make the Gram matrix singular: the 1e-8 ridge is lost against ~5e9 entries
-    model = fit_ar("v", np.full(56, level))
+    model = fit_ar(["v"], [np.full(56, level)])["v"]
     np.testing.assert_allclose(model.alpha, np.full(7, 1 / 7))
     np.testing.assert_allclose(ar_forecast(model.alpha, np.full(56, level), 7), np.full(7, level))
 
 
 def test_ar_all_zero_series_gives_zero_coefficients():
-    model = fit_ar("v", np.zeros(56))
+    model = fit_ar(["v"], [np.zeros(56)])["v"]
     np.testing.assert_array_equal(model.alpha, np.zeros(7))
 
 
 def test_ar_input_validation():
     with pytest.raises(DataFormatError, match="fewer than p\\+1 regression rows"):
-        fit_ar("v", np.ones(14))
-    fit_ar("v", np.arange(15.0))  # 8 rows is exactly enough
-    with pytest.raises(DataFormatError, match="non-finite"):
-        fit_ar("v", np.array([1.0, np.nan] + [1.0] * 54))
+        fit_ar(["v"], [np.ones(14)])
+    fit_ar(["v"], [np.arange(15.0)])  # 8 rows is exactly enough
+    with pytest.raises(DataFormatError, match="training series of w has non-finite values"):
+        fit_ar(["v", "w"], [np.ones(56), np.array([1.0, np.nan] + [1.0] * 54)])
+
+
+@given(st.data())
+def test_matrix_ar_equals_the_per_target_fit(data):
+    """Each row of one stacked fit equals the one-series oracle exactly, in any row set and order."""
+    p = data.draw(st.integers(1, 10), label="p")
+    days = data.draw(st.integers(2 * p + 1, 70), label="days")
+    scale = data.draw(st.sampled_from([1.0, 1e3, 1e6, 1e9, 1e12]), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    train = rng.uniform(0.0, scale, size=(data.draw(st.integers(1, 6), label="rows"), days))
+    if data.draw(st.booleans(), label="integer views"):
+        train = np.round(train)
+    if data.draw(st.booleans(), label="constant 1e4 row"):  # for most p > 1 its Gram matrix is singular
+        train = np.vstack([train, np.full(days, 1e4)])
+    if data.draw(st.booleans(), label="zero row"):
+        train = np.vstack([train, np.zeros(days)])
+    ids = [f"v{i:02d}" for i in range(len(train))]
+    expected = {v: _oracles.fit_ar(v, y, p).alpha for v, y in zip(ids, train)}
+    order = data.draw(st.permutations(range(len(ids))), label="order")
+    keep = order[: data.draw(st.integers(1, len(ids)), label="subset")]
+    for rows in (range(len(ids)), order, keep):
+        fits = fit_ar([ids[i] for i in rows], train[list(rows)], p)
+        assert list(fits) == [ids[i] for i in rows]
+        for v, model in fits.items():
+            assert model.video_id == v and not model.beta
+            assert np.array_equal(model.alpha, expected[v])
 
 
 def test_arnet_recovers_single_neighbor_weight():
@@ -189,13 +217,13 @@ def test_arnet_trace_never_increases(monkeypatch):
 
 
 def test_arnet_gradient_matches_finite_differences():
-    from aflow.forecast import _lag_matrix, _smape_block
+    from aflow.forecast import _smape_block
 
     rng = np.random.default_rng(21)
     problems = []
     for _ in range(3):
         y = rng.uniform(20.0, 120.0, size=30)
-        lags, target = _lag_matrix(y, 7)
+        lags, target = _oracles.lag_matrix(y, 7)
         problems.append((np.hstack([lags, rng.uniform(20.0, 120.0, size=(23, 1))]), target))
     points = np.hstack([rng.uniform(0.05, 0.3, size=(3, 7)), rng.uniform(0.2, 0.6, size=(3, 1))])
     rows = np.stack([r for r, _ in problems])
@@ -226,7 +254,8 @@ def test_arnet_gradient_matches_finite_differences():
 
 
 def _mixed_problems():
-    """Targets of several block shapes, several of each, as fit_arnet_batch takes them.
+    """Targets of several block shapes, several of each, as (video_id, training series,
+    {neighbor id: neighbor training series}); an id names one series throughout.
 
     Besides targets with 0, 1 and 3 independent neighbors there is a block
     with a duplicated neighbor series and an all-zero neighbor (singular
@@ -245,12 +274,40 @@ def _mixed_problems():
     problems.append(("d0", 0.4 * twin + rng.uniform(20.0, 60.0, size=56), {"a": twin, "b": twin}))
     other = rng.uniform(100.0, 400.0, size=56)
     problems.append(("d1", 0.3 * other + rng.uniform(20.0, 60.0, size=56),
-                     {"a": other, "z": np.zeros(56)}))
+                     {"c": other, "z": np.zeros(56)}))
     problems.append(("c0", np.full(56, 1e5), {}))
     for i in range(2):
         source = rng.uniform(100.0, 400.0, size=14)
-        problems.append((f"s{i}", 0.5 * source + rng.uniform(20.0, 60.0, size=14), {"a": source}))
+        problems.append((f"s{i}", 0.5 * source + rng.uniform(20.0, 60.0, size=14), {f"a{i}": source}))
     return problems
+
+
+def _matrix(problems):
+    """(targets, ids, train, in_edges) of problems that share one training length, as
+    fit_arnet_batch takes them: one row per id in id order."""
+    series = {}
+    for vid, y, neighbors in problems:
+        for u, values in [(vid, y), *neighbors.items()]:
+            assert np.array_equal(series.setdefault(u, values), values)  # an id names one series
+    ids = sorted(series)
+    return ([vid for vid, _, _ in problems], ids, np.array([series[u] for u in ids], dtype=float),
+            {vid: tuple(sorted(neighbors)) for vid, _, neighbors in problems})
+
+
+def _by_length(problems):
+    """The positions of the problems of each training length."""
+    groups = {}
+    for i, (_, y, _) in enumerate(problems):
+        groups.setdefault(len(y), []).append(i)
+    return list(groups.values())
+
+
+def _fit_batch(problems, config=CONFIG):
+    """The problems' models in order, from one fit_arnet_batch call per training length."""
+    fitted = {}
+    for group in _by_length(problems):
+        fitted.update(zip(group, fit_arnet_batch(*_matrix([problems[i] for i in group]), config)))
+    return [fitted[i] for i in range(len(problems))]
 
 
 def _same_fit(a, b):
@@ -263,20 +320,20 @@ def test_batched_fits_equal_single_fits_bit_for_bit():
     alone = [fit_arnet(*problem, CONFIG) for problem in problems]
     assert {(m.fit.n_params, m.fit.n_rows) for m in alone} == {(7, 49), (8, 49), (10, 49),
                                                                (9, 49), (8, 7)}
-    batch = fit_arnet_batch(problems, CONFIG)
+    batch = _fit_batch(problems)
     assert all(_same_fit(a, b) for a, b in zip(alone, batch))
     order = np.random.default_rng(5).permutation(len(problems))
-    shuffled = fit_arnet_batch([problems[i] for i in order], CONFIG)
+    shuffled = _fit_batch([problems[i] for i in order])
     assert all(_same_fit(alone[i], m) for i, m in zip(order, shuffled))
-    subset = fit_arnet_batch([problems[i] for i in order[:6]], CONFIG)
+    subset = _fit_batch([problems[i] for i in order[:6]])
     assert all(_same_fit(alone[i], m) for i, m in zip(order[:6], subset))
 
 
 def test_fixed_start_where_least_squares_has_no_answer():
-    from aflow.forecast import RIDGE, _arnet_design
+    from aflow.forecast import RIDGE
 
     problems = {vid: (vid, y, nbs) for vid, y, nbs in _mixed_problems()}
-    _, regressors, target = _arnet_design(*problems["c0"], 7)
+    _, regressors, target = _oracles.arnet_design(*problems["c0"], 7)
     with pytest.raises(np.linalg.LinAlgError):  # the constant target's ridge system
         np.linalg.solve(regressors.T @ regressors + RIDGE * np.eye(7), regressors.T @ target)
     for vid in ("c0", "s0", "s1"):
@@ -287,7 +344,7 @@ def test_fixed_start_where_least_squares_has_no_answer():
 
 
 def _recovery_problems():
-    """Criterion 4's targets, as fit_arnet_batch takes them, and the config."""
+    """Criterion 4's targets, as _mixed_problems gives them, and the config."""
     from test_acceptance import _recovery_config
 
     dataset, _ = datagen.generate(_recovery_config())
@@ -302,7 +359,7 @@ def _recovery_problems():
 
 def test_ridge_start_beats_the_fixed_start_on_recovery_data():
     problems, config = _recovery_problems()
-    fits = [m.fit for m in fit_arnet_batch(problems, config)]
+    fits = [m.fit for m in _fit_batch(problems, config)]
     fixed = [_oracles.fixed_start_arnet(*problem, config) for problem in problems]
     assert np.median([f.nit for f in fits]) < np.median([nit for nit, _ in fixed])
     # a few targets end slightly higher, so compare the means, not each target
@@ -312,7 +369,7 @@ def test_ridge_start_beats_the_fixed_start_on_recovery_data():
 
 def test_arnet_fits_no_worse_than_lbfgsb_on_recovery_data():
     problems, config = _recovery_problems()
-    ours = [m.fit.objective for m in fit_arnet_batch(problems, config)]
+    ours = [m.fit.objective for m in _fit_batch(problems, config)]
     reference = [_oracles.lbfgsb_arnet(*problem, config).fit.objective for problem in problems]
     assert len(ours) == 50
     assert np.mean(ours) <= np.mean(reference)
@@ -321,10 +378,10 @@ def test_arnet_fits_no_worse_than_lbfgsb_on_recovery_data():
 def test_arnet_stop_reasons_are_reported(monkeypatch):
     from aflow.forecast import CONVERGED_STOPS, STOP_ITERATIONS
 
-    fits = [m.fit for m in fit_arnet_batch(_mixed_problems(), CONFIG)]
+    fits = [m.fit for m in _fit_batch(_mixed_problems())]
     assert all(f.converged == (f.message in CONVERGED_STOPS) for f in fits)
     monkeypatch.setattr(forecast_module, "MAX_ITER", 2)
-    capped = [m.fit for m in fit_arnet_batch(_mixed_problems(), CONFIG)]
+    capped = [m.fit for m in _fit_batch(_mixed_problems())]
     for short, full in zip(capped, fits):
         assert short.nit <= 2
         if full.nit > 2:
@@ -338,6 +395,28 @@ def test_arnet_input_validation():
         fit_arnet("v", np.ones(56), {"u": np.ones(40)}, CONFIG)
     with pytest.raises(DataFormatError, match="non-finite"):
         fit_arnet("v", np.ones(56), {"u": np.full(56, np.inf)}, CONFIG)
+    with pytest.raises(DataFormatError, match="v is its own neighbor"):
+        fit_arnet("v", np.ones(56), {"v": np.ones(56)}, CONFIG)
+    with pytest.raises(DataFormatError, match="training series of u has non-finite values"):
+        fit_arnet_batch(["v"], ["u", "v"], np.array([np.full(56, np.nan), np.ones(56)]), {"v": ("u",)},
+                        CONFIG)
+
+
+@pytest.mark.parametrize("case", ["mixed", "recovery"])
+def test_arnet_blocks_stack_the_per_target_designs(case):
+    """Each in-degree block holds exactly the one-target oracle designs of its members, stacked."""
+    problems = _mixed_problems() if case == "mixed" else _recovery_problems()[0]
+    for group in _by_length(problems):
+        targets, ids, train, in_edges = _matrix([problems[i] for i in group])
+        seen = []
+        for members, regressors, target in _arnet_blocks(targets, ids, train, in_edges, 7):
+            designs = [_oracles.arnet_design(*problems[group[i]], 7) for i in members]
+            assert [d[0] for d in designs] == [list(in_edges[targets[i]]) for i in members]
+            assert np.array_equal(regressors, np.stack([d[1] for d in designs]))
+            assert np.array_equal(target, np.stack([d[2] for d in designs]))
+            assert regressors.flags.c_contiguous and target.flags.c_contiguous
+            seen.extend(members)
+        assert sorted(seen) == list(range(len(group)))
 
 
 def test_forecast_recursion_feeds_predictions_back():
@@ -525,15 +604,20 @@ def test_observed_mode_feeds_actual_neighbor_views():
     np.testing.assert_array_equal(values["v"]["u"], test[0])
 
 
-def test_forecast_mode_uses_snaive_for_unmodeled_neighbors():
-    ds, _ = network_dataset()
-    cfg = ForecastConfig(neighbor_mode="forecast")
-    models = {"v": ArnetModel("v", np.zeros(7), {"u": 1.0})}
+@pytest.mark.parametrize("horizon", [7, 10])
+def test_forecast_mode_uses_snaive_for_unmodeled_neighbors(horizon):
+    """An unmodeled source's forecast-mode row is the snaive family's row, both C-ordered:
+    above m_star = 7 days a row of the F-ordered index of train would sum differently."""
+    ds, persistent = network_dataset()
+    cfg = ForecastConfig(neighbor_mode="forecast", horizon=horizon, train_days=63 - horizon)
+    models = {"w": ArnetModel("w", np.zeros(7), {"u": 1.0, "v": 1.0})}
     values = resolve_neighbor_values(ds, models, cfg)
     train, _ = split_series(ds, ["u"], cfg)
-    np.testing.assert_array_equal(
-        values["v"]["u"], predict_seasonal_naive(train[0], cfg.horizon)
-    )
+    np.testing.assert_array_equal(values["w"]["u"], predict_seasonal_naive(train[0], cfg.horizon))
+    _, snaive = run_model(ds, persistent, "snaive", cfg)  # the network's one target is v
+    np.testing.assert_array_equal(values["w"]["v"], snaive.y_pred[0])
+    _, matrix = _source_values(ds, models, cfg)
+    assert matrix.flags.c_contiguous and snaive.y_pred.flags.c_contiguous
 
 
 def test_forecast_mode_chains_modeled_neighbors():

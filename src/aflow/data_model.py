@@ -24,7 +24,6 @@ give the same result and the same message.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from array import array
@@ -919,26 +918,53 @@ def parse_file(parse: Callable[[Path], T], path: Path) -> T:
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """The header row, then ``rows``, written by the csv module with LF line ends."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer(lineterminator="\\n")`` writes a field on Python 3.10 to 3.12:
+    quoted, with each ``"`` doubled, when it holds ``,``, ``"`` or LF; a CR stays bare."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_fields(texts: Sequence[str]) -> np.ndarray:
+    """Each of ``texts`` as :func:`_csv_field` writes it, in an object array; one joined scan
+    when none needs quotes."""
+    joined = "".join(texts)
+    if "," in joined or '"' in joined or "\n" in joined:
+        texts = [_csv_field(text) for text in texts]
+    return np.array(texts, dtype=object)
+
+
+def _value_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` as fields, and each value's index among them."""
+    distinct, codes = np.unique(values, return_inverse=True)
+    return _csv_fields([str(v) for v in distinct.tolist()]), codes.ravel()
+
+
+def _csv_text(header: Sequence[str], columns: Sequence[tuple[np.ndarray, np.ndarray]]) -> str:
+    """The header row, then row i with field ``fields[codes[i]]`` from each (fields, codes) column.
+
+    Each column's fields come from :func:`_csv_fields`, so a text is quoted
+    once however many rows hold it.  The cells, each with the comma or LF
+    that ends it, are joined in one pass.
+    """
+    cells = np.empty((len(columns[0][1]), len(columns)), dtype=object)
+    for j, (fields, codes) in enumerate(columns):
+        cells[:, j] = (fields + ("\n" if j == len(columns) - 1 else ","))[codes]
+    return ",".join(header) + "\n" + "".join(cells.ravel().tolist())
 
 
 def serialize_snapshots(network: DynamicNetwork) -> str:
     """Canonical snapshots CSV: rows sorted by (date, source, kind, position)."""
     t = network.table
     rows = np.lexsort((t.pos, t.kind, t.src, t.day))
-    days = [d.isoformat() for d in network.window.dates()]
-    return _csv_text(SNAPSHOT_HEADER, zip(
-        map(days.__getitem__, t.day[rows].tolist()),
-        t.ids[t.src[rows]].tolist(),
-        t.ids[t.tgt[rows]].tolist(),
-        t.pos[rows].tolist(),
-        map(LIST_KINDS.__getitem__, t.kind[rows].tolist()),
+    ids = _csv_fields(t.ids.tolist())
+    return _csv_text(SNAPSHOT_HEADER, (
+        (_csv_fields([d.isoformat() for d in network.window.dates()]), t.day[rows]),
+        (ids, t.src[rows]),
+        (ids, t.tgt[rows]),
+        _value_fields(t.pos[rows]),
+        (_csv_fields(LIST_KINDS), t.kind[rows]),
     ))
 
 
@@ -947,14 +973,20 @@ def serialize_views(views: ViewTable) -> str:
     lengths = np.diff(views.bounds)
     ordinal = np.repeat(views.start - views.bounds[:-1], lengths) + np.arange(views.values.size)
     ordinals, day = np.unique(ordinal, return_inverse=True)
-    days = [date.fromordinal(o).isoformat() for o in ordinals.tolist()]
-    ids = np.repeat(views.ids, lengths).tolist()
-    return _csv_text(VIEWS_HEADER, zip(ids, map(days.__getitem__, day.ravel().tolist()), views.values.tolist()))
+    return _csv_text(VIEWS_HEADER, (
+        (_csv_fields(views.ids.tolist()), np.repeat(np.arange(views.ids.size), lengths)),
+        (_csv_fields([date.fromordinal(o).isoformat() for o in ordinals.tolist()]), day.ravel()),
+        _value_fields(views.values),
+    ))
 
 
 def serialize_metadata(metadata: Mapping[str, VideoMeta]) -> str:
     """Canonical metadata CSV: rows sorted by video_id, genres sorted."""
+    rows = sorted(metadata.items())
+    every = np.arange(len(rows))
     return _csv_text(METADATA_HEADER, (
-        (vid, m.artist_id, m.upload_date.isoformat(), "|".join(sorted(m.genres)))
-        for vid, m in sorted(metadata.items())
+        (_csv_fields([vid for vid, _ in rows]), every),
+        (_csv_fields([m.artist_id for _, m in rows]), every),
+        (_csv_fields([m.upload_date.isoformat() for _, m in rows]), every),
+        (_csv_fields(["|".join(sorted(m.genres)) for _, m in rows]), every),
     ))

@@ -1,19 +1,24 @@
 """Synthetic dataset generation with planted ground truth.
 
 Videos are indexed 0..n-1 and links only run from lower to higher index, so
-the true influence graph is a DAG and views can be generated in one pass per
-day.  Each video's daily views follow
+the true influence graph is a DAG.  Each video's daily views follow
 
     y_v[t] = rint(max(0, base_v * s_v[t mod 7]
                           + sum_tau alpha[tau] * y_v[t - tau]
                           + sum_{(u,v)} beta_uv * y_u[t]
                           + noise))
 
-with a per-video sinusoidal weekly profile s_v at a random phase.  Snapshot
-edges mirror the true graph, each present on a given day with probability
-``presence_prob``; targets land on shuffled relevant-list positions.
-Everything is driven by one seeded generator: equal seeds give byte-identical
-exports.
+with a per-video sinusoidal weekly profile s_v at a random phase.  Each day
+is simulated level by level: a video's level is 1 + the highest level among
+its sources, so its sources' views are final before its own.  The terms are
+added in the order written, tau = 1..7 and in-edges in edge-list order, so
+the floats are those of a loop over one video at a time.  Snapshot edges
+mirror the true graph, each present on a given day with probability
+``presence_prob``; targets land on shuffled relevant-list positions, two
+shuffles per (day, source).  Everything is driven by one seeded generator,
+whose draws come in a fixed order (metadata, edges, base levels, phases,
+noise, then per day the presence draws and the list shuffles): equal seeds give
+byte-identical exports.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -144,6 +149,93 @@ def _draw_edges(config: GenConfig, rng: np.random.Generator) -> list[tuple[int, 
     return list(zip(src.tolist(), dst.tolist(), betas.tolist()))
 
 
+def _simulate_views(
+    base: np.ndarray, profile: np.ndarray, alpha: np.ndarray,
+    edges: Sequence[tuple[int, int, float]], noise: np.ndarray,
+) -> np.ndarray:
+    """The (days, videos) float views of the recursion in the module docstring.
+
+    ``edges`` holds sorted (source, target, beta) triples with source < target.
+    A video's level is 1 + the highest level among its sources, or 0 without
+    any, so a level's sources are final before it.  Each day adds the base and
+    lag terms of every video at once; then, level by level, the j-th in-edge
+    term of all the level's videos at once for j = 0, 1, ..., the noise and the
+    clamp.  So every video gets the float operations, in the order, of a loop
+    over one video at a time.  A day holding a value that is not finite, or
+    views above ``VALUE_CEILING``, is a :class:`NumericalError`.
+    """
+    days, n = noise.shape
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    beta = np.array([e[2] for e in edges], dtype=float)
+    by_target = np.argsort(dst, kind="stable")  # each target's in-edges keep their order
+    src, dst, beta = src[by_target], dst[by_target], beta[by_target]
+    level = [0] * n
+    for u, v in zip(src.tolist(), dst.tolist()):
+        level[v] = max(level[v], level[u] + 1)  # u's own in-edges come earlier, so level[u] is final
+    level = np.array(level)
+    rank = np.arange(dst.size) - np.searchsorted(dst, dst)  # j: the edge's place among its target's
+    terms: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(level.max() + 1)]
+    if dst.size:
+        step = np.lexsort((rank, level[dst]))  # by (level, j), each run in target order
+        cut = np.flatnonzero((np.diff(level[dst][step]) != 0) | (np.diff(rank[step]) != 0)) + 1
+        for e in np.split(step, cut):
+            terms[level[dst[e[0]]]].append((dst[e], src[e], beta[e]))
+    videos = np.split(np.argsort(level, kind="stable"), np.cumsum(np.bincount(level))[:-1])
+
+    y = np.empty((days, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(days):
+            val = base * profile[:, t % 7]
+            for tau in range(1, min(t, 7) + 1):
+                val += alpha[tau - 1] * y[t - tau]
+            for nodes, level_terms in zip(videos, terms):
+                for targets, sources, weights in level_terms:
+                    val[targets] += weights * y[t, sources]
+                total = val[nodes] + noise[t, nodes]
+                val[nodes] = total
+                y[t, nodes] = np.rint(np.where(total > 0.0, total, 0.0))  # max(0.0, total), as Python's max
+            if not np.isfinite(val).all() or y[t].max() > VALUE_CEILING:
+                raise NumericalError("generated views overflow; lower alpha/beta or base levels")
+    return y
+
+
+def _place_lists(
+    rng: np.random.Generator, edge_src: np.ndarray, edge_dst: np.ndarray, days: int, presence_prob: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (day, source, target, position) snapshot rows of the planted edges.
+
+    ``edge_src`` is sorted, so each source's targets are one run.  Each day an
+    edge is present with ``presence_prob`` (one draw per edge, none at 1), and
+    a source's k present targets go in a random order onto k random slots of
+    1..max(15, k), sorted.  Per (day, source) the stream shuffles the slots,
+    then the targets, as ``rng.permutation`` would; all else runs once a day.
+    """
+    shuffle = rng.shuffle
+    day_col, src_col, tgt_col, pos_col = [], [], [], []
+    for t in range(days):
+        present = (np.arange(edge_src.size) if presence_prob >= 1.0
+                   else np.flatnonzero(rng.random(edge_src.size) < presence_prob))
+        src = edge_src[present]
+        first = np.flatnonzero(np.diff(src, prepend=-1))
+        k = np.diff(first, append=src.size)
+        # per source, one after the other: slot draws 0..max(15, k) - 1, then target draws 0..k - 1
+        size = np.column_stack([np.maximum(15, k), k]).ravel()
+        start = np.cumsum(size) - size
+        draws = np.arange(size.sum()) - np.repeat(start, size)
+        for a, b in zip(start.tolist(), (start + size).tolist()):
+            shuffle(draws[a:b])
+        run = np.repeat(np.arange(k.size), k)
+        nth = np.arange(src.size) - first[run]
+        slots = draws[start[0::2][run] + nth] + 1
+        order = draws[start[1::2][run] + nth]
+        day_col.append(np.full(src.size, t))
+        src_col.append(src)
+        tgt_col.append(edge_dst[present[first[run] + order]])
+        pos_col.append(slots[np.lexsort((slots, run))])
+    return tuple(map(np.concatenate, (day_col, src_col, tgt_col, pos_col)))
+
+
 def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     """Generate a validated dataset plus the parameters that produced it."""
     rng = np.random.default_rng(config.seed)
@@ -165,10 +257,6 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     }
 
     edge_list = _draw_edges(config, rng)
-    incoming: dict[int, list[tuple[int, float]]] = {}
-    for src, dst, beta in edge_list:
-        incoming.setdefault(dst, []).append((src, beta))
-
     if config.base_levels is not None:
         base = np.asarray(config.base_levels, dtype=float)
     else:
@@ -178,54 +266,24 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     else:
         phase = rng.uniform(0.0, 7.0, size=n)
     weekday = np.arange(7)
-    profile = np.maximum(
-        0.05, 1.0 + config.seasonal_amplitude * np.sin(2 * math.pi * (weekday[None, :] + phase[:, None]) / 7.0)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge phase gives a NaN profile, which the views reject
+        profile = np.maximum(
+            0.05, 1.0 + config.seasonal_amplitude * np.sin(2 * math.pi * (weekday[None, :] + phase[:, None]) / 7.0)
+        )
     noise = (
         rng.normal(0.0, config.noise_scale, size=(days, n))
         if config.noise_scale > 0
         else np.zeros((days, n))
     )
-
-    alpha = np.asarray(config.alpha_profile, dtype=float)
-    y = np.zeros((days, n))
-    for t in range(days):
-        for v in range(n):
-            val = base[v] * profile[v, t % 7]
-            for tau in range(1, 8):
-                if t - tau >= 0:
-                    val += alpha[tau - 1] * y[t - tau, v]
-            for u, beta in incoming.get(v, ()):
-                val += beta * y[t, u]
-            val += noise[t, v]
-            y[t, v] = np.rint(max(0.0, val))
-    if y.max() > VALUE_CEILING:
-        raise NumericalError("generated views overflow; lower alpha/beta or base levels")
+    y = _simulate_views(base, profile, np.asarray(config.alpha_profile, dtype=float), edge_list, noise)
 
     names = np.array(ids, dtype=str)
     order = np.argsort(names)  # the identity below 100,000 videos, as the ids are zero-padded
     starts, bounds = np.full(n, START_DATE.toordinal(), dtype=np.int64), np.arange(n + 1, dtype=np.int64) * days
     views = ViewTable(names[order], starts, bounds, y.T[order].astype(np.int64).ravel())
 
-    # Edges come sorted by source, so each source's targets are one run.
-    edge_src = np.array([e[0] for e in edge_list], dtype=np.int64)
-    edge_dst = np.array([e[1] for e in edge_list], dtype=np.int64)
-    day_col, src_col, tgt_col, pos_col = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
-    for t in range(days):
-        if config.presence_prob >= 1.0:
-            src, dst = edge_src, edge_dst
-        else:
-            present = rng.random(len(edge_list)) < config.presence_prob
-            src, dst = edge_src[present], edge_dst[present]
-        starts = np.flatnonzero(np.diff(src, prepend=-1)).tolist()
-        for a, b in zip(starts, starts[1:] + [src.size]):
-            # Shuffle k targets onto k of the relevant-list slots 1..max(15, k).
-            slots = rng.permutation(np.arange(1, max(15, b - a) + 1))[: b - a]
-            tgt_col.append(dst[a:b][rng.permutation(b - a)])
-            pos_col.append(np.sort(slots))
-        day_col.append(np.full(src.size, t))
-        src_col.append(src)
-    day, src, tgt, pos = map(np.concatenate, (day_col, src_col, tgt_col, pos_col))
+    edge_src, edge_dst = np.array([e[:2] for e in edge_list], dtype=np.int64).reshape(-1, 2).T
+    day, src, tgt, pos = _place_lists(rng, edge_src, edge_dst, days, config.presence_prob)
     table = SnapshotTable.from_codes(ids, day, src, tgt, pos, np.zeros(day.size, dtype=np.int8))
     network = DynamicNetwork(window, table)
 

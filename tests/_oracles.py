@@ -5,8 +5,10 @@ rank counting, numeric quadrature, series preprocessed one at a time with
 ``np.polyfit``, link analyses that rebuild one ``build_graph`` per day or
 walk ``RankedList`` entries, view series checked and written one video at a
 time, one ARNet fit at a time by scipy's L-BFGS-B, AR fits and ARNet regressors
-built one target at a time, and forecasts and network contributions computed
-one target and one beta term at a time.  None of it shares
+built one target at a time, forecasts and network contributions computed one
+target and one beta term at a time, the generator's views one video at a time
+and its lists one (day, source) at a time, and CSV files written row by row
+by the csv module.  None of it shares
 code paths with the implementations under test, except ``fixed_start_arnet``,
 which keeps the package's solver and changes only its start point, and the
 forecast oracles, which take their train/test split from ``split_series``.
@@ -27,7 +29,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 
 from aflow import forecast
-from aflow.data_model import VIEWS_HEADER, DataFormatError
+from aflow.data_model import LIST_KINDS, METADATA_HEADER, SNAPSHOT_HEADER, VIEWS_HEADER, DataFormatError
 from aflow.forecast import (RIDGE, SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
                             _solve_block, split_series)
 from aflow.graph_analysis import ChurnStats, build_graph
@@ -153,15 +155,46 @@ def window_views(metadata, views, window):
 
 def serialize_views(views) -> str:
     """Canonical views CSV: rows sorted by (video_id, date)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(VIEWS_HEADER)
+    rows = []
     for vid in sorted(views):
         start_date, values = views[vid]
-        for i, val in enumerate(values):
-            d = start_date + timedelta(days=i)
-            writer.writerow([vid, d.isoformat(), int(val)])
+        rows.extend((vid, (start_date + timedelta(days=i)).isoformat(), int(val)) for i, val in enumerate(values))
+    return csv_text(VIEWS_HEADER, rows)
+
+
+# ---------------------------------------------------------------------------
+# canonical CSV files, written row by row by the csv module
+
+
+def csv_text(header, rows) -> str:
+    """The header row, then ``rows``, written by the csv module with LF line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def csv_snapshots(network) -> str:
+    """``serialize_snapshots``, row by row."""
+    t = network.table
+    rows = np.lexsort((t.pos, t.kind, t.src, t.day))
+    days = [d.isoformat() for d in network.window.dates()]
+    return csv_text(SNAPSHOT_HEADER, zip(
+        map(days.__getitem__, t.day[rows].tolist()),
+        t.ids[t.src[rows]].tolist(),
+        t.ids[t.tgt[rows]].tolist(),
+        t.pos[rows].tolist(),
+        map(LIST_KINDS.__getitem__, t.kind[rows].tolist()),
+    ))
+
+
+def csv_metadata(metadata) -> str:
+    """``serialize_metadata``, row by row."""
+    return csv_text(METADATA_HEADER, (
+        (vid, m.artist_id, m.upload_date.isoformat(), "|".join(sorted(m.genres)))
+        for vid, m in sorted(metadata.items())
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +570,47 @@ def contribution(dataset, models, result, config):
         without[artist_of[vid]] += max(0.0, float(result.y_true[i].sum()) - net)
     share = same_artist / network_total if network_total else 0.0
     return eta, float(np.mean(list(eta.values()))) if eta else None, share, dict(without)
+
+
+# ---------------------------------------------------------------------------
+# the generator: views one video at a time, lists one (day, source) at a time
+
+
+def simulate_views(base, profile, alpha, edges, noise):
+    """``datagen._simulate_views`` without its overflow check."""
+    days, n = noise.shape
+    incoming = {}
+    for src, dst, beta in edges:
+        incoming.setdefault(dst, []).append((src, beta))
+    y = np.zeros((days, n))
+    for t in range(days):
+        for v in range(n):
+            val = base[v] * profile[v, t % 7]
+            for tau in range(1, 8):
+                if t - tau >= 0:
+                    val += alpha[tau - 1] * y[t - tau, v]
+            for u, beta in incoming.get(v, ()):
+                val += beta * y[t, u]
+            val += noise[t, v]
+            y[t, v] = np.rint(max(0.0, val))
+    return y
+
+
+def place_lists(rng, edge_src, edge_dst, days, presence_prob):
+    """``datagen._place_lists``: (day, source, target, position) rows, drawn source by source."""
+    day_col, src_col, tgt_col, pos_col = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
+    for t in range(days):
+        if presence_prob >= 1.0:
+            src, dst = edge_src, edge_dst
+        else:
+            present = rng.random(edge_src.size) < presence_prob
+            src, dst = edge_src[present], edge_dst[present]
+        starts = np.flatnonzero(np.diff(src, prepend=-1)).tolist()
+        for a, b in zip(starts, starts[1:] + [src.size]):
+            # Shuffle k targets onto k of the relevant-list slots 1..max(15, k).
+            slots = rng.permutation(np.arange(1, max(15, b - a) + 1))[: b - a]
+            tgt_col.append(dst[a:b][rng.permutation(b - a)])
+            pos_col.append(np.sort(slots))
+        day_col.append(np.full(src.size, t))
+        src_col.append(src)
+    return tuple(map(np.concatenate, (day_col, src_col, tgt_col, pos_col)))

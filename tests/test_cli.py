@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -998,6 +999,20 @@ def test_generate_rejects_a_non_finite_noise_scale(tmp_path, capsys, value):
     code, captured = run(["generate", "--out", str(tmp_path / "g"), "--noise-scale", value], capsys)
     assert code == 1
     assert usage_record(captured)["message"] == "noise_scale must hold only finite values"
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--n-videos", "20", "--noise-scale", "1e308"], {}),
+    ([], {"alpha_profile": (1e200,) * 7}),
+])
+def test_generate_reports_overflowing_views_as_one_record(tmp_path, monkeypatch, capsys, flags, config):
+    monkeypatch.setattr(cli, "GenConfig", functools.partial(datagen.GenConfig, **config))
+    code, captured = run(["generate", "--out", str(tmp_path / "g"), *flags], capsys)
+    assert code == 3
+    record = json.loads(captured.err)  # one JSON record and nothing else
+    assert record["error"] == "numerical"
+    assert record["message"].startswith("generated views overflow")
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import re
+import sys
 import weakref
 from datetime import date, timedelta
 
@@ -15,8 +16,11 @@ from aflow.data_model import (
     METADATA_HEADER,
     VIEWS_HEADER,
     DataFormatError,
+    DynamicNetwork,
     ObservationWindow,
     RankedList,
+    SnapshotTable,
+    VideoMeta,
     load_dataset,
     parse_metadata,
     parse_snapshots,
@@ -29,6 +33,7 @@ from aflow.data_model import (
 from aflow.graph_analysis import build_graph, daily_link_presence
 
 import _helpers
+import _oracles
 
 
 def snap_csv(rows):
@@ -272,6 +277,34 @@ def test_metadata_parse_serialize_round_trip(csv_file, meta):
         first, again = parsed
         assert again == first
         assert sorted(first) == sorted(meta)
+
+
+# Python 3.13's csv module quotes a CR too; the canonical files keep the bare CR
+# of 3.10-3.12, so they do not depend on the Python version.
+WRITTEN = FIELD if sys.version_info < (3, 13) else FIELD.filter(lambda text: "\r" not in text)
+
+
+@given(st.lists(WRITTEN, min_size=1, max_size=5, unique=True), st.data())
+def test_serialize_snapshots_writes_what_the_csv_module_writes(names, data):
+    code = st.integers(0, len(names) - 1)
+    rows = data.draw(st.lists(st.tuples(st.integers(0, 2), code, code, st.integers(1, 20), st.integers(0, 1)),
+                              max_size=20))
+    day, src, tgt, pos, kind = np.array(rows, dtype=np.int32).reshape(-1, 5).T
+    table = SnapshotTable(np.array(sorted(names), dtype=str), day, src, tgt, pos, kind.astype(np.int8))
+    network = DynamicNetwork(ObservationWindow(START, 3), table)
+    assert serialize_snapshots(network) == _oracles.csv_snapshots(network)
+
+
+@given(st.dictionaries(WRITTEN, st.tuples(st.dates(date(1900, 1, 1), date(2100, 1, 1)),
+                                          st.lists(st.integers(0, 2**63 - 1), max_size=3)), max_size=4))
+def test_serialize_views_writes_what_the_csv_module_writes(series):
+    assert serialize_views(_helpers.view_table(series)) == _oracles.serialize_views(series)
+
+
+@given(st.dictionaries(WRITTEN, st.tuples(WRITTEN, st.dates(), st.frozensets(WRITTEN, max_size=3)), max_size=4))
+def test_serialize_metadata_writes_what_the_csv_module_writes(meta):
+    metadata = {vid: VideoMeta(artist, genres, day) for vid, (artist, day, genres) in meta.items()}
+    assert serialize_metadata(metadata) == _oracles.csv_metadata(metadata)
 
 
 def test_ranked_list_invariants():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from aflow import datagen
-from aflow.data_model import DataFormatError, serialize_snapshots
+from aflow.data_model import DataFormatError, NumericalError, serialize_snapshots
 from aflow.list_alignment import BINS
 from aflow.persistence import extract_persistent_network
+
+import _oracles
 
 
 def test_equal_seeds_give_identical_exports():
@@ -201,3 +203,63 @@ def test_paired_lists_kernel_validation():
         datagen.generate_paired_lists(np.full((1, 4), 0.3), n_pairs=4)
     with pytest.raises(DataFormatError, match="positive pair counts"):
         datagen.generate_paired_lists(np.full((1, 4), 0.1), n_pairs=0)
+
+
+# Layouts whose views and lists must match the oracle loops: levels 0..39 on the
+# chain, lags before day 0 at 5 days, and a source with more than 15 targets.
+LAYOUTS = {
+    "density": datagen.GenConfig(n_videos=60, edge_density=0.1, presence_prob=0.9, seed=1),
+    "structured": datagen.GenConfig(n_videos=50, n_sources=20, in_edges_per_target=3, seed=2),
+    "chain": datagen.GenConfig(n_videos=40, edges=tuple((i, i + 1, 0.5) for i in range(39)), seed=3),
+    "noise-free": datagen.GenConfig(n_videos=30, edge_density=0.2, noise_scale=0.0, seed=4),
+    "five days": datagen.GenConfig(n_videos=30, days=5, edge_density=0.2, alpha_profile=(0.1,) * 7, seed=5),
+    "wide source": datagen.GenConfig(
+        n_videos=40, edges=tuple((0, j, 0.1) for j in range(1, 31)) + ((1, 2, 0.4), (2, 5, 0.3)),
+        presence_prob=0.9, seed=6,
+    ),
+}
+
+
+def _edges(config):
+    return datagen._draw_edges(config, np.random.default_rng(config.seed))
+
+
+@pytest.mark.parametrize("config", LAYOUTS.values(), ids=LAYOUTS)
+def test_views_match_the_per_video_loop(config):
+    rng = np.random.default_rng(config.seed)
+    n, days = config.n_videos, config.days
+    base, profile = rng.uniform(0.0, 2000.0, size=n), rng.uniform(0.05, 1.5, size=(n, 7))
+    noise = rng.normal(0.0, config.noise_scale, size=(days, n)) if config.noise_scale else np.zeros((days, n))
+    alpha, edges = np.asarray(config.alpha_profile), _edges(config)
+    want = _oracles.simulate_views(base, profile, alpha, edges, noise)
+    assert datagen._simulate_views(base, profile, alpha, edges, noise).tobytes() == want.tobytes()
+    # Views near 1e14 keep fractions of 1/64, so there a change in the order of
+    # the terms often moves a view across a rounding boundary.
+    base *= 1e14 / want.max()
+    want = _oracles.simulate_views(base, profile, alpha, edges, noise)
+    assert datagen._simulate_views(base, profile, alpha, edges, noise).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("config", LAYOUTS.values(), ids=LAYOUTS)
+def test_list_placement_matches_the_per_source_loop(config):
+    edge_src, edge_dst = np.array([e[:2] for e in _edges(config)], dtype=np.int64).T
+    rngs = [np.random.default_rng(config.seed) for _ in range(2)]
+    got = datagen._place_lists(rngs[0], edge_src, edge_dst, config.days, config.presence_prob)
+    want = _oracles.place_lists(rngs[1], edge_src, edge_dst, config.days, config.presence_prob)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state  # the stream goes on alike
+
+
+OVERFLOWS = {
+    "noise": datagen.GenConfig(n_videos=20, noise_scale=1e308),
+    "lags": datagen.GenConfig(alpha_profile=(1e200,) * 7),
+    "phases": datagen.GenConfig(n_videos=5, phases=(1e308,) * 5),
+}
+
+
+@pytest.mark.parametrize("config", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_overflowing_views_are_a_numerical_error(config):
+    # a RuntimeWarning fails the test, and a NaN view is never clamped to 0
+    with pytest.raises(NumericalError, match="^generated views overflow"):
+        datagen.generate(config)

@@ -32,22 +32,21 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
 import math
-import re
 import sys
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__, graph_analysis, list_alignment, persistence, stats
 from .data_model import (
     DATASET_FILES,
+    FLOAT_TEXT,
     DataFormatError,
     Dataset,
     DynamicNetwork,
@@ -61,6 +60,8 @@ from .data_model import (
     load_dataset,
     parse_file,
     parse_snapshots,
+    write_csv,
+    write_text,
 )
 from .datagen import GenConfig, export_dataset, generate, ground_truth_to_json
 from .evaluation import (
@@ -232,29 +233,13 @@ def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
 # artifact helpers
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    f = float(value)  # type: ignore[arg-type]
-    if math.isnan(f):
-        return "nan"
-    return repr(f)
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
+def _columns(items: Collection[object], names: Sequence[str]) -> list[list[object]]:
+    """Attribute ``name`` of every one of ``items``, one column per name; empty columns for no items."""
+    return [[getattr(item, name) for item in items] for name in names]
 
 
 def _write_json(path: Path, payload: object) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_by(subcommand: str, settings: Mapping[str, object]) -> dict[str, object]:
@@ -309,11 +294,10 @@ FORECASTS_HEADER = ["video_id", "date", "y_true", "y_pred"]
 
 
 def _finite(text: str) -> float | None:
-    value = float(text) if _FLOAT_TEXT.fullmatch(text) else math.nan
+    value = float(text) if FLOAT_TEXT.fullmatch(text) else math.nan
     return value if math.isfinite(value) else None
 
 
-_FLOAT_TEXT = re.compile(r"[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?")  # a finite non-negative float, as _fmt writes one
 _FLAGS = {"0": False, "1": True}
 
 
@@ -429,11 +413,8 @@ def read_models(path: Path) -> tuple[ForecastConfig, dict[str, ArnetModel]]:
 
 
 def _emit_persistent(out: Path, dataset: Dataset, pn: PersistentNetwork) -> None:
-    _write_csv(
-        out / "persistent_edges.csv",
-        PERSISTENT_HEADER,
-        [(e.source, e.target, e.reciprocal, e.days_present) for e in pn.edges],
-    )
+    write_csv(out / "persistent_edges.csv", PERSISTENT_HEADER,
+              _columns(pn.edges, ["source", "target", "reciprocal", "days_present"]))
     if pn.edges:
         homophily = homophily_stats(pn, dataset.metadata)
         same_artist: float | None = homophily.same_artist_fraction
@@ -459,14 +440,9 @@ def _emit_fit_diagnostics(out: Path, fits: Mapping[str, FitDiagnostics]) -> None
     Fits that did not converge, and fits with at least as many parameters as
     training rows, are also counted in one stderr warning each.
     """
-    _write_csv(
-        out / "fit_diagnostics.csv",
-        ["video_id", "converged", "nit", "nfev", "objective", "n_params", "n_rows", "message",
-         "start_objective"],
-        [(vid, d.converged, d.nit, d.nfev, d.objective, d.n_params, d.n_rows, d.message,
-          d.start_objective)
-         for vid, d in fits.items()],
-    )
+    header = ["video_id", "converged", "nit", "nfev", "objective", "n_params", "n_rows", "message",
+              "start_objective"]
+    write_csv(out / "fit_diagnostics.csv", header, [list(fits), *_columns(fits.values(), header[1:])])
     for warning, flagged in (
         ("not_converged", sum(not d.converged for d in fits.values())),
         ("underdetermined", sum(d.n_params >= d.n_rows for d in fits.values())),
@@ -478,11 +454,12 @@ def _emit_fit_diagnostics(out: Path, fits: Mapping[str, FitDiagnostics]) -> None
 
 
 def _emit_eval(out: Path, report: EvalReport) -> None:
-    rows: list[tuple[str, str, object]] = [
-        ("video", vid, report.per_video[vid]) for vid in sorted(report.per_video)
-    ]
-    rows.extend(("horizon", str(h + 1), s) for h, s in enumerate(report.per_horizon))
-    _write_csv(out / "eval.csv", ["scope", "key", "smape"], rows)
+    vids, horizon = sorted(report.per_video), len(report.per_horizon)
+    write_csv(out / "eval.csv", ["scope", "key", "smape"], [
+        ["video"] * len(vids) + ["horizon"] * horizon,
+        vids + [str(h + 1) for h in range(horizon)],
+        [report.per_video[vid] for vid in vids] + list(report.per_horizon),
+    ])
     _write_json(
         out / "eval_summary.json",
         {
@@ -495,20 +472,14 @@ def _emit_eval(out: Path, report: EvalReport) -> None:
 
 
 def _emit_contribution(out: Path, report: ContributionReport) -> None:
-    _write_csv(
-        out / "eta.csv",
-        ["video_id", "eta"],
-        [(vid, report.eta[vid]) for vid in sorted(report.eta)],
-    )
+    vids = sorted(report.eta)
+    write_csv(out / "eta.csv", ["video_id", "eta"], [vids, [report.eta[vid] for vid in vids]])
     flagged = set(outlier_artists(report.artist_rows))
-    _write_csv(
-        out / "artist_shift.csv",
-        ["artist_id", "total_with", "total_without", "pct_with", "pct_without", "pct_change", "outlier"],
-        [
-            (r.artist_id, r.total_with, r.total_without, r.pct_with, r.pct_without, r.pct_change, r.artist_id in flagged)
-            for r in report.artist_rows
-        ],
-    )
+    header = ["artist_id", "total_with", "total_without", "pct_with", "pct_without", "pct_change", "outlier"]
+    write_csv(out / "artist_shift.csv", header, [
+        *_columns(report.artist_rows, header[:-1]),
+        [r.artist_id in flagged for r in report.artist_rows],
+    ])
     _write_json(
         out / "contribution_summary.json",
         {
@@ -555,9 +526,12 @@ def _fit_and_emit(
                 {"model": model_name, "config": dataclasses.asdict(config), "videos": videos})
     if model_name == "arnet" and models:
         _emit_fit_diagnostics(out, {vid: models[vid].fit for vid in sorted(models)})
-    rows = [(vid, d.isoformat(), result.y_true[i, h], result.y_pred[i, h])
-            for i, vid in enumerate(result.video_ids) for h, d in enumerate(result.dates)]
-    _write_csv(out / "forecasts.csv", FORECASTS_HEADER, rows)
+    write_csv(out / "forecasts.csv", FORECASTS_HEADER, [
+        np.repeat(result.video_ids, len(result.dates)),
+        np.tile([d.isoformat() for d in result.dates], len(result.video_ids)),
+        result.y_true.ravel(),
+        result.y_pred.ravel(),
+    ])
     return models, result
 
 
@@ -603,38 +577,31 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object], dataset: 
 
     graph = build_graph(dataset.network.snapshot_on(day), dataset.corpus, cutoff)
     bowtie = bowtie_attention(bowtie_decompose(graph), dataset, day)
-    _write_csv(
-        out / "bowtie.csv",
-        ["date", "component", "n_nodes", "node_fraction", "view_fraction"],
-        [
-            (day.isoformat(), comp.value, bowtie.sizes[comp], bowtie.node_fractions[comp],
-             bowtie.view_fractions[comp])
-            for comp in Component
-        ],
-    )
-    _write_csv(out / "ccdf.csv", ["indegree", "prob_ge"], indegree_ccdf(graph))
+    write_csv(out / "bowtie.csv", ["date", "component", "n_nodes", "node_fraction", "view_fraction"], [
+        [day.isoformat()] * len(Component),
+        [comp.value for comp in Component],
+        *([by[comp] for comp in Component]
+          for by in (bowtie.sizes, bowtie.node_fractions, bowtie.view_fractions)),
+    ])
+    write_csv(out / "ccdf.csv", ["indegree", "prob_ge"], list(zip(*indegree_ccdf(graph))))
     flow = view_group_flow(graph, dataset.window_views[:, window.index(day)])
     labels = ["bottom25", "q2", "q3", "top25"]
-    _write_csv(
-        out / "group_flow.csv",
-        ["source_group"] + labels,
-        [[labels[i]] + [int(flow[i, j]) for j in range(4)] for i in range(4)],
-    )
+    write_csv(out / "group_flow.csv", ["source_group"] + labels, [labels, *flow.T])
     presence = daily_link_presence(dataset.network, dataset.corpus, cutoff)
     churn = indegree_change_ratios(presence, settings["min_indegree"])
-    _write_csv(
-        out / "churn.csv",
-        ["indegree", "count", "p10", "p25", "p50", "p75", "p90"],
-        [(c.indegree, c.count, c.p10, c.p25, c.p50, c.p75, c.p90) for c in churn.values()],
-    )
+    header = ["indegree", "count", "p10", "p25", "p50", "p75", "p90"]
+    write_csv(out / "churn.csv", header, _columns(churn.values(), header))
     freq = link_frequency_histogram(presence)
-    _write_csv(out / "link_freq.csv", ["days_present", "n_links"], sorted(freq.items()))
+    days = sorted(freq)
+    write_csv(out / "link_freq.csv", ["days_present", "n_links"], [days, [freq[d] for d in days]])
 
 
 def _emit_matrix(path: Path, row_name: str, matrix: DisplayProbabilityMatrix) -> None:
-    rows = [[label, bin_label, matrix.probs[i, j]]
-            for i, label in enumerate(matrix.row_labels) for j, bin_label in enumerate(matrix.col_labels)]
-    _write_csv(path, [row_name, "bin_label", "probability"], rows)
+    write_csv(path, [row_name, "bin_label", "probability"], [
+        np.repeat(matrix.row_labels, len(matrix.col_labels)),
+        np.tile(matrix.col_labels, len(matrix.row_labels)),
+        matrix.probs.ravel(),
+    ])
 
 
 def cmd_display_prob(args: argparse.Namespace, settings: dict[str, object], network: DynamicNetwork) -> None:
@@ -661,13 +628,9 @@ def cmd_simulate_persistence(args: argparse.Namespace, settings: dict[str, objec
     if bad := [p for p in grid if not 0.0 <= p <= 1.0]:  # nan included
         raise UsageError(f"p_grid value {bad[0]} lies outside [0, 1]")
     trials = settings["trials"]
-    rows = []
-    for p in grid:
-        xi = simulate_persistence_probability(
-            p, n_days=settings["days"], trials=trials, seed=settings["seed"]
-        )
-        rows.append((p, xi, trials))
-    _write_csv(out / "xi_curve.csv", ["p", "xi", "trials"], rows)
+    xi = [simulate_persistence_probability(p, n_days=settings["days"], trials=trials, seed=settings["seed"])
+          for p in grid]
+    write_csv(out / "xi_curve.csv", ["p", "xi", "trials"], [grid, xi, [trials] * len(grid)])
 
 
 def cmd_correlate(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
@@ -688,19 +651,14 @@ def cmd_correlate(args: argparse.Namespace, settings: dict[str, object], dataset
     }
     groups = {name: pairs for name, pairs in groups.items() if pairs}
     results = correlated_link_fractions(groups, dataset, alpha=settings["alpha"])
-    _write_csv(
-        out / "group_fractions.csv",
-        ["group", "n_links", "n_significant", "fraction"],
-        [
-            (g.group, g.n_links, g.n_significant, g.fraction)
-            for g in (results[name] for name in sorted(results))
-        ],
-    )
-    _write_csv(
-        out / "link_correlations.csv",
-        ["group", "source", "target", "r", "p"],
-        [(name, link.source, link.target, link.r, link.p) for name in sorted(results) for link in results[name].links],
-    )
+    names = sorted(results)
+    header = ["group", "n_links", "n_significant", "fraction"]
+    write_csv(out / "group_fractions.csv", header, _columns([results[name] for name in names], header))
+    header = ["group", "source", "target", "r", "p"]
+    write_csv(out / "link_correlations.csv", header, [
+        [name for name in names for _ in results[name].links],
+        *_columns([link for name in names for link in results[name].links], header[1:]),
+    ])
 
 
 def _corpus_only(path: str, ids: Iterable[str], dataset: Dataset) -> None:

@@ -47,6 +47,7 @@ from .data_model import (
     serialize_snapshots,
     serialize_views,
     validate_dataset,
+    write_text,
 )
 from .list_alignment import BINS
 
@@ -359,12 +360,10 @@ def export_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     n = dataset.ids.size
     views = ViewTable(dataset.ids, np.full(n, window.start.toordinal(), dtype=np.int64),
                       np.arange(n + 1, dtype=np.int64) * window.n_days, dataset.window_views.ravel())
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    snapshots, views_csv, metadata = (out / name for name in DATASET_FILES)
-    snapshots.write_text(serialize_snapshots(dataset.network), encoding="utf-8")
-    views_csv.write_text(serialize_views(views), encoding="utf-8")
-    metadata.write_text(serialize_metadata(dataset.metadata), encoding="utf-8")
+    snapshots, views_csv, metadata = (Path(out_dir) / name for name in DATASET_FILES)
+    write_text(snapshots, serialize_snapshots(dataset.network))
+    write_text(views_csv, serialize_views(views))
+    write_text(metadata, serialize_metadata(dataset.metadata))
 
 
 def ground_truth_to_json(truth: GroundTruth) -> dict:

@@ -197,6 +197,28 @@ def csv_metadata(metadata) -> str:
     ))
 
 
+def fmt(value: object) -> str:
+    """One artifact cell's text, from the cell's own type."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    f = float(value)  # type: ignore[arg-type]
+    if math.isnan(f):
+        return "nan"
+    return repr(f)
+
+
+def write_csv(path, header, rows) -> None:
+    """``data_model.write_csv``, row by row: text cells as they are, the others through ``fmt``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+
+
 # ---------------------------------------------------------------------------
 # per-series preprocessing: one series at a time, with np.polyfit
 

@@ -600,6 +600,20 @@ def test_persistent_artifacts_round_trip(tmp_path, capsys):
     assert reloaded.pair_set == {(r[0], r[1]) for r in rows}
 
 
+def test_artifacts_of_no_rows_hold_their_header_line_alone(tmp_path, capsys):
+    data = generate_data(tmp_path)
+    links, analysis = tmp_path / "links", tmp_path / "analysis"
+    code, _ = run(["persistent", "--data", str(data), "--out", str(links), "--target-min-views", "1e12"], capsys)
+    assert code == 0
+    assert (links / "persistent_edges.csv").read_bytes() == b"source,target,reciprocal,raw_presence_count\n"
+    homophily = json.loads((links / "homophily.json").read_text())
+    assert homophily["n_edges"] == 0
+    assert homophily["same_artist_fraction"] is None and homophily["shared_genre_fraction"] is None
+    code, _ = run(["analyze", "--data", str(data), "--out", str(analysis), "--min-indegree", "100000"], capsys)
+    assert code == 0
+    assert (analysis / "churn.csv").read_bytes() == b"indegree,count,p10,p25,p50,p75,p90\n"
+
+
 def test_simulate_persistence_artifact(tmp_path, capsys):
     out = tmp_path / "xi"
     code, _ = run(

@@ -2,10 +2,13 @@ import csv
 import gc
 import io
 import json
+import math
 import re
 import sys
+import tempfile
 import weakref
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +308,51 @@ def test_serialize_views_writes_what_the_csv_module_writes(series):
 def test_serialize_metadata_writes_what_the_csv_module_writes(meta):
     metadata = {vid: VideoMeta(artist, genres, day) for vid, (artist, day, genres) in meta.items()}
     assert serialize_metadata(metadata) == _oracles.csv_metadata(metadata)
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+# The cells of one artifact column, all of one type; the texts hold ",", '"', LF, spaces
+# and non-ASCII letters, and often one of them alone, so that a block holds no other.
+_CELLS = {
+    str: st.sampled_from([",", "a,b", '"', "\n", " a ", "é"]) | WRITTEN,
+    bool: st.booleans(),
+    np.bool_: st.booleans().map(np.bool_),
+    int: st.integers(-2**63, 2**63 - 1),
+    np.int64: st.integers(-2**63, 2**63 - 1).map(np.int64),
+    float: st.floats() | _EDGE_FLOATS,
+    np.float64: (st.floats() | _EDGE_FLOATS).map(np.float64),
+}
+
+
+@given(st.lists(st.sampled_from(list(_CELLS)), min_size=1, max_size=5), st.integers(0, 6),
+       st.integers(1, 4), st.data())
+def test_write_csv_writes_what_the_row_writer_wrote(kinds, n_rows, block_rows, data):
+    columns = [data.draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    arrays = data.draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    header = [f"c{j}" for j in range(len(kinds))]
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_WRITE_ROWS", block_rows)  # most draws span several blocks
+        written, oracle = Path(directory, "new", "a.csv"), Path(directory, "old", "a.csv")
+        data_model.write_csv(written, header, [np.array(c) if a else c for c, a in zip(columns, arrays)])
+        _oracles.write_csv(oracle, header, zip(*columns))
+        assert written.read_bytes() == oracle.read_bytes()
+
+
+def test_write_csv_writes_the_header_alone_for_no_rows(tmp_path):
+    header = ["video_id", "flag", "count", "value"]
+    data_model.write_csv(tmp_path / "empty.csv", header, [[], np.array([], dtype=bool), (), np.array([])])
+    _oracles.write_csv(tmp_path / "oracle.csv", header, [])
+    written = (tmp_path / "empty.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes() == b"video_id,flag,count,value\n"
+
+
+@given(st.floats(min_value=0.0, allow_infinity=False))
+def test_the_writer_gives_every_finite_non_negative_float_a_text_the_readers_take(value):
+    for column in ([value], np.array([value])):
+        (text,) = data_model._column_texts(column)
+        assert data_model.FLOAT_TEXT.fullmatch(text)
+        assert float(text) == value
+        assert cli._finite(text) == value  # what evaluate reads from forecasts.csv
 
 
 def test_ranked_list_invariants():

@@ -575,23 +575,25 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, object], dataset: 
         raise UsageError(
             f"--date {day} is outside the observation window {window.start}..{window.end}")
 
+    # every result is computed before the first write, so a data error leaves no --out
     graph = build_graph(dataset.network.snapshot_on(day), dataset.corpus, cutoff)
     bowtie = bowtie_attention(bowtie_decompose(graph), dataset, day)
+    ccdf = indegree_ccdf(graph)
+    flow = view_group_flow(graph, dataset.window_views[:, window.index(day)])
+    presence = daily_link_presence(dataset.network, dataset.corpus, cutoff)
+    churn = indegree_change_ratios(presence, settings["min_indegree"])
+    freq = link_frequency_histogram(presence)
     write_csv(out / "bowtie.csv", ["date", "component", "n_nodes", "node_fraction", "view_fraction"], [
         [day.isoformat()] * len(Component),
         [comp.value for comp in Component],
         *([by[comp] for comp in Component]
           for by in (bowtie.sizes, bowtie.node_fractions, bowtie.view_fractions)),
     ])
-    write_csv(out / "ccdf.csv", ["indegree", "prob_ge"], list(zip(*indegree_ccdf(graph))))
-    flow = view_group_flow(graph, dataset.window_views[:, window.index(day)])
+    write_csv(out / "ccdf.csv", ["indegree", "prob_ge"], list(zip(*ccdf)))
     labels = ["bottom25", "q2", "q3", "top25"]
     write_csv(out / "group_flow.csv", ["source_group"] + labels, [labels, *flow.T])
-    presence = daily_link_presence(dataset.network, dataset.corpus, cutoff)
-    churn = indegree_change_ratios(presence, settings["min_indegree"])
     header = ["indegree", "count", "p10", "p25", "p50", "p75", "p90"]
     write_csv(out / "churn.csv", header, _columns(churn.values(), header))
-    freq = link_frequency_histogram(presence)
     days = sorted(freq)
     write_csv(out / "link_freq.csv", ["days_present", "n_links"], [days, [freq[d] for d in days]])
 
@@ -694,9 +696,9 @@ def cmd_pipeline(args: argparse.Namespace, settings: dict[str, object], dataset:
     config = _forecast_config(settings)
     split_series(dataset, (), config)  # only its check, before any file is written
     pn, *_ = _persistent_links(dataset, settings)
-    _emit_persistent(out, dataset, pn)
     if not pn.edges:
         raise DataFormatError("no persistent links found; cannot run the forecast stage")
+    _emit_persistent(out, dataset, pn)
     for model_name in MODEL_NAMES:
         subdir = out / model_name
         models, result = _fit_and_emit(subdir, dataset, pn, model_name, config, settings["threads"])

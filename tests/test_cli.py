@@ -887,6 +887,7 @@ def test_contribute_reports_a_malformed_models_file(tmp_path, capsys, payload, p
     assert code == 2
     message = json.loads(captured.err)["message"]  # one JSON record and nothing else
     assert message.startswith(f"{models}: ") and problem in message
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("key, value", [pytest.param("horizon", 10**9, id="horizon-10^9"),
@@ -917,12 +918,14 @@ def test_bad_artifact_cells_name_the_file_and_line(tmp_path, capsys):
                           "--persistent", str(edges)], capsys)
     assert code == 2
     assert json.loads(captured.err)["message"] == f"{edges}: line 3: bad reciprocal flag 'x'"
+    assert not (tmp_path / "fit").exists()
 
     forecasts = tmp_path / "forecasts.csv"
     forecasts.write_text("video_id,date,y_true,y_pred\nv00000,2018-13-01,1.0,2.0\n", encoding="utf-8")
     code, captured = run(["evaluate", "--out", str(tmp_path / "eval"), "--forecasts", str(forecasts)], capsys)
     assert code == 2
     assert json.loads(captured.err)["message"] == f"{forecasts}: line 2: bad date '2018-13-01'"
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("row, problem", [
@@ -1291,6 +1294,30 @@ def test_pipeline_checks_its_forecast_settings_before_writing(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, problem", [
+    ("pipeline", "no persistent links found; cannot run the forecast stage"),
+    ("correlate", "no persistent links found; nothing to correlate"),
+])
+def test_a_command_without_persistent_links_writes_nothing(tmp_path, capsys, command, problem):
+    data, out = generate_data(tmp_path), tmp_path / "out"
+    code, captured = run([command, "--data", str(data), "--out", str(out), "--target-min-views", "1e12"],
+                         capsys)
+    assert code == 2
+    assert one_data_error(captured) == problem
+    assert not out.exists()
+
+
+def test_analyze_computes_every_result_before_writing(tmp_path, capsys):
+    # one day of snapshots is enough for the bow-tie but not for churn
+    data, out = tmp_path / "data", tmp_path / "a"
+    assert cli.main(["generate", "--out", str(data), "--days", "1", "--n-videos", "20"]) == 0
+    capsys.readouterr()
+    code, captured = run(["analyze", "--data", str(data), "--out", str(out)], capsys)
+    assert code == 2
+    assert one_data_error(captured) == "need at least two snapshots to measure change"
+    assert not out.exists()
+
+
 def test_fit_diagnostics_report_non_converged_fits(tmp_path, monkeypatch, capsys):
     data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
     links = tmp_path / "links"
@@ -1407,7 +1434,7 @@ def test_importing_the_cli_leaves_out_scipy_stats():
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_no_subcommand_needs_scipy(chain, tmp_path, command):
-    """Each subcommand runs in a fresh interpreter in which any scipy import fails."""
+    """Each subcommand runs in a fresh interpreter in which any scipy import fails and any warning is an error."""
     argv = chain_argv(chain, command, tmp_path / "out")
     env = dict(os.environ, PYTHONPATH=str(Path(aflow.__file__).resolve().parents[1]))
     script = (
@@ -1418,7 +1445,7 @@ def test_no_subcommand_needs_scipy(chain, tmp_path, command):
         "print(code, sorted(m for m, mod in sys.modules.items()"
         " if m.split('.')[0] == 'scipy' and mod is not None))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr

@@ -493,6 +493,11 @@ def test_round_trip_through_files(tmp_path):
     assert np.array_equal(reloaded.window_views, dataset.window_views)
     assert serialize_metadata(reloaded.metadata) == serialize_metadata(dataset.metadata)
     assert reloaded.corpus == dataset.corpus
+    # a load keeps only the window's views, and an export of it writes the same files
+    again = tmp_path / "again"
+    datagen.export_dataset(reloaded, again)
+    for name in ("snapshots.csv", "views.csv", "metadata.csv"):
+        assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_a_load_keeps_no_view_table_and_the_export_writes_the_window(tmp_path, monkeypatch):

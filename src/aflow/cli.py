@@ -15,7 +15,8 @@ handler: the parsed ``snapshots.csv`` for ``display-prob``, the loaded
 hashes the files under ``--data`` that ``Command.data`` names and each
 artifact flag's file under its ``ARTIFACTS`` key.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error,
+4 out of memory.
 Failures print a one-line JSON error record to stderr.
 
 ``--threads`` is the number of worker processes for the network-model fits
@@ -550,6 +551,7 @@ def cmd_generate(args: argparse.Namespace, settings: dict[str, object], _: None)
 
 def cmd_validate(args: argparse.Namespace, settings: dict[str, object], dataset: Dataset) -> None:
     table, window = dataset.network.table, dataset.window
+    targets = np.flatnonzero(np.bincount(table.tgt, minlength=table.ids.size))  # the codes some row ranks
     print(
         json.dumps(
             {
@@ -557,7 +559,7 @@ def cmd_validate(args: argparse.Namespace, settings: dict[str, object], dataset:
                 "n_artists": len({m.artist_id for m in dataset.metadata.values()}),
                 "n_days": window.n_days,
                 "mean_edges_per_day": int(np.count_nonzero(table.kind == 0)) / window.n_days,
-                "n_external_targets": len(set(table.ids[np.unique(table.tgt)].tolist()) - dataset.corpus),
+                "n_external_targets": len(set(table.ids[targets].tolist()) - dataset.corpus),
                 "window_start": window.start.isoformat(),
                 "window_end": window.end.isoformat(),
             },
@@ -811,6 +813,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFormatError, OSError) as exc:
         _emit_error("data", exc)
         return 2
+    except MemoryError as exc:
+        _emit_error("memory", exc)
+        return 4
 
 
 if __name__ == "__main__":

@@ -211,21 +211,21 @@ class SnapshotTable:
 
     @classmethod
     def from_codes(
-        cls, names: Sequence[str], day: np.ndarray, src: np.ndarray, tgt: np.ndarray,
+        cls, names: Sequence[str] | np.ndarray, day: np.ndarray, src: np.ndarray, tgt: np.ndarray,
         pos: np.ndarray, kind: np.ndarray,
     ) -> SnapshotTable:
-        """Sort ``names`` into the id vocabulary, recode and sort the rows.
+        """Sort ``names``, a list or a numpy str array, into the id vocabulary, recode and sort the rows.
 
         Rejects a name that :func:`_id_problem` rejects; the rows are not checked.
+        Names already in strictly increasing order are not sorted again.
         """
-        bad = _bad_ids(names)
-        if bad:
-            raise DataFormatError(_id_problem(names[bad[0]]))
-        order = sorted(range(len(names)), key=names.__getitem__)
-        recode = np.empty(len(names), dtype=np.int32)
-        recode[order] = np.arange(len(names), dtype=np.int32)
-        ids = np.array([names[i] for i in order], dtype=str)
-        src, tgt = recode[src], recode[tgt]
+        ids = _id_array(names)
+        src, tgt = np.asarray(src, dtype=np.int32), np.asarray(tgt, dtype=np.int32)
+        if not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            recode = np.empty(ids.size, dtype=np.int32)
+            recode[order] = np.arange(ids.size, dtype=np.int32)
+            ids, src, tgt = ids[order], recode[src], recode[tgt]
         rows = np.lexsort((pos, src, kind, day))
         return cls(
             ids,
@@ -357,6 +357,24 @@ def _bad_ids(ids: Sequence[str]) -> list[int]:
     if "" not in ids and not any(c in joined for c in _FORBIDDEN_ID_CHARS):
         return []
     return [i for i, vid in enumerate(ids) if _id_problem(vid)]
+
+
+def _id_array(names: Sequence[str] | np.ndarray) -> np.ndarray:
+    """``names`` as a numpy str array; a name that :func:`_id_problem` rejects is a
+    :class:`DataFormatError`, found in a list by :func:`_bad_ids` and in an array by
+    one scan over its code points."""
+    if not isinstance(names, np.ndarray):
+        if bad := _bad_ids(names):  # checked as str: the conversion drops trailing NULs
+            raise DataFormatError(_id_problem(names[bad[0]]))
+        return np.array(names, dtype=str)
+    points = np.ascontiguousarray(names).reshape(-1, 1).view(np.uint32)  # one row per name, NUL-padded
+    filled = points != 0
+    bad = (points == ord("\r")) | (points == ord("\n"))
+    bad[:, 0] |= ~filled[:, 0]  # an empty name
+    bad[:, 1:] |= filled[:, 1:] > filled[:, :-1]  # a NUL before a code point
+    if bad.any():  # the first bad code point is in the first bad name
+        raise DataFormatError(_id_problem(str(names[np.argmax(bad) // points.shape[1]])))
+    return names
 
 
 def _snapshot_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tuple[int, ...]:

@@ -24,6 +24,7 @@ byte-identical exports.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -297,6 +298,36 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     return dataset, truth
 
 
+def _numbered(prefix: str, number: np.ndarray, slot: np.ndarray | None = None) -> np.ndarray:
+    """``f"{prefix}{i:07d}"`` for each i in ``number``, non-decreasing and below 2**32,
+    followed by ``f"p{p:02d}"`` when ``slot`` gives each a p below 100, as one numpy
+    str array.
+
+    The code points are put into a uint32 array by integer arithmetic and viewed as
+    str.  An i past 9,999,999 gets the wider name its f-string gives it; as
+    ``number`` is sorted, the names of each width are one run of rows.
+    """
+    number = np.asarray(number, dtype=np.uint32)
+    widths = range(7, len(f"{int(number[-1]) if number.size else 0:07d}") + 1)
+    cuts = [0, *np.searchsorted(number, [10**w for w in widths[:-1]]).tolist(), number.size]
+    head, tail = len(prefix), 0 if slot is None else 3
+    codes = np.zeros((number.size, head + widths[-1] + tail), dtype=np.uint32)  # NUL-padded
+    codes[:, :head] = [ord(c) for c in prefix]
+    for w, a, b in zip(widths, cuts, cuts[1:]):
+        _decimal(codes[a:b, head : head + w], number[a:b])
+        if slot is not None:
+            codes[a:b, head + w] = ord("p")
+            _decimal(codes[a:b, head + w + 1 : head + w + 3], np.asarray(slot, dtype=np.uint32)[a:b])
+    return codes.view(f"U{codes.shape[1]}")[:, 0]
+
+
+def _decimal(out: np.ndarray, values: np.ndarray) -> None:
+    """Write the last ``out.shape[1]`` decimal digits of each of ``values`` into its row of ``out``, as code points."""
+    for j in range(out.shape[1] - 1, -1, -1):
+        values, out[:, j] = np.divmod(values, 10)
+    out += ord("0")
+
+
 def generate_paired_lists(
     kernel: np.ndarray,
     n_pairs: int,
@@ -314,33 +345,36 @@ def generate_paired_lists(
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[1] != len(BINS):
         raise DataFormatError("kernel columns must match the position bins")
-    if np.any(k < 0) or np.any(k.sum(axis=1) > 1.0 + 1e-12):
-        raise DataFormatError("kernel rows must be sub-probability vectors")
+    if not k.shape[0]:
+        raise DataFormatError("kernel needs at least one row")
+    if not np.isfinite(k).all() or np.any(k < 0) or np.any(k.sum(axis=1) > 1.0 + 1e-12):
+        raise DataFormatError("kernel rows must be finite sub-probability vectors")
     if n_pairs < 1:
         raise DataFormatError("need positive pair counts")
 
     rng = np.random.default_rng(seed)
     rank = np.arange(n_pairs) % k.shape[0] + 1
-    cumulative = np.cumsum(k, axis=1)
+    # Python floats compare as the float64 they hold, so bisect picks searchsorted's bin.
+    cumulative = np.cumsum(k, axis=1).tolist()
     shown = np.zeros((n_pairs, BINS[-1][1]), dtype=bool)  # the tracked entry's slot
-    for i in range(n_pairs):
-        chosen_bin = int(np.searchsorted(cumulative[rank[i] - 1], rng.random(), side="right"))
+    for i, r in enumerate(rank.tolist()):
+        chosen_bin = bisect_right(cumulative[r - 1], rng.random())
         if chosen_bin < len(BINS):
             lo, hi = BINS[chosen_bin]
             shown[i, rng.integers(lo, hi + 1) - 1] = True
 
-    # Codes: fillers in (pair, position) order, then sources, then targets.  That
-    # is also id order, so the vocabulary sort in from_codes runs in linear time.
+    # Codes: fillers in (pair, position) order, then sources, then targets.  Below
+    # 10,000,000 pairs that is also id order, and from_codes skips its sort.
     pair, slot = np.nonzero(~shown)
-    names = [f"f{i:07d}p{p + 1:02d}" for i, p in zip(pair.tolist(), slot.tolist())]
-    names += [f"{c}{i:07d}" for c in "st" for i in range(n_pairs)]
-    source = len(pair) + np.arange(n_pairs)
+    every = np.arange(n_pairs)
+    names = np.concatenate([_numbered("f", pair, slot + 1), _numbered("s", every), _numbered("t", every)])
+    source = len(pair) + every
     target = source + n_pairs
     filler = np.cumsum(~shown).reshape(shown.shape) - 1
     rows = 1 + shown.shape[1]  # per pair: the relevant entry, then a full recommended list
     table = SnapshotTable.from_codes(
         names,
-        np.arange(n_pairs).repeat(rows) // PAIRS_PER_DAY,
+        every.repeat(rows) // PAIRS_PER_DAY,
         source.repeat(rows),
         np.column_stack([target, np.where(shown, target[:, None], filler)]).ravel(),
         np.column_stack([rank, np.tile(np.arange(1, rows), (n_pairs, 1))]).ravel(),

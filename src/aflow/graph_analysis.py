@@ -117,7 +117,9 @@ def daily_link_presence(
         raise DataFormatError(f"cutoff must be at least 1, got {cutoff}")
     t = network.table
     relevant = t.kind == 0
-    orphan_days = np.setdiff1d(t.day[~relevant], t.day[relevant])
+    n_days = network.window.n_days
+    listed, ranked = np.bincount(t.day, minlength=n_days), np.bincount(t.day[relevant], minlength=n_days)
+    orphan_days = np.flatnonzero((listed > 0) & (ranked == 0))
     if orphan_days.size:
         day = network.window.start + timedelta(days=int(orphan_days[0]))
         raise DataFormatError(f"snapshot {day} has no relevant lists")
@@ -128,7 +130,7 @@ def daily_link_presence(
     n = max(ids.size, 1)
     links = code[t.src[edge]] * n + code[t.tgt[edge]]
     keys = np.unique(links)
-    days = np.zeros((keys.size, network.window.n_days), dtype=bool)
+    days = np.zeros((keys.size, n_days), dtype=bool)
     days[np.searchsorted(keys, links), t.day[edge]] = True
     days.flags.writeable = False
     return LinkPresence(ids, keys // n, keys % n, days)

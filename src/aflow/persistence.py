@@ -22,6 +22,8 @@ TARGET_MIN_MEAN_VIEWS = 100.0
 SOURCE_VIEW_FRACTION = 0.01
 HALF_WINDOW = 3
 TRIALS = 100_000  # random presence vectors per survival probability
+# Rows smoothed at a time: the smoothing holds a few bytes per cell of its block.
+_BLOCK_ROWS = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,16 +60,27 @@ def _smooth_rows(bits: np.ndarray) -> np.ndarray:
     A day is kept when the link is present on at least ceil(k/2) of the k
     days the clipped window actually covers; for interior days k = 2h+1 = 7
     and the threshold is 4.  Single pass, the input rows are not re-smoothed.
+    The counts are uint8 sums of the 2h+1 shifted rows, one byte per cell.
     """
     m, n = bits.shape
-    cum = np.zeros((m, n + 1), dtype=np.int32)
-    np.cumsum(bits, axis=1, out=cum[:, 1:])
+    counts = np.zeros((m, n), dtype=np.uint8)
+    for d in range(-HALF_WINDOW, HALF_WINDOW + 1):
+        if abs(d) < n:  # day t counts day t + d
+            counts[:, max(0, -d) : n - max(0, d)] += bits[:, max(0, d) : n - max(0, -d)]
     t = np.arange(n)
     lo = np.maximum(t - HALF_WINDOW, 0)
     hi = np.minimum(t + HALF_WINDOW, n - 1)
     width = hi - lo + 1
-    counts = cum[:, hi + 1] - cum[:, lo]
     return counts >= (width + 1) // 2
+
+
+def _steady(days: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether each row ``days[r]``, r in ``rows``, smooths to all-ones; ``_BLOCK_ROWS`` rows at a time."""
+    steady = np.empty(rows.size, dtype=bool)
+    for a in range(0, rows.size, _BLOCK_ROWS):
+        block = rows[a : a + _BLOCK_ROWS]
+        steady[a : a + block.size] = _smooth_rows(days[block]).all(axis=1)
+    return steady
 
 
 def smooth_link_presence(bits: np.ndarray | list[int]) -> np.ndarray:
@@ -142,7 +155,7 @@ def classify_links(
     pairs, days = link_presence(presence)
     means = filters.mean_views
     keep = np.flatnonzero(filters.eligible(means[presence.src], means[presence.tgt]))
-    steady = _smooth_rows(days[keep]).all(axis=1)
+    steady = _steady(days, keep)
     persistent, ephemeral = keep[steady], keep[~steady]
     n = presence.ids.size
     src, tgt = presence.src[persistent], presence.tgt[persistent]
@@ -205,11 +218,7 @@ def simulate_persistence_probability(
         raise DataFormatError("n_days and trials must be positive")
     rng = np.random.default_rng(seed)
     survived = 0
-    chunk = 200_000
-    remaining = trials
-    while remaining > 0:
-        size = min(chunk, remaining)
-        bits = rng.random((size, n_days)) < presence_prob
+    for done in range(0, trials, _BLOCK_ROWS):  # the draws fill rows in turn, so blocks leave them alike
+        bits = rng.random((min(_BLOCK_ROWS, trials - done), n_days)) < presence_prob
         survived += int(_smooth_rows(bits).all(axis=1).sum())
-        remaining -= size
     return survived / trials

@@ -7,8 +7,9 @@ walk ``RankedList`` entries, view series checked and written one video at a
 time, one ARNet fit at a time by scipy's L-BFGS-B, AR fits and ARNet regressors
 built one target at a time, forecasts and network contributions computed one
 target and one beta term at a time, the generator's views one video at a time
-and its lists one (day, source) at a time, and CSV files written row by row
-by the csv module.  None of it shares
+and its lists one (day, source) at a time, paired lists with one f-string per
+name and ids sorted by ``sorted``, and CSV files written row by row by the csv
+module.  None of it shares
 code paths with the implementations under test, except ``fixed_start_arnet``,
 which keeps the package's solver and changes only its start point, and the
 forecast oracles, which take their train/test split from ``split_series``.
@@ -28,8 +29,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from aflow import forecast
-from aflow.data_model import LIST_KINDS, METADATA_HEADER, SNAPSHOT_HEADER, VIEWS_HEADER, DataFormatError
+from aflow import datagen, forecast
+from aflow.data_model import (LIST_KINDS, METADATA_HEADER, SNAPSHOT_HEADER, VIEWS_HEADER, DataFormatError,
+                              DynamicNetwork, ObservationWindow, SnapshotTable)
 from aflow.forecast import (RIDGE, SMOOTH_EPS, ArnetModel, FitDiagnostics, ForecastConfig,
                             _solve_block, split_series)
 from aflow.graph_analysis import ChurnStats, build_graph
@@ -636,3 +638,46 @@ def place_lists(rng, edge_src, edge_dst, days, presence_prob):
         day_col.append(np.full(src.size, t))
         src_col.append(src)
     return tuple(map(np.concatenate, (day_col, src_col, tgt_col, pos_col)))
+
+
+def snapshot_table(names, day, src, tgt, pos, kind):
+    """``SnapshotTable.from_codes`` without the id check: ids by ``sorted``, rows by ``lexsort``."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    recode = np.empty(len(names), dtype=np.int32)
+    recode[order] = np.arange(len(names), dtype=np.int32)
+    ids = np.array([names[i] for i in order], dtype=str)
+    src, tgt = recode[src], recode[tgt]
+    rows = np.lexsort((pos, src, kind, day))
+    return SnapshotTable(ids, np.asarray(day, dtype=np.int32)[rows], src[rows], tgt[rows],
+                         np.asarray(pos, dtype=np.int32)[rows], np.asarray(kind, dtype=np.int8)[rows])
+
+
+def paired_lists(rng, kernel, n_pairs):
+    """``datagen.generate_paired_lists`` on ``rng``: one searchsorted per pair, one f-string per name."""
+    k = np.asarray(kernel, dtype=float)
+    bins = datagen.BINS
+    rank = np.arange(n_pairs) % k.shape[0] + 1
+    cumulative = np.cumsum(k, axis=1)
+    shown = np.zeros((n_pairs, bins[-1][1]), dtype=bool)
+    for i in range(n_pairs):
+        chosen_bin = int(np.searchsorted(cumulative[rank[i] - 1], rng.random(), side="right"))
+        if chosen_bin < len(bins):
+            lo, hi = bins[chosen_bin]
+            shown[i, rng.integers(lo, hi + 1) - 1] = True
+    pair, slot = np.nonzero(~shown)
+    names = [f"f{i:07d}p{p + 1:02d}" for i, p in zip(pair.tolist(), slot.tolist())]
+    names += [f"{c}{i:07d}" for c in "st" for i in range(n_pairs)]
+    source = len(pair) + np.arange(n_pairs)
+    target = source + n_pairs
+    filler = np.cumsum(~shown).reshape(shown.shape) - 1
+    rows = 1 + shown.shape[1]
+    table = snapshot_table(
+        names,
+        np.arange(n_pairs).repeat(rows) // datagen.PAIRS_PER_DAY,
+        source.repeat(rows),
+        np.column_stack([target, np.where(shown, target[:, None], filler)]).ravel(),
+        np.column_stack([rank, np.tile(np.arange(1, rows), (n_pairs, 1))]).ravel(),
+        np.tile(np.minimum(np.arange(rows), 1), n_pairs),
+    )
+    n_days = (n_pairs + datagen.PAIRS_PER_DAY - 1) // datagen.PAIRS_PER_DAY
+    return DynamicNetwork(ObservationWindow(datagen.START_DATE, n_days), table)

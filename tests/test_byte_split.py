@@ -265,3 +265,60 @@ def test_a_key_past_int64_sends_the_file_to_the_row_reader(tmp_path):
         patch.setattr(data_model, "_read_snapshot_rows", counted)
         assert _snapshot_outcome(parse_snapshots, path) == expected
     assert len(calls) == 1
+
+
+# The declines no mutation above reaches: each file goes to the row reader, which gives the result.
+READERS = {
+    "snapshots": (SNAPSHOT_HEADER, parse_snapshots, data_model._read_snapshot_rows, _snapshot_outcome,
+                  data_model._split_snapshots),
+    "views": (VIEWS_HEADER, parse_views, data_model._read_view_rows, _views_outcome, data_model._split_views),
+}
+# Two rows of each file kind, in two one-row blocks under SMALL_BLOCK, with distinct ids.
+TWO_ROWS = {
+    "snapshots": [["2018-09-01", "a", "b", "1", "relevant"], ["2018-09-02", "c", "d", "2", "relevant"]],
+    "views": [["a" * 30, "2018-09-01", "5"], ["c" * 30, "2018-09-01", "7"]],
+}
+
+
+def _declined_where(tmp_path, kind, data):
+    """The function in which the byte split declines a file holding ``data``, after checking
+    that parsing it gives what the row reader gives."""
+    _, parse, read_rows, outcome, split = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as handle, pytest.raises(data_model._Declined) as declined:
+        split(handle)
+    assert outcome(parse, path) == outcome(read_rows, path)
+    return declined.traceback[-1].name
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_a_line_too_long_for_the_field_limit_is_declined_before_its_end(tmp_path, kind):
+    header, rows = READERS[kind][0], [list(row) for row in TWO_ROWS[kind]]
+    id_column = header.index("source_id" if kind == "snapshots" else "video_id")
+    # A block longer than the longest line the field limit allows, so the tail check sees it before its LF
+    rows[0][id_column] = "x" * (len(header) * (csv.field_size_limit() + 1) + data_model._BLOCK_BYTES)
+    assert _declined_where(tmp_path, kind, _text(header, rows).encode()) == "_blocks"
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_rows_whose_field_counts_balance_out_are_declined(tmp_path, kind):
+    header, rows = READERS[kind][0], [list(row) for row in TWO_ROWS[kind]]
+    rows[1].append(rows[0].pop())  # one field short, then one too many: the comma and LF counts still match
+    assert _declined_where(tmp_path, kind, _text(header, rows).encode()) == "_fields"
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_a_hash_collision_inside_a_block_is_declined(tmp_path, kind):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_hashed", lambda lanes: np.zeros(lanes.shape[0], dtype=np.uint64))
+        assert _declined_where(tmp_path, kind, _text(READERS[kind][0], TWO_ROWS[kind]).encode()) == "_distinct"
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_a_hash_collision_with_an_earlier_block_is_declined(tmp_path, kind):
+    with pytest.MonkeyPatch.context() as patch:
+        # Distinct within a block, so only the vocabulary of earlier blocks can collide.
+        patch.setattr(data_model, "_hashed", lambda lanes: np.arange(lanes.shape[0], dtype=np.uint64))
+        patch.setattr(data_model, "_BLOCK_BYTES", SMALL_BLOCK)
+        assert _declined_where(tmp_path, kind, _text(READERS[kind][0], TWO_ROWS[kind]).encode()) == "codes"

@@ -493,6 +493,21 @@ def test_numerical_failures_exit_three(tmp_path, monkeypatch, capsys):
     assert record["message"] == "synthetic failure"
 
 
+def test_running_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
+    def boom(args, settings, data):
+        raise MemoryError
+
+    command = cli.COMMANDS["simulate-persistence"]
+    monkeypatch.setitem(cli.COMMANDS, "simulate-persistence", command._replace(handler=boom))
+    out = tmp_path / "out"
+    code, captured = run(["simulate-persistence", "--out", str(out)], capsys)
+    assert code == 4
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "memory", "type": "MemoryError", "message": ""}
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
 def test_generate_then_validate(tmp_path, capsys):
     data = generate_data(tmp_path)
     for name in ("snapshots.csv", "views.csv", "metadata.csv", "ground_truth.json", "run_manifest.json"):

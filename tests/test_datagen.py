@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aflow import datagen
 from aflow.data_model import DataFormatError, NumericalError, serialize_snapshots
@@ -203,6 +204,49 @@ def test_paired_lists_kernel_validation():
         datagen.generate_paired_lists(np.full((1, 4), 0.3), n_pairs=4)
     with pytest.raises(DataFormatError, match="positive pair counts"):
         datagen.generate_paired_lists(np.full((1, 4), 0.1), n_pairs=0)
+    with pytest.raises(DataFormatError, match="at least one row"):
+        datagen.generate_paired_lists(np.zeros((0, 4)), n_pairs=4)
+    with pytest.raises(DataFormatError, match="sub-probability"):  # NaN passes both mass checks
+        datagen.generate_paired_lists(np.array([[0.2, np.nan, 0.1, 0.1]] * 2), 10)
+
+
+# Kernel rows: random ones, a zero-mass row and rows whose mass is exactly 1, which always show.
+KERNEL_ROWS = st.one_of(
+    st.lists(st.floats(0.0, 0.25), min_size=4, max_size=4),
+    st.sampled_from([[0.0] * 4, [0.25] * 4, [0.5, 0.25, 0.125, 0.125], [0.0, 1.0, 0.0, 0.0]]),
+)
+# The 50-row kernel of perfbench's alignment workload.
+WORKLOAD_KERNEL = [[0.35 * np.exp(-r / 6) + 0.03, 0.25 * np.exp(-r / 15) + 0.04,
+                    0.15 * np.exp(-r / 30) + 0.05, 0.08 + 0.002 * r] for r in range(50)]
+
+
+@settings(max_examples=40)
+@given(kernel=st.lists(KERNEL_ROWS, min_size=1, max_size=50), n_pairs=st.integers(1, 300),
+       per_day=st.sampled_from([7, 60, datagen.PAIRS_PER_DAY]), seed=st.integers(0, 2**32 - 1))
+@example(kernel=[[0.0] * 4, [0.25] * 4], n_pairs=23, per_day=7, seed=0)
+@example(kernel=WORKLOAD_KERNEL, n_pairs=2 * datagen.PAIRS_PER_DAY + 123, per_day=datagen.PAIRS_PER_DAY, seed=11)
+def test_paired_lists_match_the_per_pair_loop(kernel, n_pairs, per_day, seed):
+    made, default_rng = [], np.random.default_rng
+
+    def recorded_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datagen, "PAIRS_PER_DAY", per_day)
+        patch.setattr(np.random, "default_rng", recorded_rng)
+        got = datagen.generate_paired_lists(kernel, n_pairs, seed=seed)
+        rng = default_rng(seed)
+        want = _oracles.paired_lists(rng, kernel, n_pairs)
+    assert serialize_snapshots(got) == serialize_snapshots(want)
+    assert made[0].bit_generator.state == rng.bit_generator.state  # the stream is consumed alike
+
+
+def test_numbered_names_are_the_f_strings_past_seven_digits():
+    number, slot = np.array([0, 9_999_999, 10_000_000]), np.array([1, 15, 7])
+    assert datagen._numbered("f", number, slot).tolist() == ["f0000000p01", "f9999999p15", "f10000000p07"]
+    for c in "st":
+        assert datagen._numbered(c, number).tolist() == [f"{c}{i:07d}" for i in number.tolist()]
 
 
 # Layouts whose views and lists must match the oracle loops: levels 0..39 on the

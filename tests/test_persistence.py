@@ -3,6 +3,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from aflow import persistence
 from aflow.data_model import DataFormatError, VideoMeta
 from aflow.graph_analysis import daily_link_presence
 from aflow.persistence import (
@@ -170,6 +171,17 @@ def test_simulation_endpoints_and_determinism():
     b = simulate_persistence_probability(0.9, trials=4000, seed=3)
     assert a == b
     assert 0.8 < a < 1.0
+
+
+@pytest.mark.parametrize("block", [1, 4, 37, persistence._BLOCK_ROWS])
+def test_steady_flags_and_simulation_do_not_depend_on_the_block(monkeypatch, block):
+    rng = np.random.default_rng(4)
+    days, rows = rng.random((50, 9)) < 0.8, rng.permutation(50)[:37]
+    bits = np.random.default_rng(5).random((100, 20)) < 0.8  # the simulation's draws, all at once
+    monkeypatch.setattr(persistence, "_BLOCK_ROWS", block)
+    assert persistence._steady(days, rows).tolist() == [all(_oracles.smooth(days[r].tolist())) for r in rows]
+    survived = sum(all(_oracles.smooth(row)) for row in bits.tolist())
+    assert simulate_persistence_probability(0.8, n_days=20, trials=100, seed=5) == survived / 100
 
 
 def test_simulation_rejects_bad_arguments():

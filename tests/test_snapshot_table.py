@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -15,6 +16,8 @@ from aflow.data_model import (
     DailySnapshot,
     DataFormatError,
     RankedList,
+    SnapshotTable,
+    _id_problem,
     parse_snapshots,
     serialize_snapshots,
 )
@@ -230,3 +233,35 @@ def test_parse_serialize_round_trip(csv_file, rows, random):
     random.shuffle(shuffled)
     assert serialize_snapshots(parse_snapshots(csv_file(_csv(shuffled)))) == text
     assert list(net.table.ids) == sorted({r[1] for r in rows} | {r[2] for r in rows})
+
+
+# Names past seven digits (where pair order stops being id order), case, prefixes and non-ASCII.
+UNSORTED = ["f10000000p01", "f9999999p15", "s0000003", "t0000003", "ab", "a", "B", "b\u00e9", "be", "\u00e9"]
+
+
+@pytest.mark.parametrize("as_given", [list, np.array], ids=["list", "array"])
+@pytest.mark.parametrize("names", [sorted(UNSORTED), UNSORTED], ids=["sorted", "unsorted"])
+def test_from_codes_sorts_names_as_sorted_does(names, as_given):
+    rng = np.random.default_rng(len(names))
+    n_rows = 40
+    src, tgt = rng.integers(0, len(names), size=(2, n_rows))
+    day, pos, kind = rng.integers(0, 3, n_rows), rng.integers(1, 16, n_rows), rng.integers(0, 2, n_rows)
+    got = SnapshotTable.from_codes(as_given(names), day, src, tgt, pos, kind)
+    want = _oracles.snapshot_table(names, day, src, tgt, pos, kind)
+    assert got.ids.tolist() == sorted(names)
+    for field in ("ids", "day", "src", "tgt", "pos", "kind"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.tolist()) == (b.dtype, b.tolist())
+
+
+BAD_IDS = {"nul": "a\0b", "cr": "a\rb", "lf": "a\nb", "empty": ""}
+
+
+@pytest.mark.parametrize("as_given, bad", [
+    *((as_given, bad) for as_given in (list, np.array) for bad in BAD_IDS.values()),
+    (list, "ab\0"),  # a numpy str array cannot hold a trailing NUL
+], ids=[*(f"{kind}-{name}" for kind in ("list", "array") for name in BAD_IDS), "list-last-nul"])
+def test_from_codes_rejects_a_bad_id(as_given, bad):
+    codes = np.array([0, 1, 2])
+    with pytest.raises(DataFormatError, match=f"^{re.escape(_id_problem(bad))}$"):
+        SnapshotTable.from_codes(as_given(["v1", bad, "v0"]), codes, codes, codes[::-1], codes + 1, codes % 2)

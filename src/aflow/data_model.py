@@ -410,11 +410,6 @@ def _ordinal_or_bad(text: str) -> int:
     return -1 if parsed is None else parsed.toordinal()
 
 
-def _position_or_bad(text: str) -> int:
-    value = int_or_none(text)
-    return value if value is not None and value <= _MAX_POSITION else 0
-
-
 def _kind_or_bad(text: str) -> int:
     return LIST_KINDS.index(text) if text in LIST_KINDS else -1
 
@@ -550,18 +545,21 @@ def _read_view_rows(path: str | Path) -> ViewTable:
 # ---------------------------------------------------------------------------
 # byte split: snapshots and views files that are provably clean, without the csv module
 
-# Bytes per block.  Not larger: with 1 MB blocks a whole `pipeline` command
-# peaked 5% higher, as freeing bigger temporaries raises glibc's dynamic mmap
-# threshold and later arrays stay on the heap.
+# Byte blocks bound the byte temporaries; id batches bound the lookups.  Bytes
+# per block: not larger, as with 1 MB blocks a whole `pipeline` command peaked
+# 5% higher (freeing bigger temporaries raises glibc's dynamic mmap threshold,
+# and later arrays stay on the heap).  Id fields per batch: a batch of many
+# blocks is looked up in the vocabulary once, not once per block.
 _BLOCK_BYTES = 1 << 18
+_BATCH_FIELDS = 1 << 17
 # A quote, NUL or non-ASCII (>= 0x80) byte anywhere sends the file to the row reader, as
 # does a CR that does not end a line before its LF.
 _DECLINED_BYTES = (ord('"'), 0)
 _COMMA, _CR, _LF, _ZERO = ord(","), ord("\r"), ord("\n"), ord("0")
 # _KEEP[k] keeps the first k bytes of a big-endian uint64 and zeroes the rest.
 _KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * k)) for k in range(1, 9)], dtype=np.uint64)
-# Digits a view count may have on the byte split: 10**18 - 1 fits in int64.
-_VIEW_DIGITS = 18
+# Digits a position or view count may have on the byte split: 10**18 - 1 fits in int64.
+_MAX_DIGITS = 18
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -580,7 +578,7 @@ def _split_or_read(path: str | Path, split: Callable[[IO[bytes]], T], read_rows:
 
 
 def _blocks(handle: IO[bytes], header: Sequence[str]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(bytes, field starts, field lengths) of each newline-aligned block of rows.
+    """(bytes, field starts, field lengths) of each newline-aligned block of rows, as :func:`_fields` gives them.
 
     Declines a first line other than ``header`` and its LF or CRLF, and a block
     holding a declined byte, a blank line, a row with another field count, an
@@ -607,7 +605,8 @@ def _blocks(handle: IO[bytes], header: Sequence[str]) -> Iterator[tuple[np.ndarr
 
 
 def _fields(buf: np.ndarray, n_fields: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One block of :func:`_blocks`, which ends with a LF, split after each CR of a CRLF is dropped."""
+    """One block of :func:`_blocks`, which ends with a LF, split after each CR of a CRLF is dropped;
+    its bytes come back with the zero bytes that :func:`_lanes` reads past its widest field."""
     cr = np.flatnonzero(buf == _CR)
     if cr.size:
         if (buf[cr + 1] != _LF).any():  # the block ends with a LF, so cr + 1 is inside it
@@ -633,19 +632,21 @@ def _fields(buf: np.ndarray, n_fields: int, limit: int) -> tuple[np.ndarray, np.
     lengths = ends - starts
     if lengths.min() < 1 or lengths.max() >= limit:
         raise _Declined
+    # The zero bytes that the lanes of the widest field read past the block's end.
+    buf = np.concatenate([buf, np.zeros(-(-int(lengths.max()) // 8) * 8, dtype=np.uint8)])
     return buf, starts, lengths
 
 
 def _lanes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each field as a row of zero-padded big-endian uint64 lanes.
+    """Each field as a row of zero-padded big-endian uint64 lanes; ``buf`` is a block of
+    :func:`_fields`, which ends with the zero bytes its widest field's lanes read.
 
     Fields hold no NUL, so the order of lane rows is the byte order of the
     fields, which for ASCII is the order of the ``str`` they spell.
     """
     n_lanes = -(-int(lengths.max()) // 8)
-    padded = np.concatenate([buf, np.zeros(8 * n_lanes, dtype=np.uint8)])
     # The big-endian uint64 that starts at each byte.
-    words = np.ndarray(padded.size - 7, dtype=">u8", buffer=padded, strides=(1,))
+    words = np.ndarray(buf.size - 7, dtype=">u8", buffer=buf, strides=(1,))
     lanes = np.empty((starts.size, n_lanes), dtype=np.uint64)
     for j in range(n_lanes):
         lanes[:, j] = words[starts + 8 * j] & _KEEP[np.clip(lengths - 8 * j, 0, 8)]
@@ -680,26 +681,51 @@ def _distinct(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Vocabulary:
-    """The distinct fields of a file's id columns, as lane rows coded in the order they are added.
+    """The distinct fields of a file's id columns, and the id-order rank of every field added.
 
-    A block's fields are looked up by hash in sorted runs of the hashes seen
-    so far.  A run merges into the one before it while that one is at most
-    twice its size, so there are O(log n) runs and each hash is merged
-    O(log n) times; memory grows with the vocabulary, not the rows.
+    Each block's fields are added as lane rows and coded a batch at a time, once
+    at least ``_BATCH_FIELDS`` are pending, with every lane row padded to the
+    batch's widest.  A batch's distinct fields are looked up by hash in sorted
+    runs of the hashes seen so far.  A run merges into the one before it while
+    that one is at most twice its size, so there are O(log n) runs and each
+    hash is merged O(log n) times.  Memory grows with the vocabulary plus one
+    batch, and with one int32 code per field added.
     """
 
     def __init__(self) -> None:
         self.lanes = np.zeros((0, 1), dtype=np.uint64)  # row i is code i, up to ``size``; the rest is spare
         self.size = 0
         self.runs: list[tuple[np.ndarray, np.ndarray]] = []  # (sorted hashes, their int32 codes)
+        self.pending: list[np.ndarray] = []  # lane rows of the blocks not yet coded
+        self.n_pending = 0
+        self.coded: list[np.ndarray] = []  # the int32 codes of each coded batch, in order
+        self.width = 0  # characters in the longest field
+
+    def add(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
+        """Add the fields of a :func:`_fields` block at ``starts`` with ``lengths``."""
+        self.pending.append(_lanes(buf, starts, lengths))
+        self.n_pending += starts.size
+        self.width = max(self.width, int(lengths.max()))
+        if self.n_pending >= _BATCH_FIELDS:
+            self._code_pending()
+
+    def _code_pending(self) -> None:
+        n_lanes = max(self.lanes.shape[1], *(lanes.shape[1] for lanes in self.pending))
+        batch = np.zeros((self.n_pending, n_lanes), dtype=np.uint64)
+        at = 0
+        for lanes in self.pending:
+            batch[at : at + len(lanes), : lanes.shape[1]] = lanes
+            at += len(lanes)
+        self.pending, self.n_pending = [], 0
+        self.coded.append(self.codes(batch))
 
     def codes(self, lanes: np.ndarray) -> np.ndarray:
-        """The int32 code of each lane row; rows not seen before get new codes."""
+        """The int32 code of each lane row, at least as wide as the vocabulary's; rows not seen
+        before get new codes."""
         if lanes.shape[1] > self.lanes.shape[1]:  # hashes depend on the lane count
             self.lanes = np.pad(self.lanes, ((0, 0), (0, lanes.shape[1] - self.lanes.shape[1])))
             self.runs = []
             self._add_run(_hashed(self.lanes[: self.size]), np.arange(self.size, dtype=np.int32))
-        lanes = np.pad(lanes, ((0, 0), (0, self.lanes.shape[1] - lanes.shape[1])))
         hashes, distinct, inverse = _distinct(lanes)
         code = np.full(hashes.size, -1, dtype=np.int32)
         for run, run_codes in self.runs:
@@ -732,19 +758,32 @@ class _Vocabulary:
             order = np.argsort(hashes, kind="stable")  # a merge of two sorted runs
             self.runs.append((hashes[order], codes[order]))
 
-    def sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the lane rows in byte order, the int32 rank of each code in that order)."""
-        lanes = self.lanes[: self.size]
-        order = np.lexsort(lanes.T[::-1])
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the distinct fields as a sorted ``str`` array, the int32 rank in it of every field
+        added, in the order added); the vocabulary is left empty."""
+        if self.pending:
+            self._code_pending()
+        order = np.lexsort(self.lanes[: self.size].T[::-1])
+        names, coded, width = self.lanes[order], self.coded, self.width
+        self.__init__()  # frees the lanes and runs before the names are spelled
         rank = np.empty(order.size, dtype=np.int32)
         rank[order] = np.arange(order.size, dtype=np.int32)
-        return lanes[order], rank
+        ranked, at = np.empty(sum(codes.size for codes in coded), dtype=np.int32), 0
+        for codes in coded:
+            ranked[at : at + codes.size] = rank[codes]
+            at += codes.size
+        del order, rank, coded
+        return _texts(names, width), ranked
 
 
 def _texts(lanes: np.ndarray, width: int) -> np.ndarray:
-    """The ``str`` array, of at most ``width`` characters each, that lane rows spell."""
-    spelled = np.ascontiguousarray(lanes.astype(">u8")).view(f"S{8 * lanes.shape[1]}")[:, 0]
-    return spelled.astype(f"U{width}")
+    """The ``str`` array, ``width`` characters wide, that lane rows spell; no row spells more than
+    ``width`` characters, and ``width`` is at most 8 per lane.
+
+    The lanes' bytes are written into a uint32 array, one code point each, and viewed as str.
+    """
+    spelled = np.ascontiguousarray(lanes, dtype=">u8").view(np.uint8).reshape(len(lanes), 8 * lanes.shape[1])
+    return np.ascontiguousarray(spelled[:, :width], dtype=np.uint32).view(f"U{width}")[:, 0]
 
 
 def _converted(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, convert: Callable[[str], int]) -> np.ndarray:
@@ -755,9 +794,9 @@ def _converted(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, convert
 
 
 def _digits(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The int64 each field spells in at most ``_VIEW_DIGITS`` ASCII digits."""
+    """The int64 each field spells in at most ``_MAX_DIGITS`` ASCII digits."""
     width = int(lengths.max())
-    if width > _VIEW_DIGITS:
+    if width > _MAX_DIGITS:
         raise _Declined
     place = np.arange(-width, 0)
     # Places before a field's first digit may wrap past the block's start; they are zeroed.
@@ -786,23 +825,20 @@ def _repeat_free_order(day: np.ndarray, kind: np.ndarray, src: np.ndarray, col: 
 
 def _split_snapshots(handle: IO[bytes]) -> DynamicNetwork:
     """:func:`parse_snapshots` of a clean file by a numpy byte split."""
-    vocabulary, width = _Vocabulary(), 0
-    ordinal, src, tgt, pos, kind = [], [], [], [], []
+    vocabulary = _Vocabulary()
+    ordinal, pos, kind = [], [], []
     for buf, starts, lengths in _blocks(handle, SNAPSHOT_HEADER):
         ordinal.append(_converted(buf, starts[:, 0], lengths[:, 0], _ordinal_or_bad).astype(np.int32))
-        pos.append(_converted(buf, starts[:, 3], lengths[:, 3], _position_or_bad).astype(np.int32))
+        position = _digits(buf, starts[:, 3], lengths[:, 3])
         kind.append(_converted(buf, starts[:, 4], lengths[:, 4], _kind_or_bad).astype(np.int8))
-        if ordinal[-1].min() < 0 or pos[-1].min() < 1 or kind[-1].min() < 0:
+        if ordinal[-1].min() < 0 or position.min() < 1 or position.max() > _MAX_POSITION or kind[-1].min() < 0:
             raise _Declined
-        codes = vocabulary.codes(_lanes(buf, starts[:, 1:3].ravel(), lengths[:, 1:3].ravel()))
-        src.append(codes[0::2])
-        tgt.append(codes[1::2])
-        width = max(width, int(lengths[:, 1:3].max()))
-    if not src:
+        pos.append(position.astype(np.int32))
+        vocabulary.add(buf, starts[:, 1:3].ravel(), lengths[:, 1:3].ravel())
+    if not ordinal:
         raise _Declined
-    names, rank = vocabulary.sorted()
-    del vocabulary
-    src, tgt = rank[np.concatenate(src)], rank[np.concatenate(tgt)]
+    names, rank = vocabulary.ranks()
+    src, tgt = rank[0::2], rank[1::2]
     ordinal, pos, kind = np.concatenate(ordinal), np.concatenate(pos), np.concatenate(kind)
     first = int(ordinal.min())
     day = ordinal - np.int32(first)
@@ -813,24 +849,23 @@ def _split_snapshots(handle: IO[bytes]) -> DynamicNetwork:
     rows = _repeat_free_order(day, kind, src, pos)
     window = ObservationWindow(date.fromordinal(first), int(day.max()) + 1)
     day, src, tgt, pos, kind = day[rows], src[rows], tgt[rows], pos[rows], kind[rows]
-    return DynamicNetwork(window, SnapshotTable(_texts(names, width), day, src, tgt, pos, kind))
+    return DynamicNetwork(window, SnapshotTable(names, day, src, tgt, pos, kind))
 
 
 def _split_views(handle: IO[bytes]) -> ViewTable:
     """:func:`parse_views` of a clean file by a numpy byte split."""
-    vocabulary, width = _Vocabulary(), 0
-    code, ordinal, counts = [], [], []
+    vocabulary = _Vocabulary()
+    ordinal, counts = [], []
     for buf, starts, lengths in _blocks(handle, VIEWS_HEADER):
         ordinal.append(_converted(buf, starts[:, 1], lengths[:, 1], _ordinal_or_bad))
         if ordinal[-1].min() < 0:
             raise _Declined
         counts.append(_digits(buf, starts[:, 2], lengths[:, 2]))
-        code.append(vocabulary.codes(_lanes(buf, starts[:, 0], lengths[:, 0])))
-        width = max(width, int(lengths[:, 0].max()))
-    if not code:
+        vocabulary.add(buf, starts[:, 0], lengths[:, 0])
+    if not ordinal:
         raise _Declined
-    names, rank = vocabulary.sorted()
-    code, ordinal, counts = rank[np.concatenate(code)], np.concatenate(ordinal), np.concatenate(counts)
+    names, code = vocabulary.ranks()
+    ordinal, counts = np.concatenate(ordinal), np.concatenate(counts)
     first = int(ordinal.min())
     rows = np.argsort(code.astype(np.int64) * (int(ordinal.max()) - first + 1) + (ordinal - first))
     code, ordinal = code[rows], ordinal[rows]
@@ -840,7 +875,7 @@ def _split_views(handle: IO[bytes]) -> ViewTable:
     if (steps != 1).any():
         raise _Declined  # a gap or a repeated day in some video's rows
     bounds = np.append(opens, rows.size).astype(np.int64)
-    return ViewTable(_texts(names, width), ordinal[opens], bounds, counts[rows])
+    return ViewTable(names, ordinal[opens], bounds, counts[rows])
 
 
 def parse_metadata(path: str | Path) -> dict[str, VideoMeta]:

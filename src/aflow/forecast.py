@@ -10,8 +10,6 @@ forecasts when ``neighbor_mode="forecast"``.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Callable, Mapping, Sequence
@@ -715,6 +713,9 @@ def _fit_all(targets: list[str], fit_chunk: Callable[[list[str]], list], workers
     with one worker, all targets are fitted here in one batch.  An exception
     raised in a worker is re-raised here unchanged.
     """
+    import multiprocessing  # here, not at the top: no other command pays for importing these
+    from concurrent.futures import ProcessPoolExecutor
+
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return dict(zip(targets, fit_chunk(targets)))
     workers = min(workers, len(targets))

@@ -8,8 +8,8 @@ time, one ARNet fit at a time by scipy's L-BFGS-B, AR fits and ARNet regressors
 built one target at a time, forecasts and network contributions computed one
 target and one beta term at a time, the generator's views one video at a time
 and its lists one (day, source) at a time, paired lists with one f-string per
-name and ids sorted by ``sorted``, and CSV files written row by row by the csv
-module.  None of it shares
+name and ids sorted by ``sorted``, CSV files written row by row by the csv
+module, and id text converted from byte strings by ``astype``.  None of it shares
 code paths with the implementations under test, except ``fixed_start_arnet``,
 which keeps the package's solver and changes only its start point, and the
 forecast oracles, which take their train/test split from ``split_series``.
@@ -219,6 +219,13 @@ def write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+
+
+def lane_texts(lanes: np.ndarray, width: int) -> np.ndarray:
+    """The ``str`` array of ``width`` characters that the byte split's uint64 lane rows spell, by
+    viewing their big-endian bytes as one ``S`` string each and converting with ``astype``."""
+    spelled = np.ascontiguousarray(lanes.astype(">u8")).view(f"S{8 * lanes.shape[1]}")[:, 0]
+    return spelled.astype(f"U{width}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from aflow.data_model import (
     serialize_views,
 )
 
+from _oracles import lane_texts
+
 # Id characters that need no quoting; lengths up to 17 cross the 8-byte lanes.
 ID = st.text(st.sampled_from("abcXYZ019-_.|;:' "), min_size=1, max_size=17)
 POSITION = st.one_of(st.integers(1, 30), st.integers(1, 2**31 - 1))
@@ -318,7 +320,90 @@ def test_a_hash_collision_inside_a_block_is_declined(tmp_path, kind):
 @pytest.mark.parametrize("kind", READERS)
 def test_a_hash_collision_with_an_earlier_block_is_declined(tmp_path, kind):
     with pytest.MonkeyPatch.context() as patch:
-        # Distinct within a block, so only the vocabulary of earlier blocks can collide.
+        # Distinct within a batch, and each one-row block is a batch of its own, so only the
+        # vocabulary of earlier batches can collide.
         patch.setattr(data_model, "_hashed", lambda lanes: np.arange(lanes.shape[0], dtype=np.uint64))
         patch.setattr(data_model, "_BLOCK_BYTES", SMALL_BLOCK)
+        patch.setattr(data_model, "_BATCH_FIELDS", 1)
         assert _declined_where(tmp_path, kind, _text(READERS[kind][0], TWO_ROWS[kind]).encode()) == "codes"
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_a_hash_collision_between_blocks_of_one_batch_is_declined(tmp_path, kind):
+    hashed, mask = data_model._hashed, np.uint64(0xFDFD_FDFD_FDFD_FDFD)
+    with pytest.MonkeyPatch.context() as patch:
+        # Hashing with bit 0x02 of every byte cleared: of the ids, a collides with c only, and
+        # no two dates collide.  Each row is a block, and both blocks are one batch.
+        patch.setattr(data_model, "_hashed", lambda lanes: hashed(lanes & mask))
+        patch.setattr(data_model, "_BLOCK_BYTES", SMALL_BLOCK)
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(_text(READERS[kind][0], TWO_ROWS[kind]))
+        with open(path, "rb") as handle, pytest.raises(data_model._Declined) as declined:
+            READERS[kind][4](handle)
+    assert [entry.name for entry in declined.traceback[-3:]] == ["_code_pending", "codes", "_distinct"]
+
+
+@pytest.mark.parametrize("batch", [1, 3, 37, data_model._BATCH_FIELDS])
+@settings(max_examples=30)
+@given(snapshots=snapshot_rows(), views=view_rows())
+def test_id_batches_give_the_row_readers_tables(tmp_path_factory, batch, snapshots, views):
+    """Rows ordered by their longest id: an id with more lanes than any before it often first
+    comes in a later batch, which makes the vocabulary hash again what it holds."""
+    snapshots = sorted(snapshots, key=lambda row: max(len(row[1]), len(row[2])))
+    views = sorted(views, key=lambda row: len(row[0]))
+    path = tmp_path_factory.getbasetemp() / "batched.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_BATCH_FIELDS", batch)
+        patch.setattr(data_model, "_read_snapshot_rows", _refuse)
+        patch.setattr(data_model, "_read_view_rows", _refuse)
+        for kind, rows in (("snapshots", snapshots), ("views", views)):
+            header, parse, read_rows, outcome, _ = READERS[kind]
+            _same_outcomes(_text(header, rows).encode(), path, parse, read_rows, outcome)
+
+
+# Rows whose ids first need 2 and then 3 lanes in later one-row blocks, after shorter ones; the
+# last row's one-lane ids make a batch narrower than the vocabulary.
+GROWING_IDS = {
+    "snapshots": [["2018-09-01", "a", "b", "1", "relevant"], ["2018-09-01", "a", "c" * 12, "2", "relevant"],
+                  ["2018-09-02", "c" * 12, "b", "1", "relevant"], ["2018-09-02", "b" * 20, "a", "1", "relevant"],
+                  ["2018-09-03", "a", "b", "1", "relevant"]],
+    "views": [["a", "2018-09-01", "5"], ["c" * 12, "2018-09-01", "7"], ["a", "2018-09-02", "6"],
+              ["b" * 20, "2018-09-01", "8"], ["a", "2018-09-03", "4"]],
+}
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_ids_that_add_a_lane_in_a_later_batch_are_hashed_again(tmp_path, kind):
+    header, parse, read_rows, outcome, _ = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(_text(header, GROWING_IDS[kind]))
+    expected = outcome(read_rows, path)
+    codes, calls = data_model._Vocabulary.codes, []
+
+    def spy(vocabulary, lanes):
+        calls.append((vocabulary.size, vocabulary.lanes.shape[1], lanes.shape[1]))
+        return codes(vocabulary, lanes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_BLOCK_BYTES", 1)  # one-byte reads: each row is a block of its own
+        patch.setattr(data_model, "_BATCH_FIELDS", 1)
+        patch.setattr(data_model._Vocabulary, "codes", spy)
+        patch.setattr(data_model, "_read_snapshot_rows", _refuse)
+        patch.setattr(data_model, "_read_view_rows", _refuse)
+        assert outcome(parse, path) == expected
+    assert [(had, now) for held, had, now in calls if held and now > had] == [(1, 2), (2, 3)]
+    assert all(now >= had for _, had, now in calls)  # every batch is padded to the vocabulary's lanes
+
+
+@pytest.mark.parametrize("n_lanes,width", [(n, w) for n in (1, 2, 3) for w in range(1, 8 * n + 1)])
+def test_lane_texts_spell_what_astype_spells(n_lanes, width):
+    rng = np.random.default_rng(width * 4 + n_lanes)
+    lengths = np.r_[width, rng.integers(1, width + 1, size=40)]
+    spelled = np.zeros((lengths.size, 8 * n_lanes), dtype=np.uint8)
+    for row, length in zip(spelled, lengths):
+        row[:length] = rng.integers(1, 0x80, size=length)  # any ASCII byte but NUL
+    lanes = spelled.view(">u8").astype(np.uint64)
+    texts, expected = data_model._texts(lanes, width), lane_texts(lanes, width)
+    assert texts.dtype == expected.dtype == np.dtype(f"U{width}")
+    assert texts.tolist() == expected.tolist()
+    assert [len(text) for text in texts.tolist()] == lengths.tolist()

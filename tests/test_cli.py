@@ -1447,6 +1447,17 @@ def test_importing_the_cli_leaves_out_scipy_stats():
     assert proc.stdout.strip() == "[]"  # no scipy module loads, though scipy is installed
 
 
+def test_importing_the_cli_leaves_out_the_process_pool():
+    """Only the fit's worker pool needs these; importing them cost about 20 ms per command."""
+    env = dict(os.environ, PYTHONPATH=str(Path(aflow.__file__).resolve().parents[1]))
+    script = ("import sys, aflow.cli\n"
+              "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_no_subcommand_needs_scipy(chain, tmp_path, command):
     """Each subcommand runs in a fresh interpreter in which any scipy import fails and any warning is an error."""

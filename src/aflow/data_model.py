@@ -14,11 +14,12 @@ the ``persistent_edges.csv`` and ``forecasts.csv`` artifacts.  Parsing is
 strict: malformed rows raise :class:`DataFormatError` with the offending line
 number, there is no silent repair and no imputation.
 
-Snapshots and views files, LF or CRLF, are first split as bytes with numpy.  A
-file the split cannot prove clean (quoting, a CR outside a CRLF line end, NUL or
-non-ASCII bytes, a blank line, or a malformed row or one some check rejects)
-goes unchanged to the csv row reader, which alone reports errors; both paths
-give the same result and the same message.
+Snapshots and views files, LF or CRLF, are first split as bytes with numpy.  A file
+whose bytes or single rows the split cannot prove clean (quoting, a CR outside a CRLF
+line end, NUL or non-ASCII bytes, a blank line, a malformed row or one failing a check
+of its own fields) goes unchanged to the csv row reader, which reports single-row errors.
+Both paths end in one tail per file kind, which reports faults across rows (a repeated
+position, target or view day, a missing day): both give the same result and message.
 """
 
 from __future__ import annotations
@@ -219,22 +220,11 @@ class SnapshotTable:
         Rejects a name that :func:`_id_problem` rejects; the rows are not checked.
         Names already in strictly increasing order are not sorted again.
         """
-        ids = _id_array(names)
-        src, tgt = np.asarray(src, dtype=np.int32), np.asarray(tgt, dtype=np.int32)
-        if not (ids[1:] > ids[:-1]).all():
-            order = np.argsort(ids, kind="stable")
-            recode = np.empty(ids.size, dtype=np.int32)
-            recode[order] = np.arange(ids.size, dtype=np.int32)
-            ids, src, tgt = ids[order], recode[src], recode[tgt]
-        rows = np.lexsort((pos, src, kind, day))
-        return cls(
-            ids,
-            np.asarray(day, dtype=np.int32)[rows],
-            src[rows],
-            tgt[rows],
-            np.asarray(pos, dtype=np.int32)[rows],
-            np.asarray(kind, dtype=np.int8)[rows],
-        )
+        ids, src, tgt = _in_id_order(names, src, tgt)
+        day, pos = np.asarray(day, dtype=np.int32), np.asarray(pos, dtype=np.int32)
+        kind = np.asarray(kind, dtype=np.int8)
+        rows = _row_order(day, kind, src, pos)
+        return cls(ids, day[rows], src[rows], tgt[rows], pos[rows], kind[rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,6 +327,7 @@ def csv_rows(path: str | Path, expected_header: Sequence[str]) -> Iterator[tuple
 
 _MAX_POSITION = np.iinfo(np.int32).max
 _MAX_VIEWS = np.iinfo(np.int64).max
+_INT64_MAX = int(_MAX_VIEWS)  # the largest key _row_order packs
 # numpy string arrays drop trailing NULs, and the canonical writer leaves a
 # carriage return unquoted, so ids holding these would not survive a round trip.
 _FORBIDDEN_ID_CHARS = "\0\r\n"
@@ -377,6 +368,48 @@ def _id_array(names: Sequence[str] | np.ndarray) -> np.ndarray:
     return names
 
 
+def _in_id_order(names: Sequence[str] | np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(``names`` sorted into the id vocabulary, each int32 code column recoded into it); rejects a name
+    that :func:`_id_problem` rejects.  Names already in strictly increasing order are not sorted again."""
+    ids = _id_array(names)
+    columns = tuple(np.asarray(col, dtype=np.int32) for col in columns)
+    if not (ids[1:] > ids[:-1]).all():
+        order = np.argsort(ids, kind="stable")
+        recode = np.empty(ids.size, dtype=np.int32)
+        recode[order] = np.arange(ids.size, dtype=np.int32)
+        ids, columns = ids[order], tuple(recode[col] for col in columns)
+    return (ids, *columns)
+
+
+def _row_order(*key: np.ndarray) -> np.ndarray:
+    """The stable order of rows by non-negative int key columns, the most significant first: one argsort
+    of the columns packed into int64 when the product of their spans fits, else :func:`np.lexsort`."""
+    spans = [int(col.max(initial=0)) + 1 for col in key]
+    if math.prod(spans) > _INT64_MAX:
+        return np.lexsort(key[::-1])
+    packed = key[0].astype(np.int64)
+    for col, span in zip(key[1:], spans[1:]):
+        packed *= span
+        packed += col
+    return np.argsort(packed, kind="stable")
+
+
+def _first_repeat(rows: np.ndarray, *key: np.ndarray) -> tuple[int, int] | None:
+    """(row, first row) of the earliest row whose key columns repeat an earlier row's, given
+    ``rows``, the :func:`_row_order` of at least one row by that key."""
+    same = np.ones(rows.size - 1, dtype=bool)
+    for col in key:
+        sorted_col = col[rows]
+        same &= sorted_col[1:] == sorted_col[:-1]
+    if not same.any():
+        return None
+    # Rows with equal keys stay in file order, so each run of them starts at its first row.
+    run_start = np.maximum.accumulate(np.where(np.r_[True, ~same], np.arange(rows.size), 0))
+    repeats = np.flatnonzero(same) + 1
+    first = repeats[np.argmin(rows[repeats])]
+    return int(rows[first]), int(rows[run_start[first]])
+
+
 def _snapshot_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tuple[int, ...]:
     """The (ordinal, source code, target code, position, kind, line) of a snapshot row, or
     the error for a row that fails a check of its own fields.  New ids get the next codes."""
@@ -385,11 +418,8 @@ def _snapshot_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tu
     where = f"line {line_no}"
     ordinal = cell(date_or_none, row[0], where, "date").toordinal()
     src, tgt = row[1], row[2]
-    if not src or not tgt:
-        raise DataFormatError(f"line {line_no}: empty video id")
     for vid in (src, tgt):
-        problem = None if vid in codes else _id_problem(vid)
-        if problem:
+        if vid not in codes and (problem := _id_problem(vid)):
             raise DataFormatError(f"line {line_no}: {problem}")
     pos = cell(int_or_none, row[3], where, "position")
     if pos < 1:
@@ -405,6 +435,23 @@ def _snapshot_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tu
             LIST_KINDS.index(kind), line_no)
 
 
+def _view_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tuple[int, ...]:
+    """The (video code, ordinal, count, line) of a views row, as :func:`_snapshot_row`."""
+    if len(row) != 3:
+        raise DataFormatError(f"line {line_no}: expected 3 fields, got {len(row)}")
+    vid = row[0]
+    if vid not in codes and (problem := _id_problem(vid)):
+        raise DataFormatError(f"line {line_no}: {problem}")
+    where = f"line {line_no}"
+    ordinal = cell(date_or_none, row[1], where, "date").toordinal()
+    count = cell(int_or_none, row[2], where, "view count")
+    if count < 0:
+        raise DataFormatError(f"line {line_no}: negative view count for {vid}")
+    if count > _MAX_VIEWS:
+        raise DataFormatError(f"line {line_no}: view count {count} is too large")
+    return codes.setdefault(vid, len(codes)), ordinal, count, line_no
+
+
 def _ordinal_or_bad(text: str) -> int:
     parsed = date_or_none(text)
     return -1 if parsed is None else parsed.toordinal()
@@ -412,23 +459,6 @@ def _ordinal_or_bad(text: str) -> int:
 
 def _kind_or_bad(text: str) -> int:
     return LIST_KINDS.index(text) if text in LIST_KINDS else -1
-
-
-def _first_repeat(line: np.ndarray, *key: np.ndarray) -> tuple[int, int] | None:
-    """(line, first line) of the earliest row whose key columns repeat an earlier row's."""
-    if line.size < 2:
-        return None
-    rows = np.lexsort(key[::-1])  # stable: rows with equal keys stay in file order
-    same = np.ones(rows.size - 1, dtype=bool)
-    for col in key:
-        sorted_col = col[rows]
-        same &= sorted_col[1:] == sorted_col[:-1]
-    if not same.any():
-        return None
-    run_start = np.maximum.accumulate(np.where(np.r_[True, ~same], np.arange(rows.size), 0))
-    repeats = np.flatnonzero(same) + 1
-    first = repeats[np.argmin(rows[repeats])]
-    return int(line[rows[first]]), int(line[rows[run_start[first]]])
 
 
 def parse_snapshots(path: str | Path) -> DynamicNetwork:
@@ -452,94 +482,95 @@ def parse_views(path: str | Path) -> ViewTable:
     return _split_or_read(path, _split_views, _read_view_rows)
 
 
-def _read_snapshot_rows(path: str | Path) -> DynamicNetwork:
-    """:func:`parse_snapshots` row by row with the csv module: the reader of every file
-    the byte split declines, and the only source of its errors."""
-    # Codes in first-seen order; from_codes recodes them in id order.
+def _read_rows(path: str | Path, header: Sequence[str], coded_row: Callable[..., tuple[int, ...]],
+               typecode: str) -> tuple[list[str], np.ndarray, DataFormatError | None]:
+    """(the ids in first-seen order, the ``coded_row`` of each row before the first that the csv module
+    or a check of its own fields rejects, that error or None); a coded row ends with the row's line."""
     codes: dict[str, int] = {}
-    coded = array("i")  # (ordinal, src, tgt, pos, kind, line) of each row in turn
-    bad_row: tuple[int, DataFormatError] | None = None
-    for line_no, row in csv_rows(path, SNAPSHOT_HEADER):
-        try:
-            coded.extend(_snapshot_row(line_no, row, codes))
-        except DataFormatError as exc:
-            bad_row = (line_no, exc)
-            break
+    coded = array(typecode)
+    bad_row = None
+    try:
+        for line_no, row in csv_rows(path, header):
+            coded.extend(coded_row(line_no, row, codes))
+    except DataFormatError as exc:
+        bad_row = exc
+    return list(codes), np.array(coded).reshape(-1, len(header) + 1), bad_row
 
-    names = list(codes)
-    del codes  # the interning dict is as large as the vocabulary; free it early
-    ordinal, src, tgt, pos, kind, line = np.array(coded, dtype=np.int32).reshape(-1, 6).T
-    del coded
-    duplicate = None
-    for label, col in (("position", pos), ("target", tgt)):
-        found = _first_repeat(line, ordinal, kind, src, col)
-        if found and (duplicate is None or found[0] < duplicate[0]):
-            duplicate = (*found, label)
-    if duplicate and (bad_row is None or duplicate[0] < bad_row[0]):
-        at, first_at, label = duplicate
-        i = int(np.flatnonzero(line == at)[0])
-        what = pos[i] if label == "position" else names[tgt[i]]
-        raise DataFormatError(
-            f"line {at}: duplicate {label} {what} in {LIST_KINDS[kind[i]]} list of "
-            f"{names[src[i]]} on {date.fromordinal(int(ordinal[i]))} (first seen at line {first_at})"
-        )
-    if bad_row is not None:
-        raise bad_row[1]
-    if not ordinal.size:
-        raise DataFormatError("snapshots file holds no rows")
 
-    present = np.unique(ordinal)
-    start = date.fromordinal(int(present[0]))
-    window = ObservationWindow(start, int(present[-1] - present[0]) + 1)
-    if present.size != window.n_days:
-        gap = next(i for i, o in enumerate(present.tolist()) if o != present[0] + i)
-        raise DataFormatError(
-            f"snapshot days are not consecutive, missing {start + timedelta(days=gap)}"
-        )
-    table = SnapshotTable.from_codes(names, ordinal - present[0], src, tgt, pos, kind)
-    return DynamicNetwork(window, table)
+def _read_snapshot_rows(path: str | Path) -> DynamicNetwork:
+    """:func:`parse_snapshots` row by row with the csv module, for every file the byte split declines."""
+    names, coded, bad_row = _read_rows(path, SNAPSHOT_HEADER, _snapshot_row, "i")
+    ordinal, src, tgt, pos, kind, line = coded.T
+    ids, src, tgt = _in_id_order(names, src, tgt)
+    return _snapshot_network(ids, ordinal, src, tgt, pos, kind.astype(np.int8), line, bad_row)
 
 
 def _read_view_rows(path: str | Path) -> ViewTable:
     """:func:`parse_views` row by row with the csv module, as :func:`_read_snapshot_rows`."""
-    rows: dict[str, dict[date, int]] = {}
-    for line_no, row in csv_rows(path, VIEWS_HEADER):
-        if len(row) != 3:
-            raise DataFormatError(f"line {line_no}: expected 3 fields, got {len(row)}")
-        vid = row[0]
-        if vid not in rows:  # each distinct id is checked once
-            problem = _id_problem(vid)
-            if problem:
-                raise DataFormatError(f"line {line_no}: {problem}")
-        where = f"line {line_no}"
-        d = cell(date_or_none, row[1], where, "date")
-        count = cell(int_or_none, row[2], where, "view count")
-        if count < 0:
-            raise DataFormatError(f"line {line_no}: negative view count for {vid}")
-        if count > _MAX_VIEWS:
-            raise DataFormatError(f"line {line_no}: view count {count} is too large")
-        per = rows.setdefault(vid, {})
-        if d in per:
-            raise DataFormatError(f"line {line_no}: duplicate day {d} for {vid}")
-        per[d] = count
+    names, coded, bad_row = _read_rows(path, VIEWS_HEADER, _view_row, "q")
+    code, ordinal, counts, line = coded.T
+    ids, code = _in_id_order(names, code)
+    return _view_table(ids, code, ordinal, counts, line, bad_row)
 
-    if not rows:
-        raise DataFormatError("views file holds no rows")
 
-    for vid, per in rows.items():  # in first-appearance order: the first video with a gap is reported
-        first = min(per)
-        span = (max(per) - first).days + 1
-        if len(per) != span:
-            missing = sorted(set(ObservationWindow(first, span).dates()) - set(per))
-            raise DataFormatError(f"view series for {vid} has a gap at {missing[0]}")
-    ids = sorted(rows)
-    days = [sorted(rows[vid]) for vid in ids]
-    return ViewTable(
-        np.array(ids, dtype=str),
-        np.array([d[0].toordinal() for d in days], dtype=np.int64),
-        np.cumsum([0, *map(len, days)], dtype=np.int64),
-        np.array([rows[vid][d] for vid, vid_days in zip(ids, days) for d in vid_days], dtype=np.int64),
-    )
+def _snapshot_network(ids: np.ndarray, ordinal: np.ndarray, src: np.ndarray, tgt: np.ndarray, pos: np.ndarray,
+                      kind: np.ndarray, line: Sequence[int],
+                      bad_row: DataFormatError | None = None) -> DynamicNetwork:
+    """The network of coded snapshot rows in file order, row i read from line ``line[i]``, with codes into
+    the sorted ``ids``.  Errors come in the order: the earliest position or target repeated in one list,
+    then ``bad_row`` (the error that stopped the row reader), then no rows or a day without rows.
+    ``ordinal`` becomes the window days in place."""
+    if not ordinal.size:
+        raise bad_row or DataFormatError("snapshots file holds no rows")
+    start = int(ordinal.min())
+    day = np.subtract(ordinal, start, out=ordinal)  # in place: a second array of days would raise the peak
+    by_target = _first_repeat(_row_order(day, kind, src, tgt), day, kind, src, tgt)
+    rows = _row_order(day, kind, src, pos)  # the table's order
+    by_position = _first_repeat(rows, day, kind, src, pos)
+    # The earlier row; a row that repeats both a position and a target reports the position.
+    found = [(*at, label) for at, label in ((by_position, "position"), (by_target, "target")) if at]
+    if found:
+        i, first, label = min(found, key=lambda f: f[0])
+        what = pos[i] if label == "position" else ids[tgt[i]]
+        raise DataFormatError(
+            f"line {line[i]}: duplicate {label} {what} in {LIST_KINDS[kind[i]]} list of {ids[src[i]]} "
+            f"on {date.fromordinal(start + int(day[i]))} (first seen at line {line[first]})"
+        )
+    if bad_row is not None:
+        raise bad_row
+    present = np.bincount(day)  # rows per window day
+    if not present.all():
+        missing = date.fromordinal(start + int(np.argmin(present)))
+        raise DataFormatError(f"snapshot days are not consecutive, missing {missing}")
+    table = SnapshotTable(ids, day[rows], src[rows], tgt[rows], pos[rows], kind[rows])
+    return DynamicNetwork(ObservationWindow(date.fromordinal(start), present.size), table)
+
+
+def _view_table(ids: np.ndarray, code: np.ndarray, ordinal: np.ndarray, counts: np.ndarray,
+                line: Sequence[int], bad_row: DataFormatError | None = None) -> ViewTable:
+    """The table of coded views rows, as :func:`_snapshot_network`.  Errors come in the order: the
+    earliest repeated day of one video, ``bad_row``, no rows, then a gap in the series of the video
+    whose rows start first."""
+    if not code.size:
+        raise bad_row or DataFormatError("views file holds no rows")
+    rows = _row_order(code, ordinal)
+    if repeat := _first_repeat(rows, code, ordinal):
+        i = repeat[0]
+        raise DataFormatError(
+            f"line {line[i]}: duplicate day {date.fromordinal(int(ordinal[i]))} for {ids[code[i]]}")
+    if bad_row is not None:
+        raise bad_row
+    code, ordinal = code[rows], ordinal[rows]
+    opens = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    steps = np.diff(ordinal)
+    steps[opens[1:] - 1] = 1
+    gaps = np.flatnonzero(steps != 1)
+    if gaps.size:  # of the videos with a gap, the one whose first row comes first in the file
+        video = np.searchsorted(opens, gaps, side="right") - 1
+        g = gaps[np.argmin(np.minimum.reduceat(rows, opens)[video])]
+        raise DataFormatError(
+            f"view series for {ids[code[g]]} has a gap at {date.fromordinal(int(ordinal[g]) + 1)}")
+    return ViewTable(ids, ordinal[opens].astype(np.int64), np.append(opens, rows.size).astype(np.int64), counts[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +591,6 @@ _COMMA, _CR, _LF, _ZERO = ord(","), ord("\r"), ord("\n"), ord("0")
 _KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * k)) for k in range(1, 9)], dtype=np.uint64)
 # Digits a position or view count may have on the byte split: 10**18 - 1 fits in int64.
 _MAX_DIGITS = 18
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class _Declined(Exception):
@@ -807,24 +837,8 @@ def _digits(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndar
     return digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
-def _repeat_free_order(day: np.ndarray, kind: np.ndarray, src: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Row order by (day, kind, src, col); declines when two rows share that key or it overflows int64."""
-    spans = [int(c.max()) + 1 for c in (day, kind, src, col)]
-    if math.prod(spans) > _INT64_MAX:
-        raise _Declined
-    key = day.astype(np.int64)
-    for c, span in zip((kind, src, col), spans[1:]):
-        key *= span
-        key += c
-    order = np.argsort(key)
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        raise _Declined
-    return order
-
-
 def _split_snapshots(handle: IO[bytes]) -> DynamicNetwork:
-    """:func:`parse_snapshots` of a clean file by a numpy byte split."""
+    """:func:`parse_snapshots` of a file by a numpy byte split."""
     vocabulary = _Vocabulary()
     ordinal, pos, kind = [], [], []
     for buf, starts, lengths in _blocks(handle, SNAPSHOT_HEADER):
@@ -839,25 +853,18 @@ def _split_snapshots(handle: IO[bytes]) -> DynamicNetwork:
         raise _Declined
     names, rank = vocabulary.ranks()
     src, tgt = rank[0::2], rank[1::2]
+    if (src == tgt).any():
+        raise _Declined  # a self-link
     ordinal, pos, kind = np.concatenate(ordinal), np.concatenate(pos), np.concatenate(kind)
-    first = int(ordinal.min())
-    day = ordinal - np.int32(first)
-    del ordinal
-    if (src == tgt).any() or not np.bincount(day).all():
-        raise _Declined  # a self-link, or a day without rows
-    _repeat_free_order(day, kind, src, tgt)  # only its check: a target twice in one list
-    rows = _repeat_free_order(day, kind, src, pos)
-    window = ObservationWindow(date.fromordinal(first), int(day.max()) + 1)
-    day, src, tgt, pos, kind = day[rows], src[rows], tgt[rows], pos[rows], kind[rows]
-    return DynamicNetwork(window, SnapshotTable(names, day, src, tgt, pos, kind))
+    return _snapshot_network(names, ordinal, src, tgt, pos, kind, range(2, ordinal.size + 2))
 
 
 def _split_views(handle: IO[bytes]) -> ViewTable:
-    """:func:`parse_views` of a clean file by a numpy byte split."""
+    """:func:`parse_views` of a file by a numpy byte split."""
     vocabulary = _Vocabulary()
     ordinal, counts = [], []
     for buf, starts, lengths in _blocks(handle, VIEWS_HEADER):
-        ordinal.append(_converted(buf, starts[:, 1], lengths[:, 1], _ordinal_or_bad))
+        ordinal.append(_converted(buf, starts[:, 1], lengths[:, 1], _ordinal_or_bad).astype(np.int32))
         if ordinal[-1].min() < 0:
             raise _Declined
         counts.append(_digits(buf, starts[:, 2], lengths[:, 2]))
@@ -866,16 +873,7 @@ def _split_views(handle: IO[bytes]) -> ViewTable:
         raise _Declined
     names, code = vocabulary.ranks()
     ordinal, counts = np.concatenate(ordinal), np.concatenate(counts)
-    first = int(ordinal.min())
-    rows = np.argsort(code.astype(np.int64) * (int(ordinal.max()) - first + 1) + (ordinal - first))
-    code, ordinal = code[rows], ordinal[rows]
-    opens = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
-    steps = np.diff(ordinal)
-    steps[opens[1:] - 1] = 1
-    if (steps != 1).any():
-        raise _Declined  # a gap or a repeated day in some video's rows
-    bounds = np.append(opens, rows.size).astype(np.int64)
-    return ViewTable(names, ordinal[opens], bounds, counts[rows])
+    return _view_table(names, code, ordinal, counts, range(2, code.size + 2))
 
 
 def parse_metadata(path: str | Path) -> dict[str, VideoMeta]:
@@ -885,15 +883,15 @@ def parse_metadata(path: str | Path) -> dict[str, VideoMeta]:
         if len(row) != 4:
             raise DataFormatError(f"line {line_no}: expected 4 fields, got {len(row)}")
         vid, artist = row[0], row[1]
-        if not vid or not artist:
-            raise DataFormatError(f"line {line_no}: empty id field")
+        for text, what in ((vid, "video id"), (artist, "artist id")):
+            if problem := _id_problem(text, what):
+                raise DataFormatError(f"line {line_no}: {problem}")
         if vid in out:
             raise DataFormatError(f"line {line_no}: duplicate metadata for {vid}")
         upload = cell(date_or_none, row[2], f"line {line_no}", "date")
         genres = frozenset(g for g in row[3].split("|") if g)
-        for text, what in ((vid, "video id"), (artist, "artist id"), *((g, "genre") for g in genres)):
-            problem = _id_problem(text, what)
-            if problem:
+        for genre in genres:
+            if problem := _id_problem(genre, "genre"):
                 raise DataFormatError(f"line {line_no}: {problem}")
         out[vid] = VideoMeta(artist, genres, upload)
     if not out:

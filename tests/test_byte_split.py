@@ -1,12 +1,14 @@
 """The numpy byte split of snapshots and views files against the csv row reader.
 
-``parse_snapshots`` and ``parse_views`` split a clean file as bytes and send
-every other file to the row reader.  The differential tests feed both readers
+``parse_snapshots`` and ``parse_views`` split a file whose bytes and single
+rows are clean as bytes and send every other file to the row reader; both paths
+end in one tail, which reports faults across rows.  The differential tests feed both readers
 valid files and byte mutations of them and require the same columns, dtypes
 and window, or the same error text.
 """
 
 import csv
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -250,23 +252,33 @@ def test_the_byte_split_loads_a_generated_dataset(tmp_path):
         assert np.array_equal(getattr(reloaded.network.table, column), getattr(dataset.network.table, column))
 
 
-def test_a_key_past_int64_sends_the_file_to_the_row_reader(tmp_path):
+def _lexsort_keys(patch):
+    """Patch ``np.lexsort`` to record the number and length of the key columns of each call."""
+    lexsort, calls = np.lexsort, []
+
+    def counted(keys):
+        calls.append((len(keys), len(keys[0])))
+        return lexsort(keys)
+
+    patch.setattr(np, "lexsort", counted)
+    return calls
+
+
+def test_a_key_past_int64_is_ordered_by_lexsort(tmp_path):
     cfg = datagen.GenConfig(n_videos=30, n_artists=4, days=12, edge_density=0.2, presence_prob=0.8, seed=2)
     datagen.export_dataset(datagen.generate(cfg)[0], tmp_path)
-    path = tmp_path / "snapshots.csv"
-    expected = _snapshot_outcome(parse_snapshots, path)
-    read_rows = data_model._read_snapshot_rows
-    calls = []
-
-    def counted(source):
-        calls.append(source)
-        return read_rows(source)
-
+    snapshots, views = tmp_path / "snapshots.csv", tmp_path / "views.csv"
+    expected = (_snapshot_outcome(data_model._read_snapshot_rows, snapshots),
+                _views_outcome(data_model._read_view_rows, views))
+    n_rows = len(snapshots.read_text().splitlines()) - 1, len(views.read_text().splitlines()) - 1
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data_model, "_INT64_MAX", 0)  # no (day, kind, src, col) key fits
-        patch.setattr(data_model, "_read_snapshot_rows", counted)
-        assert _snapshot_outcome(parse_snapshots, path) == expected
-    assert len(calls) == 1
+        patch.setattr(data_model, "_INT64_MAX", 0)  # no packed key fits
+        patch.setattr(data_model, "_read_snapshot_rows", _refuse)
+        patch.setattr(data_model, "_read_view_rows", _refuse)
+        calls = _lexsort_keys(patch)
+        assert (_snapshot_outcome(parse_snapshots, snapshots), _views_outcome(parse_views, views)) == expected
+    # The target check and the table order of the snapshots; the views order.
+    assert [call for call in calls if call[0] > 1] == [(4, n_rows[0]), (4, n_rows[0]), (2, n_rows[1])]
 
 
 # The declines no mutation above reaches: each file goes to the row reader, which gives the result.
@@ -341,6 +353,61 @@ def test_a_hash_collision_between_blocks_of_one_batch_is_declined(tmp_path, kind
         with open(path, "rb") as handle, pytest.raises(data_model._Declined) as declined:
             READERS[kind][4](handle)
     assert [entry.name for entry in declined.traceback[-3:]] == ["_code_pending", "codes", "_distinct"]
+
+
+CROSS_ROW_MUTATIONS = [
+    *(("snapshots", name) for name in ("duplicate position", "duplicate target", "day gap")),
+    *(("views", name) for name in ("gap", "repeated day")),
+]
+
+
+@pytest.mark.parametrize("kind, mutation", CROSS_ROW_MUTATIONS)
+@settings(max_examples=30)
+@given(snapshots=snapshot_rows(), views=view_rows(), at=st.integers(0, 10**6))
+def test_cross_row_faults_agree_through_lexsort(tmp_path_factory, kind, mutation, snapshots, views, at):
+    header, parse, read_rows, outcome, _ = READERS[kind]
+    mutations, rows = (SNAPSHOT_MUTATIONS, snapshots) if kind == "snapshots" else (VIEW_MUTATIONS, views)
+    data = mutations[mutation](header, rows, at)
+    path = tmp_path_factory.getbasetemp() / f"{kind}.csv"
+    path.write_bytes(data)
+    packed = outcome(read_rows, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_INT64_MAX", 0)
+        _same_outcomes(data, path, parse, read_rows, outcome)
+        assert outcome(read_rows, path) == packed
+
+
+# Clean files with one fault across rows, and the row reader's message for each.
+CROSS_ROW_FAULTS = {
+    "repeated position": ("snapshots", "2018-09-01,a,b,1,relevant\n2018-09-01,a,c,1,relevant\n",
+                          "line 3: duplicate position 1 in relevant list of a on 2018-09-01 (first seen at line 2)"),
+    "repeated target": ("snapshots",
+                        "2018-09-01,a,b,1,relevant\n2018-09-01,a,c,2,relevant\n2018-09-01,a,b,3,relevant\n",
+                        "line 4: duplicate target b in relevant list of a on 2018-09-01 (first seen at line 2)"),
+    "missing day": ("snapshots", "2018-09-01,a,b,1,relevant\n2018-09-03,a,b,1,relevant\n",
+                    "snapshot days are not consecutive, missing 2018-09-02"),
+    "repeated view day": ("views", "v,2018-09-01,1\nv,2018-09-01,2\n", "line 3: duplicate day 2018-09-01 for v"),
+    "view gap": ("views", "z,2018-09-01,1\nz,2018-09-03,1\na,2018-09-01,1\na,2018-09-03,1\n",
+                 "view series for z has a gap at 2018-09-02"),
+}
+
+
+@pytest.mark.parametrize("block", [SMALL_BLOCK, data_model._BLOCK_BYTES])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("fault", CROSS_ROW_FAULTS)
+def test_the_byte_split_reports_faults_across_rows(tmp_path, fault, line_end, block):
+    kind, body, message = CROSS_ROW_FAULTS[fault]
+    header, parse, read_rows, _, _ = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(",".join(header) + "\n" + body, newline=line_end)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        read_rows(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_BLOCK_BYTES", block)
+        patch.setattr(data_model, "_read_snapshot_rows", _refuse)
+        patch.setattr(data_model, "_read_view_rows", _refuse)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            parse(path)
 
 
 @pytest.mark.parametrize("batch", [1, 3, 37, data_model._BATCH_FIELDS])

@@ -16,7 +16,7 @@ import pytest
 
 import aflow.forecast
 from aflow import cli, datagen, forecast, graph_analysis, list_alignment, persistence, stats
-from aflow.data_model import DataFormatError, NumericalError, serialize_snapshots
+from aflow.data_model import METADATA_HEADER, DataFormatError, NumericalError, serialize_snapshots
 
 
 def run(argv, capsys=None):
@@ -1487,3 +1487,46 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip())["n_videos"] == 16
+
+
+def _input_error_case(chain, tmp_path, case, out):
+    """(argv, exit code, error kind, message) of one input-error case; writes the file it needs."""
+    if case.startswith("--p-grid"):
+        message = {"--p-grid x": "could not parse p_grid 'x'", "--p-grid ,": "p_grid is empty"}[case]
+        return chain_argv(chain, "simulate-persistence", out) + case.split(), 1, "usage", message
+    if case == "config line without =":
+        config = tmp_path / "run.cfg"
+        config.write_text("trials = 10\ndays\n", encoding="utf-8")
+        argv = chain_argv(chain, "simulate-persistence", out) + ["--config", str(config)]
+        return argv, 1, "usage", f"{config}:2: expected key=value"
+    if case == "no fitted videos":
+        models = tmp_path / "models.json"
+        models.write_text(json.dumps({"model": "arnet", "config": DEFAULT_CONFIG, "videos": {}}))
+        argv = chain_argv({**chain, "models.json": models}, "contribute", out)
+        return argv, 2, "data", f"{models}: no fitted videos"
+    if case == "header-only metadata":
+        data = tmp_path / "data"
+        shutil.copytree(chain["data"], data)
+        (data / "metadata.csv").write_text(",".join(METADATA_HEADER) + "\n", encoding="utf-8")
+        message = f"{data / 'metadata.csv'}: metadata file holds no rows"
+        return chain_argv({**chain, "data": data}, "persistent", out), 2, "data", message
+    forecasts = tmp_path / "forecasts.csv"
+    rows, message = {"header-only forecasts": ([], "no forecast rows"),
+                     "forecast dates differ": (["v00000,2018-10-27,1.0,2.0", "v00001,2018-10-28,1.0,2.0"],
+                                               "horizon dates differ for v00001")}[case]
+    forecasts.write_text("\n".join(["video_id,date,y_true,y_pred", *rows]) + "\n", encoding="utf-8")
+    return chain_argv({**chain, "forecasts.csv": forecasts}, "evaluate", out), 2, "data", f"{forecasts}: {message}"
+
+
+@pytest.mark.parametrize("case", ["config line without =", "--p-grid x", "--p-grid ,", "header-only forecasts",
+                                  "forecast dates differ", "no fitted videos", "header-only metadata"])
+def test_input_errors_fail_in_one_record(chain, tmp_path, capsys, case):
+    out = tmp_path / "out"
+    argv, expected_code, error, message = _input_error_case(chain, tmp_path, case, out)
+    code, captured = run(argv, capsys)
+    assert code == expected_code
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    record = json.loads(lines[0])
+    assert (record["error"], record["message"]) == (error, message)
+    assert not out.exists()

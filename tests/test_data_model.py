@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 from aflow import cli, data_model, datagen
 from aflow.data_model import (
     METADATA_HEADER,
+    SNAPSHOT_HEADER,
     VIEWS_HEADER,
     DataFormatError,
     DynamicNetwork,
@@ -116,6 +117,19 @@ def test_parse_snapshots_reports_a_bad_row_before_a_later_csv_error(csv_file):
     ]))
     with pytest.raises(DataFormatError, match=r"^line 3: position 0 is below 1$"):
         parse_snapshots(path)
+
+
+@pytest.mark.parametrize("parse, rows, message", [
+    (parse_snapshots, ["2018-09-01,a,b,1,relevant", "2018-09-01,a,c,1,relevant"],
+     "line 3: duplicate position 1 in relevant list of a on 2018-09-01 (first seen at line 2)"),
+    (parse_views, ["v,2018-09-01,1", "v,2018-09-01,2"], "line 3: duplicate day 2018-09-01 for v"),
+], ids=["snapshots", "views"])
+def test_a_repeat_is_reported_before_a_later_csv_error(parse, rows, message, csv_file):
+    header = SNAPSHOT_HEADER if parse is parse_snapshots else VIEWS_HEADER
+    oversized = "x" * (csv.field_size_limit() + 1)
+    path = csv_file("\n".join([",".join(header), *rows, rows[0].replace(",", f",{oversized}", 1)]) + "\n")
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        parse(path)
 
 
 @pytest.mark.parametrize("bad", ["", "a\rb", "a\nb", "a\0b"])
@@ -227,6 +241,19 @@ def test_views_and_metadata_apply_the_id_rule(bad, csv_file):
     ):
         with pytest.raises(DataFormatError, match=rf"line 3: {what} .* holds a NUL or line break"):
             parse_metadata(csv_file(header + row + "\n"))
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_metadata, "v,a,2018-01-01,pop\n,a,2018-01-01,pop\n", "line 3: empty video id"),
+    (parse_metadata, "v,a,2018-01-01,pop\nw,,2018-01-01,pop\n", "line 3: empty artist id"),
+    (parse_snapshots, "2018-09-01,a,b,1,relevant\n2018-09-01,,b,2,relevant\n", "line 3: empty video id"),
+    (parse_snapshots, "2018-09-01,a,b,1,relevant\n2018-09-01,a,,2,relevant\n", "line 3: empty video id"),
+    (parse_views, "v,2018-09-01,1\n,2018-09-01,1\n", "line 3: empty video id"),
+], ids=["metadata video", "metadata artist", "snapshots source", "snapshots target", "views"])
+def test_an_empty_id_names_its_kind_and_line(parse, text, message, csv_file):
+    header = {parse_metadata: METADATA_HEADER, parse_snapshots: SNAPSHOT_HEADER, parse_views: VIEWS_HEADER}[parse]
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        parse(csv_file(",".join(header) + "\n" + text))
 
 
 # Ids and genres drawn with the characters a CSV writer treats specially.  NUL

@@ -307,19 +307,16 @@ def read_persistent_edges(path: Path) -> PersistentNetwork:
         raise DataFormatError("persistent edges artifact not found; run the persistent step first")
     edges, first_line = [], {}
     for line, row in csv_rows(path, PERSISTENT_HEADER):
-        where = f"line {line}"
-        if len(row) != 4:
-            raise DataFormatError(f"{where}: expected 4 fields, got {len(row)}")
         for vid in row[:2]:  # before the cells: a bad id is never reported as a self-loop or a repeat
             if problem := _id_problem(vid):
-                raise DataFormatError(f"{where}: {problem}")
-        reciprocal = cell(_FLAGS.get, row[2], where, "reciprocal flag")
-        count = cell(int_or_none, row[3], where, "presence count")
+                raise DataFormatError(f"line {line}: {problem}")
+        reciprocal = cell(_FLAGS.get, row[2], line, "reciprocal flag")
+        count = cell(int_or_none, row[3], line, "presence count")
         if row[0] == row[1]:
-            raise DataFormatError(f"{where}: self-loop on {row[0]}")
+            raise DataFormatError(f"line {line}: self-loop on {row[0]}")
         first = first_line.setdefault((row[0], row[1]), line)
         if first != line:
-            raise DataFormatError(f"{where}: repeated edge {row[0]} -> {row[1]} (first at line {first})")
+            raise DataFormatError(f"line {line}: repeated edge {row[0]} -> {row[1]} (first at line {first})")
         edges.append(PersistentEdge(row[0], row[1], reciprocal, count))
     return PersistentNetwork(tuple(sorted(edges, key=lambda e: (e.source, e.target))))
 
@@ -329,16 +326,13 @@ def read_forecasts(path: Path) -> ForecastResult:
         raise DataFormatError("forecasts artifact not found")
     per_video: dict[str, dict[date, tuple[float, float]]] = {}
     for line, row in csv_rows(path, FORECASTS_HEADER):
-        where = f"line {line}"
-        if len(row) != 4:
-            raise DataFormatError(f"{where}: expected 4 fields, got {len(row)}")
         if problem := _id_problem(row[0]):  # as in read_persistent_edges
-            raise DataFormatError(f"{where}: {problem}")
-        day = cell(date_or_none, row[1], where, "date")
-        values = (cell(_finite, row[2], where, "y_true"), cell(_finite, row[3], where, "y_pred"))
+            raise DataFormatError(f"line {line}: {problem}")
+        day = cell(date_or_none, row[1], line, "date")
+        values = (cell(_finite, row[2], line, "y_true"), cell(_finite, row[3], line, "y_pred"))
         per_day = per_video.setdefault(row[0], {})
         if day in per_day:
-            raise DataFormatError(f"{where}: repeated row for {row[0]} on {day}")
+            raise DataFormatError(f"line {line}: repeated row for {row[0]} on {day}")
         per_day[day] = values
     if not per_video:
         raise DataFormatError("no forecast rows")

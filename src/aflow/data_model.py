@@ -82,11 +82,12 @@ def int_or_none(text: str) -> int | None:
     return None
 
 
-def cell(convert: Callable[[str], T | None], text: str, where: str, what: str) -> T:
-    """``convert(text)``; a None result is a bad cell, reported at ``where``."""
+def cell(convert: Callable[[str], T | None], text: str, line_no: int, what: str) -> T:
+    """``convert(text)`` of a cell of the row at ``line_no``; a None result is a bad cell, an
+    error at that line.  The message is only built for a bad cell."""
     value = convert(text)
     if value is None:
-        raise DataFormatError(f"{where}: bad {what} {text!r}")
+        raise DataFormatError(f"line {line_no}: bad {what} {text!r}")
     return value
 
 
@@ -299,9 +300,11 @@ class Dataset:
 def csv_rows(path: str | Path, expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_no, row) pairs of the file's non-blank rows after checking its header row.
 
-    The row reader of every CSV that aflow reads, inputs and artifacts alike;
-    its errors name no file, :func:`parse_file` adds the path.
+    The row reader of every CSV that aflow reads, inputs and artifacts alike: a row whose
+    field count is not the header's is an error at its line, and each reader checks its
+    cells with :func:`cell`.  Errors name no file, :func:`parse_file` adds the path.
     """
+    n_fields = len(expected_header)
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         line_no = 1  # the first line of the row being read: a quoted cell may span several
@@ -317,6 +320,8 @@ def csv_rows(path: str | Path, expected_header: Sequence[str]) -> Iterator[tuple
             line_no = reader.line_num + 1
             for row in reader:
                 if row:
+                    if len(row) != n_fields:
+                        raise DataFormatError(f"line {line_no}: expected {n_fields} fields, got {len(row)}")
                     yield line_no, row
                 line_no = reader.line_num + 1
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -413,38 +418,31 @@ def _first_repeat(rows: np.ndarray, *key: np.ndarray) -> tuple[int, int] | None:
 def _snapshot_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tuple[int, ...]:
     """The (ordinal, source code, target code, position, kind, line) of a snapshot row, or
     the error for a row that fails a check of its own fields.  New ids get the next codes."""
-    if len(row) != 5:
-        raise DataFormatError(f"line {line_no}: expected 5 fields, got {len(row)}")
-    where = f"line {line_no}"
-    ordinal = cell(date_or_none, row[0], where, "date").toordinal()
+    ordinal = cell(date_or_none, row[0], line_no, "date").toordinal()
     src, tgt = row[1], row[2]
     for vid in (src, tgt):
         if vid not in codes and (problem := _id_problem(vid)):
             raise DataFormatError(f"line {line_no}: {problem}")
-    pos = cell(int_or_none, row[3], where, "position")
+    pos = cell(int_or_none, row[3], line_no, "position")
     if pos < 1:
         raise DataFormatError(f"line {line_no}: position {pos} is below 1")
     if pos > _MAX_POSITION:
         raise DataFormatError(f"line {line_no}: position {pos} is too large")
-    kind = row[4]
-    if kind not in LIST_KINDS:
-        raise DataFormatError(f"line {line_no}: unknown list kind {kind!r}")
+    kind = _kind_or_bad(row[4])
+    if kind < 0:
+        raise DataFormatError(f"line {line_no}: unknown list kind {row[4]!r}")
     if tgt == src:
         raise DataFormatError(f"line {line_no}: self-link on {src}")
-    return (ordinal, codes.setdefault(src, len(codes)), codes.setdefault(tgt, len(codes)), pos,
-            LIST_KINDS.index(kind), line_no)
+    return ordinal, codes.setdefault(src, len(codes)), codes.setdefault(tgt, len(codes)), pos, kind, line_no
 
 
 def _view_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tuple[int, ...]:
     """The (video code, ordinal, count, line) of a views row, as :func:`_snapshot_row`."""
-    if len(row) != 3:
-        raise DataFormatError(f"line {line_no}: expected 3 fields, got {len(row)}")
     vid = row[0]
     if vid not in codes and (problem := _id_problem(vid)):
         raise DataFormatError(f"line {line_no}: {problem}")
-    where = f"line {line_no}"
-    ordinal = cell(date_or_none, row[1], where, "date").toordinal()
-    count = cell(int_or_none, row[2], where, "view count")
+    ordinal = cell(date_or_none, row[1], line_no, "date").toordinal()
+    count = cell(int_or_none, row[2], line_no, "view count")
     if count < 0:
         raise DataFormatError(f"line {line_no}: negative view count for {vid}")
     if count > _MAX_VIEWS:
@@ -880,15 +878,13 @@ def parse_metadata(path: str | Path) -> dict[str, VideoMeta]:
     """Parse the metadata CSV at ``path``; genres field is ``|``-joined and may be empty."""
     out: dict[str, VideoMeta] = {}
     for line_no, row in csv_rows(path, METADATA_HEADER):
-        if len(row) != 4:
-            raise DataFormatError(f"line {line_no}: expected 4 fields, got {len(row)}")
         vid, artist = row[0], row[1]
         for text, what in ((vid, "video id"), (artist, "artist id")):
             if problem := _id_problem(text, what):
                 raise DataFormatError(f"line {line_no}: {problem}")
         if vid in out:
             raise DataFormatError(f"line {line_no}: duplicate metadata for {vid}")
-        upload = cell(date_or_none, row[2], f"line {line_no}", "date")
+        upload = cell(date_or_none, row[2], line_no, "date")
         genres = frozenset(g for g in row[3].split("|") if g)
         for genre in genres:
             if problem := _id_problem(genre, "genre"):
@@ -1049,7 +1045,7 @@ def write_text(path: Path, text: str) -> None:
 def serialize_snapshots(network: DynamicNetwork) -> str:
     """Canonical snapshots CSV: rows sorted by (date, source, kind, position)."""
     t = network.table
-    rows = np.lexsort((t.pos, t.kind, t.src, t.day))
+    rows = _row_order(t.day, t.src, t.kind, t.pos)
     ids = _csv_fields(t.ids.tolist())
     return _csv_text(SNAPSHOT_HEADER, (
         (_csv_fields([d.isoformat() for d in network.window.dates()]), t.day[rows]),

@@ -44,6 +44,7 @@ from .data_model import (
     SnapshotTable,
     VideoMeta,
     ViewTable,
+    _row_order,
     serialize_metadata,
     serialize_snapshots,
     serialize_views,
@@ -234,7 +235,7 @@ def _place_lists(
         day_col.append(np.full(src.size, t))
         src_col.append(src)
         tgt_col.append(edge_dst[present[first[run] + order]])
-        pos_col.append(slots[np.lexsort((slots, run))])
+        pos_col.append(slots[_row_order(run, slots)])
     return tuple(map(np.concatenate, (day_col, src_col, tgt_col, pos_col)))
 
 

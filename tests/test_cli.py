@@ -1138,7 +1138,7 @@ CSV_READERS = {"snapshots.csv": "validate", "views.csv": "validate", "metadata.c
                "persistent_edges.csv": "fit", "forecasts.csv": "evaluate"}
 
 
-@pytest.mark.parametrize("case", ["header", "empty", "extra field", "0xFF byte", "oversized field"])
+@pytest.mark.parametrize("case", ["header", "empty", "extra field", "missing field", "0xFF byte", "oversized field"])
 @pytest.mark.parametrize("name", CSV_READERS)
 def test_every_csv_a_command_reads_fails_in_one_form(chain, tmp_path, capsys, name, case):
     files = {**chain, "data": tmp_path / "data"}
@@ -1152,6 +1152,8 @@ def test_every_csv_a_command_reads_fails_in_one_form(chain, tmp_path, capsys, na
         lines = []
     elif case == "extra field":
         lines[2] = lines[2].rstrip(b"\n") + b",x\n"
+    elif case == "missing field":
+        lines[2] = lines[2].rstrip(b"\n").rsplit(b",", 1)[0] + b"\n"
     elif case == "0xFF byte":
         lines[2] = b"\xff" + lines[2]
     else:
@@ -1166,8 +1168,9 @@ def test_every_csv_a_command_reads_fails_in_one_form(chain, tmp_path, capsys, na
     expected = f"{path}: " + {
         "header": "line 1: expected header ", "empty": "empty file, expected a header row",
         "extra field": f"line 3: expected {n_fields} fields, got {n_fields + 1}",
+        "missing field": f"line 3: expected {n_fields} fields, got {n_fields - 1}",
         "0xFF byte": "not UTF-8 text: ", "oversized field": "line 3: field larger than field limit"}[case]
-    assert message == expected if case == "extra field" else message.startswith(expected)
+    assert message == expected if case in ("extra field", "missing field") else message.startswith(expected)
     assert not (tmp_path / "out").exists()
 
 
@@ -1294,6 +1297,24 @@ def test_pipeline_is_thread_count_invariant(tmp_path, capsys):
     assert all(float(r[4]) <= float(r[8]) for r in rows)
     fitted = json.loads((out1 / "arnet" / "models.json").read_text())["videos"]
     assert [r[0] for r in rows] == sorted(fitted)
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """Criterion 10's dataset through analyze, correlate and pipeline in two fresh interpreters with
+    other str hashes: a set of ids iterated into a file would pass the in-process checks, not this."""
+    data = generate_data(tmp_path, n_videos=14, density=0.15, seed=3)
+    digests = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        runs = [[command, "--data", str(data), "--out", str(out / command), *flags]
+                for command, flags in (("analyze", []), ("correlate", []), ("pipeline", ["--threads", "1"]))]
+        script = f"import aflow.cli\nfor argv in {runs!r}:\n    assert aflow.cli.main(argv) == 0\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(aflow.__file__).resolve().parents[1]), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(tree_digest(out))
+    assert digests[0] == digests[1]
+    assert {f"{command}/run_manifest.json" for command in ("analyze", "correlate", "pipeline")} <= set(digests[0])
 
 
 @pytest.mark.parametrize("flags, problem", [
@@ -1510,6 +1531,21 @@ def _input_error_case(chain, tmp_path, case, out):
         (data / "metadata.csv").write_text(",".join(METADATA_HEADER) + "\n", encoding="utf-8")
         message = f"{data / 'metadata.csv'}: metadata file holds no rows"
         return chain_argv({**chain, "data": data}, "persistent", out), 2, "data", message
+    if case == "4,301-digit position":  # past int()'s default digit limit, and the byte split's
+        data = tmp_path / "data"
+        shutil.copytree(chain["data"], data)
+        lines = (data / "snapshots.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[3] = "1" * 4301
+        lines[2] = ",".join(fields)
+        (data / "snapshots.csv").write_text("".join(lines), encoding="utf-8")
+        message = f"{data / 'snapshots.csv'}: line 3: bad position {fields[3]!r}"
+        return chain_argv({**chain, "data": data}, "validate", out), 2, "data", message
+    if case.startswith("missing "):
+        key, command, what = {"missing forecasts": ("forecasts.csv", "evaluate", "forecasts artifact not found"),
+                              "missing models": ("models.json", "contribute", "models artifact not found")}[case]
+        missing = tmp_path / key
+        return chain_argv({**chain, key: missing}, command, out), 2, "data", f"{missing}: {what}"
     forecasts = tmp_path / "forecasts.csv"
     rows, message = {"header-only forecasts": ([], "no forecast rows"),
                      "forecast dates differ": (["v00000,2018-10-27,1.0,2.0", "v00001,2018-10-28,1.0,2.0"],
@@ -1519,7 +1555,8 @@ def _input_error_case(chain, tmp_path, case, out):
 
 
 @pytest.mark.parametrize("case", ["config line without =", "--p-grid x", "--p-grid ,", "header-only forecasts",
-                                  "forecast dates differ", "no fitted videos", "header-only metadata"])
+                                  "forecast dates differ", "no fitted videos", "header-only metadata",
+                                  "4,301-digit position", "missing forecasts", "missing models"])
 def test_input_errors_fail_in_one_record(chain, tmp_path, capsys, case):
     out = tmp_path / "out"
     argv, expected_code, error, message = _input_error_case(chain, tmp_path, case, out)

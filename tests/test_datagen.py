@@ -143,6 +143,16 @@ def test_config_validation():
         datagen.GenConfig(edge_density=-0.1)
 
 
+@pytest.mark.parametrize("config, problem", [
+    (dict(n_videos=1), "need at least 2 videos"),
+    (dict(n_videos=10, n_sources=10, in_edges_per_target=1), "n_sources must leave at least one target"),
+    (dict(n_videos=10, n_sources=3, in_edges_per_target=4), "more in-edges requested than sources available"),
+])
+def test_config_rejects_a_layout_it_cannot_build(config, problem):
+    with pytest.raises(DataFormatError, match=problem):
+        datagen.generate(datagen.GenConfig(**config))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize(
     "name, value",

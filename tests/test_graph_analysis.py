@@ -251,3 +251,8 @@ def test_link_frequency_histogram():
     assert hist == {2: 1, 3: 1}
     total_edges = sum(days * n for days, n in hist.items())
     assert total_edges == 5
+
+
+def test_indegree_ccdf_empty_graph_rejected():
+    with pytest.raises(DataFormatError, match="empty graph"):
+        indegree_ccdf(make_graph(set(), set()))

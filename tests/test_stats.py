@@ -380,3 +380,28 @@ def test_average_ranks_match_counting_oracle():
         values[0] = np.inf
         np.testing.assert_array_equal(average_ranks(values), _oracles.midranks(values))
     assert np.isnan(average_ranks([2.0, np.nan, 1.0])).all()
+
+
+def test_sample_random_pairs_rejects_a_one_video_corpus():
+    ds = _helpers.build_dataset(views={"a": [300] * 3})
+    with pytest.raises(DataFormatError, match="^corpus too small to sample pairs from$"):
+        _sample(ds, 1, 0)
+
+
+def test_sample_random_pairs_runs_out_of_budget_while_eligible_pairs_exist():
+    # (a, b) and (b, a) are the only eligible pairs among 300 videos: the 1,000 draws find one
+    views = {"a": [300] * 3, "b": [300] * 3, **{f"z{i:03d}": [0] * 3 for i in range(298)}}
+    ds = _helpers.build_dataset(views=views)
+    assert _sample(ds, 3, 0) == [("a", "b"), ("b", "a")]  # fewer than asked: every eligible pair
+    with pytest.raises(DataFormatError, match="^exhausted sampling budget with 1 of 2 pairs found$"):
+        _sample(ds, 2, 0)
+
+
+@pytest.mark.parametrize("x, y, problem", [
+    (np.arange(4.0), np.arange(5.0), "equal-length 1-D series"),
+    (np.ones((2, 3)), np.ones((2, 3)), "equal-length 1-D series"),
+    (np.arange(2.0), np.arange(2.0), "at least 3 observations"),
+])
+def test_spearman_rejects_mismatched_or_short_series(x, y, problem):
+    with pytest.raises(DataFormatError, match=problem):
+        spearman(x, y)

@@ -82,12 +82,24 @@ def int_or_none(text: str) -> int | None:
     return None
 
 
+# Characters of a cell that an error message echoes; a longer cell is cut and its length given.
+_SHOWN_CHARS = 40
+
+
+def _shown(text: str, form: Callable[[str], str] = str) -> str:
+    """``form(text)`` for an error message; a text over ``_SHOWN_CHARS`` characters is cut to
+    them, and its length follows."""
+    if len(text) <= _SHOWN_CHARS:
+        return form(text)
+    return f"{form(text[:_SHOWN_CHARS])}… ({len(text)} characters)"
+
+
 def cell(convert: Callable[[str], T | None], text: str, line_no: int, what: str) -> T:
     """``convert(text)`` of a cell of the row at ``line_no``; a None result is a bad cell, an
     error at that line.  The message is only built for a bad cell."""
     value = convert(text)
     if value is None:
-        raise DataFormatError(f"line {line_no}: bad {what} {text!r}")
+        raise DataFormatError(f"line {line_no}: bad {what} {_shown(text, repr)}")
     return value
 
 
@@ -333,6 +345,7 @@ def csv_rows(path: str | Path, expected_header: Sequence[str]) -> Iterator[tuple
 _MAX_POSITION = np.iinfo(np.int32).max
 _MAX_VIEWS = np.iinfo(np.int64).max
 _INT64_MAX = int(_MAX_VIEWS)  # the largest key _row_order packs
+_COUNT_DIGITS = len(str(_INT64_MAX))  # no position or view count has more significant digits
 # numpy string arrays drop trailing NULs, and the canonical writer leaves a
 # carriage return unquoted, so ids holding these would not survive a round trip.
 _FORBIDDEN_ID_CHARS = "\0\r\n"
@@ -343,7 +356,7 @@ def _id_problem(text: str, what: str = "video id") -> str | None:
     if not text:
         return f"empty {what}"
     if any(c in text for c in _FORBIDDEN_ID_CHARS):
-        return f"{what} {text!r} holds a NUL or line break"
+        return f"{what} {_shown(text, repr)} holds a NUL or line break"
     return None
 
 
@@ -423,14 +436,14 @@ def _snapshot_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tu
     for vid in (src, tgt):
         if vid not in codes and (problem := _id_problem(vid)):
             raise DataFormatError(f"line {line_no}: {problem}")
-    pos = cell(int_or_none, row[3], line_no, "position")
+    pos = _count(row[3], line_no, "position")
     if pos < 1:
-        raise DataFormatError(f"line {line_no}: position {pos} is below 1")
+        raise DataFormatError(f"line {line_no}: position {_shown(row[3])} is below 1")
     if pos > _MAX_POSITION:
-        raise DataFormatError(f"line {line_no}: position {pos} is too large")
+        raise DataFormatError(f"line {line_no}: position {_shown(row[3])} is too large")
     kind = _kind_or_bad(row[4])
     if kind < 0:
-        raise DataFormatError(f"line {line_no}: unknown list kind {row[4]!r}")
+        raise DataFormatError(f"line {line_no}: unknown list kind {_shown(row[4], repr)}")
     if tgt == src:
         raise DataFormatError(f"line {line_no}: self-link on {src}")
     return ordinal, codes.setdefault(src, len(codes)), codes.setdefault(tgt, len(codes)), pos, kind, line_no
@@ -442,12 +455,23 @@ def _view_row(line_no: int, row: Sequence[str], codes: dict[str, int]) -> tuple[
     if vid not in codes and (problem := _id_problem(vid)):
         raise DataFormatError(f"line {line_no}: {problem}")
     ordinal = cell(date_or_none, row[1], line_no, "date").toordinal()
-    count = cell(int_or_none, row[2], line_no, "view count")
+    count = _count(row[2], line_no, "view count")
     if count < 0:
         raise DataFormatError(f"line {line_no}: negative view count for {vid}")
     if count > _MAX_VIEWS:
-        raise DataFormatError(f"line {line_no}: view count {count} is too large")
+        raise DataFormatError(f"line {line_no}: view count {_shown(row[2])} is too large")
     return codes.setdefault(vid, len(codes)), ordinal, count, line_no
+
+
+def _count(text: str, line_no: int, what: str) -> int:
+    """The int a position or view count cell spells, as ``cell(int_or_none, ...)`` reads it, but
+    from its significant digits: int()'s digit limit never applies, and a cell with more than
+    ``_COUNT_DIGITS`` of them reads as 10**_COUNT_DIGITS, or its negative, past both bounds."""
+    if not _INT_TEXT.fullmatch(text):
+        return cell(int_or_none, text, line_no, what)  # a bad cell: raises
+    digits = text.lstrip("-").lstrip("0")
+    value = 10**_COUNT_DIGITS if len(digits) > _COUNT_DIGITS else int(digits or "0")
+    return -value if text[0] == "-" else value
 
 
 def _ordinal_or_bad(text: str) -> int:
@@ -583,12 +607,17 @@ _BLOCK_BYTES = 1 << 18
 _BATCH_FIELDS = 1 << 17
 # A quote, NUL or non-ASCII (>= 0x80) byte anywhere sends the file to the row reader, as
 # does a CR that does not end a line before its LF.
-_DECLINED_BYTES = (ord('"'), 0)
-_COMMA, _CR, _LF, _ZERO = ord(","), ord("\r"), ord("\n"), ord("0")
+_COMMA, _CR, _LF, _QUOTE, _ZERO = ord(","), ord("\r"), ord("\n"), ord('"'), ord("0")
 # _KEEP[k] keeps the first k bytes of a big-endian uint64 and zeroes the rest.
 _KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * k)) for k in range(1, 9)], dtype=np.uint64)
 # Digits a position or view count may have on the byte split: 10**18 - 1 fits in int64.
 _MAX_DIGITS = 18
+# Fields per run of equal dates at least, for a block's dates to be converted once per run.
+_RUN_FIELDS = 8
+# Each list kind's spelling as the lane row that _lanes gives a field, padded to the longest kind's lanes.
+_KIND_BYTES = -(-max(map(len, LIST_KINDS)) // 8) * 8
+_KIND_LANES = np.frombuffer(b"".join(kind.encode().ljust(_KIND_BYTES, b"\0") for kind in LIST_KINDS),
+                            dtype=">u8").astype(np.uint64).reshape(len(LIST_KINDS), -1)
 
 
 class _Declined(Exception):
@@ -640,23 +669,20 @@ def _fields(buf: np.ndarray, n_fields: int, limit: int) -> tuple[np.ndarray, np.
         if (buf[cr + 1] != _LF).any():  # the block ends with a LF, so cr + 1 is inside it
             raise _Declined
         buf = np.delete(buf, cr)
-    declined = buf >= 0x80
-    for byte in _DECLINED_BYTES:
-        declined |= buf == byte
-    if declined.any():
+    if buf.max() >= 0x80 or buf.min() == 0 or (buf == _QUOTE).any():  # NUL is the least byte
         raise _Declined
     newline = buf == _LF
     ends = np.flatnonzero(newline | (buf == _COMMA))
     n_rows = ends.size // n_fields
     if ends.size % n_fields or np.count_nonzero(newline) != n_rows:
         raise _Declined
-    ends = ends.reshape(n_rows, n_fields)
+    # Every field starts after the comma or LF that ends the field before it.
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    starts, ends = starts.reshape(n_rows, n_fields), ends.reshape(n_rows, n_fields)
     if not newline[ends[:, -1]].all():
         raise _Declined
-    starts = np.empty_like(ends)
-    starts[0, 0] = 0
-    starts[1:, 0] = ends[:-1, -1] + 1
-    starts[:, 1:] = ends[:, :-1] + 1
     lengths = ends - starts
     if lengths.min() < 1 or lengths.max() >= limit:
         raise _Declined
@@ -702,8 +728,8 @@ def _distinct(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     inverse = inverse.ravel()
     row = np.empty(hashes.size, dtype=np.intp)
     row[inverse] = np.arange(inverse.size)  # any row with that hash
-    distinct = lanes[row]
-    if not np.array_equal(distinct[inverse], lanes):
+    distinct = lanes.take(row, axis=0)  # take: numpy indexes rows of a few lanes ten times slower
+    if not np.array_equal(distinct.take(inverse, axis=0), lanes):
         raise _Declined  # two fields share a hash
     return hashes, distinct, inverse
 
@@ -762,7 +788,7 @@ class _Vocabulary:
             hit[hit] = run[at[hit]] == hashes[hit]
             code[hit] = run_codes[at[hit]]
         known = code >= 0
-        if not np.array_equal(self.lanes[code[known]], distinct[known]):
+        if not np.array_equal(self.lanes.take(code[known], axis=0), distinct.compress(known, axis=0)):
             raise _Declined  # a field shares its hash with an earlier one
         new = np.flatnonzero(~known)
         code[new] = np.arange(self.size, self.size + new.size, dtype=np.int32)
@@ -770,7 +796,7 @@ class _Vocabulary:
             grown = np.zeros((max(2 * len(self.lanes), self.size + new.size), self.lanes.shape[1]), dtype=np.uint64)
             grown[: self.size] = self.lanes[: self.size]
             self.lanes = grown
-        self.lanes[self.size : self.size + new.size] = distinct[new]
+        self.lanes[self.size : self.size + new.size] = distinct.take(new, axis=0)
         self.size += new.size
         self._add_run(hashes[new], code[new])
         return code[inverse]
@@ -788,12 +814,15 @@ class _Vocabulary:
 
     def ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """(the distinct fields as a sorted ``str`` array, the int32 rank in it of every field
-        added, in the order added); the vocabulary is left empty."""
+        added, in the order added); the vocabulary is left empty.  Fields are ordered by
+        :func:`_lane_order`."""
         if self.pending:
             self._code_pending()
-        order = np.lexsort(self.lanes[: self.size].T[::-1])
-        names, coded, width = self.lanes[order], self.coded, self.width
-        self.__init__()  # frees the lanes and runs before the names are spelled
+        lanes, coded, width = self.lanes[: self.size], self.coded, self.width
+        self.__init__()  # frees the runs before the sort, and the lanes before the names are spelled
+        order = _lane_order(lanes, width)
+        names = lanes.take(order, axis=0)
+        del lanes
         rank = np.empty(order.size, dtype=np.int32)
         rank[order] = np.arange(order.size, dtype=np.int32)
         ranked, at = np.empty(sum(codes.size for codes in coded), dtype=np.int32), 0
@@ -802,6 +831,29 @@ class _Vocabulary:
             at += codes.size
         del order, rank, coded
         return _texts(names, width), ranked
+
+
+def _lane_order(lanes: np.ndarray, width: int) -> np.ndarray:
+    """The order of distinct lane rows, no row spelling more than ``width`` characters: an
+    argsort of the first lane, then, for two lanes, an argsort of one uint64 key that packs
+    each row's dense rank among the distinct first lanes above the ``width - 8`` bytes its
+    second lane can hold.  :func:`np.lexsort` orders rows whose key would not fit."""
+    if lanes.shape[1] > 2:
+        return np.lexsort(lanes.T[::-1])
+    order = np.argsort(lanes[:, 0])
+    if lanes.shape[1] == 1:
+        return order
+    tail_bits = 8 * (width - 8)
+    key = lanes[:, 0].take(order)
+    opens = key[1:] != key[:-1]  # a new first lane, in sorted order
+    if int(np.count_nonzero(opens)).bit_length() + tail_bits > 64:
+        return np.lexsort(lanes.T[::-1])
+    key[0] = 0
+    np.cumsum(opens, out=key[1:])
+    del opens
+    key <<= np.uint64(tail_bits)
+    key |= lanes[:, 1].take(order) >> np.uint64(64 - tail_bits)
+    return order[np.argsort(key)]
 
 
 def _texts(lanes: np.ndarray, width: int) -> np.ndarray:
@@ -814,11 +866,45 @@ def _texts(lanes: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(spelled[:, :width], dtype=np.uint32).view(f"U{width}")[:, 0]
 
 
-def _converted(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, convert: Callable[[str], int]) -> np.ndarray:
-    """``convert`` of each field as int64, called once per distinct field."""
-    _, keys, inverse = _distinct(_lanes(buf, starts, lengths))
-    values = [convert(text) for text in _texts(keys, int(lengths.max())).tolist()]
-    return np.array(values, dtype=np.int64)[inverse]
+def _ordinals(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int32 :func:`_ordinal_or_bad` of each date field.  When the fields come in runs of equal
+    ones, at most one run per ``_RUN_FIELDS`` fields (as a snapshots file's dates do), a field is
+    converted once per run; otherwise (as for a views file's dates, which change on every row) once
+    per distinct field, found by :func:`_distinct`."""
+    lanes = _lanes(buf, starts, lengths)
+    head = np.r_[True, ~_equal_rows(lanes[1:], lanes[:-1])]  # the first field of each run
+    if np.count_nonzero(head) * _RUN_FIELDS <= starts.size:
+        keys = lanes.compress(head, axis=0)
+        inverse = np.cumsum(head) - 1
+    else:
+        _, keys, inverse = _distinct(lanes)
+    values = [_ordinal_or_bad(text) for text in _texts(keys, int(lengths.max())).tolist()]
+    return np.array(values, dtype=np.int32)[inverse]
+
+
+def _equal_rows(lanes: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Whether each lane row equals its row of ``other``, or ``other`` itself when it is one row;
+    compared a lane at a time, as numpy's ``all(axis=1)`` over a few lanes is slow."""
+    same = lanes[:, 0] == other[..., 0]
+    for j in range(1, lanes.shape[1]):
+        same &= lanes[:, j] == other[..., j]
+    return same
+
+
+def _kinds(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int8 index in ``LIST_KINDS`` of each field, found by comparing the field's lanes with
+    each kind's; declines on any other field."""
+    lanes = _lanes(buf, starts, lengths)
+    n_lanes = lanes.shape[1]
+    if n_lanes > _KIND_LANES.shape[1]:
+        raise _Declined  # longer than every kind
+    kind = np.full(starts.size, -1, dtype=np.int8)
+    for k, spelled in enumerate(_KIND_LANES):
+        if not spelled[n_lanes:].any():  # else longer than every field
+            kind[_equal_rows(lanes, spelled[:n_lanes])] = k
+    if kind.min() < 0:
+        raise _Declined
+    return kind
 
 
 def _digits(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -826,13 +912,16 @@ def _digits(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndar
     width = int(lengths.max())
     if width > _MAX_DIGITS:
         raise _Declined
-    place = np.arange(-width, 0)
-    # Places before a field's first digit may wrap past the block's start; they are zeroed.
-    digits = buf[(starts + lengths)[:, None] + place] - np.uint8(_ZERO)
-    digits[place < -lengths[:, None]] = 0
-    if (digits > 9).any():
-        raise _Declined
-    return digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    value = np.zeros(starts.size, dtype=np.int64)
+    at = starts + lengths
+    for place in range(width):  # the place-th digit from the right of each field, one gather a place
+        at -= 1  # before a shorter field's first digit, it may wrap past the block's start: zeroed
+        digit = buf[at] - np.uint8(_ZERO)
+        digit[lengths <= place] = 0
+        if (digit > 9).any():
+            raise _Declined
+        value += digit.astype(np.int64) * 10**place
+    return value
 
 
 def _split_snapshots(handle: IO[bytes]) -> DynamicNetwork:
@@ -840,10 +929,10 @@ def _split_snapshots(handle: IO[bytes]) -> DynamicNetwork:
     vocabulary = _Vocabulary()
     ordinal, pos, kind = [], [], []
     for buf, starts, lengths in _blocks(handle, SNAPSHOT_HEADER):
-        ordinal.append(_converted(buf, starts[:, 0], lengths[:, 0], _ordinal_or_bad).astype(np.int32))
+        ordinal.append(_ordinals(buf, starts[:, 0], lengths[:, 0]))
         position = _digits(buf, starts[:, 3], lengths[:, 3])
-        kind.append(_converted(buf, starts[:, 4], lengths[:, 4], _kind_or_bad).astype(np.int8))
-        if ordinal[-1].min() < 0 or position.min() < 1 or position.max() > _MAX_POSITION or kind[-1].min() < 0:
+        kind.append(_kinds(buf, starts[:, 4], lengths[:, 4]))
+        if ordinal[-1].min() < 0 or position.min() < 1 or position.max() > _MAX_POSITION:
             raise _Declined
         pos.append(position.astype(np.int32))
         vocabulary.add(buf, starts[:, 1:3].ravel(), lengths[:, 1:3].ravel())
@@ -862,7 +951,7 @@ def _split_views(handle: IO[bytes]) -> ViewTable:
     vocabulary = _Vocabulary()
     ordinal, counts = [], []
     for buf, starts, lengths in _blocks(handle, VIEWS_HEADER):
-        ordinal.append(_converted(buf, starts[:, 1], lengths[:, 1], _ordinal_or_bad).astype(np.int32))
+        ordinal.append(_ordinals(buf, starts[:, 1], lengths[:, 1]))
         if ordinal[-1].min() < 0:
             raise _Declined
         counts.append(_digits(buf, starts[:, 2], lengths[:, 2]))

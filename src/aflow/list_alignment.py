@@ -45,26 +45,37 @@ def _alignment_matrix(
     Each ``from_kind`` row at position <= ``max_from`` whose (day, source)
     also has a list of the other kind is one observation of its position.
     It is placed in bin b when the same target sits in that other list at a
-    position inside bin b.  Rows are joined on (day, source, target) keys.
+    position inside bin b.  Rows are joined on (day, source) list keys, then
+    on (day, source, target) row keys.  The table is sorted by (day, kind,
+    source, position), so the other kind's list keys are already in order,
+    and its row keys are out of order only within a list.
     """
     if max_from < 1:
         raise DataFormatError(f"{bound} must be at least 1, got {max_from}")
     t = network.table
-    list_key = t.day.astype(np.int64) * t.ids.size + t.src
-    row_key = list_key * t.ids.size + t.tgt
+    n_ids = t.ids.size
     is_from = t.kind == from_kind
-    observed = is_from & (t.pos <= max_from) & np.isin(list_key, list_key[~is_from])
-    den = np.bincount(t.pos[observed] - 1, minlength=max_from)
-
     other = np.flatnonzero(~is_from)
-    other = other[np.argsort(row_key[other])]
-    keys = row_key[observed]
-    at = np.minimum(np.searchsorted(row_key[other], keys), other.size - 1)
-    matched = row_key[other[at]] == keys
+    rows = np.flatnonzero(is_from & (t.pos <= max_from))
+    other_lists = t.day[other].astype(np.int64) * n_ids + t.src[other]
+    lists = t.day[rows].astype(np.int64) * n_ids + t.src[rows]
+    at = np.searchsorted(other_lists, lists)
+    observed = at < other.size
+    observed[observed] = other_lists[at[observed]] == lists[observed]
+    rows, lists = rows[observed], lists[observed]
+    den = np.bincount(t.pos[rows] - 1, minlength=max_from)
+
+    other_rows = other_lists * n_ids + t.tgt[other]
+    by_row = np.argsort(other_rows, kind="stable")  # timsort: runs already in order
+    other, other_rows = other[by_row], other_rows[by_row]
+    keys = lists * n_ids + t.tgt[rows]
+    at = np.searchsorted(other_rows, keys)
+    matched = at < other.size
+    matched[matched] = other_rows[at[matched]] == keys[matched]
     placed = _BIN_OF[np.minimum(t.pos[other[at[matched]]], _BIN_OF.size - 1)]
     inside = placed >= 0
-    num = np.zeros((max_from, len(BINS)), dtype=np.int64)
-    np.add.at(num, (t.pos[observed][matched][inside] - 1, placed[inside]), 1)
+    cell = (t.pos[rows[matched][inside]] - 1) * len(BINS) + placed[inside]
+    num = np.bincount(cell, minlength=max_from * len(BINS)).reshape(max_from, len(BINS))
     return DisplayProbabilityMatrix(
         probs=num / np.maximum(den, 1)[:, None],
         denominators=den,

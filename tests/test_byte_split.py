@@ -474,3 +474,155 @@ def test_lane_texts_spell_what_astype_spells(n_lanes, width):
     assert texts.dtype == expected.dtype == np.dtype(f"U{width}")
     assert texts.tolist() == expected.tolist()
     assert [len(text) for text in texts.tolist()] == lengths.tolist()
+
+
+# ---------------------------------------------------------------------------
+# date and list-kind cells: runs of equal dates, the per-distinct fallback, kinds by their bytes
+
+
+def _date_calls(patch):
+    """Patch ``_distinct`` to record each call that finds the distinct cells of a date column."""
+    distinct, calls = data_model._distinct, []
+
+    def spy(lanes):
+        texts = lane_texts(lanes, 8 * lanes.shape[1]).tolist()
+        if all(re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text) for text in texts):
+            calls.append(len(texts))
+        return distinct(lanes)
+
+    patch.setattr(data_model, "_distinct", spy)
+    return calls
+
+
+def _runs_of_dates(n_days, rows_per_day, start=date(2018, 9, 1)):
+    """Snapshot rows of ``n_days`` days, ``rows_per_day`` rows each: ids sources 0-9, targets by row."""
+    return [[(start + timedelta(days=d)).isoformat(), f"s{r % 10}", f"t{r}", str(r // 10 + 1), LIST_KINDS[r % 2]]
+            for d in range(n_days) for r in range(rows_per_day)]
+
+
+@pytest.mark.parametrize("impossible", ["2018-02-29", "2018-04-31", "0000-01-01"])
+def test_an_impossible_date_inside_a_run_is_declined(tmp_path, impossible):
+    rows = _runs_of_dates(3, 40)
+    rows[60][0] = impossible  # the middle of the second day's run
+    path = tmp_path / "snapshots.csv"
+    path.write_text(_text(SNAPSHOT_HEADER, rows))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _date_calls(patch)
+        assert _declined_where(tmp_path, "snapshots", path.read_bytes()) == "_split_snapshots"
+    assert calls == []  # decoded once per run, not through _distinct
+    with pytest.raises(DataFormatError, match=f"^line 62: bad date '{impossible}'$"):
+        parse_snapshots(path)
+
+
+def test_a_run_of_dates_across_a_block_boundary(tmp_path):
+    rows = _runs_of_dates(3, 6000)  # about 600 KB: the second day's run crosses the first 256 KB block's end
+    path = tmp_path / "snapshots.csv"
+    path.write_text(_text(SNAPSHOT_HEADER, rows))
+    boundary = path.read_bytes()[: data_model._BLOCK_BYTES].count(b"\n")  # the header's line, then rows
+    assert 6000 + 100 < boundary < 12000 - 100
+    expected = _snapshot_outcome(data_model._read_snapshot_rows, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_read_snapshot_rows", _refuse)
+        calls = _date_calls(patch)
+        assert _snapshot_outcome(parse_snapshots, path) == expected
+    assert calls == []
+    assert np.bincount(expected[1][1][2]).tolist() == [6000] * 3
+
+
+def test_shuffled_rows_take_the_per_distinct_path(tmp_path):
+    rows = _runs_of_dates(30, 12)
+    np.random.default_rng(5).shuffle(rows)
+    path = tmp_path / "snapshots.csv"
+    path.write_text(_text(SNAPSHOT_HEADER, rows))
+    expected = _snapshot_outcome(data_model._read_snapshot_rows, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_read_snapshot_rows", _refuse)
+        calls = _date_calls(patch)
+        assert _snapshot_outcome(parse_snapshots, path) == expected
+    assert calls == [len(rows)]  # one block, its dates found by _distinct
+
+
+def test_a_views_file_takes_the_per_distinct_path(tmp_path):
+    rows = [[f"v{v}", (date(2018, 9, 1) + timedelta(days=d)).isoformat(), str(v * d)]
+            for v in range(50) for d in range(20)]
+    path = tmp_path / "views.csv"
+    path.write_text(_text(VIEWS_HEADER, rows))
+    expected = _views_outcome(data_model._read_view_rows, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_read_view_rows", _refuse)
+        calls = _date_calls(patch)
+        assert _views_outcome(parse_views, path) == expected
+    assert calls == [len(rows)]
+    with pytest.MonkeyPatch.context() as patch:  # the same file in blocks of 8 to 9 rows: each one run per row
+        patch.setattr(data_model, "_BLOCK_BYTES", 9 * len("v10,2018-09-01,10\n"))
+        patch.setattr(data_model, "_read_view_rows", _refuse)
+        calls = _date_calls(patch)
+        assert _views_outcome(parse_views, path) == expected
+    assert len(calls) > 100 and sum(calls) == len(rows)
+
+
+@pytest.mark.parametrize("near_miss", ["relevan", "relevantt", "Relevant", "recommende", "recommendedd",
+                                       "recommended" + "d" * 6, "relevant\t", "recommen"])
+def test_a_near_miss_list_kind_is_declined(tmp_path, near_miss):
+    rows = _runs_of_dates(2, 30)
+    for row in rows if len(near_miss) <= 8 else []:  # a block whose kinds all fit one lane
+        row[4] = "relevant"
+    rows[45][4] = near_miss
+    data = _text(SNAPSHOT_HEADER, rows).encode()
+    assert _declined_where(tmp_path, "snapshots", data) == "_kinds"
+    with pytest.raises(DataFormatError, match=f"^line 47: unknown list kind {re.escape(repr(near_miss))}$"):
+        parse_snapshots(tmp_path / "snapshots.csv")
+
+
+@pytest.mark.parametrize("block", [SMALL_BLOCK, data_model._BLOCK_BYTES])
+@settings(max_examples=30)
+@given(rows=snapshot_rows(), seed=st.integers(0, 2**32 - 1))
+def test_dates_and_kinds_agree_in_any_row_order(tmp_path_factory, block, rows, seed):
+    """Drawn rows in runs by date, then shuffled: each block takes the run path or the per-distinct one."""
+    path = tmp_path_factory.getbasetemp() / "ordered.csv"
+    for ordered in (sorted(rows), [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]):
+        path.write_text(_text(SNAPSHOT_HEADER, ordered))
+        expected = _snapshot_outcome(data_model._read_snapshot_rows, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_model, "_BLOCK_BYTES", block)
+            patch.setattr(data_model, "_read_snapshot_rows", _refuse)
+            assert _snapshot_outcome(parse_snapshots, path) == expected
+
+
+# ---------------------------------------------------------------------------
+# the id order: one argsort of the first lane, then one of a packed key; lexsort for wider ids
+
+
+@pytest.mark.parametrize("width", range(9, 17))
+def test_ids_sharing_their_first_lane_are_ranked_as_sorted_ranks_them(tmp_path, width):
+    rng = np.random.default_rng(width)
+    alphabet = np.array(list("abcXYZ019-_.|;:' "))
+    prefixes = ["".join(rng.choice(alphabet, size=8)) for _ in range(3)]
+    ids = sorted({prefixes[rng.integers(3)] + "".join(rng.choice(alphabet, size=rng.integers(1, width - 7)))
+                  for _ in range(300)} | {prefixes[0] + "z" * (width - 8), "short"})
+    order = rng.permutation(len(ids))
+    rows = [["2018-09-01", ids[i], ids[j], str(k + 1), "relevant"] for k, (i, j) in enumerate(zip(order, order[1:]))]
+    path = tmp_path / "snapshots.csv"
+    path.write_text(_text(SNAPSHOT_HEADER, rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_read_snapshot_rows", _refuse)
+        calls = _lexsort_keys(patch)
+        net = parse_snapshots(path)
+    assert net.table.ids.tolist() == ids
+    t = net.table
+    assert sorted(zip(t.ids[t.src].tolist(), t.ids[t.tgt].tolist(), t.pos.tolist())) == sorted(
+        (src, tgt, int(pos)) for _, src, tgt, pos, _ in rows)
+    # 16-character ids leave no bits for the first lane's rank: lexsort orders them.
+    assert [n for n, _ in calls] == ([2] if width == 16 else [])
+
+
+def test_lane_order_matches_lexsort_on_wide_and_narrow_lanes():
+    rng = np.random.default_rng(3)
+    for n_lanes, width in [(1, 5), (1, 8), (2, 9), (2, 12), (2, 16), (3, 17), (3, 24)]:
+        spelled = np.zeros((500, 8 * n_lanes), dtype=np.uint8)
+        spelled[:, :width] = rng.integers(ord("a"), ord("d"), size=(500, width))
+        spelled[:, 1:8] = spelled[0, 1:8]  # most rows share their first lane with another
+        lanes = np.unique(spelled.view(">u8").astype(np.uint64), axis=0)
+        shuffled = rng.permutation(len(lanes))
+        order = data_model._lane_order(lanes[shuffled], width)
+        assert np.array_equal(shuffled[order], np.arange(len(lanes)))

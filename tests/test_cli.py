@@ -1539,7 +1539,7 @@ def _input_error_case(chain, tmp_path, case, out):
         fields[3] = "1" * 4301
         lines[2] = ",".join(fields)
         (data / "snapshots.csv").write_text("".join(lines), encoding="utf-8")
-        message = f"{data / 'snapshots.csv'}: line 3: bad position {fields[3]!r}"
+        message = f"{data / 'snapshots.csv'}: line 3: position {'1' * 40}… (4301 characters) is too large"
         return chain_argv({**chain, "data": data}, "validate", out), 2, "data", message
     if case.startswith("missing "):
         key, command, what = {"missing forecasts": ("forecasts.csv", "evaluate", "forecasts artifact not found"),

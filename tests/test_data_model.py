@@ -183,6 +183,55 @@ def test_parse_views_basic_and_errors(csv_file):
         parse_views(csv_file("video_id,date,views\nv,2018-09-01,9223372036854775808\n"))
 
 
+@pytest.fixture(params=[0, 640, 4300], ids=lambda limit: f"int digit limit {limit}")
+def int_digit_limit(request):
+    """Run the test under each of int()'s digit limits: none, the least, the default."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int() digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(before)
+
+
+def test_long_counts_are_read_by_digit_count_whatever_the_int_limit(csv_file, int_digit_limit):
+    def snapshots_error(position):
+        with pytest.raises(DataFormatError) as error:
+            parse_snapshots(csv_file(snap_csv([("2018-09-01", "a", "b", 1, "relevant"),
+                                               ("2018-09-01", "a", "c", position, "relevant")])))
+        return str(error.value)
+
+    def views_error(count):
+        with pytest.raises(DataFormatError) as error:
+            parse_views(csv_file(f"video_id,date,views\nv,2018-09-01,{count}\n"))
+        return str(error.value)
+
+    ones = "1" * 40
+    assert snapshots_error("1" * 4301) == f"line 3: position {ones}… (4301 characters) is too large"
+    assert snapshots_error("-" + "1" * 4301) == f"line 3: position -{ones[1:]}… (4302 characters) is below 1"
+    assert snapshots_error("1" * 20) == f"line 3: position {'1' * 20} is too large"
+    assert views_error("9" * 5000) == f"line 2: view count {'9' * 40}… (5000 characters) is too large"
+    assert views_error("-" + "9" * 5000) == "line 2: negative view count for v"
+    # Leading zeros are not significant digits.
+    net = parse_snapshots(csv_file(snap_csv([("2018-09-01", "a", "b", "0" * 5000 + "7", "relevant")])))
+    assert net.table.pos.tolist() == [7]
+    assert parse_views(csv_file(f"video_id,date,views\nv,2018-09-01,{'0' * 5000}5\n")).values.tolist() == [5]
+
+
+def test_a_bad_cell_echoes_at_most_forty_characters(csv_file):
+    long_kind = "r" * 5000
+    for row, message in [
+        (("2018-09-01", "a", "b", "x" * 4301, "relevant"), f"line 2: bad position {'x' * 40!r}… (4301 characters)"),
+        (("2018-09-01", "a", "b", 1, long_kind), f"line 2: unknown list kind {'r' * 40!r}… (5000 characters)"),
+        (("2018-09-01", "a", "b", 1, "r" * 40), f"line 2: unknown list kind {'r' * 40!r}"),
+        (("2018-09-01", '"a\rb' + "c" * 50 + '"', "b", 1, "relevant"),
+         f"line 2: video id {'a' + chr(13) + 'b' + 'c' * 37!r}… (53 characters) holds a NUL or line break"),
+    ]:
+        with pytest.raises(DataFormatError) as error:
+            parse_snapshots(csv_file(snap_csv([row])))
+        assert str(error.value) == message
+
+
 # Python 3.11's date.fromisoformat accepts these, 3.10's does not; neither file may.
 @pytest.mark.parametrize("text", ["20180901", "2018-W35-6"])
 def test_dates_are_exactly_year_month_day(text, csv_file):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from aflow import datagen, list_alignment
-from aflow.data_model import DataFormatError
+from aflow.data_model import DataFormatError, DynamicNetwork, ObservationWindow, SnapshotTable
 from aflow.list_alignment import BINS, display_probability_matrix, origin_probability_matrix
 
 import _helpers
+import _oracles
 
 
 def test_default_bins():
@@ -89,3 +90,39 @@ def test_display_matrix_zero_rows_stay_zero():
     assert m.probs[0].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert m.probs[1].tolist() == [0.0, 0.0, 1.0, 0.0]
     assert m.denominators.tolist() == [0, 1, 0, 0]
+
+
+def _shuffled_table(seed, kinds=(0, 1)):
+    """A network from ``SnapshotTable.from_codes`` of random lists of ``kinds``, its rows and names shuffled."""
+    rng = np.random.default_rng(seed)
+    n_ids, n_days = 14, 3
+    rows = []
+    for day in range(n_days):
+        for src in range(n_ids):
+            for kind in kinds:
+                if rng.random() < 0.7:
+                    size = int(rng.integers(1, 10))
+                    targets = rng.permutation(np.delete(np.arange(n_ids), src))[:size]
+                    positions = np.sort(rng.choice(np.arange(1, 21), size=size, replace=False))
+                    rows += [(day, src, int(t), int(p), kind) for t, p in zip(targets, positions)]
+    rows = np.array(rows).reshape(-1, 5)[rng.permutation(len(rows))]
+    names = [f"v{i:02d}" for i in rng.permutation(n_ids)]
+    day, src, tgt, pos, kind = rows.T
+    table = SnapshotTable.from_codes(names, day, src, tgt, pos, kind)
+    return DynamicNetwork(ObservationWindow(datagen.START_DATE, n_days), table)
+
+
+@pytest.mark.parametrize("kinds", [(0, 1), (0,), (1,)], ids=["both kinds", "relevant only", "recommended only"])
+@pytest.mark.parametrize("seed", range(4))
+def test_matrices_on_shuffled_rows_match_the_entry_oracle(seed, kinds):
+    net = _shuffled_table(seed, kinds)
+    snapshots = net.snapshots
+    for fn, kind, max_from in ((display_probability_matrix, "relevant", 12),
+                               (origin_probability_matrix, "recommended", 9)):
+        matrix = fn(net, max_from)
+        num, den = _oracles.alignment_counts(snapshots, kind, max_from, BINS)
+        assert np.array_equal(matrix.denominators, den)
+        assert np.array_equal(matrix.probs, num / np.maximum(den, 1)[:, None])
+        assert (den.sum() > 0) == (len(kinds) == 2)
+        if len(kinds) == 1:
+            assert matrix.probs.shape == (max_from, len(BINS)) and not matrix.probs.any()

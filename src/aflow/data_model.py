@@ -20,6 +20,15 @@ line end, NUL or non-ASCII bytes, a blank line, a malformed row or one failing a
 of its own fields) goes unchanged to the csv row reader, which reports single-row errors.
 Both paths end in one tail per file kind, which reports faults across rows (a repeated
 position, target or view day, a missing day): both give the same result and message.
+
+Canonical serialization builds every CSV aflow writes as bytes, ``_WRITE_ROWS`` rows at a
+time, in one function, :func:`_csv_rows`.  Each column's distinct fields are one uint8 table,
+NUL-padded; a block's cells are gathered from the tables into one rows x width uint8 matrix,
+positions and view counts spelled into it by digit arithmetic, and one boolean mask drops the
+NULs.  This needs fields without NUL: the formats forbid it in ids and genre names, and no
+date, number or list kind holds one.  The ``*_blocks`` writers yield the blocks for
+:func:`write_blocks`, whose memory grows with a block (and, for snapshots, one day's rows),
+not with the file; the ``serialize_*`` functions join them into the whole text.
 """
 
 from __future__ import annotations
@@ -1052,7 +1061,17 @@ def parse_file(parse: Callable[[Path], T], path: Path) -> T:
 
 
 # ---------------------------------------------------------------------------
-# canonical serialization
+# canonical serialization: CSV rows built as bytes, a block of rows at a time (see the
+# module docstring)
+
+# Rows per block: the writers' memory grows with a block, not with the file.  From 4,096
+# to 16,384 rows the alignment snapshots took the same time; write_csv makes a Python str
+# of each cell of a block, and under tracemalloc a 420,000-row forecasts.csv peaked at
+# 2.8 MiB with this block against 5.3 MiB with 16,384 rows.
+_WRITE_ROWS = 1 << 13
+# A field holding one of these bytes is quoted.
+_QUOTED = (_COMMA, _QUOTE, _LF)
+
 
 def _csv_field(text: str) -> str:
     """``text`` as ``csv.writer(lineterminator="\\n")`` writes a field on Python 3.10 to 3.12:
@@ -1063,34 +1082,63 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_fields(texts: Sequence[str]) -> np.ndarray:
-    """Each of ``texts`` as :func:`_csv_field` writes it, in an object array; one joined scan
-    when none needs quotes."""
-    joined = "".join(texts)
-    if "," in joined or '"' in joined or "\n" in joined:
-        texts = [_csv_field(text) for text in texts]
-    return np.array(texts, dtype=object)
+def _field_table(fields: Sequence[str] | np.ndarray) -> np.ndarray:
+    """Each of ``fields``, a numpy str array or a sequence of str, as :func:`_csv_field` writes it
+    in UTF-8: one row of a uint8 table, NUL-padded on the right.  A column of ASCII fields that
+    need no quotes is copied from its code points; any other column is written field by field."""
+    texts = np.asarray(fields, dtype=str)
+    points = np.ascontiguousarray(texts).reshape(-1, 1).view(np.uint32)  # one row per field, NUL-padded
+    if points.max(initial=0) < 0x80:
+        table = points.astype(np.uint8)
+        if not np.isin(table, _QUOTED).any():
+            return table
+    return np.array([_csv_field(text).encode() for text in texts.tolist()], dtype=bytes).reshape(-1, 1).view(np.uint8)
 
 
-def _value_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``values`` as fields, and each value's index among them."""
-    distinct, codes = np.unique(values, return_inverse=True)
-    return _csv_fields([str(v) for v in distinct.tolist()]), codes.ravel()
+def _decimal(out: np.ndarray, values: np.ndarray, pad: int) -> None:
+    """Write each non-negative int of ``values`` in decimal into its row of ``out``, as code points,
+    right-aligned: its last ``out.shape[1]`` digits, with ``pad`` in each place left of its first."""
+    last = out.shape[1] - 1
+    for j in range(last, -1, -1):
+        shown = values > 0 if j < last else True  # the units digit is shown even for 0
+        values, digit = np.divmod(values, 10)
+        out[:, j] = np.where(shown, digit + _ZERO, pad)
 
 
-def _csv_rows(columns: Sequence[tuple[np.ndarray, np.ndarray]]) -> str:
-    """Row i with field ``fields[codes[i]]`` from each (fields, codes) column, each row ended by LF.
-    Fields come from :func:`_csv_fields`, so a text is quoted once however many rows hold it;
-    the cells, each with the comma or LF that ends it, are joined in one pass."""
-    cells = np.empty((len(columns[0][1]), len(columns)), dtype=object)
-    for j, (fields, codes) in enumerate(columns):
-        cells[:, j] = (fields + ("\n" if j == len(columns) - 1 else ","))[codes]
-    return "".join(cells.ravel().tolist())
+def _csv_rows(columns: Sequence[tuple[np.ndarray | None, np.ndarray]]) -> Iterator[bytes]:
+    """The UTF-8 bytes of CSV rows, a block of up to ``_WRITE_ROWS`` rows at a time.
+
+    Row i holds, from each (table, codes) column, row ``codes[i]`` of ``table``, a
+    :func:`_field_table`, or, where ``table`` is None, ``codes[i]`` in decimal (never negative);
+    each field is ended by a comma, the last by LF.  A block's cells, each with the comma or LF
+    that ends it, go into one NUL-padded uint8 matrix, whose bytes but the NULs are the rows.
+    """
+    n_rows = len(columns[0][1])
+    widths = [len(str(int(codes.max(initial=0)))) if table is None else table.shape[1] for table, codes in columns]
+    seps = np.cumsum(np.add(widths, 1)) - 1  # the matrix column of each field's comma or LF
+    matrix = np.zeros((min(n_rows, _WRITE_ROWS), int(seps[-1]) + 1), dtype=np.uint8)
+    matrix[:, seps] = _COMMA
+    matrix[:, -1] = _LF
+    for start in range(0, n_rows, _WRITE_ROWS):
+        block = matrix[: n_rows - start]
+        for (table, codes), sep, width in zip(columns, seps.tolist(), widths):
+            cells, codes = block[:, sep - width : sep], codes[start : start + _WRITE_ROWS]
+            if table is None:
+                _decimal(cells, codes, 0)
+            else:
+                cells[:] = table.take(codes, axis=0)
+        flat = block.ravel()
+        yield flat[flat != 0].tobytes()
 
 
-def _csv_text(header: Sequence[str], columns: Sequence[tuple[np.ndarray, np.ndarray]]) -> str:
-    """The header line, then the :func:`_csv_rows` of ``columns``."""
-    return ",".join(header) + "\n" + _csv_rows(columns)
+def _header(header: Sequence[str]) -> bytes:
+    """The header line of a CSV aflow writes; header names need no quotes."""
+    return (",".join(header) + "\n").encode()
+
+
+def _text(blocks: Iterable[bytes]) -> str:
+    """The text of ``blocks`` of UTF-8, each decoded once."""
+    return "".join(block.decode() for block in blocks)
 
 
 # A finite float v >= 0 as _column_texts writes it (repr); artifact readers take floats in this grammar.
@@ -1109,20 +1157,26 @@ def _column_texts(column: Sequence[object] | np.ndarray) -> list[str]:
     return list(map(str, values.tolist()))
 
 
-# Rows formatted at a time: formatting one 385,000-row forecasts.csv at once held every
-# cell's text and peaked at 236 MB under tracemalloc, against 0.17 MB by blocks.
-_WRITE_ROWS = 256
+def write_blocks(path: Path, blocks: Iterable[bytes]) -> None:
+    """Write ``blocks`` of UTF-8 to ``path``, each as soon as it is made."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as handle:
+        for block in blocks:
+            handle.write(block)
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[object] | np.ndarray]) -> None:
     """Write ``columns``, each of one type, under ``header`` (no quotes needed) to ``path``, a
-    block of rows at a time, as :func:`write_text` writes; no rows give the header line alone."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _WRITE_ROWS):
-            block = [_csv_fields(_column_texts(column[start : start + _WRITE_ROWS])) for column in columns]
-            handle.write(_csv_rows([(fields, np.arange(len(fields))) for fields in block]))
+    block of rows at a time, as :func:`write_blocks` writes; no rows give the header line alone."""
+    write_blocks(path, _artifact_blocks(header, columns))
+
+
+def _artifact_blocks(header: Sequence[str], columns: Sequence[Sequence[object] | np.ndarray]) -> Iterator[bytes]:
+    """The header line, then the rows of ``columns``, each block's cells made text by :func:`_column_texts`."""
+    yield _header(header)
+    for start in range(0, len(columns[0]), _WRITE_ROWS):
+        tables = [_field_table(_column_texts(column[start : start + _WRITE_ROWS])) for column in columns]
+        yield from _csv_rows([(table, np.arange(len(table))) for table in tables])
 
 
 def write_text(path: Path, text: str) -> None:
@@ -1131,39 +1185,69 @@ def write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
-def serialize_snapshots(network: DynamicNetwork) -> str:
-    """Canonical snapshots CSV: rows sorted by (date, source, kind, position)."""
+def _day_runs(day: np.ndarray, n_days: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """(the stable order of rows by ``day``, or None when ``day`` never decreases, and the bounds
+    in that order of each of the ``n_days`` days' rows).  Readers and generators sort every table
+    by day, which is checked a block at a time; only a table built by hand needs the sort."""
+    descends = any((np.diff(day[a : a + _WRITE_ROWS + 1]) < 0).any() for a in range(0, day.size, _WRITE_ROWS))
+    by_day = np.argsort(day, kind="stable") if descends else None
+    return by_day, np.searchsorted(day, np.arange(n_days + 1, dtype=day.dtype), sorter=by_day)  # no copy of day
+
+
+def snapshot_blocks(network: DynamicNetwork) -> Iterator[bytes]:
+    """The canonical snapshots CSV as blocks of UTF-8, the header line first: rows sorted by
+    (date, source, kind, position), written a day at a time."""
     t = network.table
-    rows = _row_order(t.day, t.src, t.kind, t.pos)
-    ids = _csv_fields(t.ids.tolist())
-    return _csv_text(SNAPSHOT_HEADER, (
-        (_csv_fields([d.isoformat() for d in network.window.dates()]), t.day[rows]),
-        (ids, t.src[rows]),
-        (ids, t.tgt[rows]),
-        _value_fields(t.pos[rows]),
-        (_csv_fields(LIST_KINDS), t.kind[rows]),
-    ))
+    yield _header(SNAPSHOT_HEADER)
+    dates = _field_table([d.isoformat() for d in network.window.dates()])
+    ids, kinds = _field_table(t.ids), _field_table(LIST_KINDS)
+    by_day, bounds = _day_runs(t.day, network.window.n_days)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        rows = np.arange(lo, hi) if by_day is None else by_day[lo:hi]
+        rows = rows[_row_order(t.src[rows], t.kind[rows], t.pos[rows])]
+        yield from _csv_rows([(dates, t.day[rows]), (ids, t.src[rows]), (ids, t.tgt[rows]), (None, t.pos[rows]),
+                              (kinds, t.kind[rows])])
+
+
+def view_blocks(views: ViewTable) -> Iterator[bytes]:
+    """The canonical views CSV as blocks of UTF-8, the header line first: rows sorted by
+    (video_id, date), each block's dates spelled once per distinct date."""
+    if views.values.min(initial=0) < 0:  # the readers reject these; a table built by hand may hold one
+        raise DataFormatError("view counts must not be negative")
+    yield _header(VIEWS_HEADER)
+    ids = _field_table(views.ids)
+    for start in range(0, views.values.size, _WRITE_ROWS):
+        row = np.arange(start, min(start + _WRITE_ROWS, views.values.size))
+        video = np.searchsorted(views.bounds, row, side="right") - 1
+        ordinals, day = np.unique(views.start[video] + (row - views.bounds[video]), return_inverse=True)
+        dates = _field_table([date.fromordinal(o).isoformat() for o in ordinals.tolist()])
+        yield from _csv_rows([(ids, video), (dates, day.ravel()), (None, views.values[row])])
+
+
+def metadata_blocks(metadata: Mapping[str, VideoMeta]) -> Iterator[bytes]:
+    """The canonical metadata CSV as blocks of UTF-8, the header line first: rows sorted by
+    video_id, genres sorted."""
+    rows = sorted(metadata.items())
+    every = np.arange(len(rows))
+    yield _header(METADATA_HEADER)
+    yield from _csv_rows([
+        (_field_table([vid for vid, _ in rows]), every),
+        (_field_table([m.artist_id for _, m in rows]), every),
+        (_field_table([m.upload_date.isoformat() for _, m in rows]), every),
+        (_field_table(["|".join(sorted(m.genres)) for _, m in rows]), every),
+    ])
+
+
+def serialize_snapshots(network: DynamicNetwork) -> str:
+    """Canonical snapshots CSV, the text of :func:`snapshot_blocks`."""
+    return _text(snapshot_blocks(network))
 
 
 def serialize_views(views: ViewTable) -> str:
-    """Canonical views CSV: rows sorted by (video_id, date)."""
-    lengths = np.diff(views.bounds)
-    ordinal = np.repeat(views.start - views.bounds[:-1], lengths) + np.arange(views.values.size)
-    ordinals, day = np.unique(ordinal, return_inverse=True)
-    return _csv_text(VIEWS_HEADER, (
-        (_csv_fields(views.ids.tolist()), np.repeat(np.arange(views.ids.size), lengths)),
-        (_csv_fields([date.fromordinal(o).isoformat() for o in ordinals.tolist()]), day.ravel()),
-        _value_fields(views.values),
-    ))
+    """Canonical views CSV, the text of :func:`view_blocks`."""
+    return _text(view_blocks(views))
 
 
 def serialize_metadata(metadata: Mapping[str, VideoMeta]) -> str:
-    """Canonical metadata CSV: rows sorted by video_id, genres sorted."""
-    rows = sorted(metadata.items())
-    every = np.arange(len(rows))
-    return _csv_text(METADATA_HEADER, (
-        (_csv_fields([vid for vid, _ in rows]), every),
-        (_csv_fields([m.artist_id for _, m in rows]), every),
-        (_csv_fields([m.upload_date.isoformat() for _, m in rows]), every),
-        (_csv_fields(["|".join(sorted(m.genres)) for _, m in rows]), every),
-    ))
+    """Canonical metadata CSV, the text of :func:`metadata_blocks`."""
+    return _text(metadata_blocks(metadata))

@@ -44,12 +44,15 @@ from .data_model import (
     SnapshotTable,
     VideoMeta,
     ViewTable,
+    _day_runs,
+    _decimal,
     _row_order,
-    serialize_metadata,
-    serialize_snapshots,
-    serialize_views,
+    metadata_blocks,
+    serialize_snapshots,  # not called here: the benchmark's tracer wraps it in this module too
+    snapshot_blocks,
     validate_dataset,
-    write_text,
+    view_blocks,
+    write_blocks,
 )
 from .list_alignment import BINS
 
@@ -315,18 +318,11 @@ def _numbered(prefix: str, number: np.ndarray, slot: np.ndarray | None = None) -
     codes = np.zeros((number.size, head + widths[-1] + tail), dtype=np.uint32)  # NUL-padded
     codes[:, :head] = [ord(c) for c in prefix]
     for w, a, b in zip(widths, cuts, cuts[1:]):
-        _decimal(codes[a:b, head : head + w], number[a:b])
+        _decimal(codes[a:b, head : head + w], number[a:b], ord("0"))
         if slot is not None:
             codes[a:b, head + w] = ord("p")
-            _decimal(codes[a:b, head + w + 1 : head + w + 3], np.asarray(slot, dtype=np.uint32)[a:b])
+            _decimal(codes[a:b, head + w + 1 : head + w + 3], np.asarray(slot, dtype=np.uint32)[a:b], ord("0"))
     return codes.view(f"U{codes.shape[1]}")[:, 0]
-
-
-def _decimal(out: np.ndarray, values: np.ndarray) -> None:
-    """Write the last ``out.shape[1]`` decimal digits of each of ``values`` into its row of ``out``, as code points."""
-    for j in range(out.shape[1] - 1, -1, -1):
-        values, out[:, j] = np.divmod(values, 10)
-    out += ord("0")
 
 
 def generate_paired_lists(
@@ -372,23 +368,28 @@ def generate_paired_lists(
     source = len(pair) + every
     target = source + n_pairs
     filler = np.cumsum(~shown).reshape(shown.shape) - 1
-    rows = 1 + shown.shape[1]  # per pair: the relevant entry, then a full recommended list
-    table = SnapshotTable.from_codes(
-        names,
-        every.repeat(rows) // PAIRS_PER_DAY,
-        source.repeat(rows),
-        np.column_stack([target, np.where(shown, target[:, None], filler)]).ravel(),
-        np.column_stack([rank, np.tile(np.arange(1, rows), (n_pairs, 1))]).ravel(),
-        np.tile(np.minimum(np.arange(rows), 1), n_pairs),  # kind 0 relevant, 1 recommended
-    )
+    slots = shown.shape[1]
+    # (day, source, target, position, kind) rows in the table's order: each day's relevant
+    # entries (kind 0), one per pair, then its full recommended lists (kind 1), so the
+    # stable sort in from_codes finds one run.
+    day = every // PAIRS_PER_DAY
+    relevant = np.column_stack([day, source, target, rank, np.zeros(n_pairs, dtype=np.int64)])
+    recommended = np.column_stack([
+        day.repeat(slots), source.repeat(slots), np.where(shown, target[:, None], filler).ravel(),
+        np.tile(np.arange(1, slots + 1), n_pairs), np.ones(n_pairs * slots, dtype=np.int64),
+    ])
+    rows = np.concatenate([part for a in range(0, n_pairs, PAIRS_PER_DAY) for part in
+                           (relevant[a : a + PAIRS_PER_DAY], recommended[a * slots : (a + PAIRS_PER_DAY) * slots])])
+    table = SnapshotTable.from_codes(names, *rows.T)
     n_days = (n_pairs + PAIRS_PER_DAY - 1) // PAIRS_PER_DAY
     return DynamicNetwork(ObservationWindow(START_DATE, n_days), table)
 
 
 def export_dataset(dataset: Dataset, out_dir: str | Path) -> None:
-    """Write the canonical ``DATASET_FILES``; views.csv holds each corpus video's window."""
+    """Write the canonical ``DATASET_FILES``, a block of rows at a time; views.csv holds each corpus
+    video's window."""
     window = dataset.window
-    rows = np.bincount(dataset.network.table.day, minlength=window.n_days)
+    rows = np.diff(_day_runs(dataset.network.table.day, window.n_days)[1])
     if not rows.all():  # a reader takes the window from the snapshot days
         day = window.start + timedelta(days=int(np.argmin(rows)))
         raise DataFormatError(f"window day {day} has no snapshot row, so the files would not load back")
@@ -396,9 +397,9 @@ def export_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     views = ViewTable(dataset.ids, np.full(n, window.start.toordinal(), dtype=np.int64),
                       np.arange(n + 1, dtype=np.int64) * window.n_days, dataset.window_views.ravel())
     snapshots, views_csv, metadata = (Path(out_dir) / name for name in DATASET_FILES)
-    write_text(snapshots, serialize_snapshots(dataset.network))
-    write_text(views_csv, serialize_views(views))
-    write_text(metadata, serialize_metadata(dataset.metadata))
+    write_blocks(snapshots, snapshot_blocks(dataset.network))
+    write_blocks(views_csv, view_blocks(views))
+    write_blocks(metadata, metadata_blocks(dataset.metadata))
 
 
 def ground_truth_to_json(truth: GroundTruth) -> dict:

@@ -48,7 +48,8 @@ def _alignment_matrix(
     position inside bin b.  Rows are joined on (day, source) list keys, then
     on (day, source, target) row keys.  The table is sorted by (day, kind,
     source, position), so the other kind's list keys are already in order,
-    and its row keys are out of order only within a list.
+    its row keys are out of order only within a list, and the rows of each
+    ``from_kind`` list are one run, whose list key is looked up once.
     """
     if max_from < 1:
         raise DataFormatError(f"{bound} must be at least 1, got {max_from}")
@@ -59,9 +60,14 @@ def _alignment_matrix(
     rows = np.flatnonzero(is_from & (t.pos <= max_from))
     other_lists = t.day[other].astype(np.int64) * n_ids + t.src[other]
     lists = t.day[rows].astype(np.int64) * n_ids + t.src[rows]
-    at = np.searchsorted(other_lists, lists)
+    opens_run = np.ones(lists.size, dtype=bool)
+    opens_run[1:] = lists[1:] != lists[:-1]
+    heads = np.flatnonzero(opens_run)
+    keys = lists[heads]
+    at = np.searchsorted(other_lists, keys)
     observed = at < other.size
-    observed[observed] = other_lists[at[observed]] == lists[observed]
+    observed[observed] = other_lists[at[observed]] == keys[observed]
+    observed = np.repeat(observed, np.diff(np.r_[heads, lists.size]))
     rows, lists = rows[observed], lists[observed]
     den = np.bincount(t.pos[rows] - 1, minlength=max_from)
 

@@ -221,6 +221,30 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
 
 
+def csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted, with each ``"`` doubled, when it holds ``,``, ``"`` or LF."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def value_fields(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct ``values`` as decimal texts, and each value's index among them."""
+    distinct, codes = np.unique(values, return_inverse=True)
+    return [str(v) for v in distinct.tolist()], codes.ravel()
+
+
+def joined_rows(columns) -> str:
+    """The CSV rows of (texts, codes) columns, row i holding ``texts[codes[i]]`` of each, as the
+    writer joined them before it built bytes: each column's texts quoted into an object array,
+    and every cell, with the comma or LF that ends it, joined in one pass."""
+    cells = np.empty((len(columns[0][1]), len(columns)), dtype=object)
+    for j, (texts, codes) in enumerate(columns):
+        fields = np.array([csv_field(text) for text in texts], dtype=object)
+        cells[:, j] = (fields + ("\n" if j == len(columns) - 1 else ","))[codes]
+    return "".join(cells.ravel().tolist())
+
+
 def lane_texts(lanes: np.ndarray, width: int) -> np.ndarray:
     """The ``str`` array of ``width`` characters that the byte split's uint64 lane rows spell, by
     viewing their big-endian bytes as one ``S`` string each and converting with ``astype``."""

@@ -422,6 +422,44 @@ def test_write_csv_writes_the_header_alone_for_no_rows(tmp_path):
     assert written == (tmp_path / "oracle.csv").read_bytes() == b"video_id,flag,count,value\n"
 
 
+# The texts of one column: ids that need quotes, non-ASCII and plain ones, and often
+# a mix of them, so that one column takes both ways to its field table.
+_TEXTS = st.sampled_from(["v00001", "plain", "", "a,b", '"q"', "x\ny", "r\rs", "é", "日本"]) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=6)
+_WRITER_COLUMNS = {
+    "text": st.lists(_TEXTS, min_size=1, max_size=6, unique=True),
+    "float": st.lists(st.floats() | _EDGE_FLOATS, min_size=1, max_size=6).map(data_model._column_texts),
+    "bool": st.lists(st.booleans(), min_size=1, max_size=2).map(data_model._column_texts),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 37, None], ids=["1", "3", "37", "default"])
+@given(st.lists(st.sampled_from(["text", "array", "float", "bool", "count"]), min_size=1, max_size=5),
+       st.integers(0, 80), st.data())
+def test_csv_rows_write_what_the_object_array_join_wrote(block_rows, kinds, n_rows, data):
+    n_rows = data.draw(st.sampled_from([0, 1, n_rows]))
+    columns, oracle = [], []
+    for kind in kinds:
+        if kind == "count":
+            values = np.array(data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n_rows, max_size=n_rows)),
+                              dtype=np.int64)
+            columns.append((None, values))
+            oracle.append(_oracles.value_fields(values))
+            continue
+        texts = data.draw(_WRITER_COLUMNS["text" if kind == "array" else kind])
+        codes = np.array(data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=n_rows, max_size=n_rows)),
+                         dtype=np.int32)
+        fields = np.array(texts, dtype=str) if kind == "array" else texts
+        columns.append((data_model._field_table(fields), codes))
+        oracle.append((texts, codes))
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(data_model, "_WRITE_ROWS", block_rows)
+        blocks = list(data_model._csv_rows(columns))
+        assert len(blocks) == -(-n_rows // data_model._WRITE_ROWS) and all(blocks)
+    assert "".join(block.decode() for block in blocks) == _oracles.joined_rows(oracle)
+
+
 @given(st.floats(min_value=0.0, allow_infinity=False))
 def test_the_writer_gives_every_finite_non_negative_float_a_text_the_readers_take(value):
     for column in ([value], np.array([value])):

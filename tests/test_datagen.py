@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aflow import datagen
-from aflow.data_model import DataFormatError, NumericalError, serialize_snapshots
+from aflow import data_model, datagen
+from aflow.data_model import (DataFormatError, NumericalError, ViewTable, serialize_metadata, serialize_snapshots,
+                               serialize_views)
 from aflow.list_alignment import BINS
 from aflow.persistence import extract_persistent_network
 
@@ -44,6 +47,28 @@ def test_export_rejects_a_window_day_without_snapshot_rows(tmp_path):
     with pytest.raises(DataFormatError, match="^window day 2018-09-10 has no snapshot row"):
         datagen.export_dataset(dataset, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_export_writes_a_block_at_a_time(tmp_path, monkeypatch):
+    # The same videos and edges over twice the days: twice the rows in snapshots.csv and views.csv.
+    monkeypatch.setattr(data_model, "_WRITE_ROWS", 256)  # both files span many blocks
+    peaks = []
+    for days in (30, 60):
+        dataset, _ = datagen.generate(datagen.GenConfig(n_videos=200, n_artists=5, days=days, edge_density=0.05,
+                                                        seed=3))
+        out = tmp_path / str(days)
+        tracemalloc.start()
+        try:
+            datagen.export_dataset(dataset, out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        n, start = dataset.ids.size, datagen.START_DATE.toordinal()
+        views = ViewTable(dataset.ids, np.full(n, start), np.arange(n + 1) * days, dataset.window_views.ravel())
+        assert (out / "snapshots.csv").read_bytes() == serialize_snapshots(dataset.network).encode()
+        assert (out / "views.csv").read_bytes() == serialize_views(views).encode()
+        assert (out / "metadata.csv").read_bytes() == serialize_metadata(dataset.metadata).encode()
+    assert peaks[1] < 1.2 * peaks[0], peaks  # writing the whole text first doubles it
 
 
 def test_noise_free_constant_chain():
@@ -250,6 +275,21 @@ def test_paired_lists_match_the_per_pair_loop(kernel, n_pairs, per_day, seed):
         want = _oracles.paired_lists(rng, kernel, n_pairs)
     assert serialize_snapshots(got) == serialize_snapshots(want)
     assert made[0].bit_generator.state == rng.bit_generator.state  # the stream is consumed alike
+
+
+def test_paired_lists_come_in_table_order(monkeypatch):
+    # from_codes sorts the rows by (day, kind, source, position); they already are.
+    orders, row_order = [], data_model._row_order
+
+    def recorded(*key):
+        orders.append(row_order(*key))
+        return orders[-1]
+
+    monkeypatch.setattr(data_model, "_row_order", recorded)
+    monkeypatch.setattr(datagen, "PAIRS_PER_DAY", 7)
+    net = datagen.generate_paired_lists(WORKLOAD_KERNEL, 30, seed=5)
+    assert len(orders) == 1 and np.array_equal(orders[0], np.arange(30 * 16))
+    assert net.window.n_days == 5
 
 
 def test_numbered_names_are_the_f_strings_past_seven_digits():

@@ -99,6 +99,12 @@ def test_an_empty_corpus_has_an_empty_matrix():
     assert serialize_views(_helpers.view_table({})) == "video_id,date,views\n"
 
 
+def test_serialize_views_rejects_a_negative_count():
+    # The readers never give one; a table built by hand may, and its digits cannot spell it.
+    with pytest.raises(DataFormatError, match="^view counts must not be negative$"):
+        serialize_views(_helpers.view_table({"a": (START, [3, -5])}))
+
+
 @given(st.dictionaries(ID, st.tuples(st.dates(date(1900, 1, 1), date(2100, 1, 1)),
                                      st.lists(COUNT, min_size=1, max_size=4)), max_size=5))
 def test_serialize_views_matches_the_per_video_writer(csv_file, series):
